@@ -14,7 +14,12 @@ Checks conventions a generic linter cannot know:
   depends on typed handlers);
 * no ``exec``/``eval`` calls outside the audited kernel compiler
   (``repro/engine/compiled.py``) — generated code must flow through
-  the kernel auditor, not around it.
+  the kernel auditor, not around it;
+* ``repro.engine`` stays at or under ``ENGINE_LINE_CEILING`` source
+  lines.  The per-package table (non-blank, non-comment, non-docstring
+  lines under ``src/repro/*``) is printed on every run so the trend is
+  visible PR over PR; a PR that shrinks the engine lowers the ceiling
+  to its new count, so the number only ratchets down.
 
 Exit status is the number of violations.
 """
@@ -23,7 +28,9 @@ from __future__ import annotations
 
 import ast
 import inspect
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -98,8 +105,79 @@ def lint_source_trees() -> list[str]:
     return problems
 
 
+#: Ratchet for ``repro.engine`` source lines (ROADMAP item 2): set to
+#: the count at the last PR that changed it; lower it, never raise it.
+#: 4813 before the one-block-compiler PR, 4474 after it.
+ENGINE_LINE_CEILING = 4474
+
+_NON_CODE_TOKENS = frozenset(
+    {
+        tokenize.COMMENT,
+        tokenize.NL,
+        tokenize.NEWLINE,
+        tokenize.INDENT,
+        tokenize.DEDENT,
+        tokenize.ENDMARKER,
+    }
+)
+
+
+def count_source_lines(text: str) -> int:
+    """Lines of ``text`` holding code: not blank, not comment-only, and
+    not part of a module/class/function docstring."""
+    code: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NON_CODE_TOKENS:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            continue
+        first = node.body[0] if node.body else None
+        if (
+            isinstance(first, ast.Expr)
+            and isinstance(first.value, ast.Constant)
+            and isinstance(first.value.value, str)
+        ):
+            code.difference_update(range(first.lineno, first.end_lineno + 1))
+    return len(code)
+
+
+def package_source_lines(root: Path = SRC / "repro") -> dict[str, int]:
+    """Source lines per package directly under ``root`` (top-level
+    modules count under ``repro``)."""
+    table: dict[str, int] = {}
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        package = f"repro.{rel.parts[0]}" if len(rel.parts) > 1 else "repro"
+        table[package] = table.get(package, 0) + count_source_lines(path.read_text())
+    return table
+
+
+def lint_source_lines() -> list[str]:
+    table = package_source_lines()
+    print("source lines per package (non-blank, non-comment, non-docstring):")
+    for package, lines in sorted(table.items()):
+        print(f"  {package:<18} {lines:>6}")
+    print(f"  {'total':<18} {sum(table.values()):>6}")
+    engine = table.get("repro.engine", 0)
+    if engine > ENGINE_LINE_CEILING:
+        return [
+            f"repro.engine has {engine} source lines, over the committed "
+            f"ceiling of {ENGINE_LINE_CEILING}; delete code or justify "
+            f"raising ENGINE_LINE_CEILING in benchmarks/lint_repo.py"
+        ]
+    return []
+
+
 def main() -> int:
-    problems = lint_fuser_handlers() + lint_pass_names() + lint_source_trees()
+    problems = (
+        lint_fuser_handlers()
+        + lint_pass_names()
+        + lint_source_trees()
+        + lint_source_lines()
+    )
     for problem in problems:
         print(f"LINT: {problem}")
     if not problems:

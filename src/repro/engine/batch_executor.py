@@ -5,10 +5,11 @@ of single rows.  A block is ``(cols, n)`` — one Python list per output
 column plus a row count — produced at the scan directly from the
 storage layer's column chunks (no per-row tuple construction before
 the filter) and carried through Filter/Project/UnionAll in columnar
-form.  Expressions evaluate through
-:func:`repro.engine.evaluator.compile_expression_batch`, which runs
-one list comprehension per expression node per block, amortizing the
-interpreter's per-row closure overhead that dominates the row engine.
+form.  Expressions evaluate through the block compiler,
+:func:`repro.engine.vectors.compile_expression_block`, which over list
+columns runs one list comprehension per expression node per block,
+amortizing the interpreter's per-row closure overhead that dominates
+the row engine.
 
 Operators that are inherently row-oriented (hash joins, aggregation,
 MarkDistinct, Sort, Window) convert blocks to row tuples with a single
@@ -70,7 +71,7 @@ from repro.engine.evaluator import (
     Aggregator,
     canon_key,
     compile_expression,
-    compile_expression_batch,
+    lower_aggregates,
 )
 from repro.engine.executor import (
     _cached_entry,
@@ -81,6 +82,11 @@ from repro.engine.executor import (
     scan_predicate,
 )
 from repro.engine.metrics import RunContext
+from repro.engine.vectors import (
+    accumulate_block,
+    compact_block,
+    compile_expression_block,
+)
 from repro.errors import ExecutionError
 
 #: Default rows per block — large enough to amortize per-block costs,
@@ -228,17 +234,6 @@ def _blocks_from_row_list(
         yield _rows_block(rows[start : start + block_rows], width)
 
 
-def _compact(cols: list, n: int, mask: list) -> Block:
-    """Keep the rows whose mask value is identity-True."""
-    sel = [i for i, v in enumerate(mask) if v is True]
-    kept = len(sel)
-    if kept == n:
-        return cols, n
-    if kept == 0:
-        return [], 0
-    return [[c[i] for i in sel] for c in cols], kept
-
-
 # -- scans ---------------------------------------------------------------
 
 
@@ -259,8 +254,8 @@ def _run_scan(plan: Scan, ctx: RunContext, block_rows: int) -> Iterator[Block]:
         if predicate is None:
             # Deferred like the row engine: a fully pruned scan never
             # compiles, and re-executions share the per-run cache.
-            predicate = scan_predicate(plan, ctx, mode="batch")
-        out_cols, out_n = _compact(cols, n, predicate(cols, n))
+            predicate = scan_predicate(plan, ctx, compile_expression_block)
+        out_cols, out_n = compact_block(cols, n, predicate(cols, n))
         if out_n:
             yield out_cols, out_n
 
@@ -269,11 +264,11 @@ def _run_scan(plan: Scan, ctx: RunContext, block_rows: int) -> Iterator[Block]:
 
 
 def _run_filter(plan: Filter, ctx: RunContext, block_rows: int) -> Iterator[Block]:
-    condition = compile_expression_batch(
+    condition = compile_expression_block(
         plan.condition, plan.child.output_columns, ctx.env
     )
     for cols, n in execute_blocks(plan.child, ctx, block_rows):
-        out_cols, out_n = _compact(cols, n, condition(cols, n))
+        out_cols, out_n = compact_block(cols, n, condition(cols, n))
         if out_n:
             yield out_cols, out_n
 
@@ -288,7 +283,7 @@ def _run_project(plan: Project, ctx: RunContext, block_rows: int) -> Iterator[Bl
         if isinstance(expr, ColumnRef) and expr.column.cid in indexes:
             slots.append(indexes[expr.column.cid])
         else:
-            slots.append(compile_expression_batch(expr, child_columns, ctx.env))
+            slots.append(compile_expression_block(expr, child_columns, ctx.env))
     for cols, n in execute_blocks(plan.child, ctx, block_rows):
         yield [cols[s] if type(s) is int else s(cols, n) for s in slots], n
 
@@ -353,10 +348,10 @@ def _run_join(plan: Join, ctx: RunContext, block_rows: int) -> Iterator[Block]:
 
     if equi:
         left_keys = [
-            compile_expression_batch(l, left_columns, ctx.env) for l, _ in equi
+            compile_expression_block(l, left_columns, ctx.env) for l, _ in equi
         ]
         right_keys = [
-            compile_expression_batch(r, right_columns, ctx.env) for _, r in equi
+            compile_expression_block(r, right_columns, ctx.env) for _, r in equi
         ]
         table: dict[tuple, list[Row]] = {}
         build_rows = 0
@@ -434,30 +429,21 @@ def _run_join(plan: Join, ctx: RunContext, block_rows: int) -> Iterator[Block]:
 # -- aggregation ---------------------------------------------------------
 
 
-def _run_group_by(plan: GroupBy, ctx: RunContext, block_rows: int) -> Iterator[Block]:
+def _run_group_by(
+    plan: GroupBy, ctx: RunContext, block_rows: int, fetch=execute_blocks
+) -> Iterator[Block]:
+    """Scalar and keyed aggregation.  ``fetch`` produces the child's
+    block stream; the compiled engine substitutes its own (vector
+    columns for the scalar path, one buffered block for the keyed)."""
     child_columns = plan.child.output_columns
     key_fns = [
-        compile_expression_batch(ColumnRef(k), child_columns, ctx.env)
+        compile_expression_block(ColumnRef(k), child_columns, ctx.env)
         for k in plan.keys
     ]
-    # Shared-expression slots, as in the row engine (§III.E): each
-    # distinct argument/mask expression is evaluated once per block.
-    shared_fns: list = []
-    shared_index: dict = {}
-
-    def shared(expr) -> int:
-        slot = shared_index.get(expr)
-        if slot is None:
-            slot = len(shared_fns)
-            shared_index[expr] = slot
-            shared_fns.append(compile_expression_batch(expr, child_columns, ctx.env))
-        return slot
-
-    agg_specs = []
-    for assignment in plan.aggregates:
-        arg_slot = None if assignment.argument is None else shared(assignment.argument)
-        mask_slot = None if assignment.mask == TRUE else shared(assignment.mask)
-        agg_specs.append((assignment.func, assignment.distinct, arg_slot, mask_slot))
+    shared_fns, agg_specs = lower_aggregates(
+        plan.aggregates,
+        lambda e: compile_expression_block(e, child_columns, ctx.env),
+    )
 
     out_width = len(plan.keys) + len(plan.aggregates)
     groups: dict[tuple, list[Aggregator]] = {}
@@ -467,7 +453,7 @@ def _run_group_by(plan: GroupBy, ctx: RunContext, block_rows: int) -> Iterator[B
             # Scalar aggregation: one accumulator set fed whole column
             # vectors at a time — no per-row dispatch at all.
             accumulators: list[Aggregator] | None = None
-            for cols, n in execute_blocks(plan.child, ctx, block_rows):
+            for cols, n in fetch(plan.child, ctx, block_rows):
                 if accumulators is None:
                     accumulators = [Aggregator(f, d) for f, d, _, _ in agg_specs]
                     groups[()] = accumulators
@@ -475,13 +461,14 @@ def _run_group_by(plan: GroupBy, ctx: RunContext, block_rows: int) -> Iterator[B
                     ctx.state_add(1)
                 values = [fn(cols, n) for fn in shared_fns]
                 for acc, (_, _, arg_slot, mask_slot) in zip(accumulators, agg_specs):
-                    acc.add_block(
+                    accumulate_block(
+                        acc,
                         None if arg_slot is None else values[arg_slot],
                         None if mask_slot is None else values[mask_slot],
                         n,
                     )
         else:
-            for cols, n in execute_blocks(plan.child, ctx, block_rows):
+            for cols, n in fetch(plan.child, ctx, block_rows):
                 key_vectors = [
                     [canon_key(v) for v in fn(cols, n)] for fn in key_fns
                 ]

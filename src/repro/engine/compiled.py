@@ -7,11 +7,12 @@ the optimized plan for **maximal pipelines** — a source
 optionally a scalar-aggregate sink — and generates *one fused closure
 per pipeline* by ``compile()``/``exec`` of synthesized Python source.
 N per-block operator dispatches collapse into a single loop body; the
-expressions inside reuse the batch engine's
-:func:`~repro.engine.evaluator.compile_expression_batch` machinery
-(``vectors="python"``), or the NumPy vector compiler
-(:mod:`repro.engine.vectors`, ``vectors="numpy"``) where masks,
-filters, arithmetic and aggregate reductions become array ops.
+expressions inside are the same block closures the batch engine runs
+(:func:`~repro.engine.vectors.compile_expression_block`).  What
+``vectors`` selects is only the column representation the scans hand
+out: Python lists (``"python"``), or NumPy vectors (``"numpy"``) over
+which masks, filters, arithmetic and aggregate reductions become array
+ops.
 
 Pipeline-break rules: joins, keyed GroupBy, MarkDistinct, Sort,
 Window, UnionAll, Spool, ScalarApply, EnforceSingleRow and
@@ -22,14 +23,16 @@ so every pipeline in the tree compiles, wherever it sits.  Three
 breakers additionally get NumPy-aware implementations here because
 they dominate the scan-heavy workload: single-key equi joins (sorted-
 array probes), MarkDistinct (whole-column first-occurrence via
-``np.unique``), and scalar GroupBy over non-pipeline children.
+``np.unique``) and keyed GroupBy (one factorization + per-group array
+reductions).  Scalar GroupBy over a non-pipeline child is the batch
+engine's own loop fed vector blocks.
 
 Engine equivalence: with ``vectors="python"`` the kernels run the
-exact list machinery of the batch engine, so results and metrics are
-bit-identical to it (and to the row engine).  With ``vectors="numpy"``
-integer/boolean results are still bit-identical; float *aggregation
-order* changes (array reductions are pairwise), the same last-ulp
-latitude the differential oracle already grants fusion.
+batch engine's own closures over the same lists, so results and
+metrics are bit-identical to it (and to the row engine).  With
+``vectors="numpy"`` integer/boolean results are still bit-identical;
+float *aggregation order* changes (array reductions are pairwise), the
+same last-ulp latitude the differential oracle already grants fusion.
 
 Blocks crossing back into batch-implemented operators are delisted
 (NumPy vectors → Python lists) at the dispatch boundary, so the vector
@@ -61,17 +64,17 @@ from repro.engine.batch_executor import (
     Block,
     _block_rows,
     _blocks_from_row_list,
-    _compact,
     _iter_rows,
     _rows_block,
     _run_cached_scan,
+    _run_group_by,
     dispatch_blocks_batch,
 )
 from repro.engine.evaluator import (
     Aggregator,
     canon_key,
-    compile_expression_batch,
     env_free,
+    lower_aggregates,
 )
 from repro.engine.executor import (
     _partition_pruner,
@@ -84,10 +87,11 @@ from repro.engine.vectors import (
     NumpyVector,
     accumulate_block,
     compact_block,
-    compile_expression_vector,
+    compile_expression_block,
     delist,
     np,
     numpy_enabled,
+    take_rows,
     true_mask,
 )
 
@@ -160,7 +164,12 @@ def _blocks_nv(plan, ctx, block_rows: int, mode: str) -> Iterator[Block]:
         return _run_mark_distinct_nv(plan, ctx, block_rows, mode)
     elif isinstance(plan, GroupBy):
         if not plan.keys:
-            return _run_scalar_group_by_nv(plan, ctx, block_rows, mode)
+            # The child broke the pipeline (a join, a MarkDistinct):
+            # the batch engine's scalar loop, fed undelisted blocks so
+            # vector columns reduce at array speed.
+            return _run_group_by(
+                plan, ctx, block_rows, lambda p, c, b: _blocks_nv(p, c, b, mode)
+            )
         if mode == "numpy":
             return _run_keyed_group_by_nv(plan, ctx, block_rows, mode)
     return dispatch_blocks_batch(plan, ctx, block_rows)
@@ -317,16 +326,13 @@ def _build_kernel(pipeline: _Pipeline, ctx, block_rows: int, mode: str):
     correlation env, i.e. (kernel_fn, consts) may be reused across
     RunContexts via ``_KERNEL_CACHE``.
     """
-    numpy_mode = mode == "numpy"
     cacheable = True
 
     def compile_expr(expr, schema):
         nonlocal cacheable
         if cacheable and not env_free(expr, schema):
             cacheable = False
-        if numpy_mode:
-            return compile_expression_vector(expr, schema, ctx.env)
-        return compile_expression_batch(expr, tuple(schema), ctx.env)
+        return compile_expression_block(expr, schema, ctx.env)
 
     consts: list = []
     prologue: list[str] = []
@@ -339,9 +345,10 @@ def _build_kernel(pipeline: _Pipeline, ctx, block_rows: int, mode: str):
         # The predicate closure compiles per-context inside
         # scan_predicate (it may be correlated), so the const takes the
         # runtime ctx and the kernel itself stays context-free.
-        pred_mode = "vector" if numpy_mode else "batch"
         consts.append(
-            lambda c, plan=source_plan, m=pred_mode: scan_predicate(plan, c, mode=m)
+            lambda c, plan=source_plan: scan_predicate(
+                plan, c, compile_expression_block
+            )
         )
         prologue.append("_pred = None")
         body += [
@@ -399,27 +406,9 @@ def _build_kernel(pipeline: _Pipeline, ctx, block_rows: int, mode: str):
     sink = pipeline.sink
     if sink is not None:
         prologue += ["_accs = None", "_made = False"]
-        # Shared-expression slots (§III.E), as in both other engines.
-        shared_fns: list = []
-        shared_index: dict = {}
-
-        def shared(expr) -> int:
-            slot = shared_index.get(expr)
-            if slot is None:
-                slot = len(shared_fns)
-                shared_index[expr] = slot
-                shared_fns.append(compile_expr(expr, schema))
-            return slot
-
-        agg_specs = []
-        for assignment in sink.aggregates:
-            arg_slot = (
-                None if assignment.argument is None else shared(assignment.argument)
-            )
-            mask_slot = None if assignment.mask == TRUE else shared(assignment.mask)
-            agg_specs.append(
-                (assignment.func, assignment.distinct, arg_slot, mask_slot)
-            )
+        shared_fns, agg_specs = lower_aggregates(
+            sink.aggregates, lambda e: compile_expr(e, schema)
+        )
         specs = tuple((f, d) for f, d, _, _ in agg_specs)
         consts.append(lambda s=specs: [Aggregator(f, d) for f, d in s])
         factory = len(consts) - 1
@@ -467,7 +456,7 @@ def _build_kernel(pipeline: _Pipeline, ctx, block_rows: int, mode: str):
     source_text = "\n".join(lines) + "\n"
 
     namespace = {
-        "_compact": compact_block if numpy_mode else _compact,
+        "_compact": compact_block,
         "_acc": accumulate_block,
         "_emit": _emit_aggs,
     }
@@ -518,65 +507,6 @@ def _source_factory(source_plan, ctx, block_rows: int, mode: str):
     return make_source
 
 
-# -- scalar aggregation over non-pipeline children -----------------------
-
-
-def _run_scalar_group_by_nv(
-    plan: GroupBy, ctx, block_rows: int, mode: str
-) -> Iterator[Block]:
-    """Scalar aggregation whose child broke the pipeline (a join, a
-    MarkDistinct): same accounting as the batch engine's scalar path,
-    but with vector-aware accumulation so NumPy child blocks reduce at
-    array speed."""
-    child_columns = plan.child.output_columns
-
-    def compile_expr(expr):
-        if mode == "numpy":
-            return compile_expression_vector(expr, child_columns, ctx.env)
-        return compile_expression_batch(expr, tuple(child_columns), ctx.env)
-
-    shared_fns: list = []
-    shared_index: dict = {}
-
-    def shared(expr) -> int:
-        slot = shared_index.get(expr)
-        if slot is None:
-            slot = len(shared_fns)
-            shared_index[expr] = slot
-            shared_fns.append(compile_expr(expr))
-        return slot
-
-    agg_specs = []
-    for assignment in plan.aggregates:
-        arg_slot = None if assignment.argument is None else shared(assignment.argument)
-        mask_slot = None if assignment.mask == TRUE else shared(assignment.mask)
-        agg_specs.append((assignment.func, assignment.distinct, arg_slot, mask_slot))
-    out_width = len(plan.output_columns)
-
-    accumulators = None
-    made = False
-    try:
-        for cols, n in _blocks_nv(plan.child, ctx, block_rows, mode):
-            if accumulators is None:
-                accumulators = [Aggregator(f, d) for f, d, _, _ in agg_specs]
-                ctx.state_add(1)
-                made = True
-            values = [fn(cols, n) for fn in shared_fns]
-            for acc, (_, _, arg_slot, mask_slot) in zip(accumulators, agg_specs):
-                accumulate_block(
-                    acc,
-                    None if arg_slot is None else values[arg_slot],
-                    None if mask_slot is None else values[mask_slot],
-                    n,
-                )
-        if accumulators is None:
-            accumulators = [Aggregator(f, d) for f, d, _, _ in agg_specs]
-        yield _emit_aggs(accumulators, out_width)
-    finally:
-        if made:
-            ctx.state_remove(1)
-
-
 # -- vectorized keyed GroupBy --------------------------------------------
 
 
@@ -597,24 +527,9 @@ def _run_keyed_group_by_nv(
     child_columns = plan.child.output_columns
 
     def compile_expr(expr):
-        return compile_expression_vector(expr, child_columns, ctx.env)
+        return compile_expression_block(expr, child_columns, ctx.env)
 
-    shared_fns: list = []
-    shared_index: dict = {}
-
-    def shared(expr) -> int:
-        slot = shared_index.get(expr)
-        if slot is None:
-            slot = len(shared_fns)
-            shared_index[expr] = slot
-            shared_fns.append(compile_expr(expr))
-        return slot
-
-    agg_specs = []
-    for assignment in plan.aggregates:
-        arg_slot = None if assignment.argument is None else shared(assignment.argument)
-        mask_slot = None if assignment.mask == TRUE else shared(assignment.mask)
-        agg_specs.append((assignment.func, assignment.distinct, arg_slot, mask_slot))
+    shared_fns, agg_specs = lower_aggregates(plan.aggregates, compile_expr)
     out_width = len(plan.keys) + len(plan.aggregates)
 
     segments: list[list] = [[] for _ in child_columns]
@@ -625,40 +540,29 @@ def _run_keyed_group_by_nv(
             segments[i].append(c)
         total += n
     if not total:
-        if plan.is_scalar:  # pragma: no cover - keyed GroupBys never are
-            accs = [Aggregator(f, d) for f, d, _, _ in agg_specs]
-            yield _rows_block([tuple(a.result() for a in accs)], out_width)
         return
     cols = [_concat_column(segs, total) for segs in segments]
-    if total < _KEYED_NV_SMALL_ROWS:
-        # Tiny inputs: one stable sort + per-group array slicing costs
-        # more than it saves — run the batch engine's exact per-row
-        # loop over the buffered columns instead.
-        yield from _keyed_group_by_rows(
-            plan, [delist(c) for c in cols], total, block_rows, ctx
-        )
+    group_keys = None
+    if total >= _KEYED_NV_SMALL_ROWS:
+        key_cols = [compile_expr(ColumnRef(k))(cols, total) for k in plan.keys]
+        codes, group_keys = _group_codes(key_cols, total)
+    if group_keys is None or len(group_keys) > total * _KEYED_NV_MAX_GROUP_RATIO:
+        # Tiny inputs, or nearly-unique keys: the vector path
+        # degenerates into a Python loop over single-row groups *plus*
+        # the stable sort it paid to get there, so run the batch
+        # engine's per-row dict loop over the buffered input as one
+        # delisted block (bit-identical accumulation order).  Deciding
+        # from the *observed* group cardinality is affordable because
+        # factorization runs at C speed; the per-group loop below is
+        # the expensive part.
+        block = ([delist(c) for c in cols], total)
+        yield from _run_group_by(plan, ctx, block_rows, lambda *_: [block])
         return
-
-    key_cols = [
-        compile_expr(ColumnRef(k))(cols, total) for k in plan.keys
-    ]
-    codes, group_keys = _group_codes(key_cols, total)
     group_count = len(group_keys)
-    if group_count > total * _KEYED_NV_MAX_GROUP_RATIO:
-        # Nearly-unique keys: the vector path degenerates into a
-        # Python loop over single-row groups *plus* the stable sort it
-        # paid to get there — the dict scan does strictly less work
-        # per row on that shape.  Deciding from the *observed* group
-        # cardinality is affordable because factorization runs at C
-        # speed; the per-group loop below is the expensive part.
-        yield from _keyed_group_by_rows(
-            plan, [delist(c) for c in cols], total, block_rows, ctx
-        )
-        return
     order = np.argsort(codes, kind="stable")
     offsets = np.zeros(group_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes, minlength=group_count), out=offsets[1:])
-    values = [_take_rows(fn(cols, total), order) for fn in shared_fns]
+    values = take_rows([fn(cols, total) for fn in shared_fns], order)
 
     ctx.state_add(group_count)
     try:
@@ -690,73 +594,6 @@ _KEYED_NV_SMALL_ROWS = 64
 #: (vector 20ms vs loop 37ms) and 0.30 (62ms vs 50ms); at ratio 1.0
 #: the vector path is ~1.5x slower.  0.25 splits the bracket.
 _KEYED_NV_MAX_GROUP_RATIO = 0.25
-
-
-def _keyed_group_by_rows(
-    plan: GroupBy, cols: list, n: int, block_rows: int, ctx
-) -> Iterator[Block]:
-    """The batch engine's per-row keyed aggregation over one buffered
-    (delisted) block — bit-identical accumulation order."""
-    child_columns = tuple(plan.child.output_columns)
-    key_fns = [
-        compile_expression_batch(ColumnRef(k), child_columns, ctx.env)
-        for k in plan.keys
-    ]
-    shared_fns: list = []
-    shared_index: dict = {}
-
-    def shared(expr) -> int:
-        slot = shared_index.get(expr)
-        if slot is None:
-            slot = len(shared_fns)
-            shared_index[expr] = slot
-            shared_fns.append(
-                compile_expression_batch(expr, child_columns, ctx.env)
-            )
-        return slot
-
-    agg_specs = []
-    for assignment in plan.aggregates:
-        arg_slot = None if assignment.argument is None else shared(assignment.argument)
-        mask_slot = None if assignment.mask == TRUE else shared(assignment.mask)
-        agg_specs.append((assignment.func, assignment.distinct, arg_slot, mask_slot))
-    out_width = len(plan.keys) + len(plan.aggregates)
-
-    groups: dict[tuple, list[Aggregator]] = {}
-    group_count = 0
-    try:
-        key_vectors = [
-            [canon_key(v) for v in fn(cols, n)] for fn in key_fns
-        ]
-        values = [fn(cols, n) for fn in shared_fns]
-        for i, key in enumerate(zip(*key_vectors)):
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [Aggregator(f, d) for f, d, _, _ in agg_specs]
-                groups[key] = accumulators
-                group_count += 1
-                ctx.state_add(1)
-            for acc, (_, _, arg_slot, mask_slot) in zip(accumulators, agg_specs):
-                if mask_slot is not None and values[mask_slot][i] is not True:
-                    continue
-                if arg_slot is None:
-                    acc.add_count_star()
-                else:
-                    acc.add(values[arg_slot][i])
-        rows = [
-            key + tuple(acc.result() for acc in accumulators)
-            for key, accumulators in groups.items()
-        ]
-        yield from _blocks_from_row_list(rows, out_width, block_rows)
-    finally:
-        ctx.state_remove(group_count)
-
-
-def _take_rows(column, order):
-    """Reorder one whole-buffer column by the ``order`` index array."""
-    if isinstance(column, NumpyVector):
-        return column.take(order)
-    return [column[i] for i in order.tolist()]
 
 
 def _group_codes(key_cols, total: int):
@@ -864,7 +701,7 @@ def _run_mark_distinct_nv(
             indexes = [col_index[c.cid] for c in node.columns]
             mask_vec = None
             if node.mask != TRUE:
-                mask_vec = compile_expression_vector(node.mask, schema, ctx.env)(
+                mask_vec = compile_expression_block(node.mask, schema, ctx.env)(
                     out_cols, total
                 )
             marker_col, added_here = _compute_marker(
@@ -911,7 +748,7 @@ def _compute_marker(out_cols, total: int, indexes, mask_vec):
     """One marker column (True on each key's first eligible lane)."""
     eligible = None
     if mask_vec is not None:
-        eligible = true_mask(mask_vec, total)
+        eligible = true_mask(mask_vec)
         if eligible is None:
             eligible = np.fromiter(
                 (v is True for v in mask_vec), dtype=bool, count=total
@@ -1000,8 +837,8 @@ def _join_single_key(plan, key_pair, ctx, block_rows, mode):
     out_width = len(plan.output_columns)
     pad = (None,) * len(right_columns)
 
-    right_key_fn = compile_expression_vector(right_expr, right_columns, ctx.env)
-    left_key_fn = compile_expression_vector(left_expr, left_columns, ctx.env)
+    right_key_fn = compile_expression_block(right_expr, right_columns, ctx.env)
+    left_key_fn = compile_expression_block(left_expr, left_columns, ctx.env)
 
     # -- build --
     segments: list[list] = [[] for _ in right_columns]
@@ -1022,12 +859,7 @@ def _join_single_key(plan, key_pair, ctx, block_rows, mode):
         if valid is not None:
             keep = np.flatnonzero(valid)
             key_data = key_col.data[keep]
-            kept_cols = [
-                c.take(keep)
-                if isinstance(c, NumpyVector)
-                else [c[i] for i in keep.tolist()]
-                for c in build_cols
-            ]
+            kept_cols = take_rows(build_cols, keep)
         else:
             key_data = key_col.data
             kept_cols = build_cols
@@ -1126,14 +958,8 @@ def _probe_sorted(cols, n, lkey, sorted_keys, sorter, kept_cols, kind, semi_like
         if not idx.size:
             return
         build_idx = sorter[pos_safe[idx]]
-        left_out = [
-            c.take(idx)
-            if isinstance(c, NumpyVector)
-            else [c[i] for i in idx.tolist()]
-            for c in cols
-        ]
         right_out = _gather(kept_cols, build_idx, None)
-        yield left_out + right_out, int(idx.size)
+        yield take_rows(cols, idx) + right_out, int(idx.size)
         return
     # LEFT: every probe row survives; unmatched lanes pad with NULLs.
     if not size:

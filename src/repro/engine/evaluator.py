@@ -1,4 +1,9 @@
-"""Expression evaluation.
+"""Scalar expression evaluation, aggregate accumulators and lowering.
+
+:func:`compile_expression` is the scalar reference compiler: the row
+engine runs it, and the block compiler
+(:func:`repro.engine.vectors.compile_expression_block`) is tested
+against it lane by lane.
 
 Expressions compile to Python closures over row tuples.  Column
 references resolve to tuple indexes at compile time; references that
@@ -18,6 +23,7 @@ import threading
 from typing import Callable
 
 from repro.algebra.expressions import (
+    TRUE,
     And,
     Arithmetic,
     Case,
@@ -297,14 +303,6 @@ def compile_expression(
     return build(expr)
 
 
-#: A batch closure: (column vectors, row count) -> value vector.
-#: ``cols`` holds one Python list per schema column; the function
-#: returns a list of ``row count`` values.  Closures never mutate input
-#: vectors and may return a column vector by reference (pass-through
-#: column refs are zero-copy).
-BatchFn = Callable[[list, int], list]
-
-
 #: The one NaN every group key uses (see :func:`canon_key`).
 _CANON_NAN = float("nan")
 
@@ -335,256 +333,37 @@ def env_free(expr: Expression, columns) -> bool:
     return True
 
 
-#: Compiled batch closures for env-free expressions, shared across
-#: executions: a prepared plan re-run under a fresh context skips the
-#: compile tree-walks entirely.  Bounded LRU, like ``_LIKE_CACHE``
-#: (and locked for the same reason).
-_BATCH_MEMO: dict[tuple, "BatchFn"] = {}
-_BATCH_MEMO_MAX = 2048
-_BATCH_MEMO_LOCK = threading.Lock()
+def lower_aggregates(aggregates, compile) -> tuple[list, list[tuple]]:
+    """Lower a GroupBy's aggregate assignments for any engine.
 
-
-def compile_expression_batch(
-    expr: Expression,
-    columns: tuple[Column, ...],
-    env: dict[int, object] | None = None,
-) -> BatchFn:
-    """Compile ``expr`` into a ``(cols, n) -> values`` vector closure.
-
-    Semantics are identical to :func:`compile_expression` applied to
-    each row — same 3VL NULL handling, Kleene AND/OR, LIKE cache — but
-    evaluation runs one list comprehension per expression node per
-    block instead of a closure-tree call per row.  CASE falls back to
-    row-at-a-time evaluation to preserve its lazy branch semantics.
+    Fused GroupBys carry many aggregates sharing a few distinct masks
+    and arguments (§III.E): each distinct expression gets one slot and
+    is compiled once with ``compile(expr)``, so it is evaluated once
+    per row/block and shared.  Returns ``(slot_fns, specs)``, one
+    ``(func, distinct, arg_slot, mask_slot)`` spec per aggregate;
+    ``arg_slot is None`` is ``count(*)``, ``mask_slot is None`` an
+    unmasked aggregate.
     """
-    if type(columns) is not tuple:
-        columns = tuple(columns)
-    key = (expr, columns)
-    with _BATCH_MEMO_LOCK:
-        fn = _BATCH_MEMO.pop(key, None)
-        if fn is not None:
-            _BATCH_MEMO[key] = fn  # LRU reinsertion
-            return fn
-    fn = _compile_expression_batch(expr, columns, env)
-    if env_free(expr, columns):
-        with _BATCH_MEMO_LOCK:
-            if key not in _BATCH_MEMO and len(_BATCH_MEMO) >= _BATCH_MEMO_MAX:
-                del _BATCH_MEMO[next(iter(_BATCH_MEMO))]
-            _BATCH_MEMO[key] = fn
-    return fn
+    slot_fns: list = []
+    slots: dict[Expression, int] = {}
 
+    def shared(expr: Expression) -> int:
+        slot = slots.get(expr)
+        if slot is None:
+            slot = slots[expr] = len(slot_fns)
+            slot_fns.append(compile(expr))
+        return slot
 
-def _compile_expression_batch(
-    expr: Expression,
-    columns: tuple[Column, ...],
-    env: dict[int, object] | None = None,
-) -> BatchFn:
-    indexes = column_indexes(columns)
-
-    def rowwise(node: Expression) -> BatchFn:
-        # Fallback: evaluate with the scalar compiler over zipped rows.
-        scalar = compile_expression(node, columns, env)
-
-        def eval_rows(cols: list, n: int) -> list:
-            if not cols:
-                empty = ()
-                return [scalar(empty) for _ in range(n)]
-            return [scalar(row) for row in zip(*cols)]
-
-        return eval_rows
-
-    def build(node: Expression) -> BatchFn:
-        if isinstance(node, Literal):
-            value = node.value
-            return lambda cols, n: [value] * n
-        if isinstance(node, ColumnRef):
-            cid = node.column.cid
-            index = indexes.get(cid)
-            if index is not None:
-                return lambda cols, n: cols[index]
-            if env is None:
-                raise ExecutionError(
-                    f"column {node.column!r} is not available in this row schema"
-                )
-
-            def read_env(cols: list, n: int, cid: int = cid) -> list:
-                try:
-                    return [env[cid]] * n
-                except KeyError:
-                    raise ExecutionError(
-                        f"unbound correlated column id {cid}"
-                    ) from None
-
-            return read_env
-        if isinstance(node, Comparison):
-            op = node.op
-            left = build(node.left)
-            if isinstance(node.right, Literal) and node.right.value is not None:
-                k = node.right.value
-                if op == "=":
-                    return lambda cols, n: [
-                        None if a is None else a == k for a in left(cols, n)
-                    ]
-                if op == "<>":
-                    return lambda cols, n: [
-                        None if a is None else a != k for a in left(cols, n)
-                    ]
-                if op == "<":
-                    return lambda cols, n: [
-                        None if a is None else a < k for a in left(cols, n)
-                    ]
-                if op == "<=":
-                    return lambda cols, n: [
-                        None if a is None else a <= k for a in left(cols, n)
-                    ]
-                if op == ">":
-                    return lambda cols, n: [
-                        None if a is None else a > k for a in left(cols, n)
-                    ]
-                if op == ">=":
-                    return lambda cols, n: [
-                        None if a is None else a >= k for a in left(cols, n)
-                    ]
-            right = build(node.right)
-            if op == "=":
-                return lambda cols, n: [
-                    None if a is None or b is None else a == b
-                    for a, b in zip(left(cols, n), right(cols, n))
-                ]
-            if op == "<>":
-                return lambda cols, n: [
-                    None if a is None or b is None else a != b
-                    for a, b in zip(left(cols, n), right(cols, n))
-                ]
-            if op == "<":
-                return lambda cols, n: [
-                    None if a is None or b is None else a < b
-                    for a, b in zip(left(cols, n), right(cols, n))
-                ]
-            if op == "<=":
-                return lambda cols, n: [
-                    None if a is None or b is None else a <= b
-                    for a, b in zip(left(cols, n), right(cols, n))
-                ]
-            if op == ">":
-                return lambda cols, n: [
-                    None if a is None or b is None else a > b
-                    for a, b in zip(left(cols, n), right(cols, n))
-                ]
-            return lambda cols, n: [
-                None if a is None or b is None else a >= b
-                for a, b in zip(left(cols, n), right(cols, n))
-            ]
-        if isinstance(node, And):
-            terms = [build(t) for t in node.terms]
-
-            def eval_and(cols: list, n: int) -> list:
-                out = terms[0](cols, n)
-                if len(terms) == 1:
-                    return [
-                        False if a is False else (None if a is None else True)
-                        for a in out
-                    ]
-                for term in terms[1:]:
-                    out = [
-                        False
-                        if a is False or b is False
-                        else (None if a is None or b is None else True)
-                        for a, b in zip(out, term(cols, n))
-                    ]
-                return out
-
-            return eval_and
-        if isinstance(node, Or):
-            terms = [build(t) for t in node.terms]
-
-            def eval_or(cols: list, n: int) -> list:
-                # The scalar compiler treats only identity-True as true
-                # here (``value is True``); mirror that exactly.
-                out = terms[0](cols, n)
-                if len(terms) == 1:
-                    return [
-                        True if a is True else (None if a is None else False)
-                        for a in out
-                    ]
-                for term in terms[1:]:
-                    out = [
-                        True
-                        if a is True or b is True
-                        else (None if a is None or b is None else False)
-                        for a, b in zip(out, term(cols, n))
-                    ]
-                return out
-
-            return eval_or
-        if isinstance(node, Not):
-            term = build(node.term)
-            return lambda cols, n: [
-                None if v is None else not v for v in term(cols, n)
-            ]
-        if isinstance(node, Arithmetic):
-            left = build(node.left)
-            right = build(node.right)
-            op = node.op
-            if op == "+":
-                return lambda cols, n: [
-                    None if a is None or b is None else a + b
-                    for a, b in zip(left(cols, n), right(cols, n))
-                ]
-            if op == "-":
-                return lambda cols, n: [
-                    None if a is None or b is None else a - b
-                    for a, b in zip(left(cols, n), right(cols, n))
-                ]
-            if op == "*":
-                return lambda cols, n: [
-                    None if a is None or b is None else a * b
-                    for a, b in zip(left(cols, n), right(cols, n))
-                ]
-            # Division mirrors the scalar compiler: NULL on zero divisor.
-            return lambda cols, n: [
-                None if a is None or b is None or b == 0 else a / b
-                for a, b in zip(left(cols, n), right(cols, n))
-            ]
-        if isinstance(node, IsNull):
-            operand = build(node.operand)
-            return lambda cols, n: [v is None for v in operand(cols, n)]
-        if isinstance(node, InList):
-            if all(isinstance(i, Literal) for i in node.items):
-                operand = build(node.operand)
-                candidates = [i.value for i in node.items if i.value is not None]
-                # A NULL item makes every non-match NULL instead of False.
-                miss = None if len(candidates) != len(node.items) else False
-                return lambda cols, n: [
-                    None if v is None else (True if v in candidates else miss)
-                    for v in operand(cols, n)
-                ]
-            return rowwise(node)
-        if isinstance(node, Like):
-            operand = build(node.operand)
-            match = _like_pattern(node.pattern).match
-            return lambda cols, n: [
-                None if v is None else match(str(v)) is not None
-                for v in operand(cols, n)
-            ]
-        if isinstance(node, Case):
-            # CASE evaluates branches lazily; keep the scalar semantics.
-            return rowwise(node)
-        if isinstance(node, FunctionCall):
-            impl = SCALAR_FUNCTIONS.get(node.name.lower())
-            if impl is None:
-                raise ExecutionError(f"unknown scalar function {node.name!r}")
-            args = [build(a) for a in node.args]
-            if not args:
-                return lambda cols, n: [impl([]) for _ in range(n)]
-
-            def eval_call(cols: list, n: int) -> list:
-                return [impl(list(t)) for t in zip(*(a(cols, n) for a in args))]
-
-            return eval_call
-        raise ExecutionError(f"cannot evaluate expression {node!r}")
-
-    return build(expr)
+    specs = [
+        (
+            a.func,
+            a.distinct,
+            None if a.argument is None else shared(a.argument),
+            None if a.mask == TRUE else shared(a.mask),
+        )
+        for a in aggregates
+    ]
+    return slot_fns, specs
 
 
 class Aggregator:

@@ -59,7 +59,7 @@ from repro.engine.evaluator import (
     Aggregator,
     canon_key,
     compile_expression,
-    compile_expression_batch,
+    lower_aggregates,
 )
 from repro.engine.metrics import RunContext
 from repro.engine.plan_cache import entry_checksum, entry_from_rows
@@ -427,27 +427,21 @@ def _in_check(name: str, values: list[object]) -> Callable[[ColumnChunk], bool]:
     return check
 
 
-def scan_predicate(plan: Scan, ctx: RunContext, mode: str = "row") -> Callable:
+def scan_predicate(plan: Scan, ctx: RunContext, compile=None) -> Callable:
     """Fetch (or compile and memoize) the scan's compiled predicate.
 
-    Cached per :class:`RunContext`: within one execution the
-    correlation environment is a single dict, so a Scan re-executed
-    many times (ScalarApply re-runs its subquery per outer row)
-    compiles its predicate once instead of once per run.
+    ``compile`` is the expression compiler to use: the scalar
+    ``compile_expression`` by default, the block compiler for the
+    block engines.  Cached per :class:`RunContext`: within one
+    execution the correlation environment is a single dict, so a Scan
+    re-executed many times (ScalarApply re-runs its subquery per outer
+    row) compiles its predicate once instead of once per run.
     """
-    key = (id(plan), mode)
+    compile = compile or compile_expression
+    key = (id(plan), compile)
     predicate = ctx.scan_predicate_cache.get(key)
     if predicate is None:
-        if mode == "row":
-            predicate = compile_expression(plan.predicate, plan.columns, ctx.env)
-        elif mode == "vector":
-            from repro.engine.vectors import compile_expression_vector
-
-            predicate = compile_expression_vector(
-                plan.predicate, plan.columns, ctx.env
-            )
-        else:
-            predicate = compile_expression_batch(plan.predicate, plan.columns, ctx.env)
+        predicate = compile(plan.predicate, plan.columns, ctx.env)
         ctx.scan_predicate_cache[key] = predicate
     return predicate
 
@@ -630,25 +624,9 @@ def _run_group_by(plan: GroupBy, ctx: RunContext) -> Iterator[Row]:
     key_fns = [
         compile_expression(ColumnRef(k), child_columns, ctx.env) for k in plan.keys
     ]
-    # Fused GroupBys carry many aggregates sharing a few distinct masks
-    # and arguments (§III.E); evaluate each distinct expression once per
-    # row and share the value across aggregates.
-    shared_fns: list = []
-    shared_index: dict[Expression, int] = {}
-
-    def shared(expr: Expression) -> int:
-        slot = shared_index.get(expr)
-        if slot is None:
-            slot = len(shared_fns)
-            shared_index[expr] = slot
-            shared_fns.append(compile_expression(expr, child_columns, ctx.env))
-        return slot
-
-    agg_specs = []
-    for assignment in plan.aggregates:
-        arg_slot = None if assignment.argument is None else shared(assignment.argument)
-        mask_slot = None if assignment.mask == TRUE else shared(assignment.mask)
-        agg_specs.append((assignment.func, assignment.distinct, arg_slot, mask_slot))
+    shared_fns, agg_specs = lower_aggregates(
+        plan.aggregates, lambda e: compile_expression(e, child_columns, ctx.env)
+    )
 
     groups: dict[tuple, list[Aggregator]] = {}
     group_count = 0

@@ -1,34 +1,53 @@
-"""NumPy-backed column vectors with 3VL validity masks.
+"""Block expression compiler and column vectors.
 
-The compiled engine (:mod:`repro.engine.compiled`) can carry column
-data as :class:`NumpyVector` — a NumPy array plus an optional boolean
-validity mask — instead of Python lists.  The representation is hidden
-behind the block interface: a vector iterates, slices and indexes like
-the list it replaces, yielding plain Python scalars with ``None`` at
-invalid (NULL) positions, so any list-consuming operator keeps working
-unchanged.
+Every block-at-a-time consumer — the batch engine, the compiled
+engine's kernels and its NumPy-aware operators — evaluates expressions
+through :func:`compile_expression_block`: one ``(cols, n) -> column``
+closure tree whose handlers pick their path from the *representation*
+of the operands they receive at run time.  A block column is either a
+Python list or a :class:`NumpyVector` (a NumPy array plus an optional
+validity mask; scans hand these out with ``as_vectors=True``).  A
+handler takes the array path when an operand is a ``NumpyVector`` and
+the list-comprehension path otherwise; it never touches ``np`` unless
+an operand is a ``NumpyVector``, so ``vectors="python"``,
+``REPRO_DISABLE_NUMPY=1`` and the batch engine all run the very same
+list closures.  The scalar :func:`~repro.engine.evaluator.
+compile_expression` is the independent reference both paths are tested
+against.
 
-NULL semantics (mirroring :mod:`repro.engine.evaluator` exactly):
+Semantics (one statement for both paths; DESIGN.md §7):
 
-* a lane is NULL iff its validity bit is False (``valid is None``
-  means all lanes valid);
-* comparisons/arithmetic are valid only where both operands are;
-* AND/OR follow Kleene logic — ``False AND NULL = False``,
-  ``True OR NULL = True`` — expressed with true/false lane masks;
-* division by zero yields NULL (the evaluator's documented
-  degradation), implemented by adding ``divisor != 0`` to validity;
-* invalid lanes always hold a benign fill value (0/False), so masked
-  arithmetic never overflows on garbage.
+* **NULL** is ``None`` in a list and a False validity bit in a vector
+  (``valid is None`` means all lanes valid; invalid lanes hold a benign
+  0/False fill).  Comparison, arithmetic, NOT, IN and LIKE are NULL
+  where an operand is NULL.
+* **AND/OR** are Kleene: ``False AND NULL = False``, ``True OR NULL =
+  True``.  Only identity ``True`` counts as true for OR, only identity
+  ``False`` as false for AND, as in the scalar compiler.
+* **Division by zero** yields NULL (``0``, ``-0.0`` and ``False`` are
+  all zero divisors).
+* **Filters and aggregate masks** keep a lane only when the value is
+  identity-``True``.
+* **CASE** is lazy: a branch is evaluated only for the lanes that
+  reach it, so a branch that would raise on other lanes never sees
+  them.
+* **NaN** compares false to everything including itself; GROUP BY /
+  DISTINCT canonicalize every NaN to one key (``canon_key``).
+* **Integer exactness**: Python ints are unbounded, int64 lanes are
+  not.  Columns holding an int at or beyond ±2**62 stay lists; array
+  ``+ - *`` and array ``SUM``/``AVG``/``STDDEV_SAMP`` run only when
+  operand magnitudes cannot reach 2**62, array ``/`` and int-vs-float
+  comparisons only when every int is at most 2**53 (exactly
+  representable as a double) — otherwise that block takes the list
+  path (:func:`_array_exact`).  Integer and boolean results are
+  therefore bit-identical across representations; float *accumulation
+  order* differs (``ndarray.sum`` is pairwise, the list path folds
+  left to right), the last-ulp latitude the oracle already grants
+  fusion.
 
-Exactness: integer/boolean results are bit-identical to the list
-engines.  Float *accumulation order* differs (``ndarray.sum`` is
-pairwise, the row engine folds left-to-right), which is the same
-last-ulp latitude fusion already has — the differential oracle
-canonicalizes floats to 10 significant digits.
-
-``REPRO_DISABLE_NUMPY=1`` (or NumPy being absent) disables the backend
-at runtime: :func:`numpy_enabled` is re-checked on every conversion,
-so the pure-Python fallback is testable in a NumPy-equipped process.
+``REPRO_DISABLE_NUMPY=1`` (or NumPy being absent) disables vectors at
+run time: :func:`numpy_enabled` is re-checked on every conversion, so
+the pure-Python fallback is testable in a NumPy-equipped process.
 """
 
 from __future__ import annotations
@@ -37,6 +56,7 @@ import operator
 import os
 import threading
 import zlib
+from typing import Callable
 
 try:  # pragma: no cover - exercised via numpy_enabled()
     import numpy as np
@@ -46,21 +66,27 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
 from repro.algebra.expressions import (
     And,
     Arithmetic,
+    Case,
     ColumnRef,
     Comparison,
     Expression,
+    FunctionCall,
     InList,
     IsNull,
+    Like,
     Literal,
     Not,
     Or,
+    columns_in,
 )
 from repro.algebra.types import DataType
 from repro.engine.evaluator import (
+    SCALAR_FUNCTIONS,
+    _like_pattern,
     column_indexes,
-    compile_expression_batch,
     env_free,
 )
+from repro.errors import ExecutionError
 
 
 def numpy_enabled() -> bool:
@@ -84,9 +110,13 @@ _ELEMENT_TYPES = {
 
 _NP_DTYPES = {int: "int64", float: "float64", bool: "bool"}
 
-#: int64 magnitude guard: + and * fall back to listwise evaluation when
-#: operand magnitudes could overflow 63 bits (Python ints are exact).
+#: int64 magnitude guard: array + - * and array sums run only while
+#: operand magnitudes cannot reach this (Python ints are exact).
 _INT_GUARD = 1 << 62
+
+#: Largest int magnitude a float64 holds exactly: array division and
+#: int-vs-float comparison convert ints to doubles.
+_FLOAT_EXACT = 1 << 53
 
 
 class NumpyVector:
@@ -147,7 +177,7 @@ class NumpyVector:
 def vector_from_values(values: list, dtype: DataType) -> NumpyVector | None:
     """Convert one column's Python values to a vector, or ``None`` when
     the column is ineligible (strings, mixed element types, ints beyond
-    int64, or the backend disabled)."""
+    the int64 guard, or the backend disabled)."""
     if not numpy_enabled():
         return None
     element = _ELEMENT_TYPES.get(dtype)
@@ -176,12 +206,12 @@ def vector_from_values(values: list, dtype: DataType) -> NumpyVector | None:
 
 def delist(column):
     """A plain Python list view of a column (no-op for lists)."""
-    if isinstance(column, NumpyVector):
+    if type(column) is NumpyVector:
         return column.tolist()
     return column
 
 
-# -- runtime value plumbing ----------------------------------------------
+# -- runtime values ------------------------------------------------------
 
 
 class VConst:
@@ -194,11 +224,14 @@ class VConst:
         self.value = value
 
 
-def materialize(value, n: int):
-    """Expand a VConst into a list; pass vectors/lists through."""
-    if isinstance(value, VConst):
+_NULL = VConst(None)
+
+
+def as_list(value, n: int) -> list:
+    """The ``n`` lane values of any runtime value as a Python list."""
+    if type(value) is VConst:
         return [value.value] * n
-    return value
+    return delist(value)
 
 
 def _and_valid(a, b):
@@ -209,39 +242,25 @@ def _and_valid(a, b):
     return a & b
 
 
-def true_mask(mask, n: int):
-    """Identity-True lanes of a boolean mask as a bool ndarray, or
-    ``None`` when the mask is not numpy-backed."""
-    if isinstance(mask, NumpyVector):
-        data = mask.data
-        if data.dtype != np.bool_:  # pragma: no cover - masks are boolean
-            data = data.astype(bool)
-        return data & mask.valid if mask.valid is not None else data
-    if isinstance(mask, VConst):
-        if mask.value is True:
-            return np.ones(n, dtype=bool)
-        return np.zeros(n, dtype=bool)
-    return None
+def true_mask(mask):
+    """Identity-True lanes of a boolean vector as a bool ndarray, or
+    ``None`` when the mask is a list."""
+    if type(mask) is not NumpyVector:
+        return None
+    return mask.data & mask.valid if mask.valid is not None else mask.data
 
 
-def _bool_lanes(value, n: int):
-    """(true_lanes, false_lanes) bool arrays for a Kleene operand, or
-    ``None`` when the operand is not numpy-representable."""
-    if isinstance(value, NumpyVector):
-        data = value.data
-        if data.dtype != np.bool_:  # pragma: no cover - masks are boolean
-            data = data.astype(bool)
-        if value.valid is None:
+def _bool_lanes(value):
+    """(true_lanes, false_lanes) of a Kleene operand — bool arrays for
+    a boolean vector, Python bools (which broadcast) for a constant —
+    or ``None`` for lists and non-boolean vectors."""
+    if type(value) is VConst:
+        return value.value is True, value.value is False
+    if type(value) is NumpyVector and value.data.dtype.kind == "b":
+        data, valid = value.data, value.valid
+        if valid is None:
             return data, ~data
-        return data & value.valid, ~data & value.valid
-    if isinstance(value, VConst):
-        ones = np.ones(n, dtype=bool)
-        zeros = np.zeros(n, dtype=bool)
-        if value.value is True:
-            return ones, zeros
-        if value.value is False:
-            return zeros, ones
-        return zeros, zeros  # NULL: neither true nor false
+        return data & valid, ~data & valid
     return None
 
 
@@ -252,361 +271,450 @@ def _lanes_to_vector(true_lanes, false_lanes) -> NumpyVector:
     return NumpyVector(true_lanes, decided)
 
 
-# -- vectorized expression compiler --------------------------------------
+# -- per-node evaluation -------------------------------------------------
 
-_PY_COMPARATORS = {
+#: List-path kernels: one inlined comprehension per operator (an
+#: ``operator.*`` call per lane costs about 2x).  The ``_K`` forms take
+#: a non-NULL scalar right-hand side — literals and correlated values.
+_CMP_LIST = {
+    "=": lambda a, b: [
+        None if x is None or y is None else x == y for x, y in zip(a, b)
+    ],
+    "<>": lambda a, b: [
+        None if x is None or y is None else x != y for x, y in zip(a, b)
+    ],
+    "<": lambda a, b: [
+        None if x is None or y is None else x < y for x, y in zip(a, b)
+    ],
+    "<=": lambda a, b: [
+        None if x is None or y is None else x <= y for x, y in zip(a, b)
+    ],
+    ">": lambda a, b: [
+        None if x is None or y is None else x > y for x, y in zip(a, b)
+    ],
+    ">=": lambda a, b: [
+        None if x is None or y is None else x >= y for x, y in zip(a, b)
+    ],
+}
+_CMP_LIST_K = {
+    "=": lambda a, k: [None if x is None else x == k for x in a],
+    "<>": lambda a, k: [None if x is None else x != k for x in a],
+    "<": lambda a, k: [None if x is None else x < k for x in a],
+    "<=": lambda a, k: [None if x is None else x <= k for x in a],
+    ">": lambda a, k: [None if x is None else x > k for x in a],
+    ">=": lambda a, k: [None if x is None else x >= k for x in a],
+}
+_ARITH_LIST = {
+    "+": lambda a, b: [
+        None if x is None or y is None else x + y for x, y in zip(a, b)
+    ],
+    "-": lambda a, b: [
+        None if x is None or y is None else x - y for x, y in zip(a, b)
+    ],
+    "*": lambda a, b: [
+        None if x is None or y is None else x * y for x, y in zip(a, b)
+    ],
+    "/": lambda a, b: [
+        None if x is None or y is None or y == 0 else x / y
+        for x, y in zip(a, b)
+    ],
+}
+
+#: Scalar/array operators (``operator.*`` broadcasts over ndarrays).
+_OPERATORS = {
     "=": operator.eq,
     "<>": operator.ne,
     "<": operator.lt,
     "<=": operator.le,
     ">": operator.gt,
     ">=": operator.ge,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
 }
 
-_NP_COMPARATORS = _PY_COMPARATORS  # operator.* broadcasts over ndarrays
 
-_NUMERIC_SCALARS = (bool, int, float)
-
-
-def _compare(op: str, a, b, n: int):
-    """3VL comparison over runtime operand values."""
-    fn = _PY_COMPARATORS[op]
-    if isinstance(a, VConst) and isinstance(b, VConst):
-        av, bv = a.value, b.value
-        return VConst(None if av is None or bv is None else fn(av, bv))
-    for x, y, flip in ((a, b, False), (b, a, True)):
-        if isinstance(x, NumpyVector):
-            if isinstance(y, NumpyVector):
-                data = fn(x.data, y.data) if not flip else fn(y.data, x.data)
-                return NumpyVector(data, _and_valid(x.valid, y.valid))
-            if isinstance(y, VConst):
-                k = y.value
-                if k is None:
-                    return VConst(None)
-                if isinstance(k, _NUMERIC_SCALARS):
-                    data = fn(k, x.data) if flip else fn(x.data, k)
-                    return NumpyVector(np.asarray(data), x.valid)
-                break  # str-vs-numeric comparison: listwise semantics
-            break
-    # Listwise fallback (string columns, mixed-type lanes, bool/num mix).
-    a_list = materialize(delist(a) if not isinstance(a, VConst) else a, n)
-    b_list = materialize(delist(b) if not isinstance(b, VConst) else b, n)
-    return [
-        None if x is None or y is None else fn(x, y)
-        for x, y in zip(a_list, b_list)
-    ]
+def _array_operand(x):
+    """``(data, valid)`` when ``x`` can enter an array operation — a
+    vector, or a numeric constant (which broadcasts) — else ``None``."""
+    if type(x) is NumpyVector:
+        return x.data, x.valid
+    if type(x) is VConst and isinstance(x.value, (bool, int, float)):
+        return x.value, None
+    return None
 
 
-def _arith(op: str, a, b, n: int):
-    if isinstance(a, VConst) and isinstance(b, VConst):
-        av, bv = a.value, b.value
-        if av is None or bv is None or (op == "/" and bv == 0):
-            return VConst(None)
-        if op == "+":
-            return VConst(av + bv)
-        if op == "-":
-            return VConst(av - bv)
-        if op == "*":
-            return VConst(av * bv)
-        return VConst(av / bv)
-    numpyable = True
-    for x in (a, b):
-        if isinstance(x, NumpyVector):
-            continue
-        if isinstance(x, VConst) and isinstance(x.value, _NUMERIC_SCALARS):
-            continue
-        numpyable = False
-        break
-    if numpyable:
-        a_data = a.data if isinstance(a, NumpyVector) else a.value
-        b_data = b.data if isinstance(b, NumpyVector) else b.value
-        a_valid = a.valid if isinstance(a, NumpyVector) else None
-        b_valid = b.valid if isinstance(b, NumpyVector) else None
-        valid = _and_valid(a_valid, b_valid)
-        if op in ("+", "*", "-") and not _int_safe(op, a_data, b_data):
-            numpyable = False
-        elif op == "/":
-            nonzero = b_data != 0
-            if not isinstance(nonzero, np.ndarray):
-                if not nonzero:
-                    return VConst(None)  # constant zero divisor
-            elif not np.all(nonzero):
-                valid = _and_valid(valid, nonzero)
-                b_data = np.where(nonzero, b_data, 1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return NumpyVector(np.true_divide(a_data, b_data), valid)
+def _kind(x) -> str:
+    """NumPy-style kind of an array operand: b(ool), i(nt) or f(loat)."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind
+    return "b" if isinstance(x, bool) else "i" if isinstance(x, int) else "f"
+
+
+def _int_bound(x) -> int:
+    """Largest int magnitude in an array operand (0 for floats/bools)."""
+    if isinstance(x, np.ndarray):
+        return int(np.abs(x).max()) if x.dtype.kind == "i" and x.size else 0
+    return abs(x) if type(x) is int else 0
+
+
+def _array_exact(op: str, a_data, b_data) -> bool:
+    """True when the NumPy ``op`` over these operands equals Python's
+    scalar semantics lane for lane (module docstring, "Integer
+    exactness").  Floats always pass — they round and saturate exactly
+    like Python floats."""
+    kinds = _kind(a_data) + _kind(b_data)
+    arithmetic = op in _ARITH_LIST
+    if arithmetic and "b" in kinds:
+        return False  # Python adds bools as ints; NumPy does not
+    if "i" not in kinds or (not arithmetic and "f" not in kinds):
+        return True
+    a_bound, b_bound = _int_bound(a_data), _int_bound(b_data)
+    if op in ("+", "-"):
+        return a_bound + b_bound < _INT_GUARD
+    if op == "*":
+        return a_bound * b_bound < _INT_GUARD
+    return max(a_bound, b_bound) <= _FLOAT_EXACT  # "/", int-vs-float compare
+
+
+def _binary(op: str, a, b, n: int):
+    """One comparison or arithmetic node over runtime operand values."""
+    ta, tb = type(a), type(b)
+    divide = op == "/"
+    if (ta is VConst and a.value is None) or (tb is VConst and b.value is None):
+        return _NULL
+    if ta is VConst and tb is VConst:
+        if divide and b.value == 0:
+            return _NULL
+        return VConst(_OPERATORS[op](a.value, b.value))
+    if ta is NumpyVector or tb is NumpyVector:
+        left, right = _array_operand(a), _array_operand(b)
+        if left and right and _array_exact(op, left[0], right[0]):
+            (a_data, a_valid), (b_data, b_valid) = left, right
+            valid = _and_valid(a_valid, b_valid)
+            if divide:
+                nonzero = b_data != 0
+                if nonzero is False:
+                    return _NULL  # constant zero divisor
+                if nonzero is not True and not nonzero.all():
+                    valid = _and_valid(valid, nonzero)
+                    b_data = np.where(nonzero, b_data, 1)
+            if op not in _ARITH_LIST:
+                return NumpyVector(_OPERATORS[op](a_data, b_data), valid)
+            # Python floats overflow to inf and turn inf-inf into nan
+            # silently; so must the array path.
+            with np.errstate(all="ignore"):
+                return NumpyVector(_OPERATORS[op](a_data, b_data), valid)
+    if op in _ARITH_LIST:
+        return _ARITH_LIST[op](as_list(a, n), as_list(b, n))
+    if tb is VConst:
+        return _CMP_LIST_K[op](as_list(a, n), b.value)
+    return _CMP_LIST[op](as_list(a, n), as_list(b, n))
+
+
+def _kleene(conj: bool, values: list, n: int):
+    """N-ary Kleene AND (``conj``) / OR over evaluated operands."""
+    if NumpyVector in map(type, values):
+        lanes = [_bool_lanes(v) for v in values]
+        if all(pair is not None for pair in lanes):
+            true_lanes, false_lanes = lanes[0]
+            for t, f in lanes[1:]:
+                if conj:
+                    true_lanes = true_lanes & t
+                    false_lanes = false_lanes | f
+                else:
+                    true_lanes = true_lanes | t
+                    false_lanes = false_lanes & f
+            return _lanes_to_vector(true_lanes, false_lanes)
+    # List fold.  A single term folds with itself, which normalizes it
+    # to True/False/None exactly as the scalar compiler's loop does.
+    out = as_list(values[0], n)
+    for value in values[1:] or values:
+        if conj:
+            out = [
+                False
+                if a is False or b is False
+                else (None if a is None or b is None else True)
+                for a, b in zip(out, as_list(value, n))
+            ]
         else:
-            fn = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
-            return NumpyVector(np.asarray(fn(a_data, b_data)), valid)
-    a_list = materialize(delist(a) if not isinstance(a, VConst) else a, n)
-    b_list = materialize(delist(b) if not isinstance(b, VConst) else b, n)
-    if op == "+":
-        return [
-            None if x is None or y is None else x + y
-            for x, y in zip(a_list, b_list)
-        ]
-    if op == "-":
-        return [
-            None if x is None or y is None else x - y
-            for x, y in zip(a_list, b_list)
-        ]
-    if op == "*":
-        return [
-            None if x is None or y is None else x * y
-            for x, y in zip(a_list, b_list)
-        ]
-    return [
-        None if x is None or y is None or y == 0 else x / y
-        for x, y in zip(a_list, b_list)
-    ]
+            out = [
+                True
+                if a is True or b is True
+                else (None if a is None or b is None else False)
+                for a, b in zip(out, as_list(value, n))
+            ]
+    return out
 
 
-def _int_safe(op: str, a_data, b_data) -> bool:
-    """True when an int64 +/-/* cannot overflow (floats always pass —
-    they saturate to inf exactly like Python floats)."""
-
-    def bound(x) -> float:
-        if isinstance(x, np.ndarray):
-            if x.dtype.kind != "i":
-                return 0.0
-            return float(np.abs(x).max()) if x.size else 0.0
-        if isinstance(x, bool) or not isinstance(x, int):
-            return 0.0
-        return float(abs(x))
-
-    ba, bb = bound(a_data), bound(b_data)
-    if op == "*":
-        return ba * bb < _INT_GUARD
-    return ba + bb < _INT_GUARD
+def _negate(value):
+    if type(value) is VConst:
+        return _NULL if value.value is None else VConst(not value.value)
+    lanes = _bool_lanes(value)
+    if lanes is not None:
+        return _lanes_to_vector(lanes[1], lanes[0])
+    return [None if v is None else not v for v in value]
 
 
-#: Compiled vector closures for env-free expressions (the same cross-
-#: execution sharing — and locking — as the batch compiler's memo).
-_VECTOR_MEMO: dict[tuple, object] = {}
-_VECTOR_MEMO_MAX = 2048
-_VECTOR_MEMO_LOCK = threading.Lock()
+def _is_null(value):
+    if type(value) is VConst:
+        return VConst(value.value is None)
+    if type(value) is NumpyVector:
+        if value.valid is None:
+            return NumpyVector(np.zeros(len(value.data), bool))
+        return NumpyVector(~value.valid)
+    return [v is None for v in value]
 
 
-def compile_expression_vector(
+def _in_row(value, candidates) -> object:
+    """``value IN (candidates)`` for one lane."""
+    if value is None:
+        return None
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+        elif candidate == value:
+            return True
+    return None if saw_null else False
+
+
+def take_rows(cols: list, sel) -> list:
+    """The block's rows at positions ``sel`` (int list or index array)."""
+    positions = None
+    out = []
+    for c in cols:
+        if type(c) is NumpyVector:
+            out.append(c.take(sel))
+        else:
+            if positions is None:
+                positions = sel if type(sel) is list else sel.tolist()
+            out.append([c[i] for i in positions])
+    return out
+
+
+# -- the block compiler --------------------------------------------------
+
+#: A block closure: (columns, row count) -> column.  ``cols`` holds one
+#: list or :class:`NumpyVector` per schema column; the result is a list
+#: or vector of ``row count`` lanes.  Closures never mutate their input
+#: and may return a column by reference (column refs are zero-copy).
+BlockFn = Callable[[list, int], object]
+
+#: Compiled closures for env-free expressions, shared across executions
+#: and engines: a prepared plan re-run under a fresh context skips the
+#: compile tree-walks entirely.  Bounded LRU (dicts keep insertion
+#: order; a hit reinserts), locked because concurrent server queries
+#: share it and evict-oldest is not atomic under threads.
+_BLOCK_MEMO: dict[tuple, BlockFn] = {}
+_BLOCK_MEMO_MAX = 2048
+_BLOCK_MEMO_LOCK = threading.Lock()
+
+
+def compile_expression_block(
     expr: Expression,
     columns,
     env: dict[int, object] | None = None,
-):
+) -> BlockFn:
+    """Compile ``expr`` into a ``(cols, n) -> column`` closure.
+
+    Lane for lane the result equals :func:`~repro.engine.evaluator.
+    compile_expression` applied to each row (module docstring), for
+    blocks whose columns are any mix of lists and :class:`NumpyVector`.
+    ``env`` is the correlation environment: a reference to a column
+    outside ``columns`` reads ``env[cid]`` at call time.
+    """
     if type(columns) is not tuple:
         columns = tuple(columns)
     key = (expr, columns)
-    with _VECTOR_MEMO_LOCK:
-        fn = _VECTOR_MEMO.pop(key, None)
+    with _BLOCK_MEMO_LOCK:
+        fn = _BLOCK_MEMO.pop(key, None)
         if fn is not None:
-            _VECTOR_MEMO[key] = fn  # LRU reinsertion
+            _BLOCK_MEMO[key] = fn  # LRU reinsertion
             return fn
-    fn = _compile_expression_vector(expr, columns, env)
+    fn = _compile_block(expr, columns, env)
     if env_free(expr, columns):
-        with _VECTOR_MEMO_LOCK:
-            if key not in _VECTOR_MEMO and len(_VECTOR_MEMO) >= _VECTOR_MEMO_MAX:
-                del _VECTOR_MEMO[next(iter(_VECTOR_MEMO))]
-            _VECTOR_MEMO[key] = fn
+        with _BLOCK_MEMO_LOCK:
+            if key not in _BLOCK_MEMO and len(_BLOCK_MEMO) >= _BLOCK_MEMO_MAX:
+                del _BLOCK_MEMO[next(iter(_BLOCK_MEMO))]
+            _BLOCK_MEMO[key] = fn
     return fn
 
 
-def _compile_expression_vector(
-    expr: Expression,
-    columns,
-    env: dict[int, object] | None = None,
-):
-    """Compile ``expr`` into a ``(cols, n) -> column`` closure that
-    exploits NumPy-backed columns when present and degrades to the
-    (bit-exact) listwise semantics of
-    :func:`~repro.engine.evaluator.compile_expression_batch` otherwise.
-
-    The returned closure accepts blocks whose columns are any mix of
-    :class:`NumpyVector` and Python lists and returns a vector, a list,
-    or (internally) a :class:`VConst`; the public root is wrapped so
-    callers always receive a vector or list of length ``n``.
-    """
-    indexes = column_indexes(tuple(columns))
-
-    def fallback(node: Expression):
-        # Node kinds without a vectorized form (LIKE, CASE, scalar
-        # functions, non-literal IN, correlated refs) evaluate through
-        # the batch compiler; its closures iterate columns, which works
-        # transparently over NumpyVector (list-like iteration).
-        return compile_expression_batch(node, tuple(columns), env)
+def _compile_block(expr: Expression, columns: tuple, env) -> BlockFn:
+    indexes = column_indexes(columns)
 
     def build(node: Expression):
+        """``(cols, n) -> list | NumpyVector | VConst`` for ``node``."""
         if isinstance(node, Literal):
-            value = node.value
-            return lambda cols, n: VConst(value)
+            const = VConst(node.value)
+            return lambda cols, n: const
         if isinstance(node, ColumnRef):
-            index = indexes.get(node.column.cid)
+            cid = node.column.cid
+            index = indexes.get(cid)
             if index is not None:
                 return lambda cols, n: cols[index]
-            return fallback(node)
-        if isinstance(node, Comparison):
+            if env is None:
+                raise ExecutionError(
+                    f"column {node.column!r} is not available in this row schema"
+                )
+
+            def read_env(cols, n):
+                try:
+                    return VConst(env[cid])
+                except KeyError:
+                    raise ExecutionError(
+                        f"unbound correlated column id {cid}"
+                    ) from None
+
+            return read_env
+        if isinstance(node, (Comparison, Arithmetic)):
             left = build(node.left)
             right = build(node.right)
             op = node.op
-            return lambda cols, n: _compare(op, left(cols, n), right(cols, n), n)
+            return lambda cols, n: _binary(op, left(cols, n), right(cols, n), n)
         if isinstance(node, (And, Or)):
             terms = [build(t) for t in node.terms]
             conj = isinstance(node, And)
-
-            def eval_bool(cols, n):
-                values = [t(cols, n) for t in terms]
-                lanes = [_bool_lanes(v, n) for v in values]
-                if all(l is not None for l in lanes):
-                    true_lanes, false_lanes = lanes[0]
-                    for t, f in lanes[1:]:
-                        if conj:
-                            true_lanes = true_lanes & t
-                            false_lanes = false_lanes | f
-                        else:
-                            true_lanes = true_lanes | t
-                            false_lanes = false_lanes & f
-                    return _lanes_to_vector(true_lanes, false_lanes)
-                # Listwise Kleene fold, mirroring the batch compiler.
-                out = _bool_list(values[0], n)
-                for value in values[1:]:
-                    nxt = _bool_list(value, n)
-                    if conj:
-                        out = [
-                            False
-                            if a is False or b is False
-                            else (None if a is None or b is None else True)
-                            for a, b in zip(out, nxt)
-                        ]
-                    else:
-                        out = [
-                            True
-                            if a is True or b is True
-                            else (None if a is None or b is None else False)
-                            for a, b in zip(out, nxt)
-                        ]
-                return out
-
-            return eval_bool
+            return lambda cols, n: _kleene(conj, [t(cols, n) for t in terms], n)
         if isinstance(node, Not):
             term = build(node.term)
-
-            def eval_not(cols, n):
-                value = term(cols, n)
-                lanes = _bool_lanes(value, n)
-                if lanes is not None:
-                    true_lanes, false_lanes = lanes
-                    return _lanes_to_vector(false_lanes, true_lanes)
-                return [None if v is None else not v for v in delist(value)]
-
-            return eval_not
-        if isinstance(node, Arithmetic):
-            left = build(node.left)
-            right = build(node.right)
-            op = node.op
-            return lambda cols, n: _arith(op, left(cols, n), right(cols, n), n)
+            return lambda cols, n: _negate(term(cols, n))
         if isinstance(node, IsNull):
             operand = build(node.operand)
-
-            def eval_is_null(cols, n):
-                value = operand(cols, n)
-                if isinstance(value, NumpyVector):
-                    if value.valid is None:
-                        return NumpyVector(np.zeros(len(value.data), bool))
-                    return NumpyVector(~value.valid)
-                if isinstance(value, VConst):
-                    return VConst(value.value is None)
-                return [v is None for v in value]
-
-            return eval_is_null
+            return lambda cols, n: _is_null(operand(cols, n))
         if isinstance(node, InList):
-            if all(isinstance(i, Literal) for i in node.items):
-                operand = build(node.operand)
-                candidates = [i.value for i in node.items if i.value is not None]
-                miss = None if len(candidates) != len(node.items) else False
-                numeric = [
-                    c for c in candidates if isinstance(c, _NUMERIC_SCALARS)
+            operand = build(node.operand)
+            if not all(isinstance(i, Literal) for i in node.items):
+                items = [build(i) for i in node.items]
+
+                def eval_in_rows(cols, n):
+                    lanes = zip(*(as_list(i(cols, n), n) for i in items))
+                    values = as_list(operand(cols, n), n)
+                    return [_in_row(v, c) for v, c in zip(values, lanes)]
+
+                return eval_in_rows
+            literals = [i.value for i in node.items]
+            # A NULL item makes every non-match NULL instead of False;
+            # a NaN item equals nothing, so it is dropped outright
+            # (``in`` would match it by object identity).
+            miss = None if None in literals else False
+            candidates = [v for v in literals if v is not None and v == v]
+            numeric = [c for c in candidates if isinstance(c, (bool, int, float))]
+            has_float = any(type(c) is float for c in numeric)
+            ints_exact = all(
+                abs(c) <= _FLOAT_EXACT for c in numeric if type(c) is int
+            )
+
+            def eval_in(cols, n):
+                value = operand(cols, n)
+                # isin compares ints and floats as doubles: exact only
+                # while every int involved is (as for comparisons).
+                if type(value) is NumpyVector and (
+                    ints_exact
+                    if value.data.dtype.kind == "f"
+                    else not has_float or _int_bound(value.data) <= _FLOAT_EXACT
+                ):
+                    # Non-numeric candidates can never equal a numeric
+                    # lane, so isin over the numeric subset is `==`.
+                    hits = np.isin(value.data, numeric)
+                    if miss is None:
+                        return NumpyVector(hits, _and_valid(value.valid, hits))
+                    return NumpyVector(hits, value.valid)
+                return [
+                    None if v is None else (True if v in candidates else miss)
+                    for v in as_list(value, n)
                 ]
 
-                def eval_in(cols, n):
-                    value = operand(cols, n)
-                    if isinstance(value, NumpyVector):
-                        # Non-numeric candidates can never equal a
-                        # numeric lane, so isin over the numeric subset
-                        # matches Python `==` semantics exactly.
-                        hits = np.isin(value.data, numeric)
-                        if miss is None:
-                            # A NULL item turns every non-match NULL.
-                            return NumpyVector(
-                                hits, _and_valid(value.valid, hits)
-                            )
-                        return NumpyVector(hits, value.valid)
-                    if isinstance(value, VConst):
-                        v = value.value
-                        if v is None:
-                            return VConst(None)
-                        return VConst(True if v in candidates else miss)
-                    return [
-                        None if v is None else (True if v in candidates else miss)
-                        for v in delist(value)
-                    ]
+            return eval_in
+        if isinstance(node, Like):
+            operand = build(node.operand)
+            match = _like_pattern(node.pattern).match
+            return lambda cols, n: [
+                None if v is None else match(str(v)) is not None
+                for v in as_list(operand(cols, n), n)
+            ]
+        if isinstance(node, Case):
+            # Lazy branches by selection: each WHEN sees only the lanes
+            # no earlier WHEN claimed.  Branches compile against just
+            # the columns CASE reads, so selecting lanes never copies a
+            # bystander column.
+            used = sorted(
+                {indexes[c.cid] for c in columns_in(node) if c.cid in indexes}
+            )
+            narrow = tuple(columns[i] for i in used)
+            whens = [
+                (_compile_block(c, narrow, env), _compile_block(v, narrow, env))
+                for c, v in node.whens
+            ]
+            default = _compile_block(node.default, narrow, env)
 
-                return eval_in
-            return fallback(node)
-        return fallback(node)
+            def eval_case(cols, n):
+                # ``live`` maps the shrinking block's lanes back to
+                # output positions.
+                cols = [cols[i] for i in used]
+                out = [None] * n
+                live = list(range(n))
+                for cond, value in whens:
+                    mask = as_list(cond(cols, n), n)
+                    hit = [i for i, m in enumerate(mask) if m is True]
+                    if not hit:
+                        continue
+                    rest = [i for i, m in enumerate(mask) if m is not True]
+                    hit_cols = cols if not rest else take_rows(cols, hit)
+                    taken = as_list(value(hit_cols, len(hit)), len(hit))
+                    for i, v in zip(hit, taken):
+                        out[live[i]] = v
+                    if not rest:
+                        return out
+                    live = [live[i] for i in rest]
+                    cols, n = take_rows(cols, rest), len(rest)
+                for position, v in zip(live, as_list(default(cols, n), n)):
+                    out[position] = v
+                return out
+
+            return eval_case
+        if isinstance(node, FunctionCall):
+            impl = SCALAR_FUNCTIONS.get(node.name.lower())
+            if impl is None:
+                raise ExecutionError(f"unknown scalar function {node.name!r}")
+            args = [build(a) for a in node.args]
+            if not args:
+                return lambda cols, n: [impl([]) for _ in range(n)]
+            return lambda cols, n: [
+                impl(list(t))
+                for t in zip(*(as_list(a(cols, n), n) for a in args))
+            ]
+        raise ExecutionError(f"cannot evaluate expression {node!r}")
 
     root = build(expr)
 
-    def run(cols, n: int):
-        return materialize(root(cols, n), n)
+    def run(cols: list, n: int):
+        out = root(cols, n)
+        return [out.value] * n if type(out) is VConst else out
 
     return run
 
 
-def _bool_list(value, n: int) -> list:
-    """Normalize a Kleene operand to the batch compiler's three-valued
-    list form (True/False/None per lane)."""
-    if isinstance(value, VConst):
-        v = value.value
-        return [True if v is True else (None if v is None else False)] * n
-    return [
-        True if v is True else (None if v is None else False)
-        for v in delist(value)
-    ]
+# -- block helpers -------------------------------------------------------
 
 
-# -- block helpers for kernels -------------------------------------------
-
-
-def compact_block(cols: list, n: int, mask):
-    """Keep the rows whose mask value is identity-True (the vectorized
-    counterpart of the batch engine's ``_compact``)."""
-    if isinstance(mask, NumpyVector) or (
-        isinstance(mask, list) and any(isinstance(c, NumpyVector) for c in cols)
-    ):
-        keep = true_mask(mask, n)
-        if keep is None:  # list mask over numpy columns
-            keep = np.fromiter((v is True for v in mask), dtype=bool, count=n)
-        kept = int(keep.sum())
-        if kept == n:
-            return cols, n
-        if kept == 0:
-            return [], 0
-        idx = np.flatnonzero(keep)
-        sel = None
-        out = []
-        for c in cols:
-            if isinstance(c, NumpyVector):
-                out.append(c.take(idx))
-            else:
-                if sel is None:
-                    sel = idx.tolist()
-                out.append([c[i] for i in sel])
-        return out, kept
-    sel = [i for i, v in enumerate(mask) if v is True]
+def compact_block(cols: list, n: int, mask) -> tuple[list, int]:
+    """Keep the rows whose mask value is identity-True."""
+    keep = true_mask(mask)
+    if keep is None and NumpyVector in map(type, cols):
+        keep = np.fromiter((v is True for v in mask), dtype=bool, count=n)
+    if keep is None:
+        sel = [i for i, v in enumerate(mask) if v is True]
+    else:
+        sel = np.flatnonzero(keep)
     kept = len(sel)
     if kept == n:
         return cols, n
     if kept == 0:
         return [], 0
-    return [[c[i] for i in sel] for c in cols], kept
+    return take_rows(cols, sel), kept
 
 
 def accumulate_block(acc, values, mask, n: int) -> None:
@@ -614,25 +722,17 @@ def accumulate_block(acc, values, mask, n: int) -> None:
 
     NumPy-backed ``values`` update the accumulator's fields with array
     reductions; anything else routes through the exact ``add_block``
-    path (so python-vectors mode stays bit-identical to the batch
-    engine).  ``values is None`` is ``count(*)``.
+    path.  ``values is None`` is ``count(*)``.
     """
-    lanes = None
-    if mask is not None:
-        lanes = true_mask(mask, n)
-        if lanes is None:  # list mask
-            if isinstance(values, NumpyVector):
-                values = values.tolist()
-            acc.add_block(values, mask, n)
-            return
-    if values is None:
-        if lanes is None:
-            acc.count += n
-        else:
-            acc.count += int(lanes.sum())
+    lanes = true_mask(mask)
+    if lanes is None and (mask is not None or type(values) is not NumpyVector):
+        acc.add_block(delist(values), mask, n)
         return
-    if not isinstance(values, NumpyVector):
-        acc.add_block(values, None if lanes is None else lanes.tolist(), n)
+    if values is None:
+        acc.count += int(lanes.sum())
+        return
+    if type(values) is not NumpyVector:
+        acc.add_block(values, lanes.tolist(), n)
         return
     data, valid = values.data, values.valid
     keep = lanes
@@ -648,28 +748,24 @@ def accumulate_block(acc, values, mask, n: int) -> None:
         return
     func = acc.func
     size = int(data.size)
+    if not size:
+        return
     if func == "count":
         acc.count += size
-    elif func in ("sum", "avg"):
-        if size:
-            acc.count += size
-            acc.total += data.sum().item()
     elif func == "min":
-        if size:
-            lo = data.min().item()
-            if acc.extreme is None or lo < acc.extreme:
-                acc.extreme = lo
+        lo = data.min().item()
+        if acc.extreme is None or lo < acc.extreme:
+            acc.extreme = lo
     elif func == "max":
-        if size:
-            hi = data.max().item()
-            if acc.extreme is None or hi > acc.extreme:
-                acc.extreme = hi
-    elif func == "stddev_samp":
-        if size:
-            acc.count += size
-            acc.total += data.sum().item()
-            acc.sq_total += (
-                (data.astype("float64") ** 2).sum().item()
-            )
-    else:  # pragma: no cover - Aggregator.result rejects unknown funcs
-        acc.add_block(values.tolist(), None, size)
+        hi = data.max().item()
+        if acc.extreme is None or hi > acc.extreme:
+            acc.extreme = hi
+    elif func in ("sum", "avg", "stddev_samp"):
+        if data.dtype.kind == "i" and int(np.abs(data).max()) * size >= _INT_GUARD:
+            # ndarray.sum() wraps int64 silently; Python ints are exact.
+            acc.add_block(data.tolist(), None, size)
+            return
+        acc.count += size
+        acc.total += data.sum().item()
+        if func == "stddev_samp":
+            acc.sq_total += (data.astype("float64") ** 2).sum().item()

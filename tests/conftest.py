@@ -8,11 +8,16 @@ keeps the suite fast while every test still sees identical data.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 
 from repro.algebra.schema import ColumnAllocator
 from repro.algebra.types import DataType
 from repro.catalog.catalog import Catalog, ColumnDef, TableDef
+from repro.engine import vectors
 from repro.engine.session import Session
 from repro.optimizer.config import OptimizerConfig
 from repro.storage.columnar import Store, StoredTable
@@ -21,6 +26,33 @@ from repro.tpcds.generator import generate_dataset
 #: Small scale keeps the whole suite fast; large enough that every
 #: studied query returns rows.
 TEST_SCALE = 0.05
+
+
+#: Column representations the block compiler must treat alike.
+BLOCK_REPRESENTATIONS = ("lists", "vectors", "mixed", "numpy-disabled")
+
+
+@contextmanager
+def block_columns(columns, rows, representation: str):
+    """Yield ``rows`` as a block's column list in one representation:
+    all Python lists, every eligible column a ``NumpyVector``, every
+    other eligible column a vector, or lists with NumPy switched off —
+    ``vectors.np`` is removed for the duration, so a block closure that
+    touches NumPy without a vector operand fails loudly."""
+    cols = [list(c) for c in zip(*rows)] if rows else [[] for _ in columns]
+    if representation == "numpy-disabled":
+        with mock.patch.object(vectors, "np", None), mock.patch.dict(
+            os.environ, {"REPRO_DISABLE_NUMPY": "1"}
+        ):
+            yield cols
+        return
+    if representation != "lists":
+        step = 1 if representation == "vectors" else 2
+        for i in range(0, len(cols), step):
+            vec = vectors.vector_from_values(cols[i], columns[i].dtype)
+            if vec is not None:
+                cols[i] = vec
+    yield cols
 
 
 @pytest.fixture(scope="session")

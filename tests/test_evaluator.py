@@ -1,6 +1,7 @@
 """Unit tests for expression evaluation (3-valued logic) and aggregators."""
 
 import math
+import warnings
 
 import pytest
 
@@ -25,10 +26,21 @@ from repro.algebra.expressions import (
 from repro.algebra.schema import Column
 from repro.algebra.types import DataType
 from repro.engine.evaluator import Aggregator, compile_expression
+from repro.engine.vectors import (
+    accumulate_block,
+    compile_expression_block,
+    numpy_enabled,
+    vector_from_values,
+)
+from repro.engine.session import Session
 from repro.errors import ExecutionError
+from repro.optimizer.config import OptimizerConfig
+from repro.storage.columnar import Store
+from tests.conftest import BLOCK_REPRESENTATIONS, block_columns, simple_table
 
 I = DataType.INTEGER
 COLS = (Column(1, "a", I), Column(2, "b", I))
+SCOLS = (Column(1, "s", DataType.STRING), Column(2, "t", DataType.STRING))
 A, B = (ColumnRef(c) for c in COLS)
 
 
@@ -234,73 +246,183 @@ class TestLikeCacheBound:
         assert "cold0%" not in evaluator._LIKE_CACHE
 
 
-class TestBatchCompilation:
-    """Deterministic spot-checks of the vector compiler's edge
-    semantics (the property suite cross-checks it against the scalar
-    compiler more broadly)."""
+@pytest.mark.parametrize("representation", BLOCK_REPRESENTATIONS)
+class TestBlockCompilation:
+    """Deterministic spot-checks of the block compiler's edge semantics
+    in every column representation (the property suite cross-checks it
+    against the scalar compiler more broadly)."""
 
-    def _run(self, expr, block):
-        from repro.engine.evaluator import compile_expression_batch
+    def _run(self, expr, block, representation, columns=COLS, env=None):
+        with block_columns(columns, block, representation) as cols:
+            fn = compile_expression_block(expr, columns, env)
+            return list(fn(cols, len(block)))
 
-        cols = [list(c) for c in zip(*block)] if block else [[] for _ in COLS]
-        return compile_expression_batch(expr, COLS)(cols, len(block))
-
-    def test_division_by_zero_is_null(self):
+    def test_division_by_zero_is_null(self, representation):
         expr = Arithmetic("/", A, B)
-        assert self._run(expr, [(10, 2), (10, 0), (None, 2)]) == [5.0, None, None]
+        block = [(10, 2), (10, 0), (None, 2)]
+        assert self._run(expr, block, representation) == [5.0, None, None]
 
-    def test_in_list_with_null_item(self):
+    def test_in_list_with_null_item(self, representation):
         expr = InList(A, (integer(1), Literal(None, I), integer(3)))
-        assert self._run(expr, [(1, 0), (2, 0), (None, 0)]) == [True, None, None]
+        block = [(1, 0), (2, 0), (None, 0)]
+        assert self._run(expr, block, representation) == [True, None, None]
 
-    def test_like_null_operand(self):
-        cols = (Column(1, "s", DataType.STRING), Column(2, "t", DataType.STRING))
-        from repro.engine.evaluator import compile_expression_batch
+    def test_in_list_with_column_items(self, representation):
+        expr = InList(A, (B, integer(7), Literal(None, I)))
+        block = [(1, 1), (7, 0), (2, 3), (None, 0)]
+        assert self._run(expr, block, representation) == [True, True, None, None]
 
-        fn = compile_expression_batch(Like(ColumnRef(cols[0]), "Sm%"), cols)
-        assert fn([["Smith", None, "Jones"], ["x", "y", "z"]], 3) == [
+    def test_like_null_operand(self, representation):
+        expr = Like(ColumnRef(SCOLS[0]), "Sm%")
+        block = [("Smith", "x"), (None, "y"), ("Jones", "z")]
+        assert self._run(expr, block, representation, SCOLS) == [True, None, False]
+
+    def test_case_first_true_branch_wins(self, representation):
+        expr = Case(
+            (
+                (Comparison("=", B, integer(0)), integer(-1)),
+                (Comparison(">", A, integer(5)), Arithmetic("/", A, B)),
+            ),
+            A,
+        )
+        block = [(10, 0), (10, 5), (2, 1), (None, None)]
+        assert self._run(expr, block, representation) == [-1, 2.0, 2, None]
+
+    def test_case_branches_are_lazy(self, representation):
+        # floor(NaN) raises: the THEN branch must never see the NaN
+        # lane, which only the ELSE branch claims.
+        cols = (Column(1, "x", DataType.DOUBLE),)
+        x = ColumnRef(cols[0])
+        expr = Case(
+            ((Comparison("=", x, x), FunctionCall("floor", (x,))),), integer(-1)
+        )
+        block = [(1.5,), (float("nan"),), (None,)]
+        assert self._run(expr, block, representation, cols) == [1, -1, -1]
+
+    def test_function_call(self, representation):
+        expr = FunctionCall("upper", (ColumnRef(SCOLS[0]),))
+        block = [("ab", "x"), (None, "y")]
+        assert self._run(expr, block, representation, SCOLS) == ["AB", None]
+
+    def test_correlated_column_reads_env_at_call_time(self, representation):
+        env = {}
+        expr = Comparison("=", A, ColumnRef(Column(99, "outer", I)))
+        block = [(1, 0), (2, 0)]
+        env[99] = 2
+        assert self._run(expr, block, representation, env=env) == [False, True]
+        env[99] = 1
+        assert self._run(expr, block, representation, env=env) == [True, False]
+        env[99] = None
+        assert self._run(expr, block, representation, env=env) == [None, None]
+
+    def test_unbound_correlated_column_raises(self, representation):
+        expr = ColumnRef(Column(99, "outer", I))
+        with pytest.raises(ExecutionError):
+            self._run(expr, [(1, 2)], representation, env={})
+
+    def test_column_outside_schema_without_env_fails_to_compile(
+        self, representation
+    ):
+        with pytest.raises(ExecutionError):
+            self._run(ColumnRef(Column(99, "outer", I)), [(1, 2)], representation)
+
+    def test_constant_expression_fills_the_block(self, representation):
+        expr = And((Comparison("<", integer(1), integer(2)), Not(FALSE)))
+        assert self._run(expr, [(1, 2), (3, 4)], representation) == [True, True]
+
+    def test_single_term_and_normalizes(self, representation):
+        assert self._run(And((A,)), [(5, 0), (None, 0)], representation) == [
             True,
             None,
-            False,
         ]
 
-    def test_case_stays_lazy(self):
-        # CASE WHEN b = 0 THEN -1 ELSE a / b END: the lazy ELSE branch
-        # must not be evaluated for the zero-divisor row.
-        expr = Case(
-            ((Comparison("=", B, integer(0)), integer(-1)),),
-            Arithmetic("/", A, B),
-        )
-        assert self._run(expr, [(10, 0), (10, 5)]) == [-1, 2.0]
-
-    def test_function_call_vectorized(self):
-        cols = (Column(1, "s", DataType.STRING), Column(2, "t", DataType.STRING))
-        from repro.engine.evaluator import compile_expression_batch
-
-        fn = compile_expression_batch(
-            FunctionCall("upper", (ColumnRef(cols[0]),)), cols
-        )
-        assert fn([["ab", None], ["x", "y"]], 2) == ["AB", None]
-
-    def test_correlated_column_reads_env_at_call_time(self):
-        from repro.engine.evaluator import compile_expression_batch
-
-        env = {}
-        outer = Column(99, "outer", I)
-        fn = compile_expression_batch(Comparison("=", A, ColumnRef(outer)), COLS, env)
-        env[99] = 2
-        assert fn([[1, 2], [0, 0]], 2) == [False, True]
-        env[99] = 1
-        assert fn([[1, 2], [0, 0]], 2) == [True, False]
-
-    def test_unbound_correlated_column_raises(self):
-        from repro.engine.evaluator import compile_expression_batch
-
-        outer = Column(99, "outer", I)
-        fn = compile_expression_batch(ColumnRef(outer), COLS, env={})
-        with pytest.raises(ExecutionError):
-            fn([[1], [2]], 1)
-
-    def test_empty_block(self):
+    def test_empty_block(self, representation):
         expr = Comparison(">", A, integer(3))
-        assert self._run(expr, []) == []
+        assert self._run(expr, [], representation) == []
+
+
+class TestNumpyBlockPaths:
+    """Array-path behaviour that must equal Python's scalar semantics."""
+
+    pytestmark = pytest.mark.skipif(
+        not numpy_enabled(), reason="NumPy backend disabled"
+    )
+    DCOLS = (Column(1, "x", DataType.DOUBLE), Column(2, "y", DataType.DOUBLE))
+
+    def test_float_overflow_is_silent(self):
+        # Regression: only division ran under np.errstate, so x * x
+        # leaked "RuntimeWarning: overflow encountered in multiply".
+        x, y = (ColumnRef(c) for c in self.DCOLS)
+        inf = float("inf")
+        with block_columns(self.DCOLS, [(1e308, -1e308)], "vectors") as cols:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for op, expected in (("*", -inf), ("-", inf), ("+", 0.0)):
+                    fn = compile_expression_block(Arithmetic(op, x, y), self.DCOLS)
+                    assert list(fn(cols, 1)) == [expected]
+                big = Arithmetic("*", x, x)
+                fn = compile_expression_block(Arithmetic("-", big, big), self.DCOLS)
+                (value,) = list(fn(cols, 1))
+                assert math.isnan(value)
+
+    def test_accumulate_block_sums_past_int64(self):
+        # Regression: ndarray.sum() wraps int64 silently.
+        values = vector_from_values([2**61] * 8, I)
+        mask = vector_from_values([True] * 7 + [False], DataType.BOOLEAN)
+        for func, expected in (
+            ("sum", 7 * 2**61),
+            ("avg", 7 * 2**61 / 7),
+        ):
+            acc = Aggregator(func)
+            accumulate_block(acc, values, mask, 8)
+            assert acc.result() == expected
+        acc = Aggregator("sum")
+        accumulate_block(acc, values, None, 8)
+        assert acc.result() == 2**64
+        reference = Aggregator("stddev_samp")
+        reference.add_block([2**61] * 8, None, 8)
+        acc = Aggregator("stddev_samp")
+        accumulate_block(acc, values, None, 8)
+        assert acc.result() == reference.result()
+
+
+ENGINE_CONFIGS = {
+    "row": OptimizerConfig(engine="row"),
+    "batch": OptimizerConfig(engine="batch"),
+    "compiled-python": OptimizerConfig(engine="compiled", vectors="python"),
+    "compiled-numpy": OptimizerConfig(engine="compiled", vectors="numpy"),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINE_CONFIGS)
+class TestOverflowThroughSql:
+    """The two array-path defects above, end to end on every engine."""
+
+    def _session(self, engine):
+        store = Store()
+        store.put(
+            simple_table(
+                "big",
+                [("id", I), ("n", I), ("x", DataType.DOUBLE)],
+                [(i, 2**61, 1e308) for i in range(8)],
+                primary_key=("id",),
+            )
+        )
+        return Session(store, ENGINE_CONFIGS[engine])
+
+    def test_integer_sum_is_exact_past_int64(self, engine):
+        session = self._session(engine)
+        assert session.execute("SELECT sum(b.n), avg(b.n) FROM big b").rows == [
+            (2**64, float(2**61))
+        ]
+        grouped = session.execute(
+            "SELECT b.x, sum(b.n), count(*) FROM big b GROUP BY b.x"
+        )
+        assert grouped.rows == [(1e308, 2**64, 8)]
+
+    def test_float_overflow_raises_no_warning(self, engine):
+        session = self._session(engine)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = session.execute("SELECT b.x * b.x FROM big b WHERE b.id < 2")
+        assert result.rows == [(float("inf"),)] * 2
