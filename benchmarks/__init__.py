@@ -1,1 +1,2 @@
-"""Benchmark harness reproducing every figure/table of the paper's §V."""
+"""``e2e/`` is the repo's one benchmark (``BENCHMARK.json``); the scripts
+beside it are standalone CI gates, each measuring something it does not."""

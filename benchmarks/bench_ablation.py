@@ -1,139 +1,27 @@
-"""Ablations (ours, motivated by §IV.E's design discussion).
+"""Cost-based selection ablation (DESIGN.md §15; CI ``cost-smoke``).
 
-1. **Rule contribution** — each fusion rule enabled alone against its
-   trigger query, showing which rewrite carries which case study.
-2. **Distinct-lowering order** — §III.F MarkDistinct fusion (lowering
-   before the fusion rules) vs lowering after; both are correct, the
-   bench quantifies the plan-cost difference on Q28.
-3. **Cost-heuristic threshold** — §IV.E applicability: raising
-   ``fusion_min_rows`` above the fact-table cardinality must disable
-   scan-only rewrites.
-4. **Cost-based selection** — DESIGN.md §15: the costed pipeline must
-   still fire the profitable fusions (and match their savings) while
-   declining the row-replicating fusion of narrow scans.  Running this
-   module directly (``python benchmarks/bench_ablation.py``) emits the
-   costed-vs-heuristic comparison as ``BENCH_costs.json``.
+The one thing no ``benchmarks/e2e`` workload loads: the *costed
+accept/decline pair*.  The costed pipeline must still fire the
+profitable fusions (q09, q65) and match the always-fuse byte savings,
+while declining the row-replicating fusion of a narrow UNION ALL that
+the heuristic pipeline always fires — byte-identical results
+throughout.  Emits the comparison as ``BENCH_costs.json``::
+
+    PYTHONPATH=src python benchmarks/bench_ablation.py --scale 0.2
 """
 
-import os
-import sys
+from __future__ import annotations
 
-if __package__ in (None, ""):
-    # Standalone `python benchmarks/bench_ablation.py`: make the
-    # `benchmarks` package importable from the repo root.
-    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+import argparse
+import json
 
-from dataclasses import replace
-
-import pytest
-
-from benchmarks.conftest import Prepared, record, sorted_rows
+from repro.engine.executor import execute
+from repro.engine.metrics import RunContext, Stopwatch
 from repro.engine.session import Session
 from repro.optimizer.config import OptimizerConfig
+from repro.tpcds.generator import generate_dataset
 from repro.tpcds.queries import STUDIED_QUERIES
-
-SECTION = "Ablation: per-rule contribution"
-
-RULE_CASES = [
-    ("groupby_join_to_window", "q65", dict(enable_union_all_on_join=False, enable_union_all=False, enable_join_on_keys=False)),
-    ("join_on_keys", "q09", dict(enable_union_all_on_join=False, enable_union_all=False, enable_groupby_join_to_window=False)),
-    ("union_all_on_join", "q23", dict(enable_union_all=False, enable_groupby_join_to_window=False, enable_join_on_keys=False)),
-]
-
-
-@pytest.mark.parametrize("rule,query,flags", RULE_CASES, ids=[c[0] for c in RULE_CASES])
-def test_single_rule_ablation(benchmark, store, baseline, rule, query, flags):
-    benchmark.group = f"ablation:{rule}"
-    benchmark.name = query
-    session = Session(store, OptimizerConfig(**flags))
-    sql = STUDIED_QUERIES[query]
-
-    single = Prepared(session, sql)
-    base = Prepared(baseline, sql)
-    rows_single, single_metrics = single.run()
-    rows_base, base_metrics = base.run()
-    assert sorted_rows(rows_single) == sorted_rows(rows_base)
-
-    benchmark.pedantic(single.run, rounds=3, iterations=1)
-    result = session.execute(sql)
-    assert rule in set(result.fired_rules)
-    record(
-        SECTION,
-        f"{rule}",
-        f"{query}: bytes={single_metrics.bytes_scanned/base_metrics.bytes_scanned*100:5.1f}% "
-        f"of baseline with only this rule enabled",
-    )
-
-
-def test_distinct_lowering_order(benchmark, store, baseline):
-    """§III.F ablation: MarkDistinct fusion (lower-before) vs merging
-    distinct flags during GroupBy fusion (lower-after, the default)."""
-    benchmark.group = "ablation:distinct-order"
-    benchmark.name = "q28"
-    sql = STUDIED_QUERIES["q28"]
-
-    after = Prepared(Session(store, OptimizerConfig()), sql)
-    before = Prepared(
-        Session(store, OptimizerConfig(lower_distinct_before_fusion=True)), sql
-    )
-    base = Prepared(baseline, sql)
-
-    rows_after, after_metrics = after.run()
-    rows_before, before_metrics = before.run()
-    rows_base, _ = base.run()
-    assert sorted_rows(rows_after) == sorted_rows(rows_base)
-    assert sorted_rows(rows_before) == sorted_rows(rows_base)
-
-    benchmark.pedantic(after.run, rounds=3, iterations=1)
-    record(
-        "Ablation: distinct lowering order (Q28, §III.F)",
-        "lower-after",
-        f"{after_metrics.wall_time_s*1000:7.1f}ms (default: fuse distinct flags)",
-    )
-    record(
-        "Ablation: distinct lowering order (Q28, §III.F)",
-        "lower-before",
-        f"{before_metrics.wall_time_s*1000:7.1f}ms (MarkDistinct fusion path)",
-    )
-
-
-def test_cost_threshold_disables_scan_only_rewrites(benchmark, store):
-    """§IV.E heuristic: with the row threshold above every table's
-    cardinality, rewrites whose common expression is a bare scan stop
-    firing, while join/aggregate-bearing ones still do."""
-    benchmark.group = "ablation:threshold"
-    benchmark.name = "q09"
-    sql = STUDIED_QUERIES["q09"]
-
-    strict = Session(store, OptimizerConfig(fusion_min_rows=10**9))
-    result = strict.execute(sql)
-    # Q09's common expression is Filter(Scan): gated off by the threshold.
-    assert "join_on_keys" not in set(result.fired_rules)
-
-    permissive = Session(store, OptimizerConfig(fusion_min_rows=1))
-    result = permissive.execute(sql)
-    assert "join_on_keys" in set(result.fired_rules)
-    record(
-        "Ablation: §IV.E cost heuristic (fusion_min_rows)",
-        "q09",
-        "threshold above table size disables the scan-only rewrite; "
-        "default threshold enables it",
-    )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-# ---------------------------------------------------------------------------
-# Cost-based selection (DESIGN.md §15)
-# ---------------------------------------------------------------------------
-
-COST_SECTION = "Ablation: cost-based rewrite selection (DESIGN.md §15)"
-
-FUSION_RULES = {
-    "groupby_join_to_window",
-    "join_on_keys",
-    "union_all_fusion",
-    "union_all_on_join",
-}
+from repro.tpcds.workload import FUSION_RULE_NAMES as FUSION_RULES
 
 #: Fusing this UNION ALL cross-joins every store_sales row against a
 #: 2-row tag table to save one re-scan of two narrow integer columns —
@@ -146,93 +34,31 @@ COST_DECLINE_SQL = (
 )
 
 
-def test_cost_based_accepts_profitable_fusion(benchmark, store, baseline):
-    """Costed q09 fires the same fusion as the heuristic pipeline and
-    matches its scan savings exactly."""
-    benchmark.group = "ablation:cost-based"
-    benchmark.name = "q09-accept"
-    sql = STUDIED_QUERIES["q09"]
-
-    costed_session = Session(store, OptimizerConfig(cost_based=True))
-    costed = Prepared(costed_session, sql)
-    heuristic = Prepared(Session(store, OptimizerConfig()), sql)
-    base = Prepared(baseline, sql)
-
-    rows_costed, costed_metrics = costed.run()
-    rows_heuristic, heuristic_metrics = heuristic.run()
-    rows_base, base_metrics = base.run()
-    assert sorted_rows(rows_costed) == sorted_rows(rows_base)
-    assert sorted_rows(rows_heuristic) == sorted_rows(rows_base)
-    assert costed_metrics.bytes_scanned == heuristic_metrics.bytes_scanned
-    assert costed_metrics.bytes_scanned < base_metrics.bytes_scanned
-    assert FUSION_RULES & set(costed_session.execute(sql).fired_rules)
-
-    benchmark.pedantic(costed.run, rounds=3, iterations=1)
-    record(
-        COST_SECTION,
-        "q09-accept",
-        f"costed fusion keeps the win: bytes="
-        f"{costed_metrics.bytes_scanned/base_metrics.bytes_scanned*100:5.1f}% "
-        f"of baseline, identical to always-fuse",
-    )
-
-
-def test_cost_based_declines_row_replicating_fusion(benchmark, store):
-    """Costed pipeline declines the narrow-scan UNION ALL fusion the
-    heuristic always fires, avoiding the cross-join row replication."""
-    benchmark.group = "ablation:cost-based"
-    benchmark.name = "narrow-union-decline"
-
-    costed_session = Session(store, OptimizerConfig(cost_based=True))
-    heuristic_session = Session(store, OptimizerConfig())
-    costed_result = costed_session.execute(COST_DECLINE_SQL)
-    heuristic_result = heuristic_session.execute(COST_DECLINE_SQL)
-    assert "union_all_fusion" in set(heuristic_result.fired_rules)
-    assert "union_all_fusion" not in set(costed_result.fired_rules)
-    assert "union_all_fusion.cost_declined" in set(costed_result.fired_rules)
-    assert costed_result.sorted_rows() == heuristic_result.sorted_rows()
-
-    costed = Prepared(costed_session, COST_DECLINE_SQL)
-    heuristic = Prepared(heuristic_session, COST_DECLINE_SQL)
-    _, costed_metrics = costed.run()
-    _, heuristic_metrics = heuristic.run()
-
-    benchmark.pedantic(costed.run, rounds=3, iterations=1)
-    record(
-        COST_SECTION,
-        "narrow-union",
-        f"declined: {costed_metrics.wall_time_s*1000:7.1f}ms vs always-fuse "
-        f"{heuristic_metrics.wall_time_s*1000:7.1f}ms",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Standalone BENCH_costs.json emitter
-# ---------------------------------------------------------------------------
-
-
 def _measure(session, sql, rounds):
-    """Plan once, run ``rounds`` times; min wall ms + cold metrics."""
-    prepared = Prepared(session, sql)
-    rows, metrics = prepared.run()
-    wall_ms = metrics.wall_time_s * 1000.0
-    for _ in range(rounds - 1):
-        _, again = prepared.run()
-        wall_ms = min(wall_ms, again.wall_time_s * 1000.0)
-    fired = sorted(set(session.execute(sql).fired_rules))
+    """Plan once, run ``rounds`` times on the row engine (planning is
+    not what a fusion decision buys or costs at run time); min wall ms
+    plus the first run's rows and bytes."""
+    plan, _ = session.plan(sql)
+    first = None
+    walls = []
+    for _ in range(rounds):
+        ctx = RunContext(session.store)
+        with Stopwatch(ctx.metrics):
+            rows = list(execute(plan, ctx))
+        walls.append(ctx.metrics.wall_time_s)
+        first = first or (rows, ctx.metrics.bytes_scanned)
+    rows, bytes_scanned = first
     return {
-        "rows": sorted_rows(rows),
-        "bytes_scanned": metrics.bytes_scanned,
-        "wall_ms": round(wall_ms, 2),
-        "fired_rules": fired,
+        "rows": sorted(rows, key=lambda r: tuple((v is None, str(v)) for v in r)),
+        "bytes_scanned": bytes_scanned,
+        "wall_ms": round(min(walls) * 1000.0, 2),
+        "fired_rules": sorted(set(session.execute(sql).fired_rules)),
     }
 
 
 def run_cost_bench(scale: float, rounds: int = 3) -> dict:
     """The BENCH_costs.json payload: baseline vs always-fuse vs costed
     on the accept showcases (q09/q65) and the decline showcase."""
-    from repro.tpcds.generator import generate_dataset
-
     store = generate_dataset(scale=scale, seed=7)
     workloads = [
         ("q09", STUDIED_QUERIES["q09"], "accept"),
@@ -296,9 +122,6 @@ def run_cost_bench(scale: float, rounds: int = 3) -> dict:
 
 
 def main(argv=None) -> int:
-    import argparse
-    import json
-
     parser = argparse.ArgumentParser(
         description="Emit BENCH_costs.json: cost-based vs always-fuse ablation"
     )

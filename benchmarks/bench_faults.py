@@ -1,6 +1,9 @@
 """Fault-tolerance overhead guard: the fault-free hot path must stay
 within budget with checksums + deadline guards enabled.
 
+What no ``benchmarks/e2e`` workload loads: the same plans with
+``verify_checksums`` toggled (every ruler workload runs guarded only).
+
 Times a scan-heavy workload subset twice on identical plans:
 
 * **bare** — checksum verification off, no deadline (the pre-existing
@@ -36,7 +39,7 @@ from repro.optimizer.config import OptimizerConfig
 from repro.tpcds.generator import generate_dataset
 from repro.tpcds.queries import WORKLOAD_QUERIES
 
-#: Named dataset scales (matches bench_engine_ab.py).
+#: Named dataset scales.
 SCALES = {"tiny": 0.02, "small": 0.05, "default": 0.2}
 
 #: Scan-dominated queries: the worst case for per-chunk verification

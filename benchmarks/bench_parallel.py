@@ -1,10 +1,13 @@
 """Scale-out benchmark: fragment-parallel execution at 1/2/4/8 workers.
 
-Runs the TPC-DS proxy workload through ``Session`` on the batch engine
-at each worker count and writes ``BENCH_parallel.json`` — per-query
-wall time, per-count speedup over ``workers=1``, scaling efficiency
-(speedup / workers), and a byte-exactness check (``bytes_scanned``
-must be identical at every worker count, or the run aborts)::
+What no ``benchmarks/e2e`` workload loads: ``io_latency_ms`` latency
+hiding (the ruler's only parallel number is a CPU-bound probe on one
+pinned core).  Runs the TPC-DS proxy workload through ``Session`` on
+the batch engine at each worker count and writes
+``BENCH_parallel.json`` — per-query wall time, per-count speedup over
+``workers=1``, scaling efficiency (speedup / workers), and a
+byte-exactness check (``bytes_scanned`` must be identical at every
+worker count, or the run aborts)::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py
     PYTHONPATH=src python benchmarks/bench_parallel.py --scale tiny --workers 1 4
@@ -31,21 +34,24 @@ import os
 import platform
 import sys
 import time
+from statistics import geometric_mean
 
 from repro.engine.session import Session
 from repro.optimizer.config import OptimizerConfig
 from repro.tpcds.generator import generate_dataset
 from repro.tpcds.queries import WORKLOAD_QUERIES
 
-from bench_engine_ab import SCAN_HEAVY, geomean, parse_scale
+#: Named dataset scales.
+SCALES = {"tiny": 0.02, "small": 0.05, "default": 0.2}
 
-#: The scale-out headline subset: SCAN_HEAVY members whose bytes come
-#: from a *partitioned fact table*.  The other three scan-heavy queries
-#: (x03, x05, x07) read a single partition — a lone dimension table or
-#: a fact scan pruned to one partition — so there is nothing for
-#: workers to overlap and their speedup is 1.0 by construction.  They
-#: stay in the per-query tables; excluding them from the headline is
-#: what makes it a statement about scaling rather than about pruning.
+#: The scale-out headline subset: scan/filter/aggregate-dominated
+#: queries whose bytes come from a *partitioned fact table*.  Other
+#: scan-heavy queries (x03, x05, x07) read a single partition — a lone
+#: dimension table or a fact scan pruned to one partition — so there is
+#: nothing for workers to overlap and their speedup is 1.0 by
+#: construction.  They stay in the per-query tables; excluding them
+#: from the headline is what makes it a statement about scaling rather
+#: than about pruning.
 SCALE_OUT_HEAVY = ("q09", "q28", "q88", "w12", "w98", "x01", "x06", "x08")
 
 
@@ -121,14 +127,12 @@ def run_mode(
             name: base[name]["wall_s"] / max(run[name]["wall_s"], 1e-9)
             for name in names
         }
-        scan_heavy = [speedups[n] for n in names if n in SCAN_HEAVY]
         scale_out = [speedups[n] for n in names if n in SCALE_OUT_HEAVY]
-        overall = geomean(list(speedups.values()))
-        heavy = geomean(scale_out)
+        overall = geometric_mean(speedups.values())
+        heavy = geometric_mean(scale_out) if scale_out else float("nan")
         summary[str(workers)] = {
             "geomean_speedup": overall,
             "scan_heavy_geomean_speedup": heavy,
-            "scan_heavy_all_geomean_speedup": geomean(scan_heavy),
             "scaling_efficiency": overall / workers,
             "scan_heavy_scaling_efficiency": heavy / workers,
             "total_speedup": (
@@ -177,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     counts = sorted(set(args.workers))
     if counts[0] != 1:
         counts.insert(0, 1)  # speedups are always measured against serial
-    scale = parse_scale(args.scale)
+    scale = SCALES[args.scale] if args.scale in SCALES else float(args.scale)
     names = args.queries or sorted(WORKLOAD_QUERIES)
     print(f"generating dataset (scale={scale}) ...", flush=True)
     store = generate_dataset(scale=scale, seed=args.seed)
@@ -200,11 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         "cpus_available": os.cpu_count(),
         "worker_counts": counts,
         "engine": "batch",
-        # ``scan_heavy_queries`` is the headline subset (see
-        # SCALE_OUT_HEAVY); ``scan_heavy_all_queries`` is the engine-AB
-        # notion, reported under ``scan_heavy_all_geomean_speedup``.
         "scan_heavy_queries": [n for n in names if n in SCALE_OUT_HEAVY],
-        "scan_heavy_all_queries": [n for n in names if n in SCAN_HEAVY],
         "modes": {"io_latency": io_mode}
         | ({"cpu_only": cpu_mode} if cpu_mode else {}),
     }

@@ -1,5 +1,9 @@
 """Resilience acceptance benchmark for the query service (ISSUE 9).
 
+What no ``benchmarks/e2e`` workload loads: 64 clients, 5% transient
+faults and a mid-run worker kill (``service_mixed`` is 2 fault-free
+clients).
+
 Two phases against one service, every result byte-checked against a
 serial cache-off baseline:
 
@@ -69,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         base=OptimizerConfig(
             engine="batch",
             enable_plan_cache=True,
-            cache_shards=4,
             workers=args.workers,
             fault_rate=args.fault_rate,
             fault_seed=args.seed,

@@ -5,7 +5,7 @@ Runs all 32 TPC-DS proxy workload queries three times on the batch
 engine against one dataset:
 
 * serially (``workers=1``, the reference);
-* fragment-parallel (``--workers``, sharded plan cache), asserting per
+* fragment-parallel (``--workers``), asserting per
   query identical result rows (canonical order) and identical
   ``bytes_scanned`` / ``rows_scanned`` (scale-out never changes what a
   query reads);
@@ -95,7 +95,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=7, help="dataset seed")
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--cache-shards", type=int, default=4)
     parser.add_argument("--fault-rate", type=float, default=0.05)
     parser.add_argument("--fault-seed", type=int, default=7)
     parser.add_argument("--retries", type=int, default=4)
@@ -112,9 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"== parallel run (workers={args.workers}) ==", flush=True)
     parallel = run_workload(
         store,
-        OptimizerConfig(
-            engine="batch", workers=args.workers, cache_shards=args.cache_shards
-        ),
+        OptimizerConfig(engine="batch", workers=args.workers),
     )
     parallel_per_query = _compare("parallel", serial, parallel, failures)
 
@@ -128,7 +125,6 @@ def main(argv: list[str] | None = None) -> int:
         OptimizerConfig(
             engine="batch",
             workers=args.workers,
-            cache_shards=args.cache_shards,
             fault_rate=args.fault_rate,
             fault_seed=args.fault_seed,
             max_retries=args.retries,
@@ -147,7 +143,6 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "parallel_smoke",
         "scale": args.scale,
         "workers": args.workers,
-        "cache_shards": args.cache_shards,
         "fault_rate": args.fault_rate,
         "fault_seed": args.fault_seed,
         "python": platform.python_version(),

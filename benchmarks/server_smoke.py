@@ -55,7 +55,6 @@ def main(argv: list[str] | None = None) -> int:
         base=OptimizerConfig(
             engine="batch",
             enable_plan_cache=True,
-            cache_shards=4,
             workers=args.workers,
             fault_rate=args.fault_rate,
             fault_seed=args.seed,

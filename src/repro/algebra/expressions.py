@@ -14,6 +14,7 @@ normalization (for equivalence checks), and conjunct manipulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.algebra.schema import Column
@@ -60,6 +61,27 @@ class Literal(Expression):
 
     value: object
     type: DataType
+
+    def __eq__(self, other: object) -> bool:
+        """Field equality, except that the sign of a zero counts:
+        ``-0.0 == 0.0`` as floats, but ``x * -0.0`` is not ``x * 0.0``,
+        and expression-keyed memos (``vectors._BLOCK_MEMO``) would
+        otherwise serve one literal's closure for the other."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        value, theirs = self.value, other.value
+        return (value, self.type) == (theirs, other.type) and (
+            value != 0 or copysign(1.0, value) == copysign(1.0, theirs)
+        )
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            value = self.value
+            sign = copysign(1.0, value) if value == 0 else None
+            cached = hash(("Literal", value, self.type, sign))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     @property
     def dtype(self) -> DataType:
@@ -396,7 +418,7 @@ class FunctionCall(Expression):
 # from the base class (equality stays structural via the dataclass
 # __eq__ — hashes only pre-filter dict lookups).
 for _cls in (
-    Literal, ColumnRef, Comparison, And, Or, Not, Arithmetic,
+    ColumnRef, Comparison, And, Or, Not, Arithmetic,
     IsNull, InList, Like, Case, FunctionCall,
 ):
     _cls.__hash__ = Expression.__hash__  # type: ignore[method-assign]

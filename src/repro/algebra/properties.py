@@ -76,11 +76,3 @@ def has_key(plan: PlanNode, columns: set[Column]) -> bool:
 def contains_aggregate_or_join(plan: PlanNode) -> bool:
     """Heuristic 'is this subtree expensive to recompute'."""
     return any(isinstance(node, (GroupBy, Join, Window)) for node in walk_plan(plan))
-
-
-def plan_depth(plan: PlanNode) -> int:
-    """Height of the plan tree."""
-    children = plan.children
-    if not children:
-        return 1
-    return 1 + max(plan_depth(c) for c in children)

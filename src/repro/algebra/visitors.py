@@ -50,17 +50,6 @@ def transform_up(plan: PlanNode, fn: Callable[[PlanNode], PlanNode]) -> PlanNode
     return fn(plan)
 
 
-def transform_down(plan: PlanNode, fn: Callable[[PlanNode], PlanNode]) -> PlanNode:
-    """Top-down rewrite: apply ``fn``, then recurse into the result."""
-    plan = fn(plan)
-    children = plan.children
-    if children:
-        new_children = tuple(transform_down(c, fn) for c in children)
-        if new_children != children:
-            plan = plan.with_children(new_children)
-    return plan
-
-
 def collect(plan: PlanNode, node_type: type) -> list[PlanNode]:
     """All nodes of ``node_type`` in the tree, pre-order."""
     return [node for node in walk_plan(plan) if isinstance(node, node_type)]
@@ -197,13 +186,3 @@ def validate_plan(plan: PlanNode) -> None:
             visit(child, outer)
 
     visit(plan, frozenset())
-
-
-def output_expression(plan: PlanNode, column: Column) -> Expression | None:
-    """If ``plan`` is a Project producing ``column``, its defining
-    expression; otherwise a plain reference (None if not produced)."""
-    if column not in plan.output_columns:
-        return None
-    if isinstance(plan, Project):
-        return plan.expression_of(column)
-    return ColumnRef(column)

@@ -179,13 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         "persistent pool (default 1 = serial)",
     )
     parser.add_argument(
-        "--cache-shards",
-        type=int,
-        default=1,
-        help="plan-cache shard count (>1 makes populate/replay "
-        "concurrency-safe per shard; default 1 = monolithic)",
-    )
-    parser.add_argument(
         "--io-latency-ms",
         type=float,
         default=0.0,
@@ -462,7 +455,6 @@ def serve_main(argv: list[str]) -> int:
     base = OptimizerConfig(
         engine=args.engine,
         enable_plan_cache=True,
-        cache_shards=4,
         workers=args.workers,
         fault_rate=args.fault_rate,
         fault_seed=args.seed,
@@ -537,7 +529,6 @@ def main(argv: list[str] | None = None) -> int:
         "max_state_rows": args.max_state_rows,
         "validate_plans": args.validate_plans,
         "workers": args.workers,
-        "cache_shards": args.cache_shards,
         "io_latency_ms": args.io_latency_ms,
         "cost_based": args.cost_based,
     }

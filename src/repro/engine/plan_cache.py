@@ -19,14 +19,13 @@ Entries hit during *planning* are pinned until the session releases
 them after execution, so populations triggered later in the same query
 can never evict a result the running plan still needs to replay.
 
-Both cache flavours are safe for concurrent use from multiple threads
-(the server front end in :mod:`repro.server` runs many queries against
-one session): :class:`PlanCache` serializes on one reentrant lock,
-:class:`ShardedPlanCache` on per-shard locks, and pins are tracked per
-*thread* so one query releasing its pins cannot unpin an entry a
-concurrent query still replays.
+The cache is safe for concurrent use from multiple threads (the server
+front end in :mod:`repro.server` runs many queries against one
+session): :class:`PlanCache` serializes on one reentrant lock, and pins
+are tracked per *thread* so one query releasing its pins cannot unpin
+an entry a concurrent query still replays.
 
-They also carry the **in-flight registry** behind concurrent shared
+It also carries the **in-flight registry** behind concurrent shared
 execution (DESIGN.md §14): when fingerprint-equal subplans are being
 populated simultaneously by different queries, :meth:`InflightRegistry.claim`
 elects one leader and binds the rest as followers to its single
@@ -39,7 +38,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from zlib import crc32
 
 from repro.algebra.types import DataType, encoded_bytes
 
@@ -400,142 +398,4 @@ class PlanCache:
             f"hits={self.stats.hits} misses={self.stats.misses} "
             f"replays={self.stats.replays} evictions={self.stats.evictions} "
             f"invalidations={self.stats.invalidations}"
-        )
-
-
-class ShardedPlanCache:
-    """A :class:`PlanCache` split into independently locked shards.
-
-    Fingerprints route to ``crc32(fingerprint) % shards`` (fingerprints
-    are hex digests, so the distribution is uniform); each shard is a
-    plain :class:`PlanCache` holding an even slice of the byte budget,
-    guarded by its own lock.  Concurrent populate/replay from parallel
-    fragment coordination therefore serializes per shard, never
-    globally — and two operations on different fingerprints almost
-    never contend.
-
-    The API is duck-compatible with :class:`PlanCache` (the session,
-    executors and reuse pass don't know which they hold).  Semantics
-    differ from the monolithic cache in exactly one way: eviction
-    pressure is per shard — an entry is evicted when *its shard* is
-    full, not when the global budget is.  Sessions default to
-    ``cache_shards=1`` (a plain PlanCache) so budget-exact behaviour is
-    opt-out only under explicit concurrency.
-    """
-
-    def __init__(self, budget_bytes: float = 64 * MIB, shards: int = 4):
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
-        if budget_bytes <= 0:
-            raise ValueError("cache budget must be positive")
-        self.budget_bytes = float(budget_bytes)
-        self._shards = [
-            PlanCache(self.budget_bytes / shards) for _ in range(shards)
-        ]
-        self._locks = [threading.Lock() for _ in range(shards)]
-        #: One registry across all shards: in-flight leadership must be
-        #: global per fingerprint regardless of shard routing.
-        self.inflight = InflightRegistry()
-
-    def _shard(self, fingerprint: str) -> tuple[PlanCache, threading.Lock]:
-        index = crc32(fingerprint.encode()) % len(self._shards)
-        return self._shards[index], self._locks[index]
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    @property
-    def shards(self) -> list[PlanCache]:
-        """The underlying shards (tests/inspection)."""
-        return list(self._shards)
-
-    @property
-    def bytes_used(self) -> float:
-        return sum(shard.bytes_used for shard in self._shards)
-
-    @property
-    def stats(self) -> CacheStats:
-        """Aggregated counters across shards (a fresh snapshot)."""
-        total = CacheStats()
-        for shard in self._shards:
-            stats = shard.stats
-            total.hits += stats.hits
-            total.misses += stats.misses
-            total.replays += stats.replays
-            total.populations += stats.populations
-            total.evictions += stats.evictions
-            total.invalidations += stats.invalidations
-            total.rejected += stats.rejected
-            total.stale_rejected += stats.stale_rejected
-        return total
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        shard, lock = self._shard(fingerprint)
-        with lock:
-            return fingerprint in shard
-
-    def has(self, fingerprint: str) -> bool:
-        return fingerprint in self
-
-    def entries(self) -> list[CacheEntry]:
-        out: list[CacheEntry] = []
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                out.extend(shard.entries())
-        return out
-
-    def lookup(self, fingerprint: str, catalog=None, pin: bool = False):
-        shard, lock = self._shard(fingerprint)
-        with lock:
-            return shard.lookup(fingerprint, catalog=catalog, pin=pin)
-
-    def replay(self, fingerprint: str):
-        shard, lock = self._shard(fingerprint)
-        with lock:
-            return shard.replay(fingerprint)
-
-    def put(self, entry: CacheEntry) -> bool:
-        shard, lock = self._shard(entry.fingerprint)
-        with lock:
-            return shard.put(entry)
-
-    def evict(self, fingerprint: str) -> bool:
-        shard, lock = self._shard(fingerprint)
-        with lock:
-            return shard.evict(fingerprint)
-
-    def is_stale(self, entry: CacheEntry) -> bool:
-        shard, lock = self._shard(entry.fingerprint)
-        with lock:
-            return shard.is_stale(entry)
-
-    def invalidate_table(self, table: str, min_version: int | None = None) -> int:
-        dropped = 0
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                dropped += shard.invalidate_table(table, min_version=min_version)
-        return dropped
-
-    def release_pins(self) -> None:
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                shard.release_pins()
-
-    def clear(self) -> None:
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                shard.clear()
-
-    def summary(self) -> str:
-        stats = self.stats
-        return (
-            f"shards={len(self._shards)} entries={len(self)} "
-            f"bytes={self.bytes_used/1024:.1f}KiB "
-            f"hits={stats.hits} misses={stats.misses} "
-            f"replays={stats.replays} evictions={stats.evictions} "
-            f"invalidations={stats.invalidations}"
         )

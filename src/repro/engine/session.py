@@ -25,7 +25,7 @@ from repro.engine.metrics import (
     Stopwatch,
 )
 from repro.engine.parallel import WorkerPool, execute_parallel
-from repro.engine.plan_cache import MIB, PlanCache, ShardedPlanCache
+from repro.engine.plan_cache import MIB, PlanCache
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.pipeline import optimize
 from repro.sql.binder import Binder
@@ -73,7 +73,7 @@ class Session:
         store: Store,
         config: OptimizerConfig | None = None,
         worker_pool: WorkerPool | None = None,
-        plan_cache: PlanCache | ShardedPlanCache | None = None,
+        plan_cache: PlanCache | None = None,
     ):
         self.store = store
         self.config = config if config is not None else OptimizerConfig()
@@ -123,18 +123,12 @@ class Session:
         #: result reuse window.  A caller-supplied cache (e.g. the
         #: query service sharing one cache across its ladder sessions)
         #: is used as-is when the config enables caching.
-        self.plan_cache: PlanCache | ShardedPlanCache | None = None
+        self.plan_cache: PlanCache | None = None
         if self.config.enable_plan_cache:
             if plan_cache is not None:
                 self.plan_cache = plan_cache
             else:
-                budget = self.config.cache_budget_mb * MIB
-                if self.config.cache_shards > 1:
-                    self.plan_cache = ShardedPlanCache(
-                        budget, shards=self.config.cache_shards
-                    )
-                else:
-                    self.plan_cache = PlanCache(budget)
+                self.plan_cache = PlanCache(self.config.cache_budget_mb * MIB)
 
     # -- parallel execution plumbing ---------------------------------------
 

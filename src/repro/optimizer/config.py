@@ -4,7 +4,7 @@
 paper's experimental setup: the *baseline* is the engine's standard
 rule set ("Athena's default production configuration"), and the
 *instrumented* compiler additionally enables the fusion-based rules of
-§IV.  Per-rule flags support the ablation benchmarks.
+§IV.  Per-rule flags support the ablation tests.
 
 ``fusion_min_rows`` is the §IV.E cost heuristic: fusion rewrites fire
 only when the common subexpression is estimated expensive — it
@@ -33,13 +33,11 @@ class OptimizerConfig:
     #: Cost heuristic (§IV.E): minimum estimated input rows of the
     #: common expression for a fusion rewrite to be worthwhile.  The
     #: default of 1 fires on anything that scans stored data but not on
-    #: constant-table expressions; ablation benches sweep this knob.
+    #: constant-table expressions; tests/test_pipeline.py raises it.
     fusion_min_rows: int = 1
-    #: Upper bound on rule-engine fixpoint iterations.
-    max_iterations: int = 10
     #: Spool duplicated common subexpressions that fusion did not
     #: eliminate (the paper's stated roadmap fallback).  Off by default:
-    #: the paper's engine does not have it yet, and the ablation bench
+    #: the paper's engine does not have it yet, and tests/test_spooling.py
     #: compares fusion vs spooling explicitly.
     enable_spooling: bool = False
     #: Execution backend: ``"batch"`` streams ~``batch_rows``-row
@@ -67,8 +65,8 @@ class OptimizerConfig:
     #: any whose result is already in the session's plan cache with a
     #: CachedScan, populating promising subplans on first execution
     #: (repro.engine.plan_cache).  Off by default — reuse across
-    #: queries only pays off for sessions that repeat work, which is
-    #: what the cache benchmarks measure.
+    #: queries only pays off for sessions that repeat work (the
+    #: ``service_mixed`` workload of benchmarks/e2e).
     enable_plan_cache: bool = False
     #: Byte budget of the plan cache (LRU evicts beyond it).
     cache_budget_mb: float = 64.0
@@ -114,11 +112,6 @@ class OptimizerConfig:
     #: plus a fact derivation per pass); the differential fuzzer and CI
     #: turn it on.
     validate_plans: bool = False
-    #: Fact-driven simplification (FactSimplify): fold filter/join
-    #: conditions that catalog-derived column facts decide, and
-    #: collapse DISTINCT-shaped operators over provably-unique inputs
-    #: to projections.  On by default — it only fires on proofs.
-    enable_fact_simplify: bool = True
     #: Scale-out execution inside one process (DESIGN.md §13): with
     #: ``workers > 1`` the optimizer appends the ParallelPlan pass,
     #: which cuts partition-parallel subtrees out of the optimized plan
@@ -127,12 +120,6 @@ class OptimizerConfig:
     #: ``workers == 1`` (the default) never inserts an Exchange and is
     #: byte-for-byte the serial engine.
     workers: int = 1
-    #: Shard count of the session's plan cache.  With > 1 the session
-    #: builds a :class:`~repro.engine.plan_cache.ShardedPlanCache`
-    #: (fingerprints routed to per-shard locks, budget split evenly) so
-    #: concurrent populate/replay is safe per shard; 1 keeps the plain
-    #: single-structure cache with its exact global budget.
-    cache_shards: int = 1
     #: Simulated object-store read latency, milliseconds per partition
     #: read (the S3 GET regime Athena's scans live in).  Parallel
     #: workers overlap these waits, which is the latency-hiding effect
@@ -158,8 +145,8 @@ class OptimizerConfig:
     #: *before* the fusion rules run, exercising §III.F's MarkDistinct
     #: fusion on e.g. TPC-DS Q28.  The default lowers after fusion,
     #: which produces the same results with cheaper plans (fusion then
-    #: merges the distinct flags directly); the ablation benchmark
-    #: compares both orders.
+    #: merges the distinct flags directly);
+    #: tests/test_integration_tpcds.py holds both orders to the same rows.
     lower_distinct_before_fusion: bool = False
 
     def __post_init__(self) -> None:
@@ -197,8 +184,6 @@ class OptimizerConfig:
             )
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.cache_shards < 1:
-            raise ValueError("cache_shards must be at least 1")
         if self.io_latency_ms < 0:
             raise ValueError("io_latency_ms must be non-negative")
         if self.fragment_retries < 0:

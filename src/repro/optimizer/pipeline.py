@@ -67,11 +67,10 @@ def build_pipeline(config: OptimizerConfig) -> list[PlanPass]:
         *cleanup,
         PredicatePushdown(),
         ProjectionPruning(),
-    ]
-    if config.enable_fact_simplify:
         # Derived-fact folding runs after pushdown so predicates sit
         # next to the scans whose statistics decide them.
-        passes.append(FactSimplify())
+        FactSimplify(),
+    ]
     if config.lower_distinct_before_fusion:
         passes.append(LowerDistinctAggregates())
     if config.enable_fusion and config.enable_union_all_on_join:
@@ -120,15 +119,14 @@ def build_pipeline(config: OptimizerConfig) -> list[PlanPass]:
             *cleanup,
             ProjectionPruning(),
             SimplifyExpressions(),
+            # Second FactSimplify round over the final shape: fusion
+            # compensators and join-key rewrites expose new always-true
+            # / redundant-DISTINCT opportunities.
+            FactSimplify(),
+            RemoveTrivialFilters(),
+            ProjectionPruning(),
         ]
     )
-    if config.enable_fact_simplify:
-        # Second round over the final shape: fusion compensators and
-        # join-key rewrites expose new always-true/redundant-DISTINCT
-        # opportunities.
-        passes.append(FactSimplify())
-        passes.append(RemoveTrivialFilters())
-        passes.append(ProjectionPruning())
     if config.enable_spooling:
         # The roadmap fallback: materialize duplicates fusion left behind.
         passes.append(SpoolDuplicateSubtrees())

@@ -14,7 +14,7 @@ them, producing the superset plan to materialize plus the column
 mapping each consumer needs.
 
 The pass runs after the fusion rules (fusion is preferred where
-applicable; the paper argues, and our ablation bench measures, that the
+applicable; the paper argues, and tests/test_spooling.py checks, that the
 fused form beats materialization by avoiding both the write and the
 repeated reads).  Disabled by default; enable with
 ``OptimizerConfig(enable_spooling=True)``.

@@ -32,6 +32,10 @@ class PlanPass(abc.ABC):
         """Return the rewritten plan (may be the input unchanged)."""
 
 
+#: Upper bound on :meth:`RewriteRule.run` fixpoint iterations.
+MAX_ITERATIONS = 10
+
+
 class RewriteRule(PlanPass):
     """A node-local rewrite applied bottom-up to fixpoint."""
 
@@ -47,7 +51,7 @@ class RewriteRule(PlanPass):
         """Rewrite one node, or None when the rule does not apply."""
 
     def run(self, plan: PlanNode, ctx: OptimizerContext) -> PlanNode:
-        for _ in range(ctx.config.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             changed = False
 
             def apply(node: PlanNode) -> PlanNode:

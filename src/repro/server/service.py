@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.engine.parallel import WorkerPool
-from repro.engine.plan_cache import MIB, PlanCache, ShardedPlanCache
+from repro.engine.plan_cache import MIB, PlanCache
 from repro.engine.session import QueryResult, Session
 from repro.errors import QueryQueueTimeoutError, QueryTimeoutError, ReproError
 from repro.optimizer.config import OptimizerConfig
@@ -215,13 +215,9 @@ class QueryService:
         #: One shared cross-query cache for every rung/session: shared
         #: execution and reuse work across tenants by design (results
         #: are keyed by plan fingerprint, not by who asked).
-        self.plan_cache: PlanCache | ShardedPlanCache | None = None
+        self.plan_cache: PlanCache | None = None
         if base.enable_plan_cache:
-            budget = base.cache_budget_mb * MIB
-            if base.cache_shards > 1:
-                self.plan_cache = ShardedPlanCache(budget, shards=base.cache_shards)
-            else:
-                self.plan_cache = PlanCache(budget)
+            self.plan_cache = PlanCache(base.cache_budget_mb * MIB)
         #: One shared self-healing pool for every parallel rung.
         self.pool: WorkerPool | None = None
         if base.workers > 1:

@@ -243,11 +243,7 @@ class DifferentialOracle:
                 outcomes[f"{label}/cold"] = self._run_once(session, sql)
                 outcomes[f"{label}/warm"] = self._run_once(session, sql)
         for workers in self.worker_counts:
-            overrides = {
-                "engine": "batch",
-                "workers": workers,
-                "cache_shards": 4,
-            }
+            overrides = {"engine": "batch", "workers": workers}
             for fusion in (False, True):
                 session = Session(
                     self.store,

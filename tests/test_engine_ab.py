@@ -14,6 +14,8 @@ accumulation in the last ulp.  Integer results stay exact either way.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.algebra.types import DataType
@@ -277,6 +279,25 @@ def test_null_salted_compiled_agrees(name, vectors):
     )
     exact = int_exact or vectors == "python"
     assert_compiled_agrees(row_s, compiled_s, sql, exact=exact)
+
+
+@pytest.mark.parametrize("engine", ["row", "batch", "compiled"])
+def test_signed_zero_literals_do_not_share_a_memoized_closure(engine):
+    """``x * 0.0`` then, on a fresh store whose column ids restart,
+    ``x * -0.0``: the expression-keyed block memo must not serve the
+    first literal's closure for the second (-0.0 == 0.0 as floats)."""
+    from repro.storage.columnar import Store
+
+    def product_sign(zero: str) -> float:
+        store = Store()
+        store.put(simple_table("t", [("x", DataType.DOUBLE)], [(2.0,)]))
+        session = Session(store, OptimizerConfig(engine=engine))
+        ((value,),) = session.execute(f"SELECT x * {zero} FROM t").rows
+        assert value == 0.0
+        return math.copysign(1.0, value)
+
+    assert product_sign("0.0") == 1.0
+    assert product_sign("-0.0") == -1.0
 
 
 def test_engine_knob_validated():

@@ -48,6 +48,34 @@ def run(expr, row):
     return compile_expression(expr, COLS)(row)
 
 
+S = ColumnRef(SCOLS[0])
+XCOLS = (Column(1, "x", DataType.DOUBLE),)
+X = ColumnRef(XCOLS[0])
+
+#: (expression, schema, rows, expected per row) — run through both the
+#: scalar compiler (``test_functions``) and the block compiler in every
+#: column representation (``TestBlockCompilation.test_function_call``).
+FUNCTION_CASES = [
+    (FunctionCall("upper", (S,)), SCOLS, [("ab", "x"), (None, "y")], ["AB", None]),
+    (FunctionCall("lower", (S,)), SCOLS, [("AbC", "x"), (None, "y")], ["abc", None]),
+    (
+        FunctionCall("length", (S,)),
+        SCOLS,
+        [("abc", "x"), ("", "y"), (None, "z")],
+        [3, 0, None],
+    ),
+    (FunctionCall("round", (X,)), XCOLS, [(2.567,), (-0.4,), (None,)], [3.0, -0.0, None]),
+    (
+        FunctionCall("round", (X, integer(2))),
+        XCOLS,
+        [(2.567,), (None,)],
+        [2.57, None],
+    ),
+    # A NULL digits argument means "no digits", not a NULL result.
+    (FunctionCall("round", (X, Literal(None, I))), XCOLS, [(2.567,)], [3.0]),
+]
+
+
 class TestNullSemantics:
     def test_comparison_with_null(self):
         assert run(Comparison("=", A, B), (1, None)) is None
@@ -124,9 +152,10 @@ class TestScalarOperators:
         assert run(FunctionCall("abs", (A,)), (-3, 0)) == 3
         assert run(FunctionCall("coalesce", (A, B)), (None, 7)) == 7
         assert run(FunctionCall("floor", (A,)), (3, 0)) == 3
+        for expr, columns, rows, expected in FUNCTION_CASES:
+            fn = compile_expression(expr, columns)
+            assert [fn(row) for row in rows] == expected, expr
         s = (Column(1, "s", DataType.STRING),)
-        upper = compile_expression(FunctionCall("upper", (ColumnRef(s[0]),)), s)
-        assert upper(("ab",)) == "AB"
         substr = compile_expression(
             FunctionCall("substr", (ColumnRef(s[0]), integer(2), integer(2))), s
         )
@@ -300,9 +329,8 @@ class TestBlockCompilation:
         assert self._run(expr, block, representation, cols) == [1, -1, -1]
 
     def test_function_call(self, representation):
-        expr = FunctionCall("upper", (ColumnRef(SCOLS[0]),))
-        block = [("ab", "x"), (None, "y")]
-        assert self._run(expr, block, representation, SCOLS) == ["AB", None]
+        for expr, columns, block, expected in FUNCTION_CASES:
+            assert self._run(expr, block, representation, columns) == expected, expr
 
     def test_correlated_column_reads_env_at_call_time(self, representation):
         env = {}

@@ -93,6 +93,20 @@ class TestBasics:
         b = And((Comparison("=", ref(1), integer(2)), TRUE))
         assert a == b and hash(a) == hash(b)
 
+    def test_literal_zero_sign_is_part_of_identity(self):
+        neg, pos = Literal(-0.0, DataType.DOUBLE), Literal(0.0, DataType.DOUBLE)
+        assert neg != pos and hash(neg) != hash(pos)
+        assert {neg: "neg", pos: "pos"}[Literal(-0.0, DataType.DOUBLE)] == "neg"
+        assert Arithmetic("*", ref(1), neg) != Arithmetic("*", ref(1), pos)
+        # Everything else is still plain field equality.
+        assert pos == Literal(0.0, DataType.DOUBLE) == Literal(0, DataType.DOUBLE)
+        assert hash(pos) == hash(Literal(0, DataType.DOUBLE))
+        assert integer(0) == integer(0) and integer(0) != integer(1)
+        assert Literal(None, DataType.DOUBLE) != pos
+        nan = float("nan")
+        assert Literal(nan, DataType.DOUBLE) == Literal(nan, DataType.DOUBLE)
+        assert Literal(nan, DataType.DOUBLE) != Literal(float("nan"), DataType.DOUBLE)
+
     def test_hash_is_cached(self):
         e = And((Comparison("=", ref(1), integer(2)),))
         first = hash(e)

@@ -6,6 +6,8 @@ import pytest
 
 from repro.algebra.operators import GroupBy, Join, JoinKind, UnionAll, Window
 from repro.algebra.visitors import collect, scan_tables, validate_plan
+from repro.engine.session import Session
+from repro.optimizer.config import OptimizerConfig
 from repro.tpcds.queries import FILLER_QUERIES, STUDIED_QUERIES, WORKLOAD_QUERIES
 
 FUSION_RULES = {
@@ -40,12 +42,25 @@ def test_filler_queries_unchanged_by_fusion(name, fusion_session):
     assert not (FUSION_RULES & set(result.fired_rules))
 
 
+#: The paper's §V data-read claims as upper bounds on fused / baseline
+#: bytes: window rewrites read 20-40% less (§V.A), merged scalar
+#: aggregates 60-85% less (§V.B), the Q23 union refactor about half
+#: (§V.C); Q95 just has to read less.
+PAPER_BYTES_FRACTION = {
+    "q01": 0.8, "q30": 0.8, "q65": 0.8,
+    "q09": 0.4, "q28": 0.4, "q88": 0.4,
+    "q23": 0.8,
+    "q95": 1.0,
+}
+
+
 @pytest.mark.parametrize("name", sorted(STUDIED_QUERIES))
 def test_studied_queries_scan_less(name, baseline_session, fusion_session):
     sql = STUDIED_QUERIES[name]
     baseline = baseline_session.execute(sql)
     fused = fusion_session.execute(sql)
-    assert fused.metrics.bytes_scanned < baseline.metrics.bytes_scanned
+    fraction = fused.metrics.bytes_scanned / baseline.metrics.bytes_scanned
+    assert fraction < PAPER_BYTES_FRACTION[name]
 
 
 class TestCaseStudyWindow:
@@ -69,6 +84,12 @@ class TestCaseStudyWindow:
     def test_q01_single_store_returns_scan(self, fusion_session):
         fused_plan, _ = fusion_session.plan(STUDIED_QUERIES["q01"])
         assert scan_tables(fused_plan).count("store_returns") == 1
+
+    def test_q30_single_web_returns_scan(self, fusion_session, baseline_session):
+        fused_plan, _ = fusion_session.plan(STUDIED_QUERIES["q30"])
+        base_plan, _ = baseline_session.plan(STUDIED_QUERIES["q30"])
+        assert scan_tables(base_plan).count("web_returns") == 2
+        assert scan_tables(fused_plan).count("web_returns") == 1
 
 
 class TestCaseStudyScalarAggregates:
@@ -97,6 +118,21 @@ class TestCaseStudyScalarAggregates:
 
         fused_plan, _ = fusion_session.plan(STUDIED_QUERIES["q28"])
         assert len(collect(fused_plan, MarkDistinct)) == 6
+
+    def test_q28_markdistinct_fusion_when_lowered_first(
+        self, tpcds_store, baseline_session
+    ):
+        """§III.F: with DISTINCT aggregates lowered *before* the fusion
+        rules, JoinOnKeys has to fuse the MarkDistinct operators
+        themselves — same rows, still one store_sales scan."""
+        session = Session(
+            tpcds_store, OptimizerConfig(lower_distinct_before_fusion=True)
+        )
+        result = session.execute(STUDIED_QUERIES["q28"])
+        assert "join_on_keys" in result.fired_rules
+        assert scan_tables(result.optimized_plan).count("store_sales") == 1
+        baseline = baseline_session.execute(STUDIED_QUERIES["q28"])
+        assert result.sorted_rows() == baseline.sorted_rows()
 
 
 class TestCaseStudyUnionAll:

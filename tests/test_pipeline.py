@@ -75,6 +75,45 @@ class TestPipelineAssembly:
         assert not collect(result.optimized_plan, Window)
 
 
+    @pytest.mark.parametrize(
+        "rule,query",
+        [
+            ("groupby_join_to_window", "q65"),
+            ("join_on_keys", "q09"),
+            ("union_all_on_join", "q23"),
+        ],
+    )
+    def test_each_rule_alone_carries_its_case_study(
+        self, rule, query, tpcds_store, baseline_session
+    ):
+        from repro.engine.session import Session
+
+        others = {
+            f"enable_{name}": name == rule
+            for name in (
+                "groupby_join_to_window",
+                "join_on_keys",
+                "union_all_on_join",
+                "union_all",
+            )
+        }
+        sql = STUDIED_QUERIES[query]
+        result = Session(tpcds_store, OptimizerConfig(**others)).execute(sql)
+        baseline = baseline_session.execute(sql)
+        assert rule in result.fired_rules
+        assert result.sorted_rows() == baseline.sorted_rows()
+        assert result.metrics.bytes_scanned < baseline.metrics.bytes_scanned
+
+    def test_fusion_min_rows_gates_scan_only_rewrites(self, tpcds_store):
+        """§IV.E end to end: Q09's common expression is Filter(Scan), so
+        a threshold above every table's cardinality turns it off."""
+        from repro.engine.session import Session
+
+        strict = Session(tpcds_store, OptimizerConfig(fusion_min_rows=10**9))
+        fired = strict.execute(STUDIED_QUERIES["q09"]).fired_rules
+        assert "join_on_keys" not in fired
+
+
 class TestRuleEngine:
     class CountingRule(RewriteRule):
         name = "counting"

@@ -1,6 +1,7 @@
 """Cross-query reuse A/B: the full 32-query workload, cache on vs off.
 
-The contract the benchmark (benchmarks/bench_cache.py) relies on:
+The contract every cached session (and the ``service_mixed`` workload of
+benchmarks/e2e) relies on:
 
 * cache on and cache off produce byte-identical rows, in identical
   order, on every workload query — both on the cold first pass and on

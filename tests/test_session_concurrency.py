@@ -74,16 +74,14 @@ def _stress(session, expected, nthreads: int, per_thread: int):
 def test_eight_threads_fifty_queries_cached(stress_store, expected_rows):
     session = Session(
         stress_store,
-        OptimizerConfig(engine="batch", enable_plan_cache=True, cache_shards=4),
+        OptimizerConfig(engine="batch", enable_plan_cache=True),
     )
     failures = _stress(session, expected_rows, nthreads=8, per_thread=50)
     assert failures == []
     # Pins must all have been released: nothing each query pinned at
     # plan time may leak past its execute() (lost pins would wedge
     # eviction for the life of the session).
-    cache = session.plan_cache
-    for shard in cache.shards:
-        assert not shard._pinned, "leaked pins after concurrent load"
+    assert not session.plan_cache._pinned, "leaked pins after concurrent load"
 
 
 def test_concurrent_mixed_engines_one_store(stress_store, expected_rows):

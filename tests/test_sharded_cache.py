@@ -1,15 +1,16 @@
-"""ShardedPlanCache: fingerprint-routed shards with per-shard locking
-(repro.engine.plan_cache).  Must be duck-compatible with PlanCache —
-the session, executors, and reuse pass never know which they hold."""
+"""PlanCache under concurrency: put/replay from many threads, the
+put-vs-invalidate version fence, and cache sharing between parallel
+and serial sessions (repro.engine.plan_cache).  The file keeps its
+name from the sharded twin these cases were written against; the
+session, service and oracle now hold the one PlanCache."""
 
 from __future__ import annotations
 
 import threading
-from zlib import crc32
 
 import pytest
 
-from repro.engine.plan_cache import CacheEntry, PlanCache, ShardedPlanCache
+from repro.engine.plan_cache import CacheEntry, PlanCache
 from repro.engine.session import Session
 from repro.optimizer.config import OptimizerConfig
 
@@ -30,19 +31,8 @@ def _entry(
     )
 
 
-def test_routing_is_by_fingerprint_crc():
-    cache = ShardedPlanCache(budget_bytes=4000, shards=4)
-    for i in range(20):
-        assert cache.put(_entry(f"fp{i}"))
-    for i in range(20):
-        fp = f"fp{i}"
-        shard = cache.shards[crc32(fp.encode()) % 4]
-        assert fp in shard
-    assert len(cache) == 20
-
-
 def test_duck_compatible_roundtrip():
-    cache = ShardedPlanCache(budget_bytes=4000, shards=4)
+    cache = PlanCache(budget_bytes=4000)
     assert cache.put(_entry("a"))
     assert not cache.put(_entry("a"))  # duplicate refused like PlanCache
     assert "a" in cache and cache.has("a")
@@ -54,20 +44,10 @@ def test_duck_compatible_roundtrip():
     assert cache.stats.replays == 1
     assert len(cache.entries()) == 1
     assert cache.evict("a") and not cache.evict("a")
-    assert "shards=4" in ShardedPlanCache(shards=4).summary()
-
-
-def test_budget_splits_evenly_across_shards():
-    cache = ShardedPlanCache(budget_bytes=400, shards=4)
-    assert all(shard.budget_bytes == 100.0 for shard in cache.shards)
-    # An entry larger than one shard's slice is rejected even though it
-    # fits the global budget — the documented per-shard semantics.
-    assert not cache.put(_entry("big", nbytes=150.0))
-    assert cache.put(_entry("small", nbytes=90.0))
 
 
 def test_invalidate_table_sweeps_all_shards():
-    cache = ShardedPlanCache(budget_bytes=4000, shards=4)
+    cache = PlanCache(budget_bytes=4000)
     for i in range(12):
         assert cache.put(_entry(f"fp{i}", tables=("orders",)))
     assert cache.put(_entry("other", tables=("people",)))
@@ -76,7 +56,7 @@ def test_invalidate_table_sweeps_all_shards():
 
 
 def test_pins_and_clear_cover_every_shard():
-    cache = ShardedPlanCache(budget_bytes=4000, shards=4)
+    cache = PlanCache(budget_bytes=4000)
     for i in range(8):
         cache.put(_entry(f"fp{i}"))
         cache.lookup(f"fp{i}", pin=True)
@@ -87,13 +67,11 @@ def test_pins_and_clear_cover_every_shard():
 
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        ShardedPlanCache(shards=0)
-    with pytest.raises(ValueError):
-        ShardedPlanCache(budget_bytes=0)
+        PlanCache(budget_bytes=0)
 
 
 def test_concurrent_put_and_replay_are_safe():
-    cache = ShardedPlanCache(budget_bytes=1_000_000, shards=4)
+    cache = PlanCache(budget_bytes=1_000_000)
     errors: list[Exception] = []
 
     def worker(base: int) -> None:
@@ -129,16 +107,12 @@ def _versioned(fingerprint: str, table: str, version: int) -> CacheEntry:
 class TestEvictionRaceFence:
     """`put` racing `invalidate_table` during a table-version bump must
     never resurrect a stale entry (ISSUE 9, satellite b).  The fence is
-    the `min_version` floor recorded under the shard lock: a population
+    the `min_version` floor recorded under the cache lock: a population
     planned against the old version loses the race *deterministically*,
     whichever side reaches the lock first."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: PlanCache(1 << 20),
-        lambda: ShardedPlanCache(1 << 20, shards=4),
-    ])
-    def test_put_after_invalidate_is_fenced(self, make):
-        cache = make()
+    def test_put_after_invalidate_is_fenced(self):
+        cache = PlanCache(1 << 20)
         assert cache.put(_versioned("old", "orders", 1))
         assert cache.invalidate_table("orders", min_version=2) == 1
         # The racing population (planned against v1) arrives late: the
@@ -168,11 +142,11 @@ class TestEvictionRaceFence:
     def test_seeded_interleaving_never_resurrects(self, seed):
         """Writers keep publishing v1 entries while an invalidator bumps
         the table to v2 at a seeded random point; afterwards no v1 entry
-        may live in any shard, no matter who won each shard's lock."""
+        may live in the cache, no matter who won the lock each time."""
         import random
 
         rng = random.Random(seed)
-        cache = ShardedPlanCache(1 << 20, shards=4)
+        cache = PlanCache(1 << 20)
         nwriters, per_writer = 4, 50
         bump_after = rng.randrange(nwriters * per_writer)
         published = threading.Semaphore(0)
@@ -198,12 +172,11 @@ class TestEvictionRaceFence:
             t.start()
         for t in threads:
             t.join(60.0)
-        for shard in cache.shards:
-            for entry in shard.entries():
-                assert ("orders", 1) not in entry.table_versions, (
-                    f"stale v1 entry {entry.fingerprint} survived "
-                    f"the fence (seed={seed})"
-                )
+        for entry in cache.entries():
+            assert ("orders", 1) not in entry.table_versions, (
+                f"stale v1 entry {entry.fingerprint} survived "
+                f"the fence (seed={seed})"
+            )
         # Everything either landed before the bump or was fenced.
         stats = cache.stats
         assert stats.populations + stats.stale_rejected == nwriters * per_writer
@@ -211,7 +184,7 @@ class TestEvictionRaceFence:
     def test_session_reload_fences_inflight_population(self, tpcds_store):
         """End to end: reload_table bumps the catalog version and the
         cache refuses a population planned against the old version."""
-        config = OptimizerConfig(enable_plan_cache=True, cache_shards=4)
+        config = OptimizerConfig(enable_plan_cache=True)
         with Session(tpcds_store, config) as session:
             sql = (
                 "SELECT ss_store_sk, count(*) FROM store_sales "
@@ -227,26 +200,14 @@ class TestEvictionRaceFence:
             assert warm.metrics.cache_hits > 0
 
 
-def test_session_selects_cache_kind_from_config(tpcds_store):
-    plain = Session(
-        tpcds_store, OptimizerConfig(enable_plan_cache=True, cache_shards=1)
-    )
-    assert isinstance(plain.plan_cache, PlanCache)
-    sharded = Session(
-        tpcds_store, OptimizerConfig(enable_plan_cache=True, cache_shards=4)
-    )
-    assert isinstance(sharded.plan_cache, ShardedPlanCache)
-    assert sharded.plan_cache.shard_count == 4
-
-
 def test_warm_replay_through_sharded_cache(tpcds_store):
-    """Cross-query reuse works identically through the sharded cache:
-    the warm run replays instead of rescanning."""
+    """Cross-query reuse through the session-built cache: the warm run
+    replays instead of rescanning."""
     sql = (
         "SELECT ss_store_sk, sum(ss_net_profit) FROM store_sales "
         "GROUP BY ss_store_sk"
     )
-    config = OptimizerConfig(enable_plan_cache=True, cache_shards=4)
+    config = OptimizerConfig(enable_plan_cache=True)
     with Session(tpcds_store, config) as session:
         cold = session.execute(sql)
         warm = session.execute(sql)
@@ -263,7 +224,7 @@ def test_parallel_session_shares_entries_with_serial(tpcds_store):
         "SELECT ss_store_sk, count(*) FROM store_sales GROUP BY ss_store_sk"
     )
     config = OptimizerConfig(
-        enable_plan_cache=True, cache_shards=4, workers=2, engine="batch"
+        enable_plan_cache=True, workers=2, engine="batch"
     )
     with Session(tpcds_store, config) as parallel_session:
         cold = parallel_session.execute(sql)

@@ -12,12 +12,7 @@ import threading
 import time
 
 from repro.algebra.types import DataType
-from repro.engine.plan_cache import (
-    CacheEntry,
-    InflightRegistry,
-    PlanCache,
-    ShardedPlanCache,
-)
+from repro.engine.plan_cache import CacheEntry, InflightRegistry, PlanCache
 from repro.engine.session import Session
 from repro.optimizer.config import OptimizerConfig
 from repro.storage.columnar import Store
@@ -90,13 +85,6 @@ class TestInflightRegistry:
         is_leader, _ = registry.claim("fp")
         assert is_leader
 
-    def test_registries_live_on_both_cache_kinds(self):
-        assert isinstance(PlanCache(1 << 20).inflight, InflightRegistry)
-        sharded = ShardedPlanCache(1 << 20, shards=4)
-        assert isinstance(sharded.inflight, InflightRegistry)
-        # One registry across all shards: leadership is global.
-        assert sharded.inflight is not sharded.shards[0]
-
 
 def _versioned_entry(fingerprint: str, table: str, version: int) -> CacheEntry:
     return CacheEntry(
@@ -112,12 +100,12 @@ def _versioned_entry(fingerprint: str, table: str, version: int) -> CacheEntry:
 
 class TestIsStale:
     def test_tracks_the_invalidation_fence(self):
-        for cache in (PlanCache(1 << 20), ShardedPlanCache(1 << 20, shards=4)):
-            entry = _versioned_entry("fp", "orders", 1)
-            assert not cache.is_stale(entry)
-            cache.invalidate_table("orders", min_version=2)
-            assert cache.is_stale(entry)
-            assert not cache.is_stale(_versioned_entry("fp", "orders", 2))
+        cache = PlanCache(1 << 20)
+        entry = _versioned_entry("fp", "orders", 1)
+        assert not cache.is_stale(entry)
+        cache.invalidate_table("orders", min_version=2)
+        assert cache.is_stale(entry)
+        assert not cache.is_stale(_versioned_entry("fp", "orders", 2))
 
     def test_unrelated_tables_never_go_stale(self):
         cache = PlanCache(1 << 20)

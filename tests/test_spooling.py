@@ -108,6 +108,20 @@ class TestFusionVersusSpooling:
         assert fused.metrics.spooled_rows == 0
         assert spooled.metrics.spooled_rows > 0
 
+    @pytest.mark.parametrize("name", ["q01", "q30"])
+    def test_fusion_beats_spooling_on_decorrelated_queries(
+        self, name, baseline_session, fusion_session, spooling_session
+    ):
+        sql = STUDIED_QUERIES[name]
+        base = baseline_session.execute(sql)
+        fused = fusion_session.execute(sql)
+        spooled = spooling_session.execute(sql)
+        assert spooled.sorted_rows() == base.sorted_rows()
+        assert spooled.metrics.spooled_rows > 0
+        assert spooled.metrics.bytes_scanned < base.metrics.bytes_scanned
+        assert fused.metrics.bytes_scanned <= spooled.metrics.bytes_scanned * 1.01
+        assert fused.metrics.spooled_rows == 0
+
     def test_fusion_takes_precedence_when_both_enabled(self, tpcds_store):
         both = Session(
             tpcds_store, OptimizerConfig(enable_fusion=True, enable_spooling=True)
