@@ -21,10 +21,23 @@ from repro.algebra.schema import Column
 from repro.algebra.types import DataType, common_numeric_type
 
 
+#: Every memo slot code under ``repro.algebra`` writes into an
+#: expression node's ``__dict__`` (DESIGN.md §3b): pure functions of the
+#: immutable node, stored on first use.  ``__getstate__`` strips them,
+#: and ``benchmarks/lint_repo.py`` rejects a slot missing from here.
+MEMO_SLOTS = ("_hash", "_normalized", "_simplified")
+
+
 class Expression:
     """Base class for scalar expressions."""
 
     __slots__ = ()
+
+    def __getstate__(self) -> dict:
+        """The fields without the memo slots: ``_hash`` mixes in ``str``
+        hashes, which differ between processes, and the cached forms
+        would triple what a plan sent to a fragment worker weighs."""
+        return {k: v for k, v in self.__dict__.items() if k not in MEMO_SLOTS}
 
     def __hash__(self) -> int:
         """Structural hash, cached per node.
@@ -451,6 +464,28 @@ def transform(expr: Expression, fn: Callable[[Expression], Expression]) -> Expre
     return fn(expr)
 
 
+def transform_memoized(
+    expr: Expression, fn: Callable[[Expression], Expression], slot: str
+) -> Expression:
+    """:func:`transform` for a pure ``fn``, computed once per node: the
+    result is looked up in, and stored under, ``slot`` (one of
+    :data:`MEMO_SLOTS`) of each node's ``__dict__``, so a sub-tree seen
+    before costs one lookup however many trees share it.  Keyed by
+    identity, never by equality; racing threads store equal values."""
+    cached = expr.__dict__.get(slot)
+    if cached is None:
+        node, children = expr, expr.children
+        if children:
+            new_children = tuple(transform_memoized(c, fn, slot) for c in children)
+            if new_children != children:
+                node = expr.with_children(new_children)
+        cached = fn(node)
+        # A node that is its own result stores a marker, not itself: a
+        # self-reference would leave every tree to the cycle collector.
+        object.__setattr__(expr, slot, True if cached is expr else cached)
+    return expr if cached is True else cached
+
+
 def substitute(expr: Expression, mapping: Mapping[int, Expression]) -> Expression:
     """Replace column references by id according to ``mapping``.
 
@@ -553,19 +588,20 @@ def normalize(expr: Expression) -> Expression:
     operands are sorted), sorts ``+``/``*`` operands, and eliminates
     double negation.  Two expressions that normalize identically are
     semantically equivalent; the converse does not hold (this is a
-    syntactic check, which is all fusion needs).
+    syntactic check, which is all fusion needs).  Computed once per
+    node (:func:`transform_memoized`).
     """
 
     def canon(node: Expression) -> Expression:
         if isinstance(node, And):
             terms = sorted(set(conjuncts(node)), key=_sort_key)
-            if len(terms) == 1:
-                return terms[0]
+            if len(terms) <= 1:
+                return terms[0] if terms else TRUE
             return And(tuple(terms))
         if isinstance(node, Or):
             terms = sorted(set(disjuncts(node)), key=_sort_key)
-            if len(terms) == 1:
-                return terms[0]
+            if len(terms) <= 1:
+                return terms[0] if terms else FALSE
             return Or(tuple(terms))
         if isinstance(node, Comparison):
             if node.op in (">", ">="):
@@ -584,7 +620,7 @@ def normalize(expr: Expression) -> Expression:
             return InList(node.operand, items)
         return node
 
-    return transform(expr, canon)
+    return transform_memoized(expr, canon, "_normalized")
 
 
 def equivalent(

@@ -35,7 +35,8 @@ from repro.algebra.expressions import (
     disjuncts,
     make_and,
     make_or,
-    transform,
+    normalize,
+    transform_memoized,
 )
 from repro.algebra.schema import Column
 from repro.algebra.types import DataType
@@ -83,8 +84,6 @@ def _absorb(terms: list[Expression]) -> list[Expression]:
     is what collapses the cumulative compensating filters produced by
     n-ary fusion (``b1 AND (b1 OR b2) AND (b1 OR b2 OR b3)`` → ``b1``).
     """
-    from repro.algebra.expressions import normalize
-
     if len(terms) < 2:
         return terms
     normalized = {normalize(t) for t in terms}
@@ -103,7 +102,8 @@ def _absorb(terms: list[Expression]) -> list[Expression]:
 
 
 def simplify(expr: Expression) -> Expression:
-    """Constant folding + boolean flattening, 3VL-safe everywhere."""
+    """Constant folding + boolean flattening, 3VL-safe everywhere;
+    computed once per node (:func:`transform_memoized`)."""
 
     def step(node: Expression) -> Expression:
         if isinstance(node, Comparison):
@@ -168,7 +168,7 @@ def simplify(expr: Expression) -> Expression:
             return Case(tuple(whens), node.default)
         return node
 
-    return transform(expr, step)
+    return transform_memoized(expr, step, "_simplified")
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +320,6 @@ def simplify_filter(expr: Expression) -> Expression:
 def implied_by(candidate: Expression, context: Iterable[Expression]) -> bool:
     """True when every conjunct of ``candidate`` appears (syntactically,
     modulo normalization) among ``context`` conjuncts."""
-    from repro.algebra.expressions import normalize
-
     have = {normalize(c) for c in context}
     return all(normalize(c) in have for c in conjuncts(candidate))
 

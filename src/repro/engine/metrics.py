@@ -57,6 +57,10 @@ class QueryMetrics:
     """Metrics for one query execution."""
 
     wall_time_s: float = 0.0
+    #: Parse + bind + optimize, which ``wall_time_s`` (execution only)
+    #: leaves out; their sum is the latency a ``Session.execute`` caller
+    #: sees.  Zero for a plan executed without a session.
+    planning_s: float = 0.0
     rows_output: int = 0
     peak_state_rows: int = 0
     #: Sum of all rows ever admitted to stateful operators.  In a
@@ -131,6 +135,7 @@ class QueryMetrics:
     def summary(self) -> str:
         text = (
             f"wall={self.wall_time_s*1000:.1f}ms "
+            f"plan={self.planning_s*1000:.1f}ms "
             f"bytes={self.bytes_scanned/1024:.1f}KiB "
             f"rows_scanned={self.rows_scanned} "
             f"partitions={self.partitions_read} "

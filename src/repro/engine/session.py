@@ -9,6 +9,7 @@ report (wall time, bytes scanned, peak operator state).
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field, replace
 
 from repro.algebra.operators import PlanNode
@@ -167,22 +168,29 @@ class Session:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def plan(self, sql: str) -> tuple[PlanNode, tuple[str, ...]]:
-        """Parse + bind + optimize; returns (plan, output names)."""
+    def _bind_and_optimize(self, sql: str):
+        """Parse + bind + optimize: ``(bound, optimized, optimizer
+        context)``.  The caller releases the cache pins the cache-aware
+        pass may have taken, raised or not."""
         # A fresh Binder per call: binding keeps per-query scratch
         # state on the instance, so concurrent binds must not share it
         # (the catalog and its column allocator are safe to share).
         bound = Binder(self.catalog).bind_sql(sql)
+        optimized, opt_ctx = optimize(
+            bound.plan,
+            self.catalog,
+            self.config,
+            plan_cache=self.plan_cache,
+            partition_counts=(
+                self._partitions() if self.config.workers > 1 else None
+            ),
+        )
+        return bound, optimized, opt_ctx
+
+    def plan(self, sql: str) -> tuple[PlanNode, tuple[str, ...]]:
+        """Parse + bind + optimize; returns (plan, output names)."""
         try:
-            optimized, _ = optimize(
-                bound.plan,
-                self.catalog,
-                self.config,
-                plan_cache=self.plan_cache,
-                partition_counts=(
-                    self._partitions() if self.config.workers > 1 else None
-                ),
-            )
+            bound, optimized, _ = self._bind_and_optimize(sql)
         finally:
             # plan() has no execution phase, so hits pinned during the
             # cache-aware pass must not outlive the call.
@@ -197,18 +205,11 @@ class Session:
         this one query — the server uses it to charge queue wait
         against the same admission-to-completion deadline.
         """
-        bound = Binder(self.catalog).bind_sql(sql)
         run_ctx: RunContext | None = None
+        start = time.perf_counter()
         try:
-            optimized, opt_ctx = optimize(
-                bound.plan,
-                self.catalog,
-                self.config,
-                plan_cache=self.plan_cache,
-                partition_counts=(
-                    self._partitions() if self.config.workers > 1 else None
-                ),
-            )
+            bound, optimized, opt_ctx = self._bind_and_optimize(sql)
+            planning_s = time.perf_counter() - start
             limits = self._limits
             if timeout_ms is not None:
                 limits = replace(limits, timeout_ms=timeout_ms)
@@ -222,6 +223,7 @@ class Session:
                 self._active_ctxs.add(run_ctx)
                 cancel_now = self._cancel_pending
                 self._cancel_pending = False
+            run_ctx.metrics.planning_s = planning_s
             run_ctx.audit_kernels = self.config.validate_plans
             if cancel_now:
                 run_ctx.cancel()

@@ -29,7 +29,7 @@ class TestMain:
         )
         assert code == 0
         assert "n" in out and "10" in out
-        assert "wall=" in out
+        assert "wall=" in out and "plan=" in out
 
     def test_explain_flag(self, capsys):
         code, out, _ = self.run(

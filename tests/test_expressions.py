@@ -1,9 +1,16 @@
 """Unit tests for the expression tree and its structural utilities."""
 
+import gc
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.algebra.expressions import (
     FALSE,
+    MEMO_SLOTS,
     TRUE,
     And,
     Arithmetic,
@@ -34,6 +41,7 @@ from repro.algebra.expressions import (
     walk,
 )
 from repro.algebra.schema import Column
+from repro.algebra.simplify import simplify
 from repro.algebra.types import DataType
 
 
@@ -112,6 +120,62 @@ class TestBasics:
         first = hash(e)
         assert e.__dict__.get("_hash") == first
         assert hash(e) == first
+
+
+def two_conjuncts() -> And:
+    """The node ``TestMemoSlots`` sends; built in both processes."""
+    return And((Comparison("<", ref(1, "a"), integer(5)), Comparison("=", ref(2, "b"), integer(1))))
+
+
+UNPICKLE_IN_ANOTHER_PROCESS = """
+import pickle, sys
+from tests.test_expressions import two_conjuncts
+
+fresh = two_conjuncts()
+loaded = pickle.loads(sys.stdin.buffer.read())
+assert loaded == fresh
+assert {fresh: 1}[loaded] == 1, "equal nodes hash differently"
+"""
+
+
+class TestMemoSlots:
+    def test_memo_slots_do_not_travel(self):
+        e = two_conjuncts()
+        cold = len(pickle.dumps(e))
+        hash(e), normalize(e), simplify(e)
+        assert set(MEMO_SLOTS) <= e.__dict__.keys()
+        assert len(pickle.dumps(e)) == cold
+        loaded = pickle.loads(pickle.dumps(e))
+        assert loaded == e and loaded.__dict__.keys() == {"terms"}
+
+    def test_memo_slots_make_no_reference_cycle(self):
+        """A node that is its own canonical form must not point at
+        itself, or every planned tree waits for the cycle collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                e = And((Not(Not(IsNull(ref(1)))), two_conjuncts(), TRUE))
+                simplify(normalize(e)), normalize(simplify(e))
+                del e
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_unpickled_node_hashes_like_a_local_one(self):
+        """``_hash`` mixes in ``str`` hashes, which are per process: a
+        worker started with another hash seed must not inherit it."""
+        e = two_conjuncts()
+        hash(e)
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        done = subprocess.run(
+            [sys.executable, "-c", UNPICKLE_IN_ANOTHER_PROCESS],
+            input=pickle.dumps(e),
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
 
 
 class TestTraversal:
@@ -207,6 +271,13 @@ class TestNormalization:
 
     def test_double_negation_removed(self):
         assert normalize(Not(Not(ref(1)))) == ref(1)
+
+    def test_conjunction_of_nothing_is_true(self):
+        assert normalize(And((TRUE, TRUE))) == TRUE
+        assert normalize(And((TRUE, And((TRUE,))))) == TRUE
+        assert normalize(And((TRUE, ref(1)))) == ref(1)
+        assert equivalent(And((TRUE, TRUE)), TRUE)
+        assert normalize(Or(())) == FALSE
 
     def test_in_list_items_sorted(self):
         a = InList(ref(1), (integer(3), integer(1), integer(3)))

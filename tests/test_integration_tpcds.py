@@ -2,6 +2,9 @@
 the baseline and fusion pipelines, and the studied queries show the
 plan transformations the paper's §V case studies describe."""
 
+import statistics
+import time
+
 import pytest
 
 from repro.algebra.operators import GroupBy, Join, JoinKind, UnionAll, Window
@@ -40,6 +43,20 @@ def test_studied_queries_trigger_fusion(name, fusion_session):
 def test_filler_queries_unchanged_by_fusion(name, fusion_session):
     result = fusion_session.execute(FILLER_QUERIES[name])
     assert not (FUSION_RULES & set(result.fired_rules))
+
+
+@pytest.mark.parametrize("name", sorted(STUDIED_QUERIES))
+def test_planning_plus_execution_is_the_observed_latency(name, fusion_session):
+    """``wall_time_s`` starts after the optimizer; ``planning_s`` is the
+    rest of what a ``Session.execute`` caller waits for."""
+    shares = []
+    for _ in range(3):
+        start = time.perf_counter()
+        metrics = fusion_session.execute(STUDIED_QUERIES[name]).metrics
+        observed = time.perf_counter() - start
+        assert metrics.planning_s > 0
+        shares.append((metrics.planning_s + metrics.wall_time_s) / observed)
+    assert 0.9 <= statistics.median(shares) <= 1.0
 
 
 #: The paper's §V data-read claims as upper bounds on fused / baseline

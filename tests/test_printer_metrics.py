@@ -143,6 +143,7 @@ class TestMetrics:
         metrics.accounting.record_chunk("t", 1024.0)
         text = metrics.summary()
         assert "bytes=" in text and "rows_scanned=7" in text
+        assert "wall=0.0ms plan=0.0ms" in text
 
     def test_properties_delegate_to_accounting(self):
         metrics = QueryMetrics()

@@ -1,6 +1,8 @@
 """Property-based tests: simplification and normalization preserve
 evaluation semantics, and contradiction detection is sound."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from repro.algebra.expressions import (
     Not,
     Or,
     normalize,
+    walk,
 )
 from repro.algebra.schema import Column
 from repro.algebra.simplify import is_contradiction, simplify, simplify_filter
@@ -96,6 +99,27 @@ class TestSimplifyPreservesSemantics:
     def test_simplify_idempotent(self, expr, row):
         once = simplify(expr)
         assert simplify(once) == once
+
+
+class TestMemoIsInvisible:
+    """``normalize`` and ``simplify`` store each node's result on the
+    node; whatever was stored before must not show in a result."""
+
+    @given(expr=boolean_exprs(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_warmed_subtrees_give_the_cold_result(self, expr, data):
+        cold = pickle.loads(pickle.dumps(expr))  # equal, no memo slots
+        warm_up = st.tuples(st.sampled_from((normalize, simplify)), st.sampled_from(list(walk(expr))))
+        for fn, node in data.draw(st.lists(warm_up, max_size=8)):
+            fn(node)
+        assert normalize(expr) == normalize(cold)
+        assert simplify(expr) == simplify(cold)
+
+    @given(expr=boolean_exprs())
+    @settings(max_examples=300, deadline=None)
+    def test_normalize_idempotent(self, expr):
+        once = normalize(expr)
+        assert normalize(once) == once
 
 
 def assert_block_matches_scalar(expr, columns, block, representation):

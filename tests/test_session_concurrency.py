@@ -8,14 +8,17 @@ as wrong rows, lost pins, or exceptions.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.algebra.fingerprint import plan_fingerprint
 from repro.engine.session import Session
 from repro.optimizer.config import OptimizerConfig
 from repro.tpcds.generator import generate_dataset
+from repro.tpcds.queries import WORKLOAD_QUERIES
 
 #: A small overlapping "dashboard" workload: repeated fingerprints make
 #: the cache and the in-flight registry do real concurrent work.
@@ -115,6 +118,40 @@ def test_concurrent_mixed_engines_one_store(stress_store, expected_rows):
     for thread in threads:
         thread.join(60.0)
     assert failures == []
+
+
+def test_four_threads_plan_the_workload_like_a_serial_pass(stress_store):
+    """Planning stores canonical forms on expression nodes without a
+    lock (DESIGN.md §3b); a lost or torn store would change a plan."""
+    names = list(WORKLOAD_QUERIES)
+    session = Session(stress_store, OptimizerConfig())
+
+    def digest(name: str) -> str:
+        return plan_fingerprint(session.plan(WORKLOAD_QUERIES[name])[0]).digest
+
+    serial = {name: digest(name) for name in names}
+    got: list[dict[str, str]] = [{} for _ in range(4)]
+    failures: list[str] = []
+
+    def worker(index: int) -> None:
+        try:
+            for name in names[index * 8:] + names[: index * 8]:
+                got[index][name] = digest(name)
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            failures.append(f"thread {index}: {type(exc).__name__}: {exc}")
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == [] and not any(t.is_alive() for t in threads)
+    assert got == [serial] * 4
 
 
 def test_cancel_aborts_all_inflight_queries(stress_store):
