@@ -261,19 +261,27 @@ def _run_scan(plan: Scan, ctx: RunContext, block_rows: int) -> Iterator[Block]:
 
 
 # -- stateless block operators -------------------------------------------
+#
+# Representation-polymorphic, so the compiled engine runs these very
+# functions above its array operators: ``fetch`` produces the child's
+# block stream (there: undelisted vector blocks).
 
 
-def _run_filter(plan: Filter, ctx: RunContext, block_rows: int) -> Iterator[Block]:
+def _run_filter(
+    plan: Filter, ctx: RunContext, block_rows: int, fetch=execute_blocks
+) -> Iterator[Block]:
     condition = compile_expression_block(
         plan.condition, plan.child.output_columns, ctx.env
     )
-    for cols, n in execute_blocks(plan.child, ctx, block_rows):
+    for cols, n in fetch(plan.child, ctx, block_rows):
         out_cols, out_n = compact_block(cols, n, condition(cols, n))
         if out_n:
             yield out_cols, out_n
 
 
-def _run_project(plan: Project, ctx: RunContext, block_rows: int) -> Iterator[Block]:
+def _run_project(
+    plan: Project, ctx: RunContext, block_rows: int, fetch=execute_blocks
+) -> Iterator[Block]:
     child_columns = plan.child.output_columns
     indexes = {c.cid: i for i, c in enumerate(child_columns)}
     # Pass-through column references copy the vector reference (free);
@@ -284,23 +292,27 @@ def _run_project(plan: Project, ctx: RunContext, block_rows: int) -> Iterator[Bl
             slots.append(indexes[expr.column.cid])
         else:
             slots.append(compile_expression_block(expr, child_columns, ctx.env))
-    for cols, n in execute_blocks(plan.child, ctx, block_rows):
+    for cols, n in fetch(plan.child, ctx, block_rows):
         yield [cols[s] if type(s) is int else s(cols, n) for s in slots], n
 
 
-def _run_union_all(plan: UnionAll, ctx: RunContext, block_rows: int) -> Iterator[Block]:
+def _run_union_all(
+    plan: UnionAll, ctx: RunContext, block_rows: int, fetch=execute_blocks
+) -> Iterator[Block]:
     for child, branch in zip(plan.inputs, plan.input_columns):
         child_columns = list(child.output_columns)
         indexes = [child_columns.index(c) for c in branch]
-        for cols, n in execute_blocks(child, ctx, block_rows):
+        for cols, n in fetch(child, ctx, block_rows):
             yield [cols[i] for i in indexes], n
 
 
-def _run_limit(plan: Limit, ctx: RunContext, block_rows: int) -> Iterator[Block]:
+def _run_limit(
+    plan: Limit, ctx: RunContext, block_rows: int, fetch=execute_blocks
+) -> Iterator[Block]:
     remaining = plan.count
     if remaining <= 0:
         return
-    for cols, n in execute_blocks(plan.child, ctx, block_rows):
+    for cols, n in fetch(plan.child, ctx, block_rows):
         if n >= remaining:
             if n > remaining:
                 cols = [c[:remaining] for c in cols]

@@ -21,11 +21,15 @@ identical) batch implementations — but their *children* still route
 through this module via the ``RunContext.block_dispatch`` indirection,
 so every pipeline in the tree compiles, wherever it sits.  Three
 breakers additionally get NumPy-aware implementations here because
-they dominate the scan-heavy workload: single-key equi joins (sorted-
-array probes), MarkDistinct (whole-column first-occurrence via
-``np.unique``) and keyed GroupBy (one factorization + per-group array
-reductions).  Scalar GroupBy over a non-pipeline child is the batch
-engine's own loop fed vector blocks.
+they dominate the scan-heavy workload: equi joins (one sorted-array
+probe for every INNER/LEFT/SEMI/ANTI shape — unique or many-to-many
+keys, several keys, residuals), MarkDistinct (whole-column
+first-occurrence via ``np.unique``) and keyed GroupBy (one
+factorization + per-group array reductions).  Scalar GroupBy over a
+non-pipeline child is the batch engine's own loop fed vector blocks,
+and so are the Filter/Project/Limit/UnionAll stages above a breaker
+(``_STAGE_RUNNERS``): vector blocks leaving a join reach the operator
+above the Project above it without being delisted in between.
 
 Engine equivalence: with ``vectors="python"`` the kernels run the
 batch engine's own closures over the same lists, so results and
@@ -35,17 +39,25 @@ float *aggregation order* changes (array reductions are pairwise), the
 same last-ulp latitude the differential oracle already grants fusion.
 
 Blocks crossing back into batch-implemented operators are delisted
-(NumPy vectors → Python lists) at the dispatch boundary, so the vector
-representation never leaks into code that doesn't know about it.
+(NumPy vectors → Python lists) at the dispatch boundary — ``_dispatch``
+and nowhere else — so the vector representation never leaks into code
+that doesn't know about it.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from functools import partial
 from typing import Iterator
 
-from repro.algebra.expressions import TRUE, ColumnRef
+from repro.algebra.expressions import (
+    TRUE,
+    ColumnRef,
+    Comparison,
+    columns_in,
+    make_and,
+)
 from repro.algebra.operators import (
     CachedScan,
     Filter,
@@ -57,17 +69,21 @@ from repro.algebra.operators import (
     PlanNode,
     Project,
     Scan,
+    UnionAll,
     Values,
 )
 from repro.engine.batch_executor import (
     DEFAULT_BLOCK_ROWS,
     Block,
-    _block_rows,
     _blocks_from_row_list,
     _iter_rows,
     _rows_block,
     _run_cached_scan,
+    _run_filter,
     _run_group_by,
+    _run_limit,
+    _run_project,
+    _run_union_all,
     dispatch_blocks_batch,
 )
 from repro.engine.evaluator import (
@@ -85,6 +101,7 @@ from repro.engine.kernel_audit import audit_consts, audit_kernel
 from repro.engine.metrics import RunContext
 from repro.engine.vectors import (
     NumpyVector,
+    _and_valid,
     accumulate_block,
     compact_block,
     compile_expression_block,
@@ -132,65 +149,80 @@ def _dispatch(plan, ctx, block_rows: int, mode: str) -> Iterator[Block]:
     """The ``block_dispatch`` entry point: compiled execution with the
     vector representation stripped at the boundary, so batch-
     implemented consumers (and ``_iter_rows``) see plain list blocks."""
+    for cols, n in _fetch(plan, ctx, block_rows, mode):
+        yield [delist(c) for c in cols], n
 
-    def deliver():
-        for cols, n in _blocks_nv(plan, ctx, block_rows, mode):
-            yield [delist(c) for c in cols], n
 
-    out = deliver()
+def _fetch(plan, ctx, block_rows: int, mode: str) -> Iterator[Block]:
+    """``_blocks_nv`` under the profiler wrap.  Every operator of this
+    engine is pulled through here — by ``_dispatch`` for a batch
+    consumer, by the array operators and the stages above them (as the
+    batch operators' ``fetch=``) — so each keeps its ``operator_times``
+    entry."""
+    blocks, path = _blocks_nv(plan, ctx, block_rows, mode)
     profiler = ctx.profiler
-    if profiler is not None:
-        pipeline = _extract_pipeline(plan)
-        text = None if pipeline is None else _pipeline_label(pipeline)
-        out = profiler.wrap(profiler.label(plan, text), out)
-    return out
+    if profiler is None:
+        return blocks
+    if isinstance(path, _Pipeline):
+        text = _pipeline_label(path)
+    else:
+        text = path and f"{plan.name}[{path}]"
+    return profiler.wrap(profiler.label(plan, text), blocks)
 
 
-def _blocks_nv(plan, ctx, block_rows: int, mode: str) -> Iterator[Block]:
-    """Compiled block stream for ``plan`` — columns may be NumPy
-    vectors.  Internal consumers (kernels, the vector join) call this
-    directly; everyone else goes through the delisting ``_dispatch``."""
+def _blocks_nv(plan, ctx, block_rows: int, mode: str):
+    """``(blocks, path)``: the compiled block stream for ``plan`` —
+    columns may be NumPy vectors; only ``_dispatch`` delists — and how
+    it runs: its ``_Pipeline``, ``"vector"`` / ``"batch"`` for a
+    breaker on the array path / handed to the batch engine (always,
+    under ``vectors="python"``), or None for a stage or bare source."""
     pipeline = _extract_pipeline(plan)
     if pipeline is not None:
-        return _run_pipeline(pipeline, ctx, block_rows, mode)
-    if isinstance(plan, Scan):
-        # Bare scan (no predicate): still serve vectors so a parent
-        # join/aggregate can stay on the array path.
-        if mode == "numpy":
-            return _scan_blocks_nv(plan, ctx, block_rows)
-    elif isinstance(plan, Join):
-        return _run_join_nv(plan, ctx, block_rows, mode)
-    elif isinstance(plan, MarkDistinct) and mode == "numpy":
-        return _run_mark_distinct_nv(plan, ctx, block_rows, mode)
-    elif isinstance(plan, GroupBy):
-        if not plan.keys:
-            # The child broke the pipeline (a join, a MarkDistinct):
-            # the batch engine's scalar loop, fed undelisted blocks so
-            # vector columns reduce at array speed.
-            return _run_group_by(
-                plan, ctx, block_rows, lambda p, c, b: _blocks_nv(p, c, b, mode)
-            )
-        if mode == "numpy":
-            return _run_keyed_group_by_nv(plan, ctx, block_rows, mode)
-    return dispatch_blocks_batch(plan, ctx, block_rows)
-
-
-def _scan_blocks_nv(plan: Scan, ctx, block_rows: int) -> Iterator[Block]:
-    return ctx.store.scan_blocks(
-        plan.table,
-        plan.source_names,
-        ctx.accounting,
-        partition_predicate=_partition_pruner(plan),
-        block_rows=block_rows,
-        runtime=ctx,
-        as_vectors=True,
-    )
+        return _run_pipeline(pipeline, ctx, block_rows, mode), pipeline
+    if mode == "numpy":
+        fetch = partial(_fetch, mode=mode)
+        blocks = None
+        if isinstance(plan, Scan):
+            # Bare scan (no predicate): still serve vectors so a parent
+            # join/aggregate can stay on the array path.
+            return _source_factory(plan, ctx, block_rows, mode)(), None
+        if type(plan) in _STAGE_RUNNERS:
+            # A stage above a breaker: the batch engine's own operator,
+            # fed (and so yielding) undelisted blocks.
+            return _STAGE_RUNNERS[type(plan)](plan, ctx, block_rows, fetch), None
+        if isinstance(plan, Join):
+            split = _equi_pairs(plan)
+            if split is not None:
+                blocks = _run_join_nv(plan, ctx, block_rows, mode, *split)
+        elif isinstance(plan, MarkDistinct):
+            blocks = _run_mark_distinct_nv(plan, ctx, block_rows, mode)
+        elif isinstance(plan, GroupBy) and plan.keys:
+            blocks = _run_keyed_group_by_nv(plan, ctx, block_rows, mode)
+        elif isinstance(plan, GroupBy):
+            # Scalar aggregation whose child broke the pipeline: the
+            # batch engine's loop, its vector columns reduced as arrays.
+            blocks = _run_group_by(plan, ctx, block_rows, fetch)
+        if blocks is not None:
+            ctx.metrics.breakers_vectorized += 1
+            return blocks, "vector"
+    if isinstance(plan, _NOT_BREAKERS):
+        return dispatch_blocks_batch(plan, ctx, block_rows), None
+    ctx.metrics.breakers_batch += 1
+    return dispatch_blocks_batch(plan, ctx, block_rows), "batch"
 
 
 # -- pipeline extraction -------------------------------------------------
 
 _STAGE_TYPES = (Filter, Project, Limit)
 _SOURCE_TYPES = (Scan, Values, CachedScan)
+#: Batch operators that run unchanged over vector blocks, by node type.
+_STAGE_RUNNERS = {
+    Filter: _run_filter,
+    Project: _run_project,
+    Limit: _run_limit,
+    UnionAll: _run_union_all,
+}
+_NOT_BREAKERS = _SOURCE_TYPES + tuple(_STAGE_RUNNERS)
 
 
 class _Pipeline:
@@ -532,16 +564,9 @@ def _run_keyed_group_by_nv(
     shared_fns, agg_specs = lower_aggregates(plan.aggregates, compile_expr)
     out_width = len(plan.keys) + len(plan.aggregates)
 
-    segments: list[list] = [[] for _ in child_columns]
-    total = 0
-    for cols, n in _blocks_nv(plan.child, ctx, block_rows, mode):
-        ctx.checkpoint()
-        for i, c in enumerate(cols):
-            segments[i].append(c)
-        total += n
+    cols, total = _buffered(plan.child, ctx, block_rows, mode)
     if not total:
         return
-    cols = [_concat_column(segs, total) for segs in segments]
     group_keys = None
     if total >= _KEYED_NV_SMALL_ROWS:
         key_cols = [compile_expr(ColumnRef(k))(cols, total) for k in plan.keys]
@@ -682,16 +707,9 @@ def _run_mark_distinct_nv(
     chain.reverse()
 
     base_columns = cursor.output_columns
-    segments: list[list] = [[] for _ in base_columns]
-    total = 0
-    for cols, n in _blocks_nv(cursor, ctx, block_rows, mode):
-        ctx.checkpoint()
-        for i, c in enumerate(cols):
-            segments[i].append(c)
-        total += n
+    out_cols, total = _buffered(cursor, ctx, block_rows, mode)
     if not total:
         return
-    out_cols = [_concat_column(segs, total) for segs in segments]
 
     col_index = {c.cid: i for i, c in enumerate(base_columns)}
     schema = tuple(base_columns)
@@ -719,6 +737,21 @@ def _run_mark_distinct_nv(
         ctx.state_remove(added)
 
 
+def _buffered(plan, ctx, block_rows: int, mode: str, derive=()):
+    """``plan``'s whole output as one block — ``(columns, rows)`` — with
+    one more column per ``derive`` closure, evaluated block by block.
+    Every buffered block is a cancellation/deadline point: a child that
+    is not a scan (a GroupBy's row list) has none of its own."""
+    segments: list[list] = [[] for _ in range(len(plan.output_columns) + len(derive))]
+    total = 0
+    for cols, n in _fetch(plan, ctx, block_rows, mode):
+        ctx.checkpoint()
+        for seg, c in zip(segments, [*cols, *(fn(cols, n) for fn in derive)]):
+            seg.append(c)
+        total += n
+    return [_concat_column(segs, total) for segs in segments], total
+
+
 def _concat_column(segs: list, total: int):
     """Concatenate per-block column segments; NumPy when uniform."""
     if not segs:
@@ -744,15 +777,17 @@ def _concat_column(segs: list, total: int):
     return out
 
 
+def _true_lanes(mask, n: int):
+    """Identity-True lanes of a mask column as a bool ndarray."""
+    lanes = true_mask(mask)
+    if lanes is None:
+        lanes = np.fromiter((v is True for v in mask), dtype=bool, count=n)
+    return lanes
+
+
 def _compute_marker(out_cols, total: int, indexes, mask_vec):
     """One marker column (True on each key's first eligible lane)."""
-    eligible = None
-    if mask_vec is not None:
-        eligible = true_mask(mask_vec)
-        if eligible is None:
-            eligible = np.fromiter(
-                (v is True for v in mask_vec), dtype=bool, count=total
-            )
+    eligible = None if mask_vec is None else _true_lanes(mask_vec, total)
     key_col = out_cols[indexes[0]] if len(indexes) == 1 else None
     if isinstance(key_col, NumpyVector):
         if eligible is None:
@@ -805,220 +840,191 @@ def _compute_marker(out_cols, total: int, indexes, mask_vec):
 
 # -- vectorized join -----------------------------------------------------
 
-_VECTOR_JOIN_KINDS = (JoinKind.INNER, JoinKind.LEFT, JoinKind.SEMI, JoinKind.ANTI)
+#: Most candidate (probe, build) pairs expanded at once.  A skewed key
+#: would otherwise materialize |probe block| x |build| index pairs; with
+#: the bound, every intermediate array of the join (and every block it
+#: yields) stays under this many lanes plus one probe block.
+_JOIN_PAIR_SLICE = 1 << 16
 
 
-def _run_join_nv(plan: Join, ctx, block_rows: int, mode: str) -> Iterator[Block]:
-    if mode != "numpy" or plan.kind not in _VECTOR_JOIN_KINDS:
-        return dispatch_blocks_batch(plan, ctx, block_rows)
-    left_columns = plan.left.output_columns
-    right_columns = plan.right.output_columns
-    equi, residual = _split_join_condition(
-        plan.condition, left_columns, right_columns
+def _equi_pairs(plan: Join):
+    """``(equi pairs, residual)`` of a join the vector join can run —
+    INNER/LEFT/SEMI/ANTI with at least one equi conjunct — else None."""
+    if plan.kind is JoinKind.CROSS:
+        return None
+    split = _split_join_condition(
+        plan.condition, plan.left.output_columns, plan.right.output_columns
     )
-    if len(equi) != 1 or residual != TRUE:
-        return dispatch_blocks_batch(plan, ctx, block_rows)
-    return _join_single_key(plan, equi[0], ctx, block_rows, mode)
+    return split if split[0] else None
 
 
-def _join_single_key(plan, key_pair, ctx, block_rows, mode):
-    """Single-key equi join without residual: NumPy sorted-array probe
-    when both key vectors are array-backed (unique build keys required
-    for INNER/LEFT so each probe lane has at most one match — exactly
-    the batch engine's output for dimension-table PK joins); otherwise
-    the batch engine's hash-table probe over the same materialized
-    build side, so the build is never re-executed and never re-charged.
+def _run_join_nv(
+    plan: Join, ctx, block_rows: int, mode: str, equi, residual
+) -> Iterator[Block]:
+    """The one vector equi-join: sort the build keys once, probe every
+    left block with two ``searchsorted`` calls.
+
+    Each probe lane's matches are the contiguous range of equal keys in
+    the stably sorted build side, so expanding the ranges emits
+    (probe, build) pairs in probe order and, inside a key, in build
+    insertion order — the batch engine's row order, which ``LIMIT``
+    without ``ORDER BY`` observes.  A unique build key is the
+    multiplicity <= 1 case of the same code.  Only the first equi pair
+    is sorted on; further pairs join the residual as ``=`` conjuncts
+    (``NULL = x`` is never identity-True: NULL keys never join).
+    SEMI/ANTI scatter the surviving probe lanes into a mask; LEFT sends
+    unmatched lanes to an all-NULL lane appended to the build columns
+    and merges them back in probe order.
     """
-    left_expr, right_expr = key_pair
     left_columns = plan.left.output_columns
     right_columns = plan.right.output_columns
     kind = plan.kind
     semi_like = kind in (JoinKind.SEMI, JoinKind.ANTI)
-    out_width = len(plan.output_columns)
-    pad = (None,) * len(right_columns)
+    left_key_fn = compile_expression_block(equi[0][0], left_columns, ctx.env)
+    right_key_fns = [
+        compile_expression_block(r, right_columns, ctx.env) for _, r in equi
+    ]
+    residual = make_and([Comparison("=", l, r) for l, r in equi[1:]] + [residual])
+    # Compiled against just the columns it reads, so candidate pairs
+    # gather those and nothing else before they are filtered.
+    cids = {c.cid for c in columns_in(residual)}
+    used_left = [i for i, c in enumerate(left_columns) if c.cid in cids]
+    used_right = [i for i, c in enumerate(right_columns) if c.cid in cids]
+    narrow = [left_columns[i] for i in used_left]
+    narrow += [right_columns[i] for i in used_right]
+    residual_fn = None
+    if residual != TRUE:
+        residual_fn = compile_expression_block(residual, narrow, ctx.env)
 
-    right_key_fn = compile_expression_block(right_expr, right_columns, ctx.env)
-    left_key_fn = compile_expression_block(left_expr, left_columns, ctx.env)
-
-    # -- build --
-    segments: list[list] = [[] for _ in right_columns]
-    key_segs: list = []
-    total = 0
-    for cols, n in _blocks_nv(plan.right, ctx, block_rows, mode):
-        for i, c in enumerate(cols):
-            segments[i].append(c)
-        key_segs.append(right_key_fn(cols, n))
-        total += n
-    build_cols = [_concat_column(segs, total) for segs in segments]
-    key_col = _concat_column(key_segs, total) if key_segs else []
-
-    sorted_keys = sorter = key_data = None
-    table: dict | None = None
-    if isinstance(key_col, NumpyVector):
-        valid = key_col.valid
-        if valid is not None:
-            keep = np.flatnonzero(valid)
-            key_data = key_col.data[keep]
-            kept_cols = take_rows(build_cols, keep)
+    # The build side, buffered once: its columns, then one per key.
+    build_cols, total = _buffered(plan.right, ctx, block_rows, mode, right_key_fns)
+    key_col, *other_keys = build_cols[len(right_columns) :]
+    del build_cols[len(right_columns) :]
+    if kind is JoinKind.LEFT:
+        build_cols = [_with_null_lane(c) for c in build_cols]
+    # A NULL in any key keeps a build row out (and out of the state count).
+    live = None
+    for col in [key_col] + other_keys:
+        if isinstance(col, NumpyVector):
+            live = _and_valid(live, col.valid)
         else:
-            key_data = key_col.data
-            kept_cols = build_cols
-        build_rows = int(key_data.size)
-        unique = np.unique(key_data).size == build_rows
-        if semi_like or unique:
-            sorter = np.argsort(key_data, kind="stable")
-            sorted_keys = key_data[sorter]
-        else:
-            table = _build_table(kept_cols, key_data.tolist(), build_rows)
-    else:
-        key_list = delist(key_col)
-        build_rows = sum(1 for k in key_list if k is not None)
-        kept_cols = None
-        table = _build_table_rows(build_cols, key_list, total)
+            live = _and_valid(live, np.array([v is not None for v in col], dtype=bool))
+    sorted_keys, build_idx, domain = _sort_build_keys(key_col, live, False)
+    checked_build = [build_cols[i] for i in used_right]
 
-    ctx.state_add(build_rows)
+    ctx.state_add(len(build_idx))
     try:
-        for cols, n in _blocks_nv(plan.left, ctx, block_rows, mode):
+        for cols, n in _fetch(plan.left, ctx, block_rows, mode):
+            if not n:
+                continue  # an empty table scans as one 0-row block
             lkey = left_key_fn(cols, n)
-            if sorted_keys is not None and isinstance(lkey, NumpyVector):
-                yield from _probe_sorted(
-                    cols,
-                    n,
-                    lkey,
-                    sorted_keys,
-                    sorter,
-                    kept_cols,
-                    kind,
-                    semi_like,
-                )
-                continue
-            if table is None:
-                # A probe block fell off the array path (mixed-type
-                # key expression): hash the same build arrays once and
-                # probe like the batch engine.  The build side is
-                # never re-executed, so nothing is double-charged.
-                table = _build_table(kept_cols, key_data.tolist(), build_rows)
-            yield from _probe_rows(
-                cols, n, delist(lkey), table, kind, semi_like, pad, out_width,
-                block_rows,
+            exact = isinstance(lkey, NumpyVector) and (
+                lkey.data.dtype.kind == sorted_keys.dtype.kind
             )
+            if domain is None and not exact:
+                # Not the build keys' kind (int vs float, a list block):
+                # only hash equality is exact, so factorize the build
+                # side after all — once; every later block probes codes.
+                sorted_keys, build_idx, domain = _sort_build_keys(key_col, live, True)
+            if domain is None:
+                probe, valid = lkey.data, lkey.valid
+            else:
+                codes = [domain.get(k, -1) for k in delist(lkey)]
+                probe, valid = np.array(codes, dtype=np.int64), None
+            lo = sorted_keys.searchsorted(probe, "left")
+            counts = sorted_keys.searchsorted(probe, "right") - lo
+            if valid is not None:
+                counts[~valid] = 0  # NULL keys never join
+            if semi_like and residual_fn is None:
+                hit = counts > 0
+            else:
+                # Lane i pairs with sorted build positions lo[i] up to
+                # lo[i] + counts[i]: candidate pair p, numbered through
+                # the block, belongs to the lane whose running count
+                # first exceeds p and sits at build position shift + p.
+                ends = counts.cumsum()
+                shift = lo - ends + counts
+                hit = None if kind is JoinKind.INNER else np.zeros(n, dtype=bool)
+                done = 0
+                checked = [cols[i] for i in used_left]
+                for lane, bidx, upto in _matching_pairs(
+                    ctx, ends, shift, build_idx, residual_fn, checked, checked_build
+                ):
+                    if hit is not None:
+                        hit[lane] = True
+                    if semi_like:
+                        continue
+                    if kind is JoinKind.LEFT:
+                        # Lanes whose last candidate pair lies in this
+                        # slice and that matched nothing pad with NULLs.
+                        complete = int(ends.searchsorted(upto, "right"))
+                        miss = done + np.flatnonzero(~hit[done:complete])
+                        done = complete
+                        if miss.size:
+                            lane = np.concatenate([lane, miss])
+                            bidx = np.concatenate([bidx, np.full(miss.size, total)])
+                            order = np.argsort(lane, kind="stable")
+                            lane, bidx = lane[order], bidx[order]
+                    if lane.size:
+                        out = take_rows(cols, lane) + take_rows(build_cols, bidx)
+                        yield out, int(lane.size)
+            if semi_like:
+                want = hit if kind is JoinKind.SEMI else ~hit
+                out, kept = compact_block(cols, n, NumpyVector(want))
+                if kept:
+                    yield out, kept
     finally:
-        ctx.state_remove(build_rows)
+        ctx.state_remove(len(build_idx))
 
 
-def _build_table(kept_cols, key_list, build_rows) -> dict:
-    """Hash table over an already-null-filtered build side."""
-    if kept_cols:
-        rows = list(zip(*[delist(c) for c in kept_cols]))
+def _matching_pairs(ctx, ends, shift, build_idx, residual_fn, probe_cols, build_cols):
+    """One probe block's matching ``(probe lanes, build rows, candidate
+    pairs done)``, expanded a slice of at most ``_JOIN_PAIR_SLICE``
+    candidate pairs at a time; the residual filters each slice over a
+    gather of the columns it reads — once per slice, not per row."""
+    pairs = int(ends[-1])
+    for at in range(0, max(pairs, 1), _JOIN_PAIR_SLICE):
+        ctx.checkpoint()
+        upto = min(at + _JOIN_PAIR_SLICE, pairs)
+        pair = np.arange(at, upto)
+        lane = ends.searchsorted(pair, "right")
+        bidx = build_idx[shift[lane] + pair]
+        if residual_fn is not None and upto > at:
+            candidates = take_rows(probe_cols, lane) + take_rows(build_cols, bidx)
+            keep = _true_lanes(residual_fn(candidates, len(lane)), len(lane))
+            lane, bidx = lane[keep], bidx[keep]
+        yield lane, bidx, upto
+
+
+def _sort_build_keys(key_col, live, as_codes: bool):
+    """``(sorted keys, build row of each, domain)`` over the ``live``
+    build rows (None = all), stably sorted.  One array of a single kind
+    without NaN sorts as it is (``domain`` is None): ``==`` on it *is*
+    hash equality.  Anything else — strings, list-backed columns, NaN
+    floats, or ``as_codes`` because a probe block of another kind
+    arrived — is factorized to int64 codes through ``domain``, a Python
+    dict, which is the batch engine's hash-table equality
+    (1 == 1.0 == True, a NaN equals only the very same object)."""
+    rows = np.arange(len(key_col)) if live is None else np.flatnonzero(live)
+    nan_free = isinstance(key_col, NumpyVector) and not (
+        key_col.data.dtype.kind == "f" and bool(np.isnan(key_col.data).any())
+    )
+    if nan_free and not as_codes:
+        keys, domain = key_col.data[rows], None
     else:
-        rows = [()] * build_rows
-    table: dict = {}
-    for row, k in zip(rows, key_list):
-        table.setdefault((k,), []).append(row)
-    return table
+        values, domain = delist(key_col), {}
+        codes = [domain.setdefault(values[i], len(domain)) for i in rows.tolist()]
+        keys = np.array(codes, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], rows[order], domain
 
 
-def _build_table_rows(build_cols, key_list, total) -> dict:
-    """Hash table from the raw (unfiltered) build side — exactly the
-    batch engine's loop, NULL keys never admitted."""
-    if build_cols:
-        rows = list(zip(*[delist(c) for c in build_cols]))
-    else:
-        rows = [()] * total
-    table: dict = {}
-    for row, k in zip(rows, key_list):
-        if k is None:
-            continue
-        table.setdefault((k,), []).append(row)
-    return table
-
-
-def _probe_sorted(cols, n, lkey, sorted_keys, sorter, kept_cols, kind, semi_like):
-    """Array probe of one left block against the sorted build keys."""
-    probe = lkey.data
-    size = sorted_keys.size
-    if size:
-        pos = np.searchsorted(sorted_keys, probe)
-        in_range = pos < size
-        pos_safe = np.where(in_range, pos, 0)
-        matched = in_range & (sorted_keys[pos_safe] == probe)
-    else:
-        pos_safe = np.zeros(len(probe), dtype=np.int64)
-        matched = np.zeros(len(probe), dtype=bool)
-    if lkey.valid is not None:
-        matched &= lkey.valid  # NULL keys never join
-    if semi_like:
-        want = matched if kind is JoinKind.SEMI else ~matched
-        out_cols, kept = compact_block(cols, n, NumpyVector(want))
-        if kept:
-            yield out_cols, kept
-        return
-    if kind is JoinKind.INNER:
-        idx = np.flatnonzero(matched)
-        if not idx.size:
-            return
-        build_idx = sorter[pos_safe[idx]]
-        right_out = _gather(kept_cols, build_idx, None)
-        yield take_rows(cols, idx) + right_out, int(idx.size)
-        return
-    # LEFT: every probe row survives; unmatched lanes pad with NULLs.
-    if not size:
-        yield list(cols) + [[None] * n for _ in kept_cols], n
-        return
-    right_out = _gather(kept_cols, sorter[pos_safe], matched)
-    yield list(cols) + right_out, n
-
-
-def _gather(kept_cols, build_idx, matched):
-    """Gather build-side columns at ``build_idx``; with ``matched``
-    given (LEFT join), unmatched lanes become NULL."""
-    out = []
-    idx_list = None
-    matched_list = None
-    for c in kept_cols:
-        if isinstance(c, NumpyVector):
-            data = c.data[build_idx]
-            if matched is None:
-                valid = None if c.valid is None else c.valid[build_idx]
-            else:
-                valid = (
-                    matched
-                    if c.valid is None
-                    else matched & c.valid[build_idx]
-                )
-            out.append(NumpyVector(data, valid))
-        else:
-            if idx_list is None:
-                idx_list = build_idx.tolist()
-                matched_list = None if matched is None else matched.tolist()
-            if matched_list is None:
-                out.append([c[i] for i in idx_list])
-            else:
-                out.append(
-                    [c[i] if m else None for i, m in zip(idx_list, matched_list)]
-                )
-    return out
-
-
-def _probe_rows(cols, n, key_list, table, kind, semi_like, pad, out_width, block_rows):
-    """The batch engine's per-row probe, over one left block."""
-    table_get = table.get
-    buf = []
-    for left_row, k in zip(_block_rows([delist(c) for c in cols], n), key_list):
-        matched = False
-        if k is not None:
-            for right_row in table_get((k,), ()):
-                matched = True
-                if semi_like:
-                    break
-                buf.append(left_row + right_row)
-        if semi_like:
-            if matched == (kind is JoinKind.SEMI):
-                buf.append(left_row)
-        elif kind is JoinKind.LEFT and not matched:
-            buf.append(left_row + pad)
-        if len(buf) >= block_rows:
-            yield _rows_block(buf, out_width)
-            buf = []
-    if buf:
-        yield _rows_block(buf, out_width)
+def _with_null_lane(col):
+    """``col`` plus one trailing NULL lane (the LEFT join's pad row)."""
+    if not isinstance(col, NumpyVector):
+        return col + [None]
+    valid = np.ones(len(col) + 1, dtype=bool)
+    if col.valid is not None:
+        valid[:-1] = col.valid
+    valid[-1] = False
+    return NumpyVector(np.append(col.data, np.zeros(1, col.data.dtype)), valid)

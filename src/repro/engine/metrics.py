@@ -91,6 +91,11 @@ class QueryMetrics:
     #: Compiled-engine counters: fused pipeline kernels generated for
     #: this query (cache hits within one execution don't recount).
     pipelines_compiled: int = 0
+    #: Pipeline breakers (joins, keyed GroupBy, MarkDistinct, Sort, ...)
+    #: the compiled engine ran on its array path, and breakers it handed
+    #: to the batch engine's implementation (whose input is delisted).
+    breakers_vectorized: int = 0
+    breakers_batch: int = 0
     #: Synthesized kernels statically verified by the kernel auditor
     #: (:mod:`repro.engine.kernel_audit`; armed via ``validate_plans``).
     kernels_audited: int = 0
@@ -154,6 +159,9 @@ class QueryMetrics:
             text += f" deadline_left={self.deadline_remaining_ms:.0f}ms"
         if self.pipelines_compiled:
             text += f" pipelines_compiled={self.pipelines_compiled}"
+        if self.breakers_vectorized or self.breakers_batch:
+            text += f" breakers_vectorized={self.breakers_vectorized}"
+            text += f" breakers_batch={self.breakers_batch}"
         if self.shared_hits or self.shared_fanout:
             text += (
                 f" shared_hits={self.shared_hits}"

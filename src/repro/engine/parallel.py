@@ -188,6 +188,8 @@ def _run_task(spec: _TaskSpec, store, cancel_event):
         "total_state_rows": metrics.total_state_rows,
         "peak_state_rows": metrics.peak_state_rows,
         "pipelines_compiled": metrics.pipelines_compiled,
+        "breakers_vectorized": metrics.breakers_vectorized,
+        "breakers_batch": metrics.breakers_batch,
         "kernels_audited": metrics.kernels_audited,
     }
 
@@ -954,6 +956,8 @@ class _FragmentScheduler:
             metrics.peak_state_rows, payload["peak_state_rows"]
         )
         metrics.pipelines_compiled += payload["pipelines_compiled"]
+        metrics.breakers_vectorized += payload["breakers_vectorized"]
+        metrics.breakers_batch += payload["breakers_batch"]
         metrics.kernels_audited += payload["kernels_audited"]
 
     def _rebuild_error(self, blob: bytes, attempt: _Attempt) -> BaseException:

@@ -56,6 +56,11 @@ JOIN_EDGES = {
     ),
 }
 
+#: Columns both fact tables carry (as ``<prefix>_<suffix>``), none of
+#: them unique: a join on one is many-to-many on both sides.
+FACT_PREFIXES = {"store_sales": "ss", "store_returns": "sr"}
+FACT_KEY_SUFFIXES = ("item_sk", "customer_sk", "store_sk", "ticket_number")
+
 #: Fact columns the dataset generator salts with NULLs — predicates on
 #: them exercise three-valued logic.
 NULLABLE_COLUMNS = frozenset(
@@ -193,6 +198,12 @@ class QuerySpec:
     #: columns: a LIMIT under a total order has a deterministic row
     #: multiset, so the oracle can compare it across plan shapes.
     limit: int | None = None
+    #: Render ``limit`` without ORDER BY too.  Only set where no rewrite
+    #: reorders the plan, so that every engine's emission order — which
+    #: the LIMIT then observes — is the same one.
+    bare_limit: bool = False
+    #: The generator shape that built this spec (for coverage reports).
+    shape: str = ""
 
     def render(self) -> str:
         parts: list[str] = []
@@ -204,8 +215,8 @@ class QuerySpec:
         parts.append(" UNION ALL ".join(block.render() for block in self.branches))
         if self.order_by:
             parts.append("ORDER BY " + ", ".join(self.branches[0].output_aliases()))
-            if self.limit is not None:
-                parts.append(f"LIMIT {self.limit}")
+        if self.limit is not None and (self.order_by or self.bare_limit):
+            parts.append(f"LIMIT {self.limit}")
         return " ".join(parts)
 
 
@@ -230,6 +241,7 @@ _SHAPES = (
     ("groupby_join", 1.5),
     ("window", 1.0),
     ("subquery_predicate", 1.0),
+    ("fact_join", 1.5),
 )
 
 
@@ -255,6 +267,7 @@ class QueryGenerator:
         shape = self._weighted(_SHAPES)
         builder = getattr(self, f"_shape_{shape}")
         spec: QuerySpec = builder()
+        spec.shape = shape
         self._maybe_order(spec)
         return spec
 
@@ -435,6 +448,39 @@ class QueryGenerator:
             block.where.append(f"{column} <= {sub}")
         self._fill_select(block, scope)
         return QuerySpec([block])
+
+    def _shape_fact_join(self) -> QuerySpec:
+        """A fact joined to a fact (or to itself) on a non-unique
+        column, optionally with a residual between the two sides and/or
+        a second equality — the many-to-many, residual and multi-key
+        joins no FK→PK edge produces (TPC-DS Q95's ``ws_wh`` shape)."""
+        facts = [t for t in FACT_PREFIXES if t in self.tables]
+        if not facts:
+            return self._shape_simple()
+        left, right = self.rng.choice(facts), self.rng.choice(facts)
+        la, ra = self._alias(), self._alias()
+        scope: Scope = [(la, self.tables[left]), (ra, self.tables[right])]
+        lp, rp = FACT_PREFIXES[left], FACT_PREFIXES[right]
+        keys = self.rng.sample(FACT_KEY_SUFFIXES, k=1 if self.rng.random() < 0.7 else 2)
+        on = [f"{la}.{lp}_{key} = {ra}.{rp}_{key}" for key in keys]
+        if self.rng.random() < 0.6:
+            a = self._pick_column(scope[:1], numeric=True)
+            b = self._pick_column(scope[1:], numeric=True)
+            on.append(f"{a} {self.rng.choice(('<>', '<'))} {b}")
+        kind = self.rng.choice(("INNER JOIN", "LEFT JOIN"))
+        block = SelectBlock(
+            left, la, joins=[JoinSpec(kind, right, ra, " AND ".join(on))]
+        )
+        if self.rng.random() < 0.5:
+            self._fill_group_by(block, scope)
+            return QuerySpec([block])
+        self._fill_select(block, scope)
+        spec = QuerySpec([block])
+        if kind == "LEFT JOIN" and self.rng.random() < 0.7:
+            # An outer join's sides never commute (the costed join order
+            # swaps an inner join's), so its row order is pinned.
+            spec.limit, spec.bare_limit = self.rng.randint(1, 50), True
+        return spec
 
     # -- building blocks ---------------------------------------------------
 

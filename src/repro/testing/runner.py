@@ -48,6 +48,8 @@ class FuzzReport:
     executed: int = 0
     passed: int = 0
     benign: Counter = field(default_factory=Counter)
+    #: Queries generated per generator shape (coverage of the matrix).
+    shapes: Counter = field(default_factory=Counter)
     failures: list[FuzzFailure] = field(default_factory=list)
 
     @property
@@ -61,6 +63,10 @@ class FuzzReport:
             f"{sum(self.benign.values())} uniformly unbindable, "
             f"{len(self.failures)} divergences"
         ]
+        lines.append(
+            "  shapes: "
+            + ", ".join(f"{name}={n}" for name, n in sorted(self.shapes.items()))
+        )
         for cls, n in sorted(self.benign.items()):
             lines.append(f"  benign {cls}: {n}")
         for failure in self.failures:
@@ -75,6 +81,7 @@ class FuzzReport:
             "executed": self.executed,
             "passed": self.passed,
             "benign": dict(self.benign),
+            "shapes": dict(self.shapes),
             "failures": [f.to_dict() for f in self.failures],
             "ok": self.ok,
         }
@@ -120,6 +127,7 @@ def run_fuzz(
     ) as oracle:
         for index in range(count):
             spec = generator.generate()
+            report.shapes[spec.shape] += 1
             divergence = oracle.check(spec.render())
             report.executed += 1
             if divergence is None:

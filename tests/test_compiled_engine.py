@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algebra.expressions import And, ColumnRef, Comparison, Literal
+from repro.algebra.operators import Join, JoinKind, Scan, Values
+from repro.algebra.schema import ColumnAllocator
+from repro.algebra.types import DataType
+from repro.engine import compiled
 from repro.engine.compiled import execute_compiled, install_dispatch
 from repro.engine.executor import execute
-from repro.engine.metrics import RunContext
+from repro.engine.metrics import ResourceLimits, RunContext
 from repro.engine.session import Session
 from repro.engine.vectors import numpy_enabled
+from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.optimizer.config import OptimizerConfig
+from repro.storage.columnar import Store
 from repro.tpcds.queries import STUDIED_QUERIES
 from tests.conftest import simple_table
 
@@ -206,3 +213,358 @@ def test_direct_execute_matches_row_engine(tpcds_store, compiled_session):
         execute_compiled(plan, RunContext(tpcds_store), vectors="python")
     )
     assert row_rows == compiled_rows
+
+
+# -- the vector equi-join --------------------------------------------------
+#
+# Order- and metric-exact against the row engine: rows compared as
+# *lists* (the join's emission order is observable through LIMIT), and
+# bytes/rows scanned and peak operator state must be equal.
+
+_I, _D, _S, _B = (
+    DataType.INTEGER,
+    DataType.DOUBLE,
+    DataType.STRING,
+    DataType.BOOLEAN,
+)
+_JOIN_COLUMNS = [("id", _I), ("k", _I), ("q", _I), ("s", _S), ("b", _B), ("f", _D)]
+
+
+def _join_rows(count, keys, salt):
+    """Rows whose ``k`` repeats (many-to-many), with NULL keys, a few
+    string / boolean / signed-zero float values to join on."""
+    floats = (0.0, -0.0, 1.5, 2.5)
+    return [
+        (
+            i,
+            None if i % 11 == salt else i % keys,
+            (i * 7 + salt) % 5,
+            None if i % 13 == 0 else "s%d" % (i % 4),
+            None if i % 17 == 0 else i % 3 == 0,
+            None if i % 19 == 0 else floats[(i + salt) % 4],
+        )
+        for i in range(count)
+    ]
+
+
+@pytest.fixture(scope="module")
+def join_store():
+    store = Store()
+    left, right = _join_rows(150, 9, 3), _join_rows(90, 6, 5)
+    store.put(simple_table("l", _JOIN_COLUMNS, left, partition_rows=40))
+    store.put(simple_table("r", _JOIN_COLUMNS, right, partition_rows=25))
+    # Scans as ONE 0-row block, which a bare scan or a Project passes on.
+    store.put(simple_table("e", _JOIN_COLUMNS, [], partition_rows=40))
+    return store
+
+
+def _assert_join_exact(store, sql, expect_rows=None, empty=False):
+    for fusion in (True, False):
+        shared = dict(enable_fusion=fusion, batch_rows=32)
+        row = Session(store, OptimizerConfig(engine="row", **shared)).execute(sql)
+        compiled = Session(
+            store, OptimizerConfig(engine="compiled", vectors="numpy", **shared)
+        ).execute(sql)
+        assert [repr(r) for r in compiled.rows] == [repr(r) for r in row.rows]
+        for metric in ("bytes_scanned", "rows_scanned", "peak_state_rows"):
+            assert getattr(compiled.metrics, metric) == getattr(row.metrics, metric)
+        if expect_rows is not None:
+            assert row.rows == expect_rows
+        assert bool(compiled.rows) is not empty
+
+
+_JOIN_SHAPES = {
+    "many_to_many_left_lt_residual": (
+        "SELECT l.id, r.id FROM l LEFT JOIN r ON l.k = r.k AND l.q < r.q"
+    ),
+    "two_key_inner": (
+        "SELECT l.id, r.id, r.q FROM l JOIN r ON l.k = r.k AND l.q = r.q"
+    ),
+    "left_residual_constant_false": (
+        "SELECT l.id, r.id FROM l LEFT JOIN r ON l.k = r.k AND 1 = 0"
+    ),
+    "null_keys_both_sides_inner": "SELECT l.id, r.id FROM l JOIN r ON l.k = r.k",
+    "null_keys_both_sides_left": (
+        "SELECT l.id, l.k, r.id FROM l LEFT JOIN r ON l.k = r.k"
+    ),
+    "key_expression_yields_null": (
+        "SELECT l.id, r.id FROM l LEFT JOIN r ON l.k / (l.q - l.q) = r.k"
+    ),
+    "empty_build": (
+        "SELECT l.id, e.id FROM l LEFT JOIN "
+        "(SELECT r.id AS id, r.k AS k FROM r WHERE r.id < 0) e ON l.k = e.k"
+    ),
+    "string_keys_with_residual": (
+        "SELECT l.id, r.id, r.s FROM l JOIN r ON l.s = r.s AND l.id <> r.id"
+    ),
+    "boolean_keys": (
+        "SELECT l.id, r.id FROM l LEFT JOIN r ON l.b = r.b AND l.id < r.id - 80"
+    ),
+    "signed_zero_keys": "SELECT l.id, l.f, r.id, r.f FROM l JOIN r ON l.f = r.f",
+    "int_key_probes_float_build": (
+        "SELECT l.id, r.id FROM l JOIN r ON l.k = r.f + r.f"
+    ),
+    "limit_above_many_to_many": (
+        "SELECT l.id, r.id FROM l JOIN r ON l.k = r.k LIMIT 7"
+    ),
+    "limit_above_left_join": (
+        "SELECT l.id, r.id FROM l LEFT JOIN r ON l.k = r.k AND l.q > r.q LIMIT 45"
+    ),
+    "empty_block_in_the_probe_stream": (
+        "SELECT u.id, r.id FROM (SELECT e.id AS id, e.k AS k, e.q AS q FROM e "
+        "UNION ALL SELECT l.id AS id, l.k AS k, l.q AS q FROM l) u "
+        "LEFT JOIN r ON u.k = r.k AND u.q < r.q"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_JOIN_SHAPES))
+def test_vector_join_is_order_and_metric_exact(join_store, shape):
+    _assert_join_exact(join_store, _JOIN_SHAPES[shape])
+
+
+def test_stages_above_a_join_keep_vector_blocks(join_store):
+    """Project above a residual join above nothing compilable: every
+    breaker runs on the array path, none is handed to the batch engine
+    (group order is first-occurrence order on both engines)."""
+    sql = (
+        "SELECT l.q + r.q, count(*), sum(r.id) FROM l JOIN r "
+        "ON l.k = r.k AND l.id <> r.id WHERE l.q + r.q > 1 GROUP BY l.q + r.q"
+    )
+    row = Session(join_store, OptimizerConfig(engine="row")).execute(sql)
+    compiled = Session(
+        join_store, OptimizerConfig(engine="compiled", vectors="numpy", profile=True)
+    ).execute(sql)
+    assert compiled.rows == row.rows
+    if not numpy_enabled():
+        return
+    assert compiled.metrics.breakers_batch == 0
+    assert compiled.metrics.breakers_vectorized == 2
+    assert "breakers_vectorized=2" in compiled.metrics.summary()
+    labels = " ".join(compiled.metrics.operator_times)
+    assert "Join[vector]" in labels and "GroupBy[vector]" in labels
+    assert "Project #" in labels  # stages fetched by array operators are metered
+
+
+def test_q95_self_join_is_order_and_metric_exact(tpcds_store):
+    """The paper's §V.D ``ws_wh``: many-to-many with a ``<>`` residual."""
+    _assert_join_exact(
+        tpcds_store,
+        "SELECT ws1.ws_order_number, ws1.ws_warehouse_sk, ws2.ws_warehouse_sk "
+        "FROM web_sales ws1 JOIN web_sales ws2 "
+        "ON ws1.ws_order_number = ws2.ws_order_number "
+        "AND ws1.ws_warehouse_sk <> ws2.ws_warehouse_sk",
+    )
+
+
+def test_int_key_never_probes_through_a_float_cast(tpcds_store):
+    """Beyond 2**53 neighbouring ints collapse to one double, so an int
+    build key probed as float64 would invent matches; hash equality (the
+    factorized path) keeps ``count(*)`` at the row engine's."""
+    _assert_join_exact(
+        tpcds_store,
+        "SELECT count(*) FROM store_sales s JOIN item i "
+        "ON s.ss_item_sk + 9007199254740992 = i.i_item_sk + 9007199254740992.0",
+        expect_rows=[(2016,)],
+    )
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT e.id, r.id FROM e JOIN r ON e.k = r.k",
+        "SELECT e.id, r.id FROM e LEFT JOIN r ON e.k = r.k",
+        "SELECT e.id + 1, r.id FROM e LEFT JOIN r ON e.k = r.k AND e.q < r.q",
+        "SELECT e.id, r.id FROM e JOIN r ON e.s = r.s AND e.id <> r.id",
+    ],
+)
+def test_vector_join_over_an_empty_probe_table(join_store, sql):
+    _assert_join_exact(join_store, sql, empty=True)
+
+
+def _hand_scan(table, tag):
+    alloc = ColumnAllocator(start=5000 + 100 * tag)
+    names = tuple(name for name, _ in _JOIN_COLUMNS)
+    cols = tuple(alloc.fresh(name, dtype) for name, dtype in _JOIN_COLUMNS)
+    return Scan(table, cols, names), dict(zip(names, map(ColumnRef, cols)))
+
+
+@pytest.mark.parametrize("kind", [JoinKind.SEMI, JoinKind.ANTI])
+@pytest.mark.parametrize("residual", ["lt", "false", "second_key"])
+def test_semi_anti_join_with_residual(join_store, kind, residual):
+    """The binder rejects correlated EXISTS, so SEMI/ANTI joins with a
+    residual only arise from rewrites: build them by hand (the probe
+    side has NULL keys, which SEMI drops and ANTI keeps)."""
+    left, l = _hand_scan("l", 1)
+    right, r = _hand_scan("r", 2)
+    extra = {
+        "lt": Comparison("<", l["q"], r["q"]),
+        "false": Literal(False, _B),
+        "second_key": Comparison("=", l["s"], r["s"]),
+    }[residual]
+    plan = Join(kind, left, right, And((Comparison("=", l["k"], r["k"]), extra)))
+    row_ctx, nv_ctx = RunContext(join_store), RunContext(join_store)
+    expected = list(execute(plan, row_ctx))
+    got = list(execute_compiled(plan, nv_ctx, block_rows=32, vectors="numpy"))
+    assert got == expected
+    assert nv_ctx.metrics.peak_state_rows == row_ctx.metrics.peak_state_rows
+    assert nv_ctx.metrics.bytes_scanned == row_ctx.metrics.bytes_scanned
+    if numpy_enabled():
+        metrics = nv_ctx.metrics
+        assert (metrics.breakers_vectorized, metrics.breakers_batch) == (1, 0)
+    if residual == "false":
+        assert len(got) == (0 if kind is JoinKind.SEMI else 150)
+    else:
+        assert 0 < len(got) < 150
+
+
+@pytest.mark.parametrize("kind", list(JoinKind))
+@pytest.mark.parametrize("residual", [False, True])
+def test_join_of_every_kind_over_an_empty_probe_block(join_store, kind, residual):
+    """Hand-built so no rewrite can prune or commute the empty side:
+    the probe loop sees the 0-row block itself."""
+    left, l = _hand_scan("e", 3)
+    right, r = _hand_scan("r", 4)
+    condition = Comparison("=", l["k"], r["k"])
+    if residual:
+        condition = And((condition, Comparison("<", l["q"], r["q"])))
+    if kind is JoinKind.CROSS:
+        condition = None
+    plan = Join(kind, left, right, condition)
+    row_ctx, nv_ctx = RunContext(join_store), RunContext(join_store)
+    assert list(execute(plan, row_ctx)) == []
+    assert list(execute_compiled(plan, nv_ctx, block_rows=32, vectors="numpy")) == []
+    assert nv_ctx.metrics.peak_state_rows == row_ctx.metrics.peak_state_rows
+    assert nv_ctx.metrics.bytes_scanned == row_ctx.metrics.bytes_scanned
+
+
+# -- bounded expansion and cancellation inside the join ------------------------
+
+
+def _skew_join(kind=JoinKind.INNER, left_rows=60, right_rows=400):
+    """Every probe row matches every build row (one key value)."""
+    alloc = ColumnAllocator(start=9000)
+    lk, lv = alloc.fresh("k", _I), alloc.fresh("v", _I)
+    rk, rv = alloc.fresh("k", _I), alloc.fresh("v", _I)
+    left = Values((lk, lv), tuple((0, i) for i in range(left_rows)))
+    right = Values((rk, rv), tuple((0, i) for i in range(right_rows)))
+    return Join(kind, left, right, Comparison("=", ColumnRef(lk), ColumnRef(rk)))
+
+
+needs_numpy = pytest.mark.skipif(not numpy_enabled(), reason="array path only")
+
+
+@needs_numpy
+@pytest.mark.parametrize("kind", [JoinKind.INNER, JoinKind.LEFT])
+def test_skewed_join_expands_in_bounded_slices(monkeypatch, kind):
+    """|probe| x |build| pairs are never materialized at once: no block
+    the join yields, and no index array behind it, exceeds the slice."""
+    monkeypatch.setattr(compiled, "_JOIN_PAIR_SLICE", 1000)
+    plan = _skew_join(kind)
+    ctx = RunContext(Store())
+    sizes = [n for _, n in compiled._fetch(plan, ctx, 1024, "numpy")]
+    assert sum(sizes) == 60 * 400
+    assert max(sizes) <= 1000 and len(sizes) == 24
+    assert list(execute_compiled(plan, RunContext(Store()))) == list(
+        execute(plan, RunContext(Store()))
+    )
+
+
+@needs_numpy
+def test_skewed_join_memory_follows_the_slice_bound(tpcds_store, monkeypatch):
+    """``ss_quantity * 0 = i_item_sk * 0``: one key, every pair a match.
+    Peak traced memory of the query is governed by the slice bound, not
+    by |probe block| x |build|."""
+    import tracemalloc
+
+    sql = (
+        "SELECT count(*) FROM store_sales s JOIN item i "
+        "ON s.ss_quantity * 0 = i.i_item_sk * 0"
+    )
+    session = Session(tpcds_store, OptimizerConfig(engine="compiled"))
+    rows = tpcds_store.get("store_sales").row_count * tpcds_store.get("item").row_count
+    peaks = {}
+    for bound in (1 << 30, 512):
+        monkeypatch.setattr(compiled, "_JOIN_PAIR_SLICE", bound)
+        session.execute(sql)  # plan and kernels warm: measure the join
+        tracemalloc.start()
+        try:
+            result = session.execute(sql)
+            peaks[bound] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.rows == [(rows,)]
+        assert result.metrics.breakers_batch == 0
+    assert peaks[512] * 4 < peaks[1 << 30]
+
+
+@needs_numpy
+def test_join_is_cancellable_between_slices(monkeypatch):
+    monkeypatch.setattr(compiled, "_JOIN_PAIR_SLICE", 1000)
+    ctx = RunContext(Store())
+    blocks = compiled._fetch(_skew_join(), ctx, 1024, "numpy")
+    next(blocks)  # one slice out of 24, all from the single probe block
+    ctx.cancel()
+    with pytest.raises(QueryCancelledError):
+        next(blocks)
+
+    now = [0.0]
+    ctx = RunContext(
+        Store(), limits=ResourceLimits(timeout_ms=1000), clock=lambda: now[0]
+    )
+    blocks = compiled._fetch(_skew_join(), ctx, 1024, "numpy")
+    next(blocks)
+    now[0] = 5.0
+    with pytest.raises(QueryTimeoutError):
+        next(blocks)
+
+
+@needs_numpy
+def test_join_over_non_scan_children_has_its_own_deadline_point(join_store):
+    """Values / GroupBy outputs reach the join through
+    ``_blocks_from_row_list``, which has no checkpoint: the join's build
+    loop must be the deadline point, not its parent."""
+    ctx = RunContext(Store(), limits=ResourceLimits(timeout_ms=0))
+    with pytest.raises(QueryTimeoutError) as info:
+        list(execute_compiled(_skew_join(), ctx))
+    assert "_run_join_nv" in [frame.name for frame in info.traceback]
+
+    session = Session(join_store, OptimizerConfig(engine="compiled"))
+    with pytest.raises(QueryTimeoutError):
+        session.execute(
+            "SELECT l.id, g.c FROM l JOIN "
+            "(SELECT r.k AS k, count(*) AS c FROM r GROUP BY r.k) g ON l.k = g.k",
+            timeout_ms=0,
+        )
+
+
+def _joins(plan) -> list:
+    """Distinct Join nodes of a plan (plans may share subtrees)."""
+    found = {id(plan): plan} if isinstance(plan, Join) else {}
+    for child in plan.children:
+        found.update((id(j), j) for j in _joins(child))
+    return list(found.values())
+
+
+@needs_numpy
+@pytest.mark.parametrize("name", sorted(STUDIED_QUERIES))
+def test_studied_queries_keep_equi_joins_on_the_array_path(tpcds_store, name):
+    """The structural guard of the vector join, independent of timing:
+    under the costed compiled configuration no studied query hands an
+    equi-join to the batch engine (Q09's one-row CROSS joins may go)."""
+    session = Session(
+        tpcds_store,
+        OptimizerConfig(
+            engine="compiled", vectors="numpy", cost_based=True, profile=True
+        ),
+    )
+    result = session.execute(STUDIED_QUERIES[name])
+    joins = _joins(result.optimized_plan)
+    cross = [j for j in joins if j.kind is JoinKind.CROSS]
+    assert not cross or name == "q09"
+    labels = list(result.metrics.operator_times)
+    assert sum("Join[batch]" in label for label in labels) == len(cross)
+    assert sum("Join[vector]" in label for label in labels) == len(joins) - len(cross)
+    metrics = result.metrics
+    assert metrics.breakers_vectorized >= len(joins) - len(cross)
+    assert metrics.breakers_vectorized + metrics.breakers_batch > 0
