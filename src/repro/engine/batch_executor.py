@@ -11,11 +11,19 @@ columns runs one list comprehension per expression node per block,
 amortizing the interpreter's per-row closure overhead that dominates
 the row engine.
 
-Operators that are inherently row-oriented (hash joins, aggregation,
-MarkDistinct, Sort, Window) convert blocks to row tuples with a single
-C-level ``zip(*cols)`` per block and re-emit blocks; their per-row
-logic is copied from :mod:`repro.engine.executor` so the two backends
-are behaviourally identical.
+Joins work on **positions**, not tuples (:func:`_run_join`): the build
+side is buffered once as columns, every join kind is an iteration over
+``(probe lane, build position)`` index pairs in probe order, the
+residual is a block closure evaluated per slice of candidate pairs over
+just the columns it reads, and only surviving pairs gather output
+columns.  Scalar aggregation feeds whole column vectors to its
+accumulators.  The operators that still convert blocks to row tuples
+(one C-level ``zip(*cols)`` per block) and loop per row are keyed
+GroupBy's accumulator update, MarkDistinct, Window, Sort and
+ScalarApply — with Sort keys, Window arguments and MarkDistinct masks
+the only users of the scalar compiler outside the row engine; their
+per-row logic is copied from :mod:`repro.engine.executor` so the two
+backends are behaviourally identical.
 
 Equivalence contract (enforced by ``tests/test_engine_ab.py``): for
 any plan both engines produce the same result multiset and identical
@@ -41,10 +49,12 @@ columns) but never mutate one in place.
 
 from __future__ import annotations
 
-from itertools import islice
+from collections import defaultdict
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import Iterator
 
-from repro.algebra.expressions import TRUE, ColumnRef
+from repro.algebra.expressions import TRUE, ColumnRef, columns_in
 from repro.algebra.operators import (
     CachePopulate,
     CachedScan,
@@ -86,6 +96,7 @@ from repro.engine.vectors import (
     accumulate_block,
     compact_block,
     compile_expression_block,
+    take_rows,
 )
 from repro.errors import ExecutionError
 
@@ -326,116 +337,152 @@ def _run_limit(
 # -- joins ---------------------------------------------------------------
 
 
+#: Most candidate (probe, build) pairs expanded at once, in this join
+#: and in the compiled engine's array join.  A skewed key would
+#: otherwise materialize |probe block| x |build| index pairs; with the
+#: bound, every index list of a join (and every block it yields) stays
+#: under this many lanes plus one probe block.
+_JOIN_PAIR_SLICE = 1 << 16
+
+
 def _run_join(plan: Join, ctx: RunContext, block_rows: int) -> Iterator[Block]:
+    """Every join kind as an iteration over ``(probe lane, build
+    position)`` pairs; columns are gathered only for pairs that survive.
+
+    The build side is buffered once as columns.  Equi joins map each
+    key tuple to its build positions (a dict: hash equality, build
+    insertion order); CROSS and joins without an equi conjunct pair
+    every probe lane with every build row.  Pairs leave in probe order
+    — the row engine's emission order — a slice of at most
+    ``min(_JOIN_PAIR_SLICE, block_rows)`` at a time; the residual runs
+    once per slice over a gather of just the columns it reads.
+    """
     left_columns = plan.left.output_columns
     right_columns = plan.right.output_columns
-    out_width = len(plan.output_columns)
-
-    if plan.kind is JoinKind.CROSS:
-        right_rows = list(_iter_rows(plan.right, ctx, block_rows))
-        ctx.state_add(len(right_rows))
-        try:
-            for cols, n in execute_blocks(plan.left, ctx, block_rows):
-                buf = []
-                for left_row in _block_rows(cols, n):
-                    for right_row in right_rows:
-                        buf.append(left_row + right_row)
-                        if len(buf) >= block_rows:
-                            yield _rows_block(buf, out_width)
-                            buf = []
-                if buf:
-                    yield _rows_block(buf, out_width)
-        finally:
-            ctx.state_remove(len(right_rows))
-        return
-
-    equi, residual = _split_join_condition(plan.condition, left_columns, right_columns)
-    combined = left_columns + right_columns
-    residual_fn = (
-        None if residual == TRUE else compile_expression(residual, combined, ctx.env)
-    )
-    pad = (None,) * len(right_columns)
-    semi_like = plan.kind in (JoinKind.SEMI, JoinKind.ANTI)
     kind = plan.kind
+    equi, residual = [], TRUE
+    if kind is not JoinKind.CROSS:
+        equi, residual = _split_join_condition(
+            plan.condition, left_columns, right_columns
+        )
+    left_keys = [compile_expression_block(l, left_columns, ctx.env) for l, _ in equi]
+    right_keys = [compile_expression_block(r, right_columns, ctx.env) for _, r in equi]
+    used_left, used_right, residual_fn = _narrow_residual(
+        residual, left_columns, right_columns, ctx.env
+    )
 
-    if equi:
-        left_keys = [
-            compile_expression_block(l, left_columns, ctx.env) for l, _ in equi
-        ]
-        right_keys = [
-            compile_expression_block(r, right_columns, ctx.env) for _, r in equi
-        ]
-        table: dict[tuple, list[Row]] = {}
-        build_rows = 0
-        for cols, n in execute_blocks(plan.right, ctx, block_rows):
-            key_vectors = [fn(cols, n) for fn in right_keys]
-            # zip(*) builds key tuples at C speed; key values are plain
-            # scalars, so ``None in key`` is an identity test.
-            for row, key in zip(_block_rows(cols, n), zip(*key_vectors)):
-                if None in key:
-                    continue  # NULL keys never join
-                table.setdefault(key, []).append(row)
-                build_rows += 1
-        ctx.state_add(build_rows)
-        try:
-            table_get = table.get
-            for cols, n in execute_blocks(plan.left, ctx, block_rows):
-                key_vectors = [fn(cols, n) for fn in left_keys]
-                buf = []
-                for left_row, key in zip(_block_rows(cols, n), zip(*key_vectors)):
-                    matched = False
-                    if None not in key:
-                        for right_row in table_get(key, ()):
-                            if (
-                                residual_fn is None
-                                or residual_fn(left_row + right_row) is True
-                            ):
-                                matched = True
-                                if kind is JoinKind.SEMI:
-                                    break
-                                if kind in (JoinKind.INNER, JoinKind.LEFT):
-                                    buf.append(left_row + right_row)
-                    if semi_like:
-                        if matched == (kind is JoinKind.SEMI):
-                            buf.append(left_row)
-                    elif kind is JoinKind.LEFT and not matched:
-                        buf.append(left_row + pad)
-                    if len(buf) >= block_rows:
-                        yield _rows_block(buf, out_width)
-                        buf = []
-                if buf:
-                    yield _rows_block(buf, out_width)
-        finally:
-            ctx.state_remove(build_rows)
-        return
+    build_cols: list[list] = [[] for _ in right_columns]
+    table: dict[tuple, list[int]] = defaultdict(list)
+    total = 0
+    for cols, n in execute_blocks(plan.right, ctx, block_rows):
+        ctx.checkpoint()
+        if equi:
+            keys = list(zip(*[fn(cols, n) for fn in right_keys]))
+            keep = [i for i, key in enumerate(keys) if None not in key]
+            if len(keep) < n:  # NULL keys never join (nor count as state)
+                cols, n = take_rows(cols, keep), len(keep)
+                keys = [keys[i] for i in keep]
+            for position, key in enumerate(keys, total):
+                table[key].append(position)
+        for segment, c in zip(build_cols, cols):
+            segment.extend(c)
+        total += n
+    every_row = range(total)
+    if kind is JoinKind.LEFT:
+        build_cols = [c + [None] for c in build_cols]  # the pad row, at ``total``
+    checked_build = [build_cols[i] for i in used_right]
+    semi_like = kind in (JoinKind.SEMI, JoinKind.ANTI)
+    # Over lists a slice longer than a block amortizes nothing more, and
+    # a slice is what the join (and whoever takes its blocks) holds.
+    bound = min(_JOIN_PAIR_SLICE, block_rows)
 
-    # No hashable equi-conjuncts: nested loop against a materialized right.
-    right_rows = list(_iter_rows(plan.right, ctx, block_rows))
-    ctx.state_add(len(right_rows))
+    ctx.state_add(total)
     try:
         for cols, n in execute_blocks(plan.left, ctx, block_rows):
-            buf = []
-            for left_row in _block_rows(cols, n):
-                matched = False
-                for right_row in right_rows:
-                    if residual_fn is None or residual_fn(left_row + right_row) is True:
-                        matched = True
-                        if kind is JoinKind.SEMI:
-                            break
-                        if kind in (JoinKind.INNER, JoinKind.LEFT):
-                            buf.append(left_row + right_row)
-                if semi_like:
-                    if matched == (kind is JoinKind.SEMI):
-                        buf.append(left_row)
-                elif kind is JoinKind.LEFT and not matched:
-                    buf.append(left_row + pad)
-                if len(buf) >= block_rows:
-                    yield _rows_block(buf, out_width)
-                    buf = []
-            if buf:
-                yield _rows_block(buf, out_width)
+            # Per lane, its candidate build positions (None: no match).
+            if equi:
+                matches = list(map(table.get, zip(*[fn(cols, n) for fn in left_keys])))
+            else:
+                matches = [every_row] * n
+            if semi_like and residual_fn is None:
+                hit = {i for i, m in enumerate(matches) if m}
+            else:
+                hit = set()
+                done = 0  # lanes below have emitted their match or their pad
+                checked = [cols[i] for i in used_left]
+                for lanes, bidx, complete in _matching_pairs(
+                    ctx, matches, bound, residual_fn, checked, checked_build
+                ):
+                    if kind is not JoinKind.INNER:
+                        hit.update(lanes)
+                    if semi_like:
+                        continue
+                    if kind is JoinKind.LEFT:
+                        miss = [i for i in range(done, complete) if i not in hit]
+                        done = complete
+                        if miss:  # padded, and merged back in probe order
+                            merged = sorted(
+                                zip(lanes + miss, bidx + [total] * len(miss)),
+                                key=itemgetter(0),
+                            )
+                            lanes = [i for i, _ in merged]
+                            bidx = [j for _, j in merged]
+                    if lanes:
+                        out = take_rows(cols, lanes) + take_rows(build_cols, bidx)
+                        yield out, len(lanes)
+            if semi_like:
+                wanted = kind is JoinKind.SEMI
+                mask = [(i in hit) is wanted for i in range(n)]
+                out_cols, out_n = compact_block(cols, n, mask)
+                if out_n:
+                    yield out_cols, out_n
     finally:
-        ctx.state_remove(len(right_rows))
+        ctx.state_remove(total)
+
+
+def _narrow_residual(residual, left_columns, right_columns, env):
+    """``(left positions, right positions, closure)`` for a join
+    residual: compiled against just the columns it reads — those of the
+    left side, then those of the right — so candidate pairs gather
+    these and nothing else before they are filtered.  The closure is
+    None for TRUE."""
+    cids = {c.cid for c in columns_in(residual)}
+    used_left = [i for i, c in enumerate(left_columns) if c.cid in cids]
+    used_right = [i for i, c in enumerate(right_columns) if c.cid in cids]
+    if residual == TRUE:
+        return used_left, used_right, None
+    narrow = [left_columns[i] for i in used_left]
+    narrow += [right_columns[i] for i in used_right]
+    return used_left, used_right, compile_expression_block(residual, narrow, env)
+
+
+def _matching_pairs(ctx, matches, bound, residual_fn, probe_cols, build_cols):
+    """One probe block's matching ``(probe lanes, build positions,
+    lanes complete)`` in probe order, a slice of at most ``bound``
+    candidate pairs at a time.  A slice may end inside one lane's
+    matches; every lane below ``lanes complete`` has all its pairs
+    behind it.  The residual filters each slice over a gather of the
+    columns it reads — once per slice, not per pair."""
+    found = [i for i, m in enumerate(matches) if m]
+    buckets = [matches[i] for i in found]
+    # Two lock-step iterators over the candidate pairs.
+    lane_of = chain.from_iterable(map(repeat, found, map(len, buckets)))
+    build_of = chain.from_iterable(buckets)
+    last = False
+    while not last:
+        ctx.checkpoint()
+        lanes = list(islice(lane_of, bound))
+        bidx = list(islice(build_of, bound))
+        last = len(lanes) < bound
+        complete = len(matches) if last else lanes[-1]
+        if residual_fn is not None and lanes:
+            pairs = take_rows(probe_cols, lanes) + take_rows(build_cols, bidx)
+            mask = residual_fn(pairs, len(lanes))
+            keep = [k for k, v in enumerate(mask) if v is True]
+            if len(keep) < len(lanes):
+                lanes = [lanes[k] for k in keep]
+                bidx = [bidx[k] for k in keep]
+        yield lanes, bidx, complete
 
 
 # -- aggregation ---------------------------------------------------------

@@ -55,7 +55,6 @@ from repro.algebra.expressions import (
     TRUE,
     ColumnRef,
     Comparison,
-    columns_in,
     make_and,
 )
 from repro.algebra.operators import (
@@ -72,11 +71,13 @@ from repro.algebra.operators import (
     UnionAll,
     Values,
 )
+from repro.engine import batch_executor
 from repro.engine.batch_executor import (
     DEFAULT_BLOCK_ROWS,
     Block,
     _blocks_from_row_list,
     _iter_rows,
+    _narrow_residual,
     _rows_block,
     _run_cached_scan,
     _run_filter,
@@ -840,13 +841,6 @@ def _compute_marker(out_cols, total: int, indexes, mask_vec):
 
 # -- vectorized join -----------------------------------------------------
 
-#: Most candidate (probe, build) pairs expanded at once.  A skewed key
-#: would otherwise materialize |probe block| x |build| index pairs; with
-#: the bound, every intermediate array of the join (and every block it
-#: yields) stays under this many lanes plus one probe block.
-_JOIN_PAIR_SLICE = 1 << 16
-
-
 def _equi_pairs(plan: Join):
     """``(equi pairs, residual)`` of a join the vector join can run —
     INNER/LEFT/SEMI/ANTI with at least one equi conjunct — else None."""
@@ -885,16 +879,9 @@ def _run_join_nv(
         compile_expression_block(r, right_columns, ctx.env) for _, r in equi
     ]
     residual = make_and([Comparison("=", l, r) for l, r in equi[1:]] + [residual])
-    # Compiled against just the columns it reads, so candidate pairs
-    # gather those and nothing else before they are filtered.
-    cids = {c.cid for c in columns_in(residual)}
-    used_left = [i for i, c in enumerate(left_columns) if c.cid in cids]
-    used_right = [i for i, c in enumerate(right_columns) if c.cid in cids]
-    narrow = [left_columns[i] for i in used_left]
-    narrow += [right_columns[i] for i in used_right]
-    residual_fn = None
-    if residual != TRUE:
-        residual_fn = compile_expression_block(residual, narrow, ctx.env)
+    used_left, used_right, residual_fn = _narrow_residual(
+        residual, left_columns, right_columns, ctx.env
+    )
 
     # The build side, buffered once: its columns, then one per key.
     build_cols, total = _buffered(plan.right, ctx, block_rows, mode, right_key_fns)
@@ -983,9 +970,10 @@ def _matching_pairs(ctx, ends, shift, build_idx, residual_fn, probe_cols, build_
     candidate pairs at a time; the residual filters each slice over a
     gather of the columns it reads — once per slice, not per row."""
     pairs = int(ends[-1])
-    for at in range(0, max(pairs, 1), _JOIN_PAIR_SLICE):
+    bound = batch_executor._JOIN_PAIR_SLICE  # one bound for both joins
+    for at in range(0, max(pairs, 1), bound):
         ctx.checkpoint()
-        upto = min(at + _JOIN_PAIR_SLICE, pairs)
+        upto = min(at + bound, pairs)
         pair = np.arange(at, upto)
         lane = ends.searchsorted(pair, "right")
         bidx = build_idx[shift[lane] + pair]

@@ -23,7 +23,13 @@ Semantics (one statement for both paths; DESIGN.md §7):
   where an operand is NULL.
 * **AND/OR** are Kleene: ``False AND NULL = False``, ``True OR NULL =
   True``.  Only identity ``True`` counts as true for OR, only identity
-  ``False`` as false for AND, as in the scalar compiler.
+  ``False`` as false for AND, as in the scalar compiler.  Over list
+  columns they evaluate by selection, like CASE: a lane an earlier
+  term made ``False`` (AND) / ``True`` (OR) is final, and once few
+  enough lanes are still undecided for the remaining terms to repay a
+  gather (``_NARROW_*``), later terms see only those lanes — so a term
+  may, but need not, be spared the lanes earlier terms decided.  A
+  block holding a vector column folds whole arrays instead.
 * **Division by zero** yields NULL (``0``, ``-0.0`` and ``False`` are
   all zero divisors).
 * **Filters and aggregate masks** keep a lane only when the value is
@@ -78,6 +84,7 @@ from repro.algebra.expressions import (
     Not,
     Or,
     columns_in,
+    walk,
 )
 from repro.algebra.types import DataType
 from repro.engine.evaluator import (
@@ -413,8 +420,27 @@ def _binary(op: str, a, b, n: int):
     return _CMP_LIST[op](as_list(a, n), as_list(b, n))
 
 
+def _fold(conj: bool, a: list, b: list) -> list:
+    """One Kleene AND (``conj``) / OR step over two lists."""
+    if conj:
+        return [
+            False
+            if x is False or y is False
+            else (None if x is None or y is None else True)
+            for x, y in zip(a, b)
+        ]
+    return [
+        True
+        if x is True or y is True
+        else (None if x is None or y is None else False)
+        for x, y in zip(a, b)
+    ]
+
+
 def _kleene(conj: bool, values: list, n: int):
-    """N-ary Kleene AND (``conj``) / OR over evaluated operands."""
+    """N-ary Kleene AND (``conj``) / OR over the evaluated operands of
+    a block that holds a vector column (all-list blocks evaluate by
+    selection, ``eval_terms``)."""
     if NumpyVector in map(type, values):
         lanes = [_bool_lanes(v) for v in values]
         if all(pair is not None for pair in lanes):
@@ -427,24 +453,12 @@ def _kleene(conj: bool, values: list, n: int):
                     true_lanes = true_lanes | t
                     false_lanes = false_lanes & f
             return _lanes_to_vector(true_lanes, false_lanes)
-    # List fold.  A single term folds with itself, which normalizes it
-    # to True/False/None exactly as the scalar compiler's loop does.
+    # A list or non-boolean operand: fold as lists.  A single term
+    # folds with itself, which normalizes it to True/False/None exactly
+    # as the scalar compiler's loop does.
     out = as_list(values[0], n)
     for value in values[1:] or values:
-        if conj:
-            out = [
-                False
-                if a is False or b is False
-                else (None if a is None or b is None else True)
-                for a, b in zip(out, as_list(value, n))
-            ]
-        else:
-            out = [
-                True
-                if a is True or b is True
-                else (None if a is None or b is None else False)
-                for a, b in zip(out, as_list(value, n))
-            ]
+        out = _fold(conj, out, as_list(value, n))
     return out
 
 
@@ -543,10 +557,37 @@ def compile_expression_block(
 
 
 def _compile_block(expr: Expression, columns: tuple, env) -> BlockFn:
+    root = _builder(columns, env)(expr)
+
+    def run(cols: list, n: int):
+        out = root(cols, n)
+        return [out.value] * n if type(out) is VConst else out
+
+    return run
+
+
+#: AND/OR narrow to the ``live`` lanes no term has decided when the
+#: later terms hold at least ``_NARROW_MIN_NODES`` operator nodes and
+#: skipping the decided lanes saves more than gathering and scattering
+#: the live ones costs: ``live * _NARROW_LANE_COST <= decided * nodes``
+#: (DESIGN.md §7 has the measurement behind both numbers).
+_NARROW_MIN_NODES = 2
+_NARROW_LANE_COST = 4
+
+
+def _columns_read(node: Expression, columns: tuple, indexes: dict):
+    """``(positions, schema)`` of the ``columns`` that ``node`` reads."""
+    used = sorted({indexes[c.cid] for c in columns_in(node) if c.cid in indexes})
+    return used, tuple(columns[i] for i in used)
+
+
+def _builder(columns: tuple, env):
+    """``build(node)`` for blocks of ``columns``: the closure tree
+    ``(cols, n) -> list | NumpyVector | VConst`` (a constant stays one
+    scalar until a consumer needs lanes)."""
     indexes = column_indexes(columns)
 
     def build(node: Expression):
-        """``(cols, n) -> list | NumpyVector | VConst`` for ``node``."""
         if isinstance(node, Literal):
             const = VConst(node.value)
             return lambda cols, n: const
@@ -575,9 +616,58 @@ def _compile_block(expr: Expression, columns: tuple, env) -> BlockFn:
             op = node.op
             return lambda cols, n: _binary(op, left(cols, n), right(cols, n), n)
         if isinstance(node, (And, Or)):
-            terms = [build(t) for t in node.terms]
+            # By selection, as CASE: a lane some term made False (AND)
+            # / True (OR) is final, so later terms may skip it.  Terms
+            # compile once, against just the columns the node reads, so
+            # narrowing never copies a bystander column.
             conj = isinstance(node, And)
-            return lambda cols, n: _kleene(conj, [t(cols, n) for t in terms], n)
+            decided = not conj
+            used, narrow = _columns_read(node, columns, indexes)
+            build_term = build if narrow == columns else _builder(narrow, env)
+            terms = [build_term(t) for t in node.terms]
+            sizes = [
+                sum(not isinstance(x, (ColumnRef, Literal)) for x in walk(t))
+                for t in node.terms
+            ]
+            # (term, operator nodes in the terms after it)
+            steps = [(t, sum(sizes[k + 1 :])) for k, t in enumerate(terms)]
+
+            def eval_terms(cols, n):
+                cols = [cols[i] for i in used]
+                if NumpyVector in map(type, cols):
+                    return _kleene(conj, [t(cols, n) for t in terms], n)
+                # ``live`` maps the narrowed block's lanes back to
+                # positions in ``result``, which holds the decided ones.
+                out = result = live = None
+                for term, later in steps:
+                    value = as_list(term(cols, n), n)
+                    out = value if out is None else _fold(conj, out, value)
+                    if later < _NARROW_MIN_NODES:
+                        continue
+                    # count() is a C-speed bound (== may overcount a
+                    # raw first term); the selection itself is exact.
+                    gone = out.count(decided)
+                    if (n - gone) * _NARROW_LANE_COST <= gone * later:
+                        sel = [i for i, v in enumerate(out) if v is not decided]
+                        if len(sel) * _NARROW_LANE_COST > (n - len(sel)) * later:
+                            continue
+                        if result is None:
+                            result, live = [decided] * n, sel
+                        else:
+                            live = [live[i] for i in sel]
+                        if not sel:
+                            return result
+                        out = [out[i] for i in sel]
+                        cols, n = take_rows(cols, sel), len(sel)
+                if len(steps) == 1:
+                    out = _fold(conj, out, out)  # normalizes, as the scalar loop
+                if result is None:
+                    return out
+                for position, v in zip(live, out):
+                    result[position] = v
+                return result
+
+            return eval_terms
         if isinstance(node, Not):
             term = build(node.term)
             return lambda cols, n: _negate(term(cols, n))
@@ -640,10 +730,7 @@ def _compile_block(expr: Expression, columns: tuple, env) -> BlockFn:
             # no earlier WHEN claimed.  Branches compile against just
             # the columns CASE reads, so selecting lanes never copies a
             # bystander column.
-            used = sorted(
-                {indexes[c.cid] for c in columns_in(node) if c.cid in indexes}
-            )
-            narrow = tuple(columns[i] for i in used)
+            used, narrow = _columns_read(node, columns, indexes)
             whens = [
                 (_compile_block(c, narrow, env), _compile_block(v, narrow, env))
                 for c, v in node.whens
@@ -688,13 +775,7 @@ def _compile_block(expr: Expression, columns: tuple, env) -> BlockFn:
             ]
         raise ExecutionError(f"cannot evaluate expression {node!r}")
 
-    root = build(expr)
-
-    def run(cols: list, n: int):
-        out = root(cols, n)
-        return [out.value] * n if type(out) is VConst else out
-
-    return run
+    return build
 
 
 # -- block helpers -------------------------------------------------------

@@ -23,6 +23,7 @@ always yields the same query sequence.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.algebra.types import DataType
@@ -202,8 +203,10 @@ class QuerySpec:
     #: reorders the plan, so that every engine's emission order — which
     #: the LIMIT then observes — is the same one.
     bare_limit: bool = False
-    #: The generator shape that built this spec (for coverage reports).
+    #: The generator shape that built this spec, and how often each
+    #: ``_predicate`` form was drawn for it (for coverage reports).
     shape: str = ""
+    predicate_forms: Counter = field(default_factory=Counter)
 
     def render(self) -> str:
         parts: list[str] = []
@@ -258,16 +261,18 @@ class QueryGenerator:
         if not self.tables:
             raise ValueError("none of the fuzzer's tables are in the catalog")
         self._alias_counter = 0
+        self._forms: Counter = Counter()
 
     # -- public API --------------------------------------------------------
 
     def generate(self) -> QuerySpec:
         """One random query spec (advances the seeded stream)."""
         self._alias_counter = 0
+        self._forms = Counter()
         shape = self._weighted(_SHAPES)
         builder = getattr(self, f"_shape_{shape}")
         spec: QuerySpec = builder()
-        spec.shape = shape
+        spec.shape, spec.predicate_forms = shape, self._forms
         self._maybe_order(spec)
         return spec
 
@@ -680,8 +685,9 @@ class QueryGenerator:
             ("null_cmp", 0.3),
         ]
         if depth < 1:
-            forms += [("not", 0.7), ("or", 1.2)]
+            forms += [("not", 0.7), ("or", 1.2), ("bucket", 0.8)]
         form = self._weighted(forms)
+        self._forms[form] += 1
         if form == "cmp":
             col = self._pick_column(scope, numeric=True)
             op = self.rng.choice(("=", "<>", "<", "<=", ">", ">="))
@@ -723,6 +729,16 @@ class QueryGenerator:
             return f"{col} {self.rng.choice(('=', '<>', '<'))} NULL"
         if form == "not":
             return f"NOT ({self._predicate(scope, depth + 1)})"
+        if form == "bucket":
+            # TPC-DS Q28's mask: a range that decides most rows, then a
+            # disjunction only the rows inside it need (the block
+            # engines evaluate AND/OR by selection).
+            col = self._pick_column(scope, numeric=True)
+            a = self._literal_for(scope, col)
+            b = self._literal_for(scope, col)
+            lo, hi = sorted((a, b), key=float)
+            inner = [self._predicate(scope, depth + 1) for _ in range(3)]
+            return f"({col} BETWEEN {lo} AND {hi} AND ({' OR '.join(inner)}))"
         # or
         left = self._predicate(scope, depth + 1)
         right = self._predicate(scope, depth + 1)

@@ -50,6 +50,9 @@ class FuzzReport:
     benign: Counter = field(default_factory=Counter)
     #: Queries generated per generator shape (coverage of the matrix).
     shapes: Counter = field(default_factory=Counter)
+    #: Predicates drawn per ``QueryGenerator._predicate`` form (only
+    #: ``bucket`` nests AND/OR deep enough for narrowing inside narrowing).
+    predicate_forms: Counter = field(default_factory=Counter)
     failures: list[FuzzFailure] = field(default_factory=list)
 
     @property
@@ -63,10 +66,14 @@ class FuzzReport:
             f"{sum(self.benign.values())} uniformly unbindable, "
             f"{len(self.failures)} divergences"
         ]
-        lines.append(
-            "  shapes: "
-            + ", ".join(f"{name}={n}" for name, n in sorted(self.shapes.items()))
-        )
+        for title, counts in (
+            ("shapes", self.shapes),
+            ("predicate forms", self.predicate_forms),
+        ):
+            lines.append(
+                f"  {title}: "
+                + ", ".join(f"{name}={n}" for name, n in sorted(counts.items()))
+            )
         for cls, n in sorted(self.benign.items()):
             lines.append(f"  benign {cls}: {n}")
         for failure in self.failures:
@@ -82,6 +89,7 @@ class FuzzReport:
             "passed": self.passed,
             "benign": dict(self.benign),
             "shapes": dict(self.shapes),
+            "predicate_forms": dict(self.predicate_forms),
             "failures": [f.to_dict() for f in self.failures],
             "ok": self.ok,
         }
@@ -128,6 +136,7 @@ def run_fuzz(
         for index in range(count):
             spec = generator.generate()
             report.shapes[spec.shape] += 1
+            report.predicate_forms.update(spec.predicate_forms)
             divergence = oracle.check(spec.render())
             report.executed += 1
             if divergence is None:

@@ -12,10 +12,19 @@ from __future__ import annotations
 import pytest
 
 from repro.algebra.expressions import And, ColumnRef, Comparison, Literal
-from repro.algebra.operators import Join, JoinKind, Scan, Values
+from repro.algebra.operators import (
+    AggregateAssignment,
+    GroupBy,
+    Join,
+    JoinKind,
+    ScalarApply,
+    Scan,
+    Values,
+)
 from repro.algebra.schema import ColumnAllocator
 from repro.algebra.types import DataType
-from repro.engine import compiled
+from repro.engine import batch_executor, compiled
+from repro.engine.batch_executor import execute_batch, execute_blocks
 from repro.engine.compiled import execute_compiled, install_dispatch
 from repro.engine.executor import execute
 from repro.engine.metrics import ResourceLimits, RunContext
@@ -258,19 +267,52 @@ def join_store():
     return store
 
 
+#: Every engine that joins over blocks, held to the row engine: the
+#: batch join (positions over list columns), the same join reached
+#: through the compiled engine's dispatch, and the array join.
+_BLOCK_ENGINES = {
+    "batch": dict(engine="batch"),
+    "compiled-python": dict(engine="compiled", vectors="python"),
+    "compiled-numpy": dict(engine="compiled", vectors="numpy"),
+}
+
+
 def _assert_join_exact(store, sql, expect_rows=None, empty=False):
     for fusion in (True, False):
         shared = dict(enable_fusion=fusion, batch_rows=32)
         row = Session(store, OptimizerConfig(engine="row", **shared)).execute(sql)
-        compiled = Session(
-            store, OptimizerConfig(engine="compiled", vectors="numpy", **shared)
-        ).execute(sql)
-        assert [repr(r) for r in compiled.rows] == [repr(r) for r in row.rows]
-        for metric in ("bytes_scanned", "rows_scanned", "peak_state_rows"):
-            assert getattr(compiled.metrics, metric) == getattr(row.metrics, metric)
         if expect_rows is not None:
             assert row.rows == expect_rows
-        assert bool(compiled.rows) is not empty
+        assert bool(row.rows) is not empty
+        for name, engine in _BLOCK_ENGINES.items():
+            got = Session(store, OptimizerConfig(**engine, **shared)).execute(sql)
+            assert [repr(r) for r in got.rows] == [repr(r) for r in row.rows], name
+            for metric in ("bytes_scanned", "rows_scanned", "peak_state_rows"):
+                assert getattr(got.metrics, metric) == getattr(row.metrics, metric), (
+                    name,
+                    metric,
+                )
+
+
+def _assert_plan_exact(store, plan, block_rows=32):
+    """A hand-built plan on every block engine against the row engine:
+    rows in order and the three metrics.  Returns the rows and the
+    array engine's metrics."""
+    row_ctx = RunContext(store)
+    expected = list(execute(plan, row_ctx))
+    for name, engine in _BLOCK_ENGINES.items():
+        ctx = RunContext(store)
+        if name == "batch":
+            got = list(execute_batch(plan, ctx, block_rows))
+        else:
+            got = list(execute_compiled(plan, ctx, block_rows, engine["vectors"]))
+        assert got == expected, name
+        for metric in ("bytes_scanned", "rows_scanned", "peak_state_rows"):
+            assert getattr(ctx.metrics, metric) == getattr(row_ctx.metrics, metric), (
+                name,
+                metric,
+            )
+    return expected, ctx.metrics
 
 
 _JOIN_SHAPES = {
@@ -310,6 +352,15 @@ _JOIN_SHAPES = {
     "limit_above_left_join": (
         "SELECT l.id, r.id FROM l LEFT JOIN r ON l.k = r.k AND l.q > r.q LIMIT 45"
     ),
+    "cross_join_under_limit": "SELECT l.id, r.id FROM l CROSS JOIN r LIMIT 333",
+    "no_equi_conjunct_under_limit": (
+        "SELECT l.id, r.id FROM l JOIN r ON l.q < r.q LIMIT 400"
+    ),
+    "no_equi_conjunct_left": (
+        "SELECT l.id, r.id FROM l LEFT JOIN r ON l.q < r.q - 3 AND l.id < 40"
+    ),
+    "zero_width_sides_cross": "SELECT count(*) FROM l CROSS JOIN r",
+    "zero_width_output_equi": "SELECT count(*) FROM l JOIN r ON l.k = r.k",
     "empty_block_in_the_probe_stream": (
         "SELECT u.id, r.id FROM (SELECT e.id AS id, e.k AS k, e.q AS q FROM e "
         "UNION ALL SELECT l.id AS id, l.k AS k, l.q AS q FROM l) u "
@@ -403,14 +454,8 @@ def test_semi_anti_join_with_residual(join_store, kind, residual):
         "second_key": Comparison("=", l["s"], r["s"]),
     }[residual]
     plan = Join(kind, left, right, And((Comparison("=", l["k"], r["k"]), extra)))
-    row_ctx, nv_ctx = RunContext(join_store), RunContext(join_store)
-    expected = list(execute(plan, row_ctx))
-    got = list(execute_compiled(plan, nv_ctx, block_rows=32, vectors="numpy"))
-    assert got == expected
-    assert nv_ctx.metrics.peak_state_rows == row_ctx.metrics.peak_state_rows
-    assert nv_ctx.metrics.bytes_scanned == row_ctx.metrics.bytes_scanned
+    got, metrics = _assert_plan_exact(join_store, plan)
     if numpy_enabled():
-        metrics = nv_ctx.metrics
         assert (metrics.breakers_vectorized, metrics.breakers_batch) == (1, 0)
     if residual == "false":
         assert len(got) == (0 if kind is JoinKind.SEMI else 150)
@@ -431,11 +476,29 @@ def test_join_of_every_kind_over_an_empty_probe_block(join_store, kind, residual
     if kind is JoinKind.CROSS:
         condition = None
     plan = Join(kind, left, right, condition)
-    row_ctx, nv_ctx = RunContext(join_store), RunContext(join_store)
-    assert list(execute(plan, row_ctx)) == []
-    assert list(execute_compiled(plan, nv_ctx, block_rows=32, vectors="numpy")) == []
-    assert nv_ctx.metrics.peak_state_rows == row_ctx.metrics.peak_state_rows
-    assert nv_ctx.metrics.bytes_scanned == row_ctx.metrics.bytes_scanned
+    assert _assert_plan_exact(join_store, plan)[0] == []
+
+
+def test_join_residual_reads_the_correlation_environment(join_store):
+    """A join under a ScalarApply whose residual compares a build
+    column with the *outer* row: the residual closure reads ``env`` at
+    call time, once per slice of candidate pairs."""
+    alloc = ColumnAllocator(start=7000)
+    x, count, out = (alloc.fresh(n, _I) for n in ("x", "n", "per_x"))
+    outer = Values((x,), ((0,), (2,), (4,), (None,)))
+    left, l = _hand_scan("l", 5)
+    right, r = _hand_scan("r", 6)
+    condition = And(
+        (Comparison("=", l["k"], r["k"]), Comparison("<", r["q"], ColumnRef(x)))
+    )
+    subquery = GroupBy(
+        Join(JoinKind.INNER, left, right, condition),
+        (),
+        (AggregateAssignment(count, "count", None),),
+    )
+    rows, _ = _assert_plan_exact(join_store, ScalarApply(outer, subquery, count, out))
+    counts = [n for _, n in rows]
+    assert counts[0] == counts[3] == 0 and 0 < counts[1] < counts[2]
 
 
 # -- bounded expansion and cancellation inside the join ------------------------
@@ -459,7 +522,7 @@ needs_numpy = pytest.mark.skipif(not numpy_enabled(), reason="array path only")
 def test_skewed_join_expands_in_bounded_slices(monkeypatch, kind):
     """|probe| x |build| pairs are never materialized at once: no block
     the join yields, and no index array behind it, exceeds the slice."""
-    monkeypatch.setattr(compiled, "_JOIN_PAIR_SLICE", 1000)
+    monkeypatch.setattr(batch_executor, "_JOIN_PAIR_SLICE", 1000)
     plan = _skew_join(kind)
     ctx = RunContext(Store())
     sizes = [n for _, n in compiled._fetch(plan, ctx, 1024, "numpy")]
@@ -485,7 +548,7 @@ def test_skewed_join_memory_follows_the_slice_bound(tpcds_store, monkeypatch):
     rows = tpcds_store.get("store_sales").row_count * tpcds_store.get("item").row_count
     peaks = {}
     for bound in (1 << 30, 512):
-        monkeypatch.setattr(compiled, "_JOIN_PAIR_SLICE", bound)
+        monkeypatch.setattr(batch_executor, "_JOIN_PAIR_SLICE", bound)
         session.execute(sql)  # plan and kernels warm: measure the join
         tracemalloc.start()
         try:
@@ -500,7 +563,7 @@ def test_skewed_join_memory_follows_the_slice_bound(tpcds_store, monkeypatch):
 
 @needs_numpy
 def test_join_is_cancellable_between_slices(monkeypatch):
-    monkeypatch.setattr(compiled, "_JOIN_PAIR_SLICE", 1000)
+    monkeypatch.setattr(batch_executor, "_JOIN_PAIR_SLICE", 1000)
     ctx = RunContext(Store())
     blocks = compiled._fetch(_skew_join(), ctx, 1024, "numpy")
     next(blocks)  # one slice out of 24, all from the single probe block
@@ -536,6 +599,48 @@ def test_join_over_non_scan_children_has_its_own_deadline_point(join_store):
             "(SELECT r.k AS k, count(*) AS c FROM r GROUP BY r.k) g ON l.k = g.k",
             timeout_ms=0,
         )
+
+
+@pytest.mark.parametrize("kind", [JoinKind.INNER, JoinKind.LEFT])
+def test_batch_join_expands_in_bounded_slices(monkeypatch, kind):
+    """The list-backed twin of the test above: no block the batch join
+    yields, and no index list behind it, exceeds the shared bound."""
+    monkeypatch.setattr(batch_executor, "_JOIN_PAIR_SLICE", 1000)
+    longest = 0
+
+    def spy(cols, sel, take_rows=batch_executor.take_rows):
+        nonlocal longest
+        longest = max(longest, len(sel))
+        return take_rows(cols, sel)
+
+    monkeypatch.setattr(batch_executor, "take_rows", spy)
+    plan = _skew_join(kind)
+    sizes = [n for _, n in execute_blocks(plan, RunContext(Store()), 1024)]
+    assert sum(sizes) == 60 * 400
+    assert max(sizes) <= 1000 and longest == 1000
+    assert list(execute_batch(plan, RunContext(Store()))) == list(
+        execute(plan, RunContext(Store()))
+    )
+
+
+def test_batch_join_is_cancellable_between_slices(monkeypatch):
+    monkeypatch.setattr(batch_executor, "_JOIN_PAIR_SLICE", 1000)
+    ctx = RunContext(Store())
+    blocks = execute_blocks(_skew_join(), ctx, 1024)
+    next(blocks)  # one slice out of 24, all from the single probe block
+    ctx.cancel()
+    with pytest.raises(QueryCancelledError):
+        next(blocks)
+
+
+def test_batch_join_over_non_scan_children_has_its_own_deadline_point():
+    """``Values`` children have no checkpoint of their own, and a block
+    consumer never passes ``_iter_rows``: the join must be the deadline
+    point (on the parent commit all 24 000 rows came back)."""
+    ctx = RunContext(Store(), limits=ResourceLimits(timeout_ms=0))
+    with pytest.raises(QueryTimeoutError) as info:
+        list(execute_blocks(_skew_join(), ctx, 1024))
+    assert "_run_join" in [frame.name for frame in info.traceback]
 
 
 def _joins(plan) -> list:

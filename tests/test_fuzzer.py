@@ -56,6 +56,18 @@ class TestGenerator:
         queries = {gen.generate().render() for _ in range(50)}
         assert len(queries) > 40
 
+    def test_bucket_predicates_are_generated_and_counted(self, catalog):
+        """Q28's mask shape (a range AND a three-way OR of depth-1
+        predicates) is the only form with AND/OR nested deep enough for
+        the block engines to narrow inside a narrowed block."""
+        gen = QueryGenerator(catalog, seed=0)
+        specs = [gen.generate() for _ in range(100)]
+        with_bucket = [s for s in specs if s.predicate_forms["bucket"]]
+        assert with_bucket
+        for spec in with_bucket:
+            assert " BETWEEN " in spec.render() and " OR " in spec.render()
+        assert sum(s.predicate_forms["cmp"] for s in specs) > len(with_bucket)
+
     def test_generated_sql_mostly_binds(self, small_store, catalog):
         oracle = DifferentialOracle(small_store)
         gen = QueryGenerator(catalog, seed=11)
@@ -240,7 +252,8 @@ class TestRunFuzz:
         payload = report.to_dict()
         assert payload["ok"] is report.ok
         assert payload["executed"] == 5
-        assert isinstance(report.summary(), str)
+        assert payload["shapes"] and payload["predicate_forms"]
+        assert "  predicate forms: " in report.summary()
 
     def test_fail_fast_stops_early(self, small_store, weakened_compensation):
         report = run_fuzz(
