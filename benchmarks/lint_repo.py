@@ -155,17 +155,17 @@ def lint_memo_slots() -> list[str]:
 #: only by the net growth the PR's issue budgeted and CHANGES.md records.
 PACKAGE_LINE_CEILINGS = {
     "repro": 556,
-    "repro.algebra": 3550,
+    "repro.algebra": 3552,
     "repro.catalog": 90,
-    "repro.engine": 4400,
+    "repro.engine": 4361,
     "repro.fusion": 579,
-    "repro.optimizer": 3102,
+    "repro.optimizer": 3109,
     "repro.server": 846,
     "repro.sql": 1313,
     "repro.storage": 584,
-    "repro.testing": 1056,
+    "repro.testing": 1069,
     "repro.tpcds": 1077,
-    "total": 17153,
+    "total": 17136,
 }
 
 _NON_CODE_TOKENS = frozenset(

@@ -325,6 +325,9 @@ class WindowAssignment:
     target: Column
     func: str
     argument: Expression | None
+    #: An unmasked, non-DISTINCT aggregate to ``lower_aggregates``.
+    mask = TRUE
+    distinct = False
 
     def __post_init__(self) -> None:
         if self.func not in AGGREGATE_FUNCTIONS:

@@ -17,13 +17,12 @@ side is buffered once as columns, every join kind is an iteration over
 residual is a block closure evaluated per slice of candidate pairs over
 just the columns it reads, and only surviving pairs gather output
 columns.  Scalar aggregation feeds whole column vectors to its
-accumulators.  The operators that still convert blocks to row tuples
-(one C-level ``zip(*cols)`` per block) and loop per row are keyed
-GroupBy's accumulator update, MarkDistinct, Window, Sort and
-ScalarApply — with Sort keys, Window arguments and MarkDistinct masks
-the only users of the scalar compiler outside the row engine; their
-per-row logic is copied from :mod:`repro.engine.executor` so the two
-backends are behaviourally identical.
+accumulators.  Keyed GroupBy, MarkDistinct, Window and Sort keep their
+state on positions too: they are callers of the one keyed core
+(:mod:`repro.engine.keyed` — factorize key columns to group codes,
+reduce every aggregate per code, gather back) and emit column blocks.
+Only ScalarApply, EnforceSingleRow and the row-tuple caches of Spool /
+CachePopulate still convert blocks to row tuples.
 
 Equivalence contract (enforced by ``tests/test_engine_ab.py``): for
 any plan both engines produce the same result multiset and identical
@@ -77,19 +76,22 @@ from repro.algebra.operators import (
     Values,
     Window,
 )
-from repro.engine.evaluator import (
-    Aggregator,
-    canon_key,
-    compile_expression,
-    lower_aggregates,
-)
+from repro.engine.evaluator import Aggregator, lower_aggregates
 from repro.engine.executor import (
     _cached_entry,
     _check_spool_budget,
     _materialize_for_cache,
     _partition_pruner,
     _split_join_condition,
+    mark_distinct_chain,
     scan_predicate,
+)
+from repro.engine.keyed import (
+    GroupState,
+    block_slices,
+    buffer_blocks,
+    mark_first,
+    sort_positions,
 )
 from repro.engine.metrics import RunContext
 from repro.engine.vectors import (
@@ -145,47 +147,22 @@ def dispatch_blocks_batch(
     plan: PlanNode, ctx: RunContext, block_rows: int
 ) -> Iterator[Block]:
     """The batch operator table (no dispatch override applied)."""
-    if isinstance(plan, Scan):
-        return _run_scan(plan, ctx, block_rows)
-    if isinstance(plan, Values):
-        return _blocks_from_row_list(
-            list(plan.rows), len(plan.columns), block_rows
-        )
-    if isinstance(plan, Filter):
-        return _run_filter(plan, ctx, block_rows)
-    if isinstance(plan, Project):
-        return _run_project(plan, ctx, block_rows)
-    if isinstance(plan, Join):
-        return _run_join(plan, ctx, block_rows)
-    if isinstance(plan, GroupBy):
-        return _run_group_by(plan, ctx, block_rows)
-    if isinstance(plan, MarkDistinct):
-        return _run_mark_distinct(plan, ctx, block_rows)
-    if isinstance(plan, Window):
-        return _run_window(plan, ctx, block_rows)
-    if isinstance(plan, UnionAll):
-        return _run_union_all(plan, ctx, block_rows)
-    if isinstance(plan, Sort):
-        return _run_sort(plan, ctx, block_rows)
-    if isinstance(plan, Limit):
-        return _run_limit(plan, ctx, block_rows)
-    if isinstance(plan, EnforceSingleRow):
-        return _run_enforce_single_row(plan, ctx, block_rows)
-    if isinstance(plan, ScalarApply):
-        return _run_scalar_apply(plan, ctx, block_rows)
-    if isinstance(plan, Spool):
-        return _run_spool(plan, ctx, block_rows)
-    if isinstance(plan, CachedScan):
-        return _run_cached_scan(plan, ctx, block_rows)
-    if isinstance(plan, CachePopulate):
-        return _run_cache_populate(plan, ctx, block_rows)
-    if isinstance(plan, Exchange):
-        return _run_exchange(plan, ctx, block_rows)
-    if isinstance(plan, Repartition):
-        # Bag-identity: the fragment scheduler consumes Repartition
-        # before the plan reaches an engine; serially it passes through.
-        return execute_blocks(plan.child, ctx, block_rows)
-    raise ExecutionError(f"no batch executor for operator {plan.name}")
+    operator = BLOCK_OPERATORS.get(type(plan))
+    if operator is None:
+        raise ExecutionError(f"no batch executor for operator {plan.name}")
+    return operator(plan, ctx, block_rows)
+
+
+def _run_values(plan: Values, ctx: RunContext, block_rows: int) -> Iterator[Block]:
+    return _blocks_from_row_list(list(plan.rows), len(plan.columns), block_rows)
+
+
+def _run_repartition(
+    plan: Repartition, ctx: RunContext, block_rows: int
+) -> Iterator[Block]:
+    # Bag-identity: the fragment scheduler consumes Repartition before
+    # the plan reaches an engine; serially it passes through.
+    return execute_blocks(plan.child, ctx, block_rows)
 
 
 def _run_exchange(
@@ -212,9 +189,10 @@ def _run_exchange(
 def _iter_rows(plan: PlanNode, ctx: RunContext, block_rows: int) -> Iterator[Row]:
     """Flatten a block stream into row tuples (one zip per block).
 
-    Also a cooperative cancellation/deadline point: every materializing
-    operator funnels through here, so checking once per block bounds
-    how far past a deadline any pipeline can run.
+    Also a cooperative cancellation/deadline point: the result and
+    every row-tuple consumer (Spool, CachePopulate, ScalarApply,
+    EnforceSingleRow) funnel through here, so checking once per block
+    bounds how far past a deadline any pipeline can run.
     """
     for cols, n in execute_blocks(plan, ctx, block_rows):
         ctx.checkpoint()
@@ -222,13 +200,6 @@ def _iter_rows(plan: PlanNode, ctx: RunContext, block_rows: int) -> Iterator[Row
             yield from zip(*cols)
         else:
             yield from (() for _ in range(n))
-
-
-def _block_rows(cols: list, n: int) -> list[Row]:
-    """Materialize one block as a list of row tuples."""
-    if cols:
-        return list(zip(*cols))
-    return [()] * n
 
 
 def _rows_block(rows: list[Row], width: int) -> Block:
@@ -485,15 +456,19 @@ def _matching_pairs(ctx, matches, bound, residual_fn, probe_cols, build_cols):
         yield lanes, bidx, complete
 
 
-# -- aggregation ---------------------------------------------------------
+# -- keyed state ---------------------------------------------------------
+#
+# GroupBy, MarkDistinct, Window and Sort are callers of the one keyed
+# core (:mod:`repro.engine.keyed`) and emit column blocks.  ``fetch``
+# produces the child's block stream; the compiled engine substitutes
+# its own (vector columns; one buffered block where the operator would
+# otherwise stream).
 
 
 def _run_group_by(
     plan: GroupBy, ctx: RunContext, block_rows: int, fetch=execute_blocks
 ) -> Iterator[Block]:
-    """Scalar and keyed aggregation.  ``fetch`` produces the child's
-    block stream; the compiled engine substitutes its own (vector
-    columns for the scalar path, one buffered block for the keyed)."""
+    """Scalar and keyed aggregation."""
     child_columns = plan.child.output_columns
     key_fns = [
         compile_expression_block(ColumnRef(k), child_columns, ctx.env)
@@ -504,182 +479,114 @@ def _run_group_by(
         lambda e: compile_expression_block(e, child_columns, ctx.env),
     )
 
-    out_width = len(plan.keys) + len(plan.aggregates)
-    groups: dict[tuple, list[Aggregator]] = {}
     group_count = 0
     try:
-        if not plan.keys:
-            # Scalar aggregation: one accumulator set fed whole column
-            # vectors at a time — no per-row dispatch at all.
-            accumulators: list[Aggregator] | None = None
+        if plan.keys:
+            state = GroupState(agg_specs)
             for cols, n in fetch(plan.child, ctx, block_rows):
-                if accumulators is None:
-                    accumulators = [Aggregator(f, d) for f, d, _, _ in agg_specs]
-                    groups[()] = accumulators
-                    group_count += 1
-                    ctx.state_add(1)
-                values = [fn(cols, n) for fn in shared_fns]
-                for acc, (_, _, arg_slot, mask_slot) in zip(accumulators, agg_specs):
-                    accumulate_block(
-                        acc,
-                        None if arg_slot is None else values[arg_slot],
-                        None if mask_slot is None else values[mask_slot],
-                        n,
-                    )
-        else:
-            for cols, n in fetch(plan.child, ctx, block_rows):
-                key_vectors = [
-                    [canon_key(v) for v in fn(cols, n)] for fn in key_fns
-                ]
-                values = [fn(cols, n) for fn in shared_fns]
-                # zip(*) builds the key tuples at C speed.
-                for i, key in enumerate(zip(*key_vectors)):
-                    accumulators = groups.get(key)
-                    if accumulators is None:
-                        accumulators = [Aggregator(f, d) for f, d, _, _ in agg_specs]
-                        groups[key] = accumulators
-                        group_count += 1
-                        ctx.state_add(1)
-                    for acc, (_, _, arg_slot, mask_slot) in zip(
-                        accumulators, agg_specs
-                    ):
-                        if mask_slot is not None and values[mask_slot][i] is not True:
-                            continue
-                        if arg_slot is None:
-                            acc.add_count_star()
-                        else:
-                            acc.add(values[arg_slot][i])
-        if plan.is_scalar and not groups:
-            accumulators = [Aggregator(f, d) for f, d, _, _ in agg_specs]
-            yield _rows_block(
-                [tuple(acc.result() for acc in accumulators)], out_width
-            )
+                ctx.checkpoint()
+                keys = [fn(cols, n) for fn in key_fns]
+                _, fresh = state.update(keys, [fn(cols, n) for fn in shared_fns], n)
+                group_count += fresh
+                ctx.state_add(fresh)
+            yield from block_slices(state.columns(), state.size, block_rows)
             return
-        out_rows = [
-            key + tuple(acc.result() for acc in accumulators)
-            for key, accumulators in groups.items()
-        ]
-        yield from _blocks_from_row_list(out_rows, out_width, block_rows)
+        # Scalar aggregation: one accumulator set fed whole column
+        # vectors at a time — no per-row dispatch at all.  Over empty
+        # input it still yields one row (and holds no state).
+        accumulators = [Aggregator(f, d) for f, d, _, _ in agg_specs]
+        for cols, n in fetch(plan.child, ctx, block_rows):
+            if not group_count:
+                group_count = 1
+                ctx.state_add(1)
+            values = [fn(cols, n) for fn in shared_fns]
+            for acc, (_, _, arg_slot, mask_slot) in zip(accumulators, agg_specs):
+                accumulate_block(
+                    acc,
+                    None if arg_slot is None else values[arg_slot],
+                    None if mask_slot is None else values[mask_slot],
+                    n,
+                )
+        yield [[acc.result()] for acc in accumulators], 1
     finally:
         ctx.state_remove(group_count)
 
 
 def _run_mark_distinct(
-    plan: MarkDistinct, ctx: RunContext, block_rows: int
+    plan: MarkDistinct, ctx: RunContext, block_rows: int, fetch=execute_blocks
 ) -> Iterator[Block]:
     """Whole-chain MarkDistinct, mirroring the row engine's holistic
-    single-pass treatment, block by block."""
-    chain: list[MarkDistinct] = [plan]
-    cursor = plan.child
-    while isinstance(cursor, MarkDistinct):
-        chain.append(cursor)
-        cursor = cursor.child
-    chain.reverse()
-
-    base_columns = cursor.output_columns
-    col_index = {c.cid: i for i, c in enumerate(base_columns)}
-    specs: list[tuple[list[int], object]] = []
-    schema = tuple(base_columns)
-    for node in chain:
-        try:
-            indexes = [col_index[c.cid] for c in node.columns]
-        except KeyError as exc:
-            raise ExecutionError(
-                f"MarkDistinct references unavailable column: {exc}"
-            ) from None
-        mask_fn = (
-            None
-            if node.mask == TRUE
-            else compile_expression(node.mask, schema, ctx.env)
-        )
-        specs.append((indexes, mask_fn))
-        col_index[node.marker.cid] = len(schema)
-        schema = schema + (node.marker,)
-    out_width = len(schema)
-    seen_sets: list[set] = [set() for _ in chain]
+    single-pass treatment, block by block: each marker is the first
+    position per key among the lanes its mask keeps."""
+    cursor, specs = mark_distinct_chain(plan, ctx, compile_expression_block)
+    seen: list[dict] = [{} for _ in specs]
     added = 0
     try:
-        for cols, n in execute_blocks(cursor, ctx, block_rows):
-            buf = []
-            for row in _block_rows(cols, n):
-                extended = list(row)
-                for (indexes, mask_fn), seen in zip(specs, seen_sets):
-                    if mask_fn is not None and mask_fn(extended) is not True:
-                        extended.append(False)
-                        continue
-                    key = tuple(canon_key(extended[i]) for i in indexes)
-                    if key in seen:
-                        extended.append(False)
-                    else:
-                        seen.add(key)
-                        added += 1
-                        ctx.state_add(1)
-                        extended.append(True)
-                buf.append(tuple(extended))
-            if buf:
-                yield _rows_block(buf, out_width)
+        for cols, n in fetch(cursor, ctx, block_rows):
+            ctx.checkpoint()
+            cols = list(cols)
+            for (indexes, mask_fn), index in zip(specs, seen):
+                mask = None if mask_fn is None else mask_fn(cols, n)
+                marker, fresh = mark_first([cols[i] for i in indexes], n, mask, index)
+                added += fresh
+                ctx.state_add(fresh)
+                cols.append(marker)
+            yield from block_slices(cols, n, block_rows)
     finally:
         ctx.state_remove(added)
 
 
-def _run_window(plan: Window, ctx: RunContext, block_rows: int) -> Iterator[Block]:
-    child_columns = plan.child.output_columns
-    part_indexes = [list(child_columns).index(c) for c in plan.partition_by]
-    arg_fns = [
-        None
-        if f.argument is None
-        else compile_expression(f.argument, child_columns, ctx.env)
-        for f in plan.functions
+def _run_window(
+    plan: Window, ctx: RunContext, block_rows: int, fetch=execute_blocks
+) -> Iterator[Block]:
+    """Reduce per partition code, then gather back by code."""
+    columns = plan.child.output_columns
+
+    def compile(expr):
+        return compile_expression_block(expr, columns, ctx.env)
+
+    key_fns = [compile(ColumnRef(c)) for c in plan.partition_by]
+    slot_fns, specs = lower_aggregates(plan.functions, compile)
+
+    def windowed(cols, total):
+        state = GroupState(specs)
+        keys = [fn(cols, total) for fn in key_fns]
+        codes, _ = state.update(keys, [fn(cols, total) for fn in slot_fns], total)
+        return cols + take_rows(state.columns()[len(keys) :], codes)
+
+    return _over_buffered_input(plan, ctx, block_rows, fetch, windowed)
+
+
+def _run_sort(
+    plan: Sort, ctx: RunContext, block_rows: int, fetch=execute_blocks
+) -> Iterator[Block]:
+    """A stable argsort over the key columns, then one gather."""
+    columns = plan.child.output_columns
+    key_fns = [
+        (compile_expression_block(k.expression, columns, ctx.env), k.ascending)
+        for k in plan.keys
     ]
-    out_width = len(plan.output_columns)
-    rows = list(_iter_rows(plan.child, ctx, block_rows))
-    ctx.state_add(len(rows))
+
+    def ordered(cols, total):
+        keys = [(fn(cols, total), ascending) for fn, ascending in key_fns]
+        return take_rows(cols, sort_positions(keys, total))
+
+    return _over_buffered_input(plan, ctx, block_rows, fetch, ordered)
+
+
+def _over_buffered_input(plan, ctx, block_rows: int, fetch, transform):
+    """Window and Sort: the whole input held as one block, and counted
+    as state, while ``transform(cols, rows)`` makes the output columns."""
+    width = len(plan.child.output_columns)
+    cols, total = buffer_blocks(fetch(plan.child, ctx, block_rows), width, ctx)
+    ctx.state_add(total)
     try:
-        partitions: dict[tuple, list[Aggregator]] = {}
-        for row in rows:
-            key = tuple(row[i] for i in part_indexes)
-            accumulators = partitions.get(key)
-            if accumulators is None:
-                accumulators = [Aggregator(f.func) for f in plan.functions]
-                partitions[key] = accumulators
-            for acc, arg_fn in zip(accumulators, arg_fns):
-                if arg_fn is None:
-                    acc.add_count_star()
-                else:
-                    acc.add(arg_fn(row))
-        results = {
-            key: tuple(acc.result() for acc in accumulators)
-            for key, accumulators in partitions.items()
-        }
-        out_rows = [
-            row + results[tuple(row[i] for i in part_indexes)] for row in rows
-        ]
-        yield from _blocks_from_row_list(out_rows, out_width, block_rows)
+        yield from block_slices(transform(cols, total), total, block_rows)
     finally:
-        ctx.state_remove(len(rows))
+        ctx.state_remove(total)
 
 
-# -- sorting, scalar plumbing, spools ------------------------------------
-
-
-def _run_sort(plan: Sort, ctx: RunContext, block_rows: int) -> Iterator[Block]:
-    rows = list(_iter_rows(plan.child, ctx, block_rows))
-    ctx.state_add(len(rows))
-    try:
-        child_columns = plan.child.output_columns
-        for key in reversed(plan.keys):
-            fn = compile_expression(key.expression, child_columns, ctx.env)
-
-            def sort_key(row: Row, fn=fn) -> tuple:
-                value = fn(row)
-                return (1,) if value is None else (0, value)
-
-            rows.sort(key=sort_key, reverse=not key.ascending)
-        yield from _blocks_from_row_list(
-            rows, len(plan.output_columns), block_rows
-        )
-    finally:
-        ctx.state_remove(len(rows))
+# -- scalar plumbing, spools ---------------------------------------------
 
 
 def _run_enforce_single_row(
@@ -703,7 +610,7 @@ def _run_scalar_apply(
     out_width = len(plan.output_columns)
     for cols, n in execute_blocks(plan.input, ctx, block_rows):
         buf = []
-        for row in _block_rows(cols, n):
+        for row in zip(*cols) if cols else [()] * n:
             for column, value in zip(input_columns, row):
                 ctx.env[column.cid] = value
             sub_rows = list(islice(_iter_rows(plan.subquery, ctx, block_rows), 2))
@@ -762,3 +669,28 @@ def _run_cache_populate(
         plan, ctx, lambda: list(_iter_rows(plan.child, ctx, block_rows))
     )
     yield from _blocks_from_row_list(rows, len(plan.column_tokens), block_rows)
+
+
+#: Every block operator, by node type.  The compiled engine runs the
+#: stateless and the keyed ones over vector blocks through this table
+#: (their ``fetch=``), so the two engines cannot drift apart.
+BLOCK_OPERATORS = {
+    Scan: _run_scan,
+    Values: _run_values,
+    Filter: _run_filter,
+    Project: _run_project,
+    Join: _run_join,
+    GroupBy: _run_group_by,
+    MarkDistinct: _run_mark_distinct,
+    Window: _run_window,
+    UnionAll: _run_union_all,
+    Sort: _run_sort,
+    Limit: _run_limit,
+    EnforceSingleRow: _run_enforce_single_row,
+    ScalarApply: _run_scalar_apply,
+    Spool: _run_spool,
+    CachedScan: _run_cached_scan,
+    CachePopulate: _run_cache_populate,
+    Exchange: _run_exchange,
+    Repartition: _run_repartition,
+}

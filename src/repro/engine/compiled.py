@@ -19,24 +19,25 @@ Window, UnionAll, Spool, ScalarApply, EnforceSingleRow and
 CachePopulate end a pipeline.  Those operators run their (behaviour-
 identical) batch implementations — but their *children* still route
 through this module via the ``RunContext.block_dispatch`` indirection,
-so every pipeline in the tree compiles, wherever it sits.  Three
-breakers additionally get NumPy-aware implementations here because
-they dominate the scan-heavy workload: equi joins (one sorted-array
-probe for every INNER/LEFT/SEMI/ANTI shape — unique or many-to-many
-keys, several keys, residuals), MarkDistinct (whole-column
-first-occurrence via ``np.unique``) and keyed GroupBy (one
-factorization + per-group array reductions).  Scalar GroupBy over a
-non-pipeline child is the batch engine's own loop fed vector blocks,
-and so are the Filter/Project/Limit/UnionAll stages above a breaker
-(``_STAGE_RUNNERS``): vector blocks leaving a join reach the operator
-above the Project above it without being delisted in between.
+so every pipeline in the tree compiles, wherever it sits.  Under
+``vectors="numpy"`` the breakers that dominate the scan-heavy workload
+stay on arrays: equi joins get the implementation here (one
+sorted-array probe for every INNER/LEFT/SEMI/ANTI shape — unique or
+many-to-many keys, several keys, residuals), and GroupBy, MarkDistinct,
+Window and Sort are the batch engine's own operators fed undelisted
+vector blocks (``_KEYED_TYPES``) — the keyed core they call
+(:mod:`repro.engine.keyed`) picks the array path from the columns it
+receives.  So are the Filter/Project/Limit/UnionAll stages above a
+breaker (``_VECTOR_STAGES``): vector blocks leaving a join reach the
+operator above the Project above it without being delisted in between.
 
 Engine equivalence: with ``vectors="python"`` the kernels run the
 batch engine's own closures over the same lists, so results and
 metrics are bit-identical to it (and to the row engine).  With
 ``vectors="numpy"`` integer/boolean results are still bit-identical;
-float *aggregation order* changes (array reductions are pairwise), the
-same last-ulp latitude the differential oracle already grants fusion.
+float *aggregation order* changes in the kernels' scalar sinks (array
+reductions are pairwise), the same last-ulp latitude the differential
+oracle already grants fusion.
 
 Blocks crossing back into batch-implemented operators are delisted
 (NumPy vectors → Python lists) at the dispatch boundary — ``_dispatch``
@@ -51,12 +52,7 @@ import weakref
 from functools import partial
 from typing import Iterator
 
-from repro.algebra.expressions import (
-    TRUE,
-    ColumnRef,
-    Comparison,
-    make_and,
-)
+from repro.algebra.expressions import ColumnRef, Comparison, make_and
 from repro.algebra.operators import (
     CachedScan,
     Filter,
@@ -68,11 +64,14 @@ from repro.algebra.operators import (
     PlanNode,
     Project,
     Scan,
+    Sort,
     UnionAll,
     Values,
+    Window,
 )
 from repro.engine import batch_executor
 from repro.engine.batch_executor import (
+    BLOCK_OPERATORS,
     DEFAULT_BLOCK_ROWS,
     Block,
     _blocks_from_row_list,
@@ -80,25 +79,16 @@ from repro.engine.batch_executor import (
     _narrow_residual,
     _rows_block,
     _run_cached_scan,
-    _run_filter,
-    _run_group_by,
-    _run_limit,
-    _run_project,
-    _run_union_all,
     dispatch_blocks_batch,
 )
-from repro.engine.evaluator import (
-    Aggregator,
-    canon_key,
-    env_free,
-    lower_aggregates,
-)
+from repro.engine.evaluator import Aggregator, env_free, lower_aggregates
 from repro.engine.executor import (
     _partition_pruner,
     _split_join_condition,
     scan_predicate,
 )
 from repro.engine.kernel_audit import audit_consts, audit_kernel
+from repro.engine.keyed import buffer_blocks
 from repro.engine.metrics import RunContext
 from repro.engine.vectors import (
     NumpyVector,
@@ -171,6 +161,12 @@ def _fetch(plan, ctx, block_rows: int, mode: str) -> Iterator[Block]:
     return profiler.wrap(profiler.label(plan, text), blocks)
 
 
+def _fetch_buffered(plan, ctx, block_rows: int, mode: str) -> list[Block]:
+    """``plan``'s whole output as a one-block stream."""
+    blocks = _fetch(plan, ctx, block_rows, mode)
+    return [buffer_blocks(blocks, len(plan.output_columns), ctx)]
+
+
 def _blocks_nv(plan, ctx, block_rows: int, mode: str):
     """``(blocks, path)``: the compiled block stream for ``plan`` —
     columns may be NumPy vectors; only ``_dispatch`` delists — and how
@@ -187,22 +183,22 @@ def _blocks_nv(plan, ctx, block_rows: int, mode: str):
             # Bare scan (no predicate): still serve vectors so a parent
             # join/aggregate can stay on the array path.
             return _source_factory(plan, ctx, block_rows, mode)(), None
-        if type(plan) in _STAGE_RUNNERS:
+        if isinstance(plan, _VECTOR_STAGES):
             # A stage above a breaker: the batch engine's own operator,
             # fed (and so yielding) undelisted blocks.
-            return _STAGE_RUNNERS[type(plan)](plan, ctx, block_rows, fetch), None
+            return BLOCK_OPERATORS[type(plan)](plan, ctx, block_rows, fetch), None
         if isinstance(plan, Join):
             split = _equi_pairs(plan)
             if split is not None:
                 blocks = _run_join_nv(plan, ctx, block_rows, mode, *split)
-        elif isinstance(plan, MarkDistinct):
-            blocks = _run_mark_distinct_nv(plan, ctx, block_rows, mode)
-        elif isinstance(plan, GroupBy) and plan.keys:
-            blocks = _run_keyed_group_by_nv(plan, ctx, block_rows, mode)
-        elif isinstance(plan, GroupBy):
-            # Scalar aggregation whose child broke the pipeline: the
-            # batch engine's loop, its vector columns reduced as arrays.
-            blocks = _run_group_by(plan, ctx, block_rows, fetch)
+        elif isinstance(plan, _KEYED_TYPES):
+            # The batch engine's keyed operators over vector blocks.
+            # All but scalar aggregation take their input as one
+            # buffered block (there, MarkDistinct and keyed GroupBy
+            # stream): an array stream is factorized whole.
+            if not (isinstance(plan, GroupBy) and plan.is_scalar):
+                fetch = partial(_fetch_buffered, mode=mode)
+            blocks = BLOCK_OPERATORS[type(plan)](plan, ctx, block_rows, fetch)
         if blocks is not None:
             ctx.metrics.breakers_vectorized += 1
             return blocks, "vector"
@@ -216,14 +212,11 @@ def _blocks_nv(plan, ctx, block_rows: int, mode: str):
 
 _STAGE_TYPES = (Filter, Project, Limit)
 _SOURCE_TYPES = (Scan, Values, CachedScan)
-#: Batch operators that run unchanged over vector blocks, by node type.
-_STAGE_RUNNERS = {
-    Filter: _run_filter,
-    Project: _run_project,
-    Limit: _run_limit,
-    UnionAll: _run_union_all,
-}
-_NOT_BREAKERS = _SOURCE_TYPES + tuple(_STAGE_RUNNERS)
+#: Batch operators (``BLOCK_OPERATORS``) that run unchanged over vector
+#: blocks: the stages above a breaker, and the breakers on the keyed core.
+_VECTOR_STAGES = _STAGE_TYPES + (UnionAll,)
+_NOT_BREAKERS = _SOURCE_TYPES + _VECTOR_STAGES
+_KEYED_TYPES = (GroupBy, MarkDistinct, Window, Sort)
 
 
 class _Pipeline:
@@ -540,303 +533,12 @@ def _source_factory(source_plan, ctx, block_rows: int, mode: str):
     return make_source
 
 
-# -- vectorized keyed GroupBy --------------------------------------------
-
-
-def _run_keyed_group_by_nv(
-    plan: GroupBy, ctx, block_rows: int, mode: str
-) -> Iterator[Block]:
-    """Keyed aggregation over buffered vector columns.
-
-    The batch engine probes a Python dict per row and feeds every
-    aggregate per row; here the buffered input is *grouped once* —
-    key codes via ``np.unique`` (or a dict scan for string/multi-column
-    keys), one stable sort by code — and each group's lanes reduce with
-    the same vector-aware :func:`accumulate_block` the scalar path
-    uses.  Group emission order is first-occurrence order, matching the
-    batch/row engines' insertion-order dict exactly (LIMIT without
-    ORDER BY above a GROUP BY observes that order).
-    """
-    child_columns = plan.child.output_columns
-
-    def compile_expr(expr):
-        return compile_expression_block(expr, child_columns, ctx.env)
-
-    shared_fns, agg_specs = lower_aggregates(plan.aggregates, compile_expr)
-    out_width = len(plan.keys) + len(plan.aggregates)
-
-    cols, total = _buffered(plan.child, ctx, block_rows, mode)
-    if not total:
-        return
-    group_keys = None
-    if total >= _KEYED_NV_SMALL_ROWS:
-        key_cols = [compile_expr(ColumnRef(k))(cols, total) for k in plan.keys]
-        codes, group_keys = _group_codes(key_cols, total)
-    if group_keys is None or len(group_keys) > total * _KEYED_NV_MAX_GROUP_RATIO:
-        # Tiny inputs, or nearly-unique keys: the vector path
-        # degenerates into a Python loop over single-row groups *plus*
-        # the stable sort it paid to get there, so run the batch
-        # engine's per-row dict loop over the buffered input as one
-        # delisted block (bit-identical accumulation order).  Deciding
-        # from the *observed* group cardinality is affordable because
-        # factorization runs at C speed; the per-group loop below is
-        # the expensive part.
-        block = ([delist(c) for c in cols], total)
-        yield from _run_group_by(plan, ctx, block_rows, lambda *_: [block])
-        return
-    group_count = len(group_keys)
-    order = np.argsort(codes, kind="stable")
-    offsets = np.zeros(group_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(codes, minlength=group_count), out=offsets[1:])
-    values = take_rows([fn(cols, total) for fn in shared_fns], order)
-
-    ctx.state_add(group_count)
-    try:
-        rows = []
-        for g in range(group_count):
-            lo, hi = int(offsets[g]), int(offsets[g + 1])
-            accs = [Aggregator(f, d) for f, d, _, _ in agg_specs]
-            for acc, (_, _, arg_slot, mask_slot) in zip(accs, agg_specs):
-                accumulate_block(
-                    acc,
-                    None if arg_slot is None else values[arg_slot][lo:hi],
-                    None if mask_slot is None else values[mask_slot][lo:hi],
-                    hi - lo,
-                )
-            rows.append(group_keys[g] + tuple(acc.result() for acc in accs))
-        yield from _blocks_from_row_list(rows, out_width, block_rows)
-    finally:
-        ctx.state_remove(group_count)
-
-
-#: Below this many buffered input rows the keyed GroupBy always skips
-#: the array grouping machinery (sort + per-group slicing dominates
-#: regardless of key shape).
-_KEYED_NV_SMALL_ROWS = 64
-
-#: Observed groups-per-row ratio above which the per-row dict scan is
-#: chosen over vectorized grouping.  Micro-bench (DESIGN.md §13,
-#: 20k rows, single int key): the crossover sits between ratio 0.10
-#: (vector 20ms vs loop 37ms) and 0.30 (62ms vs 50ms); at ratio 1.0
-#: the vector path is ~1.5x slower.  0.25 splits the bracket.
-_KEYED_NV_MAX_GROUP_RATIO = 0.25
-
-
-def _group_codes(key_cols, total: int):
-    """Group codes (int64, one per lane) + key tuples in first-seen
-    order.  Single array-backed keys factorize at C speed; string or
-    multi-column keys fall back to the batch engine's dict scan (the
-    aggregation stays vectorized either way)."""
-    if len(key_cols) == 1 and isinstance(key_cols[0], NumpyVector):
-        kv = key_cols[0]
-        data, valid = kv.data, kv.valid
-        # NaN deduplication under np.unique varies across NumPy
-        # versions — punt NaN keys to the dict scan, whose canon_key
-        # canonicalization puts every NaN in one group (the engines'
-        # shared GROUP BY semantics).
-        if not (data.dtype.kind == "f" and bool(np.isnan(data).any())):
-            if valid is None or bool(valid.all()):
-                uniq, first, inv = np.unique(
-                    data, return_index=True, return_inverse=True
-                )
-                perm = np.argsort(first, kind="stable")
-                rank = np.empty(perm.size, dtype=np.int64)
-                rank[perm] = np.arange(perm.size)
-                return rank[inv], [(v,) for v in uniq[perm].tolist()]
-            valid_idx = np.flatnonzero(valid)
-            null_idx = np.flatnonzero(~valid)
-            codes = np.empty(total, dtype=np.int64)
-            if valid_idx.size:
-                uniq, first, inv = np.unique(
-                    data[valid_idx], return_index=True, return_inverse=True
-                )
-                first_global = valid_idx[first]
-            else:
-                uniq = data[:0]
-                inv = np.empty(0, dtype=np.int64)
-                first_global = np.empty(0, dtype=np.int64)
-            # One slot per distinct valid key plus the NULL group,
-            # ranked by first global occurrence.
-            firsts = np.append(first_global, null_idx[0])
-            perm = np.argsort(firsts, kind="stable")
-            rank = np.empty(perm.size, dtype=np.int64)
-            rank[perm] = np.arange(perm.size)
-            codes[valid_idx] = rank[:-1][inv]
-            codes[null_idx] = rank[-1]
-            slot_keys = [(v,) for v in uniq.tolist()] + [(None,)]
-            ordered = [None] * perm.size
-            for slot, r in enumerate(rank.tolist()):
-                ordered[r] = slot_keys[slot]
-            return codes, ordered
-    key_lists = [delist(k) for k in key_cols]
-    index: dict = {}
-    keys: list[tuple] = []
-    codes_list = []
-    append = codes_list.append
-    for raw in zip(*key_lists):
-        key = tuple(canon_key(v) for v in raw)
-        code = index.get(key)
-        if code is None:
-            code = len(index)
-            index[key] = code
-            keys.append(key)
-        append(code)
-    return np.array(codes_list, dtype=np.int64), keys
-
-
-# -- vectorized MarkDistinct ---------------------------------------------
-
-
-def _run_mark_distinct_nv(
-    plan: MarkDistinct, ctx, block_rows: int, mode: str
-) -> Iterator[Block]:
-    """Whole-chain MarkDistinct over buffered columns.
-
-    The streaming engines probe a Python seen-set per row; here the
-    input is materialized (it is bounded like any blocking operator)
-    and each marker computes in one shot — for a single NumPy-backed
-    key column, ``np.unique(..., return_index=True)`` yields exactly
-    the first-occurrence lanes (stable sort), matching the seen-set
-    semantics.  Multi-column or list-backed keys fall back to the exact
-    per-row loop over the buffered data.
-    """
-    chain: list[MarkDistinct] = [plan]
-    cursor = plan.child
-    while isinstance(cursor, MarkDistinct):
-        chain.append(cursor)
-        cursor = cursor.child
-    chain.reverse()
-
-    base_columns = cursor.output_columns
-    out_cols, total = _buffered(cursor, ctx, block_rows, mode)
-    if not total:
-        return
-
-    col_index = {c.cid: i for i, c in enumerate(base_columns)}
-    schema = tuple(base_columns)
-    added = 0
-    try:
-        for node in chain:
-            indexes = [col_index[c.cid] for c in node.columns]
-            mask_vec = None
-            if node.mask != TRUE:
-                mask_vec = compile_expression_block(node.mask, schema, ctx.env)(
-                    out_cols, total
-                )
-            marker_col, added_here = _compute_marker(
-                out_cols, total, indexes, mask_vec
-            )
-            ctx.state_add(added_here)
-            added += added_here
-            out_cols.append(marker_col)
-            col_index[node.marker.cid] = len(schema)
-            schema = schema + (node.marker,)
-        for start in range(0, total, block_rows):
-            end = min(start + block_rows, total)
-            yield [c[start:end] for c in out_cols], end - start
-    finally:
-        ctx.state_remove(added)
-
-
-def _buffered(plan, ctx, block_rows: int, mode: str, derive=()):
-    """``plan``'s whole output as one block — ``(columns, rows)`` — with
-    one more column per ``derive`` closure, evaluated block by block.
-    Every buffered block is a cancellation/deadline point: a child that
-    is not a scan (a GroupBy's row list) has none of its own."""
-    segments: list[list] = [[] for _ in range(len(plan.output_columns) + len(derive))]
-    total = 0
-    for cols, n in _fetch(plan, ctx, block_rows, mode):
-        ctx.checkpoint()
-        for seg, c in zip(segments, [*cols, *(fn(cols, n) for fn in derive)]):
-            seg.append(c)
-        total += n
-    return [_concat_column(segs, total) for segs in segments], total
-
-
-def _concat_column(segs: list, total: int):
-    """Concatenate per-block column segments; NumPy when uniform."""
-    if not segs:
-        return []
-    if len(segs) == 1:
-        return segs[0]
-    if all(isinstance(s, NumpyVector) for s in segs):
-        data = np.concatenate([s.data for s in segs])
-        if any(s.valid is not None for s in segs):
-            valid = np.concatenate(
-                [
-                    s.valid
-                    if s.valid is not None
-                    else np.ones(len(s.data), dtype=bool)
-                    for s in segs
-                ]
-            )
-            return NumpyVector(data, valid)
-        return NumpyVector(data)
-    out: list = []
-    for s in segs:
-        out.extend(delist(s))
-    return out
-
-
 def _true_lanes(mask, n: int):
     """Identity-True lanes of a mask column as a bool ndarray."""
     lanes = true_mask(mask)
     if lanes is None:
         lanes = np.fromiter((v is True for v in mask), dtype=bool, count=n)
     return lanes
-
-
-def _compute_marker(out_cols, total: int, indexes, mask_vec):
-    """One marker column (True on each key's first eligible lane)."""
-    eligible = None if mask_vec is None else _true_lanes(mask_vec, total)
-    key_col = out_cols[indexes[0]] if len(indexes) == 1 else None
-    if isinstance(key_col, NumpyVector):
-        if eligible is None:
-            eligible = np.ones(total, dtype=bool)
-        valid = key_col.valid
-        if valid is None:
-            valid_lanes = eligible
-            none_lanes = None
-        else:
-            valid_lanes = eligible & valid
-            none_lanes = eligible & ~valid
-        marker = np.zeros(total, dtype=bool)
-        added = 0
-        if key_col.data.dtype.kind == "f":
-            # canon_key semantics: every NaN is the same distinct key,
-            # so its first eligible lane wins.  np.unique's NaN handling
-            # differs from the seen-set engines, so peel NaN lanes off
-            # before deduplicating the rest.
-            nan_lanes = valid_lanes & np.isnan(key_col.data)
-            if nan_lanes.any():
-                marker[int(np.argmax(nan_lanes))] = True
-                added += 1
-                valid_lanes = valid_lanes & ~nan_lanes
-        sub = np.flatnonzero(valid_lanes)
-        if sub.size:
-            _, first = np.unique(key_col.data[sub], return_index=True)
-            marker[sub[first]] = True
-            added += int(first.size)
-        if none_lanes is not None and none_lanes.any():
-            # NULL is one distinct key; its first eligible lane wins.
-            marker[int(np.argmax(none_lanes))] = True
-            added += 1
-        return NumpyVector(marker), added
-    # Exact fallback: per-row seen-set over the buffered columns.
-    key_lists = [delist(out_cols[i]) for i in indexes]
-    elig_list = None if eligible is None else eligible.tolist()
-    seen: set = set()
-    marker_list = [False] * total
-    added = 0
-    for i in range(total):
-        if elig_list is not None and not elig_list[i]:
-            continue
-        key = tuple(canon_key(kl[i]) for kl in key_lists)
-        if key not in seen:
-            seen.add(key)
-            marker_list[i] = True
-            added += 1
-    return marker_list, added
 
 
 # -- vectorized join -----------------------------------------------------
@@ -883,10 +585,11 @@ def _run_join_nv(
         residual, left_columns, right_columns, ctx.env
     )
 
-    # The build side, buffered once: its columns, then one per key.
-    build_cols, total = _buffered(plan.right, ctx, block_rows, mode, right_key_fns)
-    key_col, *other_keys = build_cols[len(right_columns) :]
-    del build_cols[len(right_columns) :]
+    # The build side, buffered once, and its key columns.
+    build_cols, total = buffer_blocks(
+        _fetch(plan.right, ctx, block_rows, mode), len(right_columns), ctx
+    )
+    key_col, *other_keys = [fn(build_cols, total) for fn in right_key_fns]
     if kind is JoinKind.LEFT:
         build_cols = [_with_null_lane(c) for c in build_cols]
     # A NULL in any key keeps a build row out (and out of the state count).

@@ -658,22 +658,22 @@ def _run_group_by(plan: GroupBy, ctx: RunContext) -> Iterator[Row]:
         ctx.state_remove(group_count)
 
 
-def _run_mark_distinct(plan: MarkDistinct, ctx: RunContext) -> Iterator[Row]:
-    """Executes a whole chain of MarkDistinct operators in one pass —
-    the paper's §III.F mentions "processing a chain of MarkDistinct
-    operators … holistically rather than one pair at a time"; here that
-    means one tuple build per row instead of one per operator."""
+def mark_distinct_chain(plan: MarkDistinct, ctx: RunContext, compile):
+    """``(input, specs)`` of a whole MarkDistinct chain: the plan under
+    the innermost marker and, innermost first (the output column
+    order), each marker's ``(key positions, mask closure)`` — the mask
+    compiled by ``compile`` against the input's schema plus the markers
+    before it, None for TRUE."""
     chain: list[MarkDistinct] = [plan]
     cursor = plan.child
     while isinstance(cursor, MarkDistinct):
         chain.append(cursor)
         cursor = cursor.child
-    chain.reverse()  # innermost first, matching output column order
+    chain.reverse()
 
-    base_columns = cursor.output_columns
-    col_index = {c.cid: i for i, c in enumerate(base_columns)}
+    col_index = {c.cid: i for i, c in enumerate(cursor.output_columns)}
     specs: list[tuple[list[int], object]] = []
-    schema = tuple(base_columns)
+    schema = tuple(cursor.output_columns)
     for node in chain:
         try:
             indexes = [col_index[c.cid] for c in node.columns]
@@ -681,15 +681,20 @@ def _run_mark_distinct(plan: MarkDistinct, ctx: RunContext) -> Iterator[Row]:
             raise ExecutionError(
                 f"MarkDistinct references unavailable column: {exc}"
             ) from None
-        mask_fn = (
-            None
-            if node.mask == TRUE
-            else compile_expression(node.mask, schema, ctx.env)
-        )
+        mask_fn = None if node.mask == TRUE else compile(node.mask, schema, ctx.env)
         specs.append((indexes, mask_fn))
         col_index[node.marker.cid] = len(schema)
         schema = schema + (node.marker,)
-    seen_sets: list[set] = [set() for _ in chain]
+    return cursor, specs
+
+
+def _run_mark_distinct(plan: MarkDistinct, ctx: RunContext) -> Iterator[Row]:
+    """Executes a whole chain of MarkDistinct operators in one pass —
+    the paper's §III.F mentions "processing a chain of MarkDistinct
+    operators … holistically rather than one pair at a time"; here that
+    means one tuple build per row instead of one per operator."""
+    cursor, specs = mark_distinct_chain(plan, ctx, compile_expression)
+    seen_sets: list[set] = [set() for _ in specs]
     added = 0
     try:
         for row in execute(cursor, ctx):
@@ -723,7 +728,7 @@ def _run_window(plan: Window, ctx: RunContext) -> Iterator[Row]:
     try:
         partitions: dict[tuple, list[Aggregator]] = {}
         for row in rows:
-            key = tuple(row[i] for i in part_indexes)
+            key = tuple(canon_key(row[i]) for i in part_indexes)
             accumulators = partitions.get(key)
             if accumulators is None:
                 accumulators = [Aggregator(f.func) for f in plan.functions]
@@ -738,7 +743,7 @@ def _run_window(plan: Window, ctx: RunContext) -> Iterator[Row]:
             for key, accumulators in partitions.items()
         }
         for row in rows:
-            key = tuple(row[i] for i in part_indexes)
+            key = tuple(canon_key(row[i]) for i in part_indexes)
             yield row + results[key]
     finally:
         ctx.state_remove(len(rows))

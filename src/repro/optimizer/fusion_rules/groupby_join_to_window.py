@@ -15,6 +15,8 @@ Rewrite: drop ``G`` and replace ``P1`` with::
       Filter[cl1 IS NOT NULL AND … AND cln IS NOT NULL]
         P1
 
+(``cli = cli`` for a DOUBLE key: the join's ``=`` drops NaN as well.)
+
 Columns of ``G`` referenced elsewhere are substituted: key outputs map
 to the partition columns, aggregate outputs keep their identity as
 window-function outputs, and projected expressions over them are
@@ -31,6 +33,7 @@ from __future__ import annotations
 from repro.algebra.expressions import (
     TRUE,
     ColumnRef,
+    Comparison,
     Expression,
     IsNull,
     Not,
@@ -46,6 +49,7 @@ from repro.algebra.operators import (
     WindowAssignment,
 )
 from repro.algebra.schema import Column
+from repro.algebra.types import DataType
 from repro.optimizer.context import OptimizerContext
 from repro.optimizer.fusion_rules.base import JoinGraphRule
 from repro.optimizer.join_graph import EquivalenceClasses, JoinGraph
@@ -154,7 +158,14 @@ class GroupByJoinToWindow(JoinGraphRule):
                 )
                 for agg in grouped.aggregates
             )
-            not_null = make_and(Not(IsNull(ColumnRef(c))) for c in partition)
+            # Every row the replaced join's ``=`` would have dropped:
+            # NULL keys, and for DOUBLE keys NaN too (``c = c``).
+            not_null = make_and(
+                Comparison("=", ColumnRef(c), ColumnRef(c))
+                if c.dtype is DataType.DOUBLE
+                else Not(IsNull(ColumnRef(c)))
+                for c in partition
+            )
             # The window must sit on the *fused* plan, not on ``other``:
             # the aggregate arguments are mapped through M into P's
             # columns, and P2-only columns (e.g. an aggregated column

@@ -45,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.algebra.analysis import verify_facts
+from repro.algebra.operators import GroupBy
+from repro.algebra.visitors import walk_plan
 from repro.engine.session import Session
 from repro.engine.vectors import numpy_enabled
 from repro.errors import BindingError, OptimizerError, ReproError, SqlSyntaxError
@@ -144,6 +146,9 @@ class DifferentialOracle:
         #: for reporting; it carries no oracle state.
         self.last_status = "ok"
         self.last_error_class: str | None = None
+        #: Operators ("GroupBy" = a keyed one) in the optimized plans of
+        #: the most recent ``check``: the drivers' reach count.
+        self.last_operators: set[str] = set()
 
     # -- one cell ----------------------------------------------------------
 
@@ -196,6 +201,11 @@ class DifferentialOracle:
     def _run_once(self, session: Session, sql: str) -> CellOutcome:
         try:
             result = session.execute(sql)
+            self.last_operators.update(
+                node.name
+                for node in walk_plan(result.optimized_plan)
+                if not (isinstance(node, GroupBy) and node.is_scalar)
+            )
             if self.analysis:
                 violations = verify_facts(
                     result.optimized_plan, result.rows, session.catalog
@@ -227,6 +237,7 @@ class DifferentialOracle:
         """All cells for one query (sixteen; twelve without NumPy),
         plus four parallel cells per entry in ``worker_counts``."""
         outcomes: dict[str, CellOutcome] = {}
+        self.last_operators = set()
         for engine, overrides in self._engines():
             for fusion in (False, True):
                 session = Session(self.store, self._config(overrides, fusion))

@@ -53,6 +53,9 @@ class FuzzReport:
     #: Predicates drawn per ``QueryGenerator._predicate`` form (only
     #: ``bucket`` nests AND/OR deep enough for narrowing inside narrowing).
     predicate_forms: Counter = field(default_factory=Counter)
+    #: Queries per operator in some cell's optimized plan ("GroupBy" =
+    #: a keyed one): Window and MarkDistinct exist only after rewrites.
+    operators: Counter = field(default_factory=Counter)
     failures: list[FuzzFailure] = field(default_factory=list)
 
     @property
@@ -69,6 +72,7 @@ class FuzzReport:
         for title, counts in (
             ("shapes", self.shapes),
             ("predicate forms", self.predicate_forms),
+            ("plan operators", self.operators),
         ):
             lines.append(
                 f"  {title}: "
@@ -90,6 +94,7 @@ class FuzzReport:
             "benign": dict(self.benign),
             "shapes": dict(self.shapes),
             "predicate_forms": dict(self.predicate_forms),
+            "operators": dict(self.operators),
             "failures": [f.to_dict() for f in self.failures],
             "ok": self.ok,
         }
@@ -138,6 +143,7 @@ def run_fuzz(
             report.shapes[spec.shape] += 1
             report.predicate_forms.update(spec.predicate_forms)
             divergence = oracle.check(spec.render())
+            report.operators.update(oracle.last_operators)
             report.executed += 1
             if divergence is None:
                 if oracle.last_status == "benign":

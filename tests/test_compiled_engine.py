@@ -189,28 +189,30 @@ def test_nan_salted_distinct_agrees_across_engines(sql):
 
 
 def test_nan_group_keys_match_row_engine():
-    """NaN group keys hit the factorizer's dict fallback (np.unique
-    would collapse NaNs into one group; Python dict identity semantics
-    give one group per NaN object, like the row engine)."""
+    """Every NaN is one group key (``canon_key``) on both paths of the
+    shared factorizer: ``np.unique`` folds NaNs for an array column, the
+    dict pass files a NaN under its canon for a list column."""
     prices = [1.0, float("nan"), 2.0, float("nan"), 1.0, None] * 60
     store = _store_with_prices(prices)
     sql = "SELECT count(*) FROM t GROUP BY t.price"
     row = Session(store, OptimizerConfig(engine="row")).execute(sql)
     compiled = Session(store, OptimizerConfig(engine="compiled")).execute(sql)
-    assert row.sorted_rows() == compiled.sorted_rows()
+    assert sorted(row.rows) == sorted(compiled.rows) == [(60,), (60,), (120,), (120,)]
 
 
 @pytest.mark.parametrize("rows", [12, 600])
 def test_keyed_group_by_both_sides_of_row_gate(rows):
-    """The vectorized keyed GroupBy only engages above a row threshold;
-    both the tiny fallback path and the array path must match the row
-    engine exactly (integer aggregates)."""
+    """One array path whatever the input size or the groups-per-row
+    ratio (``t.id`` is unique: ratio 1.0) — the row gate and the ratio
+    gate that used to hand such inputs back to the batch loop are gone."""
     prices = [float(i % 9) if i % 7 else None for i in range(rows)]
     store = _store_with_prices(prices)
-    sql = "SELECT t.price, count(*) FROM t GROUP BY t.price"
-    row = Session(store, OptimizerConfig(engine="row")).execute(sql)
-    compiled = Session(store, OptimizerConfig(engine="compiled")).execute(sql)
-    assert row.sorted_rows() == compiled.sorted_rows()
+    for key in ("t.price", "t.id"):
+        sql = f"SELECT {key}, count(*), sum(t.price), min(t.id) FROM t GROUP BY {key}"
+        row = Session(store, OptimizerConfig(engine="row")).execute(sql)
+        compiled = Session(store, OptimizerConfig(engine="compiled")).execute(sql)
+        assert row.rows == compiled.rows  # first-occurrence order included
+        assert compiled.metrics.breakers_batch == 0 or not numpy_enabled()
 
 
 def test_direct_execute_matches_row_engine(tpcds_store, compiled_session):
@@ -654,9 +656,10 @@ def _joins(plan) -> list:
 @needs_numpy
 @pytest.mark.parametrize("name", sorted(STUDIED_QUERIES))
 def test_studied_queries_keep_equi_joins_on_the_array_path(tpcds_store, name):
-    """The structural guard of the vector join, independent of timing:
-    under the costed compiled configuration no studied query hands an
-    equi-join to the batch engine (Q09's one-row CROSS joins may go)."""
+    """The structural guard of the vector operators, independent of
+    timing: under the costed compiled configuration no studied query
+    hands an equi-join, a keyed GroupBy, a MarkDistinct, a Window or a
+    Sort to the batch engine (Q09's one-row CROSS joins may go)."""
     session = Session(
         tpcds_store,
         OptimizerConfig(
@@ -671,5 +674,8 @@ def test_studied_queries_keep_equi_joins_on_the_array_path(tpcds_store, name):
     assert sum("Join[batch]" in label for label in labels) == len(cross)
     assert sum("Join[vector]" in label for label in labels) == len(joins) - len(cross)
     metrics = result.metrics
+    assert metrics.breakers_batch == len(cross)
     assert metrics.breakers_vectorized >= len(joins) - len(cross)
     assert metrics.breakers_vectorized + metrics.breakers_batch > 0
+    windowed = name in ("q01", "q30", "q65")  # GroupByJoinToWindow's output
+    assert any("Window[vector]" in label for label in labels) is windowed

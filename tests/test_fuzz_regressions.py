@@ -207,6 +207,30 @@ def test_negated_scan_predicate_count_reuse(oracle):
 
 
 # ---------------------------------------------------------------------------
+# Targeted audit (the generated data holds no NaN, so no campaign could
+# find it): groupby_join_to_window guarded its Window with NOT NULL
+# only.  The join it replaces drops NaN keys too (``NaN = NaN`` is
+# false), so with a DOUBLE key holding NaN fusion returned 32 rows
+# where the unfused plan returns 20; and the row / batch Window
+# partitioned NaN by object identity, so ``compiled+numpy`` returned 44.
+# Fixed by a ``key = key`` guard on DOUBLE partition columns and by one
+# NaN partition in every engine (``canon_key``, as for GROUP BY).
+# ---------------------------------------------------------------------------
+
+
+def test_window_rewrite_drops_nan_keys_like_the_join():
+    from tests.test_compiled_engine import _store_with_prices
+
+    nan = float("nan")
+    prices = [1.0, nan, 2.0, nan, 1.0, None, float("nan"), 3.0, None, 2.0] * 8
+    assert_agrees(
+        DifferentialOracle(_store_with_prices(prices)),
+        "SELECT t.id FROM t, (SELECT t2.price AS p, avg(t2.id) AS a "
+        "FROM t t2 GROUP BY t2.price) g WHERE t.price = g.p AND t.id >= g.a",
+    )
+
+
+# ---------------------------------------------------------------------------
 # Shapes the fuzzer exercised heavily without finding divergences —
 # pinned as representative happy paths so future regressions in them
 # surface here before a full campaign runs.

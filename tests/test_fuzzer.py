@@ -246,6 +246,9 @@ class TestRunFuzz:
         assert report.ok
         assert report.executed == 25
         assert report.passed + sum(report.benign.values()) == 25
+        # Reach: optimized plans with a keyed GroupBy (several), counted
+        # once per query whatever the number of cells that hold one.
+        assert 0 < report.operators["GroupBy"] <= 25
 
     def test_report_roundtrip(self, small_store):
         report = run_fuzz(seed=2, count=5, store=small_store)
@@ -254,6 +257,8 @@ class TestRunFuzz:
         assert payload["executed"] == 5
         assert payload["shapes"] and payload["predicate_forms"]
         assert "  predicate forms: " in report.summary()
+        assert payload["operators"] == dict(report.operators)
+        assert "  plan operators: " in report.summary()
 
     def test_fail_fast_stops_early(self, small_store, weakened_compensation):
         report = run_fuzz(
