@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("row", "batch", "compiled"),
         default="batch",
         help="execution backend: vectorized 'batch' (default), 'row', or "
-        "'compiled' (fuses each scan→filter→project→aggregate pipeline "
-        "into one generated kernel; see --vectors)",
+        "'compiled' (the batch operators over NumPy vector blocks plus "
+        "an array equi-join; see --vectors)",
     )
     parser.add_argument(
         "--vectors",
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="numpy",
         help="vector representation for --engine compiled: 'numpy' "
         "(default; falls back to 'python' without NumPy) or 'python' "
-        "(bit-identical to the batch engine)",
+        "(which is the batch engine)",
     )
     parser.add_argument(
         "--batch-rows",
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="print a per-operator/per-pipeline wall-time breakdown",
+        help="print a per-operator wall-time breakdown",
     )
     parser.add_argument(
         "--cache",
@@ -201,7 +201,7 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro fuzz",
         description="Differential fuzzing: seeded random queries checked "
-        "across {row,batch,compiled-python,compiled-numpy} x {fusion on,off} "
+        "across {row,batch,compiled-numpy} x {fusion on,off} "
         "x {cache cold,warm} with the plan invariant validator on.",
     )
     parser.add_argument("--seed", type=int, default=0, help="query-generator seed")
@@ -292,73 +292,6 @@ def fuzz_main(argv: list[str]) -> int:
             json.dump(report.to_dict(), fh, indent=2)
         print(f"report written to {args.out}")
     return 0 if report.ok else 1
-
-
-def build_audit_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro audit-kernels",
-        description="Compile every pipeline kernel the 32-query TPC-DS "
-        "workload produces (both vector modes) and statically verify the "
-        "generated-code contract with repro.engine.kernel_audit.",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.01, help="dataset scale factor"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="dataset generator seed"
-    )
-    parser.add_argument(
-        "--vectors",
-        choices=["numpy", "python", "both"],
-        default="both",
-        help="vector backend(s) to audit (default: both)",
-    )
-    return parser
-
-
-def audit_main(argv: list[str]) -> int:
-    """``repro audit-kernels``: run the full workload on the compiled
-    engine with the kernel auditor armed; every synthesized kernel must
-    satisfy the static contract.  Exits non-zero on the first violation
-    (or any query failure)."""
-    from repro.engine import compiled
-    from repro.tpcds.queries import WORKLOAD_QUERIES
-
-    args = build_audit_parser().parse_args(argv)
-    store = generate_dataset(scale=args.scale, seed=args.seed)
-    modes = ["numpy", "python"] if args.vectors == "both" else [args.vectors]
-    failures = 0
-    for vectors in modes:
-        # Force genuine recompiles: a kernel served from the cross-
-        # context cache skips synthesis and would dodge the audit.
-        compiled._KERNEL_CACHE.clear()
-        compiled._CODE_CACHE.clear()
-        session = Session(
-            store,
-            OptimizerConfig(
-                engine="compiled", vectors=vectors, validate_plans=True
-            ),
-        )
-        audited = 0
-        for name, sql in WORKLOAD_QUERIES.items():
-            try:
-                result = session.execute(sql)
-            except ReproError as exc:
-                failures += 1
-                print(f"FAIL {name} [{vectors}]: {type(exc).__name__}: {exc}")
-                continue
-            audited += result.metrics.kernels_audited
-        print(
-            f"vectors={vectors}: {len(WORKLOAD_QUERIES)} queries, "
-            f"{audited} kernels audited"
-        )
-        if not audited:
-            failures += 1
-            print(
-                f"FAIL [{vectors}]: no kernels were audited — the compiled "
-                "engine did not synthesize any pipelines"
-            )
-    return 1 if failures else 0
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -507,8 +440,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "fuzz":
         return fuzz_main(argv[1:])
-    if argv and argv[0] == "audit-kernels":
-        return audit_main(argv[1:])
     if argv and argv[0] == "serve":
         return serve_main(argv[1:])
     args = build_parser().parse_args(argv)

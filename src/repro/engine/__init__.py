@@ -1,5 +1,6 @@
-"""Execution engines (row-streaming, vectorized batch, pipeline-
-compiled) with scan/memory accounting.
+"""Execution engines (row-streaming, vectorized batch, and "compiled":
+the batch operators over NumPy vector blocks) with scan/memory
+accounting.
 
 Two expression compilers: the scalar reference ``compile_expression``
 (row engine) and the block compiler ``compile_expression_block``

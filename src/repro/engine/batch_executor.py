@@ -129,9 +129,9 @@ def execute_blocks(
 
     This is the engine's single recursion point: when the context
     carries a ``block_dispatch`` override (installed by the compiled
-    engine), every operator's child fetch routes through it, so fused
-    pipeline kernels take over subtrees transparently — including
-    subtrees under operators that still run their batch implementation.
+    engine under ``vectors="numpy"``), every operator's child fetch
+    routes through it, so whole subtrees run over vector blocks —
+    including subtrees under operators that themselves take lists.
     """
     dispatch = ctx.block_dispatch
     if dispatch is not None:
@@ -227,6 +227,7 @@ def _run_scan(plan: Scan, ctx: RunContext, block_rows: int) -> Iterator[Block]:
         partition_predicate=_partition_pruner(plan),
         block_rows=block_rows,
         runtime=ctx,
+        as_vectors=ctx.vector_blocks,
     )
     if plan.predicate is None:
         yield from blocks
@@ -245,8 +246,8 @@ def _run_scan(plan: Scan, ctx: RunContext, block_rows: int) -> Iterator[Block]:
 # -- stateless block operators -------------------------------------------
 #
 # Representation-polymorphic, so the compiled engine runs these very
-# functions above its array operators: ``fetch`` produces the child's
-# block stream (there: undelisted vector blocks).
+# functions: ``fetch`` produces the child's block stream (there:
+# undelisted vector blocks).
 
 
 def _run_filter(

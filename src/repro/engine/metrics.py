@@ -88,17 +88,14 @@ class QueryMetrics:
     faults_injected: int = 0
     checksum_verifications: int = 0
     deadline_remaining_ms: float | None = None
-    #: Compiled-engine counters: fused pipeline kernels generated for
-    #: this query (cache hits within one execution don't recount).
+    #: Always 0: the engine generates no code any more.  Kept because
+    #: the benchmark ruler reads it (``engine.pipelines_compiled``).
     pipelines_compiled: int = 0
     #: Pipeline breakers (joins, keyed GroupBy, MarkDistinct, Sort, ...)
     #: the compiled engine ran on its array path, and breakers it handed
     #: to the batch engine's implementation (whose input is delisted).
     breakers_vectorized: int = 0
     breakers_batch: int = 0
-    #: Synthesized kernels statically verified by the kernel auditor
-    #: (:mod:`repro.engine.kernel_audit`; armed via ``validate_plans``).
-    kernels_audited: int = 0
     #: Concurrent shared execution (DESIGN.md §14): subplans this query
     #: did *not* execute because a fingerprint-equal execution was
     #: already in flight — the query bound itself as a follower to the
@@ -110,18 +107,18 @@ class QueryMetrics:
     #: Graceful-degradation ladder (repro.server.degrade): the rungs
     #: tried for this query, in order ("compiled+parallel", "batch",
     #: ...), and one human-readable record per demotion
-    #: ("compiled->batch: KernelAuditError").  Empty when the query
+    #: ("compiled->batch: ExecutionError").  Empty when the query
     #: succeeded on its first rung or ran outside the server.
     ladder_path: list[str] = field(default_factory=list)
     degradations: list[str] = field(default_factory=list)
     #: Milliseconds the query waited in the service admission queue
     #: before a worker thread picked it up (None outside the server).
     queue_wait_ms: float | None = None
-    #: Per-operator / per-pipeline cumulative wall time in seconds,
-    #: keyed by a stable display label ("Scan(store_sales) #3",
-    #: "Pipeline[Scan(item)→Filter→Project] #1").  Populated only when
-    #: profiling is enabled (``OptimizerConfig(profile=True)`` /
-    #: ``--profile``); times are inclusive of child operators.
+    #: Per-operator cumulative wall time in seconds, keyed by a stable
+    #: display label ("Scan(store_sales) #3", "Join[vector] #1").
+    #: Populated only when profiling is enabled
+    #: (``OptimizerConfig(profile=True)`` / ``--profile``); times are
+    #: inclusive of child operators.
     operator_times: dict[str, float] = field(default_factory=dict)
     accounting: ScanAccounting = field(default_factory=ScanAccounting)
 
@@ -157,8 +154,6 @@ class QueryMetrics:
             text += f" retries={self.retries} faults={self.faults_injected}"
         if self.deadline_remaining_ms is not None:
             text += f" deadline_left={self.deadline_remaining_ms:.0f}ms"
-        if self.pipelines_compiled:
-            text += f" pipelines_compiled={self.pipelines_compiled}"
         if self.breakers_vectorized or self.breakers_batch:
             text += f" breakers_vectorized={self.breakers_vectorized}"
             text += f" breakers_batch={self.breakers_batch}"
@@ -172,10 +167,9 @@ class QueryMetrics:
         return text
 
     def profile_report(self) -> str:
-        """The ``--profile`` breakdown: one line per operator/pipeline,
-        slowest first.  Times are cumulative (a parent includes its
-        children), so the report attributes wall time to pipelines
-        rather than summing to the query total."""
+        """The ``--profile`` breakdown: one line per operator, slowest
+        first.  Times are cumulative (a parent includes its children),
+        so they do not sum to the query total."""
         if not self.operator_times:
             return "(no profile recorded; enable profiling)"
         width = max(len(label) for label in self.operator_times)
@@ -205,8 +199,8 @@ class Profiler:
 
     def label(self, plan, text: str | None = None) -> str:
         """A stable display label for one plan node instance.  ``text``
-        overrides the default "Name(table)" form (pipelines name
-        themselves); the first call for a node wins."""
+        overrides the default "Name(table)" form (the compiled
+        engine tags its breakers); the first call for a node wins."""
         key = id(plan)
         label = self._labels.get(key)
         if label is None:
@@ -271,22 +265,17 @@ class RunContext:
         self.scan_predicate_cache: dict[tuple, object] = {}
         #: The session's cross-query plan cache (None when disabled).
         self.plan_cache = plan_cache
-        #: Compiled-engine hooks: when set, the batch engine's
-        #: ``execute_blocks`` routes every dispatch through this
-        #: callable (``(plan, ctx, block_rows) -> block iterator``)
-        #: instead of its own operator table — the indirection the
-        #: pipeline compiler uses to take over whole subtrees.
+        #: Compiled-engine hooks (``compiled.install_dispatch`` sets
+        #: both under ``vectors="numpy"``): when ``block_dispatch`` is
+        #: set, the batch engine's ``execute_blocks`` routes every
+        #: dispatch through this callable (``(plan, ctx, block_rows) ->
+        #: block iterator``) instead of its own operator table; with
+        #: ``vector_blocks``, scans hand out NumPy vector columns.
         self.block_dispatch = None
-        #: Compiled pipeline kernels, keyed by ``(id(plan), mode)``
-        #: like ``scan_predicate_cache`` (plans outlive the context).
-        self.kernel_cache: dict[tuple, object] = {}
+        self.vector_blocks = False
         #: Optional :class:`Profiler`; engines wrap operator iterators
         #: when set (``OptimizerConfig(profile=True)``).
         self.profiler: Profiler | None = None
-        #: Statically audit every synthesized pipeline kernel before it
-        #: runs (repro.engine.kernel_audit).  Sessions arm this from
-        #: ``OptimizerConfig(validate_plans=True)``.
-        self.audit_kernels = False
         #: Gathered results of executed Exchange subtrees, keyed by
         #: ``exchange_id``: the parallel scheduler fills this before
         #: running the plan top, and the engines' Exchange operators

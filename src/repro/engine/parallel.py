@@ -47,8 +47,9 @@ Design points, in the order they matter:
   deadline so workers enforce it locally too.
 
 Worker processes are forked (spawn where fork is unavailable), hold a
-copy-on-write reference to the store, and live until the pool closes —
-compiled-engine kernel caches stay warm across fragments.
+copy-on-write reference to the store, and live until the pool closes,
+so the expression-closure memo (``vectors._BLOCK_MEMO``) stays warm
+across fragments.
 """
 
 from __future__ import annotations
@@ -115,7 +116,6 @@ class _TaskSpec:
     engine: str
     batch_rows: int
     vectors: str
-    audit_kernels: bool
     banned: frozenset[int] = frozenset()
     # Per-task store/fault configuration: installed on the worker's
     # (process-local) store copy for the duration of the task, so a
@@ -161,7 +161,6 @@ def _run_task(spec: _TaskSpec, store, cancel_event):
         )
         ctx.cancel_check = cancel_event.is_set
         ctx.partition_window = spec.window
-        ctx.audit_kernels = spec.audit_kernels
         if spec.engine == "batch":
             rows = list(execute_batch(plan, ctx, block_rows=spec.batch_rows))
         elif spec.engine == "compiled":
@@ -187,10 +186,8 @@ def _run_task(spec: _TaskSpec, store, cancel_event):
         "checksum_verifications": metrics.checksum_verifications,
         "total_state_rows": metrics.total_state_rows,
         "peak_state_rows": metrics.peak_state_rows,
-        "pipelines_compiled": metrics.pipelines_compiled,
         "breakers_vectorized": metrics.breakers_vectorized,
         "breakers_batch": metrics.breakers_batch,
-        "kernels_audited": metrics.kernels_audited,
     }
 
 
@@ -775,7 +772,6 @@ class _FragmentScheduler:
             engine=config.engine,
             batch_rows=config.batch_rows,
             vectors=config.vectors,
-            audit_kernels=config.validate_plans,
             banned=frozenset(attempt.banned),
             fault_rate=config.fault_rate,
             fault_seed=config.fault_seed,
@@ -955,10 +951,8 @@ class _FragmentScheduler:
         metrics.peak_state_rows = max(
             metrics.peak_state_rows, payload["peak_state_rows"]
         )
-        metrics.pipelines_compiled += payload["pipelines_compiled"]
         metrics.breakers_vectorized += payload["breakers_vectorized"]
         metrics.breakers_batch += payload["breakers_batch"]
-        metrics.kernels_audited += payload["kernels_audited"]
 
     def _rebuild_error(self, blob: bytes, attempt: _Attempt) -> BaseException:
         try:

@@ -224,7 +224,6 @@ class Session:
                 cancel_now = self._cancel_pending
                 self._cancel_pending = False
             run_ctx.metrics.planning_s = planning_s
-            run_ctx.audit_kernels = self.config.validate_plans
             if cancel_now:
                 run_ctx.cancel()
             if self.config.profile:

@@ -1,7 +1,8 @@
 """Block expression compiler and column vectors.
 
-Every block-at-a-time consumer — the batch engine, the compiled
-engine's kernels and its NumPy-aware operators — evaluates expressions
+Every block-at-a-time consumer — the batch engine's operators, over
+lists or (under the compiled engine) vectors, and the array join —
+evaluates expressions
 through :func:`compile_expression_block`: one ``(cols, n) -> column``
 closure tree whose handlers pick their path from the *representation*
 of the operands they receive at run time.  A block column is either a

@@ -124,14 +124,3 @@ class OptimizerError(ReproError):
     Rules are supposed to be semantics preserving; this error indicates
     a bug in a rule rather than in the user's query.
     """
-
-
-class KernelAuditError(ReproError):
-    """A synthesized compiled-engine kernel violated its static
-    contract (repro.engine.kernel_audit).
-
-    The kernel generator is supposed to emit code confined to the
-    documented runtime namespace with every filter stage guarded; this
-    error indicates a bug in the generator (or an unsound cache entry),
-    not in the user's query.
-    """

@@ -44,8 +44,8 @@ class OptimizerConfig:
     #: column blocks through vectorized operators (the default — it
     #: amortizes the interpreter's per-row overhead); ``"row"`` is the
     #: original tuple-at-a-time streaming executor; ``"compiled"``
-    #: fuses each scan→filter→project→(aggregate/limit) pipeline into
-    #: one generated kernel (repro.engine.compiled, DESIGN.md §11).
+    #: runs the batch operators over NumPy vector blocks, plus an
+    #: array equi-join (repro.engine.compiled, DESIGN.md §11).
     #: All three produce identical results and scan/spool metrics
     #: (tests/test_engine_ab.py); compiled with NumPy vectors carries
     #: the usual float summation-order latitude.
@@ -55,10 +55,10 @@ class OptimizerConfig:
     #: Vector representation for ``engine="compiled"``: ``"numpy"``
     #: backs eligible column blocks with ndarrays + validity masks
     #: (silently degrading to Python lists when NumPy is missing or
-    #: ``REPRO_DISABLE_NUMPY`` is set); ``"python"`` forces the pure
-    #: list kernels, which are bit-identical to the batch engine.
+    #: ``REPRO_DISABLE_NUMPY`` is set); ``"python"`` keeps lists,
+    #: which makes the engine the batch engine itself.
     vectors: str = "numpy"
-    #: Record a per-operator/per-pipeline wall-time breakdown into
+    #: Record a per-operator wall-time breakdown into
     #: ``QueryMetrics.operator_times`` (the CLI's ``--profile``).
     profile: bool = False
     #: Cross-query computation reuse: fingerprint subplans and replace
@@ -105,12 +105,10 @@ class OptimizerConfig:
     #: input and after every pass that changes the plan, re-derive the
     #: abstract-interpretation column facts
     #: (:mod:`repro.algebra.analysis`) after each change and fail on a
-    #: fact contradiction, audit every synthesized compiled-engine
-    #: kernel (:mod:`repro.engine.kernel_audit`), and check the §III
-    #: fusion contract after every successful ``Fuse``.  Errors name
-    #: the offending rule.  Off by default (it costs a full tree walk
-    #: plus a fact derivation per pass); the differential fuzzer and CI
-    #: turn it on.
+    #: fact contradiction, and check the §III fusion contract after
+    #: every successful ``Fuse``.  Errors name the offending rule.  Off
+    #: by default (it costs a full tree walk plus a fact derivation per
+    #: pass); the differential fuzzer and CI turn it on.
     validate_plans: bool = False
     #: Scale-out execution inside one process (DESIGN.md §13): with
     #: ``workers > 1`` the optimizer appends the ParallelPlan pass,

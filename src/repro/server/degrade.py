@@ -5,8 +5,8 @@ infrastructure problem rather than the user's, be retried on a simpler
 configuration instead of surfacing an error (DESIGN.md §14).  The
 ladder is a small lattice over three axes, each strictly decreasing:
 
-* **engine**: ``compiled`` → ``batch`` → ``row`` — kernel synthesis or
-  vector-backend failures fall back toward the simplest interpreter;
+* **engine**: ``compiled`` → ``batch`` → ``row`` — vector-backend
+  failures fall back toward the simplest interpreter;
 * **parallel** → **serial** — fragment/worker-pool failures
   (:class:`~repro.errors.WorkerPoolError`,
   :class:`FragmentError <repro.engine.parallel.FragmentError>`) rerun

@@ -1,11 +1,11 @@
-"""Differential oracle: one query, sixteen answers, zero tolerance.
+"""Differential oracle: one query, twelve answers, zero tolerance.
 
 Each query runs across the full configuration matrix
 
-    {row, batch, compiled-python, compiled-numpy} engine
+    {row, batch, compiled-numpy} engine
         × {fusion on, off} × {cache cold, warm replay}
 
-— sixteen cells, every one with ``validate_plans=True`` so the
+— twelve cells, every one with ``validate_plans=True`` so the
 per-rule plan invariant validator is armed.  ``worker_counts`` adds a
 parallel-execution axis: for each count ``n > 1`` the batch engine
 re-runs the query at ``workers=n`` (fusion on/off × cold/warm) against
@@ -14,9 +14,11 @@ must match the serial batch cell exactly — fragment scheduling, retry
 and metric merging may not perturb rows *or* accounting.  The cold/warm dimension
 comes from executing the query twice in a fresh cache-enabled session:
 the first run populates the cross-query plan cache, the second replays
-it.  The two compiled cells pin both vector representations of the
-pipeline compiler (repro.engine.compiled); compiled-numpy is skipped
-when NumPy is unavailable or disabled, leaving twelve cells.
+it.  The compiled cell runs the batch operators over NumPy vector
+blocks (repro.engine.compiled); it is skipped when NumPy is unavailable
+or disabled, leaving eight cells.  There is no compiled-python cell:
+``vectors="python"`` installs no dispatch and *is* the batch engine
+(pinned by ``tests/test_compiled_engine.py``).
 
 A query *passes* when all cells produce the same row multiset (floats
 canonicalized to 10 significant digits — fusion and NumPy reductions
@@ -36,7 +38,7 @@ rejects; that is uniform and expected).  Everything else is a
 * ``crash`` — a non-ReproError exception escaped the engine.
 
 The ``analysis`` dimension makes the fuzzer a soundness oracle for the
-abstract interpreter itself: every one of the sixteen cells checks its
+abstract interpreter itself: every one of the twelve cells checks its
 real output against the facts derived from its own optimized plan.
 """
 
@@ -156,7 +158,6 @@ class DifferentialOracle:
     ENGINE_AXIS = (
         ("row", {"engine": "row"}),
         ("batch", {"engine": "batch"}),
-        ("compiled-python", {"engine": "compiled", "vectors": "python"}),
         ("compiled-numpy", {"engine": "compiled", "vectors": "numpy"}),
     )
 
@@ -234,7 +235,7 @@ class DifferentialOracle:
     # -- the matrix --------------------------------------------------------
 
     def run_matrix(self, sql: str) -> dict[str, CellOutcome]:
-        """All cells for one query (sixteen; twelve without NumPy),
+        """All cells for one query (twelve; eight without NumPy),
         plus four parallel cells per entry in ``worker_counts``."""
         outcomes: dict[str, CellOutcome] = {}
         self.last_operators = set()

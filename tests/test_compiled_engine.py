@@ -1,16 +1,22 @@
-"""Unit tests for the pipeline compiler (repro.engine.compiled).
+"""Unit tests for the compiled engine (repro.engine.compiled).
 
 The differential suite (tests/test_engine_ab.py, the oracle, the
 fuzzer) proves the compiled engine *agrees* with the row engine; this
-file pins down the compiler's own observables: that pipelines really
-compile, that kernels are reused across run contexts, that the NumPy
-backend degrades cleanly, and that LIMIT still short-circuits scans.
+file pins down the router's own observables: that every scan hands out
+vectors and nothing is generated, that ``vectors="python"`` is the
+batch engine, that the NumPy backend degrades cleanly, that LIMIT still
+short-circuits scans, and the array join.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+from dataclasses import asdict
+
 import pytest
 
+from repro import generate_dataset
 from repro.algebra.expressions import And, ColumnRef, Comparison, Literal
 from repro.algebra.operators import (
     AggregateAssignment,
@@ -47,10 +53,28 @@ def compiled_session(tpcds_store) -> Session:
     return Session(tpcds_store, OptimizerConfig(engine="compiled"))
 
 
+needs_numpy = pytest.mark.skipif(not numpy_enabled(), reason="array path only")
+
+
+def _deterministic(metrics) -> dict:
+    """Every metric but the timings."""
+    fields = asdict(metrics)
+    for timing in ("wall_time_s", "planning_s", "operator_times"):
+        del fields[timing]
+    return fields
+
+
+def _vector_fetch(plan, ctx, block_rows=1024):
+    """The compiled engine's undelisted block stream for ``plan``."""
+    assert install_dispatch(ctx, "numpy") == "numpy"
+    return compiled._fetch(plan, ctx, block_rows)
+
+
 def test_pipelines_compiled_metric(compiled_session):
-    """Compiled execution reports how many fused kernels it built."""
+    """No code is generated any more: the counter the ruler reads stays 0."""
     result = compiled_session.execute(_SCAN_SQL)
-    assert result.metrics.pipelines_compiled > 0
+    assert result.metrics.pipelines_compiled == 0
+    assert "pipelines_compiled" not in result.metrics.summary()
 
 
 def test_row_engine_never_compiles(tpcds_store):
@@ -59,20 +83,77 @@ def test_row_engine_never_compiles(tpcds_store):
     assert result.metrics.pipelines_compiled == 0
 
 
-def test_kernel_cache_reuse_across_contexts(tpcds_store, compiled_session):
+def test_plan_rerun_under_a_fresh_context(tpcds_store, compiled_session):
     """A prepared plan executed repeatedly (the benchmark's pattern)
-    compiles on the first run only: later contexts hit the process-wide
-    kernel cache, keyed by plan identity, and build zero kernels."""
+    carries nothing from one RunContext to the next: same rows in the
+    same order, same metrics."""
     plan, _ = compiled_session.plan(_SCAN_SQL)
+    runs = []
+    for _ in range(2):
+        ctx = RunContext(tpcds_store)
+        rows = list(execute_compiled(plan, ctx))
+        runs.append((rows, _deterministic(ctx.metrics)))
+    assert runs[0] == runs[1] and runs[0][0]
 
-    first_ctx = RunContext(tpcds_store)
-    first_rows = sorted(execute_compiled(plan, first_ctx))
-    assert first_ctx.metrics.pipelines_compiled > 0
 
-    second_ctx = RunContext(tpcds_store)
-    second_rows = sorted(execute_compiled(plan, second_ctx))
-    assert second_ctx.metrics.pipelines_compiled == 0
-    assert second_rows == first_rows
+def test_python_vectors_is_the_batch_engine(tpcds_store):
+    """``vectors="python"`` installs no dispatch: the run *is*
+    ``execute_batch`` — rows in order, every metric and the profile's
+    operator labels (which is why the oracle has no compiled-python cell)."""
+    ctx = RunContext(tpcds_store)
+    assert install_dispatch(ctx, "python") == "python"
+    assert ctx.block_dispatch is None and not ctx.vector_blocks
+
+    runs = []
+    for engine in ("batch", "compiled"):
+        config = OptimizerConfig(engine=engine, vectors="python", profile=True)
+        result = Session(tpcds_store, config).execute(STUDIED_QUERIES["q65"])
+        labels = sorted(result.metrics.operator_times)
+        runs.append((result.rows, _deterministic(result.metrics), labels))
+    assert runs[0] == runs[1] and runs[0][0]
+
+
+@needs_numpy
+def test_every_studied_scan_hands_out_vectors(tpcds_store, monkeypatch):
+    """A scan that silently fell back to lists would keep every result
+    right and run at half the speed: under ``vectors="numpy"`` every
+    ``Store.scan_blocks`` call, predicate or not, asks for vectors."""
+    calls = []
+    scan_blocks = Store.scan_blocks
+
+    def spy(self, table_name, *args, **kwargs):
+        calls.append((table_name, kwargs.get("as_vectors")))
+        return scan_blocks(self, table_name, *args, **kwargs)
+
+    monkeypatch.setattr(Store, "scan_blocks", spy)
+    session = Session(
+        tpcds_store, OptimizerConfig(engine="compiled", vectors="numpy", cost_based=True)
+    )
+    for sql in STUDIED_QUERIES.values():
+        session.execute(sql)
+    assert len(calls) >= len(STUDIED_QUERIES)
+    assert [call for call in calls if call[1] is not True] == []
+
+
+@pytest.mark.parametrize("engine", ["row", "batch", "compiled"])
+def test_closed_session_frees_the_store_without_a_collection(engine):
+    """Nothing a run leaves behind may tie the store into a reference
+    cycle: the benchmark frees one dataset before generating the next
+    and must not hold two (a per-context kernel cache whose entries
+    captured the context once did, on the compiled engine)."""
+    store = generate_dataset(scale=0.01, seed=7)
+    gc.collect()
+    gc.disable()
+    try:
+        alive = weakref.ref(store)
+        session = Session(store, OptimizerConfig(engine=engine, cost_based=True))
+        for sql in STUDIED_QUERIES.values():
+            session.execute(sql)
+        session.close()
+        del session, store
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_numpy_env_kill_switch(tpcds_store, monkeypatch):
@@ -103,17 +184,23 @@ def test_limit_short_circuits_scan(tpcds_store, compiled_session):
 
 
 def test_profile_labels_pipelines(tpcds_store):
-    """--profile surfaces per-pipeline wall time under Pipeline[...]
-    labels describing the fused operator chain."""
+    """--profile lists a scan → project → limit → filter → aggregate
+    chain operator by operator (what used to be one ``Pipeline[...]``
+    entry), and scalar aggregation is a sink, not a breaker."""
     session = Session(
         tpcds_store, OptimizerConfig(engine="compiled", profile=True)
     )
     result = session.execute(
-        "SELECT sum(s.ss_quantity) FROM store_sales s WHERE s.ss_quantity > 10"
+        "SELECT sum(x.q + 1) FROM (SELECT s.ss_quantity AS q FROM store_sales s "
+        "LIMIT 500) x WHERE x.q > 10"
     )
-    assert result.metrics.operator_times
-    assert any("Pipeline[" in label for label in result.metrics.operator_times)
+    labels = sorted(label.split(" #")[0] for label in result.metrics.operator_times)
+    assert labels == [
+        "Filter", "GroupBy", "Limit", "Project", "Project", "Scan(store_sales)"
+    ]
     assert all(t >= 0.0 for t in result.metrics.operator_times.values())
+    metrics = result.metrics
+    assert (metrics.breakers_vectorized, metrics.breakers_batch) == (0, 0)
 
 
 def test_compiled_handles_spooling_plans(tpcds_store):
@@ -397,6 +484,11 @@ def test_stages_above_a_join_keep_vector_blocks(join_store):
     labels = " ".join(compiled.metrics.operator_times)
     assert "Join[vector]" in labels and "GroupBy[vector]" in labels
     assert "Project #" in labels  # stages fetched by array operators are metered
+    # Scalar aggregation is a sink, not a breaker: only the join counts.
+    scalar = Session(join_store, OptimizerConfig(engine="compiled")).execute(
+        "SELECT count(*), sum(l.q + r.q) FROM l JOIN r ON l.k = r.k"
+    )
+    assert (scalar.metrics.breakers_vectorized, scalar.metrics.breakers_batch) == (1, 0)
 
 
 def test_q95_self_join_is_order_and_metric_exact(tpcds_store):
@@ -516,9 +608,6 @@ def _skew_join(kind=JoinKind.INNER, left_rows=60, right_rows=400):
     return Join(kind, left, right, Comparison("=", ColumnRef(lk), ColumnRef(rk)))
 
 
-needs_numpy = pytest.mark.skipif(not numpy_enabled(), reason="array path only")
-
-
 @needs_numpy
 @pytest.mark.parametrize("kind", [JoinKind.INNER, JoinKind.LEFT])
 def test_skewed_join_expands_in_bounded_slices(monkeypatch, kind):
@@ -527,7 +616,7 @@ def test_skewed_join_expands_in_bounded_slices(monkeypatch, kind):
     monkeypatch.setattr(batch_executor, "_JOIN_PAIR_SLICE", 1000)
     plan = _skew_join(kind)
     ctx = RunContext(Store())
-    sizes = [n for _, n in compiled._fetch(plan, ctx, 1024, "numpy")]
+    sizes = [n for _, n in _vector_fetch(plan, ctx)]
     assert sum(sizes) == 60 * 400
     assert max(sizes) <= 1000 and len(sizes) == 24
     assert list(execute_compiled(plan, RunContext(Store()))) == list(
@@ -567,7 +656,7 @@ def test_skewed_join_memory_follows_the_slice_bound(tpcds_store, monkeypatch):
 def test_join_is_cancellable_between_slices(monkeypatch):
     monkeypatch.setattr(batch_executor, "_JOIN_PAIR_SLICE", 1000)
     ctx = RunContext(Store())
-    blocks = compiled._fetch(_skew_join(), ctx, 1024, "numpy")
+    blocks = _vector_fetch(_skew_join(), ctx)
     next(blocks)  # one slice out of 24, all from the single probe block
     ctx.cancel()
     with pytest.raises(QueryCancelledError):
@@ -577,7 +666,7 @@ def test_join_is_cancellable_between_slices(monkeypatch):
     ctx = RunContext(
         Store(), limits=ResourceLimits(timeout_ms=1000), clock=lambda: now[0]
     )
-    blocks = compiled._fetch(_skew_join(), ctx, 1024, "numpy")
+    blocks = _vector_fetch(_skew_join(), ctx)
     next(blocks)
     now[0] = 5.0
     with pytest.raises(QueryTimeoutError):
