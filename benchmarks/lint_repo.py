@@ -161,18 +161,18 @@ def lint_memo_slots() -> list[str]:
 #: the count at the last PR that changed it; lower it freely, raise it
 #: only by the net growth the PR's issue budgeted and CHANGES.md records.
 PACKAGE_LINE_CEILINGS = {
-    "repro": 497,
+    "repro": 495,
     "repro.algebra": 3552,
     "repro.catalog": 90,
-    "repro.engine": 3866,
+    "repro.engine": 3858,
     "repro.fusion": 579,
-    "repro.optimizer": 3109,
+    "repro.optimizer": 3108,
     "repro.server": 846,
     "repro.sql": 1313,
     "repro.storage": 584,
     "repro.testing": 1068,
     "repro.tpcds": 1077,
-    "total": 16581,
+    "total": 16570,
 }
 
 _NON_CODE_TOKENS = frozenset(

@@ -84,25 +84,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=("row", "batch", "compiled"),
+        choices=("row", "batch"),
         default="batch",
-        help="execution backend: vectorized 'batch' (default), 'row', or "
-        "'compiled' (the batch operators over NumPy vector blocks plus "
-        "an array equi-join; see --vectors)",
+        help="execution backend: the vectorized block engine 'batch' "
+        "(default; 'compiled' is its former name) or 'row'",
     )
     parser.add_argument(
         "--vectors",
         choices=("python", "numpy"),
         default="numpy",
-        help="vector representation for --engine compiled: 'numpy' "
-        "(default; falls back to 'python' without NumPy) or 'python' "
-        "(which is the batch engine)",
+        help="column representation of --engine batch: 'numpy' "
+        "(default; falls back to 'python' without NumPy) or 'python' lists",
     )
     parser.add_argument(
         "--batch-rows",
         type=int,
         default=1024,
-        help="rows per block for the batch and compiled engines (default 1024)",
+        help="rows per block for the batch engine (default 1024)",
     )
     parser.add_argument(
         "--profile",
@@ -201,7 +199,7 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro fuzz",
         description="Differential fuzzing: seeded random queries checked "
-        "across {row,batch,compiled-numpy} x {fusion on,off} "
+        "across {row,batch,batch-lists} x {fusion on,off} "
         "x {cache cold,warm} with the plan invariant validator on.",
     )
     parser.add_argument("--seed", type=int, default=0, help="query-generator seed")
@@ -330,7 +328,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="fragment worker processes shared by the service (default 2)",
     )
     parser.add_argument(
-        "--engine", choices=("row", "batch", "compiled"), default="batch"
+        "--engine", choices=("row", "batch"), default="batch"
     )
     parser.add_argument(
         "--fault-rate",

@@ -1,10 +1,10 @@
-"""Execution engines (row-streaming, vectorized batch, and "compiled":
-the batch operators over NumPy vector blocks) with scan/memory
-accounting.
+"""Two execution engines with scan/memory accounting: the row-streaming
+reference and the block engine, whose blocks hold NumPy vector columns
+(``vectors="numpy"``, the default) or Python lists (``"python"``).
 
 Two expression compilers: the scalar reference ``compile_expression``
 (row engine) and the block compiler ``compile_expression_block``
-(batch and compiled engines, list or NumPy columns)."""
+(block engine, list or NumPy columns)."""
 
 from repro.engine.batch_executor import DEFAULT_BLOCK_ROWS, execute_batch
 from repro.engine.evaluator import Aggregator, compile_expression

@@ -1,15 +1,20 @@
-"""Vectorized (batch) plan execution.
+"""Vectorized (block) plan execution.
 
-The second execution backend: operators stream **row blocks** instead
-of single rows.  A block is ``(cols, n)`` — one Python list per output
-column plus a row count — produced at the scan directly from the
-storage layer's column chunks (no per-row tuple construction before
-the filter) and carried through Filter/Project/UnionAll in columnar
-form.  Expressions evaluate through the block compiler,
-:func:`repro.engine.vectors.compile_expression_block`, which over list
-columns runs one list comprehension per expression node per block,
-amortizing the interpreter's per-row closure overhead that dominates
-the row engine.
+The block engine (``engine="batch"``): operators stream **row blocks**
+instead of single rows.  A block is ``(cols, n)`` — one column vector
+per output column plus a row count — produced at the scan directly
+from the storage layer's column chunks (no per-row tuple construction
+before the filter) and carried through Filter/Project/UnionAll in
+columnar form.  A column is a Python list *or* a
+:class:`~repro.engine.vectors.NumpyVector`: under ``vectors="numpy"``
+(the default) :func:`execute_batch` installs the vector router of
+:mod:`repro.engine.compiled`, scans hand out arrays and these very
+operators run over them; under ``vectors="python"`` (or without NumPy)
+every column is a list.  Expressions evaluate through the block
+compiler, :func:`repro.engine.vectors.compile_expression_block`, which
+picks the array path or one list comprehension per expression node per
+block from the columns it receives, amortizing the interpreter's
+per-row closure overhead that dominates the row engine.
 
 Joins work on **positions**, not tuples (:func:`_run_join`): the build
 side is buffered once as columns, every join kind is an iteration over
@@ -113,9 +118,22 @@ Block = tuple[list, int]
 
 
 def execute_batch(
-    plan: PlanNode, ctx: RunContext, block_rows: int = DEFAULT_BLOCK_ROWS
+    plan: PlanNode,
+    ctx: RunContext,
+    block_rows: int = DEFAULT_BLOCK_ROWS,
+    vectors: str = "numpy",
 ) -> Iterator[Row]:
-    """Execute ``plan`` with the batch engine, yielding output rows."""
+    """Execute ``plan`` with the block engine, yielding output rows.
+
+    ``vectors="numpy"`` routes every dispatch through the vector router
+    (:mod:`repro.engine.compiled`); it silently degrades to ``"python"``
+    — list columns, this module's operator table alone — when NumPy is
+    absent or ``REPRO_DISABLE_NUMPY`` is set.
+    """
+    # Imported here: the router is built on this module's operators.
+    from repro.engine.compiled import install_dispatch
+
+    install_dispatch(ctx, vectors)
     return _iter_rows(plan, ctx, block_rows)
 
 
@@ -128,10 +146,11 @@ def execute_blocks(
     execution; ScalarApply relies on this to re-run its subquery.
 
     This is the engine's single recursion point: when the context
-    carries a ``block_dispatch`` override (installed by the compiled
-    engine under ``vectors="numpy"``), every operator's child fetch
-    routes through it, so whole subtrees run over vector blocks —
-    including subtrees under operators that themselves take lists.
+    carries a ``block_dispatch`` override (the vector router, installed
+    by :func:`execute_batch` under ``vectors="numpy"``), every
+    operator's child fetch routes through it, so whole subtrees run
+    over vector blocks — including subtrees under operators that
+    themselves take lists.
     """
     dispatch = ctx.block_dispatch
     if dispatch is not None:
@@ -245,7 +264,7 @@ def _run_scan(plan: Scan, ctx: RunContext, block_rows: int) -> Iterator[Block]:
 
 # -- stateless block operators -------------------------------------------
 #
-# Representation-polymorphic, so the compiled engine runs these very
+# Representation-polymorphic, so the vector router runs these very
 # functions: ``fetch`` produces the child's block stream (there:
 # undelisted vector blocks).
 
@@ -310,7 +329,7 @@ def _run_limit(
 
 
 #: Most candidate (probe, build) pairs expanded at once, in this join
-#: and in the compiled engine's array join.  A skewed key would
+#: and in the vector router's array join.  A skewed key would
 #: otherwise materialize |probe block| x |build| index pairs; with the
 #: bound, every index list of a join (and every block it yields) stays
 #: under this many lanes plus one probe block.
@@ -461,7 +480,7 @@ def _matching_pairs(ctx, matches, bound, residual_fn, probe_cols, build_cols):
 #
 # GroupBy, MarkDistinct, Window and Sort are callers of the one keyed
 # core (:mod:`repro.engine.keyed`) and emit column blocks.  ``fetch``
-# produces the child's block stream; the compiled engine substitutes
+# produces the child's block stream; the vector router substitutes
 # its own (vector columns; one buffered block where the operator would
 # otherwise stream).
 
@@ -500,14 +519,7 @@ def _run_group_by(
             if not group_count:
                 group_count = 1
                 ctx.state_add(1)
-            values = [fn(cols, n) for fn in shared_fns]
-            for acc, (_, _, arg_slot, mask_slot) in zip(accumulators, agg_specs):
-                accumulate_block(
-                    acc,
-                    None if arg_slot is None else values[arg_slot],
-                    None if mask_slot is None else values[mask_slot],
-                    n,
-                )
+            accumulate_block(accumulators, agg_specs, [fn(cols, n) for fn in shared_fns], n)
         yield [[acc.result()] for acc in accumulators], 1
     finally:
         ctx.state_remove(group_count)
@@ -672,9 +684,9 @@ def _run_cache_populate(
     yield from _blocks_from_row_list(rows, len(plan.column_tokens), block_rows)
 
 
-#: Every block operator, by node type.  The compiled engine runs the
+#: Every block operator, by node type.  The vector router runs the
 #: stateless and the keyed ones over vector blocks through this table
-#: (their ``fetch=``), so the two engines cannot drift apart.
+#: (their ``fetch=``), so the two representations cannot drift apart.
 BLOCK_OPERATORS = {
     Scan: _run_scan,
     Values: _run_values,

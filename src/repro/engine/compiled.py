@@ -1,9 +1,10 @@
-"""The compiled engine: the batch operators over vector blocks.
+"""The block engine's vector router: its operators over NumPy columns.
 
-The third backend (``OptimizerConfig(engine="compiled")``) has no
-operators of its own apart from one join.  It is a *router* installed
-as ``RunContext.block_dispatch``: under ``vectors="numpy"`` every Scan
-hands out :class:`~repro.engine.vectors.NumpyVector` columns (the one
+``execute_batch(vectors="numpy")`` — the default of
+``OptimizerConfig()`` — installs :func:`install_dispatch` here.  The
+router has no operators of its own apart from one join.  Installed as
+``RunContext.block_dispatch``, it makes every Scan hand out
+:class:`~repro.engine.vectors.NumpyVector` columns (the one
 ``_run_scan``, with ``ctx.vector_blocks`` set), and Filter / Project /
 Limit / UnionAll / GroupBy / MarkDistinct / Window / Sort are the batch
 engine's own ``BLOCK_OPERATORS`` entries fed undelisted blocks — the
@@ -23,13 +24,9 @@ else, so the vector representation never leaks into code that doesn't
 know about it.  Their *children* still route through this module.
 
 Under ``vectors="python"`` (or ``REPRO_DISABLE_NUMPY``, or without
-NumPy) no dispatch is installed at all: the engine *is*
-``execute_batch``, rows, metrics and profile labels included.
-
-Engine equivalence: with ``vectors="numpy"`` integer/boolean results
-are bit-identical to the batch (and row) engine; float *aggregation
-order* changes in scalar sums (array reductions are pairwise), the same
-last-ulp latitude the differential oracle already grants fusion.
+NumPy) no dispatch is installed at all and every column is a list.
+Either way results are bit-identical to the row engine's, float
+aggregates included (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from repro.algebra.operators import (
     JoinKind,
     Limit,
     MarkDistinct,
-    PlanNode,
     Project,
     Scan,
     Sort,
@@ -56,11 +52,10 @@ from repro.algebra.operators import (
 from repro.engine import batch_executor
 from repro.engine.batch_executor import (
     BLOCK_OPERATORS,
-    DEFAULT_BLOCK_ROWS,
     Block,
-    _iter_rows,
     _narrow_residual,
     dispatch_blocks_batch,
+    execute_batch,
 )
 from repro.engine.executor import _split_join_condition
 from repro.engine.keyed import buffer_blocks
@@ -80,25 +75,15 @@ from repro.engine.vectors import (
 __all__ = ["execute_compiled", "install_dispatch"]
 
 
-def execute_compiled(
-    plan: PlanNode,
-    ctx: RunContext,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-    vectors: str = "numpy",
-) -> Iterator[tuple]:
-    """Execute ``plan`` on the compiled engine, yielding rows.
-
-    ``vectors="numpy"`` silently degrades to ``"python"`` — the batch
-    engine — when NumPy is absent or ``REPRO_DISABLE_NUMPY`` is set.
-    """
-    install_dispatch(ctx, vectors)
-    return _iter_rows(plan, ctx, block_rows)
+#: The block engine's entry point under the name it had while the
+#: vector path was an engine of its own.
+execute_compiled = execute_batch
 
 
 def install_dispatch(ctx: RunContext, vectors: str = "numpy") -> str:
     """Route ``ctx``'s block execution through this module when the
-    resolved vector mode is "numpy"; "python" installs nothing (the
-    batch engine runs).  Returns the resolved mode."""
+    resolved vector mode is "numpy"; "python" installs nothing (list
+    columns throughout).  Returns the resolved mode."""
     if vectors == "numpy" and numpy_enabled():
         ctx.vector_blocks = True
         ctx.block_dispatch = _dispatch

@@ -16,7 +16,7 @@ callers of the primitives here; only the column representation varies:
 List blocks accumulate across calls (the batch engine streams) and
 reduce left to right, so results equal the row engine's
 :class:`~repro.engine.evaluator.Aggregator` bit for bit.  An
-array-backed stream is one block — the compiled engine buffers a keyed
+array-backed stream is one block — the vector router buffers a keyed
 operator's input — and reduces with ``bincount`` / ``ufunc.at``: float
 sums still fold in lane order; int64 never passes through float64 and
 leaves the arrays for the exact list loop before a sum could reach

@@ -92,8 +92,8 @@ class QueryMetrics:
     #: the benchmark ruler reads it (``engine.pipelines_compiled``).
     pipelines_compiled: int = 0
     #: Pipeline breakers (joins, keyed GroupBy, MarkDistinct, Sort, ...)
-    #: the compiled engine ran on its array path, and breakers it handed
-    #: to the batch engine's implementation (whose input is delisted).
+    #: the block engine ran on its vector path, and breakers the vector
+    #: router handed to a list-only implementation (input delisted).
     breakers_vectorized: int = 0
     breakers_batch: int = 0
     #: Concurrent shared execution (DESIGN.md §14): subplans this query
@@ -105,9 +105,9 @@ class QueryMetrics:
     #: they completed (the leader side of shared execution).
     shared_fanout: int = 0
     #: Graceful-degradation ladder (repro.server.degrade): the rungs
-    #: tried for this query, in order ("compiled+parallel", "batch",
-    #: ...), and one human-readable record per demotion
-    #: ("compiled->batch: ExecutionError").  Empty when the query
+    #: tried for this query, in order ("batch|parallel|cache",
+    #: "row|parallel|cache", ...), and one human-readable record per
+    #: demotion ("batch|...->row|...:ExecutionError").  Empty when the query
     #: succeeded on its first rung or ran outside the server.
     ladder_path: list[str] = field(default_factory=list)
     degradations: list[str] = field(default_factory=list)
@@ -199,8 +199,8 @@ class Profiler:
 
     def label(self, plan, text: str | None = None) -> str:
         """A stable display label for one plan node instance.  ``text``
-        overrides the default "Name(table)" form (the compiled
-        engine tags its breakers); the first call for a node wins."""
+        overrides the default "Name(table)" form (the vector router
+        tags its breakers); the first call for a node wins."""
         key = id(plan)
         label = self._labels.get(key)
         if label is None:
@@ -265,7 +265,7 @@ class RunContext:
         self.scan_predicate_cache: dict[tuple, object] = {}
         #: The session's cross-query plan cache (None when disabled).
         self.plan_cache = plan_cache
-        #: Compiled-engine hooks (``compiled.install_dispatch`` sets
+        #: Vector-router hooks (``compiled.install_dispatch`` sets
         #: both under ``vectors="numpy"``): when ``block_dispatch`` is
         #: set, the batch engine's ``execute_blocks`` routes every
         #: dispatch through this callable (``(plan, ctx, block_rows) ->

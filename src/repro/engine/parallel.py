@@ -135,7 +135,6 @@ def _run_task(spec: _TaskSpec, store, cancel_event):
     # Imported lazily so a spawn-context worker only pays for what it
     # uses; under fork these are already-loaded modules.
     from repro.engine.batch_executor import execute_batch
-    from repro.engine.compiled import execute_compiled
     from repro.engine.executor import execute
 
     plan = pickle.loads(spec.plan_blob)
@@ -162,10 +161,8 @@ def _run_task(spec: _TaskSpec, store, cancel_event):
         ctx.cancel_check = cancel_event.is_set
         ctx.partition_window = spec.window
         if spec.engine == "batch":
-            rows = list(execute_batch(plan, ctx, block_rows=spec.batch_rows))
-        elif spec.engine == "compiled":
             rows = list(
-                execute_compiled(
+                execute_batch(
                     plan, ctx, block_rows=spec.batch_rows, vectors=spec.vectors
                 )
             )

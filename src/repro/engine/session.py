@@ -16,7 +16,6 @@ from repro.algebra.operators import PlanNode
 from repro.algebra.printer import explain
 from repro.catalog.catalog import Catalog
 from repro.engine.batch_executor import execute_batch
-from repro.engine.compiled import execute_compiled
 from repro.engine.executor import execute
 from repro.engine.metrics import (
     Profiler,
@@ -240,12 +239,6 @@ class Session:
                 if self.config.engine == "batch":
                     rows = list(
                         execute_batch(
-                            optimized, run_ctx, block_rows=self.config.batch_rows
-                        )
-                    )
-                elif self.config.engine == "compiled":
-                    rows = list(
-                        execute_compiled(
                             optimized,
                             run_ctx,
                             block_rows=self.config.batch_rows,

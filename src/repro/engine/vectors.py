@@ -1,20 +1,18 @@
 """Block expression compiler and column vectors.
 
-Every block-at-a-time consumer — the batch engine's operators, over
-lists or (under the compiled engine) vectors, and the array join —
-evaluates expressions
-through :func:`compile_expression_block`: one ``(cols, n) -> column``
-closure tree whose handlers pick their path from the *representation*
-of the operands they receive at run time.  A block column is either a
-Python list or a :class:`NumpyVector` (a NumPy array plus an optional
+Every block-at-a-time consumer — the block engine's operators, over
+lists or vectors, and the array join — evaluates expressions through
+:func:`compile_expression_block`: one ``(cols, n) -> column`` closure
+tree whose handlers pick their path from the *representation* of the
+operands they receive at run time.  A block column is either a Python
+list or a :class:`NumpyVector` (a NumPy array plus an optional
 validity mask; scans hand these out with ``as_vectors=True``).  A
 handler takes the array path when an operand is a ``NumpyVector`` and
 the list-comprehension path otherwise; it never touches ``np`` unless
-an operand is a ``NumpyVector``, so ``vectors="python"``,
-``REPRO_DISABLE_NUMPY=1`` and the batch engine all run the very same
-list closures.  The scalar :func:`~repro.engine.evaluator.
-compile_expression` is the independent reference both paths are tested
-against.
+an operand is a ``NumpyVector``, so ``vectors="python"`` and
+``REPRO_DISABLE_NUMPY=1`` run the very same list closures.  The scalar
+:func:`~repro.engine.evaluator.compile_expression` is the independent
+reference both paths are tested against.
 
 Semantics (one statement for both paths; DESIGN.md §7):
 
@@ -47,10 +45,10 @@ Semantics (one statement for both paths; DESIGN.md §7):
   comparisons only when every int is at most 2**53 (exactly
   representable as a double) — otherwise that block takes the list
   path (:func:`_array_exact`).  Integer and boolean results are
-  therefore bit-identical across representations; float *accumulation
-  order* differs (``ndarray.sum`` is pairwise, the list path folds
-  left to right), the last-ulp latitude the oracle already grants
-  fusion.
+  therefore bit-identical across representations.
+* **Float sums** fold left to right on both paths, as the row engine's
+  ``+=`` loop does (``ndarray.sum`` is pairwise and rounds
+  differently), so float aggregates are bit-identical too.
 
 ``REPRO_DISABLE_NUMPY=1`` (or NumPy being absent) disables vectors at
 run time: :func:`numpy_enabled` is re-checked on every conversion, so
@@ -63,6 +61,7 @@ import operator
 import os
 import threading
 import zlib
+from contextlib import nullcontext
 from typing import Callable
 
 try:  # pragma: no cover - exercised via numpy_enabled()
@@ -799,13 +798,32 @@ def compact_block(cols: list, n: int, mask) -> tuple[list, int]:
     return take_rows(cols, sel), kept
 
 
-def accumulate_block(acc, values, mask, n: int) -> None:
-    """Feed one block into an :class:`~repro.engine.evaluator.Aggregator`.
+def accumulate_block(accumulators: list, specs: list, values: list, n: int) -> None:
+    """Feed one block to scalar aggregation: ``accumulators`` hold one
+    :class:`~repro.engine.evaluator.Aggregator` per
+    :func:`~repro.engine.evaluator.lower_aggregates` spec in ``specs``,
+    and ``values`` are the block's evaluated slot columns.
 
-    NumPy-backed ``values`` update the accumulator's fields with array
-    reductions; anything else routes through the exact ``add_block``
-    path.  ``values is None`` is ``count(*)``.
+    NumPy-backed columns update the accumulators' fields with array
+    reductions that leave them bit-identical to ``Aggregator.add`` fed
+    lane by lane; anything else routes through the exact ``add_block``
+    path.  Array folds overflow to inf and turn inf - inf into NaN
+    silently, as Python floats do — under one ``errstate`` per block,
+    which also spares every ufunc call in it the error-flag check.
     """
+    with nullcontext() if np is None else np.errstate(all="ignore"):
+        for acc, (_, _, arg_slot, mask_slot) in zip(accumulators, specs):
+            _accumulate(
+                acc,
+                None if arg_slot is None else values[arg_slot],
+                None if mask_slot is None else values[mask_slot],
+                n,
+            )
+
+
+def _accumulate(acc, values, mask, n: int) -> None:
+    """One aggregate's share of :func:`accumulate_block`; ``values is
+    None`` is ``count(*)``."""
     lanes = true_mask(mask)
     if lanes is None and (mask is not None or type(values) is not NumpyVector):
         acc.add_block(delist(values), mask, n)
@@ -816,38 +834,48 @@ def accumulate_block(acc, values, mask, n: int) -> None:
     if type(values) is not NumpyVector:
         acc.add_block(values, lanes.tolist(), n)
         return
-    data, valid = values.data, values.valid
-    keep = lanes
-    if valid is not None:
-        keep = valid if keep is None else keep & valid
-    if keep is not None:
-        data = data[keep]
+    keep = _and_valid(lanes, values.valid)
+    data = values.data if keep is None else values.data[keep]
     if acc.seen is not None:
         # DISTINCT: dedupe within the block at C speed, then feed the
-        # exact per-value path (cross-block dedupe via the seen set).
-        for v in np.unique(data).tolist():
-            acc.add(v)
+        # exact per-value path (cross-block dedupe via the seen set) in
+        # first-seen order, the order the row engine adds them in.
+        _, first = np.unique(data, return_index=True)
+        acc.add_block(data[np.sort(first)].tolist(), None, n)
         return
     func = acc.func
     size = int(data.size)
     if not size:
         return
-    if func == "count":
+    kind = data.dtype.kind
+    bound = int(np.abs(data).max()) if kind == "i" else 0
+    if (
+        bound * size >= _INT_GUARD  # ndarray.sum() wraps int64 silently
+        or (func == "stddev_samp" and bound > _FLOAT_EXACT)  # v * v is exact
+        or (func in ("min", "max") and kind == "f" and np.isnan(data).any())
+    ):
+        # Python ints are exact, and Python's min/max over NaN depend
+        # on lane order: the list path decides.
+        acc.add_block(data.tolist(), None, size)
+    elif func == "count":
         acc.count += size
-    elif func == "min":
-        lo = data.min().item()
-        if acc.extreme is None or lo < acc.extreme:
-            acc.extreme = lo
-    elif func == "max":
-        hi = data.max().item()
-        if acc.extreme is None or hi > acc.extreme:
-            acc.extreme = hi
-    elif func in ("sum", "avg", "stddev_samp"):
-        if data.dtype.kind == "i" and int(np.abs(data).max()) * size >= _INT_GUARD:
-            # ndarray.sum() wraps int64 silently; Python ints are exact.
-            acc.add_block(data.tolist(), None, size)
-            return
+    elif func in ("min", "max"):
+        acc.add((data.min() if func == "min" else data.max()).item())
+    else:  # sum, avg, stddev_samp
         acc.count += size
-        acc.total += data.sum().item()
+        if kind != "f" and type(acc.total) is int:
+            acc.total += data.sum().item()
+        else:
+            acc.total = _fold_left(acc.total, data)
         if func == "stddev_samp":
-            acc.sq_total += (data.astype("float64") ** 2).sum().item()
+            acc.sq_total = _fold_left(acc.sq_total, np.square(data, dtype="float64"))
+
+
+def _fold_left(start, data) -> float:
+    """``start`` plus every lane of ``data``, added in lane order — the
+    rounding of Python's ``+=`` loop, which ``ndarray.sum`` (pairwise)
+    does not have."""
+    lanes = np.empty(data.size + 1)
+    lanes[0] = float(start)
+    lanes[1:] = data
+    return np.add.accumulate(lanes, out=lanes)[-1].item()

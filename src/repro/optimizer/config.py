@@ -40,23 +40,21 @@ class OptimizerConfig:
     #: the paper's engine does not have it yet, and tests/test_spooling.py
     #: compares fusion vs spooling explicitly.
     enable_spooling: bool = False
-    #: Execution backend: ``"batch"`` streams ~``batch_rows``-row
-    #: column blocks through vectorized operators (the default — it
-    #: amortizes the interpreter's per-row overhead); ``"row"`` is the
-    #: original tuple-at-a-time streaming executor; ``"compiled"``
-    #: runs the batch operators over NumPy vector blocks, plus an
-    #: array equi-join (repro.engine.compiled, DESIGN.md §11).
-    #: All three produce identical results and scan/spool metrics
-    #: (tests/test_engine_ab.py); compiled with NumPy vectors carries
-    #: the usual float summation-order latitude.
+    #: Execution backend: ``"batch"`` — the block engine — streams
+    #: ~``batch_rows``-row column blocks through vectorized operators
+    #: (the default: it amortizes the interpreter's per-row overhead);
+    #: ``"row"`` is the original tuple-at-a-time streaming executor.
+    #: The vector path's former engine name, compiled, is normalized to
+    #: ``"batch"`` on construction.  Both engines produce bit-identical
+    #: results and identical scan/spool metrics
+    #: (tests/test_engine_ab.py, DESIGN.md §11).
     engine: str = "batch"
-    #: Rows per block for the batch and compiled engines.
+    #: Rows per block for the block engine.
     batch_rows: int = 1024
-    #: Vector representation for ``engine="compiled"``: ``"numpy"``
-    #: backs eligible column blocks with ndarrays + validity masks
-    #: (silently degrading to Python lists when NumPy is missing or
-    #: ``REPRO_DISABLE_NUMPY`` is set); ``"python"`` keeps lists,
-    #: which makes the engine the batch engine itself.
+    #: Column representation of the block engine: ``"numpy"`` backs
+    #: eligible column blocks with ndarrays + validity masks (silently
+    #: degrading to Python lists when NumPy is missing or
+    #: ``REPRO_DISABLE_NUMPY`` is set); ``"python"`` keeps lists.
     vectors: str = "numpy"
     #: Record a per-operator wall-time breakdown into
     #: ``QueryMetrics.operator_times`` (the CLI's ``--profile``).
@@ -148,11 +146,10 @@ class OptimizerConfig:
     lower_distinct_before_fusion: bool = False
 
     def __post_init__(self) -> None:
-        if self.engine not in ("row", "batch", "compiled"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}: expected 'row', 'batch' "
-                "or 'compiled'"
-            )
+        if self.engine == "compiled":  # the vector path's former name
+            object.__setattr__(self, "engine", "batch")
+        if self.engine not in ("row", "batch"):
+            raise ValueError(f"unknown engine {self.engine!r}: expected 'row' or 'batch'")
         if self.vectors not in ("python", "numpy"):
             raise ValueError(
                 f"unknown vectors {self.vectors!r}: expected 'python' or 'numpy'"

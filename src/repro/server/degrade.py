@@ -5,8 +5,8 @@ infrastructure problem rather than the user's, be retried on a simpler
 configuration instead of surfacing an error (DESIGN.md §14).  The
 ladder is a small lattice over three axes, each strictly decreasing:
 
-* **engine**: ``compiled`` → ``batch`` → ``row`` — vector-backend
-  failures fall back toward the simplest interpreter;
+* **engine**: ``batch`` → ``row`` — block-engine failures (either
+  column representation) fall back to the simplest interpreter;
 * **parallel** → **serial** — fragment/worker-pool failures
   (:class:`~repro.errors.WorkerPoolError`,
   :class:`FragmentError <repro.engine.parallel.FragmentError>`) rerun
@@ -52,7 +52,7 @@ from repro.errors import (
 from repro.optimizer.config import OptimizerConfig
 
 #: Engine demotion order (absent key = already at the bottom).
-_ENGINE_LADDER = {"compiled": "batch", "batch": "row"}
+_ENGINE_LADDER = {"batch": "row"}
 
 #: Errors that no amount of degradation can fix — the query itself (or
 #: its budget) is the problem, so they surface unchanged.
@@ -107,8 +107,8 @@ def classify(exc: BaseException) -> str | None:
         return "serial"
     if isinstance(exc, DataCorruptionError):
         return "nocache"
-    # Kernel-audit failures, optimizer bugs, execution errors, storage
-    # retries exhausted, and anything unforeseen: simplify the engine.
+    # Optimizer bugs, execution errors, storage retries exhausted, and
+    # anything unforeseen: simplify the engine.
     return "engine"
 
 

@@ -420,7 +420,7 @@ class Store:
         """Columnar fast path: yield ``(column_vectors, row_count)``
         blocks of the requested columns, charging accounting.
 
-        With ``as_vectors=True`` (the compiled engine's NumPy mode),
+        With ``as_vectors=True`` (the block engine's NumPy mode),
         eligible columns come back as cached
         :class:`~repro.engine.vectors.NumpyVector` chunks instead of
         Python lists — same length, same logical values, NULLs carried

@@ -2,7 +2,7 @@
 
 Each query runs across the full configuration matrix
 
-    {row, batch, compiled-numpy} engine
+    {row, batch, batch-lists} engine
         × {fusion on, off} × {cache cold, warm replay}
 
 — twelve cells, every one with ``validate_plans=True`` so the
@@ -14,15 +14,15 @@ must match the serial batch cell exactly — fragment scheduling, retry
 and metric merging may not perturb rows *or* accounting.  The cold/warm dimension
 comes from executing the query twice in a fresh cache-enabled session:
 the first run populates the cross-query plan cache, the second replays
-it.  The compiled cell runs the batch operators over NumPy vector
-blocks (repro.engine.compiled); it is skipped when NumPy is unavailable
-or disabled, leaving eight cells.  There is no compiled-python cell:
-``vectors="python"`` installs no dispatch and *is* the batch engine
-(pinned by ``tests/test_compiled_engine.py``).
+it.  The ``batch`` cells run the block engine as configured by default
+(NumPy vector columns); ``batch-lists`` runs it with
+``vectors="python"``, so list columns stay covered.  Without NumPy (or
+with ``REPRO_DISABLE_NUMPY``) ``batch`` already runs lists and
+``batch-lists`` is skipped, leaving eight cells.
 
 A query *passes* when all cells produce the same row multiset (floats
-canonicalized to 10 significant digits — fusion and NumPy reductions
-legitimately reorder float accumulation) or all fail with the same
+canonicalized to 10 significant digits — fusion legitimately reorders
+float accumulation) or all fail with the same
 benign error class (the generator occasionally produces SQL the binder
 rejects; that is uniform and expected).  Everything else is a
 :class:`Divergence`:
@@ -158,13 +158,13 @@ class DifferentialOracle:
     ENGINE_AXIS = (
         ("row", {"engine": "row"}),
         ("batch", {"engine": "batch"}),
-        ("compiled-numpy", {"engine": "compiled", "vectors": "numpy"}),
+        ("batch-lists", {"engine": "batch", "vectors": "python"}),
     )
 
     def _engines(self):
         for label, overrides in self.ENGINE_AXIS:
-            if label == "compiled-numpy" and not numpy_enabled():
-                continue  # fallback-only environment: cell is redundant
+            if label == "batch-lists" and not numpy_enabled():
+                continue  # fallback-only environment: "batch" runs lists
             yield label, overrides
 
     def _config(self, overrides: dict, fusion: bool) -> OptimizerConfig:

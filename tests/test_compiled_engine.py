@@ -1,11 +1,12 @@
-"""Unit tests for the compiled engine (repro.engine.compiled).
+"""Unit tests for the block engine's vector router (repro.engine.compiled).
 
 The differential suite (tests/test_engine_ab.py, the oracle, the
-fuzzer) proves the compiled engine *agrees* with the row engine; this
-file pins down the router's own observables: that every scan hands out
-vectors and nothing is generated, that ``vectors="python"`` is the
-batch engine, that the NumPy backend degrades cleanly, that LIMIT still
-short-circuits scans, and the array join.
+fuzzer) proves the block engine *agrees* with the row engine; this
+file pins down the router's own observables: that every scan of the
+default configuration hands out vectors and nothing is generated, that
+``vectors="python"`` installs no router, that a bare ``execute_batch``
+runs what ``Session.execute`` runs, that the NumPy backend degrades
+cleanly, that LIMIT still short-circuits scans, and the array join.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.engine import batch_executor, compiled
 from repro.engine.batch_executor import execute_batch, execute_blocks
 from repro.engine.compiled import execute_compiled, install_dispatch
 from repro.engine.executor import execute
-from repro.engine.metrics import ResourceLimits, RunContext
+from repro.engine.metrics import Profiler, ResourceLimits, RunContext
 from repro.engine.session import Session
 from repro.engine.vectors import numpy_enabled
 from repro.errors import QueryCancelledError, QueryTimeoutError
@@ -50,7 +51,7 @@ _SCAN_SQL = (
 
 @pytest.fixture(scope="module")
 def compiled_session(tpcds_store) -> Session:
-    return Session(tpcds_store, OptimizerConfig(engine="compiled"))
+    return Session(tpcds_store, OptimizerConfig())
 
 
 needs_numpy = pytest.mark.skipif(not numpy_enabled(), reason="array path only")
@@ -65,7 +66,7 @@ def _deterministic(metrics) -> dict:
 
 
 def _vector_fetch(plan, ctx, block_rows=1024):
-    """The compiled engine's undelisted block stream for ``plan``."""
+    """The vector router's undelisted block stream for ``plan``."""
     assert install_dispatch(ctx, "numpy") == "numpy"
     return compiled._fetch(plan, ctx, block_rows)
 
@@ -91,15 +92,15 @@ def test_plan_rerun_under_a_fresh_context(tpcds_store, compiled_session):
     runs = []
     for _ in range(2):
         ctx = RunContext(tpcds_store)
-        rows = list(execute_compiled(plan, ctx))
+        rows = list(execute_batch(plan, ctx))
         runs.append((rows, _deterministic(ctx.metrics)))
     assert runs[0] == runs[1] and runs[0][0]
 
 
 def test_python_vectors_is_the_batch_engine(tpcds_store):
-    """``vectors="python"`` installs no dispatch: the run *is*
-    ``execute_batch`` — rows in order, every metric and the profile's
-    operator labels (which is why the oracle has no compiled-python cell)."""
+    """``vectors="python"`` installs no dispatch, and the engine's
+    former name is an alias: rows in order, every metric and the
+    profile's operator labels are the list-column block engine's."""
     ctx = RunContext(tpcds_store)
     assert install_dispatch(ctx, "python") == "python"
     assert ctx.block_dispatch is None and not ctx.vector_blocks
@@ -116,37 +117,66 @@ def test_python_vectors_is_the_batch_engine(tpcds_store):
 @needs_numpy
 def test_every_studied_scan_hands_out_vectors(tpcds_store, monkeypatch):
     """A scan that silently fell back to lists would keep every result
-    right and run at half the speed: under ``vectors="numpy"`` every
-    ``Store.scan_blocks`` call, predicate or not, asks for vectors."""
+    right and run at half the speed: in the paper's configurations
+    (fused and baseline) and the costed one, every ``Store.scan_blocks``
+    call, predicate or not, asks for vectors; under ``vectors="python"``
+    none does."""
     calls = []
     scan_blocks = Store.scan_blocks
 
     def spy(self, table_name, *args, **kwargs):
-        calls.append((table_name, kwargs.get("as_vectors")))
+        calls.append(kwargs.get("as_vectors"))
         return scan_blocks(self, table_name, *args, **kwargs)
 
     monkeypatch.setattr(Store, "scan_blocks", spy)
-    session = Session(
-        tpcds_store, OptimizerConfig(engine="compiled", vectors="numpy", cost_based=True)
-    )
-    for sql in STUDIED_QUERIES.values():
-        session.execute(sql)
-    assert len(calls) >= len(STUDIED_QUERIES)
-    assert [call for call in calls if call[1] is not True] == []
+    for config, vectors in (
+        (OptimizerConfig(), True),
+        (OptimizerConfig(enable_fusion=False), True),
+        (OptimizerConfig(cost_based=True), True),
+        (OptimizerConfig(vectors="python"), False),
+    ):
+        calls.clear()
+        session = Session(tpcds_store, config)
+        for sql in STUDIED_QUERIES.values():
+            session.execute(sql)
+        assert len(calls) >= len(STUDIED_QUERIES)
+        assert set(calls) == {vectors}, config
 
 
-@pytest.mark.parametrize("engine", ["row", "batch", "compiled"])
+@needs_numpy
+def test_bare_execute_batch_runs_what_the_session_runs(tpcds_store):
+    """``execute_batch(plan, ctx)`` — the benchmark's engine probe —
+    takes the same vector path as ``Session.execute``: the same
+    breakers on the array path and the same profile labels on q95."""
+    session = Session(tpcds_store, OptimizerConfig(profile=True))
+    result = session.execute(STUDIED_QUERIES["q95"])
+    ctx = RunContext(tpcds_store)
+    ctx.profiler = Profiler()
+    rows = list(execute_batch(result.optimized_plan, ctx))
+    assert rows == result.rows
+    assert ctx.metrics.breakers_vectorized == result.metrics.breakers_vectorized > 0
+    assert sorted(ctx.profiler.records) == sorted(result.metrics.operator_times)
+
+
+_ENGINES = {
+    "row": dict(engine="row"),
+    "batch": dict(engine="batch"),
+    "batch-lists": dict(engine="batch", vectors="python"),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
 def test_closed_session_frees_the_store_without_a_collection(engine):
     """Nothing a run leaves behind may tie the store into a reference
     cycle: the benchmark frees one dataset before generating the next
     and must not hold two (a per-context kernel cache whose entries
-    captured the context once did, on the compiled engine)."""
+    captured the context once did, on the vector path)."""
     store = generate_dataset(scale=0.01, seed=7)
     gc.collect()
     gc.disable()
     try:
         alive = weakref.ref(store)
-        session = Session(store, OptimizerConfig(engine=engine, cost_based=True))
+        session = Session(store, OptimizerConfig(**_ENGINES[engine], cost_based=True))
         for sql in STUDIED_QUERIES.values():
             session.execute(sql)
         session.close()
@@ -157,7 +187,7 @@ def test_closed_session_frees_the_store_without_a_collection(engine):
 
 
 def test_numpy_env_kill_switch(tpcds_store, monkeypatch):
-    """REPRO_DISABLE_NUMPY forces the pure-Python kernels even when the
+    """REPRO_DISABLE_NUMPY forces list columns even when the
     config asks for NumPy — and the results are byte-identical to the
     row engine."""
     monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
@@ -165,15 +195,13 @@ def test_numpy_env_kill_switch(tpcds_store, monkeypatch):
     assert install_dispatch(RunContext(tpcds_store), "numpy") == "python"
 
     row = Session(tpcds_store, OptimizerConfig(engine="row")).execute(_SCAN_SQL)
-    compiled = Session(
-        tpcds_store, OptimizerConfig(engine="compiled", vectors="numpy")
-    ).execute(_SCAN_SQL)
+    compiled = Session(tpcds_store, OptimizerConfig(vectors="numpy")).execute(_SCAN_SQL)
     assert row.sorted_rows() == compiled.sorted_rows()
 
 
 def test_limit_short_circuits_scan(tpcds_store, compiled_session):
     """LIMIT above a fused scan pipeline stops pulling source blocks
-    once satisfied — the kernel must not drain the table."""
+    once satisfied — the vector path must not drain the table."""
     sql = "SELECT s.ss_item_sk FROM store_sales s LIMIT 5"
     result = compiled_session.execute(sql)
     total_rows = tpcds_store.get("store_sales").row_count
@@ -187,9 +215,7 @@ def test_profile_labels_pipelines(tpcds_store):
     """--profile lists a scan → project → limit → filter → aggregate
     chain operator by operator (what used to be one ``Pipeline[...]``
     entry), and scalar aggregation is a sink, not a breaker."""
-    session = Session(
-        tpcds_store, OptimizerConfig(engine="compiled", profile=True)
-    )
+    session = Session(tpcds_store, OptimizerConfig(profile=True))
     result = session.execute(
         "SELECT sum(x.q + 1) FROM (SELECT s.ss_quantity AS q FROM store_sales s "
         "LIMIT 500) x WHERE x.q > 10"
@@ -204,12 +230,12 @@ def test_profile_labels_pipelines(tpcds_store):
 
 
 def test_compiled_handles_spooling_plans(tpcds_store):
-    """Spool producers/consumers break pipelines; the compiled engine
+    """Spool producers/consumers break pipelines; the block engine
     must still agree with the row engine on a spooled plan, metrics
     included."""
     spool = dict(enable_fusion=False, enable_spooling=True)
     row_s = Session(tpcds_store, OptimizerConfig(engine="row", **spool))
-    compiled_s = Session(tpcds_store, OptimizerConfig(engine="compiled", **spool))
+    compiled_s = Session(tpcds_store, OptimizerConfig(**spool))
     for name in ("q65", "q23"):
         row = row_s.execute(STUDIED_QUERIES[name])
         compiled = compiled_s.execute(STUDIED_QUERIES[name])
@@ -265,9 +291,8 @@ def test_nan_salted_distinct_agrees_across_engines(sql):
     reference = None
     for config in (
         OptimizerConfig(engine="row"),
-        OptimizerConfig(engine="batch"),
-        OptimizerConfig(engine="compiled", vectors="python"),
-        OptimizerConfig(engine="compiled", vectors="numpy"),
+        OptimizerConfig(engine="batch", vectors="python"),
+        OptimizerConfig(engine="batch", vectors="numpy"),
     ):
         rows = _nan_canonical_rows(Session(store, config).execute(sql).rows)
         if reference is None:
@@ -283,7 +308,7 @@ def test_nan_group_keys_match_row_engine():
     store = _store_with_prices(prices)
     sql = "SELECT count(*) FROM t GROUP BY t.price"
     row = Session(store, OptimizerConfig(engine="row")).execute(sql)
-    compiled = Session(store, OptimizerConfig(engine="compiled")).execute(sql)
+    compiled = Session(store, OptimizerConfig()).execute(sql)
     assert sorted(row.rows) == sorted(compiled.rows) == [(60,), (60,), (120,), (120,)]
 
 
@@ -297,14 +322,15 @@ def test_keyed_group_by_both_sides_of_row_gate(rows):
     for key in ("t.price", "t.id"):
         sql = f"SELECT {key}, count(*), sum(t.price), min(t.id) FROM t GROUP BY {key}"
         row = Session(store, OptimizerConfig(engine="row")).execute(sql)
-        compiled = Session(store, OptimizerConfig(engine="compiled")).execute(sql)
+        compiled = Session(store, OptimizerConfig()).execute(sql)
         assert row.rows == compiled.rows  # first-occurrence order included
         assert compiled.metrics.breakers_batch == 0 or not numpy_enabled()
 
 
 def test_direct_execute_matches_row_engine(tpcds_store, compiled_session):
-    """execute_compiled as a library call (no Session) over a prepared
-    plan matches repro.engine.executor.execute."""
+    """execute_compiled — the block engine's entry point under its
+    former name, same signature — as a library call (no Session) over a
+    prepared plan matches repro.engine.executor.execute."""
     plan, _ = compiled_session.plan(STUDIED_QUERIES["q09"])
     row_rows = sorted(execute(plan, RunContext(tpcds_store)))
     compiled_rows = sorted(
@@ -356,13 +382,13 @@ def join_store():
     return store
 
 
-#: Every engine that joins over blocks, held to the row engine: the
-#: batch join (positions over list columns), the same join reached
-#: through the compiled engine's dispatch, and the array join.
+#: Both representations of the block engine, held to the row engine:
+#: the batch join (positions over list columns) and the array join
+#: (NumPy columns, the default; last, so ``_assert_plan_exact`` returns
+#: its metrics).
 _BLOCK_ENGINES = {
-    "batch": dict(engine="batch"),
-    "compiled-python": dict(engine="compiled", vectors="python"),
-    "compiled-numpy": dict(engine="compiled", vectors="numpy"),
+    "batch-lists": dict(engine="batch", vectors="python"),
+    "batch": dict(engine="batch", vectors="numpy"),
 }
 
 
@@ -391,10 +417,7 @@ def _assert_plan_exact(store, plan, block_rows=32):
     expected = list(execute(plan, row_ctx))
     for name, engine in _BLOCK_ENGINES.items():
         ctx = RunContext(store)
-        if name == "batch":
-            got = list(execute_batch(plan, ctx, block_rows))
-        else:
-            got = list(execute_compiled(plan, ctx, block_rows, engine["vectors"]))
+        got = list(execute_batch(plan, ctx, block_rows, engine["vectors"]))
         assert got == expected, name
         for metric in ("bytes_scanned", "rows_scanned", "peak_state_rows"):
             assert getattr(ctx.metrics, metric) == getattr(row_ctx.metrics, metric), (
@@ -473,7 +496,7 @@ def test_stages_above_a_join_keep_vector_blocks(join_store):
     )
     row = Session(join_store, OptimizerConfig(engine="row")).execute(sql)
     compiled = Session(
-        join_store, OptimizerConfig(engine="compiled", vectors="numpy", profile=True)
+        join_store, OptimizerConfig(vectors="numpy", profile=True)
     ).execute(sql)
     assert compiled.rows == row.rows
     if not numpy_enabled():
@@ -485,7 +508,7 @@ def test_stages_above_a_join_keep_vector_blocks(join_store):
     assert "Join[vector]" in labels and "GroupBy[vector]" in labels
     assert "Project #" in labels  # stages fetched by array operators are metered
     # Scalar aggregation is a sink, not a breaker: only the join counts.
-    scalar = Session(join_store, OptimizerConfig(engine="compiled")).execute(
+    scalar = Session(join_store, OptimizerConfig()).execute(
         "SELECT count(*), sum(l.q + r.q) FROM l JOIN r ON l.k = r.k"
     )
     assert (scalar.metrics.breakers_vectorized, scalar.metrics.breakers_batch) == (1, 0)
@@ -619,7 +642,7 @@ def test_skewed_join_expands_in_bounded_slices(monkeypatch, kind):
     sizes = [n for _, n in _vector_fetch(plan, ctx)]
     assert sum(sizes) == 60 * 400
     assert max(sizes) <= 1000 and len(sizes) == 24
-    assert list(execute_compiled(plan, RunContext(Store()))) == list(
+    assert list(execute_batch(plan, RunContext(Store()))) == list(
         execute(plan, RunContext(Store()))
     )
 
@@ -635,12 +658,12 @@ def test_skewed_join_memory_follows_the_slice_bound(tpcds_store, monkeypatch):
         "SELECT count(*) FROM store_sales s JOIN item i "
         "ON s.ss_quantity * 0 = i.i_item_sk * 0"
     )
-    session = Session(tpcds_store, OptimizerConfig(engine="compiled"))
+    session = Session(tpcds_store, OptimizerConfig())
     rows = tpcds_store.get("store_sales").row_count * tpcds_store.get("item").row_count
     peaks = {}
     for bound in (1 << 30, 512):
         monkeypatch.setattr(batch_executor, "_JOIN_PAIR_SLICE", bound)
-        session.execute(sql)  # plan and kernels warm: measure the join
+        session.execute(sql)  # plan and closures warm: measure the join
         tracemalloc.start()
         try:
             result = session.execute(sql)
@@ -680,10 +703,10 @@ def test_join_over_non_scan_children_has_its_own_deadline_point(join_store):
     loop must be the deadline point, not its parent."""
     ctx = RunContext(Store(), limits=ResourceLimits(timeout_ms=0))
     with pytest.raises(QueryTimeoutError) as info:
-        list(execute_compiled(_skew_join(), ctx))
+        list(execute_batch(_skew_join(), ctx))
     assert "_run_join_nv" in [frame.name for frame in info.traceback]
 
-    session = Session(join_store, OptimizerConfig(engine="compiled"))
+    session = Session(join_store, OptimizerConfig())
     with pytest.raises(QueryTimeoutError):
         session.execute(
             "SELECT l.id, g.c FROM l JOIN "
@@ -746,14 +769,12 @@ def _joins(plan) -> list:
 @pytest.mark.parametrize("name", sorted(STUDIED_QUERIES))
 def test_studied_queries_keep_equi_joins_on_the_array_path(tpcds_store, name):
     """The structural guard of the vector operators, independent of
-    timing: under the costed compiled configuration no studied query
+    timing: under the costed configuration no studied query
     hands an equi-join, a keyed GroupBy, a MarkDistinct, a Window or a
     Sort to the batch engine (Q09's one-row CROSS joins may go)."""
     session = Session(
         tpcds_store,
-        OptimizerConfig(
-            engine="compiled", vectors="numpy", cost_based=True, profile=True
-        ),
+        OptimizerConfig(vectors="numpy", cost_based=True, profile=True),
     )
     result = session.execute(STUDIED_QUERIES[name])
     joins = _joins(result.optimized_plan)

@@ -1,15 +1,14 @@
-"""Differential tests: row vs. batch vs. compiled execution engines.
+"""Differential tests: the row engine vs. the block engine over NumPy
+vector columns (the default) and over Python lists.
 
 Every workload query (and the paper-example SQL) must produce the same
 result multiset and byte-identical scan/spool metrics under every
-engine — batch and compiled execution are pure execution-speed
-changes, invisible to everything the paper measures except wall time.
-
-The compiled engine's pure-Python vector backend must match the row
-engine byte-for-byte.  The NumPy backend is granted float latitude
-(``canonical_rows``, 10 significant digits): array reductions are
-pairwise, so Sum/Avg/Stddev over floats differ from sequential
-accumulation in the last ulp.  Integer results stay exact either way.
+engine — block execution is a pure execution-speed change, invisible
+to everything the paper measures except wall time.  Both column
+representations match the row engine byte for byte, float aggregates
+included: array folds add in lane order, as the row engine does.
+(``engine="compiled"`` is the block engine's former name; the sessions
+below still spell it so, which also checks the alias.)
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.algebra.types import DataType
 from repro.engine.session import Session
 from repro.engine.vectors import numpy_enabled
 from repro.optimizer.config import OptimizerConfig
-from repro.testing.oracle import canonical_rows
 from repro.tpcds.queries import STUDIED_QUERIES, WORKLOAD_QUERIES
 from tests import test_paper_examples as paper
 from tests.conftest import simple_table
@@ -80,27 +78,6 @@ def assert_engines_agree(row_session: Session, batch_session: Session, sql: str)
     return row_result, batch_result
 
 
-def assert_compiled_agrees(
-    row_session: Session, compiled_session: Session, sql: str, exact: bool = True
-):
-    """Differential check against the compiled engine.  ``exact=False``
-    compares via ``canonical_rows`` (the NumPy float latitude); metrics
-    must match exactly either way."""
-    row_result = row_session.execute(sql)
-    compiled_result = compiled_session.execute(sql)
-    if exact:
-        assert row_result.sorted_rows() == compiled_result.sorted_rows()
-    else:
-        assert canonical_rows(row_result.rows) == canonical_rows(
-            compiled_result.rows
-        )
-    for metric in EQUAL_METRICS:
-        assert getattr(row_result.metrics, metric) == getattr(
-            compiled_result.metrics, metric
-        ), f"{metric} diverged between row and compiled engines"
-    return row_result, compiled_result
-
-
 @pytest.mark.parametrize("name", sorted(WORKLOAD_QUERIES))
 def test_workload_query_identical(name, row_session, batch_session):
     assert_engines_agree(row_session, batch_session, WORKLOAD_QUERIES[name])
@@ -110,25 +87,21 @@ def test_workload_query_identical(name, row_session, batch_session):
 def test_workload_query_compiled_python_identical(
     name, row_session, compiled_py_session
 ):
-    """The pure-Python compiled backend is held to byte-identical rows:
-    it evaluates the same scalar arithmetic in the same order as the
-    row engine, just through fused per-pipeline kernels."""
-    assert_compiled_agrees(
-        row_session, compiled_py_session, WORKLOAD_QUERIES[name], exact=True
-    )
+    """List columns are held to byte-identical rows: the block
+    operators evaluate the same scalar arithmetic in the same order as
+    the row engine, a list comprehension per expression node."""
+    assert_engines_agree(row_session, compiled_py_session, WORKLOAD_QUERIES[name])
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_QUERIES))
 def test_workload_query_compiled_numpy_agrees(
     name, row_session, compiled_np_session
 ):
-    """The NumPy backend gets canonical-rows float latitude (pairwise
-    reductions) but must still match every scan/spool metric exactly.
-    Falls back to the pure-Python vectors when NumPy is unavailable,
-    in which case this still checks the fallback path end to end."""
-    assert_compiled_agrees(
-        row_session, compiled_np_session, WORKLOAD_QUERIES[name], exact=False
-    )
+    """NumPy columns are held to byte-identical rows too — float sums
+    fold in lane order — and to every scan/spool metric.  Falls back to
+    list columns when NumPy is unavailable, in which case this still
+    checks the fallback path end to end."""
+    assert_engines_agree(row_session, compiled_np_session, WORKLOAD_QUERIES[name])
 
 
 @pytest.mark.parametrize("name", sorted(PAPER_EXAMPLES))
@@ -179,24 +152,20 @@ def test_compiled_without_fusion_identical(vectors, tpcds_store):
         OptimizerConfig(enable_fusion=False, engine="compiled", vectors=vectors),
     )
     for name in ("q09", "q28", "q88", "q65"):
-        assert_compiled_agrees(
-            row_s, compiled_s, STUDIED_QUERIES[name], exact=(vectors == "python")
-        )
+        assert_engines_agree(row_s, compiled_s, STUDIED_QUERIES[name])
 
 
 @pytest.mark.parametrize("vectors", ["python", "numpy"])
 def test_tiny_block_compiled_still_identical(vectors, tpcds_store):
-    """Kernel loop boundaries must be invisible too: 3-row blocks
-    through the fused kernels match the row engine."""
+    """Block boundaries must be invisible in both representations:
+    3-row blocks match the row engine."""
     row_s = Session(tpcds_store, OptimizerConfig(engine="row"))
     tiny_s = Session(
         tpcds_store,
         OptimizerConfig(engine="compiled", vectors=vectors, batch_rows=3),
     )
     for name in ("q01", "q09", "q28", "q65"):
-        assert_compiled_agrees(
-            row_s, tiny_s, STUDIED_QUERIES[name], exact=(vectors == "python")
-        )
+        assert_engines_agree(row_s, tiny_s, STUDIED_QUERIES[name])
 
 
 def _null_salted_store():
@@ -232,33 +201,30 @@ def _null_salted_store():
 NULL_SALTED_QUERIES = {
     "keyed_int": (
         "SELECT s.grp, count(*), sum(s.qty), count(DISTINCT s.qty) "
-        "FROM sales s GROUP BY s.grp",
-        True,
+        "FROM sales s GROUP BY s.grp"
     ),
     "keyed_string": (
-        "SELECT s.cat, min(s.qty), max(s.qty) FROM sales s GROUP BY s.cat",
-        True,
+        "SELECT s.cat, min(s.qty), max(s.qty) FROM sales s GROUP BY s.cat"
     ),
     "multi_key": (
-        "SELECT s.grp, s.cat, count(s.qty) FROM sales s GROUP BY s.grp, s.cat",
-        True,
+        "SELECT s.grp, s.cat, count(s.qty) FROM sales s GROUP BY s.grp, s.cat"
     ),
     "float_aggs": (
-        "SELECT s.grp, avg(s.price), sum(s.price) FROM sales s GROUP BY s.grp",
-        False,
+        "SELECT s.grp, avg(s.price), sum(s.price) FROM sales s GROUP BY s.grp"
     ),
     "filtered": (
         "SELECT s.grp, count(*) FROM sales s "
-        "WHERE s.qty > 10 AND s.cat <> 'cd' GROUP BY s.grp",
-        True,
+        "WHERE s.qty > 10 AND s.cat <> 'cd' GROUP BY s.grp"
     ),
     "scalar_agg": (
-        "SELECT count(*), count(s.qty), sum(s.qty), min(s.grp) FROM sales s",
-        True,
+        "SELECT count(*), count(s.qty), sum(s.qty), min(s.grp) FROM sales s"
+    ),
+    "scalar_float_aggs": (
+        "SELECT sum(s.price), avg(s.price), stddev_samp(s.price), "
+        "sum(DISTINCT s.price) FROM sales s WHERE s.qty > 3"
     ),
     "limit_after_group": (
-        "SELECT s.grp, count(*) FROM sales s GROUP BY s.grp LIMIT 3",
-        True,
+        "SELECT s.grp, count(*) FROM sales s GROUP BY s.grp LIMIT 3"
     ),
 }
 
@@ -269,16 +235,13 @@ def test_null_salted_compiled_agrees(name, vectors):
     """NULL-heavy grouping/filtering/aggregation: the compiled engine
     (both vector backends) must match the row engine, including NULL
     group slots, first-seen group order under LIMIT, and NULL-skipping
-    aggregate semantics.  Integer aggregates are held exact even under
-    NumPy."""
+    aggregate semantics.  Float aggregates are held exact too."""
     store = _null_salted_store()
-    sql, int_exact = NULL_SALTED_QUERIES[name]
     row_s = Session(store, OptimizerConfig(engine="row"))
     compiled_s = Session(
         store, OptimizerConfig(engine="compiled", vectors=vectors)
     )
-    exact = int_exact or vectors == "python"
-    assert_compiled_agrees(row_s, compiled_s, sql, exact=exact)
+    assert_engines_agree(row_s, compiled_s, NULL_SALTED_QUERIES[name])
 
 
 @pytest.mark.parametrize("engine", ["row", "batch", "compiled"])

@@ -1,9 +1,12 @@
 """Unit tests for expression evaluation (3-valued logic) and aggregators."""
 
 import math
+import struct
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.expressions import (
     FALSE,
@@ -369,6 +372,47 @@ class TestBlockCompilation:
         assert self._run(expr, [], representation) == []
 
 
+#: Float lanes with NULLs and signed zeros, of magnitudes where the
+#: summation order shows in the last bits ...
+_FINITE_LANE = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.integers(-(10**9), 10**9).map(lambda i: i / 7),  # inexact in binary
+)
+#: ... and, in other columns, NaN, infinities and extreme magnitudes
+#: (one of these in a column decides its sum whatever the order).
+_ANY_LANE = st.one_of(
+    _FINITE_LANE,
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_MASK_LANE = st.sampled_from([True, False, None])
+_FLOAT_COLUMNS = st.one_of(
+    st.lists(st.tuples(_FINITE_LANE, _MASK_LANE), max_size=60),
+    st.lists(st.tuples(_ANY_LANE, _MASK_LANE), max_size=60),
+)
+
+
+def _feed(acc: Aggregator, values, mask, n: int) -> None:
+    """One aggregate's block, through scalar aggregation's entry point."""
+    spec = (acc.func, acc.distinct, 0, None if mask is None else 1)
+    accumulate_block([acc], [spec], [values, mask], n)
+
+
+def _bits(acc: Aggregator) -> tuple:
+    """An accumulator's state and result, floats as their IEEE bytes —
+    but any NaN as one value: C leaves the sign and payload of a NaN
+    sum to the order the compiler picks for the operands."""
+
+    def exact(v):
+        if type(v) is not float:
+            return v
+        return (float, "nan" if v != v else struct.pack("<d", v))
+
+    return tuple(map(exact, (acc.count, acc.total, acc.sq_total, acc.result())))
+
+
 class TestNumpyBlockPaths:
     """Array-path behaviour that must equal Python's scalar semantics."""
 
@@ -402,16 +446,60 @@ class TestNumpyBlockPaths:
             ("avg", 7 * 2**61 / 7),
         ):
             acc = Aggregator(func)
-            accumulate_block(acc, values, mask, 8)
+            _feed(acc, values, mask, 8)
             assert acc.result() == expected
         acc = Aggregator("sum")
-        accumulate_block(acc, values, None, 8)
+        _feed(acc, values, None, 8)
         assert acc.result() == 2**64
         reference = Aggregator("stddev_samp")
         reference.add_block([2**61] * 8, None, 8)
         acc = Aggregator("stddev_samp")
-        accumulate_block(acc, values, None, 8)
+        _feed(acc, values, None, 8)
         assert acc.result() == reference.result()
+
+    @given(
+        lanes=_FLOAT_COLUMNS,
+        block_rows=st.sampled_from([1, 7, 1024]),
+        func=st.sampled_from(["sum", "avg", "stddev_samp"]),
+        distinct=st.booleans(),
+        masked=st.booleans(),
+    )
+    @example(  # 0.9999999999999999 left to right, 1.0 pairwise
+        lanes=[(0.1, True)] * 10, block_rows=1024, func="sum", distinct=False,
+        masked=False,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_float_folds_equal_the_row_loop_bit_for_bit(
+        self, lanes, block_rows, func, distinct, masked
+    ):
+        """Regression: scalar float SUM/AVG/STDDEV_SAMP used the pairwise
+        ``ndarray.sum`` (and DISTINCT added values in sorted order), so
+        results differed from the row engine in the last ulp."""
+        reference = Aggregator(func, distinct)
+        for value, keep in lanes:
+            if not masked or keep is True:
+                reference.add(value)
+        acc = Aggregator(func, distinct)
+        for start in range(0, len(lanes), block_rows):
+            block = lanes[start : start + block_rows]
+            values = vector_from_values([v for v, _ in block], DataType.DOUBLE)
+            mask = None
+            if masked:
+                mask = vector_from_values([m for _, m in block], DataType.BOOLEAN)
+            _feed(acc, values, mask, len(block))
+        assert _bits(acc) == _bits(reference)
+
+    def test_min_max_over_nan_follow_lane_order(self):
+        """Python's ``min``/``max`` over NaN depend on where the NaN is;
+        ``ndarray.min`` returns NaN whatever the order."""
+        values = [1.0, float("nan"), 0.5, 3.0]
+        for func in ("min", "max"):
+            reference = Aggregator(func)
+            for v in values:
+                reference.add(v)
+            acc = Aggregator(func)
+            _feed(acc, vector_from_values(values, DataType.DOUBLE), None, 4)
+            assert acc.result() == reference.result()
 
 
 ENGINE_CONFIGS = {

@@ -128,10 +128,10 @@ class TestOracle:
         assert len(outcomes) == (12 if numpy_enabled() else 8)
         assert "row/baseline/cold" in outcomes
         assert "batch/fusion/warm" in outcomes
-        # vectors="python" is the batch engine: no cell of its own.
-        assert not any(cell.startswith("compiled-python") for cell in outcomes)
-        if numpy_enabled():
-            assert "compiled-numpy/baseline/warm" in outcomes
+        # "batch" runs NumPy columns by default; list columns keep a
+        # cell of their own wherever NumPy is on.
+        assert not any(cell.startswith("compiled") for cell in outcomes)
+        assert ("batch-lists/baseline/warm" in outcomes) is numpy_enabled()
 
 
 @pytest.fixture()

@@ -1,12 +1,9 @@
 """Parallel fragment execution (DESIGN.md §13).
 
-Determinism: every engine must produce the same bytes at workers 2 and
-4 as serially — rows, order, and scan accounting.  The one documented
-exception is compiled-numpy, whose workers=1 plans fuse whole-pipeline
-``np.sum`` kernels that an Exchange boundary splits, so workers>1 may
-differ from workers=1 in the last ulp (workers 2 and 4 still agree
-byte-for-byte); the oracle's 10-significant-digit canonicalization is
-the comparison there, exactly as for fusion itself.
+Determinism: every engine, in both column representations, must
+produce the same bytes at workers 2 and 4 as serially — rows, order,
+and scan accounting, float aggregates included (scalar sums fold left
+to right across blocks, so an Exchange boundary cannot change them).
 
 Fault domains: a failed fragment retries on another worker; a poisoned
 worker must not fail the query, and exhausted retries surface as
@@ -28,7 +25,6 @@ from repro.engine.parallel import FragmentError, WorkerPool
 from repro.engine.session import Session
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.optimizer.config import OptimizerConfig
-from repro.testing.oracle import canonical_rows
 
 #: One query per fragment pattern the parallel planner produces.
 QUERIES = {
@@ -81,24 +77,9 @@ def test_rows_and_metrics_identical_across_worker_counts(tpcds_store, engine):
             )
 
 
-def test_compiled_workers_agree_with_each_other(tpcds_store):
-    """compiled-numpy: workers 2 and 4 are byte-identical; vs workers=1
-    only float accumulation order may differ (the fusion latitude)."""
-    serial = _run_all(tpcds_store, engine="compiled")
-    two = _run_all(tpcds_store, engine="compiled", workers=2)
-    four = _run_all(tpcds_store, engine="compiled", workers=4)
-    for name in QUERIES:
-        assert two[name].rows == four[name].rows, name
-        assert canonical_rows(two[name].rows) == canonical_rows(
-            serial[name].rows
-        ), name
-        assert _metrics_key(two[name]) == _metrics_key(serial[name]), name
-        assert _metrics_key(four[name]) == _metrics_key(serial[name]), name
-
-
 def test_compiled_python_vectors_identical_across_worker_counts(tpcds_store):
-    """The python vector backend accumulates left-to-right like the
-    batch engine, so even workers=1 vs workers=4 is byte-identical."""
+    """List columns (``engine="batch"`` above runs NumPy ones) are
+    byte-identical at workers=1 and workers=4 too."""
     serial = _run_all(tpcds_store, engine="compiled", vectors="python")
     four = _run_all(tpcds_store, engine="compiled", vectors="python", workers=4)
     for name in QUERIES:

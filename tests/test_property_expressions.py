@@ -316,7 +316,8 @@ def test_which_studied_masks_narrow(tpcds_store, monkeypatch, name, fusion, narr
     """The narrowing rule, structurally: Q28's bucket masks (a BETWEEN
     that decides ~95 % of the lanes, then a six-comparison OR) narrow;
     Q09's two-term ``q >= a AND q <= b`` masks and its five-way OR of
-    mask columns leave nothing worth a gather and never do."""
+    mask columns leave nothing worth a gather and never do.  Narrowing
+    is a property of list columns (vector blocks fold whole arrays)."""
     narrowed = []
 
     def spy(cols, sel, take_rows=vectors.take_rows):
@@ -325,7 +326,7 @@ def test_which_studied_masks_narrow(tpcds_store, monkeypatch, name, fusion, narr
         return take_rows(cols, sel)
 
     monkeypatch.setattr(vectors, "take_rows", spy)
-    config = OptimizerConfig(engine="batch", enable_fusion=fusion)
+    config = OptimizerConfig(engine="batch", vectors="python", enable_fusion=fusion)
     Session(tpcds_store, config).execute(STUDIED_QUERIES[name])
     assert bool(narrowed) is narrows
 

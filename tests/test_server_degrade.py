@@ -51,21 +51,19 @@ class FakeResult:
         self.metrics = FakeMetrics()
 
 
-TOP = Rung(engine="compiled", parallel=True, cache=True)
+TOP = Rung(engine="batch", parallel=True, cache=True)
 BOTTOM = Rung(engine="row", parallel=False, cache=False)
 
 
 class TestRung:
     def test_name_round_trips_the_axes(self):
-        assert TOP.name == "compiled|parallel|cache"
+        assert TOP.name == "batch|parallel|cache"
         assert BOTTOM.name == "row|serial|nocache"
 
     def test_config_specializes_base(self):
-        base = OptimizerConfig(
-            engine="compiled", workers=4, enable_plan_cache=True
-        )
-        serial = Rung(engine="batch", parallel=False, cache=False).config(base)
-        assert serial.engine == "batch"
+        base = OptimizerConfig(workers=4, enable_plan_cache=True)
+        serial = Rung(engine="row", parallel=False, cache=False).config(base)
+        assert serial.engine == "row"
         assert serial.workers == 1
         assert not serial.enable_plan_cache
         top = TOP.config(base)
@@ -99,17 +97,17 @@ class TestClassifyAndDemote:
         assert demote(nocache, DataCorruptionError("still bad")) is None
 
     def test_engine_ladder_walks_to_row(self):
-        exc = ExecutionError("kernel blew up")
+        exc = ExecutionError("vector path blew up")
+        # One rung: list columns run the same operators, so a block-
+        # engine failure goes straight to the row engine.
         r1 = demote(TOP, exc)
-        assert r1.engine == "batch"
-        r2 = demote(r1, exc)
-        assert r2.engine == "row"
+        assert r1 == Rung(engine="row", parallel=True, cache=True)
         # Row engine failing: shed the remaining axes before giving up.
+        r2 = demote(r1, exc)
+        assert r2 is not None and not r2.parallel
         r3 = demote(r2, exc)
-        assert r3 is not None and not r3.parallel
-        r4 = demote(r3, exc)
-        assert r4 is not None and not r4.cache
-        assert demote(r4, exc) is None
+        assert r3 is not None and not r3.cache
+        assert demote(r3, exc) is None
 
     def test_step_down_total_order_terminates(self):
         rung, seen = TOP, set()
@@ -226,17 +224,17 @@ class TestDegradationSupervisor:
 
         def run(rung, sql):
             calls.append(rung.name)
-            if rung.engine == "compiled":
-                raise ExecutionError("kernel failure")
+            if rung.engine == "batch":
+                raise ExecutionError("vector path failure")
             if rung.parallel:
                 raise FragmentError("pool wipeout")
             return FakeResult()
 
         result = supervisor.execute(run, "SELECT 1")
         assert calls == [
-            "compiled|parallel|cache",
             "batch|parallel|cache",
-            "batch|serial|cache",
+            "row|parallel|cache",
+            "row|serial|cache",
         ]
         assert result.metrics.ladder_path == calls
         assert len(result.metrics.degradations) == 2
@@ -336,5 +334,5 @@ class TestDegradationSupervisor:
             return FakeResult()
 
         result = supervisor.execute(run, "SELECT 1")
-        assert calls == ["batch|parallel|cache"]
+        assert calls == ["row|parallel|cache"]
         assert any("CircuitOpen" in d for d in result.metrics.degradations)

@@ -13,10 +13,13 @@ import time
 
 import pytest
 
+from repro.engine import compiled
 from repro.engine.session import Session
+from repro.engine.vectors import numpy_enabled
 from repro.errors import (
     AdmissionRejectedError,
     BindingError,
+    ExecutionError,
     QueryQueueTimeoutError,
     ReproError,
 )
@@ -103,6 +106,25 @@ class TestEndToEnd:
                 service.execute("SELECT no_such_column FROM store_sales")
             # A user error neither wedges the dispatcher nor the queue.
             assert service.execute(QUERIES[0]).rows
+
+    @pytest.mark.skipif(not numpy_enabled(), reason="no vector path to fail")
+    def test_vector_path_failure_demotes_to_row_in_one_step(
+        self, service_store, expected_rows, monkeypatch
+    ):
+        """The block engine over list columns runs the very operators
+        that just failed, so the ladder has no rung for it."""
+
+        def broken(plan, ctx, block_rows):
+            raise ExecutionError("vector path failure")
+
+        monkeypatch.setattr(compiled, "_dispatch", broken)
+        with QueryService(service_store, _config()) as service:
+            result = service.execute(QUERIES[1])
+        assert result.rows == expected_rows[QUERIES[1]]
+        assert result.metrics.ladder_path == ["batch|serial|cache", "row|serial|cache"]
+        assert result.metrics.degradations == [
+            "batch|serial|cache->row|serial|cache:ExecutionError"
+        ]
 
     def test_metrics_snapshot_shape(self, service_store):
         with QueryService(service_store, _config()) as service:
