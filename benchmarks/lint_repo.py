@@ -13,7 +13,8 @@ Checks conventions a generic linter cannot know:
   ``KeyboardInterrupt``/``SystemExit``; the engine's error taxonomy
   depends on typed handlers);
 * no ``exec``/``eval`` call anywhere under ``src/``, and none of the
-  names of the retired kernel generator (``RETIRED_NAMES``);
+  names of deleted code (``RETIRED_NAMES``): the kernel generator, the
+  no-NumPy mode and the vector router's own join;
 * every memo slot written into a node's ``__dict__`` under
   ``src/repro/algebra`` is named in ``expressions.MEMO_SLOTS``, the
   list ``Expression.__getstate__`` strips (a cache missing from it
@@ -43,14 +44,18 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 sys.path.insert(0, str(SRC))
 
-#: Names of the pipeline code generator deleted in PR 22; none may
-#: come back under ``src/``.
+#: Names of deleted code — the pipeline code generator, the no-NumPy
+#: mode and the vector router's own join; none may come back under
+#: ``src/``.
 RETIRED_NAMES = (
     "_KERNEL_CACHE",
     "_CODE_CACHE",
     "kernel_audit",
     "audit_kernels",
     "_build_kernel",
+    "REPRO_DISABLE_NUMPY",
+    "numpy_enabled",
+    "_run_join_nv",
 )
 
 
@@ -102,7 +107,7 @@ def lint_source_trees() -> list[str]:
         rel = path.relative_to(SRC)
         text = path.read_text()
         problems += [
-            f"{rel}: mentions {name}, part of the deleted kernel generator"
+            f"{rel}: mentions {name}, a name of deleted code"
             for name in RETIRED_NAMES
             if name in text
         ]
@@ -164,15 +169,15 @@ PACKAGE_LINE_CEILINGS = {
     "repro": 495,
     "repro.algebra": 3552,
     "repro.catalog": 90,
-    "repro.engine": 3858,
+    "repro.engine": 3743,
     "repro.fusion": 579,
     "repro.optimizer": 3108,
     "repro.server": 846,
     "repro.sql": 1313,
-    "repro.storage": 584,
-    "repro.testing": 1068,
+    "repro.storage": 579,
+    "repro.testing": 1062,
     "repro.tpcds": 1077,
-    "total": 16570,
+    "total": 16444,
 }
 
 _NON_CODE_TOKENS = frozenset(

@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--vectors",
         choices=("python", "numpy"),
         default="numpy",
-        help="column representation of --engine batch: 'numpy' "
-        "(default; falls back to 'python' without NumPy) or 'python' lists",
+        help="column representation of --engine batch: 'numpy' arrays "
+        "(default) or 'python' lists",
     )
     parser.add_argument(
         "--batch-rows",

@@ -9,23 +9,24 @@ columnar form.  A column is a Python list *or* a
 :class:`~repro.engine.vectors.NumpyVector`: under ``vectors="numpy"``
 (the default) :func:`execute_batch` installs the vector router of
 :mod:`repro.engine.compiled`, scans hand out arrays and these very
-operators run over them; under ``vectors="python"`` (or without NumPy)
-every column is a list.  Expressions evaluate through the block
-compiler, :func:`repro.engine.vectors.compile_expression_block`, which
-picks the array path or one list comprehension per expression node per
-block from the columns it receives, amortizing the interpreter's
-per-row closure overhead that dominates the row engine.
+operators run over them; under ``vectors="python"`` every column is a
+list.  Expressions evaluate through the block compiler,
+:func:`repro.engine.vectors.compile_expression_block`, which picks the
+array path or one list comprehension per expression node per block from
+the columns it receives, amortizing the interpreter's per-row closure
+overhead that dominates the row engine.
 
-Joins work on **positions**, not tuples (:func:`_run_join`): the build
-side is buffered once as columns, every join kind is an iteration over
-``(probe lane, build position)`` index pairs in probe order, the
-residual is a block closure evaluated per slice of candidate pairs over
-just the columns it reads, and only surviving pairs gather output
-columns.  Scalar aggregation feeds whole column vectors to its
-accumulators.  Keyed GroupBy, MarkDistinct, Window and Sort keep their
-state on positions too: they are callers of the one keyed core
-(:mod:`repro.engine.keyed` — factorize key columns to group codes,
-reduce every aggregate per code, gather back) and emit column blocks.
+There is one join, on **positions**, not tuples (:func:`_run_join`):
+the build side is buffered once as columns, every join kind over either
+representation is one sorted-array probe emitting ``(probe lane, build
+position)`` index pairs in probe order, the residual is a block closure
+evaluated per slice of candidate pairs over just the columns it reads,
+and only surviving pairs gather output columns.  Scalar aggregation
+feeds whole column vectors to its accumulators.  Keyed GroupBy,
+MarkDistinct, Window and Sort keep their state on positions too: they
+are callers of the one keyed core (:mod:`repro.engine.keyed` —
+factorize key columns to group codes, reduce every aggregate per code,
+gather back) and emit column blocks.
 Only ScalarApply, EnforceSingleRow and the row-tuple caches of Spool /
 CachePopulate still convert blocks to row tuples.
 
@@ -53,12 +54,10 @@ columns) but never mutate one in place.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import islice
 from typing import Iterator
 
-from repro.algebra.expressions import TRUE, ColumnRef, columns_in
+from repro.algebra.expressions import TRUE, ColumnRef, Comparison, columns_in, make_and
 from repro.algebra.operators import (
     CachePopulate,
     CachedScan,
@@ -100,10 +99,15 @@ from repro.engine.keyed import (
 )
 from repro.engine.metrics import RunContext
 from repro.engine.vectors import (
+    NumpyVector,
+    _and_valid,
     accumulate_block,
     compact_block,
     compile_expression_block,
+    delist,
+    np,
     take_rows,
+    true_lanes,
 )
 from repro.errors import ExecutionError
 
@@ -126,9 +130,8 @@ def execute_batch(
     """Execute ``plan`` with the block engine, yielding output rows.
 
     ``vectors="numpy"`` routes every dispatch through the vector router
-    (:mod:`repro.engine.compiled`); it silently degrades to ``"python"``
-    — list columns, this module's operator table alone — when NumPy is
-    absent or ``REPRO_DISABLE_NUMPY`` is set.
+    (:mod:`repro.engine.compiled`); ``"python"`` runs list columns
+    through this module's operator table alone.
     """
     # Imported here: the router is built on this module's operators.
     from repro.engine.compiled import install_dispatch
@@ -328,107 +331,139 @@ def _run_limit(
 # -- joins ---------------------------------------------------------------
 
 
-#: Most candidate (probe, build) pairs expanded at once, in this join
-#: and in the vector router's array join.  A skewed key would
-#: otherwise materialize |probe block| x |build| index pairs; with the
-#: bound, every index list of a join (and every block it yields) stays
-#: under this many lanes plus one probe block.
+#: A join expands at most ``min(_JOIN_PAIR_SLICE, block_rows)``
+#: candidate (probe, build) pairs at once.  A skewed key or a CROSS
+#: join would otherwise materialize |probe block| x |build| index
+#: pairs; with the bound, every index array of a join (and every block
+#: it yields) stays under it plus one probe block.  A slice longer than
+#: a block amortizes nothing more, and it is what the join — and
+#: whoever takes its blocks — holds (DESIGN.md §7 has the memory
+#: measurement).
 _JOIN_PAIR_SLICE = 1 << 16
 
 
-def _run_join(plan: Join, ctx: RunContext, block_rows: int) -> Iterator[Block]:
-    """Every join kind as an iteration over ``(probe lane, build
-    position)`` pairs; columns are gathered only for pairs that survive.
+def _run_join(
+    plan: Join, ctx: RunContext, block_rows: int, fetch=execute_blocks
+) -> Iterator[Block]:
+    """Every join kind as one sorted-array probe over ``(probe lane,
+    build position)`` pairs; columns are gathered only for pairs that
+    survive.
 
-    The build side is buffered once as columns.  Equi joins map each
-    key tuple to its build positions (a dict: hash equality, build
-    insertion order); CROSS and joins without an equi conjunct pair
-    every probe lane with every build row.  Pairs leave in probe order
-    — the row engine's emission order — a slice of at most
-    ``min(_JOIN_PAIR_SLICE, block_rows)`` at a time; the residual runs
-    once per slice over a gather of just the columns it reads.
+    The build side is buffered once as columns and its first equi key
+    stably argsorted; per probe block two ``searchsorted`` calls give
+    each lane its contiguous range of equal build keys (CROSS joins and
+    joins with no equi conjunct: every build row).  Expanding the ranges
+    emits pairs in probe order and, inside a lane, in build insertion
+    order — the row engine's emission order, which ``LIMIT`` without
+    ``ORDER BY`` observes — a slice of at most
+    ``min(_JOIN_PAIR_SLICE, block_rows)`` at a time.  Further equi pairs
+    join the residual as ``=`` conjuncts; the residual runs once per
+    slice over a gather of just the columns it reads.  NULL and NaN keys
+    never join.  SEMI/ANTI scatter the matched lanes into a mask; LEFT
+    sends unmatched lanes to an all-NULL lane appended to the build
+    columns and merges them back in probe order.
     """
     left_columns = plan.left.output_columns
     right_columns = plan.right.output_columns
     kind = plan.kind
+    semi_like = kind in (JoinKind.SEMI, JoinKind.ANTI)
     equi, residual = [], TRUE
     if kind is not JoinKind.CROSS:
         equi, residual = _split_join_condition(
             plan.condition, left_columns, right_columns
         )
-    left_keys = [compile_expression_block(l, left_columns, ctx.env) for l, _ in equi]
-    right_keys = [compile_expression_block(r, right_columns, ctx.env) for _, r in equi]
+    residual = make_and([Comparison("=", l, r) for l, r in equi[1:]] + [residual])
     used_left, used_right, residual_fn = _narrow_residual(
         residual, left_columns, right_columns, ctx.env
     )
 
-    build_cols: list[list] = [[] for _ in right_columns]
-    table: dict[tuple, list[int]] = defaultdict(list)
-    total = 0
-    for cols, n in execute_blocks(plan.right, ctx, block_rows):
-        ctx.checkpoint()
-        if equi:
-            keys = list(zip(*[fn(cols, n) for fn in right_keys]))
-            keep = [i for i, key in enumerate(keys) if None not in key]
-            if len(keep) < n:  # NULL keys never join (nor count as state)
-                cols, n = take_rows(cols, keep), len(keep)
-                keys = [keys[i] for i in keep]
-            for position, key in enumerate(keys, total):
-                table[key].append(position)
-        for segment, c in zip(build_cols, cols):
-            segment.extend(c)
-        total += n
-    every_row = range(total)
+    build_cols, total = buffer_blocks(
+        fetch(plan.right, ctx, block_rows), len(right_columns), ctx
+    )
+    build_idx = np.arange(total)
+    if equi:
+        left_key_fn = compile_expression_block(equi[0][0], left_columns, ctx.env)
+        key_col, *other_keys = [
+            compile_expression_block(r, right_columns, ctx.env)(build_cols, total)
+            for _, r in equi
+        ]
+        live = None  # a NULL or NaN in any key keeps a build row out
+        for col in [key_col, *other_keys]:
+            live = _and_valid(live, _joinable(col))
+        rows = build_idx if live is None else np.flatnonzero(live)
+        sorted_keys, build_idx, domain = _sort_build_keys(key_col, rows, False)
     if kind is JoinKind.LEFT:
-        build_cols = [c + [None] for c in build_cols]  # the pad row, at ``total``
+        build_cols = [_with_null_lane(c) for c in build_cols]
     checked_build = [build_cols[i] for i in used_right]
-    semi_like = kind in (JoinKind.SEMI, JoinKind.ANTI)
-    # Over lists a slice longer than a block amortizes nothing more, and
-    # a slice is what the join (and whoever takes its blocks) holds.
     bound = min(_JOIN_PAIR_SLICE, block_rows)
 
-    ctx.state_add(total)
+    ctx.state_add(len(build_idx))
     try:
-        for cols, n in execute_blocks(plan.left, ctx, block_rows):
-            # Per lane, its candidate build positions (None: no match).
-            if equi:
-                matches = list(map(table.get, zip(*[fn(cols, n) for fn in left_keys])))
+        for cols, n in fetch(plan.left, ctx, block_rows):
+            if not n:
+                continue  # an empty table scans as one 0-row block
+            if not equi:
+                lo, counts = np.zeros(n, dtype=np.int64), np.full(n, total)
             else:
-                matches = [every_row] * n
+                lkey = left_key_fn(cols, n)
+                if domain is None and not (
+                    type(lkey) is NumpyVector
+                    and lkey.data.dtype.kind == sorted_keys.dtype.kind
+                ):
+                    # Not the build keys' kind (int vs float, a list
+                    # block): only hash equality is exact, so factorize
+                    # the build side after all — once; every later
+                    # block probes codes.
+                    sorted_keys, build_idx, domain = _sort_build_keys(key_col, rows, True)
+                if domain is None:
+                    probe, valid = lkey.data, lkey.valid
+                else:
+                    codes = [domain.get(k, -1) for k in delist(lkey)]
+                    probe, valid = np.array(codes, dtype=np.int64), None
+                lo = sorted_keys.searchsorted(probe, "left")
+                counts = sorted_keys.searchsorted(probe, "right") - lo
+                if valid is not None:
+                    counts[~valid] = 0  # NULL keys never join
             if semi_like and residual_fn is None:
-                hit = {i for i, m in enumerate(matches) if m}
+                hit = counts > 0
             else:
-                hit = set()
+                # Lane i pairs with sorted build positions lo[i] up to
+                # lo[i] + counts[i]: candidate pair p, numbered through
+                # the block, belongs to the lane whose running count
+                # first exceeds p and sits at build position shift + p.
+                ends = counts.cumsum()
+                shift = lo - ends + counts
+                hit = None if kind is JoinKind.INNER else np.zeros(n, dtype=bool)
                 done = 0  # lanes below have emitted their match or their pad
                 checked = [cols[i] for i in used_left]
-                for lanes, bidx, complete in _matching_pairs(
-                    ctx, matches, bound, residual_fn, checked, checked_build
+                for lane, bidx, upto in _matching_pairs(
+                    ctx, bound, ends, shift, build_idx, residual_fn, checked, checked_build
                 ):
-                    if kind is not JoinKind.INNER:
-                        hit.update(lanes)
+                    if hit is not None:
+                        hit[lane] = True
                     if semi_like:
                         continue
                     if kind is JoinKind.LEFT:
-                        miss = [i for i in range(done, complete) if i not in hit]
+                        # Lanes whose last candidate pair lies in this
+                        # slice and that matched nothing pad with NULLs.
+                        complete = int(ends.searchsorted(upto, "right"))
+                        miss = done + np.flatnonzero(~hit[done:complete])
                         done = complete
-                        if miss:  # padded, and merged back in probe order
-                            merged = sorted(
-                                zip(lanes + miss, bidx + [total] * len(miss)),
-                                key=itemgetter(0),
-                            )
-                            lanes = [i for i, _ in merged]
-                            bidx = [j for _, j in merged]
-                    if lanes:
-                        out = take_rows(cols, lanes) + take_rows(build_cols, bidx)
-                        yield out, len(lanes)
+                        if miss.size:
+                            lane = np.concatenate([lane, miss])
+                            bidx = np.concatenate([bidx, np.full(miss.size, total)])
+                            order = np.argsort(lane, kind="stable")
+                            lane, bidx = lane[order], bidx[order]
+                    if lane.size:
+                        out = take_rows(cols, lane) + take_rows(build_cols, bidx)
+                        yield out, int(lane.size)
             if semi_like:
-                wanted = kind is JoinKind.SEMI
-                mask = [(i in hit) is wanted for i in range(n)]
-                out_cols, out_n = compact_block(cols, n, mask)
-                if out_n:
-                    yield out_cols, out_n
+                want = hit if kind is JoinKind.SEMI else ~hit
+                out, kept = compact_block(cols, n, NumpyVector(want))
+                if kept:
+                    yield out, kept
     finally:
-        ctx.state_remove(total)
+        ctx.state_remove(len(build_idx))
 
 
 def _narrow_residual(residual, left_columns, right_columns, env):
@@ -447,33 +482,62 @@ def _narrow_residual(residual, left_columns, right_columns, env):
     return used_left, used_right, compile_expression_block(residual, narrow, env)
 
 
-def _matching_pairs(ctx, matches, bound, residual_fn, probe_cols, build_cols):
-    """One probe block's matching ``(probe lanes, build positions,
-    lanes complete)`` in probe order, a slice of at most ``bound``
-    candidate pairs at a time.  A slice may end inside one lane's
-    matches; every lane below ``lanes complete`` has all its pairs
-    behind it.  The residual filters each slice over a gather of the
-    columns it reads — once per slice, not per pair."""
-    found = [i for i, m in enumerate(matches) if m]
-    buckets = [matches[i] for i in found]
-    # Two lock-step iterators over the candidate pairs.
-    lane_of = chain.from_iterable(map(repeat, found, map(len, buckets)))
-    build_of = chain.from_iterable(buckets)
-    last = False
-    while not last:
+def _matching_pairs(ctx, bound, ends, shift, build_idx, residual_fn, probe_cols, build_cols):
+    """One probe block's matching ``(probe lanes, build rows, candidate
+    pairs done)``, expanded a slice of at most ``bound`` candidate pairs
+    at a time.  A slice may end inside one lane's candidates.  The
+    residual filters each slice over a gather of the columns it reads —
+    once per slice, not per pair."""
+    pairs = int(ends[-1])
+    for at in range(0, max(pairs, 1), bound):
         ctx.checkpoint()
-        lanes = list(islice(lane_of, bound))
-        bidx = list(islice(build_of, bound))
-        last = len(lanes) < bound
-        complete = len(matches) if last else lanes[-1]
-        if residual_fn is not None and lanes:
-            pairs = take_rows(probe_cols, lanes) + take_rows(build_cols, bidx)
-            mask = residual_fn(pairs, len(lanes))
-            keep = [k for k, v in enumerate(mask) if v is True]
-            if len(keep) < len(lanes):
-                lanes = [lanes[k] for k in keep]
-                bidx = [bidx[k] for k in keep]
-        yield lanes, bidx, complete
+        upto = min(at + bound, pairs)
+        pair = np.arange(at, upto)
+        lane = ends.searchsorted(pair, "right")
+        bidx = build_idx[shift[lane] + pair]
+        if residual_fn is not None and upto > at:
+            candidates = take_rows(probe_cols, lane) + take_rows(build_cols, bidx)
+            keep = true_lanes(residual_fn(candidates, len(lane)), len(lane))
+            lane, bidx = lane[keep], bidx[keep]
+        yield lane, bidx, upto
+
+
+def _joinable(key_col):
+    """Lanes of a key column that can match anything — neither NULL nor
+    NaN — as a bool ndarray, or None for all of them."""
+    if type(key_col) is not NumpyVector:
+        return np.fromiter((v is not None and v == v for v in key_col), bool, len(key_col))
+    if key_col.data.dtype.kind != "f":
+        return key_col.valid
+    return _and_valid(key_col.valid, ~np.isnan(key_col.data))
+
+
+def _sort_build_keys(key_col, rows, as_codes: bool):
+    """``(sorted keys, build row of each, domain)`` over the build
+    ``rows``, stably sorted.  An array sorts as it is (``domain`` is
+    None): with NaN left out, ``==`` on one kind *is* hash equality.
+    A list-backed column, or ``as_codes`` because a probe block of
+    another kind arrived, is factorized to int64 codes through
+    ``domain``, a Python dict — hash equality, ``1 == 1.0 == True``."""
+    if type(key_col) is NumpyVector and not as_codes:
+        keys, domain = key_col.data[rows], None
+    else:
+        values, domain = delist(key_col), {}
+        codes = [domain.setdefault(values[i], len(domain)) for i in rows.tolist()]
+        keys = np.array(codes, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], rows[order], domain
+
+
+def _with_null_lane(col):
+    """``col`` plus one trailing NULL lane (the LEFT join's pad row)."""
+    if type(col) is not NumpyVector:
+        return col + [None]
+    valid = np.ones(len(col) + 1, dtype=bool)
+    if col.valid is not None:
+        valid[:-1] = col.valid
+    valid[-1] = False
+    return NumpyVector(np.append(col.data, np.zeros(1, col.data.dtype)), valid)
 
 
 # -- keyed state ---------------------------------------------------------

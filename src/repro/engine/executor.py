@@ -17,7 +17,7 @@ observable (the §V.C spilling discussion).
 from __future__ import annotations
 
 from itertools import islice
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Callable, Iterator
 
 from repro.algebra.expressions import (
@@ -538,6 +538,13 @@ def _split_join_condition(
     return equi, make_and(residual) if residual else TRUE
 
 
+def _joinable(key: tuple) -> bool:
+    """NULL and NaN keys never join, as ``=`` says — a dict alone would
+    match one NaN object with itself by identity (``x != x`` only for
+    NaN)."""
+    return None not in key and not any(map(ne, key, key))
+
+
 def _run_join(plan: Join, ctx: RunContext) -> Iterator[Row]:
     left_columns = plan.left.output_columns
     right_columns = plan.right.output_columns
@@ -568,8 +575,8 @@ def _run_join(plan: Join, ctx: RunContext) -> Iterator[Row]:
         build_rows = 0
         for row in execute(plan.right, ctx):
             key = tuple(fn(row) for fn in right_keys)
-            if any(k is None for k in key):
-                continue  # NULL keys never join
+            if not _joinable(key):
+                continue
             table.setdefault(key, []).append(row)
             build_rows += 1
         ctx.state_add(build_rows)
@@ -577,7 +584,7 @@ def _run_join(plan: Join, ctx: RunContext) -> Iterator[Row]:
             for left_row in execute(plan.left, ctx):
                 key = tuple(fn(left_row) for fn in left_keys)
                 matched = False
-                if not any(k is None for k in key):
+                if _joinable(key):
                     for right_row in table.get(key, ()):
                         if residual_fn is None or residual_fn(left_row + right_row) is True:
                             matched = True

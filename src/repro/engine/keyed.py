@@ -167,8 +167,8 @@ def _column_codes(col, n: int):
 
 def _canon_column(col):
     """A key column as a GroupBy emits it: every NaN the one canonical
-    object, as the row engine's ``canon_key`` keys are (an equi join
-    above matches NaN by identity, DESIGN.md §7)."""
+    object, as the row engine's ``canon_key`` keys are (row tuples
+    compare a NaN equal only to the very same object)."""
     if type(col) is NumpyVector:
         if col.data.dtype.kind != "f" or not np.isnan(col.data).any():
             return col

@@ -218,7 +218,7 @@ class PlanCache:
         #: Minimum admissible version per table: raised by
         #: ``invalidate_table(..., min_version=...)`` so an in-flight
         #: population racing the invalidation cannot resurrect a stale
-        #: entry (see tests/test_sharded_cache.py).
+        #: entry (see tests/test_plan_cache_concurrency.py).
         self._min_versions: dict[str, int] = {}
         self._lock = threading.RLock()
         self.bytes_used = 0.0

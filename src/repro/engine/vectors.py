@@ -1,16 +1,17 @@
 """Block expression compiler and column vectors.
 
 Every block-at-a-time consumer — the block engine's operators, over
-lists or vectors, and the array join — evaluates expressions through
+lists or vectors, the join included — evaluates expressions through
 :func:`compile_expression_block`: one ``(cols, n) -> column`` closure
 tree whose handlers pick their path from the *representation* of the
 operands they receive at run time.  A block column is either a Python
 list or a :class:`NumpyVector` (a NumPy array plus an optional
 validity mask; scans hand these out with ``as_vectors=True``).  A
 handler takes the array path when an operand is a ``NumpyVector`` and
-the list-comprehension path otherwise; it never touches ``np`` unless
-an operand is a ``NumpyVector``, so ``vectors="python"`` and
-``REPRO_DISABLE_NUMPY=1`` run the very same list closures.  The scalar
+the list-comprehension path otherwise, so ``vectors="python"`` runs
+the very same closures over lists.  NumPy itself is a hard dependency:
+positions (selections, join pairs) are index arrays in both
+representations.  The scalar
 :func:`~repro.engine.evaluator.compile_expression` is the independent
 reference both paths are tested against.
 
@@ -49,25 +50,16 @@ Semantics (one statement for both paths; DESIGN.md §7):
 * **Float sums** fold left to right on both paths, as the row engine's
   ``+=`` loop does (``ndarray.sum`` is pairwise and rounds
   differently), so float aggregates are bit-identical too.
-
-``REPRO_DISABLE_NUMPY=1`` (or NumPy being absent) disables vectors at
-run time: :func:`numpy_enabled` is re-checked on every conversion, so
-the pure-Python fallback is testable in a NumPy-equipped process.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 import threading
 import zlib
-from contextlib import nullcontext
 from typing import Callable
 
-try:  # pragma: no cover - exercised via numpy_enabled()
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None
+import numpy as np
 
 from repro.algebra.expressions import (
     And,
@@ -94,15 +86,6 @@ from repro.engine.evaluator import (
     env_free,
 )
 from repro.errors import ExecutionError
-
-
-def numpy_enabled() -> bool:
-    """True when the NumPy backend may be used (import succeeded and
-    ``REPRO_DISABLE_NUMPY`` is unset).  Checked at call time so tests
-    and the CI fallback job can flip the environment variable without
-    re-importing."""
-    return np is not None and not os.environ.get("REPRO_DISABLE_NUMPY")
-
 
 #: Exact Python element type required per storage dtype.  Mixed-type or
 #: otherwise ineligible columns stay Python lists — round-tripping a
@@ -184,9 +167,7 @@ class NumpyVector:
 def vector_from_values(values: list, dtype: DataType) -> NumpyVector | None:
     """Convert one column's Python values to a vector, or ``None`` when
     the column is ineligible (strings, mixed element types, ints beyond
-    the int64 guard, or the backend disabled)."""
-    if not numpy_enabled():
-        return None
+    the int64 guard)."""
     element = _ELEMENT_TYPES.get(dtype)
     if element is None:
         return None
@@ -781,15 +762,21 @@ def _builder(columns: tuple, env):
 # -- block helpers -------------------------------------------------------
 
 
+def true_lanes(mask, n: int):
+    """Identity-True lanes of a mask column, list or vector, as a bool
+    ndarray."""
+    keep = true_mask(mask)
+    if keep is None:
+        keep = np.fromiter((v is True for v in mask), dtype=bool, count=n)
+    return keep
+
+
 def compact_block(cols: list, n: int, mask) -> tuple[list, int]:
     """Keep the rows whose mask value is identity-True."""
-    keep = true_mask(mask)
-    if keep is None and NumpyVector in map(type, cols):
-        keep = np.fromiter((v is True for v in mask), dtype=bool, count=n)
-    if keep is None:
-        sel = [i for i, v in enumerate(mask) if v is True]
+    if type(mask) is NumpyVector or NumpyVector in map(type, cols):
+        sel = np.flatnonzero(true_lanes(mask, n))
     else:
-        sel = np.flatnonzero(keep)
+        sel = [i for i, v in enumerate(mask) if v is True]
     kept = len(sel)
     if kept == n:
         return cols, n
@@ -811,7 +798,7 @@ def accumulate_block(accumulators: list, specs: list, values: list, n: int) -> N
     silently, as Python floats do — under one ``errstate`` per block,
     which also spares every ufunc call in it the error-flag check.
     """
-    with nullcontext() if np is None else np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
         for acc, (_, _, arg_slot, mask_slot) in zip(accumulators, specs):
             _accumulate(
                 acc,

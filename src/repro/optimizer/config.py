@@ -52,9 +52,8 @@ class OptimizerConfig:
     #: Rows per block for the block engine.
     batch_rows: int = 1024
     #: Column representation of the block engine: ``"numpy"`` backs
-    #: eligible column blocks with ndarrays + validity masks (silently
-    #: degrading to Python lists when NumPy is missing or
-    #: ``REPRO_DISABLE_NUMPY`` is set); ``"python"`` keeps lists.
+    #: eligible column blocks with ndarrays + validity masks;
+    #: ``"python"`` keeps lists.
     vectors: str = "numpy"
     #: Record a per-operator wall-time breakdown into
     #: ``QueryMetrics.operator_times`` (the CLI's ``--profile``).

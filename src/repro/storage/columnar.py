@@ -28,14 +28,11 @@ from dataclasses import dataclass, field
 from time import sleep as _sleep
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.algebra.types import DataType, encoded_bytes
 from repro.catalog.catalog import Catalog, TableDef
 from repro.errors import CatalogError, DataCorruptionError, TransientReadError
-
-try:  # pragma: no cover - the image bakes numpy in
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 def chunk_checksum(values: Sequence) -> int:
@@ -47,7 +44,7 @@ def chunk_checksum(values: Sequence) -> int:
     injector implements.  An ndarray hashes its raw buffer directly —
     no per-element boxing.
     """
-    if _np is not None and isinstance(values, _np.ndarray):
+    if isinstance(values, np.ndarray):
         return hash(values.tobytes())
     return hash(tuple(values))
 
@@ -106,8 +103,7 @@ class ColumnChunk:
     def vector(self):
         """The chunk's NumPy-backed vector (a
         :class:`~repro.engine.vectors.NumpyVector`), or None when the
-        values are ineligible (mixed types, strings, huge ints) or
-        NumPy is unavailable/disabled.
+        values are ineligible (mixed types, strings, huge ints).
 
         Built lazily on first request and cached; callers must only
         ask *after* a verified read (``Store._read_chunk_values``), so
@@ -115,10 +111,8 @@ class ColumnChunk:
         are known-good.  Anything that mutates ``values`` afterwards
         must call :meth:`invalidate_vector`.
         """
-        from repro.engine.vectors import numpy_enabled, vector_from_values
+        from repro.engine.vectors import vector_from_values
 
-        if not numpy_enabled():
-            return None
         if self._vector_state == "unbuilt":
             vec = vector_from_values(self.values, self.dtype)
             if vec is None:

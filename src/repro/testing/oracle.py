@@ -16,9 +16,7 @@ comes from executing the query twice in a fresh cache-enabled session:
 the first run populates the cross-query plan cache, the second replays
 it.  The ``batch`` cells run the block engine as configured by default
 (NumPy vector columns); ``batch-lists`` runs it with
-``vectors="python"``, so list columns stay covered.  Without NumPy (or
-with ``REPRO_DISABLE_NUMPY``) ``batch`` already runs lists and
-``batch-lists`` is skipped, leaving eight cells.
+``vectors="python"``, so list columns stay covered.
 
 A query *passes* when all cells produce the same row multiset (floats
 canonicalized to 10 significant digits — fusion legitimately reorders
@@ -50,7 +48,6 @@ from repro.algebra.analysis import verify_facts
 from repro.algebra.operators import GroupBy
 from repro.algebra.visitors import walk_plan
 from repro.engine.session import Session
-from repro.engine.vectors import numpy_enabled
 from repro.errors import BindingError, OptimizerError, ReproError, SqlSyntaxError
 from repro.optimizer.config import OptimizerConfig
 from repro.storage.columnar import Store
@@ -161,12 +158,6 @@ class DifferentialOracle:
         ("batch-lists", {"engine": "batch", "vectors": "python"}),
     )
 
-    def _engines(self):
-        for label, overrides in self.ENGINE_AXIS:
-            if label == "batch-lists" and not numpy_enabled():
-                continue  # fallback-only environment: "batch" runs lists
-            yield label, overrides
-
     def _config(self, overrides: dict, fusion: bool) -> OptimizerConfig:
         return OptimizerConfig(
             enable_fusion=fusion,
@@ -235,11 +226,11 @@ class DifferentialOracle:
     # -- the matrix --------------------------------------------------------
 
     def run_matrix(self, sql: str) -> dict[str, CellOutcome]:
-        """All cells for one query (twelve; eight without NumPy),
-        plus four parallel cells per entry in ``worker_counts``."""
+        """All cells for one query (twelve), plus four parallel cells
+        per entry in ``worker_counts``."""
         outcomes: dict[str, CellOutcome] = {}
         self.last_operators = set()
-        for engine, overrides in self._engines():
+        for engine, overrides in self.ENGINE_AXIS:
             for fusion in (False, True):
                 session = Session(self.store, self._config(overrides, fusion))
                 label = f"{engine}/{'fusion' if fusion else 'baseline'}"

@@ -8,10 +8,6 @@ keeps the suite fast while every test still sees identical data.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from unittest import mock
-
 import pytest
 
 from repro.algebra.schema import ColumnAllocator
@@ -29,30 +25,21 @@ TEST_SCALE = 0.05
 
 
 #: Column representations the block compiler must treat alike.
-BLOCK_REPRESENTATIONS = ("lists", "vectors", "mixed", "numpy-disabled")
+BLOCK_REPRESENTATIONS = ("lists", "vectors", "mixed")
 
 
-@contextmanager
-def block_columns(columns, rows, representation: str):
-    """Yield ``rows`` as a block's column list in one representation:
-    all Python lists, every eligible column a ``NumpyVector``, every
-    other eligible column a vector, or lists with NumPy switched off —
-    ``vectors.np`` is removed for the duration, so a block closure that
-    touches NumPy without a vector operand fails loudly."""
+def block_columns(columns, rows, representation: str) -> list:
+    """``rows`` as a block's column list in one representation:
+    all Python lists, every eligible column a ``NumpyVector``, or every
+    other eligible column a vector."""
     cols = [list(c) for c in zip(*rows)] if rows else [[] for _ in columns]
-    if representation == "numpy-disabled":
-        with mock.patch.object(vectors, "np", None), mock.patch.dict(
-            os.environ, {"REPRO_DISABLE_NUMPY": "1"}
-        ):
-            yield cols
-        return
     if representation != "lists":
         step = 1 if representation == "vectors" else 2
         for i in range(0, len(cols), step):
             vec = vectors.vector_from_values(cols[i], columns[i].dtype)
             if vec is not None:
                 cols[i] = vec
-    yield cols
+    return cols
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,8 @@ fuzzer) proves the block engine *agrees* with the row engine; this
 file pins down the router's own observables: that every scan of the
 default configuration hands out vectors and nothing is generated, that
 ``vectors="python"`` installs no router, that a bare ``execute_batch``
-runs what ``Session.execute`` runs, that the NumPy backend degrades
-cleanly, that LIMIT still short-circuits scans, and the array join.
+runs what ``Session.execute`` runs, that LIMIT still short-circuits
+scans, and the one join over both column representations.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.engine.compiled import execute_compiled, install_dispatch
 from repro.engine.executor import execute
 from repro.engine.metrics import Profiler, ResourceLimits, RunContext
 from repro.engine.session import Session
-from repro.engine.vectors import numpy_enabled
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.optimizer.config import OptimizerConfig
 from repro.storage.columnar import Store
@@ -52,9 +51,6 @@ _SCAN_SQL = (
 @pytest.fixture(scope="module")
 def compiled_session(tpcds_store) -> Session:
     return Session(tpcds_store, OptimizerConfig())
-
-
-needs_numpy = pytest.mark.skipif(not numpy_enabled(), reason="array path only")
 
 
 def _deterministic(metrics) -> dict:
@@ -114,7 +110,6 @@ def test_python_vectors_is_the_batch_engine(tpcds_store):
     assert runs[0] == runs[1] and runs[0][0]
 
 
-@needs_numpy
 def test_every_studied_scan_hands_out_vectors(tpcds_store, monkeypatch):
     """A scan that silently fell back to lists would keep every result
     right and run at half the speed: in the paper's configurations
@@ -143,7 +138,6 @@ def test_every_studied_scan_hands_out_vectors(tpcds_store, monkeypatch):
         assert set(calls) == {vectors}, config
 
 
-@needs_numpy
 def test_bare_execute_batch_runs_what_the_session_runs(tpcds_store):
     """``execute_batch(plan, ctx)`` — the benchmark's engine probe —
     takes the same vector path as ``Session.execute``: the same
@@ -184,19 +178,6 @@ def test_closed_session_frees_the_store_without_a_collection(engine):
         assert alive() is None
     finally:
         gc.enable()
-
-
-def test_numpy_env_kill_switch(tpcds_store, monkeypatch):
-    """REPRO_DISABLE_NUMPY forces list columns even when the
-    config asks for NumPy — and the results are byte-identical to the
-    row engine."""
-    monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    assert not numpy_enabled()
-    assert install_dispatch(RunContext(tpcds_store), "numpy") == "python"
-
-    row = Session(tpcds_store, OptimizerConfig(engine="row")).execute(_SCAN_SQL)
-    compiled = Session(tpcds_store, OptimizerConfig(vectors="numpy")).execute(_SCAN_SQL)
-    assert row.sorted_rows() == compiled.sorted_rows()
 
 
 def test_limit_short_circuits_scan(tpcds_store, compiled_session):
@@ -324,7 +305,7 @@ def test_keyed_group_by_both_sides_of_row_gate(rows):
         row = Session(store, OptimizerConfig(engine="row")).execute(sql)
         compiled = Session(store, OptimizerConfig()).execute(sql)
         assert row.rows == compiled.rows  # first-occurrence order included
-        assert compiled.metrics.breakers_batch == 0 or not numpy_enabled()
+        assert compiled.metrics.breakers_batch == 0
 
 
 def test_direct_execute_matches_row_engine(tpcds_store, compiled_session):
@@ -383,9 +364,8 @@ def join_store():
 
 
 #: Both representations of the block engine, held to the row engine:
-#: the batch join (positions over list columns) and the array join
-#: (NumPy columns, the default; last, so ``_assert_plan_exact`` returns
-#: its metrics).
+#: the one join over list columns and over NumPy columns (the default;
+#: last, so ``_assert_plan_exact`` returns its metrics).
 _BLOCK_ENGINES = {
     "batch-lists": dict(engine="batch", vectors="python"),
     "batch": dict(engine="batch", vectors="numpy"),
@@ -499,8 +479,6 @@ def test_stages_above_a_join_keep_vector_blocks(join_store):
         join_store, OptimizerConfig(vectors="numpy", profile=True)
     ).execute(sql)
     assert compiled.rows == row.rows
-    if not numpy_enabled():
-        return
     assert compiled.metrics.breakers_batch == 0
     assert compiled.metrics.breakers_vectorized == 2
     assert "breakers_vectorized=2" in compiled.metrics.summary()
@@ -572,8 +550,7 @@ def test_semi_anti_join_with_residual(join_store, kind, residual):
     }[residual]
     plan = Join(kind, left, right, And((Comparison("=", l["k"], r["k"]), extra)))
     got, metrics = _assert_plan_exact(join_store, plan)
-    if numpy_enabled():
-        assert (metrics.breakers_vectorized, metrics.breakers_batch) == (1, 0)
+    assert (metrics.breakers_vectorized, metrics.breakers_batch) == (1, 0)
     if residual == "false":
         assert len(got) == (0 if kind is JoinKind.SEMI else 150)
     else:
@@ -631,7 +608,6 @@ def _skew_join(kind=JoinKind.INNER, left_rows=60, right_rows=400):
     return Join(kind, left, right, Comparison("=", ColumnRef(lk), ColumnRef(rk)))
 
 
-@needs_numpy
 @pytest.mark.parametrize("kind", [JoinKind.INNER, JoinKind.LEFT])
 def test_skewed_join_expands_in_bounded_slices(monkeypatch, kind):
     """|probe| x |build| pairs are never materialized at once: no block
@@ -647,18 +623,18 @@ def test_skewed_join_expands_in_bounded_slices(monkeypatch, kind):
     )
 
 
-@needs_numpy
 def test_skewed_join_memory_follows_the_slice_bound(tpcds_store, monkeypatch):
     """``ss_quantity * 0 = i_item_sk * 0``: one key, every pair a match.
     Peak traced memory of the query is governed by the slice bound, not
-    by |probe block| x |build|."""
+    by |probe block| x |build|.  Blocks as large as a partition, so the
+    block size (the bound's other half) does not cap both runs alike."""
     import tracemalloc
 
     sql = (
         "SELECT count(*) FROM store_sales s JOIN item i "
         "ON s.ss_quantity * 0 = i.i_item_sk * 0"
     )
-    session = Session(tpcds_store, OptimizerConfig())
+    session = Session(tpcds_store, OptimizerConfig(batch_rows=1 << 16))
     rows = tpcds_store.get("store_sales").row_count * tpcds_store.get("item").row_count
     peaks = {}
     for bound in (1 << 30, 512):
@@ -675,7 +651,6 @@ def test_skewed_join_memory_follows_the_slice_bound(tpcds_store, monkeypatch):
     assert peaks[512] * 4 < peaks[1 << 30]
 
 
-@needs_numpy
 def test_join_is_cancellable_between_slices(monkeypatch):
     monkeypatch.setattr(batch_executor, "_JOIN_PAIR_SLICE", 1000)
     ctx = RunContext(Store())
@@ -696,7 +671,6 @@ def test_join_is_cancellable_between_slices(monkeypatch):
         next(blocks)
 
 
-@needs_numpy
 def test_join_over_non_scan_children_has_its_own_deadline_point(join_store):
     """Values / GroupBy outputs reach the join through
     ``_blocks_from_row_list``, which has no checkpoint: the join's build
@@ -704,7 +678,7 @@ def test_join_over_non_scan_children_has_its_own_deadline_point(join_store):
     ctx = RunContext(Store(), limits=ResourceLimits(timeout_ms=0))
     with pytest.raises(QueryTimeoutError) as info:
         list(execute_batch(_skew_join(), ctx))
-    assert "_run_join_nv" in [frame.name for frame in info.traceback]
+    assert "_run_join" in [frame.name for frame in info.traceback]
 
     session = Session(join_store, OptimizerConfig())
     with pytest.raises(QueryTimeoutError):
@@ -717,8 +691,8 @@ def test_join_over_non_scan_children_has_its_own_deadline_point(join_store):
 
 @pytest.mark.parametrize("kind", [JoinKind.INNER, JoinKind.LEFT])
 def test_batch_join_expands_in_bounded_slices(monkeypatch, kind):
-    """The list-backed twin of the test above: no block the batch join
-    yields, and no index list behind it, exceeds the shared bound."""
+    """The test above over list columns: no block the join yields, and
+    no gather behind it, exceeds the bound."""
     monkeypatch.setattr(batch_executor, "_JOIN_PAIR_SLICE", 1000)
     longest = 0
 
@@ -765,27 +739,27 @@ def _joins(plan) -> list:
     return list(found.values())
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(STUDIED_QUERIES))
 def test_studied_queries_keep_equi_joins_on_the_array_path(tpcds_store, name):
     """The structural guard of the vector operators, independent of
-    timing: under the costed configuration no studied query
-    hands an equi-join, a keyed GroupBy, a MarkDistinct, a Window or a
-    Sort to the batch engine (Q09's one-row CROSS joins may go)."""
-    session = Session(
-        tpcds_store,
-        OptimizerConfig(vectors="numpy", cost_based=True, profile=True),
-    )
-    result = session.execute(STUDIED_QUERIES[name])
-    joins = _joins(result.optimized_plan)
-    cross = [j for j in joins if j.kind is JoinKind.CROSS]
-    assert not cross or name == "q09"
-    labels = list(result.metrics.operator_times)
-    assert sum("Join[batch]" in label for label in labels) == len(cross)
-    assert sum("Join[vector]" in label for label in labels) == len(joins) - len(cross)
-    metrics = result.metrics
-    assert metrics.breakers_batch == len(cross)
-    assert metrics.breakers_vectorized >= len(joins) - len(cross)
-    assert metrics.breakers_vectorized + metrics.breakers_batch > 0
-    windowed = name in ("q01", "q30", "q65")  # GroupByJoinToWindow's output
-    assert any("Window[vector]" in label for label in labels) is windowed
+    timing: with fusion on (costed) or off, no studied query hands a
+    join — CROSS joins of scalar subqueries included — to a list-only
+    operator, and with fusion on no keyed GroupBy, MarkDistinct, Window
+    or Sort either."""
+    for fusion in (True, False):
+        session = Session(
+            tpcds_store,
+            OptimizerConfig(enable_fusion=fusion, cost_based=True, profile=True),
+        )
+        result = session.execute(STUDIED_QUERIES[name])
+        joins = _joins(result.optimized_plan)
+        labels = list(result.metrics.operator_times)
+        assert not any("Join[batch]" in label for label in labels)
+        assert sum("Join[vector]" in label for label in labels) == len(joins)
+        metrics = result.metrics
+        assert metrics.breakers_vectorized >= len(joins)
+        assert metrics.breakers_vectorized > 0
+        if fusion:
+            assert metrics.breakers_batch == 0
+            windowed = name in ("q01", "q30", "q65")  # GroupByJoinToWindow's output
+            assert any("Window[vector]" in label for label in labels) is windowed

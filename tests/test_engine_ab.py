@@ -19,7 +19,6 @@ import pytest
 
 from repro.algebra.types import DataType
 from repro.engine.session import Session
-from repro.engine.vectors import numpy_enabled
 from repro.optimizer.config import OptimizerConfig
 from repro.tpcds.queries import STUDIED_QUERIES, WORKLOAD_QUERIES
 from tests import test_paper_examples as paper

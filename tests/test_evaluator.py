@@ -32,7 +32,6 @@ from repro.engine.evaluator import Aggregator, compile_expression
 from repro.engine.vectors import (
     accumulate_block,
     compile_expression_block,
-    numpy_enabled,
     vector_from_values,
 )
 from repro.engine.session import Session
@@ -285,9 +284,9 @@ class TestBlockCompilation:
     against the scalar compiler more broadly)."""
 
     def _run(self, expr, block, representation, columns=COLS, env=None):
-        with block_columns(columns, block, representation) as cols:
-            fn = compile_expression_block(expr, columns, env)
-            return list(fn(cols, len(block)))
+        cols = block_columns(columns, block, representation)
+        fn = compile_expression_block(expr, columns, env)
+        return list(fn(cols, len(block)))
 
     def test_division_by_zero_is_null(self, representation):
         expr = Arithmetic("/", A, B)
@@ -416,9 +415,6 @@ def _bits(acc: Aggregator) -> tuple:
 class TestNumpyBlockPaths:
     """Array-path behaviour that must equal Python's scalar semantics."""
 
-    pytestmark = pytest.mark.skipif(
-        not numpy_enabled(), reason="NumPy backend disabled"
-    )
     DCOLS = (Column(1, "x", DataType.DOUBLE), Column(2, "y", DataType.DOUBLE))
 
     def test_float_overflow_is_silent(self):
@@ -426,16 +422,16 @@ class TestNumpyBlockPaths:
         # leaked "RuntimeWarning: overflow encountered in multiply".
         x, y = (ColumnRef(c) for c in self.DCOLS)
         inf = float("inf")
-        with block_columns(self.DCOLS, [(1e308, -1e308)], "vectors") as cols:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                for op, expected in (("*", -inf), ("-", inf), ("+", 0.0)):
-                    fn = compile_expression_block(Arithmetic(op, x, y), self.DCOLS)
-                    assert list(fn(cols, 1)) == [expected]
-                big = Arithmetic("*", x, x)
-                fn = compile_expression_block(Arithmetic("-", big, big), self.DCOLS)
-                (value,) = list(fn(cols, 1))
-                assert math.isnan(value)
+        cols = block_columns(self.DCOLS, [(1e308, -1e308)], "vectors")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for op, expected in (("*", -inf), ("-", inf), ("+", 0.0)):
+                fn = compile_expression_block(Arithmetic(op, x, y), self.DCOLS)
+                assert list(fn(cols, 1)) == [expected]
+            big = Arithmetic("*", x, x)
+            fn = compile_expression_block(Arithmetic("-", big, big), self.DCOLS)
+            (value,) = list(fn(cols, 1))
+            assert math.isnan(value)
 
     def test_accumulate_block_sums_past_int64(self):
         # Regression: ndarray.sum() wraps int64 silently.

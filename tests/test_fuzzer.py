@@ -121,17 +121,15 @@ class TestOracle:
         assert oracle.last_status == "benign"
 
     def test_matrix_covers_every_engine_cell(self, small_store):
-        from repro.engine.vectors import numpy_enabled
-
         oracle = DifferentialOracle(small_store)
         outcomes = oracle.run_matrix("SELECT count(*) AS n FROM item")
-        assert len(outcomes) == (12 if numpy_enabled() else 8)
+        assert len(outcomes) == 12
         assert "row/baseline/cold" in outcomes
         assert "batch/fusion/warm" in outcomes
         # "batch" runs NumPy columns by default; list columns keep a
-        # cell of their own wherever NumPy is on.
+        # cell of their own.
         assert not any(cell.startswith("compiled") for cell in outcomes)
-        assert ("batch-lists/baseline/warm" in outcomes) is numpy_enabled()
+        assert "batch-lists/baseline/warm" in outcomes
 
 
 @pytest.fixture()

@@ -13,9 +13,7 @@ engines.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import replace
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +39,7 @@ from repro.engine.executor import execute
 from repro.engine.keyed import GroupState
 from repro.engine.metrics import ResourceLimits, RunContext
 from repro.engine.session import Session
-from repro.engine.vectors import delist, numpy_enabled, vector_from_values
+from repro.engine.vectors import delist, vector_from_values
 from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
@@ -131,7 +129,7 @@ def _same(expected, actual) -> bool:
     return expected == actual
 
 
-@pytest.mark.parametrize("representation", ["lists", "streamed", "vectors", "numpy-disabled"])
+@pytest.mark.parametrize("representation", ["lists", "streamed", "vectors"])
 @given(data=_keyed_input())
 @settings(max_examples=120, deadline=None)
 def test_core_matches_the_aggregator_loop(representation, data):
@@ -145,18 +143,16 @@ def test_core_matches_the_aggregator_loop(representation, data):
         specs += [(func, False, 0, None), (func, False, 0, 1), (func, True, 0, 1)]
     expected = _reference(keys, values, mask, specs)
 
-    environ = {"REPRO_DISABLE_NUMPY": "1"} if representation == "numpy-disabled" else {}
-    with mock.patch.dict(os.environ, environ):
-        cols = [*keys, values, mask]
-        if representation != "lists" and representation != "streamed":
-            types = [*key_types, value_type, _B]
-            cols = [vector_from_values(c, t) or c for c, t in zip(cols, types)]
-        state = GroupState(specs)
-        step = 7 if representation == "streamed" else max(n, 1)
-        for start in range(0, max(n, 1), step):
-            block = [c[start : start + step] for c in cols]
-            state.update(block[: len(keys)], block[len(keys) :], len(block[-1]))
-        out = [delist(c) for c in state.columns()]
+    cols = [*keys, values, mask]
+    if representation == "vectors":
+        types = [*key_types, value_type, _B]
+        cols = [vector_from_values(c, t) or c for c, t in zip(cols, types)]
+    state = GroupState(specs)
+    step = 7 if representation == "streamed" else max(n, 1)
+    for start in range(0, max(n, 1), step):
+        block = [c[start : start + step] for c in cols]
+        state.update(block[: len(keys)], block[len(keys) :], len(block[-1]))
+    out = [delist(c) for c in state.columns()]
     actual = list(zip(*out)) if state.size else []
     assert len(actual) == len(expected) == state.size
     for want, got in zip(expected, actual):
@@ -200,8 +196,7 @@ def _block_streams(plan, ctx, block_rows=8):
     """The plan's block stream in each block engine (no ``_iter_rows``
     on top: the operator itself must be the checkpoint)."""
     yield "batch", lambda: execute_blocks(plan, ctx, block_rows)
-    if numpy_enabled():
-        yield "compiled", lambda: _vector_fetch(plan, ctx, block_rows)
+    yield "compiled", lambda: _vector_fetch(plan, ctx, block_rows)
 
 
 @pytest.mark.parametrize("name", ["GroupBy", "MarkDistinct", "Window", "Sort"])

@@ -1,8 +1,6 @@
 """PlanCache under concurrency: put/replay from many threads, the
 put-vs-invalidate version fence, and cache sharing between parallel
-and serial sessions (repro.engine.plan_cache).  The file keeps its
-name from the sharded twin these cases were written against; the
-session, service and oracle now hold the one PlanCache."""
+and serial sessions (repro.engine.plan_cache)."""
 
 from __future__ import annotations
 

@@ -133,8 +133,8 @@ def assert_block_matches_scalar(expr, columns, block, representation, env=None):
     NULL / bool identity, same float bits (NaN, ``-0.0``)."""
     scalar = compile_expression(expr, columns, env)
     expected = [scalar(row) for row in block]
-    with block_columns(columns, block, representation) as cols:
-        got = list(compile_expression_block(expr, columns, env)(cols, len(block)))
+    cols = block_columns(columns, block, representation)
+    got = list(compile_expression_block(expr, columns, env)(cols, len(block)))
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert type(g) is type(e) and repr(g) == repr(e), (got, expected)
@@ -266,7 +266,7 @@ class TestAndOrBySelection:
             block = [(i % 2, i // 2 % 2, i % 7 if i % 5 else None) for i in range(64)]
             del gathers[:]
             assert_block_matches_scalar(expr, COLUMNS, block, representation)
-            if representation in ("lists", "numpy-disabled"):
+            if representation == "lists":
                 assert gathers[:2] == [32, 16]
 
     def test_correlated_term_reads_the_environment(self, representation):

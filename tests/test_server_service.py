@@ -15,7 +15,6 @@ import pytest
 
 from repro.engine import compiled
 from repro.engine.session import Session
-from repro.engine.vectors import numpy_enabled
 from repro.errors import (
     AdmissionRejectedError,
     BindingError,
@@ -107,7 +106,6 @@ class TestEndToEnd:
             # A user error neither wedges the dispatcher nor the queue.
             assert service.execute(QUERIES[0]).rows
 
-    @pytest.mark.skipif(not numpy_enabled(), reason="no vector path to fail")
     def test_vector_path_failure_demotes_to_row_in_one_step(
         self, service_store, expected_rows, monkeypatch
     ):
