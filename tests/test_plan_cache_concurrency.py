@@ -137,7 +137,7 @@ class TestEvictionRaceFence:
         assert cache.put(_versioned("fresh", "orders", 1))
 
     @pytest.mark.parametrize("seed", [3, 17, 1009])
-    def test_seeded_interleaving_never_resurrects(self, seed):
+    def test_interleaving_never_resurrects(self, seed):
         """Writers keep publishing v1 entries while an invalidator bumps
         the table to v2 at a seeded random point; afterwards no v1 entry
         may live in the cache, no matter who won the lock each time."""
