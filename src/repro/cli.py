@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("row", "batch"),
         default="batch",
         help="execution backend: the vectorized block engine 'batch' "
-        "(default; 'compiled' is its former name) or 'row'",
+        "(default) or 'row'",
     )
     parser.add_argument(
         "--vectors",

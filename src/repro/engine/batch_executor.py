@@ -6,11 +6,13 @@ per output column plus a row count — produced at the scan directly
 from the storage layer's column chunks (no per-row tuple construction
 before the filter) and carried through Filter/Project/UnionAll in
 columnar form.  A column is a Python list *or* a
-:class:`~repro.engine.vectors.NumpyVector`: under ``vectors="numpy"``
-(the default) :func:`execute_batch` installs the vector router of
-:mod:`repro.engine.compiled`, scans hand out arrays and these very
-operators run over them; under ``vectors="python"`` every column is a
-list.  Expressions evaluate through the block compiler,
+:class:`~repro.engine.vectors.NumpyVector`.  There is one operator
+table (``BLOCK_OPERATORS``) and one dispatch (:func:`execute_blocks`),
+and every operator takes either representation; which one a run uses is
+a scan fact: under ``vectors="numpy"`` (the default) scans hand out
+arrays, under ``vectors="python"`` lists.  Values, cached scans, string
+columns and the row-tuple operators produce lists whatever the mode.
+Expressions evaluate through the block compiler,
 :func:`repro.engine.vectors.compile_expression_block`, which picks the
 array path or one list comprehension per expression node per block from
 the columns it receives, amortizing the interpreter's per-row closure
@@ -23,12 +25,13 @@ position)`` index pairs in probe order, the residual is a block closure
 evaluated per slice of candidate pairs over just the columns it reads,
 and only surviving pairs gather output columns.  Scalar aggregation
 feeds whole column vectors to its accumulators.  Keyed GroupBy,
-MarkDistinct, Window and Sort keep their state on positions too: they
-are callers of the one keyed core (:mod:`repro.engine.keyed` —
-factorize key columns to group codes, reduce every aggregate per code,
-gather back) and emit column blocks.
+MarkDistinct, Window and Sort keep their state on positions too: each
+reads its whole input as one block and calls the one keyed core
+(:mod:`repro.engine.keyed` — factorize key columns to group codes,
+reduce every aggregate per code, gather back), emitting column blocks.
 Only ScalarApply, EnforceSingleRow and the row-tuple caches of Spool /
-CachePopulate still convert blocks to row tuples.
+CachePopulate still convert blocks to row tuples (``zip(*cols)``, which
+reads either representation).
 
 Equivalence contract (enforced by ``tests/test_engine_ab.py``): for
 any plan both engines produce the same result multiset and identical
@@ -43,9 +46,12 @@ invariants make the metric half of this hold by construction:
   never span a partition boundary — so early termination (Limit,
   EnforceSingleRow) can over-read at most the tail of a block that
   lies in an already-charged partition;
-* buffered operators flush their output at every input-block boundary
-  instead of accumulating across blocks, so they never pull more input
-  blocks than needed to satisfy downstream demand.
+* streaming operators flush their output at every input-block
+  boundary instead of accumulating across blocks, so they never pull
+  more input blocks than needed to satisfy downstream demand; the keyed
+  operators read their whole input, as the row engine's GroupBy,
+  Window and Sort do, and a MarkDistinct only ever sits under the
+  GroupBy whose DISTINCT aggregate it lowers (DESIGN.md §7).
 
 Blocks are immutable by convention: operators may pass column vectors
 through by reference (Project/UnionAll are zero-copy for pass-through
@@ -129,14 +135,10 @@ def execute_batch(
 ) -> Iterator[Row]:
     """Execute ``plan`` with the block engine, yielding output rows.
 
-    ``vectors="numpy"`` routes every dispatch through the vector router
-    (:mod:`repro.engine.compiled`); ``"python"`` runs list columns
-    through this module's operator table alone.
+    ``vectors="numpy"`` makes scans hand out NumPy columns, ``"python"``
+    lists; nothing else depends on it.
     """
-    # Imported here: the router is built on this module's operators.
-    from repro.engine.compiled import install_dispatch
-
-    install_dispatch(ctx, vectors)
+    ctx.vector_blocks = vectors == "numpy"
     return _iter_rows(plan, ctx, block_rows)
 
 
@@ -146,33 +148,18 @@ def execute_blocks(
     """Execute ``plan``, yielding output blocks.
 
     Like the row engine's ``execute``, each call produces a fresh
-    execution; ScalarApply relies on this to re-run its subquery.
-
-    This is the engine's single recursion point: when the context
-    carries a ``block_dispatch`` override (the vector router, installed
-    by :func:`execute_batch` under ``vectors="numpy"``), every
-    operator's child fetch routes through it, so whole subtrees run
-    over vector blocks — including subtrees under operators that
-    themselves take lists.
+    execution; ScalarApply relies on this to re-run its subquery.  This
+    is the engine's single recursion point: every operator reads its
+    children through it, under the profiler's wrap when one is set.
     """
-    dispatch = ctx.block_dispatch
-    if dispatch is not None:
-        return dispatch(plan, ctx, block_rows)
-    blocks = dispatch_blocks_batch(plan, ctx, block_rows)
+    operator = BLOCK_OPERATORS.get(type(plan))
+    if operator is None:
+        raise ExecutionError(f"no batch executor for operator {plan.name}")
+    blocks = operator(plan, ctx, block_rows)
     profiler = ctx.profiler
     if profiler is not None:
         return profiler.wrap(profiler.label(plan), blocks)
     return blocks
-
-
-def dispatch_blocks_batch(
-    plan: PlanNode, ctx: RunContext, block_rows: int
-) -> Iterator[Block]:
-    """The batch operator table (no dispatch override applied)."""
-    operator = BLOCK_OPERATORS.get(type(plan))
-    if operator is None:
-        raise ExecutionError(f"no batch executor for operator {plan.name}")
-    return operator(plan, ctx, block_rows)
 
 
 def _run_values(plan: Values, ctx: RunContext, block_rows: int) -> Iterator[Block]:
@@ -266,27 +253,19 @@ def _run_scan(plan: Scan, ctx: RunContext, block_rows: int) -> Iterator[Block]:
 
 
 # -- stateless block operators -------------------------------------------
-#
-# Representation-polymorphic, so the vector router runs these very
-# functions: ``fetch`` produces the child's block stream (there:
-# undelisted vector blocks).
 
 
-def _run_filter(
-    plan: Filter, ctx: RunContext, block_rows: int, fetch=execute_blocks
-) -> Iterator[Block]:
+def _run_filter(plan: Filter, ctx: RunContext, block_rows: int) -> Iterator[Block]:
     condition = compile_expression_block(
         plan.condition, plan.child.output_columns, ctx.env
     )
-    for cols, n in fetch(plan.child, ctx, block_rows):
+    for cols, n in execute_blocks(plan.child, ctx, block_rows):
         out_cols, out_n = compact_block(cols, n, condition(cols, n))
         if out_n:
             yield out_cols, out_n
 
 
-def _run_project(
-    plan: Project, ctx: RunContext, block_rows: int, fetch=execute_blocks
-) -> Iterator[Block]:
+def _run_project(plan: Project, ctx: RunContext, block_rows: int) -> Iterator[Block]:
     child_columns = plan.child.output_columns
     indexes = {c.cid: i for i, c in enumerate(child_columns)}
     # Pass-through column references copy the vector reference (free);
@@ -297,27 +276,23 @@ def _run_project(
             slots.append(indexes[expr.column.cid])
         else:
             slots.append(compile_expression_block(expr, child_columns, ctx.env))
-    for cols, n in fetch(plan.child, ctx, block_rows):
+    for cols, n in execute_blocks(plan.child, ctx, block_rows):
         yield [cols[s] if type(s) is int else s(cols, n) for s in slots], n
 
 
-def _run_union_all(
-    plan: UnionAll, ctx: RunContext, block_rows: int, fetch=execute_blocks
-) -> Iterator[Block]:
+def _run_union_all(plan: UnionAll, ctx: RunContext, block_rows: int) -> Iterator[Block]:
     for child, branch in zip(plan.inputs, plan.input_columns):
         child_columns = list(child.output_columns)
         indexes = [child_columns.index(c) for c in branch]
-        for cols, n in fetch(child, ctx, block_rows):
+        for cols, n in execute_blocks(child, ctx, block_rows):
             yield [cols[i] for i in indexes], n
 
 
-def _run_limit(
-    plan: Limit, ctx: RunContext, block_rows: int, fetch=execute_blocks
-) -> Iterator[Block]:
+def _run_limit(plan: Limit, ctx: RunContext, block_rows: int) -> Iterator[Block]:
     remaining = plan.count
     if remaining <= 0:
         return
-    for cols, n in fetch(plan.child, ctx, block_rows):
+    for cols, n in execute_blocks(plan.child, ctx, block_rows):
         if n >= remaining:
             if n > remaining:
                 cols = [c[:remaining] for c in cols]
@@ -342,9 +317,7 @@ def _run_limit(
 _JOIN_PAIR_SLICE = 1 << 16
 
 
-def _run_join(
-    plan: Join, ctx: RunContext, block_rows: int, fetch=execute_blocks
-) -> Iterator[Block]:
+def _run_join(plan: Join, ctx: RunContext, block_rows: int) -> Iterator[Block]:
     """Every join kind as one sorted-array probe over ``(probe lane,
     build position)`` pairs; columns are gathered only for pairs that
     survive.
@@ -377,9 +350,7 @@ def _run_join(
         residual, left_columns, right_columns, ctx.env
     )
 
-    build_cols, total = buffer_blocks(
-        fetch(plan.right, ctx, block_rows), len(right_columns), ctx
-    )
+    build_cols, total = _whole_input(plan.right, ctx, block_rows)
     build_idx = np.arange(total)
     if equi:
         left_key_fn = compile_expression_block(equi[0][0], left_columns, ctx.env)
@@ -399,7 +370,7 @@ def _run_join(
 
     ctx.state_add(len(build_idx))
     try:
-        for cols, n in fetch(plan.left, ctx, block_rows):
+        for cols, n in execute_blocks(plan.left, ctx, block_rows):
             if not n:
                 continue  # an empty table scans as one 0-row block
             if not equi:
@@ -542,16 +513,19 @@ def _with_null_lane(col):
 
 # -- keyed state ---------------------------------------------------------
 #
-# GroupBy, MarkDistinct, Window and Sort are callers of the one keyed
-# core (:mod:`repro.engine.keyed`) and emit column blocks.  ``fetch``
-# produces the child's block stream; the vector router substitutes
-# its own (vector columns; one buffered block where the operator would
-# otherwise stream).
+# GroupBy, MarkDistinct, Window and Sort read their whole input as one
+# block, whichever representation its blocks have, and are callers of
+# the one keyed core (:mod:`repro.engine.keyed`); they emit column
+# blocks.
 
 
-def _run_group_by(
-    plan: GroupBy, ctx: RunContext, block_rows: int, fetch=execute_blocks
-) -> Iterator[Block]:
+def _whole_input(child: PlanNode, ctx: RunContext, block_rows: int) -> Block:
+    """``child``'s whole output as one block."""
+    blocks = execute_blocks(child, ctx, block_rows)
+    return buffer_blocks(blocks, len(child.output_columns), ctx)
+
+
+def _run_group_by(plan: GroupBy, ctx: RunContext, block_rows: int) -> Iterator[Block]:
     """Scalar and keyed aggregation."""
     child_columns = plan.child.output_columns
     key_fns = [
@@ -566,20 +540,18 @@ def _run_group_by(
     group_count = 0
     try:
         if plan.keys:
-            state = GroupState(agg_specs)
-            for cols, n in fetch(plan.child, ctx, block_rows):
-                ctx.checkpoint()
-                keys = [fn(cols, n) for fn in key_fns]
-                _, fresh = state.update(keys, [fn(cols, n) for fn in shared_fns], n)
-                group_count += fresh
-                ctx.state_add(fresh)
-            yield from block_slices(state.columns(), state.size, block_rows)
+            cols, n = _whole_input(plan.child, ctx, block_rows)
+            keys = [fn(cols, n) for fn in key_fns]
+            state = GroupState(agg_specs, keys, [fn(cols, n) for fn in shared_fns], n)
+            group_count = state.size
+            ctx.state_add(group_count)
+            yield from block_slices(state.columns(), group_count, block_rows)
             return
         # Scalar aggregation: one accumulator set fed whole column
         # vectors at a time — no per-row dispatch at all.  Over empty
         # input it still yields one row (and holds no state).
         accumulators = [Aggregator(f, d) for f, d, _, _ in agg_specs]
-        for cols, n in fetch(plan.child, ctx, block_rows):
+        for cols, n in execute_blocks(plan.child, ctx, block_rows):
             if not group_count:
                 group_count = 1
                 ctx.state_add(1)
@@ -590,32 +562,27 @@ def _run_group_by(
 
 
 def _run_mark_distinct(
-    plan: MarkDistinct, ctx: RunContext, block_rows: int, fetch=execute_blocks
+    plan: MarkDistinct, ctx: RunContext, block_rows: int
 ) -> Iterator[Block]:
     """Whole-chain MarkDistinct, mirroring the row engine's holistic
-    single-pass treatment, block by block: each marker is the first
-    position per key among the lanes its mask keeps."""
+    single-pass treatment: each marker is the first position per key
+    among the lanes its mask keeps."""
     cursor, specs = mark_distinct_chain(plan, ctx, compile_expression_block)
-    seen: list[dict] = [{} for _ in specs]
+    cols, n = _whole_input(cursor, ctx, block_rows)
     added = 0
     try:
-        for cols, n in fetch(cursor, ctx, block_rows):
-            ctx.checkpoint()
-            cols = list(cols)
-            for (indexes, mask_fn), index in zip(specs, seen):
-                mask = None if mask_fn is None else mask_fn(cols, n)
-                marker, fresh = mark_first([cols[i] for i in indexes], n, mask, index)
-                added += fresh
-                ctx.state_add(fresh)
-                cols.append(marker)
-            yield from block_slices(cols, n, block_rows)
+        for indexes, mask_fn in specs:
+            mask = None if mask_fn is None else mask_fn(cols, n)
+            marker, fresh = mark_first([cols[i] for i in indexes], n, mask)
+            added += fresh
+            ctx.state_add(fresh)
+            cols.append(marker)
+        yield from block_slices(cols, n, block_rows)
     finally:
         ctx.state_remove(added)
 
 
-def _run_window(
-    plan: Window, ctx: RunContext, block_rows: int, fetch=execute_blocks
-) -> Iterator[Block]:
+def _run_window(plan: Window, ctx: RunContext, block_rows: int) -> Iterator[Block]:
     """Reduce per partition code, then gather back by code."""
     columns = plan.child.output_columns
 
@@ -626,17 +593,14 @@ def _run_window(
     slot_fns, specs = lower_aggregates(plan.functions, compile)
 
     def windowed(cols, total):
-        state = GroupState(specs)
         keys = [fn(cols, total) for fn in key_fns]
-        codes, _ = state.update(keys, [fn(cols, total) for fn in slot_fns], total)
-        return cols + take_rows(state.columns()[len(keys) :], codes)
+        state = GroupState(specs, keys, [fn(cols, total) for fn in slot_fns], total)
+        return cols + take_rows(state.columns()[len(keys) :], state.codes)
 
-    return _over_buffered_input(plan, ctx, block_rows, fetch, windowed)
+    return _over_buffered_input(plan, ctx, block_rows, windowed)
 
 
-def _run_sort(
-    plan: Sort, ctx: RunContext, block_rows: int, fetch=execute_blocks
-) -> Iterator[Block]:
+def _run_sort(plan: Sort, ctx: RunContext, block_rows: int) -> Iterator[Block]:
     """A stable argsort over the key columns, then one gather."""
     columns = plan.child.output_columns
     key_fns = [
@@ -648,14 +612,13 @@ def _run_sort(
         keys = [(fn(cols, total), ascending) for fn, ascending in key_fns]
         return take_rows(cols, sort_positions(keys, total))
 
-    return _over_buffered_input(plan, ctx, block_rows, fetch, ordered)
+    return _over_buffered_input(plan, ctx, block_rows, ordered)
 
 
-def _over_buffered_input(plan, ctx, block_rows: int, fetch, transform):
-    """Window and Sort: the whole input held as one block, and counted
-    as state, while ``transform(cols, rows)`` makes the output columns."""
-    width = len(plan.child.output_columns)
-    cols, total = buffer_blocks(fetch(plan.child, ctx, block_rows), width, ctx)
+def _over_buffered_input(plan, ctx, block_rows: int, transform):
+    """Window and Sort: the whole input, counted as state while
+    ``transform(cols, rows)`` makes the output columns."""
+    cols, total = _whole_input(plan.child, ctx, block_rows)
     ctx.state_add(total)
     try:
         yield from block_slices(transform(cols, total), total, block_rows)
@@ -748,9 +711,9 @@ def _run_cache_populate(
     yield from _blocks_from_row_list(rows, len(plan.column_tokens), block_rows)
 
 
-#: Every block operator, by node type.  The vector router runs the
-#: stateless and the keyed ones over vector blocks through this table
-#: (their ``fetch=``), so the two representations cannot drift apart.
+#: Every block operator, by node type, and the only one: each takes
+#: list and NumPy blocks alike, so the two representations cannot
+#: drift apart.
 BLOCK_OPERATORS = {
     Scan: _run_scan,
     Values: _run_values,

@@ -1,10 +1,11 @@
 """Keyed operator state on positions (DESIGN.md §7, "Keyed state").
 
-GroupBy, MarkDistinct, Window and Sort of both block engines are
-callers of the primitives here; only the column representation varies:
+GroupBy, MarkDistinct, Window and Sort of the block engine are callers
+of the primitives here, over one block holding their whole input, in
+either column representation:
 
 * :func:`factorize` — key columns to dense group codes numbered in
-  first-seen order, plus the lane where each new group first appears
+  first-seen order, plus the lane where each group first appears
   (MarkDistinct's marker, DISTINCT's dedup and the emitted key columns
   are all gathers at those lanes);
 * :class:`GroupState` — every aggregate as a segmented reduction over
@@ -13,15 +14,13 @@ callers of the primitives here; only the column representation varies:
 * :func:`sort_positions` — a stable argsort over key columns, the
   gather left to the caller.
 
-List blocks accumulate across calls (the batch engine streams) and
-reduce left to right, so results equal the row engine's
-:class:`~repro.engine.evaluator.Aggregator` bit for bit.  An
-array-backed stream is one block — the vector router buffers a keyed
-operator's input — and reduces with ``bincount`` / ``ufunc.at``: float
-sums still fold in lane order; int64 never passes through float64 and
-leaves the arrays for the exact list loop before a sum could reach
-``_INT_GUARD``; MIN/MAX over NaN (Python's order-dependent ``<``),
-booleans and STDDEV_SAMP take the list loop as well.
+List columns reduce left to right, so results equal the row engine's
+:class:`~repro.engine.evaluator.Aggregator` bit for bit.  Array columns
+reduce with ``bincount`` / ``ufunc.at``: float sums still fold in lane
+order; int64 never passes through float64 and leaves the arrays for the
+exact list loop before a sum could reach ``_INT_GUARD``; MIN/MAX over
+NaN (Python's order-dependent ``<``), booleans and STDDEV_SAMP take the
+list loop as well.
 """
 
 from __future__ import annotations
@@ -82,16 +81,14 @@ def block_slices(cols: list, total: int, block_rows: int):
 # -- factorize -----------------------------------------------------------
 
 
-def factorize(key_cols: list, n: int, index: dict):
+def factorize(key_cols: list, n: int):
     """``(codes, first)`` for one block of key columns: each lane's
-    group code — dense, numbered in first-seen order — and, per group
-    new to this call, the lane where it first appears, in code order.
+    group code — dense, numbered in first-seen order — and, per group,
+    the lane where it first appears, in code order.
 
     Keys are equal as dict keys are (``1 == 1.0 == True``, ``-0.0 ==
     0.0``), NULL is a key like any other, and every NaN is one key
-    (``canon_key``).  ``index`` maps the key tuples of earlier list
-    blocks to their codes and is extended; an array block is factorized
-    on its own (module docstring).
+    (``canon_key``).
     """
     if not n:
         return [], []
@@ -102,25 +99,23 @@ def factorize(key_cols: list, n: int, index: dict):
         keys = key_cols[0]
     else:
         keys = list(zip(*key_cols)) if key_cols else [()] * n
-    local = dict.fromkeys(keys)  # this block's distinct keys, first-seen order
-    base = len(index)
-    new = [key for key in local if key not in index]
-    parts = new if single else list(chain.from_iterable(new))
+    index = dict.fromkeys(keys)  # the distinct keys, first-seen order
+    parts = index if single else list(chain.from_iterable(index))
     if all(map(eq, parts, parts)):
-        index.update(zip(new, count(base)))
-        local = index
+        groups = len(index)
+        index = dict(zip(index, count()))
     else:
-        # A NaN equals no stored key, itself included: file every key
-        # of the block under its canon.
-        for key in local:
-            canon = canon_key(key) if single else tuple(map(canon_key, key))
-            local[key] = index.setdefault(canon, len(index))
-    codes = list(map(local.__getitem__, keys))
-    if len(index) == base:
-        return codes, []
+        # A NaN equals no other key, itself included: file every key
+        # under its canon.
+        canon: dict = {}
+        for key in index:
+            key_canon = canon_key(key) if single else tuple(map(canon_key, key))
+            index[key] = canon.setdefault(key_canon, len(canon))
+        groups = len(canon)
+    codes = list(map(index.__getitem__, keys))
     # Filled back to front, so each code keeps its first lane.
     where = dict(zip(reversed(codes), range(n - 1, -1, -1)))
-    return codes, [where[code] for code in range(base, len(index))]
+    return codes, [where[code] for code in range(groups)]
 
 
 def _factorize_arrays(key_cols: list, n: int):
@@ -147,9 +142,8 @@ def _column_codes(col, n: int):
     """``(codes, bound)``: int64 codes below ``bound``, equal exactly
     where the column's keys are equal."""
     if type(col) is not NumpyVector:
-        index: dict = {}
-        codes, _ = factorize([col], n, index)
-        return np.array(codes, dtype=np.int64), len(index)
+        codes, first = factorize([col], n)
+        return np.array(codes, dtype=np.int64), len(first)
     data, valid = col.data, col.valid
     if data.dtype.kind == "f":
         # np.unique folds -0.0 into 0.0 and every NaN into one value.
@@ -176,16 +170,16 @@ def _canon_column(col):
     return col if all(map(eq, col, col)) else [canon_key(v) for v in col]
 
 
-def mark_first(key_cols: list, n: int, mask, index: dict):
-    """MarkDistinct's marker column — True on the first lane, among
-    those whose ``mask`` is identity-True, of each key new to ``index``
-    — and the number of such keys."""
+def mark_first(key_cols: list, n: int, mask):
+    """MarkDistinct's marker column — True on the first lane of each
+    key among the lanes whose ``mask`` is identity-True — and the number
+    of keys."""
     lanes = None
     if mask is not None:
         every = np.arange(n) if type(mask) is NumpyVector else list(range(n))
         lanes, _ = _live_lanes(every, None, mask)
         key_cols = take_rows(key_cols, lanes)
-    _, first = factorize(key_cols, n if lanes is None else len(lanes), index)
+    _, first = factorize(key_cols, n if lanes is None else len(lanes))
     if type(lanes) is list and type(first) is list:
         first = [lanes[i] for i in first]
     elif lanes is not None:
@@ -276,29 +270,24 @@ class _Aggregate:
     """One aggregate's state columns, indexed by group code; the
     columnar :class:`~repro.engine.evaluator.Aggregator`."""
 
-    __slots__ = ("func", "seen", "count", "total", "sq_total", "extreme")
+    __slots__ = ("func", "distinct", "count", "total", "sq_total", "extreme")
 
-    def __init__(self, func: str, distinct: bool):
+    def __init__(self, func: str, distinct: bool, groups: int):
         self.func = func
-        self.seen: dict | None = {} if distinct else None
-        self.count, self.total, self.sq_total, self.extreme = [], [], [], []
-
-    def grow(self, groups: int) -> None:
-        self.count.extend([0] * groups)
-        self.total.extend([0] * groups)
-        self.sq_total.extend([0.0] * groups)
-        self.extreme.extend([None] * groups)
+        self.distinct = distinct
+        self.count, self.total = [0] * groups, [0] * groups
+        self.sq_total, self.extreme = [0.0] * groups, [None] * groups
 
     def reduce(self, codes, values) -> None:
-        """Fold the live lanes of one block (``_live_lanes``)."""
+        """Fold the live lanes (``_live_lanes``)."""
         func = self.func
         if values is None:
             func = "count"  # count(*)
-        elif self.seen is not None:
+        elif self.distinct:
             # DISTINCT: the first lane of each (group, value) pair.
             if type(codes) is not list:
                 codes, values = codes.tolist(), values.tolist()
-            _, first = factorize([codes, values], len(codes), self.seen)
+            _, first = factorize([codes, values], len(codes))
             codes, values = take_rows([codes, values], first)
         lanes = None  # per-group lane counts, once arrays are folded
         if type(codes) is not list:
@@ -346,34 +335,24 @@ class _Aggregate:
 
 
 class GroupState:
-    """The groups of a block stream and their aggregates' state.
+    """The groups of one block and their aggregates' state.
 
     ``specs`` are :func:`~repro.engine.evaluator.lower_aggregates`'
-    ``(func, distinct, arg_slot, mask_slot)`` tuples; ``size`` counts
-    the groups so far.
+    ``(func, distinct, arg_slot, mask_slot)`` tuples and ``values`` the
+    block's evaluated slot columns; ``codes`` holds each lane's group
+    code and ``size`` counts the groups.
     """
 
-    def __init__(self, specs: list[tuple]):
-        self.specs = specs
-        self.aggregates = [_Aggregate(func, distinct) for func, distinct, _, _ in specs]
-        self.index: dict = {}
-        self.key_segments: list[list] = []  # per block, its new groups' keys
-        self.size = 0
-
-    def update(self, key_cols: list, values: list, n: int):
-        """Fold one block — ``values`` are the evaluated slot columns —
-        and return ``(codes, groups new to this block)``."""
-        codes, first = factorize(key_cols, n, self.index)
-        fresh = len(first)
-        if fresh:
-            keys = take_rows(key_cols, first)
-            self.key_segments.append([_canon_column(c) for c in keys])
-            self.size += fresh
+    def __init__(self, specs: list[tuple], key_cols: list, values: list, n: int):
+        self.codes, first = factorize(key_cols, n)
+        self.size = len(first)
+        self.keys = [_canon_column(c) for c in take_rows(key_cols, first)]
+        codes = self.codes
         if type(codes) is list and NumpyVector in map(type, values):
             codes = np.array(codes, dtype=np.int64)
+        self.aggregates = []
         lanes: dict = {}
-        for aggregate, (_, _, arg_slot, mask_slot) in zip(self.aggregates, self.specs):
-            aggregate.grow(fresh)
+        for func, distinct, arg_slot, mask_slot in specs:
             live = lanes.get((arg_slot, mask_slot))
             if live is None:
                 live = lanes[arg_slot, mask_slot] = _live_lanes(
@@ -381,12 +360,12 @@ class GroupState:
                     None if arg_slot is None else values[arg_slot],
                     None if mask_slot is None else values[mask_slot],
                 )
+            aggregate = _Aggregate(func, distinct, self.size)
             aggregate.reduce(*live)
-        return codes, fresh
+            self.aggregates.append(aggregate)
 
     def columns(self) -> list:
         """The key columns, then one result column per aggregate, all
         indexed by group code — first-occurrence order, which a LIMIT
         above GROUP BY observes."""
-        keys = [_concat_column(list(segs)) for segs in zip(*self.key_segments)]
-        return keys + [aggregate.results() for aggregate in self.aggregates]
+        return self.keys + [aggregate.results() for aggregate in self.aggregates]

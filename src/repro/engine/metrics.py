@@ -91,11 +91,6 @@ class QueryMetrics:
     #: Always 0: the engine generates no code any more.  Kept because
     #: the benchmark ruler reads it (``engine.pipelines_compiled``).
     pipelines_compiled: int = 0
-    #: Pipeline breakers (joins, keyed GroupBy, MarkDistinct, Sort, ...)
-    #: the block engine ran on its vector path, and breakers the vector
-    #: router handed to a list-only implementation (input delisted).
-    breakers_vectorized: int = 0
-    breakers_batch: int = 0
     #: Concurrent shared execution (DESIGN.md §14): subplans this query
     #: did *not* execute because a fingerprint-equal execution was
     #: already in flight — the query bound itself as a follower to the
@@ -115,7 +110,7 @@ class QueryMetrics:
     #: before a worker thread picked it up (None outside the server).
     queue_wait_ms: float | None = None
     #: Per-operator cumulative wall time in seconds, keyed by a stable
-    #: display label ("Scan(store_sales) #3", "Join[vector] #1").
+    #: display label ("Scan(store_sales) #3", "Join #1").
     #: Populated only when profiling is enabled
     #: (``OptimizerConfig(profile=True)`` / ``--profile``); times are
     #: inclusive of child operators.
@@ -154,9 +149,6 @@ class QueryMetrics:
             text += f" retries={self.retries} faults={self.faults_injected}"
         if self.deadline_remaining_ms is not None:
             text += f" deadline_left={self.deadline_remaining_ms:.0f}ms"
-        if self.breakers_vectorized or self.breakers_batch:
-            text += f" breakers_vectorized={self.breakers_vectorized}"
-            text += f" breakers_batch={self.breakers_batch}"
         if self.shared_hits or self.shared_fanout:
             text += (
                 f" shared_hits={self.shared_hits}"
@@ -197,18 +189,16 @@ class Profiler:
         self._labels: dict[int, str] = {}
         self._sequence = 0
 
-    def label(self, plan, text: str | None = None) -> str:
-        """A stable display label for one plan node instance.  ``text``
-        overrides the default "Name(table)" form (the vector router
-        tags its breakers); the first call for a node wins."""
+    def label(self, plan) -> str:
+        """A stable display label for one plan node instance, of the
+        form "Name(table) #n"."""
         key = id(plan)
         label = self._labels.get(key)
         if label is None:
-            if text is None:
-                text = plan.name
-                table = getattr(plan, "table", None)
-                if table is not None:
-                    text = f"{text}({table})"
+            text = plan.name
+            table = getattr(plan, "table", None)
+            if table is not None:
+                text = f"{text}({table})"
             self._sequence += 1
             label = f"{text} #{self._sequence}"
             self._labels[key] = label
@@ -258,20 +248,15 @@ class RunContext:
         self.metrics = QueryMetrics()
         self.env: dict[int, object] = {}
         self.spool_cache: dict[int, list[tuple]] = {}
-        #: Compiled scan predicates, keyed by (id(plan), engine mode).
+        #: Compiled scan predicates, keyed by (id(plan), compiler).
         #: Plans outlive their RunContext, so identity keys are stable;
         #: caching here lets ScalarApply re-execute a subquery without
         #: recompiling its scan predicates on every outer row.
         self.scan_predicate_cache: dict[tuple, object] = {}
         #: The session's cross-query plan cache (None when disabled).
         self.plan_cache = plan_cache
-        #: Vector-router hooks (``compiled.install_dispatch`` sets
-        #: both under ``vectors="numpy"``): when ``block_dispatch`` is
-        #: set, the batch engine's ``execute_blocks`` routes every
-        #: dispatch through this callable (``(plan, ctx, block_rows) ->
-        #: block iterator``) instead of its own operator table; with
-        #: ``vector_blocks``, scans hand out NumPy vector columns.
-        self.block_dispatch = None
+        #: Whether the block engine's scans hand out NumPy vector
+        #: columns (``execute_batch(vectors="numpy")``) or lists.
         self.vector_blocks = False
         #: Optional :class:`Profiler`; engines wrap operator iterators
         #: when set (``OptimizerConfig(profile=True)``).

@@ -183,8 +183,6 @@ def _run_task(spec: _TaskSpec, store, cancel_event):
         "checksum_verifications": metrics.checksum_verifications,
         "total_state_rows": metrics.total_state_rows,
         "peak_state_rows": metrics.peak_state_rows,
-        "breakers_vectorized": metrics.breakers_vectorized,
-        "breakers_batch": metrics.breakers_batch,
     }
 
 
@@ -948,8 +946,6 @@ class _FragmentScheduler:
         metrics.peak_state_rows = max(
             metrics.peak_state_rows, payload["peak_state_rows"]
         )
-        metrics.breakers_vectorized += payload["breakers_vectorized"]
-        metrics.breakers_batch += payload["breakers_batch"]
 
     def _rebuild_error(self, blob: bytes, attempt: _Attempt) -> BaseException:
         try:

@@ -9,7 +9,10 @@ list or a :class:`NumpyVector` (a NumPy array plus an optional
 validity mask; scans hand these out with ``as_vectors=True``).  A
 handler takes the array path when an operand is a ``NumpyVector`` and
 the list-comprehension path otherwise, so ``vectors="python"`` runs
-the very same closures over lists.  NumPy itself is a hard dependency:
+the very same closures over lists, and one stream may mix the two (a
+UnionAll of a scan and a ``Values``).  Nothing converts at operator
+boundaries: a row-tuple consumer iterates a vector, which delists it
+(``NumpyVector.__iter__``).  NumPy itself is a hard dependency:
 positions (selections, join pairs) are index arrays in both
 representations.  The scalar
 :func:`~repro.engine.evaluator.compile_expression` is the independent

@@ -1,12 +1,17 @@
-"""Unit tests for the block engine's vector router (repro.engine.compiled).
+"""Unit tests for the block engine over NumPy columns.
 
-The differential suite (tests/test_engine_ab.py, the oracle, the
-fuzzer) proves the block engine *agrees* with the row engine; this
-file pins down the router's own observables: that every scan of the
-default configuration hands out vectors and nothing is generated, that
-``vectors="python"`` installs no router, that a bare ``execute_batch``
-runs what ``Session.execute`` runs, that LIMIT still short-circuits
-scans, and the one join over both column representations.
+The block engine has one operator table and one dispatch
+(``batch_executor.execute_blocks``); ``vectors`` only decides whether
+scans hand out arrays (``RunContext.vector_blocks``).  The differential
+suite (tests/test_engine_ab.py, the oracle, the fuzzer) proves the
+engine *agrees* with the row engine; this file pins down what the array
+representation itself must keep: that every scan of the default
+configuration hands out vectors and nothing is generated, that arrays
+reach the operators above a join and every studied integer-keyed join,
+that ``vectors="python"`` is the same engine over lists, that a bare
+``execute_batch`` runs what ``Session.execute`` runs, that LIMIT still
+short-circuits scans, and the one join over both column
+representations.
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ from repro.algebra.operators import (
 )
 from repro.algebra.schema import ColumnAllocator
 from repro.algebra.types import DataType
-from repro.engine import batch_executor, compiled
+from repro.engine import batch_executor, keyed
 from repro.engine.batch_executor import execute_batch, execute_blocks
-from repro.engine.compiled import execute_compiled, install_dispatch
+from repro.engine.compiled import execute_compiled
 from repro.engine.executor import execute
 from repro.engine.metrics import Profiler, ResourceLimits, RunContext
 from repro.engine.session import Session
+from repro.engine.vectors import NumpyVector
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.optimizer.config import OptimizerConfig
 from repro.storage.columnar import Store
@@ -62,9 +68,9 @@ def _deterministic(metrics) -> dict:
 
 
 def _vector_fetch(plan, ctx, block_rows=1024):
-    """The vector router's undelisted block stream for ``plan``."""
-    assert install_dispatch(ctx, "numpy") == "numpy"
-    return compiled._fetch(plan, ctx, block_rows)
+    """``plan``'s block stream with scans handing out vectors."""
+    ctx.vector_blocks = True
+    return execute_blocks(plan, ctx, block_rows)
 
 
 def test_pipelines_compiled_metric(compiled_session):
@@ -93,13 +99,15 @@ def test_plan_rerun_under_a_fresh_context(tpcds_store, compiled_session):
     assert runs[0] == runs[1] and runs[0][0]
 
 
-def test_python_vectors_is_the_batch_engine(tpcds_store):
-    """``vectors="python"`` installs no dispatch, and the engine's
+def test_python_vectors_is_the_batch_engine(tpcds_store, compiled_session):
+    """``vectors`` sets one scan fact and nothing else, and the engine's
     former name is an alias: rows in order, every metric and the
     profile's operator labels are the list-column block engine's."""
-    ctx = RunContext(tpcds_store)
-    assert install_dispatch(ctx, "python") == "python"
-    assert ctx.block_dispatch is None and not ctx.vector_blocks
+    plan, _ = compiled_session.plan(_SCAN_SQL)
+    for vectors in ("numpy", "python"):
+        ctx = RunContext(tpcds_store)
+        execute_batch(plan, ctx, vectors=vectors)
+        assert ctx.vector_blocks is (vectors == "numpy")
 
     runs = []
     for engine in ("batch", "compiled"):
@@ -140,15 +148,14 @@ def test_every_studied_scan_hands_out_vectors(tpcds_store, monkeypatch):
 
 def test_bare_execute_batch_runs_what_the_session_runs(tpcds_store):
     """``execute_batch(plan, ctx)`` — the benchmark's engine probe —
-    takes the same vector path as ``Session.execute``: the same
-    breakers on the array path and the same profile labels on q95."""
+    runs what ``Session.execute`` runs: scans handing out vectors, the
+    same rows and the same profile labels on q95."""
     session = Session(tpcds_store, OptimizerConfig(profile=True))
     result = session.execute(STUDIED_QUERIES["q95"])
     ctx = RunContext(tpcds_store)
     ctx.profiler = Profiler()
     rows = list(execute_batch(result.optimized_plan, ctx))
-    assert rows == result.rows
-    assert ctx.metrics.breakers_vectorized == result.metrics.breakers_vectorized > 0
+    assert rows == result.rows and ctx.vector_blocks
     assert sorted(ctx.profiler.records) == sorted(result.metrics.operator_times)
 
 
@@ -195,7 +202,7 @@ def test_limit_short_circuits_scan(tpcds_store, compiled_session):
 def test_profile_labels_pipelines(tpcds_store):
     """--profile lists a scan → project → limit → filter → aggregate
     chain operator by operator (what used to be one ``Pipeline[...]``
-    entry), and scalar aggregation is a sink, not a breaker."""
+    entry)."""
     session = Session(tpcds_store, OptimizerConfig(profile=True))
     result = session.execute(
         "SELECT sum(x.q + 1) FROM (SELECT s.ss_quantity AS q FROM store_sales s "
@@ -206,8 +213,6 @@ def test_profile_labels_pipelines(tpcds_store):
         "Filter", "GroupBy", "Limit", "Project", "Project", "Scan(store_sales)"
     ]
     assert all(t >= 0.0 for t in result.metrics.operator_times.values())
-    metrics = result.metrics
-    assert (metrics.breakers_vectorized, metrics.breakers_batch) == (0, 0)
 
 
 def test_compiled_handles_spooling_plans(tpcds_store):
@@ -294,18 +299,27 @@ def test_nan_group_keys_match_row_engine():
 
 
 @pytest.mark.parametrize("rows", [12, 600])
-def test_keyed_group_by_both_sides_of_row_gate(rows):
+def test_keyed_group_by_both_sides_of_row_gate(rows, monkeypatch):
     """One array path whatever the input size or the groups-per-row
     ratio (``t.id`` is unique: ratio 1.0) — the row gate and the ratio
     gate that used to hand such inputs back to the batch loop are gone."""
+    calls = []
+    factorize_arrays = keyed._factorize_arrays
+
+    def spy(key_cols, n):
+        calls.append(n)
+        return factorize_arrays(key_cols, n)
+
+    monkeypatch.setattr(keyed, "_factorize_arrays", spy)
     prices = [float(i % 9) if i % 7 else None for i in range(rows)]
     store = _store_with_prices(prices)
     for key in ("t.price", "t.id"):
         sql = f"SELECT {key}, count(*), sum(t.price), min(t.id) FROM t GROUP BY {key}"
         row = Session(store, OptimizerConfig(engine="row")).execute(sql)
+        calls.clear()
         compiled = Session(store, OptimizerConfig()).execute(sql)
         assert row.rows == compiled.rows  # first-occurrence order included
-        assert compiled.metrics.breakers_batch == 0
+        assert calls == [rows]  # the whole input, factorized as arrays
 
 
 def test_direct_execute_matches_row_engine(tpcds_store, compiled_session):
@@ -364,8 +378,7 @@ def join_store():
 
 
 #: Both representations of the block engine, held to the row engine:
-#: the one join over list columns and over NumPy columns (the default;
-#: last, so ``_assert_plan_exact`` returns its metrics).
+#: the one join over list columns and over NumPy columns (the default).
 _BLOCK_ENGINES = {
     "batch-lists": dict(engine="batch", vectors="python"),
     "batch": dict(engine="batch", vectors="numpy"),
@@ -391,8 +404,7 @@ def _assert_join_exact(store, sql, expect_rows=None, empty=False):
 
 def _assert_plan_exact(store, plan, block_rows=32):
     """A hand-built plan on every block engine against the row engine:
-    rows in order and the three metrics.  Returns the rows and the
-    array engine's metrics."""
+    rows in order and the three metrics.  Returns the rows."""
     row_ctx = RunContext(store)
     expected = list(execute(plan, row_ctx))
     for name, engine in _BLOCK_ENGINES.items():
@@ -404,7 +416,7 @@ def _assert_plan_exact(store, plan, block_rows=32):
                 name,
                 metric,
             )
-    return expected, ctx.metrics
+    return expected
 
 
 _JOIN_SHAPES = {
@@ -466,10 +478,18 @@ def test_vector_join_is_order_and_metric_exact(join_store, shape):
     _assert_join_exact(join_store, _JOIN_SHAPES[shape])
 
 
-def test_stages_above_a_join_keep_vector_blocks(join_store):
-    """Project above a residual join above nothing compilable: every
-    breaker runs on the array path, none is handed to the batch engine
+def test_stages_above_a_join_keep_vector_blocks(join_store, monkeypatch):
+    """Project above a residual join, a GroupBy above that: the join's
+    output stays arrays, so the GroupBy's key column arrives as one
     (group order is first-occurrence order on both engines)."""
+    key_types = []
+    group_state = batch_executor.GroupState
+
+    def spy(specs, key_cols, values, n):
+        key_types.extend(map(type, key_cols))
+        return group_state(specs, key_cols, values, n)
+
+    monkeypatch.setattr(batch_executor, "GroupState", spy)
     sql = (
         "SELECT l.q + r.q, count(*), sum(r.id) FROM l JOIN r "
         "ON l.k = r.k AND l.id <> r.id WHERE l.q + r.q > 1 GROUP BY l.q + r.q"
@@ -479,17 +499,10 @@ def test_stages_above_a_join_keep_vector_blocks(join_store):
         join_store, OptimizerConfig(vectors="numpy", profile=True)
     ).execute(sql)
     assert compiled.rows == row.rows
-    assert compiled.metrics.breakers_batch == 0
-    assert compiled.metrics.breakers_vectorized == 2
-    assert "breakers_vectorized=2" in compiled.metrics.summary()
+    assert key_types == [NumpyVector]
     labels = " ".join(compiled.metrics.operator_times)
-    assert "Join[vector]" in labels and "GroupBy[vector]" in labels
-    assert "Project #" in labels  # stages fetched by array operators are metered
-    # Scalar aggregation is a sink, not a breaker: only the join counts.
-    scalar = Session(join_store, OptimizerConfig()).execute(
-        "SELECT count(*), sum(l.q + r.q) FROM l JOIN r ON l.k = r.k"
-    )
-    assert (scalar.metrics.breakers_vectorized, scalar.metrics.breakers_batch) == (1, 0)
+    assert "Join #" in labels and "GroupBy #" in labels
+    assert "Project #" in labels  # every operator is metered
 
 
 def test_q95_self_join_is_order_and_metric_exact(tpcds_store):
@@ -549,8 +562,7 @@ def test_semi_anti_join_with_residual(join_store, kind, residual):
         "second_key": Comparison("=", l["s"], r["s"]),
     }[residual]
     plan = Join(kind, left, right, And((Comparison("=", l["k"], r["k"]), extra)))
-    got, metrics = _assert_plan_exact(join_store, plan)
-    assert (metrics.breakers_vectorized, metrics.breakers_batch) == (1, 0)
+    got = _assert_plan_exact(join_store, plan)
     if residual == "false":
         assert len(got) == (0 if kind is JoinKind.SEMI else 150)
     else:
@@ -570,7 +582,7 @@ def test_join_of_every_kind_over_an_empty_probe_block(join_store, kind, residual
     if kind is JoinKind.CROSS:
         condition = None
     plan = Join(kind, left, right, condition)
-    assert _assert_plan_exact(join_store, plan)[0] == []
+    assert _assert_plan_exact(join_store, plan) == []
 
 
 def test_join_residual_reads_the_correlation_environment(join_store):
@@ -590,7 +602,7 @@ def test_join_residual_reads_the_correlation_environment(join_store):
         (),
         (AggregateAssignment(count, "count", None),),
     )
-    rows, _ = _assert_plan_exact(join_store, ScalarApply(outer, subquery, count, out))
+    rows = _assert_plan_exact(join_store, ScalarApply(outer, subquery, count, out))
     counts = [n for _, n in rows]
     assert counts[0] == counts[3] == 0 and 0 < counts[1] < counts[2]
 
@@ -647,7 +659,6 @@ def test_skewed_join_memory_follows_the_slice_bound(tpcds_store, monkeypatch):
         finally:
             tracemalloc.stop()
         assert result.rows == [(rows,)]
-        assert result.metrics.breakers_batch == 0
     assert peaks[512] * 4 < peaks[1 << 30]
 
 
@@ -740,26 +751,44 @@ def _joins(plan) -> list:
 
 
 @pytest.mark.parametrize("name", sorted(STUDIED_QUERIES))
-def test_studied_queries_keep_equi_joins_on_the_array_path(tpcds_store, name):
-    """The structural guard of the vector operators, independent of
-    timing: with fusion on (costed) or off, no studied query hands a
-    join — CROSS joins of scalar subqueries included — to a list-only
-    operator, and with fusion on no keyed GroupBy, MarkDistinct, Window
-    or Sort either."""
+def test_studied_queries_keep_equi_joins_on_the_array_path(tpcds_store, name, monkeypatch):
+    """The structural guard of the array path, independent of timing:
+    with fusion on (costed) or off, every studied equi join on integer
+    keys sorts its build keys as a NumpyVector, with no dict domain —
+    no join input was turned into lists on the way, and no probe block
+    of another kind made the join factorize its keys."""
+    sorts = []
+    sort_build_keys = batch_executor._sort_build_keys
+
+    def spy(key_col, rows, as_codes):
+        out = sort_build_keys(key_col, rows, as_codes)
+        sorts.append((key_col, out[2]))
+        return out
+
+    monkeypatch.setattr(batch_executor, "_sort_build_keys", spy)
     for fusion in (True, False):
+        sorts.clear()
         session = Session(
             tpcds_store,
             OptimizerConfig(enable_fusion=fusion, cost_based=True, profile=True),
         )
         result = session.execute(STUDIED_QUERIES[name])
-        joins = _joins(result.optimized_plan)
-        labels = list(result.metrics.operator_times)
-        assert not any("Join[batch]" in label for label in labels)
-        assert sum("Join[vector]" in label for label in labels) == len(joins)
-        metrics = result.metrics
-        assert metrics.breakers_vectorized >= len(joins)
-        assert metrics.breakers_vectorized > 0
+        equi = [
+            j
+            for j in _joins(result.optimized_plan)
+            if j.kind is not JoinKind.CROSS
+            and batch_executor._split_join_condition(
+                j.condition, j.left.output_columns, j.right.output_columns
+            )[0]
+        ]
+        assert len(sorts) >= len(equi)
+        assert any(type(key_col) is NumpyVector for key_col, _ in sorts) is bool(equi)
+        for key_col, domain in sorts:
+            if type(key_col) is NumpyVector:
+                assert domain is None
+            else:  # string keys, or an empty build side
+                assert not any(type(v) is int for v in key_col)
         if fusion:
-            assert metrics.breakers_batch == 0
             windowed = name in ("q01", "q30", "q65")  # GroupByJoinToWindow's output
-            assert any("Window[vector]" in label for label in labels) is windowed
+            labels = result.metrics.operator_times
+            assert any(label.startswith("Window #") for label in labels) is windowed

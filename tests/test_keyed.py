@@ -1,9 +1,14 @@
 """The keyed-state core (repro.engine.keyed) and the four operators
-that call it — GroupBy, MarkDistinct, Window, Sort — in both block
-engines.
+that call it — GroupBy, MarkDistinct, Window, Sort — over both column
+representations.
 
 * a hypothesis property for the core itself, against the row engine's
   ``Aggregator`` loop, over every column representation;
+* a hypothesis property for every keyed operator, and both join sides,
+  over streams that mix array and list blocks (a UnionAll of a Scan and
+  a Values): rows in order, ``peak_state_rows`` and the state released;
+* ``peak_state_rows`` / ``total_state_rows`` of the studied queries,
+  identical over arrays and lists;
 * the cancel / deadline / state-budget points of the keyed operators
   over inputs with no scan boundary;
 * the NaN key rules (every NaN one key; ``=`` never matches NaN) on
@@ -19,13 +24,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.expressions import TRUE, ColumnRef
+from repro.algebra.expressions import TRUE, ColumnRef, Comparison
 from repro.algebra.operators import (
     AggregateAssignment,
     GroupBy,
+    Join,
+    JoinKind,
     MarkDistinct,
+    Scan,
     Sort,
     SortKey,
+    UnionAll,
     Values,
     Window,
     WindowAssignment,
@@ -47,6 +56,8 @@ from repro.errors import (
 )
 from repro.optimizer.config import OptimizerConfig
 from repro.storage.columnar import Store
+from repro.tpcds.queries import STUDIED_QUERIES
+from tests.conftest import simple_table
 from tests.test_compiled_engine import (
     _nan_canonical_rows,
     _store_with_prices,
@@ -129,7 +140,7 @@ def _same(expected, actual) -> bool:
     return expected == actual
 
 
-@pytest.mark.parametrize("representation", ["lists", "streamed", "vectors"])
+@pytest.mark.parametrize("representation", ["lists", "vectors"])
 @given(data=_keyed_input())
 @settings(max_examples=120, deadline=None)
 def test_core_matches_the_aggregator_loop(representation, data):
@@ -147,17 +158,139 @@ def test_core_matches_the_aggregator_loop(representation, data):
     if representation == "vectors":
         types = [*key_types, value_type, _B]
         cols = [vector_from_values(c, t) or c for c, t in zip(cols, types)]
-    state = GroupState(specs)
-    step = 7 if representation == "streamed" else max(n, 1)
-    for start in range(0, max(n, 1), step):
-        block = [c[start : start + step] for c in cols]
-        state.update(block[: len(keys)], block[len(keys) :], len(block[-1]))
+    state = GroupState(specs, cols[: len(keys)], cols[len(keys) :], n)
     out = [delist(c) for c in state.columns()]
     actual = list(zip(*out)) if state.size else []
     assert len(actual) == len(expected) == state.size
     for want, got in zip(expected, actual):
         assert len(want) == len(got)
         assert all(map(_same, want, got)), (want, got)
+
+
+# -- streams mixing array and list blocks ----------------------------------
+#
+# Scans hand out arrays under vectors="numpy"; Values hands out lists
+# whatever the mode.  A keyed operator over a UnionAll of both must read
+# the stream as one input: two array blocks factorized apart would get
+# overlapping group codes.
+
+#: Key values per column kind: few enough that keys collide, with a
+#: fresh ``float("nan")`` per draw next to one shared NaN object.
+_MIXED_KEYS = {
+    "int": st.integers(-2, 2),
+    "float": st.one_of(
+        st.sampled_from([_NAN, 0.0, -0.0, 1.5]), st.builds(float, st.just("nan"))
+    ),
+}
+_KEY_DTYPES = {"int": _I, "float": _D}
+_NAMES = ("k1", "k2", "v")
+
+
+@st.composite
+def _rows(draw, kind):
+    key = st.one_of(st.none(), _MIXED_KEYS[kind])
+    row = st.tuples(key, key, st.one_of(st.none(), st.integers(0, 4)))
+    return draw(st.lists(row, max_size=12))
+
+
+def _scan(draw, store, alloc, table, kind):
+    dtypes = (_KEY_DTYPES[kind], _KEY_DTYPES[kind], _I)
+    cols = tuple(alloc.fresh(name, t) for name, t in zip(_NAMES, dtypes))
+    layout = list(zip(_NAMES, dtypes))
+    store.put(simple_table(table, layout, draw(_rows(kind)), partition_rows=5))
+    return Scan(table, cols, _NAMES), cols
+
+
+def _mixed_stream(draw, store, alloc, values_first):
+    """``(UnionAll(Scan, Values), its columns)`` — one key kind for both
+    branches, the Scan split over partitions of five rows."""
+    kind = draw(st.sampled_from(sorted(_MIXED_KEYS)))
+    scan = _scan(draw, store, alloc, "mixed", kind)
+    dtypes = [c.dtype for c in scan[1]]
+    cols = tuple(alloc.fresh(name, t) for name, t in zip(_NAMES, dtypes))
+    branches = [scan, (Values(cols, tuple(draw(_rows(kind)))), cols)]
+    if values_first:
+        branches.reverse()
+    out = tuple(alloc.fresh(name, t) for name, t in zip(_NAMES, dtypes))
+    union = UnionAll(tuple(p for p, _ in branches), out, tuple(c for _, c in branches))
+    return union, out
+
+
+def _over_mixed_stream(name, draw, values_first):
+    store, alloc = Store(), ColumnAllocator()
+    child, (k1, k2, v) = _mixed_stream(draw, store, alloc, values_first)
+    if name == "GroupBy":
+        distinct_count = AggregateAssignment(
+            alloc.fresh("n", _I), "count", ColumnRef(k2), TRUE, True
+        )
+        distinct_sum = AggregateAssignment(
+            alloc.fresh("s", k2.dtype), "sum", ColumnRef(k2), TRUE, True
+        )
+        total = AggregateAssignment(alloc.fresh("t", _I), "sum", ColumnRef(v))
+        return GroupBy(child, (k1,), (distinct_count, distinct_sum, total)), store
+    if name == "MarkDistinct":
+        return MarkDistinct(child, (k1, k2), alloc.fresh("m", _B), TRUE), store
+    if name == "Window":
+        functions = (
+            WindowAssignment(alloc.fresh("w", _I), "sum", ColumnRef(v)),
+            WindowAssignment(alloc.fresh("c", _I), "count", ColumnRef(k2)),
+        )
+        return Window(child, (k1,), functions), store
+    if name == "Sort":
+        return Sort(child, (SortKey(ColumnRef(k1)), SortKey(ColumnRef(k2), False))), store
+    kind = draw(st.sampled_from([JoinKind.INNER, JoinKind.LEFT, JoinKind.SEMI, JoinKind.ANTI]))
+    other, other_cols = _scan(draw, store, alloc, "other", draw(st.sampled_from(sorted(_MIXED_KEYS))))
+    if name == "Join-probe":
+        condition = Comparison("=", ColumnRef(k1), ColumnRef(other_cols[0]))
+        return Join(kind, child, other, condition), store
+    condition = Comparison("=", ColumnRef(other_cols[0]), ColumnRef(k1))
+    return Join(kind, other, child, condition), store
+
+
+@pytest.mark.parametrize("values_first", [False, True], ids=["scan_first", "values_first"])
+@pytest.mark.parametrize(
+    "name", ["GroupBy", "MarkDistinct", "Window", "Sort", "Join-probe", "Join-build"]
+)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_keyed_operators_over_mixed_streams_match_the_row_engine(name, values_first, data):
+    plan, store = _over_mixed_stream(name, data.draw, values_first)
+    row_ctx = RunContext(store)
+    expected = [repr(r) for r in execute(plan, row_ctx)]
+    assert row_ctx._state_rows == 0
+    for block_rows in (1, 7, 1024):
+        for vectors in ("python", "numpy"):
+            ctx = RunContext(store)
+            got = [repr(r) for r in execute_batch(plan, ctx, block_rows, vectors)]
+            cell = (block_rows, vectors)
+            assert got == expected, cell
+            assert ctx.metrics.peak_state_rows == row_ctx.metrics.peak_state_rows, cell
+            assert ctx._state_rows == 0, cell
+
+
+@pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
+@pytest.mark.parametrize("name", sorted(STUDIED_QUERIES))
+def test_state_rows_do_not_depend_on_the_representation(tpcds_store, name, fusion):
+    """Every keyed operator reads its whole input over lists as over
+    arrays, so the studied queries hold the same state at the same
+    moments.  (When only arrays were read whole, a list GroupBy counted
+    its groups while the join under it still held its build side: 10 of
+    these 16 cells differed between the two.)"""
+    runs = []
+    for vectors in ("numpy", "python"):
+        config = OptimizerConfig(enable_fusion=fusion, vectors=vectors)
+        result = Session(tpcds_store, config).execute(STUDIED_QUERIES[name])
+        m = result.metrics
+        runs.append(
+            (
+                [repr(r) for r in result.rows],
+                m.bytes_scanned,
+                m.rows_scanned,
+                m.peak_state_rows,
+                m.total_state_rows,
+            )
+        )
+    assert runs[0] == runs[1]
 
 
 # -- hand-built plans over Values: no scan, so no scan checkpoint ----------
@@ -196,7 +329,7 @@ def _block_streams(plan, ctx, block_rows=8):
     """The plan's block stream in each block engine (no ``_iter_rows``
     on top: the operator itself must be the checkpoint)."""
     yield "batch", lambda: execute_blocks(plan, ctx, block_rows)
-    yield "compiled", lambda: _vector_fetch(plan, ctx, block_rows)
+    yield "numpy", lambda: _vector_fetch(plan, ctx, block_rows)
 
 
 @pytest.mark.parametrize("name", ["GroupBy", "MarkDistinct", "Window", "Sort"])
@@ -207,7 +340,6 @@ def test_keyed_operators_match_the_row_engine_in_order(name):
     for vectors in ("python", "numpy"):
         ctx = RunContext(Store())
         assert list(execute_compiled(plan, ctx, 8, vectors)) == expected
-        assert ctx.metrics.breakers_batch == 0  # "python" is the batch engine
 
 
 @pytest.mark.parametrize("name", ["GroupBy", "Window"])

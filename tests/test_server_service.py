@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from repro.engine import compiled
+from repro.algebra.operators import GroupBy
+from repro.engine.batch_executor import BLOCK_OPERATORS
 from repro.engine.session import Session
 from repro.errors import (
     AdmissionRejectedError,
@@ -115,7 +116,7 @@ class TestEndToEnd:
         def broken(plan, ctx, block_rows):
             raise ExecutionError("vector path failure")
 
-        monkeypatch.setattr(compiled, "_dispatch", broken)
+        monkeypatch.setitem(BLOCK_OPERATORS, GroupBy, broken)
         with QueryService(service_store, _config()) as service:
             result = service.execute(QUERIES[1])
         assert result.rows == expected_rows[QUERIES[1]]
