@@ -69,10 +69,9 @@ def run_mode(
     """Time every query at every worker count; verify exactness."""
     per_worker: dict[str, dict] = {}
     baseline: dict[str, dict] = {}
+    store.io_latency_ms = io_latency_ms
     for workers in counts:
-        config = OptimizerConfig(
-            engine="batch", workers=workers, io_latency_ms=io_latency_ms
-        )
+        config = OptimizerConfig(engine="batch", workers=workers)
         label = "io" if io_latency_ms else "cpu"
         queries: dict[str, dict] = {}
         with Session(store, config) as session:
@@ -188,12 +187,10 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"io-latency mode ({args.io_latency_ms}ms per partition read):")
     io_mode = run_mode(store, names, counts, args.repeat, args.io_latency_ms)
-    store.io_latency_ms = 0.0
     cpu_mode = None
     if not args.skip_cpu_only:
         print("cpu-only mode (no injected latency):")
         cpu_mode = run_mode(store, names, counts, args.repeat, 0.0)
-        store.io_latency_ms = 0.0
 
     report = {
         "benchmark": "parallel_scaling",

@@ -30,7 +30,7 @@ Transfer functions cover Scan (seeded from catalog statistics, which
 :meth:`Store.register_table` keeps exact), Filter (predicate-implied
 narrowing), Project/compute, Join (null-introducing outer sides, key
 preservation), GroupBy, Window, MarkDistinct, UnionAll (widening
-join), Sort/Limit/EnforceSingleRow, Spool, ScalarApply and the
+join), Sort/Limit/EnforceSingleRow, ScalarApply and the
 CachedScan/CachePopulate reuse nodes.  Unknown node types degrade to
 TOP (everything nullable, no bounds, no keys) — conservative, never
 wrong.
@@ -75,7 +75,6 @@ from repro.algebra.operators import (
     ScalarApply,
     Scan,
     Sort,
-    Spool,
     UnionAll,
     Values,
     Window,
@@ -941,19 +940,6 @@ class FactAnalyzer:
         }
         return PlanFacts(columns, (frozenset(),), 1)
 
-    def _spool(self, plan: Spool) -> PlanFacts:
-        child = self.facts(plan.child)
-        mapping: dict[int, int] = {}
-        columns: dict[int, ColumnFacts] = {}
-        for out, src in zip(plan.columns, plan.child.output_columns):
-            columns[out.cid] = child.column(src.cid)
-            mapping[src.cid] = out.cid
-        keys: list = []
-        for key in child.keys:
-            if all(cid in mapping for cid in key):
-                _add_key(keys, frozenset(mapping[cid] for cid in key))
-        return PlanFacts(columns, tuple(keys), child.max_rows)
-
     def _exchange(self, plan) -> PlanFacts:
         # Exchange/Repartition are bag-identity: same columns, same
         # rows, so the child's facts transfer unchanged.
@@ -1071,7 +1057,6 @@ _HANDLERS = {
     Limit: FactAnalyzer._limit,
     Sort: FactAnalyzer._sort,
     EnforceSingleRow: FactAnalyzer._enforce_single_row,
-    Spool: FactAnalyzer._spool,
     CachedScan: FactAnalyzer._cached_scan,
     CachePopulate: FactAnalyzer._cache_populate,
     Exchange: FactAnalyzer._exchange,

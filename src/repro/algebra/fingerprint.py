@@ -28,9 +28,8 @@ Equivalences recognized: alias/column-id renaming everywhere; AND/OR
 conjunct order and duplicates; comparison orientation (``a > b`` ≡
 ``b < a``); ``+``/``*`` operand order; IN-list order/duplicates;
 double negation; select-list order and duplicate projections; GROUP BY
-key order; INNER/CROSS join input order; Spool transparency (a spooled
-subtree fingerprints like its child); and — only inside comparison or
-IN operands, where the result is boolean — numeric literal form
+key order; INNER/CROSS join input order; and — only inside comparison
+or IN operands, where the result is boolean — numeric literal form
 (``x > 1`` ≡ ``x > 1.0``).  A *projected* literal keeps its type:
 ``SELECT 1`` and ``SELECT 1.0`` produce different bytes and must not
 collide.
@@ -84,7 +83,6 @@ from repro.algebra.operators import (
     ScalarApply,
     Scan,
     Sort,
-    Spool,
     UnionAll,
     Values,
     Window,
@@ -280,24 +278,6 @@ def _compute(node: PlanNode, outer: Mapping[int, str]) -> PlanFingerprint:
         # same computation run on one worker or eight must hit the same
         # cache entries.
         return _canonical(node.child, outer)
-
-    if isinstance(node, Spool):
-        # Transparent as well: a spooled subtree produces the child's
-        # rows under renamed column identities, so a spooled and an
-        # unspooled instance of the same computation collide (that is
-        # the point — cross-query reuse of intra-query materialization).
-        child = _canonical(node.child, outer)
-        free = set()
-        colmap: dict[int, str] = {}
-        for spool_col, child_col in zip(node.columns, node.child.output_columns):
-            token = child.column_tokens.get(child_col.cid)
-            if token is None:
-                free.add(child_col.cid)
-                token = _h(("freespool", child_col.cid))
-            colmap[spool_col.cid] = token
-        return PlanFingerprint(
-            child.digest, colmap, child.has_free or bool(free), child.tables
-        )
 
     if isinstance(node, Filter):
         child = _canonical(node.child, outer)

@@ -466,42 +466,6 @@ class EnforceSingleRow(PlanNode):
 
 
 @dataclass(frozen=True)
-class Spool(PlanNode):
-    """Materialization point for sharing a common subexpression.
-
-    The paper treats spooling as the general fallback for common
-    subexpressions ("this solution is part of Athena's future roadmap")
-    and argues fusion beats it where applicable; this operator
-    implements that fallback so the claim can be measured.  All Spool
-    nodes carrying the same ``spool_id`` share one materialized result:
-    the first consumer executes ``child`` and caches the rows, later
-    consumers replay the cache.  ``columns`` positionally rename the
-    child's outputs, letting a consumer expose its own column
-    identities over the shared rows.
-    """
-
-    child: PlanNode
-    spool_id: int
-    columns: tuple[Column, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.columns) != len(self.child.output_columns):
-            raise ValueError("spool columns must match child arity")
-
-    @property
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def with_children(self, children: tuple[PlanNode, ...]) -> "Spool":
-        (child,) = children
-        return Spool(child, self.spool_id, self.columns)
-
-    @property
-    def output_columns(self) -> tuple[Column, ...]:
-        return self.columns
-
-
-@dataclass(frozen=True)
 class ScalarApply(PlanNode):
     """Correlated scalar subquery: for each input row, evaluate
     ``subquery`` (which may reference input columns as free variables)

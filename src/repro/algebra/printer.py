@@ -67,7 +67,6 @@ def _describe(node: PlanNode) -> str:
         Exchange,
         Repartition,
         ScalarApply,
-        Spool,
     )
 
     if isinstance(node, Exchange):
@@ -77,8 +76,6 @@ def _describe(node: PlanNode) -> str:
         return f"Repartition[#{node.exchange_id} on ({keys})]"
     if isinstance(node, ScalarApply):
         return f"ScalarApply[{node.output!r} := {node.value!r}]"
-    if isinstance(node, Spool):
-        return f"Spool[#{node.spool_id}]"
     if isinstance(node, CachedScan):
         cols = ", ".join(repr(c) for c in node.columns)
         return f"CachedScan[{node.fingerprint[:12]}]({cols})"

@@ -11,7 +11,7 @@ unique and every operator can use ``SELECT *`` safely; a final SELECT
 restores the user-facing names.
 
 Operators with no SQL surface in the dialect — ``MarkDistinct``,
-``Spool``, ``ScalarApply``, ``EnforceSingleRow`` — raise
+``ScalarApply``, ``EnforceSingleRow`` — raise
 :class:`RenderError`; they only appear in optimized plans, and the
 renderer's primary targets are binder output and the fusion rules'
 SQL-expressible rewrites.

@@ -50,7 +50,6 @@ from repro.algebra.operators import (
     ScalarApply,
     Scan,
     Sort,
-    Spool,
     UnionAll,
     Window,
     aggregate_result_type,
@@ -312,13 +311,6 @@ def validate_plan(plan: PlanNode, catalog: "Catalog | None" = None) -> None:
         elif isinstance(node, Limit):
             if node.count < 0:
                 raise PlanError(f"Limit count must be non-negative, got {node.count}")
-        elif isinstance(node, Spool):
-            for col, src in zip(node.columns, node.child.output_columns):
-                if not _compatible(col.dtype, src.dtype):
-                    raise PlanError(
-                        f"Spool column {col!r} has type {col.dtype.value} but "
-                        f"renames {src!r} of type {src.dtype.value}"
-                    )
         elif isinstance(node, Repartition):
             child_cols = set(node.child.output_columns)
             if not node.keys:

@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-spool-rows",
         type=int,
         default=None,
-        help="row budget for any materialized intermediate (default: none)",
+        help="row budget for any plan-cache population (default: none)",
     )
     parser.add_argument(
         "--max-state-rows",
@@ -180,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--io-latency-ms",
         type=float,
         default=0.0,
-        help="simulated per-partition object-store read latency in ms "
-        "(models the S3 regime where parallel fragments overlap I/O "
-        "waits; default 0)",
+        help="simulated per-partition read latency in ms, set on the "
+        "store that every session and fragment worker reads (models "
+        "the S3 regime where parallel fragments overlap I/O; default 0)",
     )
     parser.add_argument(
         "--cost-based",
@@ -442,6 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         return serve_main(argv[1:])
     args = build_parser().parse_args(argv)
     store = generate_dataset(scale=args.scale, seed=args.seed)
+    store.io_latency_ms = args.io_latency_ms
 
     engine_opts = {
         "engine": args.engine,
@@ -458,7 +459,6 @@ def main(argv: list[str] | None = None) -> int:
         "max_state_rows": args.max_state_rows,
         "validate_plans": args.validate_plans,
         "workers": args.workers,
-        "io_latency_ms": args.io_latency_ms,
         "cost_based": args.cost_based,
     }
     try:

@@ -29,16 +29,15 @@ MarkDistinct, Window and Sort keep their state on positions too: each
 reads its whole input as one block and calls the one keyed core
 (:mod:`repro.engine.keyed` — factorize key columns to group codes,
 reduce every aggregate per code, gather back), emitting column blocks.
-Only ScalarApply, EnforceSingleRow and the row-tuple caches of Spool /
-CachePopulate still convert blocks to row tuples (``zip(*cols)``, which
-reads either representation).
+Only ScalarApply, EnforceSingleRow and CachePopulate's row-tuple cache
+entries still convert blocks to row tuples (``zip(*cols)``, which reads
+either representation).
 
 Equivalence contract (enforced by ``tests/test_engine_ab.py``): for
 any plan both engines produce the same result multiset and identical
-``bytes_scanned`` / ``rows_scanned`` / ``partitions_read`` /
-``spooled_rows`` / ``spool_read_rows``.  Only wall time and internal
-block bookkeeping (and, under early termination, the exact state-row
-counts of partially drained operators) may differ.  Two
+``bytes_scanned`` / ``rows_scanned`` / ``partitions_read``.  Only wall
+time and internal block bookkeeping (and, under early termination, the
+exact state-row counts of partially drained operators) may differ.  Two
 invariants make the metric half of this hold by construction:
 
 * scans charge accounting per partition chunk (shared
@@ -81,7 +80,6 @@ from repro.algebra.operators import (
     ScalarApply,
     Scan,
     Sort,
-    Spool,
     UnionAll,
     Values,
     Window,
@@ -89,7 +87,6 @@ from repro.algebra.operators import (
 from repro.engine.evaluator import Aggregator, lower_aggregates
 from repro.engine.executor import (
     _cached_entry,
-    _check_spool_budget,
     _materialize_for_cache,
     _partition_pruner,
     _split_join_condition,
@@ -199,7 +196,7 @@ def _iter_rows(plan: PlanNode, ctx: RunContext, block_rows: int) -> Iterator[Row
     """Flatten a block stream into row tuples (one zip per block).
 
     Also a cooperative cancellation/deadline point: the result and
-    every row-tuple consumer (Spool, CachePopulate, ScalarApply,
+    every row-tuple consumer (CachePopulate, ScalarApply,
     EnforceSingleRow) funnel through here, so checking once per block
     bounds how far past a deadline any pipeline can run.
     """
@@ -626,7 +623,7 @@ def _over_buffered_input(plan, ctx, block_rows: int, transform):
         ctx.state_remove(total)
 
 
-# -- scalar plumbing, spools ---------------------------------------------
+# -- scalar plumbing -----------------------------------------------------
 
 
 def _run_enforce_single_row(
@@ -662,21 +659,6 @@ def _run_scalar_apply(
             buf.append(row + (value,))
         if buf:
             yield _rows_block(buf, out_width)
-
-
-def _run_spool(plan: Spool, ctx: RunContext, block_rows: int) -> Iterator[Block]:
-    # The cache holds row tuples — the same representation the row
-    # engine materializes — so both engines report identical spool
-    # metrics and could even share a warm cache.
-    cache = ctx.spool_cache.get(plan.spool_id)
-    if cache is None:
-        cache = list(_iter_rows(plan.child, ctx, block_rows))
-        _check_spool_budget(ctx, len(cache), f"spool {plan.spool_id}")
-        ctx.spool_cache[plan.spool_id] = cache
-        ctx.state_add(len(cache))
-        ctx.metrics.spooled_rows += len(cache)
-    ctx.metrics.spool_read_rows += len(cache)
-    return _blocks_from_row_list(cache, len(plan.output_columns), block_rows)
 
 
 # -- cross-query plan cache ----------------------------------------------
@@ -728,7 +710,6 @@ BLOCK_OPERATORS = {
     Limit: _run_limit,
     EnforceSingleRow: _run_enforce_single_row,
     ScalarApply: _run_scalar_apply,
-    Spool: _run_spool,
     CachedScan: _run_cached_scan,
     CachePopulate: _run_cache_populate,
     Exchange: _run_exchange,

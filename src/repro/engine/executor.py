@@ -49,7 +49,6 @@ from repro.algebra.operators import (
     ScalarApply,
     Scan,
     Sort,
-    Spool,
     UnionAll,
     Values,
     Window,
@@ -115,8 +114,6 @@ def _dispatch_row(plan: PlanNode, ctx: RunContext) -> Iterator[Row]:
         return _run_enforce_single_row(plan, ctx)
     if isinstance(plan, ScalarApply):
         return _run_scalar_apply(plan, ctx)
-    if isinstance(plan, Spool):
-        return _run_spool(plan, ctx)
     if isinstance(plan, CachedScan):
         return _run_cached_scan(plan, ctx)
     if isinstance(plan, CachePopulate):
@@ -145,31 +142,6 @@ def _run_exchange(plan: Exchange, ctx: RunContext) -> Iterator[Row]:
         return
     for row in gathered:
         yield row
-
-
-def _check_spool_budget(ctx: RunContext, rows: int, what: str) -> None:
-    """Enforce ``max_spool_rows`` on a materialized intermediate."""
-    limit = ctx.limits.max_spool_rows
-    if limit is not None and rows > limit:
-        raise ResourceExhaustedError(
-            f"{what} materialized {rows} rows, exceeding max_spool_rows="
-            f"{limit}; raise the budget or make the subexpression more "
-            "selective"
-        )
-
-
-def _run_spool(plan: "Spool", ctx: RunContext) -> Iterator[Row]:
-    cache = ctx.spool_cache.get(plan.spool_id)
-    if cache is None:
-        ctx.checkpoint()
-        cache = list(execute(plan.child, ctx))
-        _check_spool_budget(ctx, len(cache), f"spool {plan.spool_id}")
-        ctx.spool_cache[plan.spool_id] = cache
-        # Materialized state stays resident for the rest of the query.
-        ctx.state_add(len(cache))
-        ctx.metrics.spooled_rows += len(cache)
-    ctx.metrics.spool_read_rows += len(cache)
-    return iter(cache)
 
 
 # -- cross-query plan cache ----------------------------------------------
@@ -300,10 +272,16 @@ def _materialize_for_cache(plan: CachePopulate, ctx: RunContext, rows_of) -> lis
             rows = rows_of()
         finally:
             ctx.pop_accounting()
-        _check_spool_budget(ctx, len(rows), "plan-cache population")
+        limit = ctx.limits.max_spool_rows
+        if limit is not None and len(rows) > limit:
+            raise ResourceExhaustedError(
+                f"plan-cache population materialized {len(rows)} rows, "
+                f"exceeding max_spool_rows={limit}; raise the budget or "
+                "make the subexpression more selective"
+            )
         entry = entry_from_rows(plan, rows, meter.bytes_scanned)
-        # Like a spool, the materialized result stays resident — but
-        # only if it was actually admitted to the cache.
+        # The materialized result stays resident, but only if it was
+        # actually admitted to the cache.
         ctx.state_add(len(rows))
         if cache.put(entry):
             ctx.metrics.cache_populations += 1

@@ -28,8 +28,8 @@ class ResourceLimits:
     """Per-query execution budgets (None = unlimited).
 
     ``timeout_ms`` is the per-query deadline, enforced cooperatively at
-    block boundaries.  ``max_spool_rows`` bounds any single
-    materialized intermediate (spools and plan-cache populations);
+    block boundaries.  ``max_spool_rows`` bounds the rows of any single
+    plan-cache population;
     ``max_state_rows`` bounds total resident operator state (join build
     sides, aggregation hash tables, sorts, windows) — the stand-in for
     a per-query memory budget.
@@ -68,11 +68,6 @@ class QueryMetrics:
     #: (the paper's §V.C memory discussion), this is the better proxy
     #: for resident state than the serial executor's peak.
     total_state_rows: int = 0
-    #: Rows written into spools (materialized intermediates) and rows
-    #: replayed out of them — the write-then-read-multiple-times cost
-    #: the paper's fusion rewrites avoid.
-    spooled_rows: int = 0
-    spool_read_rows: int = 0
     #: Cross-query plan-cache activity (repro.engine.plan_cache):
     #: subplans replayed from cache, subplans materialized into it, the
     #: scan bytes those replays avoided, and the rows replayed.
@@ -247,7 +242,6 @@ class RunContext:
         self.store = store
         self.metrics = QueryMetrics()
         self.env: dict[int, object] = {}
-        self.spool_cache: dict[int, list[tuple]] = {}
         #: Compiled scan predicates, keyed by (id(plan), compiler).
         #: Plans outlive their RunContext, so identity keys are stable;
         #: caching here lets ScalarApply re-execute a subquery without
@@ -302,8 +296,8 @@ class RunContext:
 
     def checkpoint(self) -> None:
         """Cooperative cancellation/deadline check, called at block
-        boundaries (partition reads, block flattening, spool
-        materialization).  Near-free when neither is configured."""
+        boundaries (partition reads, block flattening, keyed
+        operators).  Near-free when neither is configured."""
         if self._cancelled or (
             self.cancel_check is not None and self.cancel_check()
         ):
@@ -345,8 +339,8 @@ class RunContext:
             raise ResourceExhaustedError(
                 f"resident operator state of {self._state_rows} rows exceeds "
                 f"max_state_rows={limit} (join build sides, aggregation hash "
-                "tables, sorts and spools count); raise the budget or reduce "
-                "the working set"
+                "tables, sorts and cache populations count); raise the budget "
+                "or reduce the working set"
             )
 
     def state_remove(self, rows: int) -> None:

@@ -119,7 +119,8 @@ class _TaskSpec:
     banned: frozenset[int] = frozenset()
     # Per-task store/fault configuration: installed on the worker's
     # (process-local) store copy for the duration of the task, so a
-    # pool forked early still honours the submitting session's config.
+    # pool forked early still honours the session's fault config and
+    # the coordinator store's current latency and checksum switches.
     fault_rate: float = 0.0
     fault_seed: int = 7
     max_retries: int = 3
@@ -772,8 +773,8 @@ class _FragmentScheduler:
             fault_seed=config.fault_seed,
             max_retries=config.max_retries,
             retry_base_delay_ms=config.retry_base_delay_ms,
-            verify_checksums=config.verify_checksums,
-            io_latency_ms=config.io_latency_ms,
+            verify_checksums=self.store.verify_checksums,
+            io_latency_ms=self.store.io_latency_ms,
             timeout_ms=self.ctx.deadline_remaining_ms,
             max_state_rows=config.max_state_rows,
         )

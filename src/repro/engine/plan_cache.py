@@ -1,7 +1,7 @@
 """Cross-query subplan result cache.
 
-The paper's premise is *computation reuse*; fusion and spools realize
-it within one query.  This module extends reuse across queries in a
+The paper's premise is *computation reuse*; fusion realizes it within
+one query.  This module extends reuse across queries in a
 :class:`~repro.engine.session.Session`: a byte-budgeted LRU of
 materialized subplan results keyed by semantic plan fingerprint
 (:mod:`repro.algebra.fingerprint`).  Entries store full column vectors

@@ -52,9 +52,10 @@ class QueryResult:
         return sorted(self.rows, key=lambda r: tuple((v is None, str(v)) for v in r))
 
 
-#: Serializes configuration writes to a *shared* store (fault-injector
-#: install, strict-block / checksum / latency flags): sessions over the
-#: same store may be constructed from concurrent server threads.
+#: Serializes the fault-injector install on a *shared* store: sessions
+#: over the same store may be constructed from concurrent server
+#: threads.  Read latency and checksum verification are the store's own
+#: attributes, which no session writes.
 _STORE_CONFIG_LOCK = threading.Lock()
 
 
@@ -87,12 +88,6 @@ class Session:
                 store.fault_injector = FaultInjector(
                     fault_rate=self.config.fault_rate, seed=self.config.fault_seed
                 )
-            if self.config.strict_blocks is not None:
-                store.strict_blocks = self.config.strict_blocks
-            if not self.config.verify_checksums:
-                store.verify_checksums = False
-            if self.config.io_latency_ms > 0:
-                store.io_latency_ms = self.config.io_latency_ms
         #: Fragment worker pool for ``workers > 1`` (DESIGN.md §13).
         #: Created lazily on the first parallel query unless the caller
         #: supplies a shared pool (e.g. the differential oracle, which
@@ -249,11 +244,6 @@ class Session:
                     rows = list(execute(optimized, run_ctx))
             if run_ctx.profiler is not None:
                 run_ctx.metrics.operator_times = dict(run_ctx.profiler.records)
-            if self.store.strict_blocks == "verify":
-                # Strict mode: any operator that mutated a handed-out
-                # block vector in place corrupted stored data — fail
-                # the query rather than poison later ones.
-                self.store.verify_integrity()
         finally:
             if run_ctx is not None:
                 with self._state_lock:

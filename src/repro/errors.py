@@ -80,8 +80,9 @@ class QueryCancelledError(ReproError):
 
 class ResourceExhaustedError(ReproError):
     """A resource budget was exceeded: operator state grew past
-    ``max_state_rows`` or a spool past ``max_spool_rows``.  The limits
-    are per query; raise them or reduce the data processed."""
+    ``max_state_rows`` or a plan-cache population past
+    ``max_spool_rows``.  The limits are per query; raise them or reduce
+    the data processed."""
 
 
 class AdmissionRejectedError(ReproError):

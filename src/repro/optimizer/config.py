@@ -35,18 +35,13 @@ class OptimizerConfig:
     #: default of 1 fires on anything that scans stored data but not on
     #: constant-table expressions; tests/test_pipeline.py raises it.
     fusion_min_rows: int = 1
-    #: Spool duplicated common subexpressions that fusion did not
-    #: eliminate (the paper's stated roadmap fallback).  Off by default:
-    #: the paper's engine does not have it yet, and tests/test_spooling.py
-    #: compares fusion vs spooling explicitly.
-    enable_spooling: bool = False
     #: Execution backend: ``"batch"`` — the block engine — streams
     #: ~``batch_rows``-row column blocks through vectorized operators
     #: (the default: it amortizes the interpreter's per-row overhead);
     #: ``"row"`` is the original tuple-at-a-time streaming executor.
     #: The vector path's former engine name, compiled, is normalized to
     #: ``"batch"`` on construction.  Both engines produce bit-identical
-    #: results and identical scan/spool metrics
+    #: results and identical scan metrics
     #: (tests/test_engine_ab.py, DESIGN.md §11).
     engine: str = "batch"
     #: Rows per block for the block engine.
@@ -84,19 +79,12 @@ class OptimizerConfig:
     #: Per-query deadline, enforced cooperatively at block boundaries
     #: (None = no deadline; 0 times out at the first boundary).
     timeout_ms: float | None = None
-    #: Row budget for any single materialized intermediate (spools,
-    #: plan-cache populations); None = unlimited.
+    #: Row budget for any single plan-cache population; None =
+    #: unlimited.
     max_spool_rows: int | None = None
     #: Budget for total resident operator state in rows — the memory
     #: stand-in covering join builds, aggregation hash tables, sorts.
     max_state_rows: int | None = None
-    #: Verify chunk content checksums on every read (and plan-cache
-    #: entry checksums on every replay).
-    verify_checksums: bool = True
-    #: Strict block mode for tests/CI: "copy" hands out copied vectors,
-    #: "verify" re-checks all stored chunks after each query (None =
-    #: zero-copy fast path, no post-query sweep).
-    strict_blocks: str | None = None
     #: Run the plan invariant validator
     #: (:func:`repro.algebra.validator.validate_plan`) on the pipeline
     #: input and after every pass that changes the plan, re-derive the
@@ -115,11 +103,6 @@ class OptimizerConfig:
     #: ``workers == 1`` (the default) never inserts an Exchange and is
     #: byte-for-byte the serial engine.
     workers: int = 1
-    #: Simulated object-store read latency, milliseconds per partition
-    #: read (the S3 GET regime Athena's scans live in).  Parallel
-    #: workers overlap these waits, which is the latency-hiding effect
-    #: ``benchmarks/bench_parallel.py`` measures; 0 disables the sleep.
-    io_latency_ms: float = 0.0
     #: Per-fragment fault domain: how many times a failed fragment is
     #: resubmitted (on a different worker when possible) before the
     #: query fails.
@@ -171,15 +154,8 @@ class OptimizerConfig:
             raise ValueError("max_spool_rows must be positive")
         if self.max_state_rows is not None and self.max_state_rows <= 0:
             raise ValueError("max_state_rows must be positive")
-        if self.strict_blocks not in (None, "copy", "verify"):
-            raise ValueError(
-                f"strict_blocks must be None, 'copy' or 'verify', "
-                f"got {self.strict_blocks!r}"
-            )
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.io_latency_ms < 0:
-            raise ValueError("io_latency_ms must be non-negative")
         if self.fragment_retries < 0:
             raise ValueError("fragment_retries must be non-negative")
         if self.fragment_timeout_ms is not None and self.fragment_timeout_ms <= 0:

@@ -55,14 +55,9 @@ class OptimizerContext:
             self.cost_model = CostModel(
                 self.catalog, self.estimator, plan_cache=self.plan_cache
             )
-        self._spool_counter = 0
 
     def record(self, rule_name: str) -> None:
         self.fired.append(rule_name)
-
-    def next_spool_id(self) -> int:
-        self._spool_counter += 1
-        return self._spool_counter
 
     # -- cost heuristics (§IV.E) ------------------------------------------
 

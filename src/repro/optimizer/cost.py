@@ -16,10 +16,9 @@ the heuristic gate cannot see.
 Plan nodes are immutable, so costs are memoized **by node identity**
 (strong references pin ids): when a gate prices a candidate against the
 original region, the subtrees they share — rule rebuilds reuse input
-subplans — are priced once, and the spool producer/consumer pair,
-which shares one child object, is automatically charged a single
-computation plus two streams.  Cost totals are summed over the
-*distinct* nodes of a plan for the same reason.
+subplans — are priced once.  A plan's total is the plain sum over its
+nodes, so a subtree the plan names twice, which the engines execute
+twice, is priced twice.
 
 Three consumers:
 
@@ -51,7 +50,6 @@ from repro.algebra.operators import (
     Repartition,
     Scan,
     Sort,
-    Spool,
     UnionAll,
     Values,
     Window,
@@ -130,23 +128,17 @@ class CostModel:
 
     def cost(self, plan: PlanNode) -> PlanCost:
         """Total cost of ``plan``: per-node contributions summed over
-        the subtree's *distinct* nodes.  Alternatives produced by a
-        rewrite share untouched input subtrees by object identity, so
-        pricing both alternatives prices the shared parts once — and a
-        subtree referenced twice (spool producer + consumer) is charged
-        one computation, not two."""
+        the subtree.  Alternatives produced by a rewrite share untouched
+        input subtrees by object identity, so pricing both alternatives
+        computes the shared parts' contributions once."""
         cached = self._totals.get(id(plan))
         if cached is not None:
             return cached[1]
         total_bytes = 0.0
         total_rows = 0.0
-        seen: set[int] = set()
         stack: list[PlanNode] = [plan]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
             node_bytes, node_rows = self._self_cost(node)
             total_bytes += node_bytes
             total_rows += node_rows
@@ -201,11 +193,9 @@ class CostModel:
             return 0.0, self._rows(node)
         if isinstance(node, EnforceSingleRow):
             return 0.0, 1.0
-        if isinstance(node, (Spool, CachePopulate, Exchange, Repartition)):
+        if isinstance(node, (CachePopulate, Exchange, Repartition)):
             # Materialization / movement: one extra streaming pass over
-            # the child's rows.  A spool's producer and consumer are
-            # distinct nodes sharing one child object, so the pair is
-            # charged write + read while the computation prices once.
+            # the child's rows.
             return 0.0, self._rows(node.children[0])
         if node.children:
             # Filter/Project/GroupBy/MarkDistinct/ScalarApply and any

@@ -71,7 +71,6 @@ from repro.algebra.operators import (
     ScalarApply,
     Scan,
     Sort,
-    Spool,
     UnionAll,
     Window,
 )
@@ -177,7 +176,7 @@ def _child_bounded(node: PlanNode, index: int, bounded: bool) -> bool:
     serial engine would, so the child must stay serial."""
     if isinstance(node, (Limit, EnforceSingleRow)):
         return True
-    if isinstance(node, (Sort, GroupBy, Window, Spool)):
+    if isinstance(node, (Sort, GroupBy, Window)):
         # Blocking: the operator drains its input fully before emitting
         # a single row, so demand from above cannot be partial.
         return False

@@ -47,7 +47,6 @@ from repro.optimizer.rewrites import (
     RemoveTrivialFilters,
     SemiJoinToDistinctJoin,
     SimplifyExpressions,
-    SpoolDuplicateSubtrees,
 )
 from repro.optimizer.rule import PlanPass, run_pipeline
 
@@ -127,13 +126,8 @@ def build_pipeline(config: OptimizerConfig) -> list[PlanPass]:
             ProjectionPruning(),
         ]
     )
-    if config.enable_spooling:
-        # The roadmap fallback: materialize duplicates fusion left behind.
-        passes.append(SpoolDuplicateSubtrees())
     if config.enable_plan_cache:
-        # Cross-query reuse runs over the final plan shape (after
-        # spooling, so spooled common subexpressions are populate
-        # candidates too).
+        # Cross-query reuse runs over the final plan shape.
         passes.append(CrossQueryReuse())
     if config.workers > 1:
         # Fragment cutting runs last, over the final serial plan shape:

@@ -8,7 +8,6 @@ from repro.optimizer.rewrites.pruning import ProjectionPruning
 from repro.optimizer.rewrites.pushdown import PredicatePushdown
 from repro.optimizer.rewrites.reuse import CrossQueryReuse
 from repro.optimizer.rewrites.semijoin import DistinctPushdown, SemiJoinToDistinctJoin
-from repro.optimizer.rewrites.spool import SpoolDuplicateSubtrees
 from repro.optimizer.rewrites.simplify import (
     MergeProjections,
     PruneUnionBranches,
@@ -34,7 +33,6 @@ __all__ = [
     "SemiJoinToDistinctJoin",
     "DistinctPushdown",
     "FactorAggregateMasks",
-    "SpoolDuplicateSubtrees",
     "GreedyJoinOrder",
     "CrossQueryReuse",
 ]

@@ -14,10 +14,10 @@ execute.  Walking top-down it does two things per subplan:
   in the same query cannot evict an entry the plan depends on.
 
 * **Populate** — otherwise, if the subplan looks worth caching (the
-  query root, a spooled common subexpression, or a join/aggregation
-  that passes the §IV.E cost heuristic) and its estimated result fits
-  comfortably in the budget, it is wrapped in ``CachePopulate`` so the
-  executor materializes and inserts it while streaming it through.
+  query root, or an aggregation/window that passes the §IV.E cost
+  heuristic) and its estimated result fits comfortably in the budget,
+  it is wrapped in ``CachePopulate`` so the executor materializes and
+  inserts it while streaming it through.
   Population slots are reserved *top-down before recursing* so the
   outermost promising subplan wins over its descendants, and at most
   ``config.cache_max_populate`` subplans are scheduled per query.
@@ -38,7 +38,6 @@ from repro.algebra.operators import (
     CachePopulate,
     GroupBy,
     PlanNode,
-    Spool,
     Window,
 )
 from repro.algebra.types import encoded_bytes
@@ -56,8 +55,8 @@ _MAX_ENTRY_FRACTION = 0.5
 @dataclass
 class _ReuseState:
     """Per-query bookkeeping: remaining population slots and the
-    fingerprints already scheduled (a query that repeats a subplan the
-    spool pass did not merge must not populate it twice)."""
+    fingerprints already scheduled (a query that repeats a subplan must
+    not populate it twice)."""
 
     budget: int
     scheduled: set[str] = field(default_factory=set)
@@ -149,15 +148,12 @@ class CrossQueryReuse(PlanPass):
         """Is materializing ``node`` likely to pay off later?
 
         The query root always is (whole-query replay is the headline
-        win); a spooled subtree was already judged a duplicate worth
-        materializing; aggregations/windows reuse well when they pass
-        the same cost bar as fusion (§IV.E).  Everything else — bare
-        scans, filters, joins mid-plan — is left alone: it would bloat
-        the cache with fragments the root entry already subsumes.
+        win); aggregations/windows reuse well when they pass the same
+        cost bar as fusion (§IV.E).  Everything else — bare scans,
+        filters, joins mid-plan — is left alone: it would bloat the
+        cache with fragments the root entry already subsumes.
         """
         if is_root:
-            return True
-        if isinstance(node, Spool):
             return True
         if isinstance(node, (GroupBy, Window)):
             if ctx.cost_model is not None:

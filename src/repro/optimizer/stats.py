@@ -57,7 +57,6 @@ from repro.algebra.operators import (
     ScalarApply,
     Scan,
     Sort,
-    Spool,
     UnionAll,
     Values,
     Window,
@@ -126,10 +125,6 @@ class CardinalityEstimator:
             for target, expr in node.assignments:
                 if isinstance(expr, ColumnRef) and expr.column.cid in self._stats:
                     self._stats[target.cid] = self._stats[expr.column.cid]
-        elif isinstance(node, Spool):
-            for target, source in zip(node.columns, node.child.output_columns):
-                if source.cid in self._stats:
-                    self._stats[target.cid] = self._stats[source.cid]
         self._collected[id(node)] = node
 
     # -- row counts ----------------------------------------------------------
@@ -159,8 +154,6 @@ class CardinalityEstimator:
             return self._rows(plan.child) * self._selectivity(plan.condition, stats)
         if isinstance(plan, (Project, MarkDistinct, Window, Sort)):
             return self._rows(plan.children[0])
-        if isinstance(plan, Spool):
-            return self._rows(plan.child)
         if isinstance(plan, Limit):
             return min(self._rows(plan.child), float(plan.count))
         if isinstance(plan, EnforceSingleRow):

@@ -6,9 +6,9 @@ Responsibilities:
   tables, aliases, correlated references into enclosing blocks);
 * **CTE inlining** — every reference to a WITH-defined name expands
   into a fresh copy of its subtree (fresh column ids).  This models
-  Athena's streaming engine, where common table expressions are *not*
-  spooled and a CTE used twice is evaluated twice — the inefficiency
-  the paper's fusion rules remove;
+  Athena's streaming engine, which materializes no intermediate: a CTE
+  used twice is evaluated twice — the inefficiency the paper's fusion
+  rules remove;
 * subquery lowering: ``IN (SELECT …)`` becomes a semi-join (anti-join
   when negated), ``EXISTS`` a semi-join, and scalar subqueries become
   :class:`~repro.algebra.operators.ScalarApply` nodes that optimizer

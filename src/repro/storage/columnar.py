@@ -275,28 +275,15 @@ class Store:
 
     ``fault_injector`` (a :class:`~repro.storage.faults.FaultInjector`)
     makes reads fail like S3 does; ``verify_checksums`` re-checks every
-    chunk's build-time digest on read; ``strict_blocks`` is the opt-in
-    strict mode for tests/CI — ``"copy"`` hands out copied vectors so
-    an operator mutating a block in place cannot corrupt stored data,
-    ``"verify"`` keeps the zero-copy fast path but expects the caller
-    (``Session.execute``) to run :meth:`verify_integrity` after each
-    query, turning silent in-place mutation into a hard failure.
+    chunk's build-time digest on read.  Both, and ``io_latency_ms``, are
+    attributes of the store alone: every session and every fragment
+    worker reading it sees the same values.
     """
 
-    def __init__(
-        self,
-        fault_injector=None,
-        verify_checksums: bool = True,
-        strict_blocks: str | None = None,
-    ) -> None:
+    def __init__(self, fault_injector=None, verify_checksums: bool = True) -> None:
         self._tables: dict[str, StoredTable] = {}
         self.fault_injector = fault_injector
         self.verify_checksums = verify_checksums
-        if strict_blocks not in (None, "copy", "verify"):
-            raise ValueError(
-                f"strict_blocks must be None, 'copy' or 'verify', got {strict_blocks!r}"
-            )
-        self.strict_blocks = strict_blocks
         #: Simulated object-store round-trip latency per partition read
         #: (milliseconds).  The store is in-memory, so reads are
         #: unrealistically free; this knob restores the S3-like regime
@@ -419,8 +406,7 @@ class Store:
         :class:`~repro.engine.vectors.NumpyVector` chunks instead of
         Python lists — same length, same logical values, NULLs carried
         in a validity mask.  Ineligible columns (mixed types, strings)
-        still yield lists, and ``strict_blocks == "copy"`` disables
-        vectors entirely (copy-out mode hands out defensive copies).
+        still yield lists.
 
         ``partition_predicate`` receives the *partition column's* chunk
         (with min/max) and returns False to prune the whole partition —
@@ -429,8 +415,7 @@ class Store:
         blocks (never spanning a partition boundary); accounting is
         identical either way, since it is charged per partition chunk.
         Callers must treat the yielded vectors as immutable: small
-        partitions hand out the stored chunk lists by reference (unless
-        ``strict_blocks == "copy"``).
+        partitions hand out the stored chunk lists by reference.
 
         ``runtime`` (a :class:`~repro.engine.metrics.RunContext`)
         supplies the retry policy for transient faults, deadline checks
@@ -442,8 +427,6 @@ class Store:
         stored = self.get(table_name, runtime=runtime)
         accounting.record_scan(stored.name)
         part_col = stored.definition.partition_column
-        copy_out = self.strict_blocks == "copy"
-        use_vectors = as_vectors and not copy_out
         window = None
         if runtime is not None:
             window = getattr(runtime, "partition_window", None)
@@ -467,12 +450,12 @@ class Store:
                 chunk = part.chunk(name)
                 values = self._read_chunk_values(stored.name, index, chunk, runtime)
                 accounting.record_chunk(stored.name, chunk.encoded_size)
-                if use_vectors:
+                if as_vectors:
                     vec = chunk.vector()  # read verified just above
                     if vec is not None:
                         vectors.append(vec)
                         continue
-                vectors.append(list(values) if copy_out else values)
+                vectors.append(values)
             total = part.row_count
             if block_rows is None or total <= block_rows:
                 yield vectors, total
@@ -532,9 +515,8 @@ class Store:
 
         Returns the number of chunks checked; raises
         :class:`~repro.errors.DataCorruptionError` naming the first
-        mismatching chunk.  Used by the ``strict_blocks="verify"`` mode
-        (and chaos tests) to turn silent in-place mutation of a
-        handed-out block vector into a hard failure.
+        mismatching chunk.  Tests use it to turn silent in-place
+        mutation of a handed-out block vector into a hard failure.
         """
         wanted = None if tables is None else {t.lower() for t in tables}
         checked = 0

@@ -73,8 +73,6 @@ def assert_engines_match(plan, store, block_rows=2, ordered=False):
     assert row_ctx.metrics.bytes_scanned == batch_ctx.metrics.bytes_scanned
     assert row_ctx.metrics.rows_scanned == batch_ctx.metrics.rows_scanned
     assert row_ctx.metrics.partitions_read == batch_ctx.metrics.partitions_read
-    assert row_ctx.metrics.spooled_rows == batch_ctx.metrics.spooled_rows
-    assert row_ctx.metrics.spool_read_rows == batch_ctx.metrics.spool_read_rows
     return batch_rows
 
 

@@ -215,20 +215,6 @@ def test_profile_labels_pipelines(tpcds_store):
     assert all(t >= 0.0 for t in result.metrics.operator_times.values())
 
 
-def test_compiled_handles_spooling_plans(tpcds_store):
-    """Spool producers/consumers break pipelines; the block engine
-    must still agree with the row engine on a spooled plan, metrics
-    included."""
-    spool = dict(enable_fusion=False, enable_spooling=True)
-    row_s = Session(tpcds_store, OptimizerConfig(engine="row", **spool))
-    compiled_s = Session(tpcds_store, OptimizerConfig(**spool))
-    for name in ("q65", "q23"):
-        row = row_s.execute(STUDIED_QUERIES[name])
-        compiled = compiled_s.execute(STUDIED_QUERIES[name])
-        assert row.metrics.spooled_rows == compiled.metrics.spooled_rows
-        assert row.metrics.spool_read_rows == compiled.metrics.spool_read_rows
-
-
 def _store_with_prices(prices):
     from repro.storage.columnar import Store
     from repro.algebra.types import DataType

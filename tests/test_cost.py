@@ -1,10 +1,9 @@
 """Tests for the cost model and cost-based rewrite selection.
 
 Covers the :class:`~repro.optimizer.cost.CostModel` pricing primitives
-(bytes scanned + rows processed, DAG-deduplicated over shared
-subtrees), the ``choose``/``cost_gated`` wiring that lets the
-optimizer *decline* a rewrite the heuristic pipeline would always
-fire, and the end-to-end behavior: the studied queries still fuse
+(bytes scanned + rows processed, memoized per node), the
+``choose``/``cost_gated`` wiring that lets the optimizer *decline* a
+rewrite the heuristic pipeline would always fire, and the end-to-end behavior: the studied queries still fuse
 under ``cost_based=True`` with identical results, while a narrow
 UNION ALL whose fusion replicates rows is correctly declined.
 """
@@ -115,14 +114,14 @@ class TestCostModel:
         )
         assert pruned.bytes_scanned < full.bytes_scanned
 
-    def test_shared_subtree_priced_once(self, model_env):
-        # A DAG-shaped plan (spool producer/consumer, self-join of a
-        # spooled subtree) must not double-count the shared subplan.
+    def test_each_reference_to_a_subtree_is_priced(self, model_env):
+        # The engines execute a subtree once per reference, so a plan
+        # naming one subplan twice pays for both executions.
         _, binder, model = model_env
         plan = binder.bind_sql("SELECT id FROM people").plan
         single = model.cost(plan)
         self_join = Join(JoinKind.CROSS, plan, plan)
-        assert model.cost(self_join).bytes_scanned == single.bytes_scanned
+        assert model.cost(self_join).bytes_scanned == 2 * single.bytes_scanned
 
     def test_cached_scan_scans_no_bytes(self, model_env):
         _, _, model = model_env

@@ -2,7 +2,7 @@
 vector columns (the default) and over Python lists.
 
 Every workload query (and the paper-example SQL) must produce the same
-result multiset and byte-identical scan/spool metrics under every
+result multiset and byte-identical scan metrics under every
 engine — block execution is a pure execution-speed change, invisible
 to everything the paper measures except wall time.  Both column
 representations match the row engine byte for byte, float aggregates
@@ -29,8 +29,6 @@ EQUAL_METRICS = (
     "bytes_scanned",
     "rows_scanned",
     "partitions_read",
-    "spooled_rows",
-    "spool_read_rows",
     "rows_output",
 )
 
@@ -97,7 +95,7 @@ def test_workload_query_compiled_numpy_agrees(
     name, row_session, compiled_np_session
 ):
     """NumPy columns are held to byte-identical rows too — float sums
-    fold in lane order — and to every scan/spool metric.  Falls back to
+    fold in lane order — and to every scan metric.  Falls back to
     list columns when NumPy is unavailable, in which case this still
     checks the fallback path end to end."""
     assert_engines_agree(row_session, compiled_np_session, WORKLOAD_QUERIES[name])
@@ -115,20 +113,6 @@ def test_workload_query_identical_without_fusion(name, tpcds_store):
     row_s = Session(tpcds_store, OptimizerConfig(enable_fusion=False, engine="row"))
     batch_s = Session(tpcds_store, OptimizerConfig(enable_fusion=False, engine="batch"))
     assert_engines_agree(row_s, batch_s, WORKLOAD_QUERIES[name])
-
-
-@pytest.mark.parametrize("name", ["q65", "q23", "q95"])
-def test_spooled_plans_identical(name, tpcds_store):
-    """Spooling plans exercise the Spool operator in both engines; the
-    spool write/read metrics must agree exactly."""
-    spool = dict(enable_fusion=False, enable_spooling=True)
-    row_s = Session(tpcds_store, OptimizerConfig(engine="row", **spool))
-    batch_s = Session(tpcds_store, OptimizerConfig(engine="batch", **spool))
-    row_result, batch_result = assert_engines_agree(
-        row_s, batch_s, STUDIED_QUERIES[name]
-    )
-    if name in ("q65", "q23"):
-        assert batch_result.metrics.spooled_rows > 0
 
 
 def test_tiny_block_size_still_identical(tpcds_store):

@@ -246,7 +246,8 @@ def test_checksum_computed_at_build_and_verified_on_read():
 
 
 def test_checksum_verification_can_be_disabled():
-    session = _fresh_people_session(verify_checksums=False)
+    session = _fresh_people_session()
+    session.store.verify_checksums = False
     result = session.execute("SELECT sum(amount) FROM orders")
     assert result.metrics.checksum_verifications == 0
 
@@ -389,19 +390,21 @@ def test_max_state_rows_bounds_operator_state(engine):
     ).rows
 
 
-@pytest.mark.parametrize("engine", ["row", "batch", "compiled"])
-def test_max_spool_rows_bounds_materialization(tpcds_store, engine):
-    from repro.tpcds.queries import STUDIED_QUERIES
-
-    config = OptimizerConfig(
-        enable_fusion=False,
-        enable_spooling=True,
-        engine=engine,
-        max_spool_rows=1,
+@pytest.mark.parametrize(
+    "engine, vectors",
+    [("row", "numpy"), ("batch", "numpy"), ("batch", "python")],
+    ids=["row", "batch", "batch-lists"],
+)
+def test_max_spool_rows_bounds_cache_population(engine, vectors):
+    session = _fresh_people_session(
+        engine, vectors=vectors, enable_plan_cache=True, max_spool_rows=1
     )
-    session = Session(tpcds_store, config)
-    with pytest.raises(ResourceExhaustedError, match="max_spool_rows"):
-        session.execute(STUDIED_QUERIES["q65"])
+    with pytest.raises(ResourceExhaustedError, match="max_spool_rows=1"):
+        session.execute(_ORDERS_SQL)
+    # Nothing over budget was admitted; a one-row population fits.
+    assert len(session.plan_cache) == 0
+    assert session.execute("SELECT count(*) FROM people").rows == [(5,)]
+    assert session.plan_cache.stats.populations > 0
 
 
 def test_limits_validate():
@@ -411,11 +414,9 @@ def test_limits_validate():
         ResourceLimits(max_spool_rows=0)
     with pytest.raises(ValueError):
         OptimizerConfig(fault_rate=2.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(strict_blocks="paranoid")
 
 
-# -- strict block modes -----------------------------------------------------
+# -- block immutability -----------------------------------------------------
 
 
 def _scan_first_block(store, table, column):
@@ -424,37 +425,12 @@ def _scan_first_block(store, table, column):
     return vectors[0]
 
 
-def test_strict_copy_protects_stored_data():
-    session = _fresh_people_session()
-    store = session.store
-    store.strict_blocks = "copy"
-    vector = _scan_first_block(store, "people", "id")
-    vector[0] = -999  # an evil operator mutating its input block
-    store.verify_integrity()  # stored data untouched
-    assert session.execute("SELECT min(id) FROM people").rows == [(1,)]
-
-
 def test_default_zero_copy_mutation_is_detectable():
     store = _fresh_people_session().store
     vector = _scan_first_block(store, "people", "id")
     vector[0] = -999  # mutates the stored chunk through the reference
     with pytest.raises(DataCorruptionError, match="integrity check failed"):
         store.verify_integrity()
-
-
-def test_strict_verify_mode_fails_query_after_mutation():
-    session = _fresh_people_session(strict_blocks="verify")
-    # Simulate an operator bug corrupting a column the query under test
-    # does not even scan: the post-query sweep still catches it.
-    chunk = session.store.get("orders").partitions[0].chunk("amount")
-    chunk.values[0] = bit_flip(chunk.values[0])
-    with pytest.raises(DataCorruptionError):
-        session.execute("SELECT count(*) FROM people")
-
-
-def test_store_rejects_unknown_strict_mode():
-    with pytest.raises(ValueError):
-        Store(strict_blocks="nope")
 
 
 # -- StoredTable.from_columns splitting (satellite 1) -----------------------

@@ -159,6 +159,24 @@ def test_chaos_schedule_identical_to_serial(tpcds_store):
         store.fault_injector = None  # session-scoped store: leave it clean
 
 
+def test_workers_follow_the_stores_checksum_switch(tpcds_store):
+    """Checksum verification is the store's switch alone: fragment
+    workers read it from the store they serve, as serial scans do."""
+    store = tpcds_store
+    store.verify_checksums = False
+    try:
+        for workers in (1, 2):
+            config = OptimizerConfig(engine="batch", workers=workers)
+            with Session(store, config) as session:
+                result = session.execute(QUERIES["leaf_gather"])
+            assert (workers > 1) == any(
+                isinstance(n, Exchange) for n in walk_plan(result.optimized_plan)
+            )
+            assert result.metrics.checksum_verifications == 0, workers
+    finally:
+        store.verify_checksums = True
+
+
 # -- cancellation and deadlines ---------------------------------------------
 
 
@@ -181,10 +199,11 @@ def test_zero_deadline_aborts_parallel_query(tpcds_store):
 def test_cancel_propagates_to_inflight_workers(tpcds_store):
     """Workers sleeping in simulated object-store reads must observe
     the shared cancel event instead of running the query to the end."""
-    config = OptimizerConfig(engine="batch", workers=2, io_latency_ms=250.0)
+    config = OptimizerConfig(engine="batch", workers=2)
     store = tpcds_store
     with Session(store, config) as session:
         try:
+            store.io_latency_ms = 250.0
             timer = threading.Timer(0.3, session.cancel)
             timer.start()
             started = time.monotonic()

@@ -46,11 +46,11 @@ def _pool(store, workers: int = 2, **kw) -> WorkerPool:
 def test_sigkill_mid_fragment_completes_byte_identical(chaos_store, expected):
     """The headline chaos test: a worker dies violently mid-query and
     the caller never notices (beyond latency)."""
-    # Slow the scans *before* forking the pool so the workers inherit
-    # the latency — config-applied latency lands after the fork.
+    # Slow the scans: every fragment the pool runs carries the store's
+    # read latency.
     chaos_store.io_latency_ms = 200.0
     pool = _pool(chaos_store, workers=2)
-    config = OptimizerConfig(engine="batch", workers=2, io_latency_ms=200.0)
+    config = OptimizerConfig(engine="batch", workers=2)
     try:
         with Session(chaos_store, config, worker_pool=pool) as session:
             pids = pool.worker_pids()
