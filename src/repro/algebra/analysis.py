@@ -461,8 +461,6 @@ def _function_facts(expr: FunctionCall, env: dict) -> ColumnFacts:
             nullable=all(a.nullable for a in args),
             always_null=all(a.always_null for a in args),
         )
-    if all(a.always_null for a in args[:1]):
-        pass
     first = args[0]
     # Every remaining scalar function is NULL iff (some) argument is
     # NULL and non-NULL on all-non-NULL inputs (evaluator semantics).

@@ -123,10 +123,6 @@ def string(value: str) -> Literal:
     return Literal(value, DataType.STRING)
 
 
-def boolean(value: bool) -> Literal:
-    return TRUE if value else FALSE
-
-
 @dataclass(frozen=True)
 class ColumnRef(Expression):
     """Reference to a column produced by a child operator."""

@@ -1,5 +1,10 @@
 """Semantic plan fingerprints for cross-query computation reuse.
 
+They are the library's one answer to "are these the same subplan?":
+the plan cache keys entries by them, and fusion's exact fallback for
+operators with no §III case (``fusion.structural_equivalence``)
+compares them.
+
 A fingerprint is a stable digest of a subplan's *semantics*: two
 alpha-equivalent subplans — same computation written with different
 aliases, different column ids (every scan instance allocates fresh

@@ -241,9 +241,6 @@ class AggregateAssignment:
         if self.func not in AGGREGATE_FUNCTIONS:
             raise ValueError(f"unknown aggregate function {self.func!r}")
 
-    def with_mask(self, mask: Expression) -> "AggregateAssignment":
-        return AggregateAssignment(self.target, self.func, self.argument, mask, self.distinct)
-
     def __repr__(self) -> str:
         arg = "*" if self.argument is None else repr(self.argument)
         distinct = "DISTINCT " if self.distinct else ""

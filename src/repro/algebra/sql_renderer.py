@@ -170,15 +170,14 @@ class _Renderer:
         if not selections:
             selections = "1 AS one"
         sql = f"SELECT {selections} FROM {plan.table}"
-        if plan.predicate is not None:
-            # The predicate references the scan's output columns; in
-            # this SELECT those are the raw source names.
-            text = _render_with_names(
-                plan.predicate,
-                {c.cid: source for c, source in zip(plan.columns, plan.source_names)},
-            )
-            sql += f" WHERE {text}"
-        return sql
+        if plan.predicate is None:
+            return sql
+        # A pushed-down predicate filters the predicate-free scan, whose
+        # outputs carry the c<cid> names the predicate renders with.
+        return (
+            f"SELECT * FROM ({sql}) {self.alias()} "
+            f"WHERE {render_expression(plan.predicate)}"
+        )
 
     def _values(self, plan: Values) -> str:
         if not plan.columns:
@@ -295,72 +294,6 @@ class _Renderer:
         if isinstance(child, Sort):
             return f"{self._sort(child)} LIMIT {plan.count}"
         return f"SELECT * FROM {self._derived(child)} LIMIT {plan.count}"
-
-
-def _render_with_names(expr: Expression, names: dict[int, str]) -> str:
-    """Render an expression using explicit column names (scan predicates)."""
-    from repro.algebra.expressions import transform
-
-    def swap(node: Expression) -> Expression:
-        if isinstance(node, ColumnRef) and node.column.cid in names:
-            # Temporarily rename; rendering uses column.name via _name
-            # only for c-naming, so emit a raw marker column instead.
-            return _RawName(names[node.column.cid])
-        return node
-
-    marked = transform(expr, swap)
-    return _render_marked(marked)
-
-
-class _RawName(Expression):
-    """Internal marker: render as a bare identifier."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    @property
-    def children(self) -> tuple:
-        return ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug only
-        return self.name
-
-
-def _render_marked(expr: Expression) -> str:
-    if isinstance(expr, _RawName):
-        return expr.name
-    if isinstance(expr, Literal):
-        return _literal(expr.value)
-    if isinstance(expr, Comparison):
-        return f"({_render_marked(expr.left)} {expr.op} {_render_marked(expr.right)})"
-    if isinstance(expr, And):
-        return "(" + " AND ".join(_render_marked(t) for t in expr.terms) + ")"
-    if isinstance(expr, Or):
-        return "(" + " OR ".join(_render_marked(t) for t in expr.terms) + ")"
-    if isinstance(expr, Not):
-        if isinstance(expr.term, IsNull):
-            return f"({_render_marked(expr.term.operand)} IS NOT NULL)"
-        return f"(NOT {_render_marked(expr.term)})"
-    if isinstance(expr, Arithmetic):
-        return f"({_render_marked(expr.left)} {expr.op} {_render_marked(expr.right)})"
-    if isinstance(expr, IsNull):
-        return f"({_render_marked(expr.operand)} IS NULL)"
-    if isinstance(expr, InList):
-        items = ", ".join(_render_marked(i) for i in expr.items)
-        return f"({_render_marked(expr.operand)} IN ({items}))"
-    if isinstance(expr, Like):
-        pattern = expr.pattern.replace("'", "''")
-        return f"({_render_marked(expr.operand)} LIKE '{pattern}')"
-    if isinstance(expr, Case):
-        parts = ["CASE"]
-        for cond, value in expr.whens:
-            parts.append(f"WHEN {_render_marked(cond)} THEN {_render_marked(value)}")
-        parts.append(f"ELSE {_render_marked(expr.default)} END")
-        return "(" + " ".join(parts) + ")"
-    if isinstance(expr, FunctionCall):
-        args = ", ".join(_render_marked(a) for a in expr.args)
-        return f"{expr.name}({args})"
-    raise RenderError(f"cannot render expression {expr!r}")
 
 
 def render_sql(plan: PlanNode, column_names: tuple[str, ...] | None = None) -> str:

@@ -34,8 +34,7 @@ Design points, in the order they matter:
   seed, so the chaos schedule is identical to a serial run).  A
   fragment whose worker dies, is poisoned, or exhausts in-task retries
   is resubmitted to the pool with the failing worker banned, up to
-  ``fragment_retries`` times; a stalled fragment is speculatively
-  duplicated after ``fragment_timeout_ms`` and the first result wins.
+  ``fragment_retries`` times.
   Only infrastructure failures are retried — deterministic execution
   errors surface immediately with their original type.
 
@@ -246,11 +245,10 @@ class WorkerPool:
     Self-healing (DESIGN.md §14): every worker publishes a heartbeat
     into a shared cell from a dedicated beat thread.  ``health_check``
     kills workers whose heartbeat has gone silent (the process is
-    frozen, not slow) and respawns replacements for every dead worker;
-    if the whole pool was lost at once it falls back to ``rebuild``,
-    which also replaces the task/result queues — a worker SIGKILLed
+    frozen, not slow) and rebuilds the pool around any dead worker,
+    replacing the task/result queues too — a worker SIGKILLed
     mid-``put`` can leave a queue's feeder lock held forever, so after
-    a wipeout the old queues are untrustworthy.  ``generation`` counts
+    a death the old queues are untrustworthy.  ``generation`` counts
     rebuilds; the scheduler uses it to know that queued-but-unstarted
     task specs were discarded with the old queue and must be
     resubmitted.  ``query_lock`` serializes *queries* (epochs) on the
@@ -288,7 +286,7 @@ class WorkerPool:
         #: Serializes health_check/reap/rebuild: the service's
         #: maintenance thread and the scheduler both nurse the pool.
         self._maint_lock = threading.Lock()
-        #: Bumped by ``rebuild`` — queued task specs from an earlier
+        #: Bumped by every rebuild — queued task specs from an earlier
         #: generation died with the old task queue.
         self.generation = 0
         #: Lifetime health counters (read by the query service).
@@ -357,9 +355,7 @@ class WorkerPool:
 
         A worker is *frozen* when it is alive but its heartbeat is more
         than ``heartbeat_timeout_s`` old — the beat thread survives slow
-        fragments, so silence means the whole process is stuck.  When
-        the check loses the entire pool at once it rebuilds queues too
-        (see ``rebuild``).
+        fragments, so silence means the whole process is stuck.
         """
         if self._closed:
             return []
@@ -392,21 +388,10 @@ class WorkerPool:
                 self._rebuild_locked()
             return sorted(dead)
 
-    def rebuild(self) -> None:
-        """Replace every worker *and* both queues in place.
-
-        The heavy-hammer recovery: after a pool wipeout the old queues
-        may be wedged (a worker killed mid-``put`` leaves the feeder
-        lock held), so respawning workers onto them could hang forever.
-        Task specs queued in the old generation are lost — callers must
-        resubmit all unfinished work (``generation`` tells them to).
-        """
-        if self._closed:
-            return
-        with self._maint_lock:
-            self._rebuild_locked()
-
     def _rebuild_locked(self) -> None:
+        """Replace every worker *and* both queues in place.  Task specs
+        queued in the old generation are lost — callers must resubmit
+        all unfinished work (``generation`` tells them to)."""
         for proc in self._procs.values():
             proc.kill()
         for proc in self._procs.values():
@@ -736,8 +721,6 @@ class _Attempt:
     attempts: int = 1
     banned: set = field(default_factory=set)
     started_by: int | None = None
-    started_at: float | None = None
-    speculated: bool = False
     done: bool = False
 
 
@@ -796,7 +779,6 @@ class _FragmentScheduler:
         if attempt.banned >= self.pool.worker_ids:
             attempt.banned.clear()
         attempt.started_by = None
-        attempt.started_at = None
         self.pool.submit(self._spec(attempt, task_id))
 
     # -- the drive loop ---------------------------------------------------
@@ -827,17 +809,11 @@ class _FragmentScheduler:
 
     def _drain(self) -> None:
         retries = self.config.fragment_retries
-        timeout_s = (
-            None
-            if self.config.fragment_timeout_ms is None
-            else self.config.fragment_timeout_ms / 1000.0
-        )
         while any(not a.done for a in self._inflight.values()):
             self.ctx.checkpoint()
             message = self.pool.next_result(_POLL_S)
             if message is None:
                 self._check_workers(retries)
-                self._check_stalls(timeout_s)
                 continue
             kind, epoch = message[0], message[1]
             if epoch != self.epoch:
@@ -845,10 +821,9 @@ class _FragmentScheduler:
             task_id, worker_id = message[2], message[3]
             attempt = self._inflight.get(task_id)
             if attempt is None or attempt.done:
-                continue  # duplicate of a speculated/finished task
+                continue  # duplicate of a resubmitted, finished task
             if kind == "start":
                 attempt.started_by = worker_id
-                attempt.started_at = time.monotonic()
             elif kind == "ok":
                 attempt.done = True
                 payload = message[4]
@@ -902,33 +877,6 @@ class _FragmentScheduler:
                     f"{attempt.attempts} times; giving up"
                 )
             self._resubmit(task_id, attempt.started_by)
-
-    def _check_stalls(self, timeout_s: float | None) -> None:
-        if timeout_s is None:
-            return
-        now = time.monotonic()
-        for task_id, attempt in list(self._inflight.items()):
-            if (
-                attempt.done
-                or attempt.speculated
-                or attempt.started_at is None
-                or now - attempt.started_at < timeout_s
-            ):
-                continue
-            # Speculative duplicate: leave the original running, ban
-            # its worker for the copy, first finisher wins.
-            attempt.speculated = True
-            copy = _Attempt(
-                attempt.fragment,
-                attempts=attempt.attempts,
-                banned=set(attempt.banned)
-                | ({attempt.started_by} if attempt.started_by is not None else set()),
-            )
-            if copy.banned >= self.pool.worker_ids:
-                copy.banned.clear()
-            # The duplicate shares the original's task id so whichever
-            # result arrives first completes the task.
-            self.pool.submit(self._spec(copy, task_id))
 
     def _merge(self, payload: dict) -> None:
         acct = self.ctx.accounting

@@ -21,8 +21,9 @@ Cases implemented, following the paper section by section:
   non-scalar group-bys;
 * §III.F MarkDistinct — compensating boolean columns are added to the
   distinct sets so markers stay correct per consumer;
-* §III.G generic operators (EnforceSingleRow, Sort, Limit via
-  structural equivalence) and root-mismatch compensations: skipping a
+* §III.G generic operators (EnforceSingleRow, Sort; Limit, UnionAll
+  and ScalarApply when their semantic fingerprints are equal, the plan
+  cache's own equality) and root-mismatch compensations: skipping a
   MarkDistinct, absorbing a Filter, manufacturing a trivial Project —
   tried in exactly that order, which resolves the paper's
   ``Filter(T)`` vs ``MarkDistinct(Filter(T))`` example the good way.
@@ -41,6 +42,7 @@ from repro.algebra.expressions import (
     make_and,
     normalize,
 )
+from repro.algebra.fingerprint import plan_fingerprint
 from repro.algebra.operators import (
     AggregateAssignment,
     EnforceSingleRow,
@@ -48,13 +50,11 @@ from repro.algebra.operators import (
     GroupBy,
     Join,
     JoinKind,
-    Limit,
     MarkDistinct,
     PlanNode,
     Project,
     Scan,
     Sort,
-    UnionAll,
     Values,
     Window,
     WindowAssignment,
@@ -476,9 +476,9 @@ class Fuser:
     # -- structural fallback ------------------------------------------------
 
     def _fuse_structural(self, p1: PlanNode, p2: PlanNode) -> FusionResult | None:
-        """Exact structural equivalence for operators with no dedicated
-        fusion case (UnionAll, Limit, ScalarApply): two identical copies
-        (modulo column identity) fuse into one, with no compensators.
+        """Exact fusion for operators with no dedicated fusion case
+        (UnionAll, Limit, ScalarApply): two subplans with the same
+        semantic fingerprint fuse into one, with no compensators.
 
         This is what makes fusion cover arbitrary CTE-duplicated
         subtrees even when they contain operators §III does not define
@@ -519,125 +519,26 @@ def _substitution(mapping: ColumnMapping) -> dict[int, Expression]:
 
 
 def structural_equivalence(p1: PlanNode, p2: PlanNode) -> ColumnMapping | None:
-    """If ``p1`` and ``p2`` are the same plan modulo column identity,
-    the mapping from ``p2``'s columns to ``p1``'s; else None.
+    """If ``p1`` and ``p2`` compute the same rows, the mapping from
+    ``p2``'s output columns to ``p1``'s; else None.
 
-    Covers every operator; used by the structural fusion fallback and
-    by rules that only need duplicate detection (e.g. redundant join
-    elimination in §V.D).
+    "The same" is the plan cache's definition: equal semantic
+    fingerprints (:mod:`repro.algebra.fingerprint`), which see through
+    column identity, conjunct order, INNER join input order and the
+    other equivalences listed there.  Each ``p2`` output maps to the
+    ``p1`` output that carries the same column token.
     """
+    fp1, fp2 = plan_fingerprint(p1), plan_fingerprint(p2)
+    if fp1.digest != fp2.digest:
+        return None
+    tokens1, tokens2 = fp1.column_tokens, fp2.column_tokens
+    targets = {
+        tokens1[c.cid]: c for c in reversed(p1.output_columns) if c.cid in tokens1
+    }
     mapping = ColumnMapping()
-
-    def visit(a: PlanNode, b: PlanNode) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, UnionAll):
-            if len(a.inputs) != len(b.inputs):
-                return False
-            if not all(visit(x, y) for x, y in zip(a.inputs, b.inputs)):
-                return False
-            for branch_a, branch_b in zip(a.input_columns, b.input_columns):
-                if tuple(mapping.map_columns(branch_b)) != branch_a:
-                    return False
-            for out_a, out_b in zip(a.columns, b.columns):
-                if out_a.dtype is not out_b.dtype:
-                    return False
-                mapping.add(out_b, out_a)
-            return True
-        if len(a.children) != len(b.children):
-            return False
-        if not all(visit(x, y) for x, y in zip(a.children, b.children)):
-            return False
-        substitution = _substitution(mapping)
-
-        def exprs_equal(e1: Expression | None, e2: Expression | None) -> bool:
-            if (e1 is None) != (e2 is None):
-                return False
-            if e1 is None:
-                return True
-            return equivalent(e1, e2, substitution)
-
-        if isinstance(a, Scan):
-            if a.table.lower() != b.table.lower():
-                return False
-            if a.source_names != b.source_names:
-                return False
-            if not exprs_equal(a.predicate, b.predicate):
-                return False
-            for col_a, col_b in zip(a.columns, b.columns):
-                mapping.add(col_b, col_a)
-            return True
-        if isinstance(a, Values):
-            if a.rows != b.rows or len(a.columns) != len(b.columns):
-                return False
-            for col_a, col_b in zip(a.columns, b.columns):
-                mapping.add(col_b, col_a)
-            return True
-        if isinstance(a, Filter):
-            return exprs_equal(a.condition, b.condition)
-        if isinstance(a, Project):
-            if len(a.assignments) != len(b.assignments):
-                return False
-            for (target_a, expr_a), (target_b, expr_b) in zip(a.assignments, b.assignments):
-                if not exprs_equal(expr_a, expr_b):
-                    return False
-                mapping.add(target_b, target_a)
-            return True
-        if isinstance(a, Join):
-            return a.kind is b.kind and exprs_equal(a.condition, b.condition)
-        if isinstance(a, GroupBy):
-            if tuple(mapping.map_columns(b.keys)) != a.keys:
-                return False
-            if len(a.aggregates) != len(b.aggregates):
-                return False
-            for agg_a, agg_b in zip(a.aggregates, b.aggregates):
-                if agg_a.func != agg_b.func or agg_a.distinct != agg_b.distinct:
-                    return False
-                if not exprs_equal(agg_a.argument, agg_b.argument):
-                    return False
-                if not exprs_equal(agg_a.mask, agg_b.mask):
-                    return False
-                mapping.add(agg_b.target, agg_a.target)
-            return True
-        if isinstance(a, MarkDistinct):
-            if tuple(mapping.map_columns(b.columns)) != a.columns:
-                return False
-            if not exprs_equal(a.mask, b.mask):
-                return False
-            mapping.add(b.marker, a.marker)
-            return True
-        if isinstance(a, Window):
-            if tuple(mapping.map_columns(b.partition_by)) != a.partition_by:
-                return False
-            if len(a.functions) != len(b.functions):
-                return False
-            for fn_a, fn_b in zip(a.functions, b.functions):
-                if fn_a.func != fn_b.func:
-                    return False
-                if not exprs_equal(fn_a.argument, fn_b.argument):
-                    return False
-                mapping.add(fn_b.target, fn_a.target)
-            return True
-        if isinstance(a, Sort):
-            if len(a.keys) != len(b.keys):
-                return False
-            return all(
-                ka.ascending == kb.ascending and exprs_equal(ka.expression, kb.expression)
-                for ka, kb in zip(a.keys, b.keys)
-            )
-        if isinstance(a, Limit):
-            return a.count == b.count
-        if isinstance(a, EnforceSingleRow):
-            return True
-        from repro.algebra.operators import ScalarApply
-
-        if isinstance(a, ScalarApply):
-            if mapping.map_column(b.value) != a.value:
-                return False
-            mapping.add(b.output, a.output)
-            return True
-        return False
-
-    if visit(p1, p2):
-        return mapping
-    return None
+    for column in p2.output_columns:
+        target = targets.get(tokens2.get(column.cid))
+        if target is None or target.dtype is not column.dtype:
+            return None
+        mapping.add(column, target)
+    return mapping

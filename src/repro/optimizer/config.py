@@ -107,10 +107,6 @@ class OptimizerConfig:
     #: resubmitted (on a different worker when possible) before the
     #: query fails.
     fragment_retries: int = 2
-    #: Stall detection: a dispatched fragment with no result after this
-    #: many milliseconds is speculatively resubmitted to another worker
-    #: (first result wins).  None disables speculation.
-    fragment_timeout_ms: float | None = None
     #: Cost-based rewrite selection (ROADMAP item 3, DESIGN.md §15):
     #: price fusion candidates, the semi-join conversion block, join
     #: order, and cache-populate placement with the CostModel (bytes
@@ -158,8 +154,6 @@ class OptimizerConfig:
             raise ValueError("workers must be at least 1")
         if self.fragment_retries < 0:
             raise ValueError("fragment_retries must be non-negative")
-        if self.fragment_timeout_ms is not None and self.fragment_timeout_ms <= 0:
-            raise ValueError("fragment_timeout_ms must be positive")
 
     def fusion_rules_enabled(self) -> bool:
         return self.enable_fusion and (

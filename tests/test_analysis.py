@@ -18,7 +18,11 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.analysis import (
     TOP,
@@ -26,6 +30,7 @@ from repro.algebra.analysis import (
     FactAnalyzer,
     bool_range,
     derive_facts,
+    expression_facts,
     fact_conflicts,
     join_facts,
     meet_facts,
@@ -35,15 +40,18 @@ from repro.algebra.analysis import (
 from repro.algebra.expressions import (
     ColumnRef,
     Comparison,
+    FunctionCall,
     IsNull,
     Literal,
     Not,
 )
 from repro.algebra.operators import Filter, Project
 from repro.algebra.properties import candidate_keys
+from repro.algebra.schema import Column
 from repro.algebra.types import DataType
 from repro.algebra.visitors import transform_up, walk_plan
 from repro.catalog.catalog import Catalog
+from repro.engine.evaluator import SCALAR_FUNCTIONS
 from repro.engine.session import Session
 from repro.errors import OptimizerError
 from repro.optimizer.config import OptimizerConfig
@@ -381,3 +389,104 @@ class TestPropertiesConsistency:
                     )
         assert checked_plans >= 100  # the sweep must actually run
         assert checked_keys > 0
+
+
+# -- scalar function facts (no fuzzed query calls a scalar function) --------
+
+#: Argument kinds per function: "int" / "float" columns carry numeric
+#: bounds (floats may also hold NaN, which escapes every ordering claim),
+#: "str" columns only nullability and constants.
+_FUNCTION_ARGS = {
+    "abs": (("int", "float"),),
+    "floor": (("int", "float"),),
+    "length": (("str",),),
+    "coalesce": (("int",), ("int",), ("int",)),
+    "round": (("int", "float"), ("int",)),
+    "lower": (("str",),),
+    "upper": (("str",),),
+    "substr": (("str",), ("int",), ("int",)),
+    "concat": (("str",), ("int", "float", "str")),
+}
+
+
+@st.composite
+def _argument_column(draw, kind):
+    """(facts, values): a column's facts and values those facts admit."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return ColumnFacts(nullable=True, always_null=True), [None]
+    nullable = draw(st.booleans())
+    if kind == "str":
+        if draw(st.booleans()):
+            const = draw(st.text(max_size=4))
+            values = [const]
+            facts = ColumnFacts(nullable=nullable, const=const, has_const=True)
+        else:
+            values = draw(st.lists(st.text(max_size=4), min_size=1, max_size=3))
+            facts = ColumnFacts(nullable=nullable)
+    else:
+        number = (
+            st.integers(-50, 50)
+            if kind == "int"
+            else st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        )
+        low, high = sorted([draw(number), draw(number)])
+        if draw(st.booleans()):
+            high = low
+        values = draw(st.lists(st.sampled_from([low, high]) | number.filter(
+            lambda v: low <= v <= high), min_size=1, max_size=3))
+        if low == high and draw(st.booleans()):
+            facts = ColumnFacts(
+                nullable=nullable, low=low, high=high, const=low, has_const=True
+            )
+        else:
+            facts = ColumnFacts(
+                nullable=nullable,
+                low=low if draw(st.booleans()) else None,
+                high=high if draw(st.booleans()) else None,
+            )
+        if kind == "float" and draw(st.booleans()):
+            values.append(float("nan"))
+    if nullable:
+        values.append(None)
+    return facts, values
+
+
+def _admits(facts: ColumnFacts, value: object) -> bool:
+    """The claims verify_facts checks against an executed value."""
+    if value is None:
+        return facts.nullable
+    if facts.always_null:
+        return False
+    if isinstance(value, float) and value != value:
+        return True
+    if facts.has_const and value != facts.const:
+        return False
+    if facts.low is not None and value < facts.low:
+        return False
+    return facts.high is None or value <= facts.high
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_function_facts_contain_every_value(data):
+    """The facts ``expression_facts`` derives for a scalar function call
+    admit every value ``SCALAR_FUNCTIONS`` returns on arguments the
+    argument facts admit."""
+    name = data.draw(st.sampled_from(sorted(_FUNCTION_ARGS)))
+    env, columns, per_argument = {}, [], []
+    for position, kinds in enumerate(_FUNCTION_ARGS[name]):
+        kind = data.draw(st.sampled_from(kinds))
+        facts, values = data.draw(_argument_column(kind))
+        dtype = {"int": DataType.INTEGER, "float": DataType.DOUBLE}.get(kind, DataType.STRING)
+        column = Column(100 + position, f"a{position}", dtype)
+        env[column.cid] = facts
+        columns.append(column)
+        per_argument.append(values)
+    call = FunctionCall(name, tuple(ColumnRef(c) for c in columns))
+    derived = expression_facts(call, env)
+    for args in itertools.product(*per_argument):
+        try:
+            value = SCALAR_FUNCTIONS[name](list(args))
+        except (TypeError, ValueError, OverflowError):
+            continue  # e.g. floor(NaN): an execution error, not a value
+        assert _admits(derived, value), (name, args, value, derived)

@@ -11,9 +11,9 @@ import inspect
 import pytest
 
 import repro.errors as errors_module
-from repro.algebra.expressions import integer
-from repro.algebra.operators import GroupBy
-from repro.algebra.visitors import collect, substitute_in_plan
+from repro.algebra.expressions import ColumnRef, Comparison, integer
+from repro.algebra.operators import Filter
+from repro.algebra.schema import Column
 from repro.algebra.types import DataType
 from repro.catalog.catalog import ColumnDef, TableDef
 from repro.cli import exit_code_for, main
@@ -116,21 +116,22 @@ def test_optimizer_error_buggy_pass(session, monkeypatch):
         session.execute("SELECT id FROM people")
 
 
-def test_plan_error_invalid_substitution(session, monkeypatch):
-    # A rule that maps a GROUP BY key (a column-valued position) to a
-    # literal produces an invalid plan; the algebra layer rejects it.
+def test_plan_error_dangling_column_names_the_pass(monkeypatch):
+    # A pass that leaves a reference to a column nothing produces: under
+    # validate_plans the validator's PlanError surfaces through the
+    # pipeline, which names the pass.
     original = SimplifyExpressions.run
+    ghost = Column(10**6, "ghost", DataType.INTEGER)
 
     def sabotage(self, plan, ctx):
         plan = original(self, plan, ctx)
-        for node in collect(plan, GroupBy):
-            if node.keys:
-                substitute_in_plan(node, {node.keys[0].cid: integer(1)})
-        return plan
+        return Filter(plan, Comparison(">", ColumnRef(ghost), integer(0)))
 
     monkeypatch.setattr(SimplifyExpressions, "run", sabotage)
-    with pytest.raises(PlanError, match="column-valued position"):
+    session = Session(_store(), OptimizerConfig(validate_plans=True))
+    with pytest.raises(OptimizerError, match="'simplify_expressions'.*ghost") as info:
         session.execute("SELECT age, count(*) AS n FROM people GROUP BY age")
+    assert isinstance(info.value.__cause__, PlanError)
 
 
 def test_transient_read_error_when_retries_disabled():

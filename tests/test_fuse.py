@@ -32,7 +32,8 @@ from repro.algebra.operators import (
     UnionAll,
     Window,
 )
-from repro.algebra.visitors import collect, scan_tables, validate_plan
+from repro.algebra.validator import validate_plan
+from repro.algebra.visitors import collect, scan_tables
 from repro.catalog.catalog import Catalog
 from repro.engine.executor import execute
 from repro.engine.metrics import RunContext
@@ -396,6 +397,25 @@ class TestGenericAndStructural:
         p1 = plan_of(binder, "SELECT id FROM people UNION ALL SELECT city_id FROM cities")
         p2 = plan_of(binder, "SELECT id FROM people UNION ALL SELECT id FROM people")
         assert structural_equivalence(p1, p2) is None
+
+    def test_fallback_sees_through_inner_join_input_order(self, env):
+        # UnionAll has no §III case, so it fuses only when both sides
+        # compute the same rows.  Here the branch joins list their INNER
+        # inputs in opposite orders: the same rows, and the same
+        # fingerprint in the plan cache.
+        store, catalog, binder, fuser = env
+        tail = " UNION ALL SELECT city_id FROM cities"
+        p1 = plan_of(
+            binder,
+            "SELECT p.id FROM people p JOIN cities c ON p.city_id = c.city_id" + tail,
+        )
+        p2 = plan_of(
+            binder,
+            "SELECT p.id FROM cities c JOIN people p ON p.city_id = c.city_id" + tail,
+        )
+        result = fuser.fuse(p1, p2)
+        assert result is not None and result.is_exact
+        check_reconstruction(result, p1, p2, store, catalog.allocator)
 
     def test_window_fusion_merges_functions(self, env):
         store, catalog, binder, fuser = env

@@ -15,7 +15,8 @@ from repro.algebra.operators import (
 )
 from repro.algebra.schema import Column, ColumnAllocator
 from repro.algebra.types import DataType
-from repro.algebra.visitors import collect, validate_plan
+from repro.algebra.validator import validate_plan
+from repro.algebra.visitors import collect
 from repro.catalog.catalog import Catalog
 from repro.engine.executor import execute
 from repro.engine.metrics import RunContext

@@ -15,7 +15,8 @@ from repro.algebra.operators import (
     Values,
     Window,
 )
-from repro.algebra.visitors import collect, scan_tables, validate_plan
+from repro.algebra.validator import validate_plan
+from repro.algebra.visitors import collect, scan_tables
 from repro.catalog.catalog import Catalog
 from repro.engine.executor import execute
 from repro.engine.metrics import RunContext

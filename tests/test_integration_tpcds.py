@@ -8,7 +8,8 @@ import time
 import pytest
 
 from repro.algebra.operators import GroupBy, Join, JoinKind, UnionAll, Window
-from repro.algebra.visitors import collect, scan_tables, validate_plan
+from repro.algebra.validator import validate_plan
+from repro.algebra.visitors import collect, scan_tables
 from repro.engine.session import Session
 from repro.optimizer.config import OptimizerConfig
 from repro.tpcds.queries import FILLER_QUERIES, STUDIED_QUERIES, WORKLOAD_QUERIES

@@ -4,7 +4,8 @@ import pytest
 
 from repro.algebra.expressions import ColumnRef, Comparison, IsNull, Not, integer
 from repro.algebra.operators import Filter, Join, JoinKind, Project, Scan
-from repro.algebra.visitors import collect, validate_plan
+from repro.algebra.validator import validate_plan
+from repro.algebra.visitors import collect
 from repro.catalog.catalog import Catalog
 from repro.engine.executor import execute
 from repro.engine.metrics import RunContext

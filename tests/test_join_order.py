@@ -4,7 +4,8 @@ fusion rules (§IV.E: fusion matches before reordering)."""
 import pytest
 
 from repro.algebra.operators import Join, JoinKind, Scan, Window
-from repro.algebra.visitors import collect, validate_plan, walk_plan
+from repro.algebra.validator import validate_plan
+from repro.algebra.visitors import collect, walk_plan
 from repro.catalog.catalog import Catalog
 from repro.engine.executor import execute
 from repro.engine.metrics import RunContext

@@ -31,13 +31,12 @@ from repro.algebra.operators import (
 )
 from repro.algebra.schema import Column, ColumnAllocator, Schema
 from repro.algebra.types import DataType
+from repro.algebra.validator import validate_plan
 from repro.algebra.visitors import (
     collect,
     count_nodes,
     scan_tables,
-    substitute_in_plan,
     transform_up,
-    validate_plan,
     walk_plan,
 )
 from repro.errors import PlanError
@@ -214,18 +213,6 @@ class TestVisitors:
 
         rewritten = transform_up(plan, widen)
         assert collect(rewritten, Filter)[0].condition == TRUE
-
-    def test_substitute_in_plan_filter(self):
-        s = scan("a", "b")
-        f = Filter(s, Comparison("=", ColumnRef(s.columns[0]), integer(1)))
-        replaced = substitute_in_plan(f, {s.columns[0].cid: ColumnRef(s.columns[1])})
-        assert replaced.condition == Comparison("=", ColumnRef(s.columns[1]), integer(1))
-
-    def test_substitute_in_plan_rejects_expression_for_key(self):
-        s = scan("k", "v")
-        g = GroupBy(s, (s.columns[0],), ())
-        with pytest.raises(PlanError):
-            substitute_in_plan(g, {s.columns[0].cid: integer(1)})
 
     def test_referenced_columns_per_operator(self):
         s = scan("k", "v")

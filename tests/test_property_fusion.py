@@ -31,7 +31,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra.schema import ColumnAllocator
 from repro.algebra.types import DataType
-from repro.algebra.visitors import validate_plan
+from repro.algebra.validator import validate_plan
 from repro.catalog.catalog import ColumnDef, TableDef
 from repro.engine.executor import execute
 from repro.engine.metrics import RunContext
