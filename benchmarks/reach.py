@@ -48,7 +48,7 @@ ALLOWLIST: dict[str, str] = {
         "facts of EnforceSingleRow: no analyzed plan in these runs keeps one"
     ),
     "algebra/analysis.py::FactAnalyzer._exchange": (
-        "facts of Exchange/Repartition: no analyzed plan in these runs is cut for workers"
+        "facts of Exchange: only a validated parallel run (fuzz --workers) analyzes one"
     ),
     "algebra/expressions.py::Expression.dtype": "abstract: every expression overrides it",
     "algebra/expressions.py::Expression.with_children": "abstract: every expression overrides it",
@@ -60,9 +60,6 @@ ALLOWLIST: dict[str, str] = {
     "algebra/operators.py::PlanNode.output_columns": "abstract: every operator overrides it",
     "algebra/operators.py::PlanNode.with_children": (
         "leaf default: rewrites rebuild only nodes that have children"
-    ),
-    "algebra/operators.py::Repartition.with_children": (
-        "ParallelPlan runs last, so no rewrite rebuilds a Repartition"
     ),
     "algebra/schema.py::Schema.__contains__": "public container protocol of Schema",
     "algebra/schema.py::Schema.__iter__": "public container protocol of Schema",

@@ -71,7 +71,6 @@ from repro.algebra.operators import (
     MarkDistinct,
     PlanNode,
     Project,
-    Repartition,
     ScalarApply,
     Scan,
     Sort,
@@ -939,8 +938,8 @@ class FactAnalyzer:
         return PlanFacts(columns, (frozenset(),), 1)
 
     def _exchange(self, plan) -> PlanFacts:
-        # Exchange/Repartition are bag-identity: same columns, same
-        # rows, so the child's facts transfer unchanged.
+        # Exchange is bag-identity: same columns, same rows, so the
+        # child's facts transfer unchanged.
         return self.facts(plan.child)
 
     def _cached_scan(self, plan: CachedScan) -> PlanFacts:
@@ -1058,7 +1057,6 @@ _HANDLERS = {
     CachedScan: FactAnalyzer._cached_scan,
     CachePopulate: FactAnalyzer._cache_populate,
     Exchange: FactAnalyzer._exchange,
-    Repartition: FactAnalyzer._exchange,
     ScalarApply: FactAnalyzer._scalar_apply,
 }
 

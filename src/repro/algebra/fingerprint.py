@@ -84,7 +84,6 @@ from repro.algebra.operators import (
     MarkDistinct,
     PlanNode,
     Project,
-    Repartition,
     ScalarApply,
     Scan,
     Sort,
@@ -276,12 +275,12 @@ def _compute(node: PlanNode, outer: Mapping[int, str]) -> PlanFingerprint:
             node.fingerprint, colmap, False, frozenset(node.tables)
         )
 
-    if isinstance(node, (CachePopulate, Exchange, Repartition)):
+    if isinstance(node, (CachePopulate, Exchange)):
         # Transparent: populating a subplan does not change what it
         # computes, so the wrapper fingerprints exactly like its child.
-        # Exchange/Repartition are bag-identity placement markers — the
-        # same computation run on one worker or eight must hit the same
-        # cache entries.
+        # Exchange is a bag-identity placement marker — the same
+        # computation run on one worker or eight must hit the same cache
+        # entries.
         return _canonical(node.child, outer)
 
     if isinstance(node, Filter):

@@ -583,10 +583,11 @@ class Exchange(PlanNode):
 
     Semantically the identity — an Exchange produces exactly its
     child's bag of rows, in the child's serial order.  The parallel
-    planner (:mod:`repro.optimizer.parallel_plan`) inserts one at the
-    root of every partition-parallel subtree; the fragment scheduler
-    (:mod:`repro.engine.parallel`) executes the subtree morsel-wise on
-    a worker pool and replaces the node with its gathered rows.  Serial
+    planner (:mod:`repro.optimizer.parallel_plan`) inserts one over
+    every partition-parallel pipeline, a Filter/Project chain over one
+    Scan; the fragment scheduler (:mod:`repro.engine.parallel`) reads
+    the pipeline morsel-wise on a worker pool and replaces the node
+    with its gathered rows.  Serial
     engines execute it as a pass-through, so a plan carrying Exchange
     nodes means the same thing on one worker as on eight.
     """
@@ -607,34 +608,11 @@ class Exchange(PlanNode):
         return self.child.output_columns
 
 
-@dataclass(frozen=True)
-class Repartition(PlanNode):
-    """Hash shuffle on ``keys``: route each row to the bucket owning
-    its key hash.
-
-    Bag-semantically the identity (every row comes out exactly once);
-    only the *placement* of rows changes.  The fragment scheduler uses
-    it to feed shuffle-consuming GroupBy/Join fragments: all rows
-    agreeing on ``keys`` land in the same bucket, so per-bucket
-    aggregation/joining is exact.  Serial engines execute it as a
-    pass-through.  ``keys`` must be child output columns.
-    """
-
-    child: PlanNode
-    keys: tuple[Column, ...]
-    exchange_id: int
-
-    @property
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def with_children(self, children: tuple[PlanNode, ...]) -> "Repartition":
-        (child,) = children
-        return Repartition(child, self.keys, self.exchange_id)
-
-    @property
-    def output_columns(self) -> tuple[Column, ...]:
-        return self.child.output_columns
+def pipeline_scan(node: PlanNode) -> Scan | None:
+    """The Scan under a pure Filter/Project chain, or None."""
+    while isinstance(node, (Filter, Project)):
+        node = node.child
+    return node if isinstance(node, Scan) else None
 
 
 def referenced_columns(node: PlanNode) -> set[Column]:
@@ -669,8 +647,6 @@ def referenced_columns(node: PlanNode) -> set[Column]:
     elif isinstance(node, Sort):
         for key in node.keys:
             refs |= columns_in(key.expression)
-    elif isinstance(node, Repartition):
-        refs |= set(node.keys)
     if isinstance(node, Scan) and node.predicate is not None:
         refs |= columns_in(node.predicate)
     return refs

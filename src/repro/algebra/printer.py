@@ -65,15 +65,11 @@ def _describe(node: PlanNode) -> str:
         CachedScan,
         CachePopulate,
         Exchange,
-        Repartition,
         ScalarApply,
     )
 
     if isinstance(node, Exchange):
         return f"Exchange[#{node.exchange_id}]"
-    if isinstance(node, Repartition):
-        keys = ", ".join(repr(k) for k in node.keys)
-        return f"Repartition[#{node.exchange_id} on ({keys})]"
     if isinstance(node, ScalarApply):
         return f"ScalarApply[{node.output!r} := {node.value!r}]"
     if isinstance(node, CachedScan):

@@ -117,7 +117,12 @@ def simplify(expr: Expression) -> Expression:
                 return TRUE
             if isinstance(node.term, Not):
                 return node.term.term
-            if isinstance(node.term, Comparison):
+            if isinstance(node.term, Comparison) and DataType.DOUBLE not in (
+                node.term.left.dtype,
+                node.term.right.dtype,
+            ):
+                # NaN compares false to everything, so NOT (x < y) is not
+                # x >= y once an operand can be NaN.
                 return node.term.negated()
             return node
         if isinstance(node, And):

@@ -4,7 +4,8 @@ The optimizer safety net: :func:`validate_plan` checks the structural
 invariants every well-formed plan tree must satisfy — column
 references resolve to a child's output, output schemas are
 duplicate-free, boolean positions hold boolean expressions, aggregate
-shapes are legal, scans conform to the catalog — and
+shapes are legal, scans conform to the catalog, an Exchange gathers a
+single-scan pipeline — and
 :func:`validate_fusion_result` checks the paper's §III fusion contract
 (the column mapping ``M`` lands on fused outputs of matching type, and
 the compensating filters ``L``/``R`` are boolean predicates over live
@@ -46,13 +47,13 @@ from repro.algebra.operators import (
     MarkDistinct,
     PlanNode,
     Project,
-    Repartition,
     ScalarApply,
     Scan,
     Sort,
     UnionAll,
     Window,
     aggregate_result_type,
+    pipeline_scan,
     referenced_columns,
 )
 from repro.algebra.schema import Column
@@ -311,17 +312,17 @@ def validate_plan(plan: PlanNode, catalog: "Catalog | None" = None) -> None:
         elif isinstance(node, Limit):
             if node.count < 0:
                 raise PlanError(f"Limit count must be non-negative, got {node.count}")
-        elif isinstance(node, Repartition):
-            child_cols = set(node.child.output_columns)
-            if not node.keys:
-                raise PlanError("Repartition requires at least one key")
-            for key in node.keys:
-                if key not in child_cols:
-                    raise PlanError(
-                        f"Repartition key {key!r} is not a child output column"
-                    )
-        elif isinstance(node, (CachedScan, CachePopulate, Exchange)):
-            pass  # arity enforced by the constructors; Exchange is identity
+        elif isinstance(node, Exchange):
+            # The fragment scheduler cuts morsel windows over the one
+            # Scan a worker reads; everything stateful stays above.
+            if pipeline_scan(node.child) is None:
+                raise PlanError(
+                    f"Exchange #{node.exchange_id} gathers "
+                    f"{node.child.name}; it must gather a Filter/Project "
+                    f"chain over one Scan"
+                )
+        elif isinstance(node, (CachedScan, CachePopulate)):
+            pass  # arity enforced by the constructors
 
         if isinstance(node, ScalarApply):
             if node.value not in node.subquery.output_columns:

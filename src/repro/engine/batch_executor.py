@@ -76,7 +76,6 @@ from repro.algebra.operators import (
     MarkDistinct,
     PlanNode,
     Project,
-    Repartition,
     ScalarApply,
     Scan,
     Sort,
@@ -163,14 +162,6 @@ def _run_values(plan: Values, ctx: RunContext, block_rows: int) -> Iterator[Bloc
     return _blocks_from_row_list(list(plan.rows), len(plan.columns), block_rows)
 
 
-def _run_repartition(
-    plan: Repartition, ctx: RunContext, block_rows: int
-) -> Iterator[Block]:
-    # Bag-identity: the fragment scheduler consumes Repartition before
-    # the plan reaches an engine; serially it passes through.
-    return execute_blocks(plan.child, ctx, block_rows)
-
-
 def _run_exchange(
     plan: Exchange, ctx: RunContext, block_rows: int
 ) -> Iterator[Block]:
@@ -230,7 +221,7 @@ def _run_scan(plan: Scan, ctx: RunContext, block_rows: int) -> Iterator[Block]:
         plan.table,
         plan.source_names,
         ctx.accounting,
-        partition_predicate=_partition_pruner(plan),
+        partition_predicate=_partition_pruner(plan, ctx.store),
         block_rows=block_rows,
         runtime=ctx,
         as_vectors=ctx.vector_blocks,
@@ -713,5 +704,4 @@ BLOCK_OPERATORS = {
     CachedScan: _run_cached_scan,
     CachePopulate: _run_cache_populate,
     Exchange: _run_exchange,
-    Repartition: _run_repartition,
 }

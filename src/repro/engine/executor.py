@@ -26,7 +26,6 @@ from repro.algebra.expressions import (
     Comparison,
     Expression,
     InList,
-    IsNull,
     Literal,
     columns_in,
     conjuncts,
@@ -45,7 +44,6 @@ from repro.algebra.operators import (
     MarkDistinct,
     PlanNode,
     Project,
-    Repartition,
     ScalarApply,
     Scan,
     Sort,
@@ -120,10 +118,6 @@ def _dispatch_row(plan: PlanNode, ctx: RunContext) -> Iterator[Row]:
         return _run_cache_populate(plan, ctx)
     if isinstance(plan, Exchange):
         return _run_exchange(plan, ctx)
-    if isinstance(plan, Repartition):
-        # Bag-identity: placement only matters to the fragment
-        # scheduler, which never routes a Repartition to an engine.
-        return execute(plan.child, ctx)
     raise ExecutionError(f"no executor for operator {plan.name}")
 
 
@@ -320,60 +314,59 @@ def _run_cache_populate(plan: CachePopulate, ctx: RunContext) -> Iterator[Row]:
 _NO_ROW = object()
 
 
-def _partition_pruner(scan: Scan) -> Callable[[ColumnChunk], bool] | None:
+def _partition_pruner(scan: Scan, store) -> Callable[[ColumnChunk], bool] | None:
     """Build a chunk-level min/max check from the scan predicate's
-    conjuncts on the partition column.  Returns None when the predicate
-    cannot prune."""
+    conjuncts on the table's partition column, the only chunk
+    ``scan_blocks`` asks about.  Returns None when the predicate cannot
+    prune."""
     if scan.predicate is None:
         return None
-    checks: list[Callable[[ColumnChunk], bool]] = []
-    by_cid = {col.cid: src for col, src in zip(scan.columns, scan.source_names)}
-
-    def source_name(expr: Expression) -> str | None:
-        if isinstance(expr, ColumnRef):
-            return by_cid.get(expr.column.cid)
+    part_col = store.stored_table(scan.table).definition.partition_column
+    if part_col is None:
         return None
+    part_cids = {
+        col.cid
+        for col, source in zip(scan.columns, scan.source_names)
+        if source.lower() == part_col.lower()
+    }
 
+    def on_partition_column(expr: Expression) -> bool:
+        return isinstance(expr, ColumnRef) and expr.column.cid in part_cids
+
+    checks: list[Callable[[object, object], bool]] = []
     for term in conjuncts(scan.predicate):
-        if isinstance(term, IsNull):
-            # IS NULL never prunes: chunk min/max are computed over
-            # non-NULL values only, so a partition whose stats look
-            # fully bounded can still contain NULLs.
-            continue
+        # IS NULL never prunes: chunk bounds cover non-NULL, non-NaN
+        # values only, so a bounded chunk can still hold NULLs.
         if isinstance(term, Comparison):
-            left, right, op = term.left, term.right, term.op
-            if isinstance(right, ColumnRef) and isinstance(left, Literal):
+            if isinstance(term.right, ColumnRef) and isinstance(term.left, Literal):
                 term = term.commuted()
-                left, right, op = term.left, term.right, term.op
-            name = source_name(left)
-            if name is None or not isinstance(right, Literal) or right.value is None:
-                continue
-            value = right.value
-            checks.append(_range_check(name, op, value))
-        elif isinstance(term, InList) and all(
-            isinstance(i, Literal) for i in term.items
+            if (
+                on_partition_column(term.left)
+                and isinstance(term.right, Literal)
+                and term.right.value is not None
+            ):
+                checks.append(_range_check(term.op, term.right.value))
+        elif (
+            isinstance(term, InList)
+            and on_partition_column(term.operand)
+            and all(isinstance(i, Literal) for i in term.items)
         ):
-            name = source_name(term.operand)
-            if name is None:
-                continue
             values = [i.value for i in term.items if i.value is not None]
-            checks.append(_in_check(name, values))
+            checks.append(_in_check(values))
     if not checks:
         return None
 
     def prune(chunk: ColumnChunk) -> bool:
-        if chunk.min_value is None or chunk.max_value is None:
-            return True  # all-NULL or empty chunk: cannot prune safely
-        return all(check(chunk) for check in checks)
+        low, high = chunk.min_value, chunk.max_value
+        if low is None or high is None:
+            return True  # no bounded values (all NULL / NaN, or empty)
+        return all(check(low, high) for check in checks)
 
     return prune
 
 
-def _range_check(name: str, op: str, value: object) -> Callable[[ColumnChunk], bool]:
-    def check(chunk: ColumnChunk) -> bool:
-        if chunk.name.lower() != name.lower():
-            return True
-        low, high = chunk.min_value, chunk.max_value
+def _range_check(op: str, value: object) -> Callable[[object, object], bool]:
+    def check(low, high) -> bool:
         try:
             if op == "=":
                 return low <= value <= high
@@ -392,11 +385,8 @@ def _range_check(name: str, op: str, value: object) -> Callable[[ColumnChunk], b
     return check
 
 
-def _in_check(name: str, values: list[object]) -> Callable[[ColumnChunk], bool]:
-    def check(chunk: ColumnChunk) -> bool:
-        if chunk.name.lower() != name.lower():
-            return True
-        low, high = chunk.min_value, chunk.max_value
+def _in_check(values: list[object]) -> Callable[[object, object], bool]:
+    def check(low, high) -> bool:
         try:
             return any(low <= v <= high for v in values)
         except TypeError:
@@ -429,7 +419,7 @@ def _run_scan(plan: Scan, ctx: RunContext) -> Iterator[Row]:
         plan.table,
         plan.source_names,
         ctx.accounting,
-        partition_predicate=_partition_pruner(plan),
+        partition_predicate=_partition_pruner(plan, ctx.store),
         runtime=ctx,
     )
     if plan.predicate is None:

@@ -1,31 +1,31 @@
 """Partition-parallel fragment execution on a persistent worker pool.
 
 The runtime half of DESIGN.md §13.  The ParallelPlan optimizer pass
-(:mod:`repro.optimizer.parallel_plan`) marks partition-parallel
-subtrees with :class:`~repro.algebra.operators.Exchange` /
-:class:`~repro.algebra.operators.Repartition`; this module executes
-those subtrees on a pool of ``multiprocessing`` workers and deposits
-the gathered rows into ``RunContext.exchange_results``, after which
-the coordinator runs the remaining plan top with the session's
-configured engine (whose Exchange operators replay the rows).
+(:mod:`repro.optimizer.parallel_plan`) wraps partition-parallel
+pipelines — Filter/Project chains over one Scan — in
+:class:`~repro.algebra.operators.Exchange`; this module reads and
+filters those pipelines on a pool of ``multiprocessing`` workers and
+deposits the gathered rows into ``RunContext.exchange_results``, after
+which the coordinator runs the rest of the plan — every GroupBy, Join,
+Window and Sort — with the session's configured engine (whose Exchange
+operators replay the rows).
 
 Design points, in the order they matter:
 
-* **Morsels + work stealing.**  A leaf fragment is the pipeline under
-  an Exchange plus a *partition window* ``(table, lo, hi)``; windows
-  tile the table's stored partitions.  All tasks go onto one shared
-  queue that every worker pulls from — an idle worker steals the next
-  morsel regardless of which fragment it belongs to.
+* **Morsels + work stealing.**  A fragment is the pipeline under an
+  Exchange plus a *partition window* ``(table, lo, hi)``; windows tile
+  the table's stored partitions.  All tasks go onto one shared queue
+  that every worker pulls from — an idle worker steals the next morsel
+  regardless of which Exchange it belongs to.
 
-* **Exact results and metrics.**  Gathers concatenate morsel outputs
-  in morsel order (= serial scan order).  Shuffle fragments tag rows
-  with their global serial position and restore output order from the
-  tags, so every byte of the result matches serial execution.  Workers
-  return their accounting on success only, and morsel windows are
-  disjoint, so summing them reproduces ``bytes_scanned`` /
-  ``rows_scanned`` / ``partitions_read`` exactly; ``record_scan`` is
-  charged once per Scan node by the coordinator (the workers' per-
-  morsel counts are deliberately dropped).
+* **Exact results and metrics.**  Each Exchange's gather concatenates
+  its morsel outputs in morsel order (= serial scan order), so every
+  byte of the result matches serial execution.  Workers hold no
+  operator state and return their accounting on success only, and
+  morsel windows are disjoint, so summing them reproduces
+  ``bytes_scanned`` / ``rows_scanned`` / ``partitions_read`` exactly;
+  ``record_scan`` is charged once per Scan node by the coordinator
+  (the workers' per-morsel counts are deliberately dropped).
 
 * **Per-fragment fault domains.**  Transient chunk-read faults retry
   *inside* the worker through the same
@@ -60,27 +60,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.algebra.operators import (
-    Exchange,
-    GroupBy,
-    Join,
-    PlanNode,
-    Repartition,
-    Scan,
-    Values,
-)
-from repro.algebra.schema import Column
-from repro.algebra.types import DataType
+from repro.algebra.operators import Exchange, PlanNode, pipeline_scan
 from repro.algebra.visitors import walk_plan
-from repro.engine.evaluator import canon_key
 from repro.engine.metrics import ResourceLimits, RunContext
 from repro.errors import ExecutionError, TransientReadError
 from repro.storage.faults import FaultInjector, RetryPolicy
-
-#: Synthetic order-restoration column ids start here — far above any
-#: per-query ColumnAllocator id, so they can never collide with plan
-#: columns.
-_TAG_CID_BASE = 1 << 40
 
 #: Target morsels per worker: windows are cut so each worker has about
 #: this many to steal, balancing scheduling overhead against skew.
@@ -127,7 +111,6 @@ class _TaskSpec:
     verify_checksums: bool = True
     io_latency_ms: float = 0.0
     timeout_ms: float | None = None
-    max_state_rows: int | None = None
 
 
 def _run_task(spec: _TaskSpec, store, cancel_event):
@@ -154,9 +137,7 @@ def _run_task(spec: _TaskSpec, store, cancel_event):
                 base_delay_ms=spec.retry_base_delay_ms,
                 seed=spec.fault_seed,
             ),
-            limits=ResourceLimits(
-                timeout_ms=spec.timeout_ms, max_state_rows=spec.max_state_rows
-            ),
+            limits=ResourceLimits(timeout_ms=spec.timeout_ms),
         )
         ctx.cancel_check = cancel_event.is_set
         ctx.partition_window = spec.window
@@ -181,8 +162,6 @@ def _run_task(spec: _TaskSpec, store, cancel_event):
         "retries": metrics.retries,
         "faults_injected": metrics.faults_injected,
         "checksum_verifications": metrics.checksum_verifications,
-        "total_state_rows": metrics.total_state_rows,
-        "peak_state_rows": metrics.peak_state_rows,
     }
 
 
@@ -457,7 +436,7 @@ class WorkerPool:
             pass
 
 
-# -- fragment jobs -------------------------------------------------------
+# -- fragments ----------------------------------------------------------
 
 
 def _morsel_windows(store, table: str, workers: int) -> list[tuple[str, int, int]]:
@@ -471,261 +450,26 @@ def _morsel_windows(store, table: str, workers: int) -> list[tuple[str, int, int
     ]
 
 
-def _key_indexes(plan: PlanNode, keys: tuple[Column, ...]) -> list[int]:
-    out = plan.output_columns
-    positions = {col.cid: i for i, col in enumerate(out)}
-    return [positions[key.cid] for key in keys]
-
-
-@dataclass
-class _Fragment:
-    """One schedulable unit: a plan (+ optional window) and its slot in
-    the owning job's result table."""
-
-    job: object
-    slot: object
-    plan_blob: bytes
-    window: tuple[str, int, int] | None = None
-
-
-class _LeafJob:
-    """Plain scatter/gather: morsels over one pipeline, concatenated in
-    morsel order."""
-
-    def __init__(self, exchange: Exchange, scheduler):
-        self.exchange_id = exchange.exchange_id
-        self.plan = exchange.child
-        self.scans = [n for n in walk_plan(self.plan) if isinstance(n, Scan)]
-        self._results: dict[int, list[tuple]] = {}
-
-    def stage1(self, scheduler) -> list[_Fragment]:
-        blob = pickle.dumps(self.plan)
-        (scan,) = self.scans
-        windows = _morsel_windows(
-            scheduler.store, scan.table, scheduler.pool.size
-        )
-        return [
-            _Fragment(self, i, blob, window) for i, window in enumerate(windows)
-        ]
-
-    def deliver(self, slot, rows) -> None:
-        self._results[slot] = rows
-
-    def stage2(self, scheduler) -> list[_Fragment]:
-        return []
-
-    def finalize(self) -> list[tuple]:
-        return [
-            row
-            for i in sorted(self._results)
-            for row in self._results[i]
-        ]
-
-
-class _ShuffleGroupByJob:
-    """Keyed aggregation: morsel-scan the pipeline, hash-route complete
-    groups to buckets, aggregate each bucket on a worker, merge bucket
-    outputs back into first-appearance (= serial) order."""
-
-    def __init__(self, exchange: Exchange, scheduler):
-        self.exchange_id = exchange.exchange_id
-        group_by = exchange.child
-        repartition = group_by.child
-        self.group_by = group_by
-        self.pipe = repartition.child
-        self.keys = repartition.keys
-        self.scans = [n for n in walk_plan(self.pipe) if isinstance(n, Scan)]
-        self._key_idx = _key_indexes(self.pipe, self.keys)
-        self._stage1: dict[int, list[tuple]] = {}
-        self._stage2: dict[int, list[tuple]] = {}
-        self._first_seen: dict[tuple, int] = {}
-
-    def stage1(self, scheduler) -> list[_Fragment]:
-        blob = pickle.dumps(self.pipe)
-        (scan,) = self.scans
-        windows = _morsel_windows(
-            scheduler.store, scan.table, scheduler.pool.size
-        )
-        return [
-            _Fragment(self, ("s1", i), blob, window)
-            for i, window in enumerate(windows)
-        ]
-
-    def deliver(self, slot, rows) -> None:
-        stage, index = slot
-        (self._stage1 if stage == "s1" else self._stage2)[index] = rows
-
-    def stage2(self, scheduler) -> list[_Fragment]:
-        key_idx = self._key_idx
-        first_seen = self._first_seen
-        nbuckets = max(1, scheduler.pool.size * 2)
-        buckets: list[list[tuple]] = [[] for _ in range(nbuckets)]
-        tag = 0
-        # Iterating morsels in order assigns each row its global serial
-        # position; appending routes each bucket's rows in tag order,
-        # so per-group accumulation inside a bucket follows serial
-        # order exactly (float-identical aggregates).
-        for i in sorted(self._stage1):
-            for row in self._stage1[i]:
-                key = tuple(canon_key(row[j]) for j in key_idx)
-                if key not in first_seen:
-                    first_seen[key] = tag
-                buckets[hash(key) % nbuckets].append(row)
-                tag += 1
-        self._stage1.clear()
-        columns = self.pipe.output_columns
-        fragments = []
-        for b, rows in enumerate(buckets):
-            if not rows:
-                continue
-            plan = self.group_by.with_children((Values(columns, tuple(rows)),))
-            fragments.append(_Fragment(self, ("s2", b), pickle.dumps(plan)))
-        return fragments
-
-    def finalize(self) -> list[tuple]:
-        width = len(self.keys)
-        first_seen = self._first_seen
-        merged = [
-            row
-            for b in sorted(self._stage2)
-            for row in self._stage2[b]
-        ]
-        merged.sort(
-            key=lambda row: first_seen[
-                tuple(canon_key(v) for v in row[:width])
-            ]
-        )
-        return merged
-
-
-class _ShuffleJoinJob:
-    """Equi join: morsel-scan both pipelines, co-route rows on the join
-    keys, join each bucket on a worker, restore probe order from a
-    synthetic tag column appended to the left side."""
-
-    def __init__(self, exchange: Exchange, scheduler):
-        self.exchange_id = exchange.exchange_id
-        join = exchange.child
-        self.join = join
-        self.left = join.left.child
-        self.right = join.right.child
-        self.lkeys = join.left.keys
-        self.rkeys = join.right.keys
-        self.scans = [
-            node
-            for side in (self.left, self.right)
-            for node in walk_plan(side)
-            if isinstance(node, Scan)
-        ]
-        self._lidx = _key_indexes(self.left, self.lkeys)
-        self._ridx = _key_indexes(self.right, self.rkeys)
-        self._tag_col = Column(
-            _TAG_CID_BASE + exchange.exchange_id, "__tag", DataType.INTEGER
-        )
-        self._stage1: dict[tuple, list[tuple]] = {}
-        self._stage2: dict[int, list[tuple]] = {}
-
-    def stage1(self, scheduler) -> list[_Fragment]:
-        fragments = []
-        for side, pipe in (("l", self.left), ("r", self.right)):
-            blob = pickle.dumps(pipe)
-            (scan,) = [n for n in walk_plan(pipe) if isinstance(n, Scan)]
-            windows = _morsel_windows(
-                scheduler.store, scan.table, scheduler.pool.size
-            )
-            fragments.extend(
-                _Fragment(self, ("s1", side, i), blob, window)
-                for i, window in enumerate(windows)
-            )
-        return fragments
-
-    def deliver(self, slot, rows) -> None:
-        if slot[0] == "s1":
-            self._stage1[slot[1:]] = rows
-        else:
-            self._stage2[slot[1]] = rows
-
-    def _side_rows(self, side: str) -> list[tuple]:
-        return [
-            row
-            for key in sorted(k for k in self._stage1 if k[0] == side)
-            for row in self._stage1[key]
-        ]
-
-    def stage2(self, scheduler) -> list[_Fragment]:
-        nbuckets = max(1, scheduler.pool.size * 2)
-        lbuckets: list[list[tuple]] = [[] for _ in range(nbuckets)]
-        rbuckets: list[list[tuple]] = [[] for _ in range(nbuckets)]
-        lidx, ridx = self._lidx, self._ridx
-        # Tag left rows with their global serial position; the bucket
-        # join emits the tag alongside each output row and the merge
-        # stable-sorts on it, reproducing serial probe order (a probe
-        # row's matches keep the build side's relative order because
-        # same-key rows all land in one bucket, in serial order).
-        for tag, row in enumerate(self._side_rows("l")):
-            key = tuple(canon_key(row[j]) for j in lidx)
-            lbuckets[hash(key) % nbuckets].append(row + (tag,))
-        for row in self._side_rows("r"):
-            key = tuple(canon_key(row[j]) for j in ridx)
-            rbuckets[hash(key) % nbuckets].append(row)
-        self._stage1.clear()
-        left_cols = self.left.output_columns + (self._tag_col,)
-        right_cols = self.right.output_columns
-        fragments = []
-        for b in range(nbuckets):
-            if not lbuckets[b] and not rbuckets[b]:
-                continue
-            plan = Join(
-                self.join.kind,
-                Values(left_cols, tuple(lbuckets[b])),
-                Values(right_cols, tuple(rbuckets[b])),
-                self.join.condition,
-            )
-            fragments.append(_Fragment(self, ("s2", b), pickle.dumps(plan)))
-        return fragments
-
-    def finalize(self) -> list[tuple]:
-        tag_at = len(self.left.output_columns)
-        merged = [
-            row
-            for b in sorted(self._stage2)
-            for row in self._stage2[b]
-        ]
-        merged.sort(key=lambda row: row[tag_at])
-        return [row[:tag_at] + row[tag_at + 1 :] for row in merged]
-
-
-def _make_job(exchange: Exchange, scheduler):
-    child = exchange.child
-    if (
-        isinstance(child, GroupBy)
-        and child.keys
-        and isinstance(child.child, Repartition)
-    ):
-        return _ShuffleGroupByJob(exchange, scheduler)
-    if (
-        isinstance(child, Join)
-        and isinstance(child.left, Repartition)
-        and isinstance(child.right, Repartition)
-    ):
-        return _ShuffleJoinJob(exchange, scheduler)
-    return _LeafJob(exchange, scheduler)
-
-
 # -- the scheduler -------------------------------------------------------
 
 
 @dataclass
 class _Attempt:
-    fragment: _Fragment
+    """One fragment — an Exchange's pipeline over one morsel window —
+    and the state of its attempts."""
+
+    exchange_id: int
+    plan_blob: bytes
+    window: tuple[str, int, int]
     attempts: int = 1
     banned: set = field(default_factory=set)
     started_by: int | None = None
     done: bool = False
+    rows: list | None = None
 
 
 class _FragmentScheduler:
-    """Drives one query's Exchange subtrees to completion on the pool."""
+    """Drives one query's Exchange pipelines to completion on the pool."""
 
     def __init__(self, ctx: RunContext, config, pool: WorkerPool):
         self.ctx = ctx
@@ -742,12 +486,11 @@ class _FragmentScheduler:
 
     def _spec(self, attempt: _Attempt, task_id: int) -> _TaskSpec:
         config = self.config
-        fragment = attempt.fragment
         return _TaskSpec(
             epoch=self.epoch,
             task_id=task_id,
-            plan_blob=fragment.plan_blob,
-            window=fragment.window,
+            plan_blob=attempt.plan_blob,
+            window=attempt.window,
             engine=config.engine,
             batch_rows=config.batch_rows,
             vectors=config.vectors,
@@ -759,13 +502,11 @@ class _FragmentScheduler:
             verify_checksums=self.store.verify_checksums,
             io_latency_ms=self.store.io_latency_ms,
             timeout_ms=self.ctx.deadline_remaining_ms,
-            max_state_rows=config.max_state_rows,
         )
 
-    def _submit(self, fragment: _Fragment) -> None:
+    def _submit(self, attempt: _Attempt) -> None:
         task_id = self._next_task_id
         self._next_task_id += 1
-        attempt = _Attempt(fragment)
         self._inflight[task_id] = attempt
         self.pool.submit(self._spec(attempt, task_id))
 
@@ -784,28 +525,27 @@ class _FragmentScheduler:
     # -- the drive loop ---------------------------------------------------
 
     def run(self, exchanges: list[Exchange]) -> None:
-        jobs = [_make_job(exchange, self) for exchange in exchanges]
         try:
-            for job in jobs:
-                for fragment in job.stage1(self):
-                    self._submit(fragment)
-            self._drain()
-            for job in jobs:
-                for fragment in job.stage2(self):
-                    self._submit(fragment)
+            for exchange in exchanges:
+                table = pipeline_scan(exchange.child).table
+                blob = pickle.dumps(exchange.child)
+                for window in _morsel_windows(self.store, table, self.pool.size):
+                    self._submit(_Attempt(exchange.exchange_id, blob, window))
+                # One scan-start per Scan node, exactly like a serial
+                # execution (workers' per-morsel counts are dropped).
+                self.ctx.accounting.record_scan(self.store.stored_table(table).name)
             self._drain()
         except BaseException:
             self._abort()
             raise
-        for job in jobs:
-            rows = job.finalize()
-            self.ctx.exchange_results[job.exchange_id] = rows
-            for scan in job.scans:
-                # One scan-start per Scan node, exactly like a serial
-                # execution (workers' per-morsel counts are dropped).
-                self.ctx.accounting.record_scan(
-                    self.store.stored_table(scan.table).name
-                )
+        # Task ids, and so ``_inflight``'s order, follow submission:
+        # each Exchange's morsels concatenate in serial scan order.
+        gathered = self.ctx.exchange_results
+        for exchange in exchanges:
+            gathered[exchange.exchange_id] = []
+        for attempt in self._inflight.values():
+            gathered[attempt.exchange_id].extend(attempt.rows)
+        self._inflight.clear()
 
     def _drain(self) -> None:
         retries = self.config.fragment_retries
@@ -827,9 +567,7 @@ class _FragmentScheduler:
             elif kind == "ok":
                 attempt.done = True
                 payload = message[4]
-                attempt.fragment.job.deliver(
-                    attempt.fragment.slot, payload["rows"]
-                )
+                attempt.rows = payload["rows"]
                 self._merge(payload)
             elif kind == "error":
                 blob, retryable = message[4], message[5]
@@ -837,7 +575,6 @@ class _FragmentScheduler:
                     self._resubmit(task_id, worker_id)
                 else:
                     raise self._rebuild_error(blob, attempt)
-        self._inflight.clear()
 
     def _check_workers(self, retries: int) -> None:
         self.pool.health_check()
@@ -891,10 +628,6 @@ class _FragmentScheduler:
         metrics.retries += payload["retries"]
         metrics.faults_injected += payload["faults_injected"]
         metrics.checksum_verifications += payload["checksum_verifications"]
-        metrics.total_state_rows += payload["total_state_rows"]
-        metrics.peak_state_rows = max(
-            metrics.peak_state_rows, payload["peak_state_rows"]
-        )
 
     def _rebuild_error(self, blob: bytes, attempt: _Attempt) -> BaseException:
         try:

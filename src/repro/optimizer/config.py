@@ -97,9 +97,9 @@ class OptimizerConfig:
     validate_plans: bool = False
     #: Scale-out execution inside one process (DESIGN.md §13): with
     #: ``workers > 1`` the optimizer appends the ParallelPlan pass,
-    #: which cuts partition-parallel subtrees out of the optimized plan
-    #: with Exchange/Repartition markers, and the session dispatches
-    #: those fragments to a persistent multiprocessing worker pool.
+    #: which wraps each partition-parallel scan pipeline of the
+    #: optimized plan in an Exchange, and the session dispatches those
+    #: fragments to a persistent multiprocessing worker pool.
     #: ``workers == 1`` (the default) never inserts an Exchange and is
     #: byte-for-byte the serial engine.
     workers: int = 1

@@ -47,7 +47,6 @@ from repro.algebra.operators import (
     Join,
     Limit,
     PlanNode,
-    Repartition,
     Scan,
     Sort,
     UnionAll,
@@ -193,7 +192,7 @@ class CostModel:
             return 0.0, self._rows(node)
         if isinstance(node, EnforceSingleRow):
             return 0.0, 1.0
-        if isinstance(node, (CachePopulate, Exchange, Repartition)):
+        if isinstance(node, (CachePopulate, Exchange)):
             # Materialization / movement: one extra streaming pass over
             # the child's rows.
             return 0.0, self._rows(node.children[0])

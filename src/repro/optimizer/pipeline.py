@@ -131,9 +131,9 @@ def build_pipeline(config: OptimizerConfig) -> list[PlanPass]:
         passes.append(CrossQueryReuse())
     if config.workers > 1:
         # Fragment cutting runs last, over the final serial plan shape:
-        # Exchange/Repartition are placement markers every earlier rule
-        # would have to look through, and fingerprints ignore them so
-        # parallel plans share cache entries with serial ones.
+        # Exchange is a placement marker every earlier rule would have
+        # to look through, and fingerprints ignore it so parallel plans
+        # share cache entries with serial ones.
         passes.append(ParallelPlan())
     return passes
 

@@ -53,7 +53,6 @@ from repro.algebra.operators import (
     MarkDistinct,
     PlanNode,
     Project,
-    Repartition,
     ScalarApply,
     Scan,
     Sort,
@@ -174,10 +173,10 @@ class CardinalityEstimator:
         if isinstance(plan, Join):
             return self._join_rows(plan, stats)
         # Placement operators are bag-semantically the identity: an
-        # Exchange/Repartition only moves rows between workers, and a
+        # Exchange only gathers rows from workers, and a
         # CachePopulate materializes its child while streaming it
         # through.  Their estimate is exactly the child's.
-        if isinstance(plan, (Exchange, Repartition, CachePopulate)):
+        if isinstance(plan, (Exchange, CachePopulate)):
             return self._rows(plan.children[0])
         if isinstance(plan, CachedScan):
             # Replays a cache entry whose actual row count the cache

@@ -24,6 +24,7 @@ read succeeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from time import sleep as _sleep
 from typing import Callable, Iterable, Iterator, Sequence
@@ -85,6 +86,8 @@ class ColumnChunk:
             if v is None:
                 continue
             if min_value is None:
+                if v != v:  # NaN bounds nothing (a later one compares false)
+                    continue
                 min_value = max_value = v
             elif v < min_value:
                 min_value = v
@@ -358,33 +361,28 @@ class Store:
         for cdef in definition.columns:
             distinct: set = set()
             nulls = 0
-            min_value = max_value = None
-            for part in stored.partitions:
-                chunk = part.chunk(cdef.name)
+            chunks = [part.chunk(cdef.name) for part in stored.partitions]
+            for chunk in chunks:
                 for value in chunk.values:
                     if value is None:
                         nulls += 1
                     else:
                         distinct.add(value)
-                if chunk.min_value is not None:
-                    min_value = (
-                        chunk.min_value
-                        if min_value is None
-                        else min(min_value, chunk.min_value)
-                    )
-                    max_value = (
-                        chunk.max_value
-                        if max_value is None
-                        else max(max_value, chunk.max_value)
-                    )
+            # Chunk bounds skip NaN, which lies outside every range: a
+            # column holding one gets no catalog bounds.  A float sum is
+            # NaN when a term is (or when +inf meets -inf, where no
+            # bounds is merely imprecise), at C speed over the set.
+            bounded = [c for c in chunks if c.min_value is not None]
+            if cdef.dtype is DataType.DOUBLE and math.isnan(sum(distinct)):
+                bounded = []
             catalog.set_column_stats(
                 definition.name,
                 cdef.name,
                 ColumnStats(
                     ndv=len(distinct),
                     null_fraction=nulls / total if total else 0.0,
-                    min_value=min_value,
-                    max_value=max_value,
+                    min_value=min(c.min_value for c in bounded) if bounded else None,
+                    max_value=max(c.max_value for c in bounded) if bounded else None,
                 ),
             )
 

@@ -1,9 +1,10 @@
-"""Exchange/Repartition plan operators and the ParallelPlan pass.
+"""The Exchange plan operator and the ParallelPlan pass.
 
-The operators are bag-identity placement markers: serial engines
-execute them as pass-throughs, the validator checks their structure,
-and the semantic fingerprint looks straight through them (so parallel
-plans share cross-query cache entries with serial ones).
+Exchange is a bag-identity placement marker: serial engines execute it
+as a pass-through, the validator checks that it gathers a
+Filter/Project chain over one Scan, and the semantic fingerprint looks
+straight through it (so parallel plans share cross-query cache entries
+with serial ones).
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from repro.algebra.operators import (
     JoinKind,
     Limit,
     PlanNode,
-    Repartition,
+    Project,
     Scan,
     Sort,
     SortKey,
-    referenced_columns,
 )
 from repro.algebra.printer import explain
 from repro.algebra.schema import Column
@@ -62,42 +62,43 @@ def test_exchange_is_schema_transparent():
     assert exchange.with_children((other,)) == Exchange(other, 1)
 
 
-def test_repartition_keys_are_referenced_columns():
-    scan = _scan()
-    repart = Repartition(scan, (scan.output_columns[0],), 1)
-    assert repart.output_columns == scan.output_columns
-    assert referenced_columns(repart) == {scan.output_columns[0]}
+def _pipeline(scan: Scan) -> PlanNode:
+    key, value = scan.output_columns
+    kept = Filter(scan, Comparison(">", ColumnRef(value), integer(2)))
+    return Project(kept, ((key, ColumnRef(key)),))
 
 
 def test_validator_accepts_well_formed_placement():
+    validate_plan(Exchange(_scan(), 1))
+    validate_plan(Exchange(_pipeline(_scan()), 2))
+
+
+def test_validator_rejects_exchange_over_group_by():
     scan = _scan()
-    plan = Exchange(Repartition(scan, (scan.output_columns[0],), 1), 2)
-    validate_plan(plan)
+    plan = Exchange(_agg(scan, keys=(scan.output_columns[0],)), 1)
+    with pytest.raises(PlanError, match="Exchange #1 gathers GroupBy"):
+        validate_plan(plan)
 
 
-def test_validator_rejects_foreign_repartition_key():
-    scan = _scan()
-    foreign = Column(99, "elsewhere", I)
-    with pytest.raises(PlanError, match="not produced by its children"):
-        validate_plan(Repartition(scan, (foreign,), 1))
-
-
-def test_validator_rejects_keyless_repartition():
-    with pytest.raises(PlanError, match="at least one key"):
-        validate_plan(Repartition(_scan(), (), 1))
+def test_validator_rejects_exchange_over_two_scan_join():
+    left, right = _scan("a"), _scan("b", start=10)
+    condition = Comparison(
+        "=", ColumnRef(left.output_columns[0]), ColumnRef(right.output_columns[0])
+    )
+    plan = Exchange(Join(JoinKind.INNER, left, right, condition), 3)
+    with pytest.raises(PlanError, match="Exchange #3 gathers Join"):
+        validate_plan(plan)
 
 
 def test_printer_describes_placement_operators():
-    scan = _scan()
-    text = explain(Exchange(Repartition(scan, (scan.output_columns[0],), 7), 8))
-    assert "Exchange[#8]" in text
-    assert "Repartition[#7 on (" in text
+    text = explain(Exchange(_pipeline(_scan()), 8))
+    assert text.splitlines()[0] == "- Exchange[#8]"
 
 
 def test_fingerprint_ignores_placement_operators():
-    scan = _scan()
-    wrapped = Exchange(Repartition(scan, (scan.output_columns[0],), 1), 2)
-    assert plan_fingerprint(wrapped).digest == plan_fingerprint(scan).digest
+    pipeline = _pipeline(_scan())
+    wrapped = Exchange(pipeline, 2)
+    assert plan_fingerprint(wrapped).digest == plan_fingerprint(pipeline).digest
 
 
 # -- serial pass-through execution ------------------------------------------
@@ -114,8 +115,8 @@ def kv_store():
 
 
 def _bound_plan(store) -> PlanNode:
-    """Exchange(Repartition(Filter(Scan))) over the real stored table,
-    bound through the catalog so cids match stored columns."""
+    """Exchange(Filter(Scan)) over the real stored table, bound through
+    the catalog so cids match stored columns."""
     from repro.catalog.catalog import Catalog
     from repro.sql.binder import Binder
 
@@ -125,8 +126,7 @@ def _bound_plan(store) -> PlanNode:
     inner = bound.plan
     while not isinstance(inner, Filter):  # peel the top-level Project
         inner = inner.children[0]
-    key = inner.output_columns[0]
-    return Exchange(Repartition(inner, (key,), 1), 2)
+    return Exchange(inner, 1)
 
 
 def test_serial_engines_execute_placement_as_passthrough(kv_store):
@@ -160,14 +160,14 @@ def _agg(scan: Scan, *, keys: tuple[Column, ...]) -> GroupBy:
     )
 
 
-def test_keyed_group_by_becomes_shuffle(tpcds_store):
+def test_keyed_group_by_gathers_below_the_aggregation():
     scan = _scan("store_sales")
     plan = _agg(scan, keys=(scan.output_columns[0],))
     result = ParallelPlan().run(plan, _ctx({"store_sales": 8}))
-    assert isinstance(result, Exchange)
-    assert isinstance(result.child, GroupBy)
-    assert isinstance(result.child.child, Repartition)
-    assert result.child.child.keys == (scan.output_columns[0],)
+    # Workers only read and filter; the aggregation's state stays on
+    # the coordinator.
+    assert isinstance(result, GroupBy)
+    assert result.child == Exchange(scan, 1)
 
 
 def test_scalar_group_by_keeps_aggregation_serial():
@@ -184,29 +184,27 @@ def test_single_partition_tables_stay_serial():
     assert not any(isinstance(n, Exchange) for n in walk_plan(result))
 
 
-def test_equi_join_becomes_shuffle_join():
+def test_equi_join_gathers_each_side():
     left, right = _scan("a"), _scan("b", start=10)
     condition = Comparison(
         "=", ColumnRef(left.output_columns[0]), ColumnRef(right.output_columns[0])
     )
     join = Join(JoinKind.INNER, left, right, condition)
     result = ParallelPlan().run(join, _ctx({"a": 4, "b": 4}))
-    assert isinstance(result, Exchange)
-    assert isinstance(result.child, Join)
-    assert isinstance(result.child.left, Repartition)
-    assert isinstance(result.child.right, Repartition)
-    assert result.child.left.keys == (left.output_columns[0],)
-    assert result.child.right.keys == (right.output_columns[0],)
+    assert isinstance(result, Join)
+    assert result.left == Exchange(left, 1)
+    assert result.right == Exchange(right, 2)
 
 
 def test_cross_join_is_not_shuffled():
     left, right = _scan("a"), _scan("b", start=10)
     join = Join(JoinKind.CROSS, left, right, None)
     result = ParallelPlan().run(join, _ctx({"a": 4, "b": 4}))
-    # The children still parallelize as plain gathers; the join itself
-    # has no keys to route on.
+    # The children parallelize as plain gathers; the join runs on the
+    # coordinator.
     assert not isinstance(result, Exchange)
     assert isinstance(result.left, Exchange)
+    assert isinstance(result.right, Exchange)
 
 
 def test_limit_keeps_demanded_subtree_serial():
@@ -234,4 +232,58 @@ def test_keyed_group_by_is_safe_under_limit():
     scan = _scan()
     plan = Limit(_agg(scan, keys=(scan.output_columns[0],)), 2)
     result = ParallelPlan().run(plan, _ctx({"t": 4}))
-    assert isinstance(result.child, Exchange)
+    # GroupBy drains its input whatever the Limit asks for, so the scan
+    # below it still gathers in parallel.
+    assert isinstance(result.child, GroupBy)
+    assert result.child.child == Exchange(scan, 1)
+
+
+def _wrap_first(node: PlanNode, kind: type) -> tuple[PlanNode, bool]:
+    """``node`` with its first ``kind`` subtree (preorder) in an
+    Exchange, and whether one was found."""
+    if isinstance(node, kind):
+        return Exchange(node, 99), True
+    kids, found = [], False
+    for child in node.children:
+        if not found:
+            child, found = _wrap_first(child, kind)
+        kids.append(child)
+    return (node.with_children(tuple(kids)) if found else node), found
+
+
+@pytest.mark.parametrize(
+    "kind, sql",
+    [
+        (
+            GroupBy,
+            "SELECT ss_store_sk, count(*) FROM store_sales GROUP BY ss_store_sk",
+        ),
+        (
+            Join,
+            "SELECT ss_item_sk, cs_quantity FROM store_sales, catalog_sales "
+            "WHERE ss_item_sk = cs_item_sk",
+        ),
+    ],
+    ids=["group_by", "two_scan_join"],
+)
+def test_seeded_stateful_exchange_names_the_pass(monkeypatch, tpcds_store, kind, sql):
+    """A ParallelPlan that hands a worker stateful work fails plan
+    validation, and the error names the pass."""
+    from repro.engine.session import Session
+    from repro.errors import OptimizerError
+
+    original = ParallelPlan.run
+
+    def sabotage(self, plan, ctx):
+        plan, found = _wrap_first(original(self, plan, ctx), kind)
+        assert found
+        return plan
+
+    monkeypatch.setattr(ParallelPlan, "run", sabotage)
+    config = OptimizerConfig(workers=2, validate_plans=True)
+    with Session(tpcds_store, config) as session:
+        with pytest.raises(
+            OptimizerError, match=f"'ParallelPlan'.*Exchange #99 gathers {kind.__name__}"
+        ) as info:
+            session.plan(sql)
+    assert isinstance(info.value.__cause__, PlanError)

@@ -2,8 +2,9 @@
 
 Determinism: every engine, in both column representations, must
 produce the same bytes at workers 2 and 4 as serially — rows, order,
-and scan accounting, float aggregates included (scalar sums fold left
-to right across blocks, so an Exchange boundary cannot change them).
+and scan accounting, float aggregates included (workers only read and
+filter; every aggregation, join, window and sort runs on the
+coordinator over the gathered rows, in serial order).
 
 Fault domains: a failed fragment retries on another worker; a poisoned
 worker must not fail the query, and exhausted retries surface as
@@ -18,17 +19,18 @@ import time
 
 import pytest
 
-from repro.algebra.operators import Exchange, Repartition
+from repro.algebra.operators import Exchange, pipeline_scan
 from repro.algebra.fingerprint import plan_fingerprint
 from repro.algebra.visitors import walk_plan
 from repro.engine.parallel import FragmentError, WorkerPool
 from repro.engine.session import Session
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.optimizer.config import OptimizerConfig
+from repro.tpcds.queries import WORKLOAD_QUERIES
 
-#: One query per fragment pattern the parallel planner produces.
+#: One query per plan shape over the parallel planner's gathers.
 QUERIES = {
-    "shuffle_group_by": (
+    "keyed_group_by": (
         "SELECT ss_store_sk, sum(ss_net_profit), count(*) FROM store_sales "
         "WHERE ss_quantity > 5 GROUP BY ss_store_sk"
     ),
@@ -40,7 +42,7 @@ QUERIES = {
         "SELECT ss_item_sk, ss_quantity FROM store_sales "
         "WHERE ss_quantity > 80 ORDER BY ss_item_sk, ss_quantity"
     ),
-    "shuffle_join": (
+    "equi_join": (
         "SELECT ss_item_sk, ss_quantity, cs_quantity "
         "FROM store_sales, catalog_sales "
         "WHERE ss_item_sk = cs_item_sk AND ss_quantity > 90"
@@ -88,22 +90,47 @@ def test_compiled_python_vectors_identical_across_worker_counts(tpcds_store):
 
 
 def test_parallel_plans_carry_exchange_but_same_fingerprint(tpcds_store):
-    sql = QUERIES["shuffle_group_by"]
+    sql = QUERIES["keyed_group_by"]
     with Session(tpcds_store, OptimizerConfig()) as serial_session:
         serial_plan, _ = serial_session.plan(sql)
     with Session(tpcds_store, OptimizerConfig(workers=4)) as parallel_session:
         parallel_plan, _ = parallel_session.plan(sql)
-    assert not any(
-        isinstance(n, (Exchange, Repartition)) for n in walk_plan(serial_plan)
-    )
-    assert any(isinstance(n, Exchange) for n in walk_plan(parallel_plan))
-    assert any(isinstance(n, Repartition) for n in walk_plan(parallel_plan))
-    # Exchange/Repartition are transparent to the semantic fingerprint,
-    # so serial and parallel plans share cross-query cache entries.
+    assert not any(isinstance(n, Exchange) for n in walk_plan(serial_plan))
+    exchanges = [n for n in walk_plan(parallel_plan) if isinstance(n, Exchange)]
+    assert exchanges
+    # Every Exchange gathers a Filter/Project chain over one Scan.
+    assert all(pipeline_scan(n.child) is not None for n in exchanges)
+    # Exchange is transparent to the semantic fingerprint, so serial
+    # and parallel plans share cross-query cache entries.
     assert (
         plan_fingerprint(parallel_plan).digest
         == plan_fingerprint(serial_plan).digest
     )
+
+
+def test_workload_metrics_identical_across_worker_counts(tpcds_store):
+    """Parallel runs report serial metrics on every named query: scan
+    accounting, and operator state too, since all state lives on the
+    coordinator."""
+
+    def metrics(**config):
+        with Session(tpcds_store, OptimizerConfig(**config)) as session:
+            out = {}
+            for name, sql in WORKLOAD_QUERIES.items():
+                m = session.execute(sql).metrics
+                out[name] = (
+                    m.bytes_scanned,
+                    m.rows_scanned,
+                    m.partitions_read,
+                    m.peak_state_rows,
+                    m.total_state_rows,
+                )
+            return out
+
+    serial = metrics()
+    assert len(serial) == 32
+    for workers in (2, 4):
+        assert metrics(workers=workers) == serial, workers
 
 
 # -- per-fragment fault domains ---------------------------------------------
@@ -184,7 +211,7 @@ def test_pending_cancel_aborts_parallel_query(tpcds_store):
     with Session(tpcds_store, OptimizerConfig(engine="batch", workers=2)) as s:
         s.cancel()
         with pytest.raises(QueryCancelledError):
-            s.execute(QUERIES["shuffle_group_by"])
+            s.execute(QUERIES["keyed_group_by"])
         # The pool survives the abort: the next query runs normally.
         assert s.execute("SELECT count(*) FROM store_sales").rows
 

@@ -215,7 +215,7 @@ def test_warm_replay_through_sharded_cache(tpcds_store):
 
 
 def test_parallel_session_shares_entries_with_serial(tpcds_store):
-    """Fingerprints are transparent through Exchange/Repartition, so a
+    """Fingerprints are transparent through Exchange, so a
     parallel session's populate is replayable by its own warm run at
     the same fingerprint a serial plan would produce."""
     sql = (

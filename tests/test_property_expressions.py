@@ -80,26 +80,61 @@ def evaluate(expr: Expression, row: tuple):
     return compile_expression(expr, COLUMNS)(row)
 
 
+#: The simplifier's properties also range over a DOUBLE column whose
+#: draws include NaN, which compares false to everything (so, e.g.,
+#: ``NOT (d < 1.0)`` is not ``d >= 1.0``).
+DOUBLE = Column(len(COLUMNS) + 1, "d", DataType.DOUBLE)
+MIXED_COLUMNS = COLUMNS + (DOUBLE,)
+_DOUBLE_LITERALS = st.builds(
+    Literal, st.sampled_from((-1.5, 0.0, 1.0, 2.5)), st.just(DataType.DOUBLE)
+)
+mixed_rows = st.tuples(
+    values,
+    values,
+    values,
+    st.one_of(st.none(), st.just(float("nan")), st.sampled_from((-1.5, 0.0, 1.0))),
+)
+double_leaf = st.builds(
+    Comparison,
+    st.sampled_from(("=", "<>", "<", "<=", ">", ">=")),
+    st.just(ColumnRef(DOUBLE)),
+    st.one_of(_DOUBLE_LITERALS, st.sampled_from([ColumnRef(c) for c in MIXED_COLUMNS])),
+)
+mixed_exprs = st.recursive(
+    st.one_of(leaf, double_leaf),
+    lambda children: st.one_of(
+        st.builds(Not, children),
+        st.lists(children, min_size=2, max_size=3).map(lambda t: And(tuple(t))),
+        st.lists(children, min_size=2, max_size=3).map(lambda t: Or(tuple(t))),
+    ),
+    max_leaves=8,
+)
+
+
+def evaluate_mixed(expr: Expression, row: tuple):
+    return compile_expression(expr, MIXED_COLUMNS)(row)
+
+
 class TestSimplifyPreservesSemantics:
-    @given(expr=boolean_exprs(), row=rows)
+    @given(expr=mixed_exprs, row=mixed_rows)
     @settings(max_examples=300, deadline=None)
     def test_simplify_same_value(self, expr, row):
-        assert evaluate(simplify(expr), row) == evaluate(expr, row)
+        assert evaluate_mixed(simplify(expr), row) == evaluate_mixed(expr, row)
 
-    @given(expr=boolean_exprs(), row=rows)
+    @given(expr=mixed_exprs, row=mixed_rows)
     @settings(max_examples=300, deadline=None)
     def test_normalize_same_value(self, expr, row):
-        assert evaluate(normalize(expr), row) == evaluate(expr, row)
+        assert evaluate_mixed(normalize(expr), row) == evaluate_mixed(expr, row)
 
-    @given(expr=boolean_exprs(), row=rows)
+    @given(expr=mixed_exprs, row=mixed_rows)
     @settings(max_examples=300, deadline=None)
     def test_simplify_filter_preserves_true_set(self, expr, row):
         # Filter context: only the TRUE-set must be preserved.
-        original = evaluate(expr, row) is True
-        filtered = evaluate(simplify_filter(expr), row) is True
+        original = evaluate_mixed(expr, row) is True
+        filtered = evaluate_mixed(simplify_filter(expr), row) is True
         assert original == filtered
 
-    @given(expr=boolean_exprs(), row=rows)
+    @given(expr=mixed_exprs, row=mixed_rows)
     @settings(max_examples=300, deadline=None)
     def test_simplify_idempotent(self, expr, row):
         once = simplify(expr)

@@ -6,7 +6,7 @@ import pytest
 
 from tests.conftest import simple_table
 from repro.algebra.expressions import ColumnRef, Comparison, Literal
-from repro.algebra.operators import CachedScan, CachePopulate, Exchange, Filter, Repartition
+from repro.algebra.operators import CachedScan, CachePopulate, Exchange, Filter
 from repro.algebra.types import DataType
 from repro.catalog.catalog import Catalog, ColumnStats
 from repro.optimizer.stats import CardinalityEstimator
@@ -147,7 +147,7 @@ class TestPlanEstimates:
 
 
 class TestPlacementPassThrough:
-    """Exchange/Repartition/CachePopulate/CachedScan estimates.
+    """Exchange/CachePopulate/CachedScan estimates.
 
     These placement and caching markers are bag-semantically the
     identity (or, for CachedScan, a replay of a known materialization),
@@ -166,13 +166,6 @@ class TestPlacementPassThrough:
         assert base != 1000.0  # regression guard: the old fallback value
         assert estimator.estimate(Exchange(plan, 0)) == base
 
-    def test_repartition_passes_through(self, env):
-        *_, estimator = env
-        plan = self.plan(env, "SELECT id FROM people WHERE age < 42")
-        base = estimator.estimate(plan)
-        wrapped = Repartition(plan, plan.output_columns[:1], 0)
-        assert estimator.estimate(wrapped) == base
-
     def test_cache_populate_passes_through(self, env):
         *_, estimator = env
         plan = self.plan(env, "SELECT id FROM people")
@@ -186,7 +179,10 @@ class TestPlacementPassThrough:
         *_, estimator = env
         plan = self.plan(env, "SELECT id FROM people WHERE lname = 'Smith'")
         base = estimator.estimate(plan)
-        nested = Exchange(Repartition(plan, plan.output_columns[:1], 0), 1)
+        nested = Exchange(
+            CachePopulate(plan, "fp-test", ("c0",), ("people",), (("people", 1),)),
+            1,
+        )
         assert estimator.estimate(nested) == base
 
     def test_cached_scan_uses_cache_entry(self, env):
@@ -360,9 +356,7 @@ class TestGeneratorPropertySweep:
             rows = estimator.estimate(plan)
             assert math.isfinite(rows), spec.render()
             assert rows >= 1.0, spec.render()
-            wrapped = Exchange(
-                Repartition(plan, plan.output_columns[:1], 0), 1
-            )
+            wrapped = Exchange(plan, 1)
             assert estimator.estimate(wrapped) == rows, spec.render()
             checked += 1
         assert checked >= 30  # the generator must yield mostly bindable SQL

@@ -146,3 +146,65 @@ class TestCatalog:
         catalog = Catalog()
         store.load_catalog(catalog)
         assert catalog.row_count("t") == 3
+
+
+class TestNaNPruning:
+    """A NaN anywhere in a partition-column chunk bounds nothing: chunk
+    bounds skip it, so pruning keeps every partition a row can match,
+    and the catalog claims no range for the column.  ``NOT`` over a
+    DOUBLE comparison keeps the NaN rows (NaN compares false)."""
+
+    @staticmethod
+    def _store() -> Store:
+        from tests.conftest import simple_table
+
+        nan = float("nan")
+        rows = [(1, nan), (2, 5.0), (3, 7.0), (4, 5.0), (5, nan), (6, 9.0)]
+        store = Store()
+        store.put(
+            simple_table(
+                "t",
+                [("id", I), ("x", DataType.DOUBLE)],
+                rows,
+                partition_column="x",
+                partition_rows=3,
+            )
+        )
+        return store
+
+    def test_chunk_bounds_skip_nan(self):
+        nan = float("nan")
+        chunk = ColumnChunk.build("x", DataType.DOUBLE, [nan, 5.0, None, 7.0, nan])
+        assert (chunk.min_value, chunk.max_value) == (5.0, 7.0)
+        only_nan = ColumnChunk.build("x", DataType.DOUBLE, [nan, None])
+        assert only_nan.min_value is None and only_nan.max_value is None
+
+    def test_catalog_claims_no_range_for_a_nan_column(self):
+        catalog = Catalog()
+        self._store().load_catalog(catalog)
+        stats = catalog.column_stats("t", "x")
+        assert stats.min_value is None and stats.max_value is None
+        assert catalog.column_stats("t", "id").max_value == 6
+
+    @pytest.mark.parametrize(
+        "engine, vectors",
+        [("row", "numpy"), ("batch", "numpy"), ("batch", "python")],
+        ids=["row", "batch", "batch-lists"],
+    )
+    @pytest.mark.parametrize(
+        "predicate, expected",
+        [
+            ("x = 5.0", [2, 4]),
+            ("x < 6.0", [2, 4]),
+            ("x IN (5.0, 9.0)", [2, 4, 6]),
+            ("NOT (x < 6.0)", [1, 3, 5, 6]),
+        ],
+    )
+    def test_pruning_keeps_matching_rows(self, engine, vectors, predicate, expected):
+        from repro.engine.session import Session
+        from repro.optimizer.config import OptimizerConfig
+
+        config = OptimizerConfig(engine=engine, vectors=vectors)
+        session = Session(self._store(), config)
+        result = session.execute(f"SELECT id FROM t WHERE {predicate} ORDER BY id")
+        assert [row[0] for row in result.rows] == expected
