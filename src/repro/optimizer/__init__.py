@@ -3,7 +3,7 @@
 from repro.optimizer.config import BASELINE, FUSION, OptimizerConfig
 from repro.optimizer.context import OptimizerContext
 from repro.optimizer.pipeline import build_pipeline, optimize
-from repro.optimizer.rule import PlanPass, Pipeline, RewriteRule
+from repro.optimizer.rule import PlanPass, RewriteRule
 
 __all__ = [
     "OptimizerConfig",
@@ -14,5 +14,4 @@ __all__ = [
     "build_pipeline",
     "PlanPass",
     "RewriteRule",
-    "Pipeline",
 ]

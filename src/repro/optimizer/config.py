@@ -4,7 +4,7 @@
 paper's experimental setup: the *baseline* is the engine's standard
 rule set ("Athena's default production configuration"), and the
 *instrumented* compiler additionally enables the fusion-based rules of
-§IV.  Per-rule flags support the ablation tests.
+§IV.
 
 ``fusion_min_rows`` is the §IV.E cost heuristic: fusion rewrites fire
 only when the common subexpression is estimated expensive — it
@@ -22,14 +22,6 @@ class OptimizerConfig:
 
     #: Master switch for the paper's fusion-based rules (§IV).
     enable_fusion: bool = True
-    #: §IV.A GroupByJoinToWindow.
-    enable_groupby_join_to_window: bool = True
-    #: §IV.B JoinOnKeys (including the scalar-aggregate special case).
-    enable_join_on_keys: bool = True
-    #: §IV.C UnionAllOnJoin.
-    enable_union_all_on_join: bool = True
-    #: §IV.D UnionAll.
-    enable_union_all: bool = True
     #: Cost heuristic (§IV.E): minimum estimated input rows of the
     #: common expression for a fusion rewrite to be worthwhile.  The
     #: default of 1 fires on anything that scans stored data but not on
@@ -154,14 +146,6 @@ class OptimizerConfig:
             raise ValueError("workers must be at least 1")
         if self.fragment_retries < 0:
             raise ValueError("fragment_retries must be non-negative")
-
-    def fusion_rules_enabled(self) -> bool:
-        return self.enable_fusion and (
-            self.enable_groupby_join_to_window
-            or self.enable_join_on_keys
-            or self.enable_union_all_on_join
-            or self.enable_union_all
-        )
 
     def without_fusion(self) -> "OptimizerConfig":
         """The baseline configuration: same classical rules, no §IV."""

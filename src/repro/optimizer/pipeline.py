@@ -13,8 +13,10 @@ the §IV rules in at the positions the paper describes:
 * the semi-join → distinct-join conversion and distinct pushdown (the
   §V.D enablers) are classical rules present in both pipelines; the
   fusion pipeline's JoinOnKeys then removes the duplicated distinct;
-* cleanup, pushdown, and pruning re-run after fusion so compensating
-  filters reach the scans and dead columns disappear.
+* a joint ``Cleanup`` fixpoint (expression folding, trivial filters,
+  projection merging, empty union branches), pushdown and pruning
+  re-run after fusion so compensating filters reach the scans and dead
+  columns disappear.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.optimizer.fusion_rules import (
     UnionAllOnJoin,
 )
 from repro.optimizer.rewrites import (
+    Cleanup,
     CrossQueryReuse,
     DecorrelateScalarAggregates,
     DistinctPushdown,
@@ -39,31 +42,21 @@ from repro.optimizer.rewrites import (
     FactSimplify,
     GreedyJoinOrder,
     LowerDistinctAggregates,
-    MergeProjections,
     PredicatePushdown,
     ProjectionPruning,
-    PruneUnionBranches,
     RemoveScalarSubqueries,
-    RemoveTrivialFilters,
     SemiJoinToDistinctJoin,
-    SimplifyExpressions,
 )
 from repro.optimizer.rule import PlanPass, run_pipeline
 
 
 def build_pipeline(config: OptimizerConfig) -> list[PlanPass]:
     """The ordered pass list for ``config``."""
-    cleanup: list[PlanPass] = [
-        SimplifyExpressions(),
-        RemoveTrivialFilters(),
-        MergeProjections(),
-        PruneUnionBranches(),
-    ]
     passes: list[PlanPass] = [
-        SimplifyExpressions(),
+        Cleanup(),
         RemoveScalarSubqueries(),
         DecorrelateScalarAggregates(),
-        *cleanup,
+        Cleanup(),
         PredicatePushdown(),
         ProjectionPruning(),
         # Derived-fact folding runs after pushdown so predicates sit
@@ -72,60 +65,37 @@ def build_pipeline(config: OptimizerConfig) -> list[PlanPass]:
     ]
     if config.lower_distinct_before_fusion:
         passes.append(LowerDistinctAggregates())
-    if config.enable_fusion and config.enable_union_all_on_join:
-        passes.append(UnionAllOnJoin())
-    if config.enable_fusion and config.enable_union_all:
-        passes.append(UnionAllFusion())
-    window_rule = config.enable_fusion and config.enable_groupby_join_to_window
-    keys_rule = config.enable_fusion and config.enable_join_on_keys
+    semijoin: list[PlanPass] = [SemiJoinToDistinctJoin(), Cleanup(), DistinctPushdown()]
+    if config.enable_fusion:
+        passes += [UnionAllOnJoin(), UnionAllFusion()]
+        semijoin += [GroupByJoinToWindow(), JoinOnKeys()]
     if config.cost_based:
         # Cost mode (DESIGN.md §15): the semi-join → distinct-join
         # conversion is an *enabler* — locally a pessimization whose
         # payoff is the JoinOnKeys fusion it unlocks — so it is priced
-        # as one group with the fusion rules behind it.  The fusion
-        # rules then re-run outside the group (idempotent when the
+        # as one group with the fusion rules behind it.  The rest of
+        # the block then re-runs outside the group (idempotent when the
         # group already fused) so a declined conversion does not starve
-        # independent fusion opportunities, and the cleanups re-run so
-        # a decline does not lose them.
-        group: list[PlanPass] = [
-            SemiJoinToDistinctJoin(),
-            MergeProjections(),
-            DistinctPushdown(),
-        ]
-        if window_rule:
-            group.append(GroupByJoinToWindow())
-        if keys_rule:
-            group.append(JoinOnKeys())
-        passes.append(CostGatedGroup("semijoin_distinct_group", group))
-        passes.append(MergeProjections())
-        passes.append(DistinctPushdown())
-    else:
-        passes.append(SemiJoinToDistinctJoin())
-        passes.append(MergeProjections())
-        passes.append(DistinctPushdown())
-    if window_rule:
-        passes.append(GroupByJoinToWindow())
-    if keys_rule:
-        passes.append(JoinOnKeys())
-    passes.extend(
-        [
-            FactorAggregateMasks(),
-            LowerDistinctAggregates(),
-            # §IV.E: join reordering runs AFTER the fusion rules, which
-            # matched on the canonical author-written join order.
-            GreedyJoinOrder(),
-            PredicatePushdown(),
-            *cleanup,
-            ProjectionPruning(),
-            SimplifyExpressions(),
-            # Second FactSimplify round over the final shape: fusion
-            # compensators and join-key rewrites expose new always-true
-            # / redundant-DISTINCT opportunities.
-            FactSimplify(),
-            RemoveTrivialFilters(),
-            ProjectionPruning(),
-        ]
-    )
+        # independent fusion opportunities or lose the cleanups.
+        passes.append(CostGatedGroup("semijoin_distinct_group", semijoin))
+        semijoin = semijoin[1:]
+    passes += semijoin
+    passes += [
+        FactorAggregateMasks(),
+        LowerDistinctAggregates(),
+        # §IV.E: join reordering runs AFTER the fusion rules, which
+        # matched on the canonical author-written join order.
+        GreedyJoinOrder(),
+        PredicatePushdown(),
+        Cleanup(),
+        ProjectionPruning(),
+        # Second FactSimplify round over the final shape: fusion
+        # compensators and join-key rewrites expose new always-true
+        # / redundant-DISTINCT opportunities.
+        FactSimplify(),
+        Cleanup(),
+        ProjectionPruning(),
+    ]
     if config.enable_plan_cache:
         # Cross-query reuse runs over the final plan shape.
         passes.append(CrossQueryReuse())

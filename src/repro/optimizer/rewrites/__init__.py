@@ -8,23 +8,15 @@ from repro.optimizer.rewrites.pruning import ProjectionPruning
 from repro.optimizer.rewrites.pushdown import PredicatePushdown
 from repro.optimizer.rewrites.reuse import CrossQueryReuse
 from repro.optimizer.rewrites.semijoin import DistinctPushdown, SemiJoinToDistinctJoin
-from repro.optimizer.rewrites.simplify import (
-    MergeProjections,
-    PruneUnionBranches,
-    RemoveTrivialFilters,
-    SimplifyExpressions,
-)
+from repro.optimizer.rewrites.simplify import Cleanup
 from repro.optimizer.rewrites.subqueries import (
     DecorrelateScalarAggregates,
     RemoveScalarSubqueries,
 )
 
 __all__ = [
-    "SimplifyExpressions",
+    "Cleanup",
     "FactSimplify",
-    "RemoveTrivialFilters",
-    "MergeProjections",
-    "PruneUnionBranches",
     "PredicatePushdown",
     "ProjectionPruning",
     "RemoveScalarSubqueries",

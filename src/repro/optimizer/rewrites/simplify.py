@@ -1,4 +1,5 @@
-"""Expression simplification and structural cleanup rules.
+"""The cleanup rule: expression folding and structural cleanups as one
+bottom-up fixpoint.
 
 These are "orthogonal rules" in the paper's sense (§III.E): because
 fusion produces plans out of standard operators, simplification over
@@ -11,7 +12,6 @@ from repro.algebra.expressions import (
     FALSE,
     TRUE,
     ColumnRef,
-    Expression,
     make_and,
     substitute,
 )
@@ -20,130 +20,115 @@ from repro.algebra.operators import (
     Filter,
     GroupBy,
     Join,
+    JoinKind,
+    Limit,
+    MarkDistinct,
     PlanNode,
     Project,
     Scan,
+    Sort,
     UnionAll,
     Values,
     Window,
 )
 from repro.algebra.simplify import simplify, simplify_filter
-from repro.algebra.visitors import transform_up
 from repro.optimizer.context import OptimizerContext
-from repro.optimizer.rule import PlanPass, RewriteRule
+from repro.optimizer.rule import RewriteRule
 
 
-class SimplifyExpressions(PlanPass):
-    """Constant-fold and flatten every expression in the plan."""
+class Cleanup(RewriteRule):
+    """The orthogonal cleanups as one bottom-up fixpoint.
 
-    name = "simplify_expressions"
+    Each node first has its expressions constant-folded and flattened;
+    then Filter(TRUE) disappears, adjacent filters merge and
+    Filter(FALSE) becomes an empty Values relation; Project(Project(x))
+    composes into one projection and an identity projection (same
+    columns, same order, plain refs) disappears; provably empty
+    UnionAll branches drop.  Each structural rewrite is recorded under
+    its own name (folding is not recorded), and :meth:`RewriteRule.run`
+    repeats the walk until none applies.
+    """
 
-    def run(self, plan: PlanNode, ctx: OptimizerContext) -> PlanNode:
-        def fix(node: PlanNode) -> PlanNode:
-            if isinstance(node, Filter):
-                condition = simplify_filter(node.condition)
-                if condition != node.condition:
-                    return Filter(node.child, condition)
-                return node
-            if isinstance(node, Project):
-                assignments = tuple(
-                    (target, simplify(expr)) for target, expr in node.assignments
-                )
-                if assignments != node.assignments:
-                    return Project(node.child, assignments)
-                return node
-            if isinstance(node, Join) and node.condition is not None:
-                condition = simplify(node.condition)
-                if condition != node.condition:
-                    return Join(node.kind, node.left, node.right, condition)
-                return node
-            if isinstance(node, GroupBy):
-                aggregates = tuple(
-                    AggregateAssignment(
-                        a.target,
-                        a.func,
-                        None if a.argument is None else simplify(a.argument),
-                        simplify(a.mask),
-                        a.distinct,
-                    )
-                    for a in node.aggregates
-                )
-                if aggregates != node.aggregates:
-                    return GroupBy(node.child, node.keys, aggregates)
-                return node
-            if isinstance(node, Scan) and node.predicate is not None:
-                predicate = simplify_filter(node.predicate)
-                if predicate == TRUE:
-                    predicate = None
-                if predicate != node.predicate:
-                    return node.with_predicate(predicate)
-                return node
-            return node
-
-        return transform_up(plan, fix)
-
-
-class RemoveTrivialFilters(RewriteRule):
-    """Filter(TRUE) disappears; adjacent filters merge; Filter(FALSE)
-    becomes an empty Values relation."""
-
-    name = "remove_trivial_filters"
+    name = "cleanup"
+    records_itself = True
 
     def rewrite(self, node: PlanNode, ctx: OptimizerContext) -> PlanNode | None:
-        if not isinstance(node, Filter):
-            return None
-        if node.condition == TRUE:
-            return node.child
-        if node.condition == FALSE:
-            return _empty_relation(node)
-        if isinstance(node.child, Filter):
-            merged = make_and([node.child.condition, node.condition])
-            return Filter(node.child.child, merged)
-        return None
+        folded = _fold_expressions(node)
+        structural = _STRUCTURAL.get(type(folded))
+        if structural is not None:
+            name, rule = structural
+            rewritten = rule(folded)
+            if rewritten is not None:
+                ctx.record(name)
+                return rewritten
+        return None if folded is node else folded
 
 
-def _empty_relation(node: PlanNode) -> PlanNode:
-    """An empty Values with the same output schema."""
-    return Values(node.output_columns, ())
-
-
-class MergeProjections(RewriteRule):
-    """Project(Project(x)) composes into a single projection, and an
-    identity projection (same columns, same order, plain refs)
-    disappears."""
-
-    name = "merge_projections"
-
-    def rewrite(self, node: PlanNode, ctx: OptimizerContext) -> PlanNode | None:
-        if not isinstance(node, Project):
-            return None
-        child = node.child
-        if isinstance(child, Project):
-            inner = {target.cid: expr for target, expr in child.assignments}
-            composed = tuple(
-                (target, simplify(substitute(expr, inner)))
-                for target, expr in node.assignments
+def _fold_expressions(node: PlanNode) -> PlanNode:
+    """``node`` with every expression it holds constant-folded."""
+    if isinstance(node, Filter):
+        condition = simplify_filter(node.condition)
+        if condition != node.condition:
+            return Filter(node.child, condition)
+    elif isinstance(node, Project):
+        assignments = tuple((target, simplify(expr)) for target, expr in node.assignments)
+        if assignments != node.assignments:
+            return Project(node.child, assignments)
+    elif isinstance(node, Join) and node.condition is not None:
+        condition = simplify(node.condition)
+        if condition != node.condition:
+            return Join(node.kind, node.left, node.right, condition)
+    elif isinstance(node, GroupBy):
+        aggregates = tuple(
+            AggregateAssignment(
+                a.target,
+                a.func,
+                None if a.argument is None else simplify(a.argument),
+                simplify(a.mask),
+                a.distinct,
             )
-            return Project(child.child, composed)
-        if node.output_columns == child.output_columns and all(
-            isinstance(expr, ColumnRef) and expr.column == target
+            for a in node.aggregates
+        )
+        if aggregates != node.aggregates:
+            return GroupBy(node.child, node.keys, aggregates)
+    elif isinstance(node, Scan) and node.predicate is not None:
+        predicate = simplify_filter(node.predicate)
+        if predicate == TRUE:
+            predicate = None
+        if predicate != node.predicate:
+            return node.with_predicate(predicate)
+    return node
+
+
+def _remove_trivial_filter(node: Filter) -> PlanNode | None:
+    if node.condition == TRUE:
+        return node.child
+    if node.condition == FALSE:
+        return Values(node.output_columns, ())
+    if isinstance(node.child, Filter):
+        return Filter(node.child.child, make_and([node.child.condition, node.condition]))
+    return None
+
+
+def _merge_projections(node: Project) -> PlanNode | None:
+    child = node.child
+    if isinstance(child, Project):
+        inner = {target.cid: expr for target, expr in child.assignments}
+        composed = tuple(
+            (target, simplify(substitute(expr, inner)))
             for target, expr in node.assignments
-        ):
-            return child
-        return None
+        )
+        return Project(child.child, composed)
+    if node.output_columns == child.output_columns and all(
+        isinstance(expr, ColumnRef) and expr.column == target
+        for target, expr in node.assignments
+    ):
+        return child
+    return None
 
 
 def is_provably_empty(plan: PlanNode) -> bool:
     """True when the plan can be shown to produce no rows."""
-    from repro.algebra.operators import (
-        Join,
-        JoinKind,
-        Limit,
-        MarkDistinct,
-        Sort,
-        Window,
-    )
-
     if isinstance(plan, Values):
         return not plan.rows
     if isinstance(plan, (Filter, Project, Limit, Sort, MarkDistinct, Window)):
@@ -161,32 +146,33 @@ def is_provably_empty(plan: PlanNode) -> bool:
     return False
 
 
-class PruneUnionBranches(RewriteRule):
-    """Drop UnionAll branches that are provably empty; a single
-    surviving branch replaces the union with a projection."""
-
-    name = "prune_union_branches"
-
-    def rewrite(self, node: PlanNode, ctx: OptimizerContext) -> PlanNode | None:
-        if not isinstance(node, UnionAll):
-            return None
-        keep = [
-            (child, branch)
-            for child, branch in zip(node.inputs, node.input_columns)
-            if not is_provably_empty(child)
-        ]
-        if len(keep) == len(node.inputs):
-            return None
-        if not keep:
-            return Values(node.columns, ())
-        if len(keep) == 1:
-            child, branch = keep[0]
-            assignments = tuple(
-                (out, ColumnRef(src)) for out, src in zip(node.columns, branch)
-            )
-            return Project(child, assignments)
-        return UnionAll(
-            tuple(child for child, _ in keep),
-            node.columns,
-            tuple(branch for _, branch in keep),
+def _prune_union_branches(node: UnionAll) -> PlanNode | None:
+    keep = [
+        (child, branch)
+        for child, branch in zip(node.inputs, node.input_columns)
+        if not is_provably_empty(child)
+    ]
+    if len(keep) == len(node.inputs):
+        return None
+    if not keep:
+        return Values(node.columns, ())
+    if len(keep) == 1:
+        child, branch = keep[0]
+        assignments = tuple(
+            (out, ColumnRef(src)) for out, src in zip(node.columns, branch)
         )
+        return Project(child, assignments)
+    return UnionAll(
+        tuple(child for child, _ in keep),
+        node.columns,
+        tuple(branch for _, branch in keep),
+    )
+
+
+#: Cleanup's structural rewrite per operator type, with the name it
+#: records.
+_STRUCTURAL = {
+    Filter: ("remove_trivial_filters", _remove_trivial_filter),
+    Project: ("merge_projections", _merge_projections),
+    UnionAll: ("prune_union_branches", _prune_union_branches),
+}

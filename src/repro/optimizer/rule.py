@@ -45,6 +45,9 @@ class RewriteRule(PlanPass):
     #: and kept only if it costs no worse.  Declining returns the
     #: original node, so the fixpoint loop still terminates.
     cost_gated: bool = False
+    #: When True, :meth:`rewrite` records what fired itself (under
+    #: finer names than the rule's own) and :meth:`run` records nothing.
+    records_itself: bool = False
 
     @abc.abstractmethod
     def rewrite(self, node: PlanNode, ctx: OptimizerContext) -> PlanNode | None:
@@ -62,48 +65,13 @@ class RewriteRule(PlanPass):
                 if self.cost_gated and not ctx.choose(self.name, node, rewritten):
                     return node
                 changed = True
-                ctx.record(self.name)
+                if not self.records_itself:
+                    ctx.record(self.name)
                 return rewritten
 
             plan = transform_up(plan, apply)
             if not changed:
                 return plan
-        return plan
-
-
-class Pipeline:
-    """An ordered sequence of passes."""
-
-    def __init__(self, passes: list[PlanPass]):
-        self.passes = passes
-
-    def run(self, plan: PlanNode, ctx: OptimizerContext) -> PlanNode:
-        validate = ctx.config.validate_plans
-        analyzer = FactAnalyzer(ctx.catalog) if validate else None
-        if validate:
-            _checked(plan, ctx, "pipeline input")
-            facts = analyzer.facts(plan)
-        for plan_pass in self.passes:
-            before = plan
-            plan = plan_pass.run(plan, ctx)
-            if plan is None:  # defensive: a buggy pass returned nothing
-                raise OptimizerError(f"pass {plan_pass.name} returned None")
-            if validate and plan is not before:
-                _checked(plan, ctx, plan_pass.name)
-                # Fact-drift check: re-derive column facts and fail
-                # with per-rule blame if the rewritten plan's facts
-                # *contradict* the input's — precision may move, but
-                # two sound analyses of equivalent plans can never
-                # definitely disagree (see fact_conflicts).
-                after = analyzer.facts(plan)
-                conflicts = fact_conflicts(facts, after, plan.output_columns)
-                if conflicts:
-                    raise OptimizerError(
-                        f"rule {plan_pass.name!r} produced a plan whose "
-                        f"derived facts contradict its input: "
-                        + "; ".join(conflicts)
-                    )
-                facts = after
         return plan
 
 
@@ -117,4 +85,35 @@ def _checked(plan: PlanNode, ctx: OptimizerContext, origin: str) -> None:
 
 
 def run_pipeline(plan: PlanNode, passes: list[PlanPass], ctx: OptimizerContext) -> PlanNode:
-    return Pipeline(passes).run(plan, ctx)
+    """Run ``passes`` in order over ``plan``.
+
+    Under ``validate_plans`` the input and every changed plan are
+    re-validated, and their derived column facts re-checked, with
+    failures naming the pass."""
+    validate = ctx.config.validate_plans
+    analyzer = FactAnalyzer(ctx.catalog) if validate else None
+    if validate:
+        _checked(plan, ctx, "pipeline input")
+        facts = analyzer.facts(plan)
+    for plan_pass in passes:
+        before = plan
+        plan = plan_pass.run(plan, ctx)
+        if plan is None:  # defensive: a buggy pass returned nothing
+            raise OptimizerError(f"pass {plan_pass.name} returned None")
+        if validate and plan is not before:
+            _checked(plan, ctx, plan_pass.name)
+            # Fact-drift check: re-derive column facts and fail with
+            # per-rule blame if the rewritten plan's facts *contradict*
+            # the input's — precision may move, but two sound analyses
+            # of equivalent plans can never definitely disagree (see
+            # fact_conflicts).
+            after = analyzer.facts(plan)
+            conflicts = fact_conflicts(facts, after, plan.output_columns)
+            if conflicts:
+                raise OptimizerError(
+                    f"rule {plan_pass.name!r} produced a plan whose "
+                    f"derived facts contradict its input: "
+                    + "; ".join(conflicts)
+                )
+            facts = after
+    return plan

@@ -57,7 +57,7 @@ from repro.errors import OptimizerError
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.context import OptimizerContext
 from repro.optimizer.pipeline import optimize
-from repro.optimizer.rule import Pipeline, PlanPass
+from repro.optimizer.rule import PlanPass, run_pipeline
 from repro.sql.binder import Binder
 from repro.testing.generator import QueryGenerator
 
@@ -264,7 +264,7 @@ class TestPlantedUnsoundRewrites:
         catalog, binder = env
         plan = binder.bind_sql(sql).plan
         ctx = OptimizerContext(catalog, OptimizerConfig(validate_plans=True))
-        Pipeline([planted]).run(plan, ctx)
+        run_pipeline(plan, [planted], ctx)
 
     def test_constant_lie_is_blamed(self, env):
         with pytest.raises(OptimizerError, match="planted_const_lie"):

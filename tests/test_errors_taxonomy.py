@@ -38,7 +38,7 @@ from repro.errors import (
     WorkerPoolError,
 )
 from repro.optimizer.config import OptimizerConfig
-from repro.optimizer.rewrites.simplify import SimplifyExpressions
+from repro.optimizer.rewrites.simplify import Cleanup
 from repro.storage.columnar import Store
 from repro.storage.faults import FaultInjector
 
@@ -111,7 +111,7 @@ def test_execution_error_scalar_subquery_cardinality(session):
 
 
 def test_optimizer_error_buggy_pass(session, monkeypatch):
-    monkeypatch.setattr(SimplifyExpressions, "run", lambda self, plan, ctx: None)
+    monkeypatch.setattr(Cleanup, "run", lambda self, plan, ctx: None)
     with pytest.raises(OptimizerError, match="returned None"):
         session.execute("SELECT id FROM people")
 
@@ -120,16 +120,16 @@ def test_plan_error_dangling_column_names_the_pass(monkeypatch):
     # A pass that leaves a reference to a column nothing produces: under
     # validate_plans the validator's PlanError surfaces through the
     # pipeline, which names the pass.
-    original = SimplifyExpressions.run
+    original = Cleanup.run
     ghost = Column(10**6, "ghost", DataType.INTEGER)
 
     def sabotage(self, plan, ctx):
         plan = original(self, plan, ctx)
         return Filter(plan, Comparison(">", ColumnRef(ghost), integer(0)))
 
-    monkeypatch.setattr(SimplifyExpressions, "run", sabotage)
+    monkeypatch.setattr(Cleanup, "run", sabotage)
     session = Session(_store(), OptimizerConfig(validate_plans=True))
-    with pytest.raises(OptimizerError, match="'simplify_expressions'.*ghost") as info:
+    with pytest.raises(OptimizerError, match="'cleanup'.*ghost") as info:
         session.execute("SELECT age, count(*) AS n FROM people GROUP BY age")
     assert isinstance(info.value.__cause__, PlanError)
 

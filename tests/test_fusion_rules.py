@@ -29,7 +29,7 @@ from repro.optimizer.fusion_rules import (
     UnionAllOnJoin,
 )
 from repro.optimizer.rewrites import (
-    MergeProjections,
+    Cleanup,
     PredicatePushdown,
     RemoveScalarSubqueries,
 )
@@ -142,7 +142,7 @@ class TestJoinOnKeys:
         )
         plan = binder.bind_sql(sql).plan
         plan = RemoveScalarSubqueries().run(plan, ctx)
-        plan = MergeProjections().run(plan, ctx)
+        plan = Cleanup().run(plan, ctx)
         rewritten = check(JoinOnKeys(), plan, store, ctx)
         assert scan_tables(rewritten).count("orders") == 1
         grouped = collect(rewritten, GroupBy)

@@ -3,15 +3,18 @@ engine driver."""
 
 import pytest
 
-from repro.algebra.operators import Filter, PlanNode, Scan, Window
-from repro.algebra.visitors import collect
+from repro.algebra.expressions import FALSE, TRUE
+from repro.algebra.operators import Filter, PlanNode, Project, Scan, Window
+from repro.algebra.visitors import collect, walk_plan
 from repro.catalog.catalog import Catalog
 from repro.optimizer.config import BASELINE, FUSION, OptimizerConfig
 from repro.optimizer.context import OptimizerContext
 from repro.optimizer.pipeline import build_pipeline, optimize
 from repro.optimizer.rule import PlanPass, RewriteRule, run_pipeline
 from repro.sql.binder import Binder
-from repro.tpcds.queries import STUDIED_QUERIES
+from repro.testing.generator import QueryGenerator
+from repro.tpcds.queries import STUDIED_QUERIES, WORKLOAD_QUERIES
+from repro.tpcds.workload import FUSION_RULE_NAMES
 
 
 class TestConfig:
@@ -24,21 +27,30 @@ class TestConfig:
         assert not derived.enable_fusion
         assert derived.fusion_min_rows == FUSION.fusion_min_rows
 
-    def test_fusion_rules_enabled_logic(self):
-        assert FUSION.fusion_rules_enabled()
-        assert not BASELINE.fusion_rules_enabled()
-        partial = OptimizerConfig(
-            enable_groupby_join_to_window=False,
-            enable_join_on_keys=False,
-            enable_union_all=False,
-            enable_union_all_on_join=False,
-        )
-        assert not partial.fusion_rules_enabled()
+
+def drop_passes(monkeypatch, names) -> None:
+    """Make ``optimize`` run the pipeline without the passes ``names``
+    (the per-rule ablation: the default pass list, filtered)."""
+    from repro.optimizer import pipeline
+
+    full = pipeline.build_pipeline
+    monkeypatch.setattr(
+        pipeline,
+        "build_pipeline",
+        lambda config: [p for p in full(config) if p.name not in names],
+    )
 
 
 class TestPipelineAssembly:
     def names(self, config):
         return [type(p).__name__ for p in build_pipeline(config)]
+
+    @pytest.mark.parametrize(
+        "config,slots",
+        [(FUSION, 23), (BASELINE, 19), (OptimizerConfig(cost_based=True), 23)],
+    )
+    def test_slot_counts(self, config, slots):
+        assert len(build_pipeline(config)) == slots
 
     def test_fusion_pipeline_contains_all_rules(self):
         names = self.names(FUSION)
@@ -65,12 +77,11 @@ class TestPipelineAssembly:
         names = self.names(FUSION)
         assert names.index("SemiJoinToDistinctJoin") < names.index("JoinOnKeys")
 
-    def test_per_rule_toggles(self, tpcds_store):
+    def test_per_rule_toggles(self, tpcds_store, monkeypatch):
         from repro.engine.session import Session
 
-        config = OptimizerConfig(enable_groupby_join_to_window=False)
-        session = Session(tpcds_store, config)
-        result = session.execute(STUDIED_QUERIES["q65"])
+        drop_passes(monkeypatch, {"groupby_join_to_window"})
+        result = Session(tpcds_store, FUSION).execute(STUDIED_QUERIES["q65"])
         assert "groupby_join_to_window" not in set(result.fired_rules)
         assert not collect(result.optimized_plan, Window)
 
@@ -84,21 +95,13 @@ class TestPipelineAssembly:
         ],
     )
     def test_each_rule_alone_carries_its_case_study(
-        self, rule, query, tpcds_store, baseline_session
+        self, rule, query, tpcds_store, baseline_session, monkeypatch
     ):
         from repro.engine.session import Session
 
-        others = {
-            f"enable_{name}": name == rule
-            for name in (
-                "groupby_join_to_window",
-                "join_on_keys",
-                "union_all_on_join",
-                "union_all",
-            )
-        }
+        drop_passes(monkeypatch, FUSION_RULE_NAMES - {rule})
         sql = STUDIED_QUERIES[query]
-        result = Session(tpcds_store, OptimizerConfig(**others)).execute(sql)
+        result = Session(tpcds_store, FUSION).execute(sql)
         baseline = baseline_session.execute(sql)
         assert rule in result.fired_rules
         assert result.sorted_rows() == baseline.sorted_rows()
@@ -215,3 +218,39 @@ class TestCostHeuristics:
         strict = OptimizerContext(catalog, OptimizerConfig(fusion_min_rows=10**12))
         assert permissive.worth_fusing(scan_plan)
         assert not strict.worth_fusing(scan_plan)
+
+
+def stacked_operators(plan: PlanNode) -> list[str]:
+    """The cleanup shapes a finished plan must not hold."""
+    found = []
+    for node in walk_plan(plan):
+        if isinstance(node, Project) and isinstance(node.child, Project):
+            found.append("Project over Project")
+        if isinstance(node, Filter) and isinstance(node.child, Filter):
+            found.append("Filter over Filter")
+        if isinstance(node, Filter) and node.condition in (TRUE, FALSE):
+            found.append(f"Filter({node.condition})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "config",
+    [FUSION, BASELINE, OptimizerConfig(cost_based=True)],
+    ids=["default", "baseline", "costed"],
+)
+def test_no_stacked_operators_survive_the_pipeline(tpcds_store, config):
+    """The joint Cleanup fixpoint leaves no Project directly over a
+    Project, no Filter over a Filter and no constant Filter, on the
+    named queries and on a fuzz stream."""
+    catalog = Catalog()
+    tpcds_store.load_catalog(catalog)
+    generator = QueryGenerator(catalog, seed=0)
+    queries = dict(WORKLOAD_QUERIES)
+    queries.update((f"fuzz #{i}", generator.generate().render()) for i in range(500))
+    bad = {}
+    for name, sql in queries.items():
+        optimized, _ = optimize(Binder(catalog).bind_sql(sql).plan, catalog, config)
+        found = stacked_operators(optimized)
+        if found:
+            bad[name] = found
+    assert not bad

@@ -30,18 +30,15 @@ from repro.engine.metrics import RunContext
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.context import OptimizerContext
 from repro.optimizer.rewrites import (
+    Cleanup,
     DecorrelateScalarAggregates,
     DistinctPushdown,
     FactorAggregateMasks,
     LowerDistinctAggregates,
-    MergeProjections,
     PredicatePushdown,
     ProjectionPruning,
-    PruneUnionBranches,
     RemoveScalarSubqueries,
-    RemoveTrivialFilters,
     SemiJoinToDistinctJoin,
-    SimplifyExpressions,
 )
 from repro.sql.binder import Binder
 
@@ -198,14 +195,14 @@ class TestCleanupRules:
         store, binder, ctx = env
         scan = binder.bind_sql("SELECT id FROM people").plan
         plan = Filter(scan, TRUE)
-        assert RemoveTrivialFilters().run(plan, ctx) == scan
+        assert Cleanup().run(plan, ctx) == scan
 
     def test_false_filter_becomes_empty_values(self, env):
         store, binder, ctx = env
         scan = binder.bind_sql("SELECT id FROM people").plan
         from repro.algebra.expressions import FALSE
 
-        plan = RemoveTrivialFilters().run(Filter(scan, FALSE), ctx)
+        plan = Cleanup().run(Filter(scan, FALSE), ctx)
         values = collect(plan, Values)
         assert values and values[0].rows == ()
 
@@ -214,7 +211,7 @@ class TestCleanupRules:
         scan = binder.bind_sql("SELECT id, age FROM people").plan
         c1 = Comparison(">", ColumnRef(scan.output_columns[1]), integer(10))
         c2 = Comparison("<", ColumnRef(scan.output_columns[1]), integer(50))
-        merged = RemoveTrivialFilters().run(Filter(Filter(scan, c1), c2), ctx)
+        merged = Cleanup().run(Filter(Filter(scan, c1), c2), ctx)
         assert count_nodes(merged, Filter) == 1
 
     def test_projects_compose(self, env):
@@ -222,24 +219,30 @@ class TestCleanupRules:
         plan = binder.bind_sql(
             "SELECT y + 1 AS z FROM (SELECT age + 1 AS y FROM people) t"
         ).plan
-        merged = MergeProjections().run(plan, ctx)
+        merged = Cleanup().run(plan, ctx)
         assert count_nodes(merged, Project) == 1
         check_preserves(plan, merged, store)
+
+    def test_each_rewrite_recorded_under_its_own_name(self, env):
+        store, binder, ctx = env
+        plan = binder.bind_sql(
+            "SELECT y + 1 AS z FROM (SELECT age + 1 AS y FROM people) t"
+        ).plan
+        Cleanup().run(Filter(plan, TRUE), ctx)
+        assert set(ctx.fired) == {"merge_projections", "remove_trivial_filters"}
 
     def test_identity_project_removed(self, env):
         store, binder, ctx = env
         scan = collect(binder.bind_sql("SELECT id FROM people").plan, Scan)[0]
         plan = Project.identity(scan)
-        assert MergeProjections().run(plan, ctx) == scan
+        assert Cleanup().run(plan, ctx) == scan
 
     def test_empty_union_branch_pruned(self, env):
         store, binder, ctx = env
         plan = binder.bind_sql(
             "SELECT id AS v FROM people UNION ALL SELECT id FROM people WHERE FALSE"
         ).plan
-        plan = SimplifyExpressions().run(plan, ctx)
-        plan = RemoveTrivialFilters().run(plan, ctx)
-        pruned = PruneUnionBranches().run(plan, ctx)
+        pruned = Cleanup().run(plan, ctx)
         assert not collect(pruned, UnionAll)
         validate_plan(pruned)
 
@@ -365,7 +368,7 @@ class TestSemiJoinRules:
             "SELECT DISTINCT c2 FROM (SELECT cities.city_id AS c2 FROM people "
             "JOIN cities ON people.city_id = cities.city_id) t"
         ).plan
-        plan = MergeProjections().run(plan, ctx)
+        plan = Cleanup().run(plan, ctx)
         rewritten = DistinctPushdown().run(plan, ctx)
         grouped = collect(rewritten, GroupBy)
         assert len(grouped) >= 2  # distinct on both sides now

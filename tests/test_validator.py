@@ -3,7 +3,7 @@
 Each test hand-builds (or sabotages) a plan violating one invariant
 and asserts :func:`repro.algebra.validator.validate_plan` (or
 ``validate_fusion_result``) rejects it with a diagnostic naming the
-problem — and, through a ``Pipeline`` with ``validate_plans=True``,
+problem — and, through :func:`run_pipeline` with ``validate_plans=True``,
 that the resulting ``OptimizerError`` names the responsible rule.
 """
 
@@ -37,7 +37,7 @@ from repro.fusion.mapping import ColumnMapping
 from repro.fusion.result import FusionResult
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.context import OptimizerContext
-from repro.optimizer.rule import Pipeline, PlanPass
+from repro.optimizer.rule import PlanPass, run_pipeline
 from repro.sql.binder import Binder
 
 
@@ -244,7 +244,7 @@ class TestBadPlans:
 
         ctx = OptimizerContext(catalog, OptimizerConfig(validate_plans=True))
         with pytest.raises(OptimizerError, match="planted_type_mixer"):
-            Pipeline([MixesTypes()]).run(plan, ctx)
+            run_pipeline(plan, [MixesTypes()], ctx)
 
 
 class TestBadFusionResults:
@@ -346,23 +346,20 @@ class TestPipelineValidation:
 
     def test_offending_rule_is_named(self, env):
         plan, ctx = self.plan_and_ctx(env, validate=True)
-        pipeline = Pipeline([_IdentityPass(), _SabotagePass()])
         with pytest.raises(OptimizerError, match="sabotage_pass"):
-            pipeline.run(plan, ctx)
+            run_pipeline(plan, [_IdentityPass(), _SabotagePass()], ctx)
 
     def test_disabled_by_default(self, env):
         plan, ctx = self.plan_and_ctx(env, validate=False)
-        pipeline = Pipeline([_SabotagePass()])
         # Without validation the broken plan sails through the
         # optimizer (and would only fail later, at execution).
-        result = pipeline.run(plan, ctx)
+        result = run_pipeline(plan, [_SabotagePass()], ctx)
         assert isinstance(result, Filter)
 
     def test_innocent_pass_not_blamed(self, env):
         plan, ctx = self.plan_and_ctx(env, validate=True)
-        pipeline = Pipeline([_SabotagePass(), _IdentityPass()])
         with pytest.raises(OptimizerError, match="sabotage_pass"):
-            pipeline.run(plan, ctx)
+            run_pipeline(plan, [_SabotagePass(), _IdentityPass()], ctx)
 
     def test_fuser_validates_when_configured(self, env):
         catalog, binder = env
