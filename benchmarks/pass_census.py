@@ -3,8 +3,9 @@
 For every slot of ``build_pipeline`` under the default, baseline and
 costed configurations it counts the plans whose fingerprint the slot
 changed and the time spent inside the slot, over the 32 named queries
-(fixture data: scale 0.05, seed 7) and over seeded fuzz streams
-(``QueryGenerator`` on the fuzzer's data: scale 0.01, seed 7).  One
+(fixture data: scale 0.05, seed 7) and over fuzz seeds 0 and 1, 1000
+queries each (``QueryGenerator`` on the fuzzer's data: scale 0.01,
+seed 7); ``--smoke`` runs seed 0 x 20 with the named queries at 0.01.  One
 table per configuration is printed; a slot that changes no named-query
 plan is marked ``idle``.
 
@@ -56,11 +57,12 @@ def _queries(args) -> list[tuple[str, str, str, Catalog]]:
     named = _catalog(0.01 if args.smoke else 0.05)
     queries = [("named", name, sql, named) for name, sql in WORKLOAD_QUERIES.items()]
     fuzz = _catalog(0.01)
-    for seed in args.seeds:
+    seeds, count = ([0], 20) if args.smoke else ([0, 1], 1000)
+    for seed in seeds:
         generator = QueryGenerator(fuzz, seed=seed)
         queries += [
             ("fuzz", f"s{seed}#{i}", generator.generate().render(), fuzz)
-            for i in range(args.count)
+            for i in range(count)
         ]
     return queries
 
@@ -119,14 +121,10 @@ def growth(report: dict, parent: dict) -> list[tuple[int, str]]:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="*", default=[0, 1])
-    parser.add_argument("--count", type=int, default=1000, help="queries per fuzz seed")
     parser.add_argument("--smoke", action="store_true", help="seed 0 x 20, named queries at 0.01")
     parser.add_argument("--save", help="write the report (with node counts) here")
     parser.add_argument("--parent", help="a saved report to compare node counts with")
     args = parser.parse_args(argv)
-    if args.smoke:
-        args.seeds, args.count = [0], 20
     report = census(args)
     print_report(report)
     if args.save:
