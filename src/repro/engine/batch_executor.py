@@ -6,7 +6,7 @@ per output column plus a row count — produced at the scan directly
 from the storage layer's column chunks (no per-row tuple construction
 before the filter) and carried through Filter/Project/UnionAll in
 columnar form.  A column is a Python list *or* a
-:class:`~repro.engine.vectors.NumpyVector`.  There is one operator
+:class:`~repro.storage.columnar.NumpyVector`.  There is one operator
 table (``BLOCK_OPERATORS``) and one dispatch (:func:`execute_blocks`),
 and every operator takes either representation; which one a run uses is
 a scan fact: under ``vectors="numpy"`` (the default) scans hand out
@@ -101,17 +101,16 @@ from repro.engine.keyed import (
 )
 from repro.engine.metrics import RunContext
 from repro.engine.vectors import (
-    NumpyVector,
     _and_valid,
     accumulate_block,
     compact_block,
     compile_expression_block,
-    delist,
     np,
     take_rows,
     true_lanes,
 )
 from repro.errors import ExecutionError
+from repro.storage.columnar import NumpyVector, delist
 
 #: Default rows per block — large enough to amortize per-block costs,
 #: small enough to keep resident intermediates bounded.

@@ -30,15 +30,8 @@ from itertools import chain, compress, count
 from operator import eq
 
 from repro.engine.evaluator import Aggregator, canon_key
-from repro.engine.vectors import (
-    _INT_GUARD,
-    NumpyVector,
-    _and_valid,
-    delist,
-    np,
-    take_rows,
-    true_mask,
-)
+from repro.engine.vectors import _and_valid, np, take_rows, true_mask
+from repro.storage.columnar import _INT_GUARD, NumpyVector, delist
 
 
 def buffer_blocks(blocks, width: int, ctx):

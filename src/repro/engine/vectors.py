@@ -1,12 +1,15 @@
-"""Block expression compiler and column vectors.
+"""Block expression compiler and block kernels over column vectors.
 
 Every block-at-a-time consumer — the block engine's operators, over
 lists or vectors, the join included — evaluates expressions through
 :func:`compile_expression_block`: one ``(cols, n) -> column`` closure
 tree whose handlers pick their path from the *representation* of the
 operands they receive at run time.  A block column is either a Python
-list or a :class:`NumpyVector` (a NumPy array plus an optional
-validity mask; scans hand these out with ``as_vectors=True``).  A
+list or a :class:`~repro.storage.columnar.NumpyVector` (a NumPy array
+plus an optional validity mask).  Storage decides what a column looks
+like: a numeric chunk is stored as a vector, built once at table
+build, and scans hand it out as is with ``as_vectors=True`` and
+delisted otherwise.  A
 handler takes the array path when an operand is a ``NumpyVector`` and
 the list-comprehension path otherwise, so ``vectors="python"`` runs
 the very same closures over lists, and one stream may mix the two (a
@@ -59,7 +62,6 @@ from __future__ import annotations
 
 import operator
 import threading
-import zlib
 from typing import Callable
 
 import numpy as np
@@ -81,7 +83,6 @@ from repro.algebra.expressions import (
     columns_in,
     walk,
 )
-from repro.algebra.types import DataType
 from repro.engine.evaluator import (
     SCALAR_FUNCTIONS,
     _like_pattern,
@@ -89,117 +90,11 @@ from repro.engine.evaluator import (
     env_free,
 )
 from repro.errors import ExecutionError
-
-#: Exact Python element type required per storage dtype.  Mixed-type or
-#: otherwise ineligible columns stay Python lists — round-tripping a
-#: value through the array must preserve its exact type, or engines
-#: would disagree on output rows (``3`` vs ``3.0``) and sort keys.
-_ELEMENT_TYPES = {
-    DataType.INTEGER: int,
-    DataType.DATE: int,  # DATE is an integer day number
-    DataType.DOUBLE: float,
-    DataType.BOOLEAN: bool,
-}
-
-_NP_DTYPES = {int: "int64", float: "float64", bool: "bool"}
-
-#: int64 magnitude guard: array + - * and array sums run only while
-#: operand magnitudes cannot reach this (Python ints are exact).
-_INT_GUARD = 1 << 62
+from repro.storage.columnar import _INT_GUARD, NumpyVector, delist
 
 #: Largest int magnitude a float64 holds exactly: array division and
 #: int-vs-float comparison convert ints to doubles.
 _FLOAT_EXACT = 1 << 53
-
-
-class NumpyVector:
-    """One column vector: ``data`` ndarray + optional validity mask.
-
-    ``valid`` is ``None`` when every lane is valid, else a bool array
-    where False marks NULL.  Instances are immutable by the same
-    convention as list blocks; slicing returns views.
-    """
-
-    __slots__ = ("data", "valid")
-
-    def __init__(self, data, valid=None):
-        self.data = data
-        self.valid = valid
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __iter__(self):
-        return iter(self.tolist())
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            valid = self.valid
-            return NumpyVector(
-                self.data[item], None if valid is None else valid[item]
-            )
-        if self.valid is not None and not self.valid[item]:
-            return None
-        return self.data[item].item()
-
-    def tolist(self) -> list:
-        out = self.data.tolist()
-        if self.valid is None:
-            return out
-        return [
-            v if ok else None for v, ok in zip(out, self.valid.tolist())
-        ]
-
-    def take(self, indexes) -> "NumpyVector":
-        valid = self.valid
-        return NumpyVector(
-            self.data[indexes], None if valid is None else valid[indexes]
-        )
-
-    def checksum(self) -> int:
-        """Content digest over the raw array buffers (C-speed; no
-        re-tupling of Python values)."""
-        crc = zlib.crc32(memoryview(np.ascontiguousarray(self.data)))
-        if self.valid is not None:
-            crc = zlib.crc32(
-                memoryview(np.ascontiguousarray(self.valid)), crc
-            )
-        return crc
-
-
-def vector_from_values(values: list, dtype: DataType) -> NumpyVector | None:
-    """Convert one column's Python values to a vector, or ``None`` when
-    the column is ineligible (strings, mixed element types, ints beyond
-    the int64 guard)."""
-    element = _ELEMENT_TYPES.get(dtype)
-    if element is None:
-        return None
-    has_null = False
-    for v in values:
-        if v is None:
-            has_null = True
-        elif type(v) is not element:
-            return None
-        elif element is int and not -_INT_GUARD < v < _INT_GUARD:
-            return None
-    np_dtype = _NP_DTYPES[element]
-    try:
-        if not has_null:
-            return NumpyVector(np.array(values, dtype=np_dtype))
-        data = np.array(
-            [0 if v is None else v for v in values], dtype=np_dtype
-        )
-        valid = np.array([v is not None for v in values], dtype=bool)
-        return NumpyVector(data, valid)
-    except (OverflowError, ValueError):  # pragma: no cover - guarded above
-        return None
-
-
-def delist(column):
-    """A plain Python list view of a column (no-op for lists)."""
-    if type(column) is NumpyVector:
-        return column.tolist()
-    return column
 
 
 # -- runtime values ------------------------------------------------------

@@ -12,6 +12,12 @@ needs, and only those chunks are charged to the
 that drops a duplicate scan, or prunes columns/partitions, directly
 shows up as fewer bytes scanned, exactly the Figure-2 axis.
 
+Each chunk is stored once, in the representation the engines read:
+a read-only :class:`NumpyVector` for INTEGER / DATE / DOUBLE / BOOLEAN
+values that fit one (:func:`vector_from_values`), a Python list for
+the rest (strings, mixed element types, ints at or beyond ±2**62).
+The row engine and ``vectors="python"`` read a vector chunk delisted.
+
 Reads are also *fault tolerant*: every chunk carries a build-time
 content checksum that is re-verified on read (corruption raises
 :class:`~repro.errors.DataCorruptionError` and evicts any plan-cache
@@ -24,8 +30,11 @@ read succeeds.
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import dataclass, field
+import pickle
+import zlib
+from dataclasses import dataclass
 from time import sleep as _sleep
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -35,41 +44,140 @@ from repro.algebra.types import DataType, encoded_bytes
 from repro.catalog.catalog import Catalog, TableDef
 from repro.errors import CatalogError, DataCorruptionError, TransientReadError
 
+#: Exact Python element type required per storage dtype.  Mixed-type or
+#: otherwise ineligible columns stay Python lists — round-tripping a
+#: value through the array must preserve its exact type, or engines
+#: would disagree on output rows (``3`` vs ``3.0``) and sort keys.
+_ELEMENT_TYPES = {
+    DataType.INTEGER: int,
+    DataType.DATE: int,  # DATE is an integer day number
+    DataType.DOUBLE: float,
+    DataType.BOOLEAN: bool,
+}
 
-def chunk_checksum(values: Sequence) -> int:
-    """Content digest of a column vector.
+_NP_DTYPES = {int: "int64", float: "float64", bool: "bool"}
 
-    Python's tuple hash: C-speed, stable within a process (checksums
-    never persist across processes), and sensitive to any single-value
-    change — which is exactly the bit-flip corruption model the fault
-    injector implements.  An ndarray hashes its raw buffer directly —
-    no per-element boxing.
+#: int64 magnitude guard: ints at or beyond it keep their column a
+#: list, and array + - * and array sums run only while operand
+#: magnitudes cannot reach it (Python ints are exact).
+_INT_GUARD = 1 << 62
+
+
+class NumpyVector:
+    """One column vector: ``data`` ndarray + optional validity mask.
+
+    ``valid`` is ``None`` when every lane is valid, else a bool array
+    where False marks NULL.  Instances are immutable by the same
+    convention as list blocks (a stored chunk's arrays are read-only);
+    slicing returns views.
     """
-    if isinstance(values, np.ndarray):
-        return hash(values.tobytes())
-    return hash(tuple(values))
+
+    __slots__ = ("data", "valid")
+
+    def __init__(self, data, valid=None):
+        self.data = data
+        self.valid = valid
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            valid = self.valid
+            return NumpyVector(
+                self.data[item], None if valid is None else valid[item]
+            )
+        if self.valid is not None and not self.valid[item]:
+            return None
+        return self.data[item].item()
+
+    def tolist(self) -> list:
+        out = self.data.tolist()
+        if self.valid is None:
+            return out
+        return [
+            v if ok else None for v, ok in zip(out, self.valid.tolist())
+        ]
+
+    def take(self, indexes) -> "NumpyVector":
+        valid = self.valid
+        return NumpyVector(
+            self.data[indexes], None if valid is None else valid[indexes]
+        )
+
+
+def vector_from_values(values: list, dtype: DataType) -> NumpyVector | None:
+    """Convert one column's Python values to a read-only vector, or
+    ``None`` when the column is ineligible (strings, mixed element
+    types, ints at or beyond the int64 guard)."""
+    element = _ELEMENT_TYPES.get(dtype)
+    if element is None:
+        return None
+    has_null = False
+    for v in values:
+        if v is None:
+            has_null = True
+        elif type(v) is not element:
+            return None
+        elif element is int and not -_INT_GUARD < v < _INT_GUARD:
+            return None
+    np_dtype = _NP_DTYPES[element]
+    if has_null:
+        data = np.array([0 if v is None else v for v in values], dtype=np_dtype)
+        valid = np.array([v is not None for v in values], dtype=bool)
+        valid.flags.writeable = False
+    else:
+        data, valid = np.array(values, dtype=np_dtype), None
+    data.flags.writeable = False
+    return NumpyVector(data, valid)
+
+
+def delist(column):
+    """A plain Python list view of a column (no-op for lists)."""
+    if type(column) is NumpyVector:
+        return column.tolist()
+    return column
+
+
+def chunk_checksum(values) -> int:
+    """Content digest of a column chunk, over whichever representation
+    it holds.
+
+    A vector digests its raw array buffers (CRC32, C-speed, no
+    per-element boxing).  A list digests its pickled bytes: floats are
+    pickled as their exact bits and ints exactly, so one flipped bit in
+    any lane — the fault injector's corruption model — always changes
+    the digest (``hash(tuple(...))`` misses some: ``hash(-1) ==
+    hash(-2)``).  Memoization is off, so equal content gives an equal
+    digest whatever objects the list shares.
+    """
+    if type(values) is NumpyVector:
+        crc = zlib.crc32(values.data)
+        return crc if values.valid is None else zlib.crc32(values.valid, crc)
+    out = io.BytesIO()
+    pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(values)
+    return zlib.crc32(out.getbuffer())
 
 
 @dataclass
 class ColumnChunk:
-    """One column's values within one partition."""
+    """One column's values within one partition: a :class:`NumpyVector`
+    when :func:`vector_from_values` accepts them, else a Python list."""
 
     name: str
     dtype: DataType
-    values: list
+    values: NumpyVector | list
     encoded_size: float
     min_value: object | None = None
     max_value: object | None = None
     #: Build-time content digest; None disables verification (chunks
     #: constructed directly in tests).
     checksum: int | None = None
-    #: Lazily-built NumPy view of ``values`` (see :meth:`vector`), its
-    #: CRC at build time, and the build state ("unbuilt" = not yet
-    #: attempted, "none" = ineligible values, "built").  Excluded from
-    #: equality/repr: caches, not content.
-    _vector: object = field(default=None, compare=False, repr=False)
-    _vector_crc: int | None = field(default=None, compare=False, repr=False)
-    _vector_state: str = field(default="unbuilt", compare=False, repr=False)
 
     @classmethod
     def build(
@@ -93,57 +201,18 @@ class ColumnChunk:
                 min_value = v
             elif v > max_value:
                 max_value = v
+        stored = vector_from_values(values, dtype)
+        if stored is None:
+            stored = values
         return cls(
             name,
             dtype,
-            values,
+            stored,
             per_value * len(values),
             min_value,
             max_value,
-            chunk_checksum(values),
+            chunk_checksum(stored),
         )
-
-    def vector(self):
-        """The chunk's NumPy-backed vector (a
-        :class:`~repro.engine.vectors.NumpyVector`), or None when the
-        values are ineligible (mixed types, strings, huge ints).
-
-        Built lazily on first request and cached; callers must only
-        ask *after* a verified read (``Store._read_chunk_values``), so
-        the cached arrays — and the CRC taken over them at build time —
-        are known-good.  Anything that mutates ``values`` afterwards
-        must call :meth:`invalidate_vector`.
-        """
-        from repro.engine.vectors import vector_from_values
-
-        if self._vector_state == "unbuilt":
-            vec = vector_from_values(self.values, self.dtype)
-            if vec is None:
-                self._vector_state = "none"
-            else:
-                self._vector = vec
-                self._vector_crc = vec.checksum()
-                self._vector_state = "built"
-        return self._vector
-
-    def invalidate_vector(self) -> None:
-        """Drop the cached vector (the stored values changed)."""
-        self._vector = None
-        self._vector_crc = None
-        self._vector_state = "unbuilt"
-
-
-def _chunk_intact(chunk: "ColumnChunk") -> bool:
-    """Per-read digest check.  A chunk with a cached vector verifies
-    via CRC over the array buffers — no per-element re-tupling — which
-    is what makes repeated scans of hot chunks cheap.  Any mutation of
-    the stored list goes through :meth:`ColumnChunk.invalidate_vector`
-    (the fault injector does), dropping back to the exact list check;
-    :meth:`Store.verify_integrity` always sweeps the lists.
-    """
-    if chunk._vector is not None and chunk._vector_crc is not None:
-        return chunk._vector.checksum() == chunk._vector_crc
-    return chunk_checksum(chunk.values) == chunk.checksum
 
 
 @dataclass
@@ -363,23 +432,27 @@ class Store:
             nulls = 0
             chunks = [part.chunk(cdef.name) for part in stored.partitions]
             for chunk in chunks:
-                for value in chunk.values:
-                    if value is None:
-                        nulls += 1
-                    else:
-                        distinct.add(value)
+                values = delist(chunk.values)
+                distinct.update(values)
+                nulls += values.count(None)
+            distinct.discard(None)
             # Chunk bounds skip NaN, which lies outside every range: a
             # column holding one gets no catalog bounds.  A float sum is
             # NaN when a term is (or when +inf meets -inf, where no
-            # bounds is merely imprecise), at C speed over the set.
+            # bounds is merely imprecise), at C speed over the set.  The
+            # set keeps each NaN object apart; all NaNs count as one
+            # value, as GROUP BY's ``canon_key`` makes them.
+            ndv = len(distinct)
             bounded = [c for c in chunks if c.min_value is not None]
             if cdef.dtype is DataType.DOUBLE and math.isnan(sum(distinct)):
+                numbers = [v for v in distinct if v == v]
+                ndv = len(numbers) + (len(numbers) < ndv)
                 bounded = []
             catalog.set_column_stats(
                 definition.name,
                 cdef.name,
                 ColumnStats(
-                    ndv=len(distinct),
+                    ndv=ndv,
                     null_fraction=nulls / total if total else 0.0,
                     min_value=min(c.min_value for c in bounded) if bounded else None,
                     max_value=max(c.max_value for c in bounded) if bounded else None,
@@ -399,12 +472,13 @@ class Store:
         """Columnar fast path: yield ``(column_vectors, row_count)``
         blocks of the requested columns, charging accounting.
 
-        With ``as_vectors=True`` (the block engine's NumPy mode),
-        eligible columns come back as cached
-        :class:`~repro.engine.vectors.NumpyVector` chunks instead of
-        Python lists — same length, same logical values, NULLs carried
-        in a validity mask.  Ineligible columns (mixed types, strings)
-        still yield lists.
+        With ``as_vectors=True`` (the block engine's NumPy mode), each
+        column comes back as the chunk holds it: the stored
+        :class:`NumpyVector` (read-only arrays), or the stored list for
+        the columns :func:`vector_from_values` refuses (strings, mixed
+        types).  With ``as_vectors=False`` (the row engine, and
+        ``vectors="python"``) a vector chunk is delisted first, so every
+        column is a Python list — same length, same logical values.
 
         ``partition_predicate`` receives the *partition column's* chunk
         (with min/max) and returns False to prune the whole partition —
@@ -412,8 +486,8 @@ class Store:
         partitions larger than the limit are sliced into consecutive
         blocks (never spanning a partition boundary); accounting is
         identical either way, since it is charged per partition chunk.
-        Callers must treat the yielded vectors as immutable: small
-        partitions hand out the stored chunk lists by reference.
+        Callers must treat the yielded columns as immutable: a stored
+        list chunk is handed out by reference.
 
         ``runtime`` (a :class:`~repro.engine.metrics.RunContext`)
         supplies the retry policy for transient faults, deadline checks
@@ -448,12 +522,7 @@ class Store:
                 chunk = part.chunk(name)
                 values = self._read_chunk_values(stored.name, index, chunk, runtime)
                 accounting.record_chunk(stored.name, chunk.encoded_size)
-                if as_vectors:
-                    vec = chunk.vector()  # read verified just above
-                    if vec is not None:
-                        vectors.append(vec)
-                        continue
-                vectors.append(values)
+                vectors.append(values if as_vectors else delist(values))
             total = part.row_count
             if block_rows is None or total <= block_rows:
                 yield vectors, total
@@ -464,7 +533,7 @@ class Store:
 
     def _read_chunk_values(
         self, table: str, partition: int, chunk: ColumnChunk, runtime
-    ) -> list:
+    ) -> NumpyVector | list:
         """One chunk read: fault injection, checksum verification, and
         bounded retries of transient failures.
 
@@ -487,7 +556,7 @@ class Store:
                 if self.verify_checksums and chunk.checksum is not None:
                     if metrics is not None:
                         metrics.checksum_verifications += 1
-                    if not _chunk_intact(chunk):
+                    if chunk_checksum(chunk.values) != chunk.checksum:
                         if runtime is not None and runtime.plan_cache is not None:
                             runtime.plan_cache.invalidate_table(table)
                         raise DataCorruptionError(
@@ -514,7 +583,8 @@ class Store:
         Returns the number of chunks checked; raises
         :class:`~repro.errors.DataCorruptionError` naming the first
         mismatching chunk.  Tests use it to turn silent in-place
-        mutation of a handed-out block vector into a hard failure.
+        mutation of a handed-out list chunk into a hard failure (a
+        stored vector's arrays are read-only: writing one raises).
         """
         wanted = None if tables is None else {t.lower() for t in tables}
         checked = 0

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.errors import TransientReadError
+from repro.storage.columnar import NumpyVector
 
 #: A read site: (table, partition index, column), all lowercase.
 Site = tuple[str, int, str]
@@ -89,8 +90,9 @@ class FaultInjector:
     succeeds).  ``stall_rate``/``stall_ms`` add latency stalls the same
     way.  ``tables``/``columns`` restrict the blast radius by pattern.
     Corruption is targeted explicitly via :meth:`corrupt_chunk` — it is
-    a one-shot, in-place bit flip of a stored value, detected by the
-    chunk checksum on the next read.
+    a one-shot bit flip of one stored lane (in place in a list chunk, a
+    flipped copy swapped in for a vector chunk), detected by the chunk
+    checksum on the next read.
     """
 
     def __init__(
@@ -160,15 +162,20 @@ class FaultInjector:
     # -- hooks called by the Store ---------------------------------------
 
     def on_chunk_read(self, site: Site, chunk, attempt: int, metrics=None) -> None:
-        """Called before each chunk read attempt; may stall, corrupt the
-        stored chunk in place, or raise :class:`TransientReadError`."""
-        if site in self._corrupt_targets and chunk.values:
+        """Called before each chunk read attempt; may stall, corrupt one
+        lane of the stored chunk, or raise :class:`TransientReadError`."""
+        values = chunk.values
+        if site in self._corrupt_targets and values:
             self._corrupt_targets.discard(site)
-            index = _draw(self.seed, "victim", site) % len(chunk.values)
-            chunk.values[index] = bit_flip(chunk.values[index])
-            # The stored list changed under any cached NumPy view; drop
-            # it so the next verification re-checks the real values.
-            chunk.invalidate_vector()
+            index = _draw(self.seed, "victim", site) % len(values)
+            if type(values) is list:
+                values[index] = bit_flip(values[index])
+            else:
+                # A stored vector is read-only: swap in a flipped copy.
+                data = values.data.copy()
+                data[index] = bit_flip(data[index].item())
+                data.flags.writeable = False
+                chunk.values = NumpyVector(data, values.valid)
             with self._stats_lock:
                 self.stats.corruptions += 1
             if metrics is not None:

@@ -13,10 +13,9 @@ import pytest
 from repro.algebra.schema import ColumnAllocator
 from repro.algebra.types import DataType
 from repro.catalog.catalog import Catalog, ColumnDef, TableDef
-from repro.engine import vectors
 from repro.engine.session import Session
 from repro.optimizer.config import OptimizerConfig
-from repro.storage.columnar import Store, StoredTable
+from repro.storage.columnar import Store, StoredTable, vector_from_values
 from repro.tpcds.generator import generate_dataset
 
 #: Small scale keeps the whole suite fast; large enough that every
@@ -36,7 +35,7 @@ def block_columns(columns, rows, representation: str) -> list:
     if representation != "lists":
         step = 1 if representation == "vectors" else 2
         for i in range(0, len(cols), step):
-            vec = vectors.vector_from_values(cols[i], columns[i].dtype)
+            vec = vector_from_values(cols[i], columns[i].dtype)
             if vec is not None:
                 cols[i] = vec
     return cols

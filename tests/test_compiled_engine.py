@@ -41,10 +41,9 @@ from repro.engine.compiled import execute_compiled
 from repro.engine.executor import execute
 from repro.engine.metrics import Profiler, ResourceLimits, RunContext
 from repro.engine.session import Session
-from repro.engine.vectors import NumpyVector
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.optimizer.config import OptimizerConfig
-from repro.storage.columnar import Store
+from repro.storage.columnar import NumpyVector, Store
 from repro.tpcds.queries import STUDIED_QUERIES
 from tests.conftest import simple_table
 

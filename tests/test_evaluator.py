@@ -29,15 +29,11 @@ from repro.algebra.expressions import (
 from repro.algebra.schema import Column
 from repro.algebra.types import DataType
 from repro.engine.evaluator import Aggregator, compile_expression
-from repro.engine.vectors import (
-    accumulate_block,
-    compile_expression_block,
-    vector_from_values,
-)
+from repro.engine.vectors import accumulate_block, compile_expression_block
 from repro.engine.session import Session
 from repro.errors import ExecutionError
 from repro.optimizer.config import OptimizerConfig
-from repro.storage.columnar import Store
+from repro.storage.columnar import Store, vector_from_values
 from tests.conftest import BLOCK_REPRESENTATIONS, block_columns, simple_table
 
 I = DataType.INTEGER

@@ -28,7 +28,14 @@ from repro.errors import (
 )
 from repro.optimizer.config import OptimizerConfig
 from repro.storage.accounting import ScanAccounting
-from repro.storage.columnar import Store, StoredTable, chunk_checksum
+from repro.storage.columnar import (
+    NumpyVector,
+    Store,
+    StoredTable,
+    chunk_checksum,
+    delist,
+    vector_from_values,
+)
 from repro.storage.faults import (
     NO_RETRY,
     FaultInjector,
@@ -239,10 +246,31 @@ def test_session_does_not_overwrite_existing_injector():
 def test_checksum_computed_at_build_and_verified_on_read():
     table = simple_table("t", [("c", DataType.INTEGER)], [(1,), (2,)])
     chunk = table.partitions[0].chunk("c")
-    assert chunk.checksum == chunk_checksum([1, 2])
+    assert chunk.checksum == chunk_checksum(vector_from_values([1, 2], DataType.INTEGER))
     session = _fresh_people_session()
     result = session.execute("SELECT sum(amount) FROM orders")
     assert result.metrics.checksum_verifications > 0
+
+
+@pytest.mark.parametrize(
+    "engine, vectors",
+    [("row", "numpy"), ("batch", "numpy"), ("batch", "python")],
+    ids=["row", "batch", "batch-lists"],
+)
+@pytest.mark.parametrize(
+    "table, column, kind",
+    [("orders", "amount", NumpyVector), ("people", "lname", list)],
+    ids=["vector", "list"],
+)
+def test_one_flipped_lane_fails_the_read(engine, vectors, table, column, kind):
+    session = _fresh_people_session(engine, vectors=vectors)
+    store = session.store
+    assert type(store.stored_table(table).partitions[0].chunk(column).values) is kind
+    store.fault_injector = FaultInjector(seed=7)
+    store.fault_injector.corrupt_chunk(table, 0, column)
+    with pytest.raises(DataCorruptionError, match=f"{table}.{column} partition 0"):
+        session.execute(f"SELECT {column} FROM {table}")
+    assert store.fault_injector.stats.corruptions == 1
 
 
 def test_checksum_verification_can_be_disabled():
@@ -427,8 +455,17 @@ def _scan_first_block(store, table, column):
 
 def test_default_zero_copy_mutation_is_detectable():
     store = _fresh_people_session().store
-    vector = _scan_first_block(store, "people", "id")
-    vector[0] = -999  # mutates the stored chunk through the reference
+    # A stored vector's arrays are read-only: the write fails and the
+    # store stays intact.
+    blocks = store.scan_blocks("people", ["id"], ScanAccounting(), as_vectors=True)
+    vector = next(iter(blocks))[0][0]
+    with pytest.raises(ValueError, match="read-only"):
+        vector.data[0] = -999
+    assert store.verify_integrity() > 0
+    # A string chunk is a list handed out by reference: a write
+    # mutates the stored chunk, and the integrity sweep catches it.
+    names = _scan_first_block(store, "people", "lname")
+    names[0] = "mallory"
     with pytest.raises(DataCorruptionError, match="integrity check failed"):
         store.verify_integrity()
 
@@ -456,23 +493,23 @@ def test_from_columns_default_rows_split_is_fixed_size():
     # generator depends on (regression guard for the docstring fix).
     table = _keyed_table([1, 1, 2, 2], partition_rows=3)
     assert [p.row_count for p in table.partitions] == [3, 1]
-    assert table.partitions[0].chunk("k").values == [1, 1, 2]
-    assert table.partitions[1].chunk("k").values == [2]
+    assert delist(table.partitions[0].chunk("k").values) == [1, 1, 2]
+    assert delist(table.partitions[1].chunk("k").values) == [2]
 
 
 def test_from_columns_key_range_never_splits_a_key():
     table = _keyed_table([1, 1, 2, 2, 3, 3], split="key_range", partition_rows=3)
     assert [p.row_count for p in table.partitions] == [4, 2]
     for part in table.partitions:
-        keys = set(part.chunk("k").values)
+        keys = set(delist(part.chunk("k").values))
         for other in table.partitions:
             if other is not part:
-                assert keys.isdisjoint(set(other.chunk("k").values))
+                assert keys.isdisjoint(set(delist(other.chunk("k").values)))
 
 
 def test_from_columns_key_range_default_one_partition_per_key():
     table = _keyed_table([1, 1, 2, 3, 3, 3], split="key_range")
-    assert [p.chunk("k").values for p in table.partitions] == [
+    assert [delist(p.chunk("k").values) for p in table.partitions] == [
         [1, 1],
         [2],
         [3, 3, 3],

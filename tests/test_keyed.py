@@ -48,14 +48,13 @@ from repro.engine.executor import execute
 from repro.engine.keyed import GroupState
 from repro.engine.metrics import ResourceLimits, RunContext
 from repro.engine.session import Session
-from repro.engine.vectors import delist, vector_from_values
 from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
     ResourceExhaustedError,
 )
 from repro.optimizer.config import OptimizerConfig
-from repro.storage.columnar import Store
+from repro.storage.columnar import Store, delist, vector_from_values
 from repro.tpcds.queries import STUDIED_QUERIES
 from tests.conftest import simple_table
 from tests.test_compiled_engine import (

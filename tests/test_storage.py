@@ -1,12 +1,25 @@
 """Unit tests for the columnar store, accounting, and catalog."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.types import DataType
 from repro.catalog.catalog import Catalog, ColumnDef, TableDef
 from repro.errors import CatalogError
 from repro.storage.accounting import ScanAccounting
-from repro.storage.columnar import ColumnChunk, Store, StoredTable
+from repro.storage.columnar import (
+    ColumnChunk,
+    NumpyVector,
+    Store,
+    StoredTable,
+    chunk_checksum,
+    delist,
+    vector_from_values,
+)
+from repro.storage.faults import FaultInjector
 
 I = DataType.INTEGER
 S = DataType.STRING
@@ -34,6 +47,112 @@ class TestChunks:
     def test_string_chunk_uses_avg_bytes(self):
         chunk = ColumnChunk.build("v", S, ["ab", "cd"], avg_string_bytes=4.0)
         assert chunk.encoded_size == 8.0
+
+
+_BIG = 1 << 62
+_INTS = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(_BIG - 3, _BIG + 3),
+    st.integers(-_BIG - 3, -_BIG + 3),
+)
+_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan]))
+#: The exact element type a vector chunk holds per dtype, its lanes,
+#: and the lanes that make a column mixed.
+_ELEMENTS = {
+    DataType.INTEGER: (int, _INTS, _FLOATS),
+    DataType.DATE: (int, _INTS, _FLOATS),
+    DataType.DOUBLE: (float, _FLOATS, _INTS),
+    DataType.BOOLEAN: (bool, st.booleans(), _INTS),
+}
+
+
+@st.composite
+def _columns(draw):
+    dtype = draw(st.sampled_from(list(_ELEMENTS)))
+    _, lanes, others = _ELEMENTS[dtype]
+    if draw(st.booleans()):
+        lanes = st.one_of(lanes, others)
+    return dtype, draw(st.lists(st.one_of(st.none(), lanes), max_size=12))
+
+
+def _same(a, b) -> bool:
+    """Lane identity: exact Python type, value, sign of zero, NaN."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        if math.isnan(a):
+            return math.isnan(b)
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
+def _loop_bounds(values):
+    """Chunk bounds as a first-to-last loop takes them: NULLs skipped,
+    a leading NaN skipped, ties keep the first value."""
+    low = high = None
+    for v in values:
+        if v is None:
+            continue
+        if low is None:
+            if v != v:
+                continue
+            low = high = v
+        elif v < low:
+            low = v
+        elif v > high:
+            high = v
+    return low, high
+
+
+class TestChunkRoundTrip:
+    """A chunk holds one representation: a read-only vector when
+    every value fits one, the input list otherwise.  Reading it back
+    loses nothing, and one flipped lane always changes its checksum."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(column=_columns(), seed=st.integers(0, 1 << 16))
+    def test_build_round_trips_and_detects_one_flip(self, column, seed):
+        dtype, values = column
+        chunk = ColumnChunk.build("c", dtype, list(values))
+        element = _ELEMENTS[dtype][0]
+        eligible = all(
+            v is None or (type(v) is element and (element is not int or -_BIG < v < _BIG))
+            for v in values
+        )
+        if eligible:
+            assert type(chunk.values) is NumpyVector
+            arrays = [chunk.values.data, chunk.values.valid]
+            assert not any(a.flags.writeable for a in arrays if a is not None)
+        else:
+            assert type(chunk.values) is list
+        stored = delist(chunk.values)
+        assert len(stored) == len(values)
+        assert all(_same(a, b) for a, b in zip(stored, values))
+        bounds = (chunk.min_value, chunk.max_value)
+        assert all(map(_same, bounds, _loop_bounds(values)))
+        assert chunk.checksum == chunk_checksum(chunk.values)
+
+        injector = FaultInjector(seed=seed)
+        injector.corrupt_chunk("t", 0, "c")
+        injector.on_chunk_read(("t", 0, "c"), chunk, attempt=0)
+        assert injector.stats.corruptions == (1 if values else 0)
+        if values:
+            assert chunk_checksum(chunk.values) != chunk.checksum
+
+    def test_generated_numeric_chunks_are_vectors(self, tpcds_store):
+        from repro.tpcds.schema import ALL_TABLES
+
+        kinds = set()
+        for table in ALL_TABLES:
+            for part in tpcds_store.stored_table(table.name).partitions:
+                for chunk in part.chunks.values():
+                    kinds.add(type(chunk.values))
+                    if type(chunk.values) is list:
+                        assert vector_from_values(chunk.values, chunk.dtype) is None
+                    else:
+                        assert type(chunk.values) is NumpyVector
+                        assert not chunk.values.data.flags.writeable
+        assert kinds == {list, NumpyVector}
 
 
 class TestStoredTable:
@@ -185,6 +304,23 @@ class TestNaNPruning:
         stats = catalog.column_stats("t", "x")
         assert stats.min_value is None and stats.max_value is None
         assert catalog.column_stats("t", "id").max_value == 6
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["vector", "list"])
+    def test_ndv_counts_every_nan_as_one_value(self, mixed):
+        from repro.engine.session import Session
+        from tests.conftest import simple_table
+
+        # Distinct NaN objects, a repeated value and both zeros: GROUP BY
+        # sees three keys.  An int lane makes the column a list chunk.
+        column = [float("nan") for _ in range(3)] + [1.0, 1 if mixed else 1.0, -0.0, 0.0]
+        store = Store()
+        store.put(simple_table("t", [("x", DataType.DOUBLE)], [(v,) for v in column]))
+        kind = list if mixed else NumpyVector
+        assert type(store.stored_table("t").partitions[0].chunk("x").values) is kind
+        catalog = Catalog()
+        store.load_catalog(catalog)
+        groups = Session(store).execute("SELECT x FROM t GROUP BY x").rows
+        assert catalog.column_stats("t", "x").ndv == len(groups) == 3
 
     @pytest.mark.parametrize(
         "engine, vectors",
