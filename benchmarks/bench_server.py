@@ -41,6 +41,7 @@ import sys
 from repro.optimizer.config import OptimizerConfig
 from repro.server.loadgen import run_load, serial_baseline
 from repro.server.service import QueryService, ServiceConfig
+from repro.storage.faults import FaultInjector
 from repro.tpcds.generator import generate_dataset
 from repro.tpcds.queries import WORKLOAD_QUERIES
 
@@ -69,12 +70,13 @@ def main(argv: list[str] | None = None) -> int:
           flush=True)
     baseline = serial_baseline(store, queries, engine="batch")
 
+    if args.fault_rate > 0:
+        store.fault_injector = FaultInjector(args.fault_rate, seed=args.seed)
     config = ServiceConfig(
         base=OptimizerConfig(
             engine="batch",
             enable_plan_cache=True,
             workers=args.workers,
-            fault_rate=args.fault_rate,
             fault_seed=args.seed,
         ),
         dispatchers=args.dispatchers,

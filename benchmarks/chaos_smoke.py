@@ -27,18 +27,17 @@ import sys
 
 from repro.engine.session import Session
 from repro.optimizer.config import OptimizerConfig
-from repro.storage.faults import RetryPolicy
+from repro.storage.faults import FaultInjector, RetryPolicy
 from repro.tpcds.generator import generate_dataset
 from repro.tpcds.queries import WORKLOAD_QUERIES
 
 
 def run_workload(args, engine: str, chaos: bool) -> tuple[Session, dict]:
     store = generate_dataset(scale=args.scale, seed=args.seed)
+    if chaos and args.fault_rate > 0:
+        store.fault_injector = FaultInjector(args.fault_rate, seed=args.fault_seed)
     config = OptimizerConfig(
-        engine=engine,
-        fault_rate=args.fault_rate if chaos else 0.0,
-        fault_seed=args.fault_seed,
-        max_retries=args.retries,
+        engine=engine, fault_seed=args.fault_seed, max_retries=args.retries
     )
     session = Session(store, config)
     if chaos:

@@ -30,7 +30,7 @@ import sys
 
 from repro.engine.session import Session
 from repro.optimizer.config import OptimizerConfig
-from repro.storage.faults import RetryPolicy
+from repro.storage.faults import FaultInjector, RetryPolicy
 from repro.tpcds.generator import generate_dataset
 from repro.tpcds.queries import WORKLOAD_QUERIES
 
@@ -120,17 +120,19 @@ def main(argv: list[str] | None = None) -> int:
         f"fault_rate={args.fault_rate}) ==",
         flush=True,
     )
+    if args.fault_rate > 0:
+        store.fault_injector = FaultInjector(args.fault_rate, seed=args.fault_seed)
     chaos = run_workload(
         store,
         OptimizerConfig(
             engine="batch",
             workers=args.workers,
-            fault_rate=args.fault_rate,
             fault_seed=args.fault_seed,
             max_retries=args.retries,
         ),
         quiet_retry=True,
     )
+    store.fault_injector = None
     chaos_per_query = _compare("chaos-parallel", serial, chaos, failures)
     total_faults = sum(q["faults_injected"] for q in chaos.values())
     if args.fault_rate > 0 and total_faults == 0:

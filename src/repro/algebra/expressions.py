@@ -18,7 +18,7 @@ from math import copysign
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.algebra.schema import Column
-from repro.algebra.types import DataType, common_numeric_type
+from repro.algebra.types import DataType, common_numeric_type, compatible
 
 
 #: Every memo slot code under ``repro.algebra`` writes into an
@@ -443,6 +443,50 @@ def walk(expr: Expression) -> Iterator[Expression]:
     yield expr
     for child in expr.children:
         yield from walk(child)
+
+
+def operand_type_error(expr: Expression) -> str | None:
+    """The operand-type rule: describe the first comparison, IN test or
+    arithmetic in ``expr`` whose operand types disagree, or None.
+
+    Operands resolve structurally at any type (the comparison's own
+    dtype is boolean), but constant folding and the vector backend fail
+    on e.g. ``'a' < 1``, and ``STRING = INTEGER`` is never true.  The
+    binder rejects such a query and the plan validator such a rewrite.
+
+    A NULL literal is a type wildcard: the binder types bare ``NULL``
+    as boolean, but ``x = NULL`` / ``x IN (…, NULL)`` are legal (and
+    evaluate to NULL) at any operand type.  An operand with no type (an
+    unknown function) raises ``ValueError`` from its ``dtype``.
+    """
+    for node in walk(expr):
+        if isinstance(node, Arithmetic):
+            for operand in (node.left, node.right):
+                if not _is_null_literal(operand) and not operand.dtype.is_numeric:
+                    return (
+                        f"applies {node.op!r} to {operand!r} of non-numeric "
+                        f"type {operand.dtype.value}"
+                    )
+            continue
+        if isinstance(node, Comparison):
+            pairs, phrase = [(node.left, node.right)], "compares {} with {}"
+        elif isinstance(node, InList):
+            pairs = [(node.operand, item) for item in node.items]
+            phrase = "tests {} against IN item {}"
+        else:
+            continue
+        for left, right in pairs:
+            if _is_null_literal(left) or _is_null_literal(right):
+                continue
+            if not compatible(left.dtype, right.dtype):
+                return phrase.format(
+                    f"{left!r} ({left.dtype.value})", f"{right!r} ({right.dtype.value})"
+                )
+    return None
+
+
+def _is_null_literal(expr: Expression) -> bool:
+    return isinstance(expr, Literal) and expr.value is None
 
 
 def columns_in(expr: Expression) -> set[Column]:

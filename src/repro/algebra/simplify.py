@@ -14,7 +14,6 @@ into FALSE.
 from __future__ import annotations
 
 import operator
-from typing import Iterable
 
 from repro.algebra.expressions import (
     FALSE,
@@ -320,13 +319,6 @@ def simplify_filter(expr: Expression) -> Expression:
         terms = [t for t in disjuncts(expr) if not is_contradiction(t)]
         return make_or(terms) if terms else FALSE
     return expr
-
-
-def implied_by(candidate: Expression, context: Iterable[Expression]) -> bool:
-    """True when every conjunct of ``candidate`` appears (syntactically,
-    modulo normalization) among ``context`` conjuncts."""
-    have = {normalize(c) for c in context}
-    return all(normalize(c) in have for c in conjuncts(candidate))
 
 
 def simplify_with_facts(expr: Expression, env: dict) -> Expression:

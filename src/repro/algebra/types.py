@@ -61,6 +61,12 @@ def encoded_bytes(dtype: DataType, avg_string_bytes: float | None = None) -> flo
     return ENCODED_BYTES[dtype]
 
 
+def compatible(expected: DataType, actual: DataType) -> bool:
+    """Type agreement as loose as the binder's coercions: exact match,
+    or both numeric (INTEGER/DOUBLE/DATE interchange in arithmetic)."""
+    return expected is actual or (expected.is_numeric and actual.is_numeric)
+
+
 def common_numeric_type(left: DataType, right: DataType) -> DataType:
     """Result type of arithmetic between two numeric types."""
     if DataType.DOUBLE in (left, right):

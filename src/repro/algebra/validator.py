@@ -27,13 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.algebra.expressions import (
-    Arithmetic,
-    Comparison,
-    Expression,
-    InList,
-    columns_in,
-)
+from repro.algebra.expressions import Expression, columns_in, operand_type_error
 from repro.algebra.operators import (
     AGGREGATE_FUNCTIONS,
     CachePopulate,
@@ -57,17 +51,11 @@ from repro.algebra.operators import (
     referenced_columns,
 )
 from repro.algebra.schema import Column
-from repro.algebra.types import DataType
+from repro.algebra.types import DataType, compatible
 from repro.errors import PlanError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.catalog import Catalog
-
-
-def _compatible(expected: DataType, actual: DataType) -> bool:
-    """Type agreement as loose as the binder's coercions: exact match,
-    or both numeric (INTEGER/DOUBLE/DATE interchange in arithmetic)."""
-    return expected is actual or (expected.is_numeric and actual.is_numeric)
 
 
 def _dtype(expr: Expression, node: PlanNode, what: str) -> DataType:
@@ -87,58 +75,15 @@ def _check_boolean(expr: Expression, node: PlanNode, what: str) -> None:
 
 
 def _check_operand_types(expr: Expression, node: PlanNode, what: str) -> None:
-    """Reject comparisons/arithmetic over incompatible operand types.
-
-    Structural validation alone lets e.g. ``INTEGER = STRING`` through
-    (both operands resolve, the comparison's dtype is boolean), but the
-    vector backend then raises at runtime when NumPy refuses the mixed
-    compare.  Surfacing it here turns a backend crash into a
-    plan-validation error that blames the offending rule.
-
-    A NULL literal is a type wildcard: the binder types bare ``NULL``
-    as boolean, but ``x = NULL`` / ``x IN (…, NULL)`` are legal (and
-    evaluate to NULL) at any operand type.
-    """
-
-    def wildcard(operand: Expression) -> bool:
-        from repro.algebra.expressions import Literal
-
-        return isinstance(operand, Literal) and operand.value is None
-
-    if isinstance(expr, Comparison):
-        if not wildcard(expr.left) and not wildcard(expr.right):
-            left = _dtype(expr.left, node, f"{what}: comparison operand")
-            right = _dtype(expr.right, node, f"{what}: comparison operand")
-            if not _compatible(left, right):
-                raise PlanError(
-                    f"{node.name}: {what} compares {expr.left!r} "
-                    f"({left.value}) with {expr.right!r} ({right.value})"
-                )
-    elif isinstance(expr, InList):
-        if not wildcard(expr.operand):
-            operand = _dtype(expr.operand, node, f"{what}: IN operand")
-            for item in expr.items:
-                if wildcard(item):
-                    continue
-                item_type = _dtype(item, node, f"{what}: IN list item")
-                if not _compatible(operand, item_type):
-                    raise PlanError(
-                        f"{node.name}: {what} tests {expr.operand!r} "
-                        f"({operand.value}) against IN item {item!r} "
-                        f"({item_type.value})"
-                    )
-    elif isinstance(expr, Arithmetic):
-        for operand in (expr.left, expr.right):
-            if wildcard(operand):
-                continue
-            operand_type = _dtype(operand, node, f"{what}: arithmetic operand")
-            if not operand_type.is_numeric:
-                raise PlanError(
-                    f"{node.name}: {what} applies {expr.op!r} to "
-                    f"{operand!r} of non-numeric type {operand_type.value}"
-                )
-    for child in expr.children:
-        _check_operand_types(child, node, what)
+    """Reject comparisons/arithmetic over incompatible operand types
+    (:func:`~repro.algebra.expressions.operand_type_error`): a rewrite
+    that mixes them would only fail at runtime, inside a backend."""
+    try:
+        problem = operand_type_error(expr)
+    except Exception as exc:  # unknown function, malformed tree, ...
+        raise PlanError(f"{node.name}: {what} {expr!r} has no dtype: {exc}") from exc
+    if problem is not None:
+        raise PlanError(f"{node.name}: {what} {problem}")
 
 
 def _check_refs(node: PlanNode, available: set[Column]) -> None:
@@ -172,7 +117,7 @@ def _check_scan(node: Scan, catalog: "Catalog | None") -> None:
                 f"Scan of {node.table!r} reads unknown column {source!r}"
             )
         stored = table.column(source)
-        if not _compatible(stored.dtype, column.dtype):
+        if not compatible(stored.dtype, column.dtype):
             raise PlanError(
                 f"Scan of {node.table!r}: column {column!r} has type "
                 f"{column.dtype.value} but stored column {source!r} is "
@@ -206,7 +151,7 @@ def _check_group_by(node: GroupBy) -> None:
                     f"non-numeric type {arg_type.value}"
                 )
         result_type = aggregate_result_type(agg.func, agg.argument)
-        if not _compatible(result_type, agg.target.dtype):
+        if not compatible(result_type, agg.target.dtype):
             raise PlanError(
                 f"GroupBy: target {agg.target!r} has type "
                 f"{agg.target.dtype.value} but {agg.func} produces "
@@ -225,7 +170,7 @@ def _check_window(node: Window) -> None:
         if fn.argument is None and fn.func != "count":
             raise PlanError(f"Window: aggregate {fn.func} requires an argument")
         result_type = aggregate_result_type(fn.func, fn.argument)
-        if not _compatible(result_type, fn.target.dtype):
+        if not compatible(result_type, fn.target.dtype):
             raise PlanError(
                 f"Window: target {fn.target!r} has type "
                 f"{fn.target.dtype.value} but {fn.func} produces "
@@ -271,7 +216,7 @@ def validate_plan(plan: PlanNode, catalog: "Catalog | None" = None) -> None:
         elif isinstance(node, Project):
             for target, expr in node.assignments:
                 expr_type = _dtype(expr, node, f"assignment to {target!r}")
-                if not _compatible(target.dtype, expr_type):
+                if not compatible(target.dtype, expr_type):
                     raise PlanError(
                         f"Project: target {target!r} has type "
                         f"{target.dtype.value} but expression {expr!r} has "
@@ -303,7 +248,7 @@ def validate_plan(plan: PlanNode, catalog: "Catalog | None" = None) -> None:
                             f"UnionAll branch {position} column {col!r} not "
                             f"produced by its input"
                         )
-                    if not _compatible(out.dtype, col.dtype):
+                    if not compatible(out.dtype, col.dtype):
                         raise PlanError(
                             f"UnionAll output {out!r} has type "
                             f"{out.dtype.value} but branch {position} "
@@ -330,7 +275,7 @@ def validate_plan(plan: PlanNode, catalog: "Catalog | None" = None) -> None:
                     f"ScalarApply value column {node.value!r} not produced by "
                     f"its subquery"
                 )
-            if not _compatible(node.output.dtype, node.value.dtype):
+            if not compatible(node.output.dtype, node.value.dtype):
                 raise PlanError(
                     f"ScalarApply output {node.output!r} has type "
                     f"{node.output.dtype.value} but subquery value "
@@ -374,7 +319,7 @@ def validate_fusion_result(result, p1: PlanNode, p2: PlanNode) -> None:
                 f"fusion maps P2 output {column!r} to {mapped!r}, which the "
                 f"fused plan does not produce"
             )
-        if not _compatible(column.dtype, mapped.dtype):
+        if not compatible(column.dtype, mapped.dtype):
             raise PlanError(
                 f"fusion maps P2 output {column!r} ({column.dtype.value}) to "
                 f"{mapped!r} of incompatible type {mapped.dtype.value}"

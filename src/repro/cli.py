@@ -35,6 +35,7 @@ from repro.errors import (
     WorkerPoolError,
 )
 from repro.optimizer.config import OptimizerConfig
+from repro.storage.faults import FaultInjector
 from repro.tpcds.generator import generate_dataset
 
 #: Process exit codes per error family, most specific class first.
@@ -383,11 +384,12 @@ def serve_main(argv: list[str]) -> int:
     store = generate_dataset(scale=args.scale, seed=args.seed)
     queries = list(WORKLOAD_QUERIES.values())[: args.num_queries]
     baseline = serial_baseline(store, queries, engine="batch")
+    if args.fault_rate > 0:
+        store.fault_injector = FaultInjector(args.fault_rate, seed=args.seed)
     base = OptimizerConfig(
         engine=args.engine,
         enable_plan_cache=True,
         workers=args.workers,
-        fault_rate=args.fault_rate,
         fault_seed=args.seed,
     )
     config = ServiceConfig(
@@ -443,6 +445,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     store = generate_dataset(scale=args.scale, seed=args.seed)
     store.io_latency_ms = args.io_latency_ms
+    if args.fault_rate > 0:
+        store.fault_injector = FaultInjector(args.fault_rate, seed=args.fault_seed)
 
     engine_opts = {
         "engine": args.engine,
@@ -451,7 +455,6 @@ def main(argv: list[str] | None = None) -> int:
         "batch_rows": args.batch_rows,
         "enable_plan_cache": args.cache,
         "cache_budget_mb": args.cache_budget_mb,
-        "fault_rate": args.fault_rate,
         "fault_seed": args.fault_seed,
         "max_retries": args.retries,
         "timeout_ms": args.timeout_ms,

@@ -30,8 +30,9 @@ Design points, in the order they matter:
 * **Per-fragment fault domains.**  Transient chunk-read faults retry
   *inside* the worker through the same
   :class:`~repro.storage.faults.FaultInjector` / RetryPolicy machinery
-  as serial execution (each task installs a fresh injector from the
-  seed, so the chaos schedule is identical to a serial run).  A
+  as serial execution (each task installs a fresh injector with the
+  rate and seed of the coordinator store's, so the chaos schedule is
+  identical to a serial run).  A
   fragment whose worker dies, is poisoned, or exhausts in-task retries
   is resubmitted to the pool with the failing worker banned, up to
   ``fragment_retries`` times.
@@ -100,12 +101,13 @@ class _TaskSpec:
     batch_rows: int
     vectors: str
     banned: frozenset[int] = frozenset()
-    # Per-task store/fault configuration: installed on the worker's
+    # Per-task store configuration: installed on the worker's
     # (process-local) store copy for the duration of the task, so a
-    # pool forked early still honours the session's fault config and
-    # the coordinator store's current latency and checksum switches.
+    # pool forked early still honours the coordinator store's current
+    # fault injector, latency and checksum switches.
     fault_rate: float = 0.0
-    fault_seed: int = 7
+    fault_seed: int = 0
+    retry_seed: int = 7
     max_retries: int = 3
     retry_base_delay_ms: float = 1.0
     verify_checksums: bool = True
@@ -135,7 +137,7 @@ def _run_task(spec: _TaskSpec, store, cancel_event):
             retry_policy=RetryPolicy(
                 max_retries=spec.max_retries,
                 base_delay_ms=spec.retry_base_delay_ms,
-                seed=spec.fault_seed,
+                seed=spec.retry_seed,
             ),
             limits=ResourceLimits(timeout_ms=spec.timeout_ms),
         )
@@ -486,6 +488,7 @@ class _FragmentScheduler:
 
     def _spec(self, attempt: _Attempt, task_id: int) -> _TaskSpec:
         config = self.config
+        injector = self.store.fault_injector
         return _TaskSpec(
             epoch=self.epoch,
             task_id=task_id,
@@ -495,8 +498,9 @@ class _FragmentScheduler:
             batch_rows=config.batch_rows,
             vectors=config.vectors,
             banned=frozenset(attempt.banned),
-            fault_rate=config.fault_rate,
-            fault_seed=config.fault_seed,
+            fault_rate=injector.fault_rate if injector is not None else 0.0,
+            fault_seed=injector.seed if injector is not None else 0,
+            retry_seed=config.fault_seed,
             max_retries=config.max_retries,
             retry_base_delay_ms=config.retry_base_delay_ms,
             verify_checksums=self.store.verify_checksums,

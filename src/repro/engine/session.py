@@ -30,7 +30,7 @@ from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.pipeline import optimize
 from repro.sql.binder import Binder
 from repro.storage.columnar import Store
-from repro.storage.faults import FaultInjector, RetryPolicy
+from repro.storage.faults import RetryPolicy
 
 
 @dataclass
@@ -52,13 +52,6 @@ class QueryResult:
         return sorted(self.rows, key=lambda r: tuple((v is None, str(v)) for v in r))
 
 
-#: Serializes the fault-injector install on a *shared* store: sessions
-#: over the same store may be constructed from concurrent server
-#: threads.  Read latency and checksum verification are the store's own
-#: attributes, which no session writes.
-_STORE_CONFIG_LOCK = threading.Lock()
-
-
 class Session:
     """A connection-like object bound to one store + configuration.
 
@@ -78,16 +71,6 @@ class Session:
     ):
         self.store = store
         self.config = config if config is not None else OptimizerConfig()
-        # Fault-tolerance wiring: chaos configuration installs a
-        # deterministic injector on the (shared) store; the retry
-        # policy and per-query limits are session-local.  Attributes on
-        # the store are only touched when the config asks for it, so a
-        # vanilla session never perturbs a store it shares.
-        with _STORE_CONFIG_LOCK:
-            if self.config.fault_rate > 0 and store.fault_injector is None:
-                store.fault_injector = FaultInjector(
-                    fault_rate=self.config.fault_rate, seed=self.config.fault_seed
-                )
         #: Fragment worker pool for ``workers > 1`` (DESIGN.md §13).
         #: Created lazily on the first parallel query unless the caller
         #: supplies a shared pool (e.g. the differential oracle, which
@@ -95,6 +78,9 @@ class Session:
         self._pool = worker_pool
         self._pool_owned = worker_pool is None
         self._partition_counts: dict[str, int] | None = None
+        # The retry policy and per-query limits are session-local.
+        # Faults, read latency and checksum checks are the store's own
+        # switches, which no session writes.
         self._retry_policy = RetryPolicy(
             max_retries=self.config.max_retries,
             base_delay_ms=self.config.retry_base_delay_ms,

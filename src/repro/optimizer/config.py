@@ -4,11 +4,8 @@
 paper's experimental setup: the *baseline* is the engine's standard
 rule set ("Athena's default production configuration"), and the
 *instrumented* compiler additionally enables the fusion-based rules of
-§IV.
-
-``fusion_min_rows`` is the §IV.E cost heuristic: fusion rewrites fire
-only when the common subexpression is estimated expensive — it
-contains a join/aggregation or scans at least this many rows.
+§IV.  The §IV.E gate on fusion is a fixed heuristic, not an option
+(:meth:`repro.optimizer.context.OptimizerContext.worth_fusing`).
 """
 
 from __future__ import annotations
@@ -22,11 +19,6 @@ class OptimizerConfig:
 
     #: Master switch for the paper's fusion-based rules (§IV).
     enable_fusion: bool = True
-    #: Cost heuristic (§IV.E): minimum estimated input rows of the
-    #: common expression for a fusion rewrite to be worthwhile.  The
-    #: default of 1 fires on anything that scans stored data but not on
-    #: constant-table expressions; tests/test_pipeline.py raises it.
-    fusion_min_rows: int = 1
     #: Execution backend: ``"batch"`` — the block engine — streams
     #: ~``batch_rows``-row column blocks through vectorized operators
     #: (the default: it amortizes the interpreter's per-row overhead);
@@ -54,14 +46,8 @@ class OptimizerConfig:
     enable_plan_cache: bool = False
     #: Byte budget of the plan cache (LRU evicts beyond it).
     cache_budget_mb: float = 64.0
-    #: Maximum subplans scheduled for cache population per query —
-    #: bounds the materialization overhead of a cold first run.
-    cache_max_populate: int = 4
-    #: Fault tolerance (see repro.storage.faults and DESIGN.md §9).
-    #: Fraction of chunk-read sites that fail transiently; > 0 makes
-    #: the session install a deterministic FaultInjector on its store.
-    fault_rate: float = 0.0
-    #: Seed for the fault injector and retry jitter.
+    #: Seed for the retry jitter (DESIGN.md §9).  Faults are the
+    #: store's: a chaos caller sets ``store.fault_injector`` itself.
     fault_seed: int = 7
     #: Bounded retries of transient read faults (0 = surface the first
     #: fault as a TransientReadError).
@@ -128,10 +114,6 @@ class OptimizerConfig:
             raise ValueError("batch_rows must be positive")
         if self.cache_budget_mb <= 0:
             raise ValueError("cache_budget_mb must be positive")
-        if self.cache_max_populate < 0:
-            raise ValueError("cache_max_populate must be non-negative")
-        if not 0.0 <= self.fault_rate <= 1.0:
-            raise ValueError("fault_rate must be in [0, 1]")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if self.retry_base_delay_ms < 0:

@@ -99,9 +99,9 @@ class OptimizerContext:
         """Is eliminating a duplicate of ``common`` worth the rewrite?
 
         True when the common expression contains a join/aggregation/
-        window (recomputation is expensive) or scans at least the
-        configured row threshold.
+        window (recomputation is expensive) or scans any stored row;
+        an expression over constant tables alone is cheaper to repeat.
         """
         if any(isinstance(n, (Join, GroupBy, Window)) for n in walk_plan(common)):
             return True
-        return self.scanned_rows(common) >= self.config.fusion_min_rows
+        return self.scanned_rows(common) > 0

@@ -20,7 +20,7 @@ execute.  Walking top-down it does two things per subplan:
   inserts it while streaming it through.
   Population slots are reserved *top-down before recursing* so the
   outermost promising subplan wins over its descendants, and at most
-  ``config.cache_max_populate`` subplans are scheduled per query.
+  ``MAX_POPULATE`` subplans are scheduled per query.
 
 Subplans with free (correlated) column references or no stored-table
 lineage (pure constant expressions — cheap to recompute, impossible to
@@ -51,6 +51,10 @@ if TYPE_CHECKING:
 #: larger estimates are not worth the eviction churn they would cause.
 _MAX_ENTRY_FRACTION = 0.5
 
+#: Maximum subplans scheduled for cache population per query — bounds
+#: the materialization overhead of a cold first run.
+MAX_POPULATE = 4
+
 
 @dataclass
 class _ReuseState:
@@ -71,7 +75,7 @@ class CrossQueryReuse(PlanPass):
         cache = ctx.plan_cache
         if cache is None:
             return plan
-        state = _ReuseState(budget=max(0, ctx.config.cache_max_populate))
+        state = _ReuseState(budget=MAX_POPULATE)
         return self._visit(plan, ctx, cache, state, is_root=True)
 
     def _visit(

@@ -82,6 +82,11 @@ class AdmissionStats:
         )
 
 
+#: Base ``retry_after_ms`` advertised to a shed client; a full queue
+#: scales it up by how far over its bound the queue is.
+SHED_RETRY_MS = 100.0
+
+
 class AdmissionController:
     """Gatekeeper in front of the service's dispatch queue.
 
@@ -97,13 +102,11 @@ class AdmissionController:
         max_queue_depth: int = 64,
         default_quota: TenantQuota | None = None,
         quotas: dict[str, TenantQuota] | None = None,
-        shed_retry_ms: float = 100.0,
         clock=time.monotonic,
     ):
         self.max_queue_depth = max_queue_depth
         self.default_quota = default_quota or TenantQuota()
         self._quotas = dict(quotas or {})
-        self.shed_retry_ms = shed_retry_ms
         self._clock = clock
         self._lock = threading.Lock()
         self._queued = 0
@@ -120,7 +123,7 @@ class AdmissionController:
         with self._lock:
             if self._queued >= self.max_queue_depth:
                 self.stats.rejected_queue_full += 1
-                retry = self.shed_retry_ms * (
+                retry = SHED_RETRY_MS * (
                     1.0 + self._queued / max(1, self.max_queue_depth)
                 )
                 raise AdmissionRejectedError(
@@ -132,7 +135,7 @@ class AdmissionController:
                 raise AdmissionRejectedError(
                     f"tenant {tenant!r} is at its in-flight limit "
                     f"({quota.max_in_flight})",
-                    retry_after_ms=self.shed_retry_ms,
+                    retry_after_ms=SHED_RETRY_MS,
                 )
             bucket = self._buckets.get(tenant)
             if bucket is None:

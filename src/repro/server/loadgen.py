@@ -27,6 +27,9 @@ from repro.engine.session import Session
 from repro.errors import AdmissionRejectedError, ReproError
 from repro.optimizer.config import OptimizerConfig
 
+#: Submissions a client makes of one query before it counts as rejected.
+_SUBMIT_ATTEMPTS = 8
+
 
 def rows_digest(rows: list[tuple]) -> str:
     """Order-sensitive fingerprint of a result set."""
@@ -113,7 +116,6 @@ def run_load(
     seed: int = 7,
     tenants: tuple[str, ...] = ("default",),
     kill_worker_after: int | None = None,
-    retry_rejected: bool = True,
 ) -> LoadReport:
     """Drive ``clients`` threads of ``per_client`` queries each.
 
@@ -122,8 +124,9 @@ def run_load(
     is the point).  ``kill_worker_after`` SIGKILLs one live fragment
     worker after that many queries have completed service-side —
     mid-run, while fragments are in flight.  Rejected submissions are
-    retried after the advertised ``retry_after_ms`` when
-    ``retry_rejected`` (clients that give up count as ``rejected``).
+    retried after the advertised ``retry_after_ms``, up to
+    ``_SUBMIT_ATTEMPTS`` times (clients that give up count as
+    ``rejected``).
     """
     report = LoadReport()
     lock = threading.Lock()
@@ -138,12 +141,12 @@ def run_load(
             started = time.monotonic()
             try:
                 ticket = None
-                for _attempt in range(8 if retry_rejected else 1):
+                for attempt in range(_SUBMIT_ATTEMPTS):
                     try:
                         ticket = service.submit(sql, tenant=tenant)
                         break
                     except AdmissionRejectedError as exc:
-                        if not retry_rejected or _attempt == 7:
+                        if attempt == _SUBMIT_ATTEMPTS - 1:
                             raise
                         time.sleep(min(exc.retry_after_ms, 200.0) / 1000.0)
                 assert ticket is not None

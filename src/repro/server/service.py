@@ -39,10 +39,13 @@ from repro.engine.session import QueryResult, Session
 from repro.errors import QueryQueueTimeoutError, QueryTimeoutError, ReproError
 from repro.optimizer.config import OptimizerConfig
 from repro.server.admission import AdmissionController, TenantQuota
-from repro.server.degrade import CircuitBreaker, DegradationSupervisor, Rung
+from repro.server.degrade import DegradationSupervisor, Rung
 
 #: Dispatcher queue-poll period (seconds): bounds shutdown latency.
 _DISPATCH_POLL_S = 0.05
+
+#: Worker-pool health-check period of the maintenance thread (seconds).
+_HEALTH_INTERVAL_S = 0.25
 
 #: Latency reservoir size: percentiles are computed over the most
 #: recent this-many completions, so a long-running service neither
@@ -73,16 +76,6 @@ class ServiceConfig:
     query_timeout_ms: float | None = 60_000.0
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)
-    #: Circuit-breaker shape shared by every rung.
-    breaker_window_s: float = 30.0
-    breaker_failure_threshold: float = 0.5
-    breaker_min_samples: int = 5
-    breaker_cooldown_s: float = 5.0
-    #: Worker-pool health-check period (0 disables the thread).
-    health_interval_s: float = 0.25
-    #: Worker heartbeat silence tolerated before a worker is declared
-    #: frozen and killed.
-    heartbeat_timeout_s: float = 2.0
 
 
 class QueryTicket:
@@ -221,33 +214,18 @@ class QueryService:
         #: One shared self-healing pool for every parallel rung.
         self.pool: WorkerPool | None = None
         if base.workers > 1:
-            self.pool = WorkerPool(
-                store,
-                base.workers,
-                heartbeat_timeout_s=self.config.heartbeat_timeout_s,
-            )
+            self.pool = WorkerPool(store, base.workers)
         self.admission = AdmissionController(
             max_queue_depth=self.config.max_queue_depth,
             default_quota=self.config.default_quota,
             quotas=self.config.quotas,
         )
-        service_config = self.config
-
-        def _breaker() -> CircuitBreaker:
-            return CircuitBreaker(
-                window_s=service_config.breaker_window_s,
-                failure_threshold=service_config.breaker_failure_threshold,
-                min_samples=service_config.breaker_min_samples,
-                cooldown_s=service_config.breaker_cooldown_s,
-            )
-
         self.supervisor = DegradationSupervisor(
             Rung(
                 engine=base.engine,
                 parallel=base.workers > 1,
                 cache=base.enable_plan_cache,
-            ),
-            breaker_factory=_breaker,
+            )
         )
         self._sessions: dict[str, Session] = {}
         self._sessions_lock = threading.Lock()
@@ -267,7 +245,7 @@ class QueryService:
             )
             thread.start()
             self._threads.append(thread)
-        if self.pool is not None and self.config.health_interval_s > 0:
+        if self.pool is not None:
             thread = threading.Thread(
                 target=self._maintenance_loop, name="repro-maintenance", daemon=True
             )
@@ -434,8 +412,7 @@ class QueryService:
         ticket.resolve(result)
 
     def _maintenance_loop(self) -> None:
-        interval = self.config.health_interval_s
-        while not self._stop.wait(interval):
+        while not self._stop.wait(_HEALTH_INTERVAL_S):
             pool = self.pool
             if pool is None:
                 return

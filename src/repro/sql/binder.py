@@ -15,7 +15,10 @@ Responsibilities:
   rules later remove (decorrelation / cross-join subquery removal);
 * aggregation planning: GROUP BY keys, aggregate extraction with
   ``FILTER (WHERE …)`` masks and DISTINCT flags, HAVING;
-* window functions (``OVER (PARTITION BY …)``) and SELECT DISTINCT.
+* window functions (``OVER (PARTITION BY …)``) and SELECT DISTINCT;
+* operand types: a comparison, IN test or arithmetic over operands
+  that cannot meet (``'a' < 1``, ``string_col = 1``) is a
+  :class:`~repro.errors.BindingError`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.algebra.expressions import (
     Not,
     Or,
     make_and,
+    operand_type_error,
 )
 from repro.algebra.operators import (
     AGGREGATE_FUNCTIONS,
@@ -78,6 +82,17 @@ class BoundQuery:
     @property
     def output_columns(self) -> tuple[Column, ...]:
         return self.plan.output_columns
+
+
+def _typed(expr: Expression) -> Expression:
+    """``expr``, once its operand types agree (raises BindingError)."""
+    try:
+        problem = operand_type_error(expr)
+    except ValueError:  # an unknown function fails when it runs
+        return expr
+    if problem is not None:
+        raise BindingError(f"type mismatch: {problem}")
+    return expr
 
 
 class _Relation:
@@ -450,7 +465,7 @@ class Binder:
         if len(sub_plan.output_columns) != 1:
             raise BindingError("IN subquery must return exactly one column")
         self._reject_correlation(sub_plan, block, "IN subquery")
-        condition = Comparison("=", operand, ColumnRef(sub_plan.output_columns[0]))
+        condition = _typed(Comparison("=", operand, ColumnRef(sub_plan.output_columns[0])))
         kind = JoinKind.ANTI if expr.negated else JoinKind.SEMI
         block.plan = Join(kind, block.plan, sub_plan, condition)
 
@@ -799,7 +814,7 @@ class Binder:
                 )
             raise BindingError(f"unsupported expression {type(node).__name__}")
 
-        return bind(expr)
+        return _typed(bind(expr))
 
     def _bind_scalar_subquery(self, node: ast.ScalarSubquery, block: _Block) -> Expression:
         ctes = getattr(block, "ctes", _CteEnv())

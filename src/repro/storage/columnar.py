@@ -250,27 +250,15 @@ class StoredTable:
         definition: TableDef,
         data: dict[str, Sequence],
         partition_rows: int | None = None,
-        split: str = "rows",
     ) -> "StoredTable":
         """Build a stored table from column vectors.
 
-        With the default ``split="rows"``, rows are chunked into
-        fixed-size partitions of ``partition_rows`` (one partition when
-        unset) — partition boundaries ignore the partition column, so
-        a key's rows may span two partitions.  This is the layout the
-        TPC-DS generator uses (its output is pinned by regression
-        tests).
-
-        ``split="key_range"`` (requires a partition column; data must
-        be sorted by it, NULLs first) aligns boundaries to key-run
-        edges so equal keys never span partitions: runs are packed
-        until a partition reaches ``partition_rows``; with
-        ``partition_rows`` unset, every distinct key gets its own
-        partition.  Falls back to ``"rows"`` behaviour when the
-        definition has no partition column.
+        Rows are chunked into fixed-size partitions of
+        ``partition_rows`` (one partition when unset) — partition
+        boundaries ignore the partition column, so a key's rows may
+        span two partitions.  This is the layout the TPC-DS generator
+        uses (its output is pinned by regression tests).
         """
-        if split not in ("rows", "key_range"):
-            raise CatalogError(f"unknown split mode {split!r}")
         lower = {k.lower(): list(v) for k, v in data.items()}
         names = [c.name.lower() for c in definition.columns]
         missing = [n for n in names if n not in lower]
@@ -281,12 +269,7 @@ class StoredTable:
             if len(lower[n]) != total:
                 raise CatalogError(f"column {n!r} length mismatch in {definition.name!r}")
 
-        part_col = definition.partition_column
-        if split == "key_range" and part_col is not None and total:
-            boundaries = cls._key_range_boundaries(
-                lower[part_col.lower()], partition_rows
-            )
-        elif partition_rows is None or partition_rows <= 0 or total == 0:
+        if partition_rows is None or partition_rows <= 0 or total == 0:
             boundaries = [(0, total)]
         else:
             boundaries = [
@@ -304,32 +287,6 @@ class StoredTable:
                 )
             partitions.append(Partition(chunks, end - start))
         return cls(definition, partitions)
-
-    @staticmethod
-    def _key_range_boundaries(
-        keys: list, partition_rows: int | None
-    ) -> list[tuple[int, int]]:
-        """Partition boundaries aligned to key-run edges (see
-        :meth:`from_columns`).  ``keys`` is the partition column's full
-        vector; consecutive equal keys form one indivisible run."""
-        runs: list[int] = []  # start index of each key run
-        previous = object()
-        for i, key in enumerate(keys):
-            if i == 0 or key != previous:
-                runs.append(i)
-            previous = key
-        runs.append(len(keys))
-
-        target = partition_rows if partition_rows and partition_rows > 0 else 1
-        boundaries: list[tuple[int, int]] = []
-        start = 0
-        for run_end in runs[1:]:
-            if run_end - start >= target:
-                boundaries.append((start, run_end))
-                start = run_end
-        if start < len(keys):
-            boundaries.append((start, len(keys)))
-        return boundaries
 
     def total_bytes(self, columns: Iterable[str] | None = None) -> float:
         """Encoded size of the table (optionally a column subset)."""

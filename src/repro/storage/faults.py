@@ -212,23 +212,27 @@ class FaultInjector:
             )
 
 
+#: Backoff growth per retry and the cap on one retry's nominal delay.
+BACKOFF_MULTIPLIER = 2.0
+MAX_RETRY_DELAY_MS = 50.0
+
+
 @dataclass
 class RetryPolicy:
     """Bounded retries with exponential backoff and deterministic jitter.
 
     ``max_retries`` counts retries *after* the first attempt; 0 disables
     retrying.  Delay for retry ``attempt`` (0-based) is
-    ``base_delay_ms * multiplier**attempt`` capped at ``max_delay_ms``,
-    scaled by a jitter factor in ``[1 - jitter, 1 + jitter]`` that is a
-    pure function of ``(seed, site, attempt)`` — reproducible, but
-    de-synchronized across sites like randomized jitter would be.
+    ``base_delay_ms * BACKOFF_MULTIPLIER**attempt`` capped at
+    ``MAX_RETRY_DELAY_MS``, scaled by a jitter factor in
+    ``[1 - jitter, 1 + jitter]`` that is a pure function of
+    ``(seed, site, attempt)`` — reproducible, but de-synchronized
+    across sites like randomized jitter would be.
     ``sleep`` is injectable so tests pay no wall-clock cost.
     """
 
     max_retries: int = 3
     base_delay_ms: float = 1.0
-    multiplier: float = 2.0
-    max_delay_ms: float = 50.0
     jitter: float = 0.25
     seed: int = 0
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
@@ -236,13 +240,13 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.base_delay_ms < 0 or self.max_delay_ms < 0:
+        if self.base_delay_ms < 0:
             raise ValueError("retry delays must be non-negative")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
 
     def delay_ms(self, attempt: int, site: object = ()) -> float:
-        delay = min(self.base_delay_ms * self.multiplier**attempt, self.max_delay_ms)
+        delay = min(self.base_delay_ms * BACKOFF_MULTIPLIER**attempt, MAX_RETRY_DELAY_MS)
         if self.jitter:
             swing = 2.0 * _unit(self.seed, "retry", site, attempt) - 1.0
             delay *= 1.0 + self.jitter * swing

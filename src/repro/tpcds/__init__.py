@@ -1,9 +1,8 @@
-"""TPC-DS substrate: schema, synthetic generator, queries, workload."""
+"""TPC-DS substrate: schema, synthetic generator, queries."""
 
 from repro.tpcds.generator import generate_dataset
 from repro.tpcds.queries import FILLER_QUERIES, STUDIED_QUERIES, WORKLOAD_QUERIES
 from repro.tpcds.schema import ALL_TABLES, PARTITIONED_TABLES
-from repro.tpcds.workload import WorkloadReport, compare_workloads
 
 __all__ = [
     "generate_dataset",
@@ -12,6 +11,4 @@ __all__ = [
     "STUDIED_QUERIES",
     "FILLER_QUERIES",
     "WORKLOAD_QUERIES",
-    "compare_workloads",
-    "WorkloadReport",
 ]

@@ -1,18 +1,11 @@
-"""Workload runner: execute the query suite and summarize, paper-style.
+"""Workload vocabulary shared by the benchmarks and the tests.
 
-The paper's headline workload numbers are (a) total execution time
-improvement across all queries and (b) mean improvement restricted to
-queries whose plans changed.  :func:`compare_workloads` computes both
-for any pair of sessions (typically baseline vs fusion), asserting
-result equivalence query by query.
+The paper reports per-query latency and bytes scanned (Figures 1 and
+2); ``benchmarks/e2e`` measures both.  A query's plan counts as
+*changed* by the paper's techniques when one of these rules fired.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-from repro.engine.session import Session
-from repro.tpcds.queries import WORKLOAD_QUERIES
 
 #: Rule names that mark a plan as "changed" by the paper's techniques.
 FUSION_RULE_NAMES = frozenset(
@@ -23,96 +16,3 @@ FUSION_RULE_NAMES = frozenset(
         "union_all_on_join",
     }
 )
-
-
-@dataclass
-class QueryComparison:
-    """Per-query outcome of a baseline/candidate comparison."""
-
-    name: str
-    baseline_seconds: float
-    candidate_seconds: float
-    baseline_bytes: float
-    candidate_bytes: float
-    plan_changed: bool
-
-    @property
-    def speedup(self) -> float:
-        if self.candidate_seconds <= 0:
-            return float("inf")
-        return self.baseline_seconds / self.candidate_seconds
-
-    @property
-    def improvement_percent(self) -> float:
-        if self.baseline_seconds <= 0:
-            return 0.0
-        return (1.0 - self.candidate_seconds / self.baseline_seconds) * 100.0
-
-
-@dataclass
-class WorkloadReport:
-    """Aggregate of a workload comparison (the §V text numbers)."""
-
-    queries: list[QueryComparison] = field(default_factory=list)
-
-    @property
-    def total_improvement_percent(self) -> float:
-        baseline = sum(q.baseline_seconds for q in self.queries)
-        candidate = sum(q.candidate_seconds for q in self.queries)
-        if baseline <= 0:
-            return 0.0
-        return (1.0 - candidate / baseline) * 100.0
-
-    @property
-    def changed(self) -> list[QueryComparison]:
-        return [q for q in self.queries if q.plan_changed]
-
-    @property
-    def changed_mean_improvement_percent(self) -> float:
-        changed = self.changed
-        if not changed:
-            return 0.0
-        return sum(q.improvement_percent for q in changed) / len(changed)
-
-    @property
-    def best_speedup(self) -> float:
-        return max((q.speedup for q in self.changed), default=1.0)
-
-    def summary(self) -> str:
-        return (
-            f"{len(self.queries)} queries, {len(self.changed)} changed plans; "
-            f"total improvement {self.total_improvement_percent:.1f}%, "
-            f"changed-only mean {self.changed_mean_improvement_percent:.1f}%, "
-            f"best {self.best_speedup:.2f}x"
-        )
-
-
-def compare_workloads(
-    baseline: Session,
-    candidate: Session,
-    queries: dict[str, str] | None = None,
-) -> WorkloadReport:
-    """Run every query under both sessions and summarize.
-
-    Raises :class:`AssertionError` if any query's results differ — a
-    performance comparison between non-equivalent plans is meaningless.
-    """
-    suite = queries if queries is not None else WORKLOAD_QUERIES
-    report = WorkloadReport()
-    for name, sql in suite.items():
-        base = baseline.execute(sql)
-        cand = candidate.execute(sql)
-        assert base.sorted_rows() == cand.sorted_rows(), (
-            f"{name}: sessions disagree on results"
-        )
-        report.queries.append(
-            QueryComparison(
-                name=name,
-                baseline_seconds=base.metrics.wall_time_s,
-                candidate_seconds=cand.metrics.wall_time_s,
-                baseline_bytes=base.metrics.bytes_scanned,
-                candidate_bytes=cand.metrics.bytes_scanned,
-                plan_changed=bool(FUSION_RULE_NAMES & set(cand.fired_rules)),
-            )
-        )
-    return report

@@ -10,10 +10,9 @@ Three layers of coverage:
 * planted unsound rewrites — a test-only optimizer pass that silently
   changes plan semantics must be caught by the pipeline's fact-drift
   check with per-rule blame;
-* a seeded consistency sweep — every distinctness claim
-  ``repro.algebra.properties`` derives structurally must be confirmed
-  by the analyzer's ``is_unique`` over 200 generated-and-optimized
-  plans.
+* a seeded consistency sweep — every ``GroupBy``'s key set must be
+  confirmed unique by the analyzer's ``is_unique`` over 200
+  generated-and-optimized plans.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ from repro.algebra.expressions import (
     Literal,
     Not,
 )
-from repro.algebra.operators import Filter, Project
-from repro.algebra.properties import candidate_keys
+from repro.algebra.operators import Filter, GroupBy, Project
 from repro.algebra.schema import Column
 from repro.algebra.types import DataType
 from repro.algebra.visitors import transform_up, walk_plan
@@ -352,10 +350,10 @@ class TestLatticeOperations:
 
 
 class TestPropertiesConsistency:
-    """Structural key derivation (repro.algebra.properties) and the
-    abstract interpreter must agree: every candidate key the former
-    claims, the latter proves unique — over 200 seeded generated
-    queries, at every node of the optimized plan."""
+    """A GroupBy is keyed by its grouping columns, and the abstract
+    interpreter must prove it: every GroupBy key set is unique to the
+    analyzer — over 200 seeded generated queries, at every GroupBy of
+    the optimized plan."""
 
     def test_seeded_plans(self, tpcds_store):
         catalog = Catalog()
@@ -375,18 +373,14 @@ class TestPropertiesConsistency:
             analyzer = FactAnalyzer(catalog)
             checked_plans += 1
             for node in walk_plan(optimized):
-                claims = candidate_keys(node)
-                if not claims:
+                if not isinstance(node, GroupBy):
                     continue
-                facts = analyzer.facts(node)
-                for key in claims:
-                    checked_keys += 1
-                    cids = {column.cid for column in key}
-                    assert facts.is_unique(cids), (
-                        f"properties claims key {sorted(cids)} on "
-                        f"{node.name} but the analyzer cannot confirm "
-                        f"it\nsql: {sql}"
-                    )
+                checked_keys += 1
+                cids = {column.cid for column in node.keys}
+                assert analyzer.facts(node).is_unique(cids), (
+                    f"GroupBy keys {sorted(cids)} are not unique to the "
+                    f"analyzer\nsql: {sql}"
+                )
         assert checked_plans >= 100  # the sweep must actually run
         assert checked_keys > 0
 

@@ -39,6 +39,7 @@ from repro.errors import (
 )
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.rewrites.simplify import Cleanup
+from repro.server.degrade import CircuitBreaker
 from repro.storage.columnar import Store
 from repro.storage.faults import FaultInjector
 
@@ -99,6 +100,29 @@ def test_binding_error_unknown_table(session):
         session.execute("SELECT id FROM missing_table")
 
 
+#: Operands whose types cannot meet: constant folding used to crash on
+#: the first two with a raw TypeError, and the third returned no rows.
+_MIXED_TYPES = [
+    "SELECT count(*) FROM store WHERE 'a' < 1",
+    "SELECT count(*) FROM store WHERE 'a' + 1 > 0",
+    "SELECT count(*) FROM store WHERE s_store_name = 1",
+]
+
+
+@pytest.mark.parametrize("engine", ["row", "batch"])
+@pytest.mark.parametrize("sql", _MIXED_TYPES)
+def test_binding_error_mixed_operand_types(tpcds_store, engine, sql):
+    session = Session(tpcds_store, OptimizerConfig(engine=engine))
+    with pytest.raises(BindingError, match="type mismatch"):
+        session.execute(sql)
+
+
+@pytest.mark.parametrize("sql", _MIXED_TYPES)
+def test_cli_mixed_operand_types_exit_as_binding_errors(sql, capsys):
+    assert main(["--scale", "0.01", sql]) == exit_code_for(BindingError("x"))
+    assert capsys.readouterr().err.startswith("error: type mismatch")
+
+
 def test_catalog_error_registered_but_unstored(session):
     session.catalog.register(TableDef("ghost_t", (ColumnDef("x", DataType.INTEGER),)))
     with pytest.raises(CatalogError, match="no stored data"):
@@ -135,7 +159,9 @@ def test_plan_error_dangling_column_names_the_pass(monkeypatch):
 
 
 def test_transient_read_error_when_retries_disabled():
-    session = Session(_store(), OptimizerConfig(fault_rate=1.0, max_retries=0))
+    store = _store()
+    store.fault_injector = FaultInjector(fault_rate=1.0)
+    session = Session(store, OptimizerConfig(max_retries=0))
     with pytest.raises(TransientReadError, match="--retries"):
         session.execute("SELECT sum(age) FROM people")
 
@@ -181,7 +207,6 @@ def _service(**kw):
     defaults = dict(
         base=OptimizerConfig(engine="batch"),
         dispatchers=1,
-        health_interval_s=0.0,
     )
     defaults.update(kw)
     return QueryService(_store(), ServiceConfig(**defaults))
@@ -203,31 +228,23 @@ def test_query_queue_timeout_error_through_service():
 
 def test_circuit_open_error_through_service():
     # A bottom-rung-only service (row engine, serial, no cache) has no
-    # fallback; a hair-trigger breaker opens on the first failure and
-    # the next query finds every rung open.
-    config = dict(
-        base=OptimizerConfig(engine="row", workers=1, enable_plan_cache=False),
-        breaker_min_samples=1,
-        breaker_failure_threshold=0.1,
-        breaker_cooldown_s=1e9,
-    )
+    # fallback; the default breaker opens once its window holds
+    # min_samples failures, and the next query finds every rung open.
+    base = OptimizerConfig(engine="row", workers=1, enable_plan_cache=False)
     failing_sql = "SELECT (SELECT id FROM people) AS x"  # ExecutionError
-    with _service(**config) as service:
-        with pytest.raises(ExecutionError):
-            service.execute(failing_sql)
+    with _service(base=base) as service:
+        for _ in range(CircuitBreaker().min_samples):
+            with pytest.raises(ExecutionError):
+                service.execute(failing_sql)
         with pytest.raises(CircuitOpenError, match="circuit open"):
             service.execute("SELECT sum(age) FROM people")
 
 
 def test_user_fatal_errors_do_not_open_breakers():
-    config = dict(
-        base=OptimizerConfig(engine="row", workers=1, enable_plan_cache=False),
-        breaker_min_samples=1,
-        breaker_failure_threshold=0.1,
-        breaker_cooldown_s=1e9,
-    )
-    with _service(**config) as service:
-        for _ in range(3):
+    base = OptimizerConfig(engine="row", workers=1, enable_plan_cache=False)
+    with _service(base=base) as service:
+        # Enough typos to trip the default breaker, were they counted.
+        for _ in range(CircuitBreaker().min_samples + 1):
             with pytest.raises(BindingError):
                 service.execute("SELECT ghost FROM people")
         # Typos never trip the breaker: the rung still serves others.

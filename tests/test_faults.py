@@ -17,7 +17,6 @@ from repro.algebra.types import DataType
 from repro.engine.metrics import ResourceLimits, RunContext
 from repro.engine.session import Session
 from repro.errors import (
-    CatalogError,
     DataCorruptionError,
     QueryCancelledError,
     QueryTimeoutError,
@@ -37,6 +36,7 @@ from repro.storage.columnar import (
     vector_from_values,
 )
 from repro.storage.faults import (
+    MAX_RETRY_DELAY_MS,
     NO_RETRY,
     FaultInjector,
     RetryPolicy,
@@ -128,14 +128,15 @@ def test_on_get_outage_surfaces_through_store():
 
 
 def test_retry_policy_delays_are_deterministic_and_capped():
-    policy = RetryPolicy(max_retries=5, base_delay_ms=1.0, max_delay_ms=4.0, seed=7)
+    policy = RetryPolicy(max_retries=8, base_delay_ms=1.0, seed=7)
     site = ("t", 0, "c")
-    delays = [policy.delay_ms(a, site) for a in range(6)]
-    again = [policy.delay_ms(a, site) for a in range(6)]
+    delays = [policy.delay_ms(a, site) for a in range(9)]
+    again = [policy.delay_ms(a, site) for a in range(9)]
     assert delays == again
-    # Exponential base capped at max_delay_ms, jitter within +/-25%.
-    for attempt, delay in enumerate(delays):
-        nominal = min(1.0 * 2.0**attempt, 4.0)
+    # Doubling base capped at MAX_RETRY_DELAY_MS, jitter within +/-25%.
+    nominals = [min(1.0 * 2.0**attempt, MAX_RETRY_DELAY_MS) for attempt in range(9)]
+    assert nominals[-1] == MAX_RETRY_DELAY_MS < 2.0**8
+    for nominal, delay in zip(nominals, delays):
         assert 0.75 * nominal <= delay <= 1.25 * nominal
 
 
@@ -164,8 +165,8 @@ _ORDERS_SQL = (
 )
 
 
-def _fresh_people_session(engine="batch", **config):
-    # A fresh store per session: chaos configs install an injector on
+def _fresh_people_session(engine="batch", fault_rate=0.0, **config):
+    # A fresh store per session: a chaos run installs an injector on
     # the store, which must never leak into the shared fixtures.
     store = Store()
     store.put(
@@ -201,6 +202,8 @@ def _fresh_people_session(engine="batch", **config):
             partition_rows=2,
         )
     )
+    if fault_rate:
+        store.fault_injector = FaultInjector(fault_rate, seed=config.get("fault_seed", 7))
     return Session(store, OptimizerConfig(engine=engine, **config))
 
 
@@ -236,8 +239,23 @@ def test_session_does_not_overwrite_existing_injector():
     session = _fresh_people_session()
     injector = FaultInjector(fault_rate=0.5, seed=3)
     session.store.fault_injector = injector
-    Session(session.store, OptimizerConfig(fault_rate=1.0, fault_seed=9))
+    Session(session.store, OptimizerConfig(fault_seed=9, max_retries=0))
     assert session.store.fault_injector is injector
+
+
+def test_chaos_session_does_not_leak_onto_a_shared_store():
+    """Faults belong to the store, not to a session's config: building
+    a session with chaos settings must leave no injector behind on a
+    store that later sessions share."""
+    store = generate_dataset(scale=0.01, seed=7)
+    try:
+        Session(store, OptimizerConfig(**{"fault_rate": 1.0, "fault_seed": 3}))
+    except TypeError:
+        pass  # no config field turns faults on
+    vanilla = Session(store, OptimizerConfig(max_retries=0))
+    result = vanilla.execute("SELECT sum(ss_quantity) FROM store_sales")
+    assert result.metrics.faults_injected == 0
+    assert store.fault_injector is None
 
 
 # -- checksums --------------------------------------------------------------
@@ -441,7 +459,7 @@ def test_limits_validate():
     with pytest.raises(ValueError):
         ResourceLimits(max_spool_rows=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(fault_rate=2.0)
+        OptimizerConfig(max_retries=-1)
 
 
 # -- block immutability -----------------------------------------------------
@@ -470,10 +488,10 @@ def test_default_zero_copy_mutation_is_detectable():
         store.verify_integrity()
 
 
-# -- StoredTable.from_columns splitting (satellite 1) -----------------------
+# -- StoredTable.from_columns partitioning ---------------------------------
 
 
-def _keyed_table(keys, split="rows", partition_rows=None):
+def _keyed_table(keys, partition_rows=None):
     from repro.catalog.catalog import ColumnDef, TableDef
 
     definition = TableDef(
@@ -483,7 +501,7 @@ def _keyed_table(keys, split="rows", partition_rows=None):
     )
     data = {"k": list(keys), "v": list(range(len(keys)))}
     return StoredTable.from_columns(
-        definition, data, partition_rows=partition_rows, split=split
+        definition, data, partition_rows=partition_rows
     )
 
 
@@ -495,30 +513,6 @@ def test_from_columns_default_rows_split_is_fixed_size():
     assert [p.row_count for p in table.partitions] == [3, 1]
     assert delist(table.partitions[0].chunk("k").values) == [1, 1, 2]
     assert delist(table.partitions[1].chunk("k").values) == [2]
-
-
-def test_from_columns_key_range_never_splits_a_key():
-    table = _keyed_table([1, 1, 2, 2, 3, 3], split="key_range", partition_rows=3)
-    assert [p.row_count for p in table.partitions] == [4, 2]
-    for part in table.partitions:
-        keys = set(delist(part.chunk("k").values))
-        for other in table.partitions:
-            if other is not part:
-                assert keys.isdisjoint(set(delist(other.chunk("k").values)))
-
-
-def test_from_columns_key_range_default_one_partition_per_key():
-    table = _keyed_table([1, 1, 2, 3, 3, 3], split="key_range")
-    assert [delist(p.chunk("k").values) for p in table.partitions] == [
-        [1, 1],
-        [2],
-        [3, 3, 3],
-    ]
-
-
-def test_from_columns_rejects_unknown_split():
-    with pytest.raises(CatalogError, match="unknown split"):
-        _keyed_table([1, 2], split="zigzag")
 
 
 def test_generator_layout_is_byte_identical():
@@ -549,9 +543,9 @@ def tiny_store_pair():
 def test_workload_subset_identical_under_chaos(tiny_store_pair, engine):
     clean_store, chaos_store = tiny_store_pair
     clean = Session(clean_store, OptimizerConfig(engine=engine))
+    chaos_store.fault_injector = FaultInjector(fault_rate=0.5, seed=7)
     chaos = Session(
-        chaos_store,
-        OptimizerConfig(engine=engine, fault_rate=0.5, fault_seed=7, max_retries=3),
+        chaos_store, OptimizerConfig(engine=engine, fault_seed=7, max_retries=3)
     )
     chaos._retry_policy = RetryPolicy(max_retries=3, seed=7, sleep=lambda s: None)
     total_retries = 0

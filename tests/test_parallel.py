@@ -26,6 +26,7 @@ from repro.engine.parallel import FragmentError, WorkerPool
 from repro.engine.session import Session
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.optimizer.config import OptimizerConfig
+from repro.storage.faults import FaultInjector
 from repro.tpcds.queries import WORKLOAD_QUERIES
 
 #: One query per plan shape over the parallel planner's gathers.
@@ -169,11 +170,12 @@ def test_chaos_schedule_identical_to_serial(tpcds_store):
     """Fault injection is a pure function of (seed, site, attempt), so
     a parallel run injects exactly the faults the serial run does —
     regardless of which worker scans which morsel."""
-    chaos = dict(engine="batch", fault_rate=0.2, fault_seed=11, max_retries=4)
+    chaos = dict(engine="batch", fault_seed=11, max_retries=4)
     store = tpcds_store
-    serial = _run_all(store, **chaos)
-    parallel = _run_all(store, **chaos, workers=2)
+    store.fault_injector = FaultInjector(fault_rate=0.2, seed=11)
     try:
+        serial = _run_all(store, **chaos)
+        parallel = _run_all(store, **chaos, workers=2)
         assert sum(r.metrics.faults_injected for r in serial.values()) > 0
         for name in QUERIES:
             assert parallel[name].rows == serial[name].rows, name

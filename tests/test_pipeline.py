@@ -1,6 +1,8 @@
 """Tests for optimizer configuration, pipeline assembly, and the rule
 engine driver."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.algebra.expressions import FALSE, TRUE
@@ -25,7 +27,7 @@ class TestConfig:
     def test_without_fusion(self):
         derived = FUSION.without_fusion()
         assert not derived.enable_fusion
-        assert derived.fusion_min_rows == FUSION.fusion_min_rows
+        assert replace(derived, enable_fusion=True) == FUSION
 
 
 def drop_passes(monkeypatch, names) -> None:
@@ -108,13 +110,20 @@ class TestPipelineAssembly:
         assert result.metrics.bytes_scanned < baseline.metrics.bytes_scanned
 
     def test_fusion_min_rows_gates_scan_only_rewrites(self, tpcds_store):
-        """§IV.E end to end: Q09's common expression is Filter(Scan), so
-        a threshold above every table's cardinality turns it off."""
+        """§IV.E end to end: a UNION ALL whose common expression scans
+        only constant rows is not worth fusing; the same shape over a
+        stored table fuses."""
         from repro.engine.session import Session
 
-        strict = Session(tpcds_store, OptimizerConfig(fusion_min_rows=10**9))
-        fired = strict.execute(STUDIED_QUERIES["q09"]).fired_rules
-        assert "join_on_keys" not in fired
+        session = Session(tpcds_store, OptimizerConfig())
+        union = (
+            "SELECT {c} FROM {src} WHERE {c} > 1 "
+            "UNION ALL SELECT {c} FROM {src} WHERE {c} < 3"
+        )
+        constant = union.format(c="tag", src="(VALUES (1), (2), (3)) t(tag)")
+        stored = union.format(c="r_reason_sk", src="reason")
+        assert "union_all_fusion" not in session.execute(constant).fired_rules
+        assert "union_all_fusion" in session.execute(stored).fired_rules
 
 
 class TestRuleEngine:
@@ -198,7 +207,7 @@ class TestCostHeuristics:
         catalog = Catalog()
         tpcds_store.load_catalog(catalog)
         binder = Binder(catalog)
-        ctx = OptimizerContext(catalog, OptimizerConfig(fusion_min_rows=10**12))
+        ctx = OptimizerContext(catalog, OptimizerConfig())
         joined = binder.bind_sql(
             "SELECT 1 FROM store_sales, store WHERE ss_store_sk = s_store_sk"
         ).plan
@@ -211,13 +220,11 @@ class TestCostHeuristics:
         catalog = Catalog()
         tpcds_store.load_catalog(catalog)
         binder = Binder(catalog)
-        scan_plan = collect(
-            binder.bind_sql("SELECT ss_item_sk FROM store_sales").plan, Scan
-        )[0]
-        permissive = OptimizerContext(catalog, OptimizerConfig(fusion_min_rows=1))
-        strict = OptimizerContext(catalog, OptimizerConfig(fusion_min_rows=10**12))
-        assert permissive.worth_fusing(scan_plan)
-        assert not strict.worth_fusing(scan_plan)
+        ctx = OptimizerContext(catalog, OptimizerConfig())
+        scan_plan = collect(binder.bind_sql("SELECT r_reason_sk FROM reason").plan, Scan)[0]
+        values_plan = binder.bind_sql("SELECT tag FROM (VALUES (1), (2)) t(tag)").plan
+        assert ctx.worth_fusing(scan_plan)
+        assert not ctx.worth_fusing(values_plan)
 
 
 def stacked_operators(plan: PlanNode) -> list[str]:

@@ -126,8 +126,6 @@ def test_eager_invalidate_table():
 def test_config_rejects_bad_cache_params():
     with pytest.raises(ValueError):
         OptimizerConfig(cache_budget_mb=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(cache_max_populate=-1)
 
 
 # -- session-level behaviour ------------------------------------------------

@@ -59,9 +59,7 @@ class TestAdmissionController:
         assert ctrl.in_flight("a") == 1
 
     def test_queue_full_sheds_with_retry_after(self):
-        ctrl = AdmissionController(
-            max_queue_depth=2, shed_retry_ms=100.0, clock=FakeClock()
-        )
+        ctrl = AdmissionController(max_queue_depth=2, clock=FakeClock())
         ctrl.admit("a")
         ctrl.admit("a")
         with pytest.raises(AdmissionRejectedError) as excinfo:

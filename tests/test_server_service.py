@@ -50,7 +50,6 @@ def _config(**kw) -> ServiceConfig:
     defaults = dict(
         base=OptimizerConfig(engine="batch", enable_plan_cache=True),
         dispatchers=2,
-        health_interval_s=0.0,  # no pool in these configs
     )
     defaults.update(kw)
     return ServiceConfig(**defaults)

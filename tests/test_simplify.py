@@ -17,7 +17,7 @@ from repro.algebra.expressions import (
     string,
 )
 from repro.algebra.schema import Column
-from repro.algebra.simplify import implied_by, is_contradiction, simplify, simplify_filter
+from repro.algebra.simplify import is_contradiction, simplify, simplify_filter
 from repro.algebra.types import DataType
 
 
@@ -188,10 +188,3 @@ class TestFilterSimplification:
         bad = And((Comparison("=", tag, integer(1)), Comparison("=", tag, integer(2))))
         good = Comparison("=", tag, integer(1))
         assert simplify_filter(Or((bad, good))) == good
-
-    def test_implied_by(self):
-        a = Comparison("=", ref(1), integer(1))
-        b = Comparison(">", ref(2), integer(0))
-        assert implied_by(a, [a, b])
-        assert implied_by(And((a, b)), [b, a])
-        assert not implied_by(Comparison("=", ref(3), integer(9)), [a, b])
