@@ -44,15 +44,11 @@ DEFAULT_ROOT = os.path.join(REPO, "src", "repro")
 #: Functions under ``src/repro`` that the reach job never starts, each
 #: with the reason it stays.  Keys are ``<path under the root>::<qualname>``.
 ALLOWLIST: dict[str, str] = {
-    "algebra/analysis.py::FactAnalyzer._enforce_single_row": (
-        "facts of EnforceSingleRow: no analyzed plan in these runs keeps one"
-    ),
     "algebra/analysis.py::FactAnalyzer._exchange": (
         "facts of Exchange: only a validated parallel run (fuzz --workers) analyzes one"
     ),
     "algebra/expressions.py::Expression.dtype": "abstract: every expression overrides it",
     "algebra/expressions.py::Expression.with_children": "abstract: every expression overrides it",
-    "algebra/expressions.py::FunctionCall.__repr__": "debugging repr",
     "algebra/operators.py::EnforceSingleRow.with_children": (
         "rewrites never rebuild above an EnforceSingleRow in these runs"
     ),

@@ -61,6 +61,9 @@ class QueryMetrics:
     #: leaves out; their sum is the latency a ``Session.execute`` caller
     #: sees.  Zero for a plan executed without a session.
     planning_s: float = 0.0
+    #: True when ``planning_s`` covered only the per-execution passes:
+    #: the session's plan memo already held this SQL text's plan.
+    plan_memo_hit: bool = False
     rows_output: int = 0
     peak_state_rows: int = 0
     #: Sum of all rows ever admitted to stateful operators.  In a
@@ -128,6 +131,7 @@ class QueryMetrics:
         text = (
             f"wall={self.wall_time_s*1000:.1f}ms "
             f"plan={self.planning_s*1000:.1f}ms "
+            f"{'plan_memo=hit ' if self.plan_memo_hit else ''}"
             f"bytes={self.bytes_scanned/1024:.1f}KiB "
             f"rows_scanned={self.rows_scanned} "
             f"partitions={self.partitions_read} "

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
-from repro.algebra.operators import PlanNode
+from repro.algebra.operators import PlanNode, Scan
 from repro.algebra.printer import explain
+from repro.algebra.visitors import collect
 from repro.catalog.catalog import Catalog
 from repro.engine.batch_executor import execute_batch
 from repro.engine.executor import execute
@@ -27,10 +29,28 @@ from repro.engine.metrics import (
 from repro.engine.parallel import WorkerPool, execute_parallel
 from repro.engine.plan_cache import MIB, PlanCache
 from repro.optimizer.config import OptimizerConfig
-from repro.optimizer.pipeline import optimize
-from repro.sql.binder import Binder
+from repro.optimizer.context import OptimizerContext
+from repro.optimizer.pipeline import split_pipeline
+from repro.optimizer.rule import run_pipeline
+from repro.sql.binder import Binder, BoundQuery
 from repro.storage.columnar import Store
 from repro.storage.faults import RetryPolicy
+
+#: Entries of a session's plan memo; the least recently used goes first
+#: beyond it.
+PLAN_MEMO_SIZE = 256
+
+
+@dataclass(frozen=True)
+class _Planned:
+    """One plan memo entry: a query planned up to its per-execution
+    passes, and the catalog version of every table it scans."""
+
+    bound: BoundQuery
+    #: The plan just before ``CrossQueryReuse`` / ``ParallelPlan``.
+    plan: PlanNode
+    fired: tuple[str, ...]
+    versions: tuple[tuple[str, int], ...]
 
 
 @dataclass
@@ -68,6 +88,7 @@ class Session:
         config: OptimizerConfig | None = None,
         worker_pool: WorkerPool | None = None,
         plan_cache: PlanCache | None = None,
+        plan_memo: bool = True,
     ):
         self.store = store
         self.config = config if config is not None else OptimizerConfig()
@@ -98,7 +119,11 @@ class Session:
         self._cancel_pending = False
         self.catalog = Catalog()
         store.load_catalog(self.catalog)
-        self._binder = Binder(self.catalog)
+        #: The plan memo (DESIGN.md §8, "Plan memo"): SQL text -> its
+        #: planned query, guarded by ``_state_lock``.  ``plan_memo=False``
+        #: (the query service's sessions) plans every query afresh.
+        self._memo: OrderedDict[str, _Planned] = OrderedDict()
+        self._memo_size = PLAN_MEMO_SIZE if plan_memo else 0
         #: Cross-query subplan result cache (§ cross-query reuse);
         #: lives as long as the session, like Athena's per-workgroup
         #: result reuse window.  A caller-supplied cache (e.g. the
@@ -150,14 +175,11 @@ class Session:
 
     def _bind_and_optimize(self, sql: str):
         """Parse + bind + optimize: ``(bound, optimized, optimizer
-        context)``.  The caller releases the cache pins the cache-aware
-        pass may have taken, raised or not."""
-        # A fresh Binder per call: binding keeps per-query scratch
-        # state on the instance, so concurrent binds must not share it
-        # (the catalog and its column allocator are safe to share).
-        bound = Binder(self.catalog).bind_sql(sql)
-        optimized, opt_ctx = optimize(
-            bound.plan,
+        context, memo hit)``.  A memoized plan skips everything but the
+        per-execution passes.  The caller releases the cache pins the
+        cache-aware pass may have taken, raised or not."""
+        head, tail = split_pipeline(self.config)
+        ctx = OptimizerContext(
             self.catalog,
             self.config,
             plan_cache=self.plan_cache,
@@ -165,12 +187,45 @@ class Session:
                 self._partitions() if self.config.workers > 1 else None
             ),
         )
-        return bound, optimized, opt_ctx
+        with self._state_lock:
+            planned = self._memo.get(sql)
+            if planned is not None:
+                self._memo.move_to_end(sql)
+        hit = planned is not None and all(
+            self.catalog.table_version(t) == v for t, v in planned.versions
+        )
+        if hit:
+            ctx.fired.extend(planned.fired)
+        else:
+            # Versions are read before binding: a reload racing this
+            # plan leaves an entry that can only miss.
+            versions = {
+                t.name.lower(): self.catalog.table_version(t.name)
+                for t in self.catalog.tables()
+            }
+            # A fresh Binder per call: binding keeps per-query scratch
+            # state on the instance, so concurrent binds must not share
+            # it (the catalog and its column allocator are safe to share).
+            bound = Binder(self.catalog).bind_sql(sql)
+            tables = sorted({scan.table.lower() for scan in collect(bound.plan, Scan)})
+            planned = _Planned(
+                bound,
+                run_pipeline(bound.plan, head, ctx),
+                tuple(ctx.fired),
+                tuple((t, versions.get(t, 0)) for t in tables),
+            )
+            if self._memo_size:
+                with self._state_lock:
+                    self._memo[sql] = planned
+                    self._memo.move_to_end(sql)
+                    if len(self._memo) > self._memo_size:
+                        self._memo.popitem(last=False)
+        return planned.bound, run_pipeline(planned.plan, tail, ctx), ctx, hit
 
     def plan(self, sql: str) -> tuple[PlanNode, tuple[str, ...]]:
         """Parse + bind + optimize; returns (plan, output names)."""
         try:
-            bound, optimized, _ = self._bind_and_optimize(sql)
+            bound, optimized, _, _ = self._bind_and_optimize(sql)
         finally:
             # plan() has no execution phase, so hits pinned during the
             # cache-aware pass must not outlive the call.
@@ -188,7 +243,7 @@ class Session:
         run_ctx: RunContext | None = None
         start = time.perf_counter()
         try:
-            bound, optimized, opt_ctx = self._bind_and_optimize(sql)
+            bound, optimized, opt_ctx, memo_hit = self._bind_and_optimize(sql)
             planning_s = time.perf_counter() - start
             limits = self._limits
             if timeout_ms is not None:
@@ -204,6 +259,7 @@ class Session:
                 cancel_now = self._cancel_pending
                 self._cancel_pending = False
             run_ctx.metrics.planning_s = planning_s
+            run_ctx.metrics.plan_memo_hit = memo_hit
             if cancel_now:
                 run_ctx.cancel()
             if self.config.profile:

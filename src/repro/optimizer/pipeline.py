@@ -108,6 +108,24 @@ def build_pipeline(config: OptimizerConfig) -> list[PlanPass]:
     return passes
 
 
+#: Passes that read per-execution state — the plan cache's contents,
+#: the store's partition counts — and so run on every plan, memoized
+#: or not.  They close the pipeline; nothing before them reads either.
+PER_EXECUTION_PASSES = (CrossQueryReuse, ParallelPlan)
+
+
+def split_pipeline(config: OptimizerConfig) -> tuple[list[PlanPass], list[PlanPass]]:
+    """``build_pipeline(config)`` cut before its per-execution tail:
+    ``(head, tail)``.  The head's output depends only on the bound
+    plan, the config and the catalog, so a session may memoize it."""
+    passes = build_pipeline(config)
+    cut = next(
+        (i for i, p in enumerate(passes) if isinstance(p, PER_EXECUTION_PASSES)),
+        len(passes),
+    )
+    return passes[:cut], passes[cut:]
+
+
 def optimize(
     plan: PlanNode,
     catalog: Catalog,

@@ -3,18 +3,20 @@
 The service boundary of DESIGN.md §14: every query passes through the
 :class:`AdmissionController` *before* any parsing or planning happens,
 so an overloaded service sheds work at the cheapest possible point.
-Three independent gates, checked in order:
+Two gates, plus a third for tenants whose quota sets a rate, checked
+in order:
 
 1. **Global queue depth** — the admission queue is bounded; a full
    queue rejects immediately (load shedding) with a ``retry_after_ms``
    that grows with queue pressure, the 503-with-Retry-After of a real
    query service.
-2. **Per-tenant rate** — a token bucket per tenant (rate + burst), so
-   one chatty dashboard cannot starve the others no matter how fast it
-   resubmits.
-3. **Per-tenant in-flight budget** — queued + running queries per
+2. **Per-tenant in-flight budget** — queued + running queries per
    tenant are capped, bounding the damage a single tenant's slow
    queries can do to shared memory and worker capacity.
+3. **Per-tenant rate**, when the quota sets one — a token bucket per
+   tenant (rate + burst), so one chatty dashboard cannot starve the
+   others no matter how fast it resubmits.  The default quota sets no
+   rate, so a tenant without an explicit quota is never rate-limited.
 
 All decisions are made under one lock with an injectable clock, so
 tests drive the bucket and the queue deterministically.
@@ -36,9 +38,10 @@ class TenantQuota:
 
     #: Queued + running queries allowed at once for this tenant.
     max_in_flight: int = 16
-    #: Token-bucket refill rate (sustained queries per second).
-    rate_per_s: float = 200.0
-    #: Token-bucket capacity (burst size).
+    #: Token-bucket refill rate (sustained queries per second); None
+    #: means no bucket, so the tenant is never rate-limited.
+    rate_per_s: float | None = None
+    #: Token-bucket capacity (burst size), when a rate is set.
     burst: int = 64
     #: Dispatch priority: lower runs first (0 = interactive).
     priority: int = 1
@@ -138,11 +141,11 @@ class AdmissionController:
                     retry_after_ms=SHED_RETRY_MS,
                 )
             bucket = self._buckets.get(tenant)
-            if bucket is None:
+            if bucket is None and quota.rate_per_s is not None:
                 bucket = self._buckets[tenant] = TokenBucket(
                     quota.rate_per_s, quota.burst, clock=self._clock
                 )
-            wait_ms = bucket.try_acquire()
+            wait_ms = 0.0 if bucket is None else bucket.try_acquire()
             if wait_ms > 0.0:
                 self.stats.rejected_rate_limited += 1
                 raise AdmissionRejectedError(

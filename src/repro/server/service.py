@@ -13,7 +13,9 @@
 * one :class:`~repro.engine.session.Session` per degradation rung, all
   sharing the store, the plan cache (so cross-query reuse and
   leader/follower shared execution work across rungs and tenants), and
-  the self-healing :class:`~repro.engine.parallel.WorkerPool`;
+  the self-healing :class:`~repro.engine.parallel.WorkerPool`; these
+  sessions keep no plan memo, so every query is planned afresh
+  (DESIGN.md §8, "Plan memo");
 * a maintenance thread runs ``WorkerPool.health_check`` on a short
   period, so crashed or frozen workers are replaced even while the
   dispatchers are blocked inside queries.
@@ -349,6 +351,7 @@ class QueryService:
                     rung.config(self.config.base),
                     worker_pool=self.pool if rung.parallel else None,
                     plan_cache=self.plan_cache,
+                    plan_memo=False,
                 )
                 self._sessions[rung.name] = session
             return session

@@ -374,15 +374,6 @@ class Store:
 
         stored = self.get(name)
         definition = stored.definition
-        catalog.register(
-            TableDef(
-                definition.name,
-                definition.columns,
-                definition.primary_key,
-                definition.partition_column,
-                stored.row_count,
-            )
-        )
         total = stored.row_count
         for cdef in definition.columns:
             distinct: set = set()
@@ -415,6 +406,17 @@ class Store:
                     max_value=max(c.max_value for c in bounded) if bounded else None,
                 ),
             )
+        # Registration bumps the table's version, so it comes last: a
+        # planner that reads the new version also sees the new stats.
+        catalog.register(
+            TableDef(
+                definition.name,
+                definition.columns,
+                definition.primary_key,
+                definition.partition_column,
+                total,
+            )
+        )
 
     def scan_blocks(
         self,

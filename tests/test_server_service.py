@@ -134,6 +134,22 @@ class TestEndToEnd:
             assert {"p50", "p99", "max"} <= set(snap["latency_ms"])
             assert "admission" in snap and "breakers" in snap
 
+    def test_default_quota_never_sheds_back_to_back_queries(
+        self, service_store, expected_rows
+    ):
+        # No explicit quota means no rate limit: a closed-loop client
+        # of a cached query runs faster than the old default bucket
+        # (200 queries/s after a burst of 64) refilled.
+        with QueryService(service_store, _config()) as service:
+            for _ in range(1000):
+                result = service.execute(QUERIES[0], tenant="solo")
+                assert result.rows == expected_rows[QUERIES[0]]
+                # The service's sessions keep no plan memo.
+                assert not result.metrics.plan_memo_hit
+            snap = service.metrics()
+        assert snap["admission"]["rejected"] == 0
+        assert snap["completed"] == 1000
+
     def test_latency_reservoir_is_bounded(self):
         # A long-running service must not accumulate one float per
         # completed query forever; percentiles come from a bounded

@@ -120,23 +120,26 @@ def test_concurrent_mixed_engines_one_store(stress_store, expected_rows):
     assert failures == []
 
 
-def test_four_threads_plan_the_workload_like_a_serial_pass(stress_store):
-    """Planning stores canonical forms on expression nodes without a
-    lock (DESIGN.md §3b); a lost or torn store would change a plan."""
+def _plan_on_four_threads(store, config: OptimizerConfig, passes: int) -> Session:
+    """Four threads plan the 32 named queries ``passes`` times on one
+    fresh session; every digest must equal a serial pass's, made on a
+    session of its own so the threads' session has memoized nothing."""
     names = list(WORKLOAD_QUERIES)
-    session = Session(stress_store, OptimizerConfig())
 
-    def digest(name: str) -> str:
+    def digest(session: Session, name: str) -> str:
         return plan_fingerprint(session.plan(WORKLOAD_QUERIES[name])[0]).digest
 
-    serial = {name: digest(name) for name in names}
-    got: list[dict[str, str]] = [{} for _ in range(4)]
+    with Session(store, config) as serial_session:
+        serial = {name: digest(serial_session, name) for name in names}
+    session = Session(store, config)
     failures: list[str] = []
 
     def worker(index: int) -> None:
         try:
-            for name in names[index * 8:] + names[: index * 8]:
-                got[index][name] = digest(name)
+            for _ in range(passes):
+                for name in names[index * 8:] + names[: index * 8]:
+                    if digest(session, name) != serial[name]:
+                        failures.append(f"thread {index}: {name} planned differently")
         except BaseException as exc:  # noqa: BLE001 - surfaced below
             failures.append(f"thread {index}: {type(exc).__name__}: {exc}")
 
@@ -151,7 +154,22 @@ def test_four_threads_plan_the_workload_like_a_serial_pass(stress_store):
     finally:
         sys.setswitchinterval(interval)
     assert failures == [] and not any(t.is_alive() for t in threads)
-    assert got == [serial] * 4
+    return session
+
+
+def test_four_threads_plan_the_workload_like_a_serial_pass(stress_store):
+    """Planning stores canonical forms on expression nodes without a
+    lock (DESIGN.md §3b); a lost or torn store would change a plan."""
+    _plan_on_four_threads(stress_store, OptimizerConfig(), passes=1)
+
+
+def test_four_threads_share_one_plan_memo_like_a_serial_pass(stress_store):
+    """On a cache-enabled session each text's first plan races the
+    other threads; the second pass is served from the plan memo."""
+    session = _plan_on_four_threads(
+        stress_store, OptimizerConfig(enable_plan_cache=True), passes=2
+    )
+    assert not session.plan_cache._pinned, "leaked pins after concurrent planning"
 
 
 def test_cancel_aborts_all_inflight_queries(stress_store):
