@@ -22,7 +22,9 @@ Checks conventions a generic linter cannot know:
   passes ``Cleanup`` replaced, the per-rule fusion switches, the
   column chunk's lazy second copy (its cache fields, its second
   checksum check and ``invalidate_vector``), the options only tests
-  set and the modules and functions nothing called;
+  set and the modules and functions nothing called, and the second
+  default block size and the private copies of ``child_bounded`` and
+  ``concat_column``;
 * every memo slot written into a node's ``__dict__`` under
   ``src/repro/algebra`` is named in ``expressions.MEMO_SLOTS``, the
   list ``Expression.__getstate__`` strips (a cache missing from it
@@ -140,6 +142,9 @@ RETIRED_NAMES = (
     "QueryComparison",
     "implied_by",
     "self._binder",
+    "DEFAULT_BLOCK_ROWS",
+    "_child_bounded",
+    "_concat_column",
 )
 
 
@@ -250,18 +255,18 @@ def lint_memo_slots() -> list[str]:
 #: the count at the last PR that changed it; lower it freely, raise it
 #: only by the net growth the PR's issue budgeted and CHANGES.md records.
 PACKAGE_LINE_CEILINGS = {
-    "repro": 498,
-    "repro.algebra": 3229,
+    "repro": 499,
+    "repro.algebra": 3239,
     "repro.catalog": 90,
-    "repro.engine": 3277,
+    "repro.engine": 3280,
     "repro.fusion": 482,
-    "repro.optimizer": 2828,
+    "repro.optimizer": 2815,
     "repro.server": 827,
     "repro.sql": 1322,
-    "repro.storage": 588,
-    "repro.testing": 1062,
+    "repro.storage": 616,
+    "repro.testing": 1064,
     "repro.tpcds": 1000,
-    "total": 15203,
+    "total": 15234,
 }
 
 _NON_CODE_TOKENS = frozenset(

@@ -615,6 +615,30 @@ def pipeline_scan(node: PlanNode) -> Scan | None:
     return node if isinstance(node, Scan) else None
 
 
+def child_bounded(node: PlanNode, index: int, bounded: bool) -> bool:
+    """Is child ``index`` of ``node`` demanded lazily by an
+    early-terminating ancestor, given whether ``node`` itself is
+    (``bounded``)?  A bounded subtree may stop being read before its
+    scans are drained: parallel fragments and partition-spanning blocks
+    would read more than a serial, chunk-at-a-time run."""
+    if isinstance(node, (Limit, EnforceSingleRow)):
+        return True
+    if isinstance(node, ScalarApply):
+        # The subquery is read for at most two rows per input row.
+        return True if index == 1 else bounded
+    if isinstance(node, (Sort, GroupBy, Window)):
+        # Blocking: the operator drains its input fully before emitting
+        # a single row, so demand from above cannot be partial.
+        return False
+    if isinstance(node, Join):
+        # Every join kind streams its left (probe) side and materializes
+        # its right (build) side.
+        return bounded if index == 0 else False
+    # Streaming operators (Filter/Project/UnionAll/MarkDistinct/
+    # CachePopulate/Exchange...) propagate demand unchanged.
+    return bounded
+
+
 def referenced_columns(node: PlanNode) -> set[Column]:
     """Columns of ``node``'s children that ``node``'s own expressions
     reference (not recursive)."""

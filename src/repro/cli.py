@@ -100,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch-rows",
         type=int,
-        default=1024,
-        help="rows per block for the batch engine (default 1024)",
+        default=OptimizerConfig.batch_rows,
+        help="the most rows a block of the batch engine holds "
+        "(default %(default)s)",
     )
     parser.add_argument(
         "--profile",

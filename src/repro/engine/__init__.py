@@ -8,7 +8,7 @@ Two expression compilers: the scalar reference ``compile_expression``
 (row engine) and the block compiler ``compile_expression_block``
 (block engine, list or NumPy columns)."""
 
-from repro.engine.batch_executor import DEFAULT_BLOCK_ROWS, execute_batch
+from repro.engine.batch_executor import execute_batch
 from repro.engine.evaluator import Aggregator, compile_expression
 from repro.engine.executor import execute
 from repro.engine.metrics import QueryMetrics, RunContext, Stopwatch
@@ -23,7 +23,6 @@ __all__ = [
     "Stopwatch",
     "execute",
     "execute_batch",
-    "DEFAULT_BLOCK_ROWS",
     "compile_expression",
     "compile_expression_block",
     "Aggregator",

@@ -41,10 +41,15 @@ exact state-row counts of partially drained operators) may differ.  Two
 invariants make the metric half of this hold by construction:
 
 * scans charge accounting per partition chunk (shared
-  :meth:`~repro.storage.columnar.Store.scan_blocks` path), and blocks
-  never span a partition boundary — so early termination (Limit,
-  EnforceSingleRow) can over-read at most the tail of a block that
-  lies in an already-charged partition;
+  :meth:`~repro.storage.columnar.Store.scan_blocks` path), and a block
+  spans partitions only where demand is unbounded: a scan that a Limit,
+  an EnforceSingleRow or a ScalarApply subquery can stop hands out one
+  chunk, or a slice of one, per block, so early termination over-reads
+  at most the tail of a block in an already-charged partition; every
+  other scan (:func:`drained_scans`, decided once per
+  :func:`execute_batch` call) is drained whole by both engines, so
+  handing it out as runs of up to ``block_rows`` rows of consecutive
+  chunks reads nothing the row engine does not;
 * streaming operators flush their output at every input-block
   boundary instead of accumulating across blocks, so they never pull
   more input blocks than needed to satisfy downstream demand; the keyed
@@ -82,6 +87,7 @@ from repro.algebra.operators import (
     UnionAll,
     Values,
     Window,
+    child_bounded,
 )
 from repro.engine.evaluator import Aggregator, lower_aggregates
 from repro.engine.executor import (
@@ -110,11 +116,8 @@ from repro.engine.vectors import (
     true_lanes,
 )
 from repro.errors import ExecutionError
+from repro.optimizer.config import OptimizerConfig
 from repro.storage.columnar import NumpyVector, delist
-
-#: Default rows per block — large enough to amortize per-block costs,
-#: small enough to keep resident intermediates bounded.
-DEFAULT_BLOCK_ROWS = 1024
 
 Row = tuple
 #: A block: (column vectors, row count).  Zero-column blocks carry
@@ -125,20 +128,39 @@ Block = tuple[list, int]
 def execute_batch(
     plan: PlanNode,
     ctx: RunContext,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
+    block_rows: int = OptimizerConfig.batch_rows,
     vectors: str = "numpy",
 ) -> Iterator[Row]:
     """Execute ``plan`` with the block engine, yielding output rows.
 
     ``vectors="numpy"`` makes scans hand out NumPy columns, ``"python"``
-    lists; nothing else depends on it.
+    lists; nothing else depends on it.  Which scans may hand out runs
+    of partition chunks is decided here, once, from the plan.
     """
     ctx.vector_blocks = vectors == "numpy"
+    ctx.drained_scans = drained_scans(plan)
     return _iter_rows(plan, ctx, block_rows)
 
 
+def drained_scans(plan: PlanNode) -> frozenset[int]:
+    """``id``s of the plan's Scan nodes that no early-terminating
+    ancestor can stop (:func:`~repro.algebra.operators.child_bounded`).
+    A Scan object reached both ways counts as bounded."""
+    bounded: set[int] = set()
+    drained: set[int] = set()
+
+    def visit(node: PlanNode, lazy: bool) -> None:
+        if isinstance(node, Scan):
+            (bounded if lazy else drained).add(id(node))
+        for index, child in enumerate(node.children):
+            visit(child, child_bounded(node, index, lazy))
+
+    visit(plan, False)
+    return frozenset(drained - bounded)
+
+
 def execute_blocks(
-    plan: PlanNode, ctx: RunContext, block_rows: int = DEFAULT_BLOCK_ROWS
+    plan: PlanNode, ctx: RunContext, block_rows: int = OptimizerConfig.batch_rows
 ) -> Iterator[Block]:
     """Execute ``plan``, yielding output blocks.
 
@@ -224,6 +246,7 @@ def _run_scan(plan: Scan, ctx: RunContext, block_rows: int) -> Iterator[Block]:
         block_rows=block_rows,
         runtime=ctx,
         as_vectors=ctx.vector_blocks,
+        coalesce=id(plan) in ctx.drained_scans,
     )
     if plan.predicate is None:
         yield from blocks
@@ -297,11 +320,11 @@ def _run_limit(plan: Limit, ctx: RunContext, block_rows: int) -> Iterator[Block]
 #: candidate (probe, build) pairs at once.  A skewed key or a CROSS
 #: join would otherwise materialize |probe block| x |build| index
 #: pairs; with the bound, every index array of a join (and every block
-#: it yields) stays under it plus one probe block.  A slice longer than
-#: a block amortizes nothing more, and it is what the join — and
-#: whoever takes its blocks — holds (DESIGN.md §7 has the memory
-#: measurement).
-_JOIN_PAIR_SLICE = 1 << 16
+#: it yields) stays under it plus one probe block.  A slice is what the
+#: join — and whoever takes its blocks — holds, so it stays at 1 024
+#: pairs while a scan's blocks grow to ``block_rows``: slices as long as
+#: a 65 536-row block cost ~15 % more peak memory (DESIGN.md §7).
+_JOIN_PAIR_SLICE = 1 << 10
 
 
 def _run_join(plan: Join, ctx: RunContext, block_rows: int) -> Iterator[Block]:

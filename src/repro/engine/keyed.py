@@ -31,7 +31,7 @@ from operator import eq
 
 from repro.engine.evaluator import Aggregator, canon_key
 from repro.engine.vectors import _and_valid, np, take_rows, true_mask
-from repro.storage.columnar import _INT_GUARD, NumpyVector, delist
+from repro.storage.columnar import _INT_GUARD, NumpyVector, concat_column, delist
 
 
 def buffer_blocks(blocks, width: int, ctx):
@@ -45,20 +45,7 @@ def buffer_blocks(blocks, width: int, ctx):
         for seg, c in zip(segments, cols):
             seg.append(c)
         total += n
-    return [_concat_column(segs) for segs in segments], total
-
-
-def _concat_column(segs: list):
-    """Concatenate per-block column segments; NumPy when uniform."""
-    if len(segs) == 1:
-        return segs[0]
-    if segs and all(type(s) is NumpyVector for s in segs):
-        data = np.concatenate([s.data for s in segs])
-        if all(s.valid is None for s in segs):
-            return NumpyVector(data)
-        valid = [np.ones(len(s), bool) if s.valid is None else s.valid for s in segs]
-        return NumpyVector(data, np.concatenate(valid))
-    return list(chain.from_iterable(map(delist, segs)))
+    return [concat_column(segs) for segs in segments], total
 
 
 def block_slices(cols: list, total: int, block_rows: int):

@@ -256,6 +256,10 @@ class RunContext:
         #: Whether the block engine's scans hand out NumPy vector
         #: columns (``execute_batch(vectors="numpy")``) or lists.
         self.vector_blocks = False
+        #: ``id``s of the Scan nodes the block engine may hand out as
+        #: runs of partition chunks: those with no early-terminating
+        #: ancestor, which the plan drains whole (``execute_batch``).
+        self.drained_scans: frozenset[int] = frozenset()
         #: Optional :class:`Profiler`; engines wrap operator iterators
         #: when set (``OptimizerConfig(profile=True)``).
         self.profiler: Profiler | None = None

@@ -20,16 +20,20 @@ class OptimizerConfig:
     #: Master switch for the paper's fusion-based rules (§IV).
     enable_fusion: bool = True
     #: Execution backend: ``"batch"`` — the block engine — streams
-    #: ~``batch_rows``-row column blocks through vectorized operators
-    #: (the default: it amortizes the interpreter's per-row overhead);
+    #: column blocks through vectorized operators (the default: it
+    #: amortizes the interpreter's per-row overhead);
     #: ``"row"`` is the original tuple-at-a-time streaming executor.
     #: The vector path's former engine name, compiled, is normalized to
     #: ``"batch"`` on construction.  Both engines produce bit-identical
     #: results and identical scan metrics
     #: (tests/test_engine_ab.py, DESIGN.md §11).
     engine: str = "batch"
-    #: Rows per block for the block engine.
-    batch_rows: int = 1024
+    #: The most rows a block of the block engine holds.  A scan the
+    #: plan drains whole hands out runs of partition chunks up to this
+    #: size; under a LIMIT or a scalar subquery it hands out one chunk,
+    #: or a slice of one, per block (DESIGN.md §7).  Large, because an
+    #: operator's cost is per block far more than per row.
+    batch_rows: int = 1 << 16
     #: Column representation of the block engine: ``"numpy"`` backs
     #: eligible column blocks with ndarrays + validity masks;
     #: ``"python"`` keeps lists.

@@ -32,15 +32,10 @@ from __future__ import annotations
 from itertools import count
 
 from repro.algebra.operators import (
-    EnforceSingleRow,
     Exchange,
-    GroupBy,
-    Join,
-    Limit,
     PlanNode,
     ScalarApply,
-    Sort,
-    Window,
+    child_bounded,
     pipeline_scan,
 )
 from repro.optimizer.context import OptimizerContext
@@ -80,7 +75,7 @@ class ParallelPlan(PlanPass):
             if not kids:
                 return node
             new_kids = tuple(
-                visit(child, _child_bounded(node, i, bounded))
+                visit(child, child_bounded(node, i, bounded))
                 for i, child in enumerate(kids)
             )
             if all(a is b for a, b in zip(new_kids, kids)):
@@ -92,21 +87,3 @@ class ParallelPlan(PlanPass):
             ctx.record(self.name)
         return result
 
-
-def _child_bounded(node: PlanNode, index: int, bounded: bool) -> bool:
-    """Is child ``index`` demanded lazily by an early-terminating
-    ancestor?  True means parallel execution could scan more than the
-    serial engine would, so the child must stay serial."""
-    if isinstance(node, (Limit, EnforceSingleRow)):
-        return True
-    if isinstance(node, (Sort, GroupBy, Window)):
-        # Blocking: the operator drains its input fully before emitting
-        # a single row, so demand from above cannot be partial.
-        return False
-    if isinstance(node, Join):
-        # Every join kind streams its left (probe) side and materializes
-        # its right (build) side.
-        return bounded if index == 0 else False
-    # Streaming operators (Filter/Project/UnionAll/MarkDistinct/
-    # CachePopulate/Exchange...) propagate demand unchanged.
-    return bounded

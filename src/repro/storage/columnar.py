@@ -35,6 +35,7 @@ import math
 import pickle
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from time import sleep as _sleep
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -140,6 +141,26 @@ def delist(column):
     if type(column) is NumpyVector:
         return column.tolist()
     return column
+
+
+def concat_column(segs: list):
+    """Concatenate column segments; NumPy when every segment is a
+    vector (a NULL-free segment contributes all-True validity lanes),
+    else a list.  A single segment is returned by reference."""
+    if len(segs) == 1:
+        return segs[0]
+    if segs and all(type(s) is NumpyVector for s in segs):
+        data = np.concatenate([s.data for s in segs])
+        if all(s.valid is None for s in segs):
+            return NumpyVector(data)
+        valid = [np.ones(len(s), bool) if s.valid is None else s.valid for s in segs]
+        return NumpyVector(data, np.concatenate(valid))
+    return list(chain.from_iterable(map(delist, segs)))
+
+
+def _run_block(run: list[list]) -> list:
+    """The columns of a run of partition chunks, one block."""
+    return [concat_column(segs) for segs in zip(*run)]
 
 
 def chunk_checksum(values) -> int:
@@ -427,6 +448,7 @@ class Store:
         block_rows: int | None = None,
         runtime=None,
         as_vectors: bool = False,
+        coalesce: bool = False,
     ) -> Iterator[tuple[list[list], int]]:
         """Columnar fast path: yield ``(column_vectors, row_count)``
         blocks of the requested columns, charging accounting.
@@ -443,10 +465,15 @@ class Store:
         (with min/max) and returns False to prune the whole partition —
         pruned partitions are never charged.  With ``block_rows`` set,
         partitions larger than the limit are sliced into consecutive
-        blocks (never spanning a partition boundary); accounting is
-        identical either way, since it is charged per partition chunk.
-        Callers must treat the yielded columns as immutable: a stored
-        list chunk is handed out by reference.
+        blocks.  A block spans no partition boundary unless ``coalesce``
+        is set too (the caller drains the scan whole): then consecutive
+        partitions share one block of at most ``block_rows`` rows, a
+        *run*, which also ends where a column switches between a vector
+        chunk and a list chunk, so coalescing never delists a vector.
+        Accounting is identical either way: chunks are read, verified
+        and charged one at a time.  Callers must treat the yielded
+        columns as immutable: a one-chunk block hands out the stored
+        chunks by reference.
 
         ``runtime`` (a :class:`~repro.engine.metrics.RunContext`)
         supplies the retry policy for transient faults, deadline checks
@@ -463,6 +490,8 @@ class Store:
             window = getattr(runtime, "partition_window", None)
             if window is not None and window[0] != stored.name.lower():
                 window = None
+        run: list[list] = []  # read and charged, not yet yielded
+        run_rows = 0
         for index, part in enumerate(stored.partitions):
             if window is not None and not (window[1] <= index < window[2]):
                 # Outside this morsel's window: another worker reads
@@ -483,12 +512,24 @@ class Store:
                 accounting.record_chunk(stored.name, chunk.encoded_size)
                 vectors.append(values if as_vectors else delist(values))
             total = part.row_count
+            if run and (
+                run_rows + total > block_rows
+                or list(map(type, run[0])) != list(map(type, vectors))
+            ):
+                yield _run_block(run), run_rows
+                run, run_rows = [], 0
             if block_rows is None or total <= block_rows:
-                yield vectors, total
+                if coalesce:
+                    run.append(vectors)
+                    run_rows += total
+                else:
+                    yield vectors, total
             else:
                 for start in range(0, total, block_rows):
                     end = min(start + block_rows, total)
                     yield [v[start:end] for v in vectors], end - start
+        if run:
+            yield _run_block(run), run_rows
 
     def _read_chunk_values(
         self, table: str, partition: int, chunk: ColumnChunk, runtime

@@ -11,7 +11,9 @@ parallel-execution axis: for each count ``n > 1`` the batch engine
 re-runs the query at ``workers=n`` (fusion on/off × cold/warm) against
 a shared persistent fragment worker pool, and its ``bytes_scanned``
 must match the serial batch cell exactly — fragment scheduling, retry
-and metric merging may not perturb rows *or* accounting.  The cold/warm dimension
+and metric merging may not perturb rows *or* accounting.  Likewise
+every ``batch`` and ``batch-lists`` cell must scan exactly the bytes of
+the ``row`` cell with the same fusion setting and phase.  The cold/warm dimension
 comes from executing the query twice in a fresh cache-enabled session:
 the first run populates the cross-query plan cache, the second replays
 it.  The ``batch`` cells run the block engine as configured by default
@@ -67,9 +69,9 @@ class CellOutcome:
     rows: list[tuple] | None
     error: str | None = None  # error class name; "crash:<Type>" for non-Repro
     message: str = ""
-    #: Scan accounting, compared exactly between parallel cells and
-    #: their serial counterparts (fragment metric merging must be
-    #: lossless, not just row-equivalent).
+    #: Scan accounting, compared exactly between the block engine's
+    #: cells and the row engine's, and between parallel cells and their
+    #: serial counterparts.
     bytes_scanned: float | None = None
 
     @property
@@ -310,22 +312,26 @@ class DifferentialOracle:
                     c: f"{len(o.rows)} rows" for c, o in outcomes.items()
                 }
                 return Divergence(sql, "rows", detail, cells)
-        for workers in self.worker_counts:
-            # Fragment metric merging must be lossless: a parallel cell
-            # that scans more (or fewer) bytes than its serial twin has
-            # broken exact accounting even if the rows agree.
+        # Exact accounting is part of the engine contract (DESIGN.md
+        # §7): the block engine, in either representation, scans what
+        # the row engine scans, and a parallel cell what its serial twin
+        # scans (fragment metric merging must be lossless) — a cell that
+        # scans more or fewer bytes is wrong even if its rows agree.
+        twins = [("batch", "row"), ("batch-lists", "row")]
+        twins += [(f"batch-w{n}", "batch") for n in self.worker_counts]
+        for engine, reference_engine in twins:
             for variant in ("baseline", "fusion"):
                 for phase in ("cold", "warm"):
-                    serial = outcomes[f"batch/{variant}/{phase}"]
-                    par = outcomes[f"batch-w{workers}/{variant}/{phase}"]
-                    if par.bytes_scanned != serial.bytes_scanned:
+                    cell = f"{engine}/{variant}/{phase}"
+                    twin = f"{reference_engine}/{variant}/{phase}"
+                    got, want = outcomes[cell], outcomes[twin]
+                    if got.bytes_scanned != want.bytes_scanned:
                         self.last_status = "divergence"
                         return Divergence(
                             sql,
                             "rows",
-                            f"batch-w{workers}/{variant}/{phase} scanned "
-                            f"{par.bytes_scanned} bytes vs serial "
-                            f"{serial.bytes_scanned}",
+                            f"{cell} scanned {got.bytes_scanned} bytes vs "
+                            f"{twin} {want.bytes_scanned}",
                             {
                                 c: f"{o.bytes_scanned} bytes"
                                 for c, o in outcomes.items()

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.optimizer.config import OptimizerConfig
 
 
 class TestParser:
@@ -52,6 +54,21 @@ class TestMain:
         assert code == 0
         assert "baseline vs fusion" in out
         assert "% of baseline" in out
+
+    def test_default_block_size_is_the_configs(self, capsys, monkeypatch):
+        """Without ``--batch-rows`` the CLI builds the config's own block
+        size, so the two cannot drift apart."""
+        built = []
+
+        def session(store, config):
+            built.append(config)
+            return real(store, config)
+
+        real = cli.Session
+        monkeypatch.setattr(cli, "Session", session)
+        code, _, _ = self.run(capsys, "--scale", "0.01", "SELECT count(*) AS n FROM reason")
+        assert code == 0
+        assert [c.batch_rows for c in built] == [OptimizerConfig().batch_rows]
 
     def test_sql_error_reported(self, capsys):
         code, _, err = self.run(capsys, "--scale", "0.01", "SELECT FROM nothing")

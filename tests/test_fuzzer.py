@@ -12,8 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.algebra.expressions import Comparison
-from repro.algebra.operators import GroupBy
+from repro.algebra.operators import GroupBy, Scan
+from repro.algebra.visitors import walk_plan
 from repro.catalog.catalog import Catalog
+from repro.engine import batch_executor
 from repro.fusion.fuse import Fuser
 from repro.fusion.result import FusionResult
 from repro.testing.generator import QueryGenerator
@@ -186,6 +188,22 @@ class TestOracleDetectsPlantedBugs:
     def test_same_query_clean_without_sabotage(self, small_store):
         oracle = DifferentialOracle(small_store)
         assert oracle.check(SABOTAGE_BAIT) is None
+
+    def test_block_engine_reading_past_a_limit_is_caught(self, small_store, monkeypatch):
+        """Rows agree, bytes do not: a block engine that coalesces the
+        chunks of a scan under LIMIT reads more than the row engine.
+        (Blocks large enough to hold both of store_sales' partitions.)"""
+        sql = "SELECT t0.ss_item_sk AS c0 FROM store_sales t0 LIMIT 3"
+        oracle = DifferentialOracle(small_store, batch_rows=1024)
+        assert oracle.check(sql) is None
+
+        def every_scan(plan):
+            return frozenset(id(n) for n in walk_plan(plan) if isinstance(n, Scan))
+
+        monkeypatch.setattr(batch_executor, "drained_scans", every_scan)
+        divergence = oracle.check(sql)
+        assert divergence is not None and "scanned" in divergence.detail
+        assert divergence.detail.startswith("batch/baseline/cold")
 
 
 class TestMinimizer:
