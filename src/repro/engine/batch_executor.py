@@ -19,11 +19,14 @@ the columns it receives, amortizing the interpreter's per-row closure
 overhead that dominates the row engine.
 
 There is one join, on **positions**, not tuples (:func:`_run_join`):
-the build side is buffered once as columns, every join kind over either
-representation is one sorted-array probe emitting ``(probe lane, build
-position)`` index pairs in probe order, the residual is a block closure
-evaluated per slice of candidate pairs over just the columns it reads,
-and only surviving pairs gather output columns.  Scalar aggregation
+the build side is buffered once as columns and its first key indexed —
+a direct-address directory for dense integer keys and codes, the sorted
+keys otherwise — every join kind over either representation is one
+probe of that index emitting ``(probe lane, build position)`` index
+pairs in probe order, in slices of at most one probe block (or 1 024
+pairs), the residual is a block closure evaluated per slice of candidate
+pairs over just the columns it reads, and only surviving pairs gather
+output columns.  Scalar aggregation
 feeds whole column vectors to its accumulators.  Keyed GroupBy,
 MarkDistinct, Window and Sort keep their state on positions too: each
 reads its whole input as one block and calls the one keyed core
@@ -65,7 +68,7 @@ columns) but never mutate one in place.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.algebra.expressions import TRUE, ColumnRef, Comparison, columns_in, make_and
 from repro.algebra.operators import (
@@ -316,35 +319,45 @@ def _run_limit(plan: Limit, ctx: RunContext, block_rows: int) -> Iterator[Block]
 # -- joins ---------------------------------------------------------------
 
 
-#: A join expands at most ``min(_JOIN_PAIR_SLICE, block_rows)``
-#: candidate (probe, build) pairs at once.  A skewed key or a CROSS
-#: join would otherwise materialize |probe block| x |build| index
-#: pairs; with the bound, every index array of a join (and every block
-#: it yields) stays under it plus one probe block.  A slice is what the
-#: join — and whoever takes its blocks — holds, so it stays at 1 024
-#: pairs while a scan's blocks grow to ``block_rows``: slices as long as
-#: a 65 536-row block cost ~15 % more peak memory (DESIGN.md §7).
+#: A join expands at most ``max(min(_JOIN_PAIR_SLICE, block_rows),
+#: probe block rows)`` candidate (probe, build) pairs at once.  A skewed
+#: key or a CROSS join would otherwise materialize |probe block| x
+#: |build| index pairs; with the bound, every index array of a join (and
+#: every block it yields) stays under it plus one probe block.  A slice
+#: is what the join — and whoever takes its blocks — holds, so it never
+#: outgrows the probe block the join already holds: a join that does
+#: not expand its probe block yields one block per probe block, and
+#: slices as long as a 65 536-row block regardless of the probe block
+#: cost ~15 % more peak memory (DESIGN.md §7).
 _JOIN_PAIR_SLICE = 1 << 10
+
+#: Integer build keys get a direct-address directory when their span
+#: ``max - min + 1`` is at most ``_DIRECTORY_DENSITY * build rows +
+#: _DIRECTORY_SLACK``: its cost and memory stay a constant times the
+#: build side's own.  Sparser keys keep the binary search.
+_DIRECTORY_DENSITY = 4
+_DIRECTORY_SLACK = 1 << 10
 
 
 def _run_join(plan: Join, ctx: RunContext, block_rows: int) -> Iterator[Block]:
-    """Every join kind as one sorted-array probe over ``(probe lane,
-    build position)`` pairs; columns are gathered only for pairs that
-    survive.
+    """Every join kind as one probe over ``(probe lane, build
+    position)`` pairs; columns are gathered only for pairs that survive.
 
     The build side is buffered once as columns and its first equi key
-    stably argsorted; per probe block two ``searchsorted`` calls give
-    each lane its contiguous range of equal build keys (CROSS joins and
-    joins with no equi conjunct: every build row).  Expanding the ranges
-    emits pairs in probe order and, inside a lane, in build insertion
-    order — the row engine's emission order, which ``LIMIT`` without
-    ``ORDER BY`` observes — a slice of at most
-    ``min(_JOIN_PAIR_SLICE, block_rows)`` at a time.  Further equi pairs
-    join the residual as ``=`` conjuncts; the residual runs once per
-    slice over a gather of just the columns it reads.  NULL and NaN keys
-    never join.  SEMI/ANTI scatter the matched lanes into a mask; LEFT
-    sends unmatched lanes to an all-NULL lane appended to the build
-    columns and merges them back in probe order.
+    put in stable key order (:func:`_sort_build_keys`); per probe block
+    each lane finds its contiguous range of equal build keys through the
+    key index — two gathers from a direct-address directory, or two
+    ``searchsorted`` calls (:func:`_key_ranges`) — and CROSS joins and
+    joins with no equi conjunct take every build row.  Expanding the
+    ranges emits pairs in probe order and, inside a lane, in build
+    insertion order — the row engine's emission order, which ``LIMIT``
+    without ``ORDER BY`` observes — a slice of at most
+    ``max(min(_JOIN_PAIR_SLICE, block_rows), probe block rows)`` at a
+    time.  Further equi pairs join the residual as ``=`` conjuncts; the
+    residual runs once per slice over a gather of just the columns it
+    reads.  NULL and NaN keys never join.  SEMI/ANTI scatter the matched
+    lanes into a mask; LEFT sends unmatched lanes to an all-NULL lane
+    appended to the build columns and merges them back in probe order.
     """
     left_columns = plan.left.output_columns
     right_columns = plan.right.output_columns
@@ -372,11 +385,11 @@ def _run_join(plan: Join, ctx: RunContext, block_rows: int) -> Iterator[Block]:
         for col in [key_col, *other_keys]:
             live = _and_valid(live, _joinable(col))
         rows = build_idx if live is None else np.flatnonzero(live)
-        sorted_keys, build_idx, domain = _sort_build_keys(key_col, rows, False)
+        index, build_idx, domain = _sort_build_keys(key_col, rows, False)
     if kind is JoinKind.LEFT:
         build_cols = [_with_null_lane(c) for c in build_cols]
     checked_build = [build_cols[i] for i in used_right]
-    bound = min(_JOIN_PAIR_SLICE, block_rows)
+    slice_rows = min(_JOIN_PAIR_SLICE, block_rows)
 
     ctx.state_add(len(build_idx))
     try:
@@ -389,36 +402,31 @@ def _run_join(plan: Join, ctx: RunContext, block_rows: int) -> Iterator[Block]:
                 lkey = left_key_fn(cols, n)
                 if domain is None and not (
                     type(lkey) is NumpyVector
-                    and lkey.data.dtype.kind == sorted_keys.dtype.kind
+                    and lkey.data.dtype.kind == key_col.data.dtype.kind
                 ):
                     # Not the build keys' kind (int vs float, a list
                     # block): only hash equality is exact, so factorize
                     # the build side after all — once; every later
                     # block probes codes.
-                    sorted_keys, build_idx, domain = _sort_build_keys(key_col, rows, True)
+                    index, build_idx, domain = _sort_build_keys(key_col, rows, True)
                 if domain is None:
                     probe, valid = lkey.data, lkey.valid
                 else:
                     codes = [domain.get(k, -1) for k in delist(lkey)]
                     probe, valid = np.array(codes, dtype=np.int64), None
-                lo = sorted_keys.searchsorted(probe, "left")
-                counts = sorted_keys.searchsorted(probe, "right") - lo
+                lo, counts = _key_ranges(index, probe)
                 if valid is not None:
                     counts[~valid] = 0  # NULL keys never join
             if semi_like and residual_fn is None:
                 hit = counts > 0
             else:
-                # Lane i pairs with sorted build positions lo[i] up to
-                # lo[i] + counts[i]: candidate pair p, numbered through
-                # the block, belongs to the lane whose running count
-                # first exceeds p and sits at build position shift + p.
                 ends = counts.cumsum()
-                shift = lo - ends + counts
                 hit = None if kind is JoinKind.INNER else np.zeros(n, dtype=bool)
                 done = 0  # lanes below have emitted their match or their pad
                 checked = [cols[i] for i in used_left]
                 for lane, bidx, upto in _matching_pairs(
-                    ctx, bound, ends, shift, build_idx, residual_fn, checked, checked_build
+                    ctx, max(slice_rows, n), lo, counts, ends, build_idx,
+                    residual_fn, checked, checked_build,
                 ):
                     if hit is not None:
                         hit[lane] = True
@@ -463,19 +471,29 @@ def _narrow_residual(residual, left_columns, right_columns, env):
     return used_left, used_right, compile_expression_block(residual, narrow, env)
 
 
-def _matching_pairs(ctx, bound, ends, shift, build_idx, residual_fn, probe_cols, build_cols):
+def _matching_pairs(
+    ctx, bound, lo, counts, ends, build_idx, residual_fn, probe_cols, build_cols
+):
     """One probe block's matching ``(probe lanes, build rows, candidate
     pairs done)``, expanded a slice of at most ``bound`` candidate pairs
-    at a time.  A slice may end inside one lane's candidates.  The
-    residual filters each slice over a gather of the columns it reads —
-    once per slice, not per pair."""
+    at a time.  Lane i pairs with sorted build positions ``lo[i]`` up to
+    ``lo[i] + counts[i]``; numbered through the block, its candidate
+    pairs are ``ends[i] - counts[i]`` up to ``ends[i]``, so pair p sits
+    at sorted build position ``shift[i] + p``.  A slice may end inside
+    one lane's candidates: each lane it touches repeats for as many of
+    its pairs as the slice holds.  The residual filters each slice over
+    a gather of the columns it reads — once per slice, not per pair."""
     pairs = int(ends[-1])
+    begins = ends - counts
+    shift = lo - begins
     for at in range(0, max(pairs, 1), bound):
         ctx.checkpoint()
         upto = min(at + bound, pairs)
-        pair = np.arange(at, upto)
-        lane = ends.searchsorted(pair, "right")
-        bidx = build_idx[shift[lane] + pair]
+        first = int(ends.searchsorted(at, "right"))
+        last = int(ends.searchsorted(upto - 1, "right")) + 1
+        held = np.minimum(ends[first:last], upto) - np.maximum(begins[first:last], at)
+        lane = np.repeat(np.arange(first, last), held)
+        bidx = build_idx[shift[lane] + np.arange(at, upto)]
         if residual_fn is not None and upto > at:
             candidates = take_rows(probe_cols, lane) + take_rows(build_cols, bidx)
             keep = true_lanes(residual_fn(candidates, len(lane)), len(lane))
@@ -494,20 +512,65 @@ def _joinable(key_col):
 
 
 def _sort_build_keys(key_col, rows, as_codes: bool):
-    """``(sorted keys, build row of each, domain)`` over the build
-    ``rows``, stably sorted.  An array sorts as it is (``domain`` is
-    None): with NaN left out, ``==`` on one kind *is* hash equality.
-    A list-backed column, or ``as_codes`` because a probe block of
-    another kind arrived, is factorized to int64 codes through
-    ``domain``, a Python dict — hash equality, ``1 == 1.0 == True``."""
+    """``(key index, build row of each sorted position, domain)`` over
+    the build ``rows``, in stable key order.  An array keeps its values
+    (``domain`` is None): with NaN left out, ``==`` on one kind *is*
+    hash equality.  A list-backed column, or ``as_codes`` because a
+    probe block of another kind arrived, is factorized to int64 codes
+    through ``domain``, a Python dict — hash equality,
+    ``1 == 1.0 == True``.
+
+    Integer keys whose span fits ``_DIRECTORY_DENSITY * rows +
+    _DIRECTORY_SLACK`` — codes, dense ``0..k-1``, always do — are
+    indexed by a :class:`_Directory` and ordered by one quicksort of the
+    unique composite key ``(key - low) * rows + position``, which the
+    span bound keeps far from overflow.  Float, bool and sparse integer
+    keys are stably argsorted, and the sorted keys are the index."""
     if type(key_col) is NumpyVector and not as_codes:
         keys, domain = key_col.data[rows], None
     else:
         values, domain = delist(key_col), {}
         codes = [domain.setdefault(values[i], len(domain)) for i in rows.tolist()]
         keys = np.array(codes, dtype=np.int64)
+    size = len(keys)
+    if keys.dtype.kind == "i":
+        low = int(keys.min()) if size else 0
+        span = int(keys.max()) - low + 1 if size else 0
+        if span <= _DIRECTORY_DENSITY * size + _DIRECTORY_SLACK:
+            offsets = keys - low
+            sizes = np.bincount(offsets, minlength=span + 1)
+            composite = offsets * size + np.arange(size)
+            composite.sort()
+            directory = _Directory(low, span, sizes.cumsum() - sizes, sizes)
+            return directory, rows[composite % size], domain
     order = np.argsort(keys, kind="stable")
     return keys[order], rows[order], domain
+
+
+class _Directory(NamedTuple):
+    """A direct-address index of integer build keys: key ``low + i``
+    holds sorted build positions ``starts[i]`` up to ``starts[i] +
+    sizes[i]``.  The extra slot ``span`` is empty."""
+
+    low: int
+    span: int
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
+def _key_ranges(index, probe):
+    """``(first sorted build position, count)`` of each probe lane's key.
+    A directory answers with two gathers; lanes outside ``[low, low +
+    span)`` are range-checked into the empty slot before anything is
+    looked up — ints in arrays stay under ±2**62
+    (``columnar._INT_GUARD``), so ``probe - low`` cannot overflow.  The
+    sorted-key index answers with two binary searches."""
+    if type(index) is _Directory:
+        inside = (probe >= index.low) & (probe < index.low + index.span)
+        slot = np.where(inside, probe - index.low, index.span)
+        return index.starts[slot], index.sizes[slot]
+    lo = index.searchsorted(probe, "left")
+    return lo, index.searchsorted(probe, "right") - lo
 
 
 def _with_null_lane(col):

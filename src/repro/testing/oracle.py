@@ -17,8 +17,10 @@ the ``row`` cell with the same fusion setting and phase.  The cold/warm dimensio
 comes from executing the query twice in a fresh cache-enabled session:
 the first run populates the cross-query plan cache, the second replays
 it.  The ``batch`` cells run the block engine as configured by default
-(NumPy vector columns); ``batch-lists`` runs it with
-``vectors="python"``, so list columns stay covered.
+(NumPy vector columns) over blocks of 1 024 rows, so scans hand out
+runs of chunks; ``batch-lists`` runs it with ``vectors="python"`` over
+blocks of ``batch_rows`` (128) rows, so list columns and chunk slices
+stay covered.
 
 A query *passes* when all cells produce the same row multiset (floats
 canonicalized to 10 significant digits — fusion legitimately reorders
@@ -153,10 +155,15 @@ class DifferentialOracle:
 
     # -- one cell ----------------------------------------------------------
 
-    #: The engine axis: display label → OptimizerConfig overrides.
+    #: The engine axis: display label → OptimizerConfig overrides.  The
+    #: ``batch`` cell's blocks hold more rows than the fuzz dataset's
+    #: ``store_sales`` (partitions of 256 and 144 rows at scale 0.01), so
+    #: its drained scans coalesce chunks and its joins probe blocks that
+    #: span partitions; every other cell runs ``batch_rows``, by default
+    #: below the smallest partition, so blocks slice chunks.
     ENGINE_AXIS = (
         ("row", {"engine": "row"}),
-        ("batch", {"engine": "batch"}),
+        ("batch", {"engine": "batch", "batch_rows": 1024}),
         ("batch-lists", {"engine": "batch", "vectors": "python"}),
     )
 
@@ -165,8 +172,7 @@ class DifferentialOracle:
             enable_fusion=fusion,
             enable_plan_cache=True,
             validate_plans=True,
-            batch_rows=self.batch_rows,
-            **overrides,
+            **{"batch_rows": self.batch_rows, **overrides},
         )
 
     def _pool(self, workers: int):

@@ -727,6 +727,54 @@ def test_batch_join_over_non_scan_children_has_its_own_deadline_point():
     assert "_run_join" in [frame.name for frame in info.traceback]
 
 
+def _unique_key_join(kind, probe_rows):
+    """Probe key ``i % 150`` against the unique build keys 0..99: no
+    lane has two candidates."""
+    alloc = ColumnAllocator(start=9100)
+    lk, lv = alloc.fresh("k", _I), alloc.fresh("v", _I)
+    rk, rv = alloc.fresh("k", _I), alloc.fresh("v", _I)
+    left = Values((lk, lv), tuple((i % 150, i) for i in range(probe_rows)))
+    right = Values((rk, rv), tuple((i, i) for i in range(100)))
+    return Join(kind, left, right, Comparison("=", ColumnRef(lk), ColumnRef(rk)))
+
+
+@pytest.mark.parametrize("kind", [JoinKind.INNER, JoinKind.LEFT])
+def test_non_expanding_join_yields_one_block_per_probe_block(kind):
+    """Probe blocks of 2 000 and 1 000 lanes leave as two blocks, not
+    re-cut into 1 024-pair slices."""
+    plan = _unique_key_join(kind, 3000)
+    sizes = [n for _, n in execute_blocks(plan, RunContext(Store()), 2000)]
+    matched = [i % 150 < 100 for i in range(3000)]
+    if kind is JoinKind.LEFT:
+        assert sizes == [2000, 1000]
+    else:
+        assert sizes == [sum(matched[:2000]), sum(matched[2000:])]
+    assert list(execute_batch(plan, RunContext(Store()), 2000)) == list(
+        execute(plan, RunContext(Store()))
+    )
+
+
+def test_skewed_join_slices_are_at_most_one_probe_block():
+    """Over one probe block of 1 500 lanes, each matching all three
+    build rows, the join expands 1 500 pairs per slice — never more than
+    the block it holds — and reaches a checkpoint before each slice."""
+    ctx = RunContext(Store())
+    checkpoints = []
+    checkpoint = ctx.checkpoint
+
+    def counted():
+        checkpoints.append(None)
+        checkpoint()
+
+    ctx.checkpoint = counted
+    sizes, reached = [], []
+    for _, n in execute_blocks(_skew_join(left_rows=1500, right_rows=3), ctx, 1 << 16):
+        sizes.append(n)
+        reached.append(len(checkpoints))
+    assert sizes == [1500, 1500, 1500]
+    assert reached[0] < reached[1] < reached[2]
+
+
 def _joins(plan) -> list:
     """Distinct Join nodes of a plan (plans may share subtrees)."""
     found = {id(plan): plan} if isinstance(plan, Join) else {}
@@ -777,3 +825,43 @@ def test_studied_queries_keep_equi_joins_on_the_array_path(tpcds_store, name, mo
             windowed = name in ("q01", "q30", "q65")  # GroupByJoinToWindow's output
             labels = result.metrics.operator_times
             assert any(label.startswith("Window #") for label in labels) is windowed
+
+
+@pytest.fixture(scope="module")
+def scale_02_store():
+    return generate_dataset(scale=0.2, seed=7)
+
+
+@pytest.mark.parametrize("name", sorted(STUDIED_QUERIES))
+def test_studied_equi_joins_probe_through_the_directory(scale_02_store, name, monkeypatch):
+    """The structural guard of the join's probe, independent of timing:
+    with fusion on (costed) or off, every probe block of every studied
+    equi join — integer keys, or codes — finds its build ranges through
+    a direct-address directory; none falls back to binary search.  At
+    scale 0.2: at the suite's 0.05, Q30 builds on its 200 ``web_returns``
+    rows, whose return dates span all 1 826 days, past
+    ``4 x 200 + 1 024``."""
+    indexes = []
+    key_ranges = batch_executor._key_ranges
+
+    def spy(index, probe):
+        indexes.append(index)
+        return key_ranges(index, probe)
+
+    monkeypatch.setattr(batch_executor, "_key_ranges", spy)
+    for fusion in (True, False):
+        indexes.clear()
+        session = Session(
+            scale_02_store, OptimizerConfig(enable_fusion=fusion, cost_based=True)
+        )
+        result = session.execute(STUDIED_QUERIES[name])
+        equi = [
+            j
+            for j in _joins(result.optimized_plan)
+            if j.kind is not JoinKind.CROSS
+            and batch_executor._split_join_condition(
+                j.condition, j.left.output_columns, j.right.output_columns
+            )[0]
+        ]
+        assert bool(indexes) is bool(equi)
+        assert all(type(index) is batch_executor._Directory for index in indexes)

@@ -18,6 +18,7 @@ from repro.catalog.catalog import Catalog
 from repro.engine import batch_executor
 from repro.fusion.fuse import Fuser
 from repro.fusion.result import FusionResult
+from repro.storage.columnar import Store
 from repro.testing.generator import QueryGenerator
 from repro.testing.minimizer import minimize
 from repro.testing.oracle import DifferentialOracle, canonical_rows
@@ -132,6 +133,30 @@ class TestOracle:
         # cell of their own.
         assert not any(cell.startswith("compiled") for cell in outcomes)
         assert "batch-lists/baseline/warm" in outcomes
+
+    def test_batch_cell_scans_runs_of_two_chunks(self, small_store, monkeypatch):
+        """``store_sales`` (partitions of 256 and 144 rows) reaches the
+        ``batch`` cells as one 400-row block; ``batch-lists`` cuts it into
+        blocks of at most 128 rows."""
+        partitions = [p.row_count for p in small_store.get("store_sales").partitions]
+        assert len(partitions) == 2 and max(partitions) < sum(partitions)
+        largest = {}
+        scan_blocks = Store.scan_blocks
+
+        def spy(self, *args, **kwargs):
+            # Block-engine scans only: the row engine passes no block size.
+            key = (kwargs.get("as_vectors"), kwargs.get("block_rows"))
+            for cols, n in scan_blocks(self, *args, **kwargs):
+                largest[key] = max(largest.get(key, 0), n)
+                yield cols, n
+
+        monkeypatch.setattr(Store, "scan_blocks", spy)
+        outcomes = DifferentialOracle(small_store).run_matrix(
+            "SELECT count(*) AS n FROM store_sales"
+        )
+        assert outcomes["batch/baseline/cold"].rows == [(sum(partitions),)]
+        assert largest[(True, 1024)] == sum(partitions)  # the batch cells
+        assert largest[(False, 128)] == 128  # the batch-lists cells
 
 
 @pytest.fixture()

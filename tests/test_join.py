@@ -6,7 +6,9 @@ the row engine.
   ±0.0 — at three block sizes over both column representations: rows
   in order, ``peak_state_rows``, and the state released at the end;
 * the NaN rule: ``=`` never matches NaN, so neither does an equi join
-  or ``IN (SELECT …)``, whichever objects the NaNs are.
+  or ``IN (SELECT …)``, whichever objects the NaNs are;
+* the probe on integer keys and codes, by directory or binary search,
+  against a nested loop, with slices that end inside lanes.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ from repro.algebra.expressions import And, ColumnRef, Comparison
 from repro.algebra.operators import Join, JoinKind, Scan, Values
 from repro.algebra.schema import ColumnAllocator
 from repro.algebra.types import DataType
+from repro.engine import batch_executor
 from repro.engine.batch_executor import execute_batch
 from repro.engine.executor import execute
 from repro.engine.metrics import RunContext
 from repro.engine.session import Session
 from repro.optimizer.config import OptimizerConfig
-from repro.storage.columnar import Store
+from repro.engine.vectors import np
+from repro.storage.columnar import NumpyVector, Store
 from tests.conftest import simple_table
 
 _I, _D, _B = DataType.INTEGER, DataType.DOUBLE, DataType.BOOLEAN
@@ -137,3 +141,103 @@ def test_nan_equi_join_keys_never_match(engine, shared):
     session = Session(store, _ENGINES[engine])
     for sql, expected in queries.items():
         assert session.execute(sql).sorted_rows() == expected, sql
+
+
+# -- the probe: a directory or a binary search, against a nested loop ----------
+
+#: Integer keys far apart: a build side that holds one of them spans far
+#: more than the directory bound and probes by binary search.
+_FAR = [2**62 - 1, -(2**62 - 1), 5000, -5000]
+_PROBED_KINDS = [JoinKind.INNER, JoinKind.LEFT, JoinKind.SEMI, JoinKind.ANTI]
+
+
+def _int_rows(key):
+    """Up to a dozen ``(k, v, id)`` rows: ``k`` from ``key`` or NULL,
+    ``id`` the row's insertion position."""
+    row = st.tuples(st.one_of(st.none(), key), st.one_of(st.none(), st.integers(0, 3)))
+    return st.lists(row, max_size=12).map(
+        lambda rows: [(k, v, i) for i, (k, v) in enumerate(rows)]
+    )
+
+
+def _int_child(source, table, rows, alloc, store):
+    cols = tuple(alloc.fresh(name, _I) for name in ("k", "v", "id"))
+    if source == "values":  # list columns: the join probes codes
+        return Values(cols, tuple(rows)), cols
+    store.put(simple_table(table, [(c.name, _I) for c in cols], rows, partition_rows=5))
+    return Scan(table, cols, ("k", "v", "id")), cols
+
+
+def _nested_loop(kind, probe, build, residual):
+    """The reference: every probe row in order against every build row
+    in insertion order."""
+    out = []
+    for p in probe:
+        matches = [
+            b
+            for b in build
+            if p[0] is not None
+            and p[0] == b[0]
+            and (not residual or (p[1] is not None and b[1] is not None and p[1] < b[1]))
+        ]
+        if kind is JoinKind.SEMI:
+            out += [p] if matches else []
+        elif kind is JoinKind.ANTI:
+            out += [] if matches else [p]
+        else:
+            out += [p + b for b in matches]
+            if kind is JoinKind.LEFT and not matches:
+                out.append(p + (None, None, None))
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_probe_pairs_match_a_nested_loop(data):
+    """Integer keys dense or sparse (either side of the directory's span
+    bound), negative, at ±(2**62 - 1), duplicated, NULL, absent from an
+    empty build, or probed outside the build's range; array or list
+    (codes) columns on either side; a slice bound of one or three pairs
+    over probe blocks of one or four lanes, so slices end inside
+    lanes."""
+    pool = data.draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3))
+    pool += data.draw(st.lists(st.sampled_from(_FAR), max_size=2))
+    build = data.draw(_int_rows(st.sampled_from(pool)))
+    probe = data.draw(_int_rows(st.one_of(st.sampled_from(pool), st.integers(-9, 9))))
+    kind = data.draw(st.sampled_from(_PROBED_KINDS))
+    residual = data.draw(st.booleans())
+    store, alloc = Store(), ColumnAllocator()
+    left, l = _int_child(data.draw(st.sampled_from(["scan", "values"])), "l", probe, alloc, store)
+    right, r = _int_child(data.draw(st.sampled_from(["scan", "values"])), "r", build, alloc, store)
+    condition = Comparison("=", ColumnRef(l[0]), ColumnRef(r[0]))
+    if residual:
+        condition = And((condition, Comparison("<", ColumnRef(l[1]), ColumnRef(r[1]))))
+    plan = Join(kind, left, right, condition)
+
+    expected = _nested_loop(kind, probe, build, residual)
+    for pair_slice in (1, 3):
+        for block_rows in (1, 4, 1024):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(batch_executor, "_JOIN_PAIR_SLICE", pair_slice)
+                got = list(execute_batch(plan, RunContext(store), block_rows))
+            assert got == expected, (pair_slice, block_rows)
+
+
+def _key_index(values, as_codes=False):
+    keys = NumpyVector(np.array(values))
+    return batch_executor._sort_build_keys(keys, np.arange(len(values)), as_codes)[0]
+
+
+def test_the_key_domain_picks_the_probe():
+    """A directory exactly while the integer keys' span is at most
+    ``4 x rows + 1 024``, and for codes whatever the values; float,
+    bool and sparser integer keys keep the sorted array."""
+    directory = batch_executor._Directory
+    rows = 3
+    widest = batch_executor._DIRECTORY_DENSITY * rows + batch_executor._DIRECTORY_SLACK
+    assert type(_key_index([0, 7, widest - 1])) is directory
+    assert type(_key_index([0, 7, widest])) is np.ndarray
+    assert type(_key_index([-(2**62 - 1), 2**62 - 1], as_codes=True)) is directory
+    assert type(_key_index([0.0, 1.0])) is np.ndarray
+    assert type(_key_index([True, False])) is np.ndarray
+    assert type(_key_index(np.zeros(0, dtype=np.int64))) is directory
