@@ -24,7 +24,8 @@ Checks conventions a generic linter cannot know:
   checksum check and ``invalidate_vector``), the options only tests
   set and the modules and functions nothing called, and the second
   default block size and the private copies of ``child_bounded`` and
-  ``concat_column``;
+  ``concat_column``, scalar aggregation's own fold and the list-only
+  AND/OR narrowing;
 * every memo slot written into a node's ``__dict__`` under
   ``src/repro/algebra`` is named in ``expressions.MEMO_SLOTS``, the
   list ``Expression.__getstate__`` strips (a cache missing from it
@@ -74,7 +75,10 @@ sys.path.insert(0, str(SRC))
 #: hook), the options that only tests set (now constants), the
 #: session's fault-injector lock, and the code nothing called (the plan
 #: properties module, the workload comparison, ``implied_by``), and
-#: the session's unread binder; none may come back under ``src/``.
+#: the session's unread binder, and scalar aggregation's own fold (its
+#: block feeder, its array fold, its lane-order sum, the accumulator's
+#: block method) and the list-only AND/OR narrowing; none may come back
+#: under ``src/``.
 RETIRED_NAMES = (
     "_KERNEL_CACHE",
     "_CODE_CACHE",
@@ -145,6 +149,13 @@ RETIRED_NAMES = (
     "DEFAULT_BLOCK_ROWS",
     "_child_bounded",
     "_concat_column",
+    "accumulate_block",
+    "_accumulate",
+    "_fold_left",
+    "add_block",
+    "_NARROW_MIN_NODES",
+    "_NARROW_LANE_COST",
+    "eval_terms",
 )
 
 
@@ -258,7 +269,7 @@ PACKAGE_LINE_CEILINGS = {
     "repro": 499,
     "repro.algebra": 3239,
     "repro.catalog": 90,
-    "repro.engine": 3310,
+    "repro.engine": 3235,
     "repro.fusion": 482,
     "repro.optimizer": 2815,
     "repro.server": 827,
@@ -266,7 +277,7 @@ PACKAGE_LINE_CEILINGS = {
     "repro.storage": 616,
     "repro.testing": 1063,
     "repro.tpcds": 1000,
-    "total": 15263,
+    "total": 15188,
 }
 
 _NON_CODE_TOKENS = frozenset(

@@ -26,12 +26,12 @@ probe of that index emitting ``(probe lane, build position)`` index
 pairs in probe order, in slices of at most one probe block (or 1 024
 pairs), the residual is a block closure evaluated per slice of candidate
 pairs over just the columns it reads, and only surviving pairs gather
-output columns.  Scalar aggregation
-feeds whole column vectors to its accumulators.  Keyed GroupBy,
-MarkDistinct, Window and Sort keep their state on positions too: each
-reads its whole input as one block and calls the one keyed core
-(:mod:`repro.engine.keyed` — factorize key columns to group codes,
-reduce every aggregate per code, gather back), emitting column blocks.
+output columns.  Keyed GroupBy, MarkDistinct, Window and Sort keep
+their state on positions too: each reads its whole input as one block
+and calls the one keyed core (:mod:`repro.engine.keyed` — factorize key
+columns to group codes, reduce every aggregate per code, gather back),
+emitting column blocks.  Scalar aggregation is that core's one-group
+arm, fed block by block.
 Only ScalarApply, EnforceSingleRow and CachePopulate's row-tuple cache
 entries still convert blocks to row tuples (``zip(*cols)``, which reads
 either representation).
@@ -39,9 +39,15 @@ either representation).
 Equivalence contract (enforced by ``tests/test_engine_ab.py``): for
 any plan both engines produce the same result multiset and identical
 ``bytes_scanned`` / ``rows_scanned`` / ``partitions_read``.  Only wall
-time and internal block bookkeeping (and, under early termination, the
-exact state-row counts of partially drained operators) may differ.  Two
-invariants make the metric half of this hold by construction:
+time, internal block bookkeeping and when state rows are counted may
+differ.  A scalar GroupBy registers its one group at its first input
+block that has rows, as the row engine does at its first row; the keyed
+operators register their state after reading their whole input, so a
+keyed GroupBy over a join counts its groups once the join has let its
+build side go, and peaks lower than the row engine's GroupBy, which
+counts each group beside it (DESIGN.md §7); under early termination
+partially drained operators also count fewer rows.  Two invariants make
+the metric half of this hold by construction:
 
 * scans charge accounting per partition chunk (shared
   :meth:`~repro.storage.columnar.Store.scan_blocks` path), and a block
@@ -92,7 +98,7 @@ from repro.algebra.operators import (
     Window,
     child_bounded,
 )
-from repro.engine.evaluator import Aggregator, lower_aggregates
+from repro.engine.evaluator import lower_aggregates
 from repro.engine.executor import (
     _cached_entry,
     _materialize_for_cache,
@@ -103,6 +109,7 @@ from repro.engine.executor import (
 )
 from repro.engine.keyed import (
     GroupState,
+    OneGroup,
     block_slices,
     buffer_blocks,
     mark_first,
@@ -111,7 +118,6 @@ from repro.engine.keyed import (
 from repro.engine.metrics import RunContext
 from repro.engine.vectors import (
     _and_valid,
-    accumulate_block,
     compact_block,
     compile_expression_block,
     np,
@@ -620,16 +626,23 @@ def _run_group_by(plan: GroupBy, ctx: RunContext, block_rows: int) -> Iterator[B
             ctx.state_add(group_count)
             yield from block_slices(state.columns(), group_count, block_rows)
             return
-        # Scalar aggregation: one accumulator set fed whole column
-        # vectors at a time — no per-row dispatch at all.  Over empty
-        # input it still yields one row (and holds no state).
-        accumulators = [Aggregator(f, d) for f, d, _, _ in agg_specs]
-        for cols, n in execute_blocks(plan.child, ctx, block_rows):
+        # Scalar aggregation: the keyed core's one group, registered at
+        # the first input block with rows and fed block by block — but
+        # DISTINCT dedupes within a block, so it reads its input whole,
+        # as a keyed GroupBy does.  Over empty input it still yields
+        # one row (and holds no state).
+        state = OneGroup(agg_specs)
+        blocks = execute_blocks(plan.child, ctx, block_rows)
+        if any(distinct for _, distinct, _, _ in agg_specs):
+            blocks = [buffer_blocks(blocks, len(child_columns), ctx)]
+        for cols, n in blocks:
+            if not n:
+                continue
             if not group_count:
                 group_count = 1
                 ctx.state_add(1)
-            accumulate_block(accumulators, agg_specs, [fn(cols, n) for fn in shared_fns], n)
-        yield [[acc.result()] for acc in accumulators], 1
+            state.reduce([fn(cols, n) for fn in shared_fns], n)
+        yield state.columns(), 1
     finally:
         ctx.state_remove(group_count)
 

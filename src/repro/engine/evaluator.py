@@ -423,60 +423,6 @@ class Aggregator:
     def add_count_star(self) -> None:
         self.count += 1
 
-    def add_block(self, values: list | None, mask: list | None, n: int) -> None:
-        """Accumulate a whole column vector (batch-engine hot path).
-
-        ``values is None`` means ``count(*)``.  ``mask`` restricts the
-        update to rows whose mask value is identity-``True`` (the same
-        test the row engine applies per row).  Accumulation order and
-        arithmetic match ``add`` exactly, so float totals are
-        bit-identical to the row engine's.
-        """
-        if values is None:
-            if mask is None:
-                self.count += n
-            else:
-                self.count += sum(1 for m in mask if m is True)
-            return
-        if mask is not None:
-            values = [v for v, m in zip(values, mask) if m is True]
-        if self.seen is not None:
-            for value in values:
-                self.add(value)
-            return
-        func = self.func
-        if func == "count":
-            self.count += sum(1 for v in values if v is not None)
-        elif func in ("sum", "avg"):
-            # Left-to-right += per value, not sum(): keeps float
-            # rounding identical to the incremental row engine.
-            count = self.count
-            total = self.total
-            for v in values:
-                if v is not None:
-                    count += 1
-                    total += v
-            self.count = count
-            self.total = total
-        elif func == "min":
-            live = [v for v in values if v is not None]
-            if live:
-                lo = min(live)
-                if self.extreme is None or lo < self.extreme:
-                    self.extreme = lo
-        elif func == "max":
-            live = [v for v in values if v is not None]
-            if live:
-                hi = max(live)
-                if self.extreme is None or hi > self.extreme:
-                    self.extreme = hi
-        elif func == "stddev_samp":
-            for v in values:
-                if v is not None:
-                    self.count += 1
-                    self.total += v
-                    self.sq_total += v * v
-
     def result(self) -> object:
         func = self.func
         if func == "count":

@@ -14,23 +14,29 @@ either column representation:
 * :func:`sort_positions` — a stable argsort over key columns, the
   gather left to the caller.
 
+Scalar aggregation is the fold's one-group arm (:class:`OneGroup`),
+fed block by block: the count of live lanes stands in for a codes
+array, and float sums continue the running total.
+
 List columns reduce left to right, so results equal the row engine's
 :class:`~repro.engine.evaluator.Aggregator` bit for bit.  Array columns
-reduce with ``bincount`` / ``ufunc.at``: float sums still fold in lane
-order; int64 never passes through float64 and leaves the arrays for the
-exact list loop before a sum could reach ``_INT_GUARD``; MIN/MAX over
-NaN (Python's order-dependent ``<``), booleans and STDDEV_SAMP take the
-list loop as well.
+reduce with ``bincount`` / ``ufunc.at`` or, for one group, whole-array
+reductions: float sums still fold in lane order; int64 never passes
+through float64 and leaves the arrays for the exact list loop before a
+sum could reach ``_INT_GUARD``, or a square ``_FLOAT_EXACT``; MIN/MAX
+over NaN (Python's order-dependent ``<``) and booleans take the list
+loop as well (``_arrays_exact``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, compress, count
-from operator import eq
+from itertools import chain, compress, count, repeat
+from functools import reduce
+from operator import add, eq, mul
 
 from repro.engine.evaluator import Aggregator, canon_key
-from repro.engine.vectors import _and_valid, np, take_rows, true_mask
+from repro.engine.vectors import _FLOAT_EXACT, _and_valid, np, take_rows, true_mask
 from repro.storage.columnar import _INT_GUARD, NumpyVector, concat_column, delist
 
 
@@ -192,17 +198,19 @@ def sort_positions(keys: list, n: int) -> list[int]:
 def _live_lanes(codes, values, mask):
     """``(codes, values)`` of the lanes an aggregate reads: mask
     identity-True and value not NULL.  ``values is None`` (``count(*)``)
-    stays None; arrays stay arrays only when every operand is one."""
+    stays None; arrays stay arrays only when every operand is one.  An
+    int ``codes`` is the one-group arm's lane count and comes back as
+    the live lanes' count, so that arm never builds a codes array."""
     if list not in (type(codes), type(values), type(mask)):
         keep = None if mask is None else true_mask(mask)
         if values is not None:
             keep = _and_valid(keep, values.valid)
             values = values.data
         if keep is not None:
-            codes = codes[keep]
+            codes = int(np.count_nonzero(keep)) if type(codes) is int else codes[keep]
             values = None if values is None else values[keep]
         return codes, values
-    if type(codes) is not list:
+    if type(codes) is not list and type(codes) is not int:
         codes = codes.tolist()
     values = delist(values)
     if mask is not None:
@@ -212,38 +220,48 @@ def _live_lanes(codes, values, mask):
     return codes, values
 
 
-def _kept(keep: list, codes: list, values):
+def _kept(keep: list, codes, values):
     values = None if values is None else list(compress(values, keep))
+    if type(codes) is int:
+        return keep.count(True) if values is None else len(values), values
     return list(compress(codes, keep)), values
 
 
-def _fold_arrays(func: str, codes, data, groups: int):
-    """Array lanes folded to one lane per live group, for the list loop
-    to merge — ``(lane counts, codes, values)`` — or None where only
-    the list loop is exact (module docstring)."""
-    counts = np.bincount(codes, minlength=groups)
-    live = np.flatnonzero(counts)
-    lanes = zip(live.tolist(), counts[live].tolist())
-    if func == "count" or not live.size:
-        return lanes, [], []
+def _tolist(lanes):
+    return lanes.tolist() if type(lanes) is np.ndarray else lanes
+
+
+def _arrays_exact(func: str, data) -> bool:
+    """True where folding ``data`` as arrays equals the row engine's
+    Python loop (module docstring): an int64 sum cannot wrap, an int's
+    square is exact as a double, MIN/MAX see no NaN (Python's ``<``
+    makes them follow lane order) and no booleans add as ints."""
     kind = data.dtype.kind
     if func == "min" or func == "max":
-        if kind not in "if" or (kind == "f" and bool(np.isnan(data).any())):
-            return None
-        lower = func == "min"
-        # The block's own bound is the fold's identity.
-        folded = np.full(groups, data.max() if lower else data.min())
-        (np.minimum if lower else np.maximum).at(folded, codes, data)
-    elif func == "stddev_samp":
-        return None
-    elif kind == "f":
-        folded = np.bincount(codes, weights=data, minlength=groups)
-    elif kind == "i" and int(np.abs(data).max()) * data.size < _INT_GUARD:
-        folded = np.zeros(groups, dtype=np.int64)
-        np.add.at(folded, codes, data)
-    else:
-        return None
-    return lanes, live.tolist(), folded[live].tolist()
+        return kind == "i" or (kind == "f" and not np.isnan(data).any())
+    if kind != "i":
+        return kind == "f"
+    bound = int(np.abs(data).max())
+    return bound * data.size < _INT_GUARD and (
+        func != "stddev_samp" or bound <= _FLOAT_EXACT
+    )
+
+
+def _fold_floats(state: list, codes, weights, live: list) -> None:
+    """Add ``weights`` to their groups' ``state`` lane by lane, the
+    rounding of the row engine's ``+=`` loop (``ndarray.sum`` is
+    pairwise).  The one-group arm continues its running total with a
+    seeded ``np.add.accumulate``; a keyed state still holds its zeros
+    (a GroupState folds one block), so per-group sums merge exactly."""
+    if type(codes) is int:
+        lanes = np.empty(weights.size + 1)
+        lanes[0] = float(state[0])
+        lanes[1:] = weights
+        state[0] = np.add.accumulate(lanes, out=lanes)[-1].item()
+        return
+    sums = np.bincount(codes, weights=weights, minlength=len(state))
+    for code, v in zip(live, sums[live].tolist()):
+        state[code] += v
 
 
 class _Aggregate:
@@ -259,23 +277,72 @@ class _Aggregate:
         self.sq_total, self.extreme = [0.0] * groups, [None] * groups
 
     def reduce(self, codes, values) -> None:
-        """Fold the live lanes (``_live_lanes``)."""
+        """Fold the live lanes (``_live_lanes``); an int ``codes`` is
+        the one-group arm, every live lane in group 0."""
         func = self.func
         if values is None:
             func = "count"  # count(*)
         elif self.distinct:
             # DISTINCT: the first lane of each (group, value) pair.
-            if type(codes) is not list:
-                codes, values = codes.tolist(), values.tolist()
+            codes = [0] * codes if type(codes) is int else _tolist(codes)
+            values = _tolist(values)
             _, first = factorize([codes, values], len(codes))
             codes, values = take_rows([codes, values], first)
-        lanes = None  # per-group lane counts, once arrays are folded
-        if type(codes) is not list:
-            folded = _fold_arrays(func, codes, values, len(self.count))
-            if folded is None:
-                codes, values = codes.tolist(), values.tolist()
+        if list in (type(codes), type(values)) or not self._fold_arrays(
+            func, codes, values
+        ):
+            self._fold_lists(func, _tolist(codes), _tolist(values))
+
+    def _fold_arrays(self, func: str, codes, data) -> bool:
+        """Fold array lanes into the state, or return False, touching
+        nothing, where only the list loop is exact (``_arrays_exact``)."""
+        if data is not None:
+            if not data.size:
+                return True
+            if func != "count" and not _arrays_exact(func, data):
+                return False
+        if type(codes) is int:
+            live, lanes = [0], [codes]
+        else:
+            counts = np.bincount(codes, minlength=len(self.count))
+            live = np.flatnonzero(counts)
+            live, lanes = live.tolist(), counts[live].tolist()
+        if func == "min" or func == "max":
+            lower = func == "min"
+            if type(codes) is int:
+                folded = [(data.min() if lower else data.max()).item()]
             else:
-                lanes, codes, values = folded
+                # The block's own bound is the fold's identity.
+                folded = np.full(len(self.count), data.max() if lower else data.min())
+                (np.minimum if lower else np.maximum).at(folded, codes, data)
+                folded = folded[live].tolist()
+            self._fold_lists(func, live, folded)
+            return True
+        count = self.count
+        for code, k in zip(live, lanes):
+            count[code] += k
+        if func == "count":
+            return True
+        total = self.total
+        if data.dtype.kind == "i" and type(total[0]) is int:
+            if type(codes) is int:
+                total[0] += data.sum().item()
+            else:
+                folded = np.zeros(len(total), dtype=np.int64)
+                np.add.at(folded, codes, data)
+                for code, v in zip(live, folded[live].tolist()):
+                    total[code] += v
+        else:
+            _fold_floats(total, codes, data, live)
+        if func == "stddev_samp":
+            _fold_floats(self.sq_total, codes, np.square(data, dtype="float64"), live)
+        return True
+
+    def _fold_lists(self, func: str, codes, values) -> None:
+        if type(codes) is int:
+            lanes, codes = [(0, codes)], repeat(0)
+        else:
+            lanes = Counter(codes).items()
         if func == "min" or func == "max":
             extreme, lower = self.extreme, func == "min"
             for code, v in zip(codes, values):
@@ -284,15 +351,19 @@ class _Aggregate:
                     extreme[code] = v
             return
         count = self.count
-        for code, k in Counter(codes).items() if lanes is None else lanes:
+        for code, k in lanes:
             count[code] += k
         if func == "count":
             return
-        total = self.total
+        total, sq_total = self.total, self.sq_total
+        if type(codes) is repeat:  # one group: left folds of C-level adds
+            total[0] = reduce(add, values, total[0])
+            if func == "stddev_samp":
+                sq_total[0] = reduce(add, map(mul, values, values), sq_total[0])
+            return
         for code, v in zip(codes, values):
             total[code] += v
         if func == "stddev_samp":
-            sq_total = self.sq_total
             for code, v in zip(codes, values):
                 sq_total[code] += v * v
 
@@ -314,6 +385,26 @@ class _Aggregate:
         return out
 
 
+def _reduce(aggregates: list, specs: list, codes, values: list) -> None:
+    """Fold one block into ``aggregates``, one per
+    :func:`~repro.engine.evaluator.lower_aggregates` spec in ``specs``;
+    ``values`` are the block's evaluated slot columns.  Each
+    ``(argument, mask)`` pair selects its live lanes once, for every
+    aggregate that reads it.  Array folds overflow to inf and turn
+    inf - inf into NaN silently, as Python floats do."""
+    lanes: dict = {}
+    with np.errstate(all="ignore"):
+        for aggregate, (_, _, arg_slot, mask_slot) in zip(aggregates, specs):
+            live = lanes.get((arg_slot, mask_slot))
+            if live is None:
+                live = lanes[arg_slot, mask_slot] = _live_lanes(
+                    codes,
+                    None if arg_slot is None else values[arg_slot],
+                    None if mask_slot is None else values[mask_slot],
+                )
+            aggregate.reduce(*live)
+
+
 class GroupState:
     """The groups of one block and their aggregates' state.
 
@@ -330,22 +421,29 @@ class GroupState:
         codes = self.codes
         if type(codes) is list and NumpyVector in map(type, values):
             codes = np.array(codes, dtype=np.int64)
-        self.aggregates = []
-        lanes: dict = {}
-        for func, distinct, arg_slot, mask_slot in specs:
-            live = lanes.get((arg_slot, mask_slot))
-            if live is None:
-                live = lanes[arg_slot, mask_slot] = _live_lanes(
-                    codes,
-                    None if arg_slot is None else values[arg_slot],
-                    None if mask_slot is None else values[mask_slot],
-                )
-            aggregate = _Aggregate(func, distinct, self.size)
-            aggregate.reduce(*live)
-            self.aggregates.append(aggregate)
+        self.aggregates = [_Aggregate(f, d, self.size) for f, d, _, _ in specs]
+        _reduce(self.aggregates, specs, codes, values)
 
     def columns(self) -> list:
         """The key columns, then one result column per aggregate, all
         indexed by group code — first-occurrence order, which a LIMIT
         above GROUP BY observes."""
         return self.keys + [aggregate.results() for aggregate in self.aggregates]
+
+
+class OneGroup:
+    """Scalar aggregation's state, fed block by block: the one-group
+    arm of the fold above, whose live-lane count stands in for a codes
+    array.  A DISTINCT aggregate dedupes within a block, so it must be
+    fed its input as one block."""
+
+    def __init__(self, specs: list[tuple]):
+        self.specs = specs
+        self.aggregates = [_Aggregate(f, d, 1) for f, d, _, _ in specs]
+
+    def reduce(self, values: list, n: int) -> None:
+        _reduce(self.aggregates, self.specs, n, values)
+
+    def columns(self) -> list:
+        """One single-lane result column per aggregate."""
+        return [aggregate.results() for aggregate in self.aggregates]

@@ -40,6 +40,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.algebra.types import DataType, encoded_bytes
+from repro.storage.columnar import chunk_checksum
 
 MIB = 1024 * 1024
 
@@ -160,8 +161,10 @@ class CacheEntry:
 
 def entry_checksum(columns: dict[str, list]) -> int:
     """Content digest of a cache entry's column vectors (token-keyed,
-    order-independent)."""
-    return hash(tuple(sorted((token, tuple(vector)) for token, vector in columns.items())))
+    order-independent), each digested as a column chunk is
+    (:func:`~repro.storage.columnar.chunk_checksum`), so one flipped
+    lane always changes it."""
+    return hash(tuple(sorted((t, chunk_checksum(v)) for t, v in columns.items())))
 
 
 def vector_bytes(vectors: list[list], dtypes: list[DataType]) -> float:

@@ -29,13 +29,11 @@ Semantics (one statement for both paths; DESIGN.md §7):
   where an operand is NULL.
 * **AND/OR** are Kleene: ``False AND NULL = False``, ``True OR NULL =
   True``.  Only identity ``True`` counts as true for OR, only identity
-  ``False`` as false for AND, as in the scalar compiler.  Over list
-  columns they evaluate by selection, like CASE: a lane an earlier
-  term made ``False`` (AND) / ``True`` (OR) is final, and once few
-  enough lanes are still undecided for the remaining terms to repay a
-  gather (``_NARROW_*``), later terms see only those lanes — so a term
-  may, but need not, be spared the lanes earlier terms decided.  A
-  block holding a vector column folds whole arrays instead.
+  ``False`` as false for AND, as in the scalar compiler.  Every term
+  is evaluated over every lane (unlike CASE, nothing may depend on a
+  term being spared the lanes earlier terms decided) and the terms
+  fold in one ``_kleene``, as lane arrays where they are boolean
+  vectors and as lists otherwise.
 * **Division by zero** yields NULL (``0``, ``-0.0`` and ``False`` are
   all zero divisors).
 * **Filters and aggregate masks** keep a lane only when the value is
@@ -51,11 +49,13 @@ Semantics (one statement for both paths; DESIGN.md §7):
   operand magnitudes cannot reach 2**62, array ``/`` and int-vs-float
   comparisons only when every int is at most 2**53 (exactly
   representable as a double) — otherwise that block takes the list
-  path (:func:`_array_exact`).  Integer and boolean results are
+  path (:func:`_array_exact`, and for aggregates
+  ``keyed._arrays_exact``).  Integer and boolean results are
   therefore bit-identical across representations.
 * **Float sums** fold left to right on both paths, as the row engine's
   ``+=`` loop does (``ndarray.sum`` is pairwise and rounds
-  differently), so float aggregates are bit-identical too.
+  differently), so float aggregates are bit-identical too
+  (``keyed._fold_floats``).
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ from repro.algebra.expressions import (
     Not,
     Or,
     columns_in,
-    walk,
 )
 from repro.engine.evaluator import (
     SCALAR_FUNCTIONS,
@@ -318,8 +317,8 @@ def _fold(conj: bool, a: list, b: list) -> list:
 
 def _kleene(conj: bool, values: list, n: int):
     """N-ary Kleene AND (``conj``) / OR over the evaluated operands of
-    a block that holds a vector column (all-list blocks evaluate by
-    selection, ``eval_terms``)."""
+    all its terms: as lane arrays when they are boolean vectors and
+    constants, at least one a vector; as lists otherwise."""
     if NumpyVector in map(type, values):
         lanes = [_bool_lanes(v) for v in values]
         if all(pair is not None for pair in lanes):
@@ -445,15 +444,6 @@ def _compile_block(expr: Expression, columns: tuple, env) -> BlockFn:
     return run
 
 
-#: AND/OR narrow to the ``live`` lanes no term has decided when the
-#: later terms hold at least ``_NARROW_MIN_NODES`` operator nodes and
-#: skipping the decided lanes saves more than gathering and scattering
-#: the live ones costs: ``live * _NARROW_LANE_COST <= decided * nodes``
-#: (DESIGN.md §7 has the measurement behind both numbers).
-_NARROW_MIN_NODES = 2
-_NARROW_LANE_COST = 4
-
-
 def _columns_read(node: Expression, columns: tuple, indexes: dict):
     """``(positions, schema)`` of the ``columns`` that ``node`` reads."""
     used = sorted({indexes[c.cid] for c in columns_in(node) if c.cid in indexes})
@@ -495,58 +485,9 @@ def _builder(columns: tuple, env):
             op = node.op
             return lambda cols, n: _binary(op, left(cols, n), right(cols, n), n)
         if isinstance(node, (And, Or)):
-            # By selection, as CASE: a lane some term made False (AND)
-            # / True (OR) is final, so later terms may skip it.  Terms
-            # compile once, against just the columns the node reads, so
-            # narrowing never copies a bystander column.
             conj = isinstance(node, And)
-            decided = not conj
-            used, narrow = _columns_read(node, columns, indexes)
-            build_term = build if narrow == columns else _builder(narrow, env)
-            terms = [build_term(t) for t in node.terms]
-            sizes = [
-                sum(not isinstance(x, (ColumnRef, Literal)) for x in walk(t))
-                for t in node.terms
-            ]
-            # (term, operator nodes in the terms after it)
-            steps = [(t, sum(sizes[k + 1 :])) for k, t in enumerate(terms)]
-
-            def eval_terms(cols, n):
-                cols = [cols[i] for i in used]
-                if NumpyVector in map(type, cols):
-                    return _kleene(conj, [t(cols, n) for t in terms], n)
-                # ``live`` maps the narrowed block's lanes back to
-                # positions in ``result``, which holds the decided ones.
-                out = result = live = None
-                for term, later in steps:
-                    value = as_list(term(cols, n), n)
-                    out = value if out is None else _fold(conj, out, value)
-                    if later < _NARROW_MIN_NODES:
-                        continue
-                    # count() is a C-speed bound (== may overcount a
-                    # raw first term); the selection itself is exact.
-                    gone = out.count(decided)
-                    if (n - gone) * _NARROW_LANE_COST <= gone * later:
-                        sel = [i for i, v in enumerate(out) if v is not decided]
-                        if len(sel) * _NARROW_LANE_COST > (n - len(sel)) * later:
-                            continue
-                        if result is None:
-                            result, live = [decided] * n, sel
-                        else:
-                            live = [live[i] for i in sel]
-                        if not sel:
-                            return result
-                        out = [out[i] for i in sel]
-                        cols, n = take_rows(cols, sel), len(sel)
-                if len(steps) == 1:
-                    out = _fold(conj, out, out)  # normalizes, as the scalar loop
-                if result is None:
-                    return out
-                for position, v in zip(live, out):
-                    result[position] = v
-                return result
-
-            return eval_terms
+            terms = [build(t) for t in node.terms]
+            return lambda cols, n: _kleene(conj, [t(cols, n) for t in terms], n)
         if isinstance(node, Not):
             term = build(node.term)
             return lambda cols, n: _negate(term(cols, n))
@@ -681,86 +622,3 @@ def compact_block(cols: list, n: int, mask) -> tuple[list, int]:
     if kept == 0:
         return [], 0
     return take_rows(cols, sel), kept
-
-
-def accumulate_block(accumulators: list, specs: list, values: list, n: int) -> None:
-    """Feed one block to scalar aggregation: ``accumulators`` hold one
-    :class:`~repro.engine.evaluator.Aggregator` per
-    :func:`~repro.engine.evaluator.lower_aggregates` spec in ``specs``,
-    and ``values`` are the block's evaluated slot columns.
-
-    NumPy-backed columns update the accumulators' fields with array
-    reductions that leave them bit-identical to ``Aggregator.add`` fed
-    lane by lane; anything else routes through the exact ``add_block``
-    path.  Array folds overflow to inf and turn inf - inf into NaN
-    silently, as Python floats do — under one ``errstate`` per block,
-    which also spares every ufunc call in it the error-flag check.
-    """
-    with np.errstate(all="ignore"):
-        for acc, (_, _, arg_slot, mask_slot) in zip(accumulators, specs):
-            _accumulate(
-                acc,
-                None if arg_slot is None else values[arg_slot],
-                None if mask_slot is None else values[mask_slot],
-                n,
-            )
-
-
-def _accumulate(acc, values, mask, n: int) -> None:
-    """One aggregate's share of :func:`accumulate_block`; ``values is
-    None`` is ``count(*)``."""
-    lanes = true_mask(mask)
-    if lanes is None and (mask is not None or type(values) is not NumpyVector):
-        acc.add_block(delist(values), mask, n)
-        return
-    if values is None:
-        acc.count += int(lanes.sum())
-        return
-    if type(values) is not NumpyVector:
-        acc.add_block(values, lanes.tolist(), n)
-        return
-    keep = _and_valid(lanes, values.valid)
-    data = values.data if keep is None else values.data[keep]
-    if acc.seen is not None:
-        # DISTINCT: dedupe within the block at C speed, then feed the
-        # exact per-value path (cross-block dedupe via the seen set) in
-        # first-seen order, the order the row engine adds them in.
-        _, first = np.unique(data, return_index=True)
-        acc.add_block(data[np.sort(first)].tolist(), None, n)
-        return
-    func = acc.func
-    size = int(data.size)
-    if not size:
-        return
-    kind = data.dtype.kind
-    bound = int(np.abs(data).max()) if kind == "i" else 0
-    if (
-        bound * size >= _INT_GUARD  # ndarray.sum() wraps int64 silently
-        or (func == "stddev_samp" and bound > _FLOAT_EXACT)  # v * v is exact
-        or (func in ("min", "max") and kind == "f" and np.isnan(data).any())
-    ):
-        # Python ints are exact, and Python's min/max over NaN depend
-        # on lane order: the list path decides.
-        acc.add_block(data.tolist(), None, size)
-    elif func == "count":
-        acc.count += size
-    elif func in ("min", "max"):
-        acc.add((data.min() if func == "min" else data.max()).item())
-    else:  # sum, avg, stddev_samp
-        acc.count += size
-        if kind != "f" and type(acc.total) is int:
-            acc.total += data.sum().item()
-        else:
-            acc.total = _fold_left(acc.total, data)
-        if func == "stddev_samp":
-            acc.sq_total = _fold_left(acc.sq_total, np.square(data, dtype="float64"))
-
-
-def _fold_left(start, data) -> float:
-    """``start`` plus every lane of ``data``, added in lane order — the
-    rounding of Python's ``+=`` loop, which ``ndarray.sum`` (pairwise)
-    does not have."""
-    lanes = np.empty(data.size + 1)
-    lanes[0] = float(start)
-    lanes[1:] = data
-    return np.add.accumulate(lanes, out=lanes)[-1].item()

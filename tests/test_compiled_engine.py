@@ -463,6 +463,38 @@ def test_vector_join_is_order_and_metric_exact(join_store, shape):
     _assert_join_exact(join_store, _JOIN_SHAPES[shape])
 
 
+def test_aggregation_state_is_registered_when_the_rule_says(join_store):
+    """When each engine counts a GroupBy's groups as state (DESIGN.md §7).
+    A scalar GroupBy registers its one group at its first input block,
+    while the join below still holds its build side — as the row engine
+    registers it at the first row.  A keyed GroupBy registers its groups
+    after reading its whole input, when the join has let its build side
+    go; the row engine counts each group as it appears, beside the build
+    side, so its peak is higher by the group count (87 rows against 82
+    here: a build side of 82 and 5 groups)."""
+    join = "FROM l JOIN r ON l.k = r.k"
+    peaks = {}
+    for engine in ("row", "batch"):
+        session = Session(join_store, OptimizerConfig(engine=engine, batch_rows=32))
+        build = session.execute(f"SELECT l.q {join}")
+        groups = len(set(build.rows))
+        for shape, sql in (
+            ("scalar", f"SELECT count(*), sum(l.q) {join}"),
+            ("keyed", f"SELECT l.q, count(*) {join} GROUP BY l.q"),
+        ):
+            m = session.execute(sql).metrics
+            assert m.total_state_rows == build.metrics.peak_state_rows + (
+                1 if shape == "scalar" else groups
+            )
+            peaks[engine, shape] = m.peak_state_rows - build.metrics.peak_state_rows
+    assert peaks == {
+        ("row", "scalar"): 1,
+        ("batch", "scalar"): 1,
+        ("row", "keyed"): groups,
+        ("batch", "keyed"): 0,
+    }
+
+
 def test_stages_above_a_join_keep_vector_blocks(join_store, monkeypatch):
     """Project above a residual join, a GroupBy above that: the join's
     output stays arrays, so the GroupBy's key column arrives as one

@@ -29,7 +29,8 @@ from repro.algebra.expressions import (
 from repro.algebra.schema import Column
 from repro.algebra.types import DataType
 from repro.engine.evaluator import Aggregator, compile_expression
-from repro.engine.vectors import accumulate_block, compile_expression_block
+from repro.engine.keyed import OneGroup
+from repro.engine.vectors import compile_expression_block
 from repro.engine.session import Session
 from repro.errors import ExecutionError
 from repro.optimizer.config import OptimizerConfig
@@ -389,23 +390,29 @@ _FLOAT_COLUMNS = st.one_of(
 )
 
 
-def _feed(acc: Aggregator, values, mask, n: int) -> None:
-    """One aggregate's block, through scalar aggregation's entry point."""
-    spec = (acc.func, acc.distinct, 0, None if mask is None else 1)
-    accumulate_block([acc], [spec], [values, mask], n)
+def _one_group(func: str, distinct: bool = False, masked: bool = False) -> OneGroup:
+    """Scalar aggregation's state for one aggregate of slot 0, masked by
+    slot 1; blocks are fed as ``state.reduce([values, mask], n)``."""
+    return OneGroup([(func, distinct, 0, 1 if masked else None)])
 
 
-def _bits(acc: Aggregator) -> tuple:
-    """An accumulator's state and result, floats as their IEEE bytes —
-    but any NaN as one value: C leaves the sign and payload of a NaN
-    sum to the order the compiler picks for the operands."""
+def _bits(state) -> tuple:
+    """An accumulator's or a one-group state's fields and result,
+    floats as their IEEE bytes — but any NaN as one value: C leaves the
+    sign and payload of a NaN sum to the order the compiler picks for
+    the operands."""
+    if type(state) is OneGroup:
+        (agg,) = state.aggregates
+        fields = (agg.count[0], agg.total[0], agg.sq_total[0], agg.results()[0])
+    else:
+        fields = (state.count, state.total, state.sq_total, state.result())
 
     def exact(v):
         if type(v) is not float:
             return v
         return (float, "nan" if v != v else struct.pack("<d", v))
 
-    return tuple(map(exact, (acc.count, acc.total, acc.sq_total, acc.result())))
+    return tuple(map(exact, fields))
 
 
 class TestNumpyBlockPaths:
@@ -429,7 +436,7 @@ class TestNumpyBlockPaths:
             (value,) = list(fn(cols, 1))
             assert math.isnan(value)
 
-    def test_accumulate_block_sums_past_int64(self):
+    def test_one_group_fold_sums_past_int64(self):
         # Regression: ndarray.sum() wraps int64 silently.
         values = vector_from_values([2**61] * 8, I)
         mask = vector_from_values([True] * 7 + [False], DataType.BOOLEAN)
@@ -437,17 +444,18 @@ class TestNumpyBlockPaths:
             ("sum", 7 * 2**61),
             ("avg", 7 * 2**61 / 7),
         ):
-            acc = Aggregator(func)
-            _feed(acc, values, mask, 8)
-            assert acc.result() == expected
-        acc = Aggregator("sum")
-        _feed(acc, values, None, 8)
-        assert acc.result() == 2**64
+            state = _one_group(func, masked=True)
+            state.reduce([values, mask], 8)
+            assert state.columns() == [[expected]]
+        state = _one_group("sum")
+        state.reduce([values, None], 8)
+        assert state.columns() == [[2**64]]
         reference = Aggregator("stddev_samp")
-        reference.add_block([2**61] * 8, None, 8)
-        acc = Aggregator("stddev_samp")
-        _feed(acc, values, None, 8)
-        assert acc.result() == reference.result()
+        for _ in range(8):
+            reference.add(2**61)
+        state = _one_group("stddev_samp")
+        state.reduce([values, None], 8)
+        assert state.columns() == [[reference.result()]]
 
     @given(
         lanes=_FLOAT_COLUMNS,
@@ -466,20 +474,23 @@ class TestNumpyBlockPaths:
     ):
         """Regression: scalar float SUM/AVG/STDDEV_SAMP used the pairwise
         ``ndarray.sum`` (and DISTINCT added values in sorted order), so
-        results differed from the row engine in the last ulp."""
+        results differed from the row engine in the last ulp.  DISTINCT
+        dedupes within the block it is fed, so scalar aggregation feeds
+        a DISTINCT aggregate its whole input as one block."""
         reference = Aggregator(func, distinct)
         for value, keep in lanes:
             if not masked or keep is True:
                 reference.add(value)
-        acc = Aggregator(func, distinct)
-        for start in range(0, len(lanes), block_rows):
-            block = lanes[start : start + block_rows]
+        state = _one_group(func, distinct, masked)
+        step = max(len(lanes), 1) if distinct else block_rows
+        for start in range(0, len(lanes), step):
+            block = lanes[start : start + step]
             values = vector_from_values([v for v, _ in block], DataType.DOUBLE)
             mask = None
             if masked:
                 mask = vector_from_values([m for _, m in block], DataType.BOOLEAN)
-            _feed(acc, values, mask, len(block))
-        assert _bits(acc) == _bits(reference)
+            state.reduce([values, mask], len(block))
+        assert _bits(state) == _bits(reference)
 
     def test_min_max_over_nan_follow_lane_order(self):
         """Python's ``min``/``max`` over NaN depend on where the NaN is;
@@ -489,9 +500,9 @@ class TestNumpyBlockPaths:
             reference = Aggregator(func)
             for v in values:
                 reference.add(v)
-            acc = Aggregator(func)
-            _feed(acc, vector_from_values(values, DataType.DOUBLE), None, 4)
-            assert acc.result() == reference.result()
+            state = _one_group(func)
+            state.reduce([vector_from_values(values, DataType.DOUBLE), None], 4)
+            assert state.columns() == [[reference.result()]]
 
 
 ENGINE_CONFIGS = {

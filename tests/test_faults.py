@@ -374,6 +374,34 @@ def test_cache_entry_corruption_detected_on_replay(engine):
     assert recovered.metrics.bytes_scanned > 0
 
 
+@pytest.mark.parametrize("engine", ["row", "batch", "compiled"])
+def test_cache_entry_checksum_sees_a_minus_one_to_minus_two_flip(engine):
+    """Regression: the entry digest hashed the values, and ``hash(-1) ==
+    hash(-2)`` in CPython, so this one-lane flip replayed as valid."""
+    store = Store()
+    store.put(
+        simple_table(
+            "t",
+            [("k", DataType.INTEGER), ("v", DataType.INTEGER)],
+            [(1, -1), (2, 3), (3, -1)],
+            primary_key=("k",),
+        )
+    )
+    session = Session(store, OptimizerConfig(engine=engine, enable_plan_cache=True))
+    sql = "SELECT v, count(*) AS n FROM t GROUP BY v"
+    session.execute(sql)
+    flipped = []
+    for entry in session.plan_cache.entries():
+        for vector in entry.columns.values():
+            if -1 in vector:
+                vector[vector.index(-1)] = -2
+                flipped.append(entry.fingerprint)
+    assert flipped
+    with pytest.raises(DataCorruptionError, match="evicted"):
+        session.execute(sql)
+    assert any(fingerprint not in session.plan_cache for fingerprint in flipped)
+
+
 # -- deadlines and cancellation ---------------------------------------------
 
 

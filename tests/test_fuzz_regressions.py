@@ -78,8 +78,8 @@ def test_window_rewrite_still_fires_after_fix(tpcds_store):
 # The audit confirmed all three mask consumers agree on identity-True
 # semantics (a NULL mask row matches nowhere): the row engine's
 # per-row accumulate (executor: ``values[mask_slot] is not True``),
-# the batch engine's dense path (AggAccumulator.add_block:
-# ``m is True``) and per-row fallback, and the compensation filter
+# the block engine's keyed core (``keyed._live_lanes``: ``m is True``
+# over lists, identity-True lanes over arrays), and the compensation filter
 # itself (FILTER over a NULL predicate does not increment, so an
 # all-NULL group gets comp_count = 0 and ``0 > 0`` drops it — exactly
 # matching the unfused side, where the WHERE clause drops those rows).

@@ -3,7 +3,10 @@ that call it — GroupBy, MarkDistinct, Window, Sort — over both column
 representations.
 
 * a hypothesis property for the core itself, against the row engine's
-  ``Aggregator`` loop, over every column representation;
+  ``Aggregator`` loop, over every column representation, and one for
+  its one-group arm (scalar aggregation) fed block by block;
+* scalar GroupBy through the block engine: DISTINCT over many blocks,
+  MIN/MAX over NaN across block boundaries, state over empty input;
 * a hypothesis property for every keyed operator, and both join sides,
   over streams that mix array and list blocks (a UnionAll of a Scan and
   a Values): rows in order, ``peak_state_rows`` and the state released;
@@ -45,7 +48,7 @@ from repro.engine.batch_executor import execute_batch, execute_blocks
 from repro.engine.compiled import execute_compiled
 from repro.engine.evaluator import Aggregator, canon_key
 from repro.engine.executor import execute
-from repro.engine.keyed import GroupState
+from repro.engine.keyed import GroupState, OneGroup
 from repro.engine.metrics import ResourceLimits, RunContext
 from repro.engine.session import Session
 from repro.errors import (
@@ -166,6 +169,45 @@ def test_core_matches_the_aggregator_loop(representation, data):
         assert all(map(_same, want, got)), (want, got)
 
 
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_group_matches_the_aggregator_loop(data):
+    """The one-group arm (scalar aggregation) fed the lanes in blocks of
+    any size, each block a list or a vector — int blocks after float
+    ones included — gives the Aggregator loop's results, values and
+    Python types (floats to the oracle's 1e-9)."""
+    value_type = data.draw(st.sampled_from([_I, _D, _B, _S]))
+    n = data.draw(st.integers(0, 40))
+    values = data.draw(_column(value_type, n))
+    if value_type is _D and data.draw(st.booleans()):
+        # Integral lanes as ints: int blocks then meet float blocks.
+        values = [
+            int(v) if type(v) is float and v.is_integer() and abs(v) < 2**53 else v
+            for v in values
+        ]
+    mask = data.draw(st.lists(st.sampled_from([True, False, None]), min_size=n, max_size=n))
+    specs = [("count", False, None, None), ("count", False, None, 1)]
+    for func in _FUNCS[value_type]:
+        specs += [(func, False, 0, None), (func, False, 0, 1)]
+    rows = _reference([[None] * n], values, mask, specs)  # one group, key NULL
+    if rows:
+        expected = rows[0][1:]
+    else:
+        expected = tuple(Aggregator(f, d).result() for f, d, _, _ in specs)
+    state = OneGroup(specs)
+    start = 0
+    while start < n:
+        stop = data.draw(st.integers(start + 1, n))
+        block = [values[start:stop], mask[start:stop]]
+        if data.draw(st.booleans()):
+            dtype = _I if all(type(v) is int for v in block[0] if v is not None) else value_type
+            block = [vector_from_values(c, t) or c for c, t in zip(block, (dtype, _B))]
+        state.reduce(block, stop - start)
+        start = stop
+    got = tuple(column[0] for column in state.columns())
+    assert all(map(_same, expected, got)), (expected, got)
+
+
 # -- streams mixing array and list blocks ----------------------------------
 #
 # Scans hand out arrays under vectors="numpy"; Values hands out lists
@@ -265,6 +307,70 @@ def test_keyed_operators_over_mixed_streams_match_the_row_engine(name, values_fi
             assert got == expected, cell
             assert ctx.metrics.peak_state_rows == row_ctx.metrics.peak_state_rows, cell
             assert ctx._state_rows == 0, cell
+
+
+@pytest.mark.parametrize("values_first", [False, True], ids=["scan_first", "values_first"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_scalar_distinct_over_many_blocks_matches_the_row_engine(values_first, data):
+    """A hand-built scalar GroupBy with DISTINCT aggregates (the planner
+    lowers them into a MarkDistinct) over a stream of many blocks: a
+    value repeated in a later block — NULL, NaN, 0.0 after -0.0 — is
+    still a duplicate."""
+    store, alloc = Store(), ColumnAllocator()
+    child, (k1, _, v) = _mixed_stream(data.draw, store, alloc, values_first)
+    aggregates = (
+        AggregateAssignment(alloc.fresh("n", _I), "count", ColumnRef(k1), TRUE, True),
+        AggregateAssignment(alloc.fresh("s", k1.dtype), "sum", ColumnRef(k1), TRUE, True),
+        AggregateAssignment(alloc.fresh("t", _I), "sum", ColumnRef(v)),
+    )
+    plan = GroupBy(child, (), aggregates)
+    expected = [repr(r) for r in execute(plan, RunContext(store))]
+    for block_rows in (1, 7, OptimizerConfig.batch_rows):
+        for vectors in ("python", "numpy"):
+            ctx = RunContext(store)
+            got = [repr(r) for r in execute_batch(plan, ctx, block_rows, vectors)]
+            assert got == expected, (block_rows, vectors)
+            assert ctx._state_rows == 0
+
+
+def test_scalar_group_over_empty_input_holds_no_state():
+    """The one group is registered at the first block that has rows, as
+    the row engine registers it at the first row.  Regression: an empty
+    scan's one empty block registered it, a peak of 1 against 0."""
+    store, alloc = Store(), ColumnAllocator()
+    x = alloc.fresh("x", _I)
+    store.put(simple_table("t", [("x", _I)], []))
+    count = AggregateAssignment(alloc.fresh("n", _I), "count", None)
+    plan = GroupBy(Scan("t", (x,), ("x",)), (), (count,))
+    row_ctx = RunContext(store)
+    assert list(execute(plan, row_ctx)) == [(0,)]
+    for vectors in ("python", "numpy"):
+        ctx = RunContext(store)
+        assert list(execute_batch(plan, ctx, vectors=vectors)) == [(0,)]
+        assert ctx.metrics.peak_state_rows == row_ctx.metrics.peak_state_rows == 0
+
+
+def test_scalar_min_max_over_nan_follow_lane_order_across_blocks():
+    """Python's ``min`` / ``max`` over NaN depend on where the NaN is.
+    Regression: scalar aggregation took each block's own extreme before
+    merging it, so a block that starts with NaN hid the rest of it (MIN
+    1.0 and MAX 2.0 over two-row blocks here, where the row engine's
+    lane loop gives 0.5 and 3.0)."""
+    store, alloc = Store(), ColumnAllocator()
+    x = alloc.fresh("x", _D)
+    rows = [(1.0,), (2.0,), (_NAN,), (0.5,), (_NAN,), (3.0,)]
+    store.put(simple_table("t", [("x", _D)], rows, partition_rows=6))
+    aggregates = tuple(
+        AggregateAssignment(alloc.fresh(func, _D), func, ColumnRef(x))
+        for func in ("min", "max")
+    )
+    plan = GroupBy(Scan("t", (x,), ("x",)), (), aggregates)
+    assert list(execute(plan, RunContext(store))) == [(0.5, 3.0)]
+    for block_rows in (2, 4):
+        for vectors in ("python", "numpy"):
+            got = list(execute_batch(plan, RunContext(store), block_rows, vectors))
+            assert got == [(0.5, 3.0)], (block_rows, vectors)
 
 
 @pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])

@@ -2,7 +2,6 @@
 evaluation semantics, and contradiction detection is sound."""
 
 import pickle
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +29,7 @@ from repro.algebra.simplify import is_contradiction, simplify, simplify_filter
 from repro.algebra.types import DataType
 from repro.engine import vectors
 from repro.engine.evaluator import compile_expression
-from repro.engine.session import Session
 from repro.engine.vectors import compile_expression_block
-from repro.optimizer.config import OptimizerConfig
-from repro.tpcds.queries import STUDIED_QUERIES
 from tests.conftest import BLOCK_REPRESENTATIONS, block_columns
 
 COLUMNS = tuple(Column(i + 1, name, DataType.INTEGER) for i, name in enumerate("abc"))
@@ -186,13 +182,13 @@ class TestBlockCompilerEquivalence:
         assert_block_matches_scalar(expr, COLUMNS, block, representation)
 
 
-# -- AND/OR by selection -------------------------------------------------
+# -- AND/OR over terms that decide many lanes ----------------------------
 #
-# On list blocks AND/OR narrow to the lanes no earlier term decided
-# (vectors.eval_terms), so what matters is how many lanes the *first*
-# terms decide and what sits after them.  Column ``a`` is skewed: a
-# share of the rows hold 0, the rest anything; ``a = 0`` / ``a <> 0``
-# then decide that share (or its complement) of the lanes.
+# Every term is evaluated over every lane, including the lanes earlier
+# terms decided, and the terms fold in one Kleene step
+# (vectors._kleene).  Column ``a`` is skewed: a share of the rows hold
+# 0, the rest anything; ``a = 0`` / ``a <> 0`` then decide that share
+# (or its complement) of the lanes before later terms run.
 
 _A, _B, _C = (ColumnRef(c) for c in COLUMNS)
 _ZERO = Literal(0, DataType.INTEGER)
@@ -257,7 +253,7 @@ class TestAndOrBySelection:
             And((_A, _B, Or((_B, _C, Comparison("<", _C, _ZERO))))),
             Or((_A, And((_B, _C, Comparison(">", _B, _C))), _C)),
             And((Literal(True, DataType.BOOLEAN), Comparison("=", _A, _ZERO))),
-            # One term: normalized by a self-fold, never narrowed.
+            # One term: normalized by a self-fold.
             And((_A,)),
             Or((Comparison("=", _A, _B),)),
             # The later term divides by ``a``, zero exactly on the lanes
@@ -280,29 +276,6 @@ class TestAndOrBySelection:
             for i in range(rows_in_block)
         ]
         assert_block_matches_scalar(expr, COLUMNS, block, representation)
-
-    def test_narrows_again_inside_a_narrowed_block(self, representation, monkeypatch):
-        """Each of the first two terms halves the live lanes, so the
-        second selection indexes the first one's lanes, not the block."""
-        gathers = []
-
-        def spy(cols, sel, take_rows=vectors.take_rows):
-            if sys._getframe(1).f_code.co_name == "eval_terms":
-                gathers.append(len(sel))
-            return take_rows(cols, sel)
-
-        monkeypatch.setattr(vectors, "take_rows", spy)
-        for outer, op in ((And, "="), (Or, "<>")):
-            tail = [Comparison(o, _C, Literal(k, DataType.INTEGER)) for o, k in
-                    ((">", 1), ("<>", 3), ("<", 5), ("<>", 2))]
-            expr = outer(
-                (Comparison(op, _A, _ZERO), Comparison(op, _B, _ZERO), *tail)
-            )
-            block = [(i % 2, i // 2 % 2, i % 7 if i % 5 else None) for i in range(64)]
-            del gathers[:]
-            assert_block_matches_scalar(expr, COLUMNS, block, representation)
-            if representation == "lists":
-                assert gathers[:2] == [32, 16]
 
     def test_correlated_term_reads_the_environment(self, representation):
         outer = Column(99, "outer", DataType.INTEGER)
@@ -327,9 +300,8 @@ class TestAndOrBySelection:
 
 @pytest.mark.parametrize("terms, folds", [(1, 1), (2, 1), (3, 2), (5, 4)])
 def test_terms_that_never_narrow_fold_n_minus_one_times(monkeypatch, terms, folds):
-    """No term decides a lane, so nothing narrows: an n-term AND costs
-    n - 1 list folds (the first term enters raw; a lone term folds with
-    itself to normalize), exactly the cost before selection existed."""
+    """An n-term AND over lists costs n - 1 list folds (the first term
+    enters raw; a lone term folds with itself to normalize)."""
     calls = []
 
     def spy(conj, a, b, fold=vectors._fold):
@@ -341,29 +313,6 @@ def test_terms_that_never_narrow_fold_n_minus_one_times(monkeypatch, terms, fold
     block = [(i, None, None) for i in range(50)]
     assert_block_matches_scalar(expr, COLUMNS, block, "lists")
     assert calls == [50] * folds
-
-
-@pytest.mark.parametrize(
-    "name, fusion, narrows",
-    [("q28", True, True), ("q09", True, False), ("q09", False, False)],
-)
-def test_which_studied_masks_narrow(tpcds_store, monkeypatch, name, fusion, narrows):
-    """The narrowing rule, structurally: Q28's bucket masks (a BETWEEN
-    that decides ~95 % of the lanes, then a six-comparison OR) narrow;
-    Q09's two-term ``q >= a AND q <= b`` masks and its five-way OR of
-    mask columns leave nothing worth a gather and never do.  Narrowing
-    is a property of list columns (vector blocks fold whole arrays)."""
-    narrowed = []
-
-    def spy(cols, sel, take_rows=vectors.take_rows):
-        if sys._getframe(1).f_code.co_name == "eval_terms":
-            narrowed.append(len(sel))
-        return take_rows(cols, sel)
-
-    monkeypatch.setattr(vectors, "take_rows", spy)
-    config = OptimizerConfig(engine="batch", vectors="python", enable_fusion=fusion)
-    Session(tpcds_store, config).execute(STUDIED_QUERIES[name])
-    assert bool(narrowed) is narrows
 
 
 @given(data=st.data())
