@@ -269,7 +269,7 @@ PACKAGE_LINE_CEILINGS = {
     "repro": 499,
     "repro.algebra": 3239,
     "repro.catalog": 90,
-    "repro.engine": 3235,
+    "repro.engine": 3255,
     "repro.fusion": 482,
     "repro.optimizer": 2815,
     "repro.server": 827,
@@ -277,7 +277,7 @@ PACKAGE_LINE_CEILINGS = {
     "repro.storage": 616,
     "repro.testing": 1063,
     "repro.tpcds": 1000,
-    "total": 15188,
+    "total": 15208,
 }
 
 _NON_CODE_TOKENS = frozenset(

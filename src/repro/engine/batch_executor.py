@@ -108,6 +108,8 @@ from repro.engine.executor import (
     scan_predicate,
 )
 from repro.engine.keyed import (
+    _DIRECTORY_DENSITY,
+    _DIRECTORY_SLACK,
     GroupState,
     OneGroup,
     block_slices,
@@ -337,13 +339,6 @@ def _run_limit(plan: Limit, ctx: RunContext, block_rows: int) -> Iterator[Block]
 #: cost ~15 % more peak memory (DESIGN.md §7).
 _JOIN_PAIR_SLICE = 1 << 10
 
-#: Integer build keys get a direct-address directory when their span
-#: ``max - min + 1`` is at most ``_DIRECTORY_DENSITY * build rows +
-#: _DIRECTORY_SLACK``: its cost and memory stay a constant times the
-#: build side's own.  Sparser keys keep the binary search.
-_DIRECTORY_DENSITY = 4
-_DIRECTORY_SLACK = 1 << 10
-
 
 def _run_join(plan: Join, ctx: RunContext, block_rows: int) -> Iterator[Block]:
     """Every join kind as one probe over ``(probe lane, build
@@ -526,8 +521,9 @@ def _sort_build_keys(key_col, rows, as_codes: bool):
     through ``domain``, a Python dict — hash equality,
     ``1 == 1.0 == True``.
 
-    Integer keys whose span fits ``_DIRECTORY_DENSITY * rows +
-    _DIRECTORY_SLACK`` — codes, dense ``0..k-1``, always do — are
+    Integer keys whose span ``max - min + 1`` fits the keyed core's
+    density rule, ``_DIRECTORY_DENSITY * rows + _DIRECTORY_SLACK`` —
+    codes, dense ``0..k-1``, always do — are
     indexed by a :class:`_Directory` and ordered by one quicksort of the
     unique composite key ``(key - low) * rows + position``, which the
     span bound keeps far from overflow.  Float, bool and sparse integer

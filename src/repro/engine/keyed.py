@@ -7,7 +7,11 @@ either column representation:
 * :func:`factorize` — key columns to dense group codes numbered in
   first-seen order, plus the lane where each group first appears
   (MarkDistinct's marker, DISTINCT's dedup and the emitted key columns
-  are all gathers at those lanes);
+  are all gathers at those lanes).  Array keys combine into one int64
+  key; where its bound fits the join directory's density rule
+  (``_DIRECTORY_DENSITY * rows + _DIRECTORY_SLACK``) a direct-address
+  table finds each key's first lane with no sort, and sparser keys
+  sort (``np.unique``);
 * :class:`GroupState` — every aggregate as a segmented reduction over
   ``(codes, values, mask)`` into per-aggregate state *columns* indexed
   by code, so Window is "reduce per code, gather back by code";
@@ -104,6 +108,15 @@ def factorize(key_cols: list, n: int):
     return codes, [where[code] for code in range(groups)]
 
 
+#: Integer keys are direct-addressed — a join's build keys
+#: (``batch_executor._sort_build_keys``), a keyed operator's combined
+#: group key (:func:`_first_seen`) — when their span is at most
+#: ``_DIRECTORY_DENSITY * rows + _DIRECTORY_SLACK``: the table's cost and
+#: memory stay a constant times the rows.  Sparser keys sort.
+_DIRECTORY_DENSITY = 4
+_DIRECTORY_SLACK = 1 << 10
+
+
 def _factorize_arrays(key_cols: list, n: int):
     combined, bound = None, 1
     for col in key_cols:
@@ -112,12 +125,43 @@ def _factorize_arrays(key_cols: list, n: int):
             combined, bound = codes, width
             continue
         if bound * width >= _INT_GUARD:  # re-densify before int64 could wrap
-            combined, bound = np.unique(combined, return_inverse=True)[1], n
+            combined, first = _first_seen(combined, bound, n)
+            bound = len(first)
             if bound * width >= _INT_GUARD:
-                codes, width = np.unique(codes, return_inverse=True)[1], n
+                codes, first = _first_seen(codes, width, n)
+                width = len(first)
         combined = combined * width + codes
         bound *= width
-    _, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
+    return _first_seen(combined, bound, n)
+
+
+def _first_seen(keys, bound: int, n: int):
+    """:func:`factorize`'s ``(codes, first)`` of ``n`` int64 ``keys``
+    in ``[0, bound)``: direct-addressed where ``bound`` is dense, sorted
+    otherwise."""
+    if bound <= _DIRECTORY_DENSITY * n + _DIRECTORY_SLACK:
+        return _first_seen_direct(keys, bound, n)
+    return _first_seen_sorted(keys)
+
+
+def _first_seen_direct(keys, bound: int, n: int):
+    """Each key's first lane is the least of its lanes (``minimum.at``:
+    a fancy assignment with repeated indexes fixes no winner); marked in
+    a lane mask, ``flatnonzero`` lists them in first-seen order with no
+    sort, and a table from key to rank numbers the lanes."""
+    lanes = np.arange(n)
+    seen = np.full(bound, n, dtype=lanes.dtype)
+    np.minimum.at(seen, keys, lanes)
+    mark = np.zeros(n, dtype=bool)
+    mark[seen[seen < n]] = True
+    first = np.flatnonzero(mark)
+    rank = np.empty(bound, dtype=lanes.dtype)
+    rank[keys[first]] = np.arange(first.size)
+    return rank[keys], first
+
+
+def _first_seen_sorted(keys):
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)  # groups by first appearance
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)

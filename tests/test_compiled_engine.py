@@ -897,3 +897,72 @@ def test_studied_equi_joins_probe_through_the_directory(scale_02_store, name, mo
         ]
         assert bool(indexes) is bool(equi)
         assert all(type(index) is batch_executor._Directory for index in indexes)
+
+
+#: The studied keyed inputs whose combined key is sparse — its bound
+#: past ``4 x rows + 1 024`` — and so sort, at scale 0.2 as at 1.0:
+#: the (customer, store) and (customer, state) GROUP BY of Q01's and
+#: Q30's return CTEs (2 412 over 310 rows and 3 168 over 157 at 0.2;
+#: 24 012 over 1 561 and 15 944 over 823 at 1.0) and Q95's
+#: MarkDistinct over ``ws_order_number`` (1 255 over 39; 6 507 over
+#: 181).  ``(query, operator, key columns)``.
+_SPARSE_GROUP_KEYS = {
+    ("q01", "GroupState", 2),
+    ("q30", "GroupState", 2),
+    ("q95", "mark_first", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDIED_QUERIES))
+def test_studied_group_keys_factorize_by_direct_address(scale_02_store, name, monkeypatch):
+    """The structural guard of the factorizer, independent of timing:
+    with fusion on or off, every studied GroupBy / Window
+    (``GroupState``) and MarkDistinct (``mark_first``) key factorizes
+    through the direct-address table, save the sparse keys named in
+    ``_SPARSE_GROUP_KEYS``, which sort.  At scale 0.2, where each key's
+    arm is the one it takes at 1.0."""
+    calls, operator = [], []
+
+    def spy_operator(label):
+        run = getattr(batch_executor, label)
+
+        def spy(*args):
+            operator.append(label)
+            try:
+                return run(*args)
+            finally:
+                operator.pop()
+
+        monkeypatch.setattr(batch_executor, label, spy)
+
+    def spy_arm(label):
+        run = getattr(keyed, label)
+
+        def spy(*args):
+            calls[-1][-1] = label  # the last step is the key's arm
+            return run(*args)
+
+        monkeypatch.setattr(keyed, label, spy)
+
+    factorize_arrays = keyed._factorize_arrays
+
+    def spy_factorize(key_cols, n):
+        calls.append([name, operator[-1], len(key_cols), None])
+        return factorize_arrays(key_cols, n)
+
+    monkeypatch.setattr(keyed, "_factorize_arrays", spy_factorize)
+    for label in ("GroupState", "mark_first"):
+        spy_operator(label)
+    for label in ("_first_seen_direct", "_first_seen_sorted"):
+        spy_arm(label)
+    for fusion in (True, False):
+        calls.clear()
+        Session(scale_02_store, OptimizerConfig(enable_fusion=fusion)).execute(
+            STUDIED_QUERIES[name]
+        )
+        assert bool(calls) is (name not in ("q09", "q88"))  # scalar aggregates only
+        for *key, arm in calls:
+            sparse = tuple(key) in _SPARSE_GROUP_KEYS
+            assert arm == ("_first_seen_sorted" if sparse else "_first_seen_direct"), key
+        sparse_seen = {tuple(key) for *key, arm in calls if arm == "_first_seen_sorted"}
+        assert sparse_seen == {k for k in _SPARSE_GROUP_KEYS if k[0] == name}

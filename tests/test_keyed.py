@@ -5,6 +5,9 @@ representations.
 * a hypothesis property for the core itself, against the row engine's
   ``Aggregator`` loop, over every column representation, and one for
   its one-group arm (scalar aggregation) fed block by block;
+* a hypothesis property for the factorizer's two arms — direct
+  address and sort — on both sides of the density rule, against the
+  list factorizer;
 * scalar GroupBy through the block engine: DISTINCT over many blocks,
   MIN/MAX over NaN across block boundaries, state over empty input;
 * a hypothesis property for every keyed operator, and both join sides,
@@ -21,10 +24,12 @@ representations.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.expressions import TRUE, ColumnRef, Comparison
@@ -45,6 +50,7 @@ from repro.algebra.operators import (
 from repro.algebra.schema import ColumnAllocator
 from repro.algebra.types import DataType
 from repro.engine.batch_executor import execute_batch, execute_blocks
+from repro.engine import keyed
 from repro.engine.compiled import execute_compiled
 from repro.engine.evaluator import Aggregator, canon_key
 from repro.engine.executor import execute
@@ -206,6 +212,120 @@ def test_one_group_matches_the_aggregator_loop(data):
         start = stop
     got = tuple(column[0] for column in state.columns())
     assert all(map(_same, expected, got)), (expected, got)
+
+
+# -- factorize: direct address against sort -------------------------------
+
+#: The widest int an array column holds (``columnar._INT_GUARD`` - 1).
+_BIG = 2**62 - 1
+_FACTORIZE_KINDS = ("int", "int", "extreme", "string", "float")
+
+
+def _widest(n: int) -> int:
+    """The density rule's largest direct-addressed key bound for ``n``
+    lanes."""
+    return keyed._DIRECTORY_DENSITY * n + keyed._DIRECTORY_SLACK
+
+
+@st.composite
+def _factorize_case(draw):
+    """1–3 ``(kind, values)`` key columns over 0–300 lanes: ints whose
+    span is drawn around the density bound (NULL and negatives salted
+    in), ±(2**62 - 1) extremes, a string list column, floats with NaN,
+    ±0.0 and NULL."""
+    n = draw(st.integers(0, 300))
+    case = []
+    for kind in draw(st.lists(st.sampled_from(_FACTORIZE_KINDS), min_size=1, max_size=3)):
+        if kind == "string":
+            values = _VALUES[_S]
+        elif kind == "float":
+            values = _VALUES[_D]
+        elif kind == "extreme":
+            values = st.sampled_from([-_BIG, _BIG, 0, -1])
+        else:
+            span = draw(
+                st.integers(max(1, _widest(n) - 8), _widest(n) + 8) | st.integers(1, 2 * n + 2)
+            )
+            low = draw(st.integers(-3000, 3000))
+            values = st.integers(low, low + span - 1)
+        column = draw(st.lists(st.one_of(st.none(), values), min_size=n, max_size=n))
+        if kind == "int" and n >= 2 and draw(st.booleans()):
+            column[0], column[-1] = low, low + span - 1  # the drawn span exactly
+        case.append((kind, column))
+    return case
+
+
+def _at_bound(n: int, past: int) -> list:
+    """One int column of ``n`` lanes whose key bound is the density
+    rule's for ``n``, plus ``past``."""
+    return [("int", [-7] * (n - 1) + [-7 + _widest(n) - 1 + past])]
+
+
+@contextmanager
+def _arms_taken(arms: list):
+    """Append to ``arms`` the arm each call of the factorizer's core
+    takes, by name."""
+    with ExitStack() as stack:
+        for arm in ("_first_seen_direct", "_first_seen_sorted"):
+
+            def spy(*args, _run=getattr(keyed, arm), _arm=arm):
+                arms.append(_arm)
+                return _run(*args)
+
+            stack.enter_context(mock.patch.object(keyed, arm, spy))
+        yield
+
+
+def _as_key_column(kind: str, values: list):
+    return values if kind == "string" else vector_from_values(values, _D if kind == "float" else _I)
+
+
+@given(case=_factorize_case())
+@example(case=_at_bound(50, 0))
+@example(case=_at_bound(50, 1))
+@example(case=[("int", [3, 1, 3, 2]), ("extreme", [_BIG, -_BIG, _BIG, 0]), ("int", [1, 2, 1, 1])])
+@settings(max_examples=120, deadline=None)
+def test_factorize_arms_agree(case):
+    """The direct-address arm, the sort arm (forced: no key bound fits
+    a zero rule) and the list factorizer over the delisted columns give
+    the same ``(codes, first)`` — codes in first-seen order, ``first``
+    each group's first lane — whatever arm each column-combine step
+    takes, the re-densify steps before an int64 product could wrap
+    included.  A single array column takes the direct arm exactly where
+    its key bound fits the rule; a float column's codes are dense, so
+    it always does."""
+    n = len(case[0][1])
+    cols = [_as_key_column(kind, values) for kind, values in case]
+    arms = []
+    with _arms_taken(arms):
+        codes, first = keyed.factorize(cols, n)
+    with mock.patch.object(keyed, "_DIRECTORY_DENSITY", 0), \
+            mock.patch.object(keyed, "_DIRECTORY_SLACK", 0):
+        forced = keyed.factorize(cols, n)
+    listed = keyed.factorize([delist(c) for c in cols], n)
+    as_lists = [list(map(int, codes)), list(map(int, first))]
+    assert as_lists == [list(map(int, forced[0])), list(map(int, forced[1]))]
+    assert as_lists == [listed[0], listed[1]]
+    if len(cols) == 1 and n and type(cols[0]) is not list:
+        data, valid = cols[0].data, cols[0].valid
+        dense = data.dtype.kind == "f"
+        if not dense:
+            dense = int(data.max()) - int(data.min()) + 1 + (valid is not None) <= _widest(n)
+        assert arms == ["_first_seen_direct" if dense else "_first_seen_sorted"]
+
+
+def test_factorize_re_densifies_through_both_arms():
+    """A small int key beside a ±(2**62 - 1) one: before the product
+    could wrap, the combined key so far re-densifies by direct address
+    and the extreme column by sort; the dense product then takes the
+    direct arm."""
+    small = vector_from_values([3, 1, 3, 2], _I)
+    extreme = vector_from_values([_BIG, -_BIG, _BIG, 0], _I)
+    arms = []
+    with _arms_taken(arms):
+        codes, first = keyed.factorize([small, extreme], 4)
+    assert arms == ["_first_seen_direct", "_first_seen_sorted", "_first_seen_direct"]
+    assert (codes.tolist(), first.tolist()) == ([0, 1, 0, 2], [0, 1, 3])
 
 
 # -- streams mixing array and list blocks ----------------------------------
