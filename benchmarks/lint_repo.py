@@ -24,8 +24,8 @@ Checks conventions a generic linter cannot know:
   checksum check and ``invalidate_vector``), the options only tests
   set and the modules and functions nothing called, and the second
   default block size and the private copies of ``child_bounded`` and
-  ``concat_column``, scalar aggregation's own fold and the list-only
-  AND/OR narrowing;
+  ``concat_column``, scalar aggregation's own fold, the list-only
+  AND/OR narrowing and the service's degradation lattice;
 * every memo slot written into a node's ``__dict__`` under
   ``src/repro/algebra`` is named in ``expressions.MEMO_SLOTS``, the
   list ``Expression.__getstate__`` strips (a cache missing from it
@@ -77,8 +77,10 @@ sys.path.insert(0, str(SRC))
 #: properties module, the workload comparison, ``implied_by``), and
 #: the session's unread binder, and scalar aggregation's own fold (its
 #: block feeder, its array fold, its lane-order sum, the accumulator's
-#: block method) and the list-only AND/OR narrowing; none may come back
-#: under ``src/``.
+#: block method) and the list-only AND/OR narrowing, and the service's
+#: degradation lattice (its supervisor, its per-rung breakers and their
+#: error, the rungs tried and the open-breaker step); none may come
+#: back under ``src/``.
 RETIRED_NAMES = (
     "_KERNEL_CACHE",
     "_CODE_CACHE",
@@ -156,6 +158,11 @@ RETIRED_NAMES = (
     "_NARROW_MIN_NODES",
     "_NARROW_LANE_COST",
     "eval_terms",
+    "DegradationSupervisor",
+    "CircuitBreaker",
+    "CircuitOpenError",
+    "ladder_path",
+    "step_down",
 )
 
 
@@ -266,18 +273,18 @@ def lint_memo_slots() -> list[str]:
 #: the count at the last PR that changed it; lower it freely, raise it
 #: only by the net growth the PR's issue budgeted and CHANGES.md records.
 PACKAGE_LINE_CEILINGS = {
-    "repro": 499,
+    "repro": 496,
     "repro.algebra": 3239,
     "repro.catalog": 90,
-    "repro.engine": 3255,
+    "repro.engine": 3259,
     "repro.fusion": 482,
     "repro.optimizer": 2815,
-    "repro.server": 827,
+    "repro.server": 614,
     "repro.sql": 1322,
     "repro.storage": 616,
     "repro.testing": 1063,
     "repro.tpcds": 1000,
-    "total": 15208,
+    "total": 14996,
 }
 
 _NON_CODE_TOKENS = frozenset(
@@ -354,7 +361,7 @@ def lint_tracked_ignored() -> list[str]:
 
 #: Config fields that nothing outside ``tests/`` sets, kept only
 #: because a ROADMAP item owns their removal (field -> item number).
-CONFIG_FIELD_ALLOWLIST = {"fragment_retries": 5, "lower_distinct_before_fusion": 9}
+CONFIG_FIELD_ALLOWLIST = {"fragment_retries": 4, "lower_distinct_before_fusion": 10}
 
 
 def lint_config_callers() -> list[str]:

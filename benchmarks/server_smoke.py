@@ -2,7 +2,7 @@
 
 A fast CI gate for the serving layer (DESIGN.md §14): a handful of
 client threads drive an overlapping dashboard workload through the full
-admission → queue → degradation → session stack, optionally with fault
+admission → queue → session stack, optionally with fault
 injection and one mid-run worker SIGKILL, and every result is checked
 byte-for-byte against a serial cache-off baseline.  Writes
 ``SERVER_metrics.json`` (p50/p99 latency, degradations, shared-execution

@@ -25,7 +25,6 @@ import sys
 from repro.engine.session import Session
 from repro.errors import (
     AdmissionRejectedError,
-    CircuitOpenError,
     DataCorruptionError,
     QueryCancelledError,
     QueryQueueTimeoutError,
@@ -42,7 +41,8 @@ from repro.tpcds.generator import generate_dataset
 #: 0 = success, 1 = generic/user error (syntax, binding, execution),
 #: 2 = --compare disagreement; service-boundary errors get distinct
 #: codes so ``repro serve`` callers (and the taxonomy tests) can
-#: script against them.
+#: script against them.  9 is left unassigned, not reused, so a script
+#: written against its old meaning cannot misread a new error.
 _EXIT_CODES: list[tuple[type[BaseException], int]] = [
     (QueryTimeoutError, 3),
     (QueryCancelledError, 4),
@@ -50,7 +50,6 @@ _EXIT_CODES: list[tuple[type[BaseException], int]] = [
     (DataCorruptionError, 6),
     (AdmissionRejectedError, 7),
     (QueryQueueTimeoutError, 8),
-    (CircuitOpenError, 9),
     (WorkerPoolError, 10),
 ]
 

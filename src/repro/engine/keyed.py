@@ -180,9 +180,13 @@ def _column_codes(col, n: int):
         uniq, codes = np.unique(data, return_inverse=True)
         bound = len(uniq)
     else:
+        # The span is taken over valid lanes only: a NULL lane's fill
+        # value would widen it, and a nullable key far from 0 would look
+        # sparse and sort.  No valid lane (or no lane) leaves bound 1.
         codes = data.astype(np.int64)
-        codes -= codes.min()
-        bound = int(codes.max()) + 1
+        lanes = True if valid is None else valid
+        codes -= codes.min(where=lanes, initial=np.iinfo(np.int64).max)
+        bound = int(codes.max(where=lanes, initial=0)) + 1
     if valid is not None:
         codes = np.where(valid, codes, bound)
         bound += 1

@@ -97,12 +97,10 @@ class QueryMetrics:
     #: Populations of this query that had followers bound to them when
     #: they completed (the leader side of shared execution).
     shared_fanout: int = 0
-    #: Graceful-degradation ladder (repro.server.degrade): the rungs
-    #: tried for this query, in order ("batch|parallel|cache",
-    #: "row|parallel|cache", ...), and one human-readable record per
-    #: demotion ("batch|...->row|...:ExecutionError").  Empty when the query
-    #: succeeded on its first rung or ran outside the server.
-    ladder_path: list[str] = field(default_factory=list)
+    #: The query service's corruption re-run: one record
+    #: ("cache->nocache:DataCorruptionError") when a corrupt plan-cache
+    #: entry sent the query to the service's cache-less session.  Empty
+    #: when the first run succeeded or the query ran outside the server.
     degradations: list[str] = field(default_factory=list)
     #: Milliseconds the query waited in the service admission queue
     #: before a worker thread picked it up (None outside the server).

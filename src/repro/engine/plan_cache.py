@@ -213,10 +213,12 @@ class PlanCache:
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         #: fingerprint -> outstanding pin count (across all threads).
         self._pinned: dict[str, int] = {}
-        #: Per-thread record of the pins it took, so ``release_pins``
-        #: from one query thread never unpins a concurrent query's
-        #: entries (a thread may pin the same fingerprint twice when a
-        #: subplan occurs twice — hence a list, not a set).
+        #: Per-thread record of the entries it pinned, so
+        #: ``release_pins`` from one query thread never unpins a
+        #: concurrent query's entries (a thread may pin the same
+        #: fingerprint twice when a subplan occurs twice — hence a list,
+        #: not a set), and ``replay`` can serve a pinned entry that an
+        #: invalidation dropped after planning.
         self._local = threading.local()
         #: Minimum admissible version per table: raised by
         #: ``invalidate_table(..., min_version=...)`` so an in-flight
@@ -229,7 +231,7 @@ class PlanCache:
         #: Concurrent shared execution registry (DESIGN.md §14).
         self.inflight = InflightRegistry()
 
-    def _my_pins(self) -> list[str]:
+    def _my_pins(self) -> list[CacheEntry]:
         pins = getattr(self._local, "pins", None)
         if pins is None:
             pins = self._local.pins = []
@@ -270,16 +272,24 @@ class PlanCache:
             self.stats.hits += 1
             if pin:
                 self._pinned[fingerprint] = self._pinned.get(fingerprint, 0) + 1
-                self._my_pins().append(fingerprint)
+                self._my_pins().append(entry)
             return entry
 
     def replay(self, fingerprint: str):
         """Execution-time fetch (no version check — versions were
-        validated, and the entry pinned, when the plan was built)."""
+        validated, and the entry pinned, when the plan was built).  An
+        ``invalidate_table`` between planning and execution drops the
+        entry but not this thread's pin: the query replays the entry it
+        planned against, as it would have had the invalidation come a
+        moment later."""
         with self._lock:
             entry = self._entries.get(fingerprint)
             if entry is not None:
                 self._entries.move_to_end(fingerprint)
+            else:
+                pinned = (e for e in self._my_pins() if e.fingerprint == fingerprint)
+                entry = next(pinned, None)
+            if entry is not None:
                 self.stats.replays += 1
             return entry
 
@@ -374,12 +384,12 @@ class PlanCache:
         runs planning + execution on one thread, so this is exactly
         the finished query's pins)."""
         with self._lock:
-            for fingerprint in self._my_pins():
-                count = self._pinned.get(fingerprint, 0) - 1
+            for entry in self._my_pins():
+                count = self._pinned.get(entry.fingerprint, 0) - 1
                 if count <= 0:
-                    self._pinned.pop(fingerprint, None)
+                    self._pinned.pop(entry.fingerprint, None)
                 else:
-                    self._pinned[fingerprint] = count
+                    self._pinned[entry.fingerprint] = count
             self._my_pins().clear()
 
     def clear(self) -> None:

@@ -127,7 +127,7 @@ class Session:
         #: Cross-query subplan result cache (§ cross-query reuse);
         #: lives as long as the session, like Athena's per-workgroup
         #: result reuse window.  A caller-supplied cache (e.g. the
-        #: query service sharing one cache across its ladder sessions)
+        #: query service sharing one cache across its sessions)
         #: is used as-is when the config enables caching.
         self.plan_cache: PlanCache | None = None
         if self.config.enable_plan_cache:

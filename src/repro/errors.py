@@ -105,18 +105,9 @@ class QueryQueueTimeoutError(ReproError):
     itself exceeded the per-query deadline."""
 
 
-class CircuitOpenError(ReproError):
-    """Every execution rung the degradation ladder could try for this
-    query has an open circuit breaker (its recent failure rate tripped
-    the rolling-window threshold).  The service refuses to burn work on
-    a configuration that keeps failing; breakers half-open and probe
-    recovery automatically after their cooldown."""
-
-
 class WorkerPoolError(ReproError):
     """The fragment worker pool is unhealthy beyond repair for the
-    current query (e.g. it could not be rebuilt after a wipeout).  The
-    degradation ladder responds by retrying the query serially."""
+    current query (e.g. it could not be rebuilt after a wipeout)."""
 
 
 class OptimizerError(ReproError):

@@ -1,10 +1,9 @@
 """Resilient multi-tenant query serving on top of the engine.
 
 The serving layer of DESIGN.md §14: admission control and per-tenant
-quotas (:mod:`repro.server.admission`), the graceful-degradation ladder
-with per-rung circuit breakers (:mod:`repro.server.degrade`), the
-concurrent :class:`~repro.server.service.QueryService` itself, and the
-load generator / byte-identity oracle used by the benchmarks and chaos
+quotas (:mod:`repro.server.admission`), the concurrent
+:class:`~repro.server.service.QueryService` itself, and the load
+generator / byte-identity oracle used by the benchmarks and chaos
 tests (:mod:`repro.server.loadgen`).
 """
 
@@ -14,33 +13,19 @@ from repro.server.admission import (
     TenantQuota,
     TokenBucket,
 )
-from repro.server.degrade import (
-    CircuitBreaker,
-    DegradationSupervisor,
-    Rung,
-    classify,
-    demote,
-    step_down,
-)
 from repro.server.loadgen import LoadReport, run_load, rows_digest, serial_baseline
 from repro.server.service import QueryService, QueryTicket, ServiceConfig
 
 __all__ = [
     "AdmissionController",
     "AdmissionStats",
-    "CircuitBreaker",
-    "DegradationSupervisor",
     "LoadReport",
     "QueryService",
     "QueryTicket",
-    "Rung",
     "ServiceConfig",
     "TenantQuota",
     "TokenBucket",
-    "classify",
-    "demote",
     "rows_digest",
     "run_load",
     "serial_baseline",
-    "step_down",
 ]

@@ -8,22 +8,26 @@
   priority, FIFO within a class);
 * dispatcher threads pop tickets, enforce the *queue-wait* deadline
   (:class:`~repro.errors.QueryQueueTimeoutError`) and charge the wait
-  against the admission-to-completion deadline, then execute through
-  the :class:`~repro.server.degrade.DegradationSupervisor`;
-* one :class:`~repro.engine.session.Session` per degradation rung, all
-  sharing the store, the plan cache (so cross-query reuse and
-  leader/follower shared execution work across rungs and tenants), and
-  the self-healing :class:`~repro.engine.parallel.WorkerPool`; these
-  sessions keep no plan memo, so every query is planned afresh
-  (DESIGN.md §8, "Plan memo");
+  against the admission-to-completion deadline, then execute the query
+  on the service's one :class:`~repro.engine.session.Session`, which
+  shares the store, the plan cache (so cross-query reuse and
+  leader/follower shared execution work across tenants) and the
+  self-healing :class:`~repro.engine.parallel.WorkerPool`, and keeps no
+  plan memo, so every query is planned afresh (DESIGN.md §8, "Plan
+  memo");
+* a query that fails with :class:`~repro.errors.DataCorruptionError`
+  is re-run once on a second, cache-less session: the corrupt cache
+  entry was evicted on detection, and the cache-less run cannot replay
+  another one.  Every other error reaches the ticket on its first
+  attempt;
 * a maintenance thread runs ``WorkerPool.health_check`` on a short
   period, so crashed or frozen workers are replaced even while the
   dispatchers are blocked inside queries.
 
 The service is synchronous-friendly: ``execute`` is submit + wait, and
 ``metrics()`` returns a plain-dict snapshot (latency percentiles,
-admission/breaker/pool counters, shared-execution totals) that the
-benchmarks serialize directly.
+admission/pool counters, shared-execution totals) that the benchmarks
+serialize directly.
 """
 
 from __future__ import annotations
@@ -33,15 +37,19 @@ import queue as queue_module
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.engine.parallel import WorkerPool
 from repro.engine.plan_cache import MIB, PlanCache
 from repro.engine.session import QueryResult, Session
-from repro.errors import QueryQueueTimeoutError, QueryTimeoutError, ReproError
+from repro.errors import (
+    DataCorruptionError,
+    QueryQueueTimeoutError,
+    QueryTimeoutError,
+    ReproError,
+)
 from repro.optimizer.config import OptimizerConfig
 from repro.server.admission import AdmissionController, TenantQuota
-from repro.server.degrade import DegradationSupervisor, Rung
 
 #: Dispatcher queue-poll period (seconds): bounds shutdown latency.
 _DISPATCH_POLL_S = 0.05
@@ -59,9 +67,8 @@ _LATENCY_RESERVOIR = 4096
 class ServiceConfig:
     """Tunables for :class:`QueryService`."""
 
-    #: Base optimizer configuration; the top ladder rung runs exactly
-    #: this, lower rungs are derived by
-    #: :meth:`repro.server.degrade.Rung.config`.
+    #: Optimizer configuration of the service's session; the
+    #: corruption re-run uses it with the plan cache off.
     base: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(enable_plan_cache=True)
     )
@@ -207,13 +214,13 @@ class QueryService:
         self.store = store
         self.config = config or ServiceConfig()
         base = self.config.base
-        #: One shared cross-query cache for every rung/session: shared
-        #: execution and reuse work across tenants by design (results
-        #: are keyed by plan fingerprint, not by who asked).
+        #: One cross-query cache for every tenant: shared execution and
+        #: reuse work across tenants by design (results are keyed by
+        #: plan fingerprint, not by who asked).
         self.plan_cache: PlanCache | None = None
         if base.enable_plan_cache:
             self.plan_cache = PlanCache(base.cache_budget_mb * MIB)
-        #: One shared self-healing pool for every parallel rung.
+        #: One self-healing pool for both sessions.
         self.pool: WorkerPool | None = None
         if base.workers > 1:
             self.pool = WorkerPool(store, base.workers)
@@ -222,15 +229,12 @@ class QueryService:
             default_quota=self.config.default_quota,
             quotas=self.config.quotas,
         )
-        self.supervisor = DegradationSupervisor(
-            Rung(
-                engine=base.engine,
-                parallel=base.workers > 1,
-                cache=base.enable_plan_cache,
-            )
-        )
-        self._sessions: dict[str, Session] = {}
-        self._sessions_lock = threading.Lock()
+        self._session = self._new_session(base)
+        #: The cache-less session of the corruption re-run, built on
+        #: first use so that a service which never sees corruption
+        #: builds one session.
+        self._uncached_session: Session | None = None
+        self._uncached_lock = threading.Lock()
         self._queue: queue_module.PriorityQueue = queue_module.PriorityQueue()
         self._seq = itertools.count()
         self._metrics = _ServiceMetrics()
@@ -282,7 +286,6 @@ class QueryService:
             "rejected_rate_limited": self.admission.stats.rejected_rate_limited,
             "rejected_quota": self.admission.stats.rejected_quota,
         }
-        snap["breakers"] = self.supervisor.breaker_states()
         if self.pool is not None:
             snap["pool"] = {
                 "respawns": self.pool.respawns,
@@ -327,10 +330,10 @@ class QueryService:
             self.admission.on_dequeue()
             self.admission.release(ticket.tenant)
             ticket.fail(ReproError("the query service is closed"))
-        with self._sessions_lock:
-            sessions, self._sessions = dict(self._sessions), {}
-        for session in sessions.values():
-            session.close()
+        self._session.close()
+        with self._uncached_lock:
+            if self._uncached_session is not None:
+                self._uncached_session.close()
         if self.pool is not None:
             self.pool.close()
 
@@ -342,19 +345,22 @@ class QueryService:
 
     # -- internals ---------------------------------------------------------
 
-    def _session_for(self, rung: Rung) -> Session:
-        with self._sessions_lock:
-            session = self._sessions.get(rung.name)
-            if session is None:
-                session = Session(
-                    self.store,
-                    rung.config(self.config.base),
-                    worker_pool=self.pool if rung.parallel else None,
-                    plan_cache=self.plan_cache,
-                    plan_memo=False,
+    def _new_session(self, config: OptimizerConfig) -> Session:
+        return Session(
+            self.store,
+            config,
+            worker_pool=self.pool,
+            plan_cache=self.plan_cache,
+            plan_memo=False,
+        )
+
+    def _uncached(self) -> Session:
+        with self._uncached_lock:
+            if self._uncached_session is None:
+                self._uncached_session = self._new_session(
+                    replace(self.config.base, enable_plan_cache=False)
                 )
-                self._sessions[rung.name] = session
-            return session
+            return self._uncached_session
 
     def _dispatch_loop(self) -> None:
         while not self._stop.is_set():
@@ -389,9 +395,9 @@ class QueryService:
                 ticket.fail(error)
                 return
 
-        def run(rung: Rung, sql: str) -> QueryResult:
-            # The admission-to-completion budget is recomputed per rung
-            # so ladder retries are charged for the time already spent.
+        def run(session: Session) -> QueryResult:
+            # The admission-to-completion budget is recomputed per run
+            # so the corruption re-run is charged for the time spent.
             remaining_ms: float | None = None
             if config.query_timeout_ms is not None:
                 elapsed = (time.monotonic() - ticket.enqueued_at) * 1000.0
@@ -401,10 +407,18 @@ class QueryService:
                         f"query deadline ({config.query_timeout_ms:.0f}ms) "
                         f"exhausted after {elapsed:.0f}ms"
                     )
-            return self._session_for(rung).execute(sql, timeout_ms=remaining_ms)
+            return session.execute(ticket.sql, timeout_ms=remaining_ms)
 
         try:
-            result = self.supervisor.execute(run, ticket.sql)
+            try:
+                result = run(self._session)
+            except DataCorruptionError:
+                # The corrupt entry was evicted when detected; a second
+                # one in the same plan would fail a cached re-run too.
+                if self.plan_cache is None:
+                    raise
+                result = run(self._uncached())
+                result.metrics.degradations.append("cache->nocache:DataCorruptionError")
         except BaseException as exc:  # noqa: BLE001 - delivered to the caller
             self._metrics.record_failure(exc)
             ticket.fail(exc)

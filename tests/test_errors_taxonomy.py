@@ -22,7 +22,6 @@ from repro.errors import (
     AdmissionRejectedError,
     BindingError,
     CatalogError,
-    CircuitOpenError,
     DataCorruptionError,
     ExecutionError,
     OptimizerError,
@@ -39,7 +38,6 @@ from repro.errors import (
 )
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.rewrites.simplify import Cleanup
-from repro.server.degrade import CircuitBreaker
 from repro.storage.columnar import Store
 from repro.storage.faults import FaultInjector
 
@@ -196,9 +194,9 @@ def test_resource_exhausted_error():
 
 # -- the server-only errors, through the service boundary -------------------
 #
-# Admission, queue-timeout, and circuit-open errors cannot happen in a
-# bare session; they are raised by the serving layer around it.  Each is
-# reached here with real SQL through the public QueryService API.
+# Admission and queue-timeout errors cannot happen in a bare session;
+# they are raised by the serving layer around it.  Each is reached here
+# with real SQL through the public QueryService API.
 
 
 def _service(**kw):
@@ -224,31 +222,6 @@ def test_query_queue_timeout_error_through_service():
         ticket = service.submit("SELECT sum(age) FROM people")
         with pytest.raises(QueryQueueTimeoutError, match="queue"):
             ticket.result(30.0)
-
-
-def test_circuit_open_error_through_service():
-    # A bottom-rung-only service (row engine, serial, no cache) has no
-    # fallback; the default breaker opens once its window holds
-    # min_samples failures, and the next query finds every rung open.
-    base = OptimizerConfig(engine="row", workers=1, enable_plan_cache=False)
-    failing_sql = "SELECT (SELECT id FROM people) AS x"  # ExecutionError
-    with _service(base=base) as service:
-        for _ in range(CircuitBreaker().min_samples):
-            with pytest.raises(ExecutionError):
-                service.execute(failing_sql)
-        with pytest.raises(CircuitOpenError, match="circuit open"):
-            service.execute("SELECT sum(age) FROM people")
-
-
-def test_user_fatal_errors_do_not_open_breakers():
-    base = OptimizerConfig(engine="row", workers=1, enable_plan_cache=False)
-    with _service(base=base) as service:
-        # Enough typos to trip the default breaker, were they counted.
-        for _ in range(CircuitBreaker().min_samples + 1):
-            with pytest.raises(BindingError):
-                service.execute("SELECT ghost FROM people")
-        # Typos never trip the breaker: the rung still serves others.
-        assert service.execute("SELECT sum(age) FROM people").rows
 
 
 # -- the CLI catches exactly ReproError -------------------------------------
@@ -281,7 +254,6 @@ def test_cli_exit_codes_distinguish_error_classes():
         DataCorruptionError: 6,
         AdmissionRejectedError: 7,
         QueryQueueTimeoutError: 8,
-        CircuitOpenError: 9,
         WorkerPoolError: 10,
     }
     for klass, code in expected.items():

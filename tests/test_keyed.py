@@ -292,8 +292,8 @@ def test_factorize_arms_agree(case):
     each group's first lane — whatever arm each column-combine step
     takes, the re-densify steps before an int64 product could wrap
     included.  A single array column takes the direct arm exactly where
-    its key bound fits the rule; a float column's codes are dense, so
-    it always does."""
+    its key bound (its valid lanes' span, plus one code for NULL) fits
+    the rule; a float column's codes are dense, so it always does."""
     n = len(case[0][1])
     cols = [_as_key_column(kind, values) for kind, values in case]
     arms = []
@@ -310,8 +310,45 @@ def test_factorize_arms_agree(case):
         data, valid = cols[0].data, cols[0].valid
         dense = data.dtype.kind == "f"
         if not dense:
-            dense = int(data.max()) - int(data.min()) + 1 + (valid is not None) <= _widest(n)
+            live = data if valid is None else data[valid]
+            span = int(live.max()) - int(live.min()) + 1 if live.size else 1
+            dense = span + (valid is not None) <= _widest(n)
         assert arms == ["_first_seen_direct" if dense else "_first_seen_sorted"]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [None if i % 100 == 99 else 10**6 + i % 7 for i in range(2000)],
+        [None] * 5,
+    ],
+    ids=["one_null_in_100_near_1e6", "all_null"],
+)
+def test_nullable_int_key_spans_its_valid_lanes(values):
+    """A NULL lane's fill value (0) takes no part in the key's span: 7
+    values near 10**6 with a NULL in every 100 lanes are 8 dense codes,
+    not a million-wide sparse key, and take the direct arm with the sort
+    arm's ``(codes, first)``."""
+    col = vector_from_values(values, _I)
+    assert col.valid is not None
+    n = len(values)
+    arms = []
+    with _arms_taken(arms):
+        codes, first = keyed.factorize([col], n)
+    assert arms == ["_first_seen_direct"]
+    with mock.patch.object(keyed, "_DIRECTORY_DENSITY", 0), \
+            mock.patch.object(keyed, "_DIRECTORY_SLACK", 0):
+        sorted_codes, sorted_first = keyed.factorize([col], n)
+    assert codes.tolist() == sorted_codes.tolist()
+    assert first.tolist() == sorted_first.tolist()
+    listed = keyed.factorize([values], n)
+    assert (codes.tolist(), first.tolist()) == (listed[0], listed[1])
+
+
+def test_empty_int_key_column_has_one_code_bound():
+    codes, bound = keyed._column_codes(vector_from_values([], _I), 0)
+    assert codes.tolist() == [] and bound == 1
+    assert keyed.factorize([vector_from_values([], _I)], 0) == ([], [])
 
 
 def test_factorize_re_densifies_through_both_arms():

@@ -214,6 +214,47 @@ def test_warm_replay_through_sharded_cache(tpcds_store):
     assert warm.metrics.bytes_scanned < cold.metrics.bytes_scanned
 
 
+def test_pinned_entry_outlives_an_invalidation_on_its_own_thread():
+    cache = PlanCache(budget_bytes=4000)
+    cache.put(_entry("a", tables=("orders",)))
+    pinned = cache.lookup("a", pin=True)
+    assert cache.invalidate_table("orders") == 1 and "a" not in cache
+    assert cache.replay("a") is pinned
+    elsewhere: list = []
+    thread = threading.Thread(target=lambda: elsewhere.append(cache.replay("a")))
+    thread.start()
+    thread.join(10.0)
+    assert not thread.is_alive() and elsewhere == [None]
+    cache.release_pins()
+    assert cache.replay("a") is None
+
+
+@pytest.mark.parametrize("engine", ["row", "batch"])
+def test_invalidation_between_planning_and_replay(tpcds_store, engine):
+    """A table invalidated after a query planned a replay of its entry
+    (the cache's other users invalidate whenever they like) must not
+    fail the query: it replays the entry it pinned."""
+    sql = (
+        "SELECT ss_store_sk, sum(ss_net_profit) FROM store_sales "
+        "GROUP BY ss_store_sk"
+    )
+    config = OptimizerConfig(enable_plan_cache=True, engine=engine)
+    with Session(tpcds_store, config) as session:
+        cold = session.execute(sql)
+        plan = session._bind_and_optimize
+
+        def planned_then_invalidated(text):
+            planned = plan(text)
+            session.plan_cache.invalidate_table("store_sales")
+            return planned
+
+        session._bind_and_optimize = planned_then_invalidated
+        warm = session.execute(sql)
+        assert not session.plan_cache._pinned
+    assert warm.rows == cold.rows
+    assert warm.metrics.cache_hits > 0
+
+
 def test_parallel_session_shares_entries_with_serial(tpcds_store):
     """Fingerprints are transparent through Exchange, so a
     parallel session's populate is replayable by its own warm run at

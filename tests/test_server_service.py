@@ -1,6 +1,6 @@
 """QueryService end-to-end: real SQL through the whole server stack.
 
-Admission → queue → dispatch → degradation supervisor → session, with
+Admission → queue → dispatch → session, with
 results checked against a plain serial session.  The error-boundary
 tests reach every server-owned error class through the public
 ``submit``/``execute`` API (no internals poked).
@@ -19,12 +19,14 @@ from repro.engine.session import Session
 from repro.errors import (
     AdmissionRejectedError,
     BindingError,
+    DataCorruptionError,
     ExecutionError,
     QueryQueueTimeoutError,
     ReproError,
 )
 from repro.optimizer.config import OptimizerConfig
 from repro.server.service import QueryService, ServiceConfig
+from repro.storage.faults import FaultInjector, bit_flip
 from repro.tpcds.generator import generate_dataset
 
 QUERIES = [
@@ -53,6 +55,20 @@ def _config(**kw) -> ServiceConfig:
     )
     defaults.update(kw)
     return ServiceConfig(**defaults)
+
+
+@pytest.fixture()
+def session_runs(monkeypatch):
+    """Counts ``Session.execute`` calls: one per attempt at a query."""
+    calls: list[str] = []
+    execute = Session.execute
+
+    def counted(self, sql, **kw):
+        calls.append(sql)
+        return execute(self, sql, **kw)
+
+    monkeypatch.setattr(Session, "execute", counted)
+    return calls
 
 
 class TestEndToEnd:
@@ -106,23 +122,58 @@ class TestEndToEnd:
             # A user error neither wedges the dispatcher nor the queue.
             assert service.execute(QUERIES[0]).rows
 
-    def test_vector_path_failure_demotes_to_row_in_one_step(
-        self, service_store, expected_rows, monkeypatch
+    def test_errors_reach_the_ticket_on_first_attempt(
+        self, service_store, expected_rows, session_runs, monkeypatch
     ):
-        """The block engine over list columns runs the very operators
-        that just failed, so the ladder has no rung for it."""
+        """An engine failure and a user's scalar subquery that returns
+        two rows both fail as they are: a re-run could only repeat them."""
 
         def broken(plan, ctx, block_rows):
             raise ExecutionError("vector path failure")
 
-        monkeypatch.setitem(BLOCK_OPERATORS, GroupBy, broken)
+        two_rows = "SELECT (SELECT d_year FROM date_dim) AS y"
         with QueryService(service_store, _config()) as service:
+            with monkeypatch.context() as patch:
+                patch.setitem(BLOCK_OPERATORS, GroupBy, broken)
+                with pytest.raises(ExecutionError, match="vector path failure"):
+                    service.execute(QUERIES[1])
+            assert len(session_runs) == 1
+            with pytest.raises(ExecutionError, match="more than one row"):
+                service.execute(two_rows)
+            assert len(session_runs) == 2
             result = service.execute(QUERIES[1])
-        assert result.rows == expected_rows[QUERIES[1]]
-        assert result.metrics.ladder_path == ["batch|serial|cache", "row|serial|cache"]
-        assert result.metrics.degradations == [
-            "batch|serial|cache->row|serial|cache:ExecutionError"
-        ]
+            assert result.rows == expected_rows[QUERIES[1]]
+            assert result.metrics.degradations == []
+            assert service.metrics()["failed"] == 2
+
+    def test_corrupt_cache_entries_rerun_once_without_cache(
+        self, service_store, expected_rows
+    ):
+        with QueryService(service_store, _config()) as service:
+            for sql in QUERIES:
+                service.execute(sql)
+            entries = [e for e in service.plan_cache.entries() if e.row_count > 0]
+            assert entries
+            for victim in entries:
+                for vector in victim.columns.values():
+                    vector[0] = bit_flip(vector[0])
+            for sql in QUERIES:
+                result = service.execute(sql)
+                assert result.rows == expected_rows[sql]
+                assert len(result.metrics.degradations) == 1
+            assert service.metrics()["degradations"] == len(QUERIES)
+
+    def test_corrupt_chunk_surfaces_after_one_rerun(self, session_runs):
+        """The injector flips the stored chunk itself, so the cache-less
+        re-run reads the same corrupt bytes and the error surfaces."""
+        store = generate_dataset(scale=0.01, seed=7)
+        store.fault_injector = FaultInjector(seed=7)
+        store.fault_injector.corrupt_chunk("date_dim", 0, "d_year")
+        with QueryService(store, _config()) as service:
+            with pytest.raises(DataCorruptionError, match="date_dim.d_year"):
+                service.execute(QUERIES[2])
+            assert session_runs == [QUERIES[2]] * 2
+            assert service.metrics()["failed"] == 1
 
     def test_metrics_snapshot_shape(self, service_store):
         with QueryService(service_store, _config()) as service:
@@ -132,7 +183,7 @@ class TestEndToEnd:
                 snap
             )
             assert {"p50", "p99", "max"} <= set(snap["latency_ms"])
-            assert "admission" in snap and "breakers" in snap
+            assert "admission" in snap
 
     def test_default_quota_never_sheds_back_to_back_queries(
         self, service_store, expected_rows
