@@ -135,7 +135,6 @@ def main(argv: list[str] | None = None) -> int:
             if injector is None
             else {
                 "transient_faults": injector.stats.transient_faults,
-                "stalls": injector.stats.stalls,
                 "corruptions": injector.stats.corruptions,
             },
         }

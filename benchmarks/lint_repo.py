@@ -25,7 +25,9 @@ Checks conventions a generic linter cannot know:
   set and the modules and functions nothing called, and the second
   default block size and the private copies of ``child_bounded`` and
   ``concat_column``, scalar aggregation's own fold, the list-only
-  AND/OR narrowing and the service's degradation lattice;
+  AND/OR narrowing, the service's degradation lattice, the fault
+  injector's stalls, scope filters and table outage, ``repro serve``
+  and the error nothing raised;
 * every memo slot written into a node's ``__dict__`` under
   ``src/repro/algebra`` is named in ``expressions.MEMO_SLOTS``, the
   list ``Expression.__getstate__`` strips (a cache missing from it
@@ -39,9 +41,8 @@ Checks conventions a generic linter cannot know:
   and run outputs that were committed before the ignore rule existed);
 * every ``OptimizerConfig`` and ``ServiceConfig`` field has a caller:
   something under ``src/``, ``benchmarks/`` or ``examples/`` sets it by
-  name (``name=`` or ``"name":``), or ``CONFIG_FIELD_ALLOWLIST`` names
-  the ROADMAP item that owns its removal.  An option only tests set is
-  a constant.
+  name (``name=`` or ``"name":``).  An option only tests set is a
+  constant.
 
 Exit status is the number of violations.
 """
@@ -79,8 +80,11 @@ sys.path.insert(0, str(SRC))
 #: block feeder, its array fold, its lane-order sum, the accumulator's
 #: block method) and the list-only AND/OR narrowing, and the service's
 #: degradation lattice (its supervisor, its per-rung breakers and their
-#: error, the rungs tried and the open-breaker step); none may come
-#: back under ``src/``.
+#: error, the rungs tried and the open-breaker step), and the fault
+#: injector's stalls, scope filters and table outage, ``repro serve``,
+#: the worker-pool error nothing raised, and the two options only tests
+#: set (``FRAGMENT_RETRIES`` is now a constant of ``engine/parallel.py``);
+#: none may come back under ``src/``.
 RETIRED_NAMES = (
     "_KERNEL_CACHE",
     "_CODE_CACHE",
@@ -163,6 +167,14 @@ RETIRED_NAMES = (
     "CircuitOpenError",
     "ladder_path",
     "step_down",
+    "stall_rate",
+    "stalls_at",
+    "fail_gets",
+    "on_get",
+    "serve_main",
+    "WorkerPoolError",
+    "lower_distinct_before_fusion",
+    "fragment_retries",
 )
 
 
@@ -273,18 +285,18 @@ def lint_memo_slots() -> list[str]:
 #: the count at the last PR that changed it; lower it freely, raise it
 #: only by the net growth the PR's issue budgeted and CHANGES.md records.
 PACKAGE_LINE_CEILINGS = {
-    "repro": 496,
-    "repro.algebra": 3239,
+    "repro": 374,
+    "repro.algebra": 3092,
     "repro.catalog": 90,
-    "repro.engine": 3259,
+    "repro.engine": 3242,
     "repro.fusion": 482,
-    "repro.optimizer": 2815,
-    "repro.server": 614,
+    "repro.optimizer": 2809,
+    "repro.server": 609,
     "repro.sql": 1322,
-    "repro.storage": 616,
+    "repro.storage": 535,
     "repro.testing": 1063,
-    "repro.tpcds": 1000,
-    "total": 14996,
+    "repro.tpcds": 989,
+    "total": 14607,
 }
 
 _NON_CODE_TOKENS = frozenset(
@@ -359,11 +371,6 @@ def lint_tracked_ignored() -> list[str]:
     return [f"{path} is tracked but matched by .gitignore" for path in listed]
 
 
-#: Config fields that nothing outside ``tests/`` sets, kept only
-#: because a ROADMAP item owns their removal (field -> item number).
-CONFIG_FIELD_ALLOWLIST = {"fragment_retries": 4, "lower_distinct_before_fusion": 10}
-
-
 def lint_config_callers() -> list[str]:
     """Config fields that no caller outside ``tests/`` sets by name."""
     from dataclasses import fields
@@ -378,24 +385,13 @@ def lint_config_callers() -> list[str]:
         for path in sorted((REPO / root).rglob("*.py"))
         if path.resolve() != this
     )
-    problems = []
-    names = set()
-    for config in (OptimizerConfig, ServiceConfig):
-        for field in fields(config):
-            names.add(field.name)
-            if field.name in CONFIG_FIELD_ALLOWLIST:
-                continue
-            if not re.search(rf"\b{field.name}=(?!=)|[\"']{field.name}[\"']\s*:", corpus):
-                problems.append(
-                    f"{config.__name__}.{field.name} is set by no caller outside "
-                    f"tests/; make it a module constant, or allowlist it under "
-                    f"the ROADMAP item that owns its removal"
-                )
-    problems += [
-        f"CONFIG_FIELD_ALLOWLIST names {name!r}, which is no config field"
-        for name in sorted(set(CONFIG_FIELD_ALLOWLIST) - names)
+    return [
+        f"{config.__name__}.{field.name} is set by no caller outside tests/; "
+        f"make it a module constant"
+        for config in (OptimizerConfig, ServiceConfig)
+        for field in fields(config)
+        if not re.search(rf"\b{field.name}=(?!=)|[\"']{field.name}[\"']\s*:", corpus)
     ]
-    return problems
 
 
 def main() -> int:

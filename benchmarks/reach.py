@@ -60,8 +60,6 @@ ALLOWLIST: dict[str, str] = {
     "algebra/schema.py::Schema.__contains__": "public container protocol of Schema",
     "algebra/schema.py::Schema.__iter__": "public container protocol of Schema",
     "algebra/schema.py::Schema.__len__": "public container protocol of Schema",
-    "cli.py::build_serve_parser": "`repro serve`'s parser: no CI job runs the serve CLI",
-    "cli.py::serve_main": "`repro serve`: no CI job runs the serve CLI",
     "cli.py::fuzz_main": "`repro fuzz`: run by the fuzz jobs, not by the reach job",
     "cli.py::fuzz_main.<locals>.progress": "`repro fuzz` progress line (fuzz jobs)",
     "engine/metrics.py::QueryMetrics.profile_report": "the CLI's --profile report",
@@ -77,7 +75,6 @@ ALLOWLIST: dict[str, str] = {
     ),
     "server/service.py::QueryTicket.done": "non-blocking poll for embedders; callers here block",
     "sql/lexer.py::Token.__repr__": "debugging repr",
-    "storage/faults.py::FaultStats.total": "convenience sum for embedders of FaultInjector",
     "testing/oracle.py::DifferentialOracle._pool": "the oracle's worker axis (`repro fuzz --workers`)",
     "testing/oracle.py::Divergence.__str__": "printed only when the fuzzer finds a divergence",
     "testing/runner.py::FuzzFailure.to_dict": "serialized only when the fuzzer finds a divergence",

@@ -11,7 +11,7 @@ verifies the reconstruction identities by executing them.
 """
 
 from repro import Fuser, generate_dataset
-from repro.algebra import explain
+from repro.algebra.printer import explain
 from repro.catalog import Catalog
 from repro.engine.executor import execute
 from repro.engine.metrics import RunContext

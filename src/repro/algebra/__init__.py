@@ -3,152 +3,3 @@
 This package is the IR shared by the SQL binder, the optimizer (and the
 fusion machinery at its core), and the execution engine.
 """
-
-from repro.algebra.types import DataType
-from repro.algebra.schema import Column, ColumnAllocator, Schema
-from repro.algebra.expressions import (
-    FALSE,
-    NULL,
-    TRUE,
-    And,
-    Arithmetic,
-    Case,
-    ColumnRef,
-    Comparison,
-    Expression,
-    FunctionCall,
-    InList,
-    IsNull,
-    Like,
-    Literal,
-    Not,
-    Or,
-    column_substitution,
-    columns_in,
-    conjuncts,
-    disjuncts,
-    double,
-    equivalent,
-    integer,
-    is_not_null,
-    make_and,
-    make_or,
-    normalize,
-    string,
-    substitute,
-)
-from repro.algebra.operators import (
-    AGGREGATE_FUNCTIONS,
-    AggregateAssignment,
-    EnforceSingleRow,
-    Filter,
-    GroupBy,
-    Join,
-    JoinKind,
-    Limit,
-    MarkDistinct,
-    PlanNode,
-    Project,
-    ScalarApply,
-    Scan,
-    Sort,
-    SortKey,
-    UnionAll,
-    Values,
-    Window,
-    WindowAssignment,
-    aggregate_result_type,
-)
-from repro.algebra.analysis import (
-    ColumnFacts,
-    FactAnalyzer,
-    PlanFacts,
-    derive_facts,
-    fact_conflicts,
-    verify_facts,
-)
-from repro.algebra.printer import explain
-from repro.algebra.sql_renderer import RenderError, render_sql
-from repro.algebra.simplify import is_contradiction, simplify, simplify_filter
-from repro.algebra.validator import validate_plan
-from repro.algebra.visitors import (
-    collect,
-    count_nodes,
-    scan_tables,
-    transform_up,
-    walk_plan,
-)
-
-__all__ = [
-    "DataType",
-    "Column",
-    "ColumnAllocator",
-    "Schema",
-    "Expression",
-    "Literal",
-    "ColumnRef",
-    "Comparison",
-    "And",
-    "Or",
-    "Not",
-    "Arithmetic",
-    "Case",
-    "InList",
-    "IsNull",
-    "Like",
-    "FunctionCall",
-    "TRUE",
-    "FALSE",
-    "NULL",
-    "integer",
-    "double",
-    "string",
-    "conjuncts",
-    "disjuncts",
-    "make_and",
-    "make_or",
-    "columns_in",
-    "substitute",
-    "column_substitution",
-    "normalize",
-    "equivalent",
-    "is_not_null",
-    "PlanNode",
-    "Scan",
-    "Values",
-    "Filter",
-    "Project",
-    "Join",
-    "JoinKind",
-    "GroupBy",
-    "AggregateAssignment",
-    "AGGREGATE_FUNCTIONS",
-    "aggregate_result_type",
-    "MarkDistinct",
-    "Window",
-    "WindowAssignment",
-    "UnionAll",
-    "Sort",
-    "SortKey",
-    "Limit",
-    "EnforceSingleRow",
-    "ScalarApply",
-    "explain",
-    "render_sql",
-    "RenderError",
-    "simplify",
-    "simplify_filter",
-    "is_contradiction",
-    "walk_plan",
-    "transform_up",
-    "collect",
-    "count_nodes",
-    "scan_tables",
-    "validate_plan",
-    "ColumnFacts",
-    "PlanFacts",
-    "FactAnalyzer",
-    "derive_facts",
-    "fact_conflicts",
-    "verify_facts",
-]

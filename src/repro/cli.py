@@ -31,7 +31,6 @@ from repro.errors import (
     QueryTimeoutError,
     ReproError,
     ResourceExhaustedError,
-    WorkerPoolError,
 )
 from repro.optimizer.config import OptimizerConfig
 from repro.storage.faults import FaultInjector
@@ -40,9 +39,9 @@ from repro.tpcds.generator import generate_dataset
 #: Process exit codes per error family, most specific class first.
 #: 0 = success, 1 = generic/user error (syntax, binding, execution),
 #: 2 = --compare disagreement; service-boundary errors get distinct
-#: codes so ``repro serve`` callers (and the taxonomy tests) can
-#: script against them.  9 is left unassigned, not reused, so a script
-#: written against its old meaning cannot misread a new error.
+#: codes so callers (and the taxonomy tests) can script against them.
+#: 9 and 10 are left unassigned, not reused, so a script written
+#: against their old meanings cannot misread a new error.
 _EXIT_CODES: list[tuple[type[BaseException], int]] = [
     (QueryTimeoutError, 3),
     (QueryCancelledError, 4),
@@ -50,7 +49,6 @@ _EXIT_CODES: list[tuple[type[BaseException], int]] = [
     (DataCorruptionError, 6),
     (AdmissionRejectedError, 7),
     (QueryQueueTimeoutError, 8),
-    (WorkerPoolError, 10),
 ]
 
 
@@ -293,132 +291,6 @@ def fuzz_main(argv: list[str]) -> int:
     return 0 if report.ok else 1
 
 
-def build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Spin up the multi-tenant query service over a "
-        "generated dataset, drive it with a concurrent dashboard-style "
-        "workload (optionally with chaos: storage faults and a mid-run "
-        "worker SIGKILL), verify every result byte-for-byte against a "
-        "serial baseline, and print a JSON report.",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.02, help="dataset scale factor"
-    )
-    parser.add_argument("--seed", type=int, default=7, help="generator seed")
-    parser.add_argument(
-        "--clients", type=int, default=8, help="concurrent client threads"
-    )
-    parser.add_argument(
-        "--per-client", type=int, default=8, help="queries per client"
-    )
-    parser.add_argument(
-        "--num-queries",
-        type=int,
-        default=8,
-        help="distinct workload queries to draw from (overlap drives "
-        "shared execution; default 8)",
-    )
-    parser.add_argument(
-        "--dispatchers", type=int, default=4, help="service dispatcher threads"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="fragment worker processes shared by the service (default 2)",
-    )
-    parser.add_argument(
-        "--engine", choices=("row", "batch"), default="batch"
-    )
-    parser.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.0,
-        help="chaos: transient-fault rate on chunk reads (default 0)",
-    )
-    parser.add_argument(
-        "--kill-worker-after",
-        type=int,
-        default=None,
-        help="SIGKILL one live fragment worker after N completed "
-        "queries (default: no kill)",
-    )
-    parser.add_argument(
-        "--queue-depth", type=int, default=64, help="admission queue bound"
-    )
-    parser.add_argument(
-        "--queue-timeout-ms",
-        type=float,
-        default=30_000.0,
-        help="max queue wait before QueryQueueTimeoutError (default 30s)",
-    )
-    parser.add_argument(
-        "--query-timeout-ms",
-        type=float,
-        default=None,
-        help="admission-to-completion deadline per query (default: none)",
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int,
-        default=2,
-        help="number of synthetic tenants to spread clients across",
-    )
-    parser.add_argument(
-        "--out", default=None, help="write the JSON report here too"
-    )
-    return parser
-
-
-def serve_main(argv: list[str]) -> int:
-    """``repro serve``: run the service under concurrent load and
-    report.  Exits non-zero if any result diverged from the serial
-    baseline (wrong results are never acceptable, degraded or not)."""
-    import json
-
-    from repro.server import QueryService, ServiceConfig, run_load, serial_baseline
-    from repro.tpcds.queries import WORKLOAD_QUERIES
-
-    args = build_serve_parser().parse_args(argv)
-    store = generate_dataset(scale=args.scale, seed=args.seed)
-    queries = list(WORKLOAD_QUERIES.values())[: args.num_queries]
-    baseline = serial_baseline(store, queries, engine="batch")
-    if args.fault_rate > 0:
-        store.fault_injector = FaultInjector(args.fault_rate, seed=args.seed)
-    base = OptimizerConfig(
-        engine=args.engine,
-        enable_plan_cache=True,
-        workers=args.workers,
-        fault_seed=args.seed,
-    )
-    config = ServiceConfig(
-        base=base,
-        dispatchers=args.dispatchers,
-        max_queue_depth=args.queue_depth,
-        queue_timeout_ms=args.queue_timeout_ms,
-        query_timeout_ms=args.query_timeout_ms,
-    )
-    tenants = tuple(f"tenant-{i}" for i in range(max(1, args.tenants)))
-    with QueryService(store, config) as service:
-        report = run_load(
-            service,
-            queries,
-            baseline,
-            clients=args.clients,
-            per_client=args.per_client,
-            seed=args.seed,
-            tenants=tenants,
-            kill_worker_after=args.kill_worker_after,
-        )
-    payload = report.as_dict()
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-    return 1 if report.wrong_results else 0
-
-
 def _print_result(result, limit: int, explain: bool) -> None:
     if explain:
         print(result.explain())
@@ -440,8 +312,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "fuzz":
         return fuzz_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
     args = build_parser().parse_args(argv)
     store = generate_dataset(scale=args.scale, seed=args.seed)
     store.io_latency_ms = args.io_latency_ms

@@ -35,7 +35,7 @@ Design points, in the order they matter:
   identical to a serial run).  A
   fragment whose worker dies, is poisoned, or exhausts in-task retries
   is resubmitted to the pool with the failing worker banned, up to
-  ``fragment_retries`` times.
+  ``FRAGMENT_RETRIES`` times.
   Only infrastructure failures are retried — deterministic execution
   errors surface immediately with their original type.
 
@@ -76,6 +76,11 @@ _POLL_S = 0.02
 
 #: How often each worker's beat thread refreshes its heartbeat cell.
 _BEAT_INTERVAL_S = 0.05
+
+#: Per-fragment fault domain: how many times a failed fragment is
+#: resubmitted (on a different worker when possible) before the query
+#: fails.
+FRAGMENT_RETRIES = 2
 
 
 class WorkerPoisonedError(Exception):
@@ -552,7 +557,7 @@ class _FragmentScheduler:
         self._inflight.clear()
 
     def _drain(self) -> None:
-        retries = self.config.fragment_retries
+        retries = FRAGMENT_RETRIES
         while any(not a.done for a in self._inflight.values()):
             self.ctx.checkpoint()
             message = self.pool.next_result(_POLL_S)

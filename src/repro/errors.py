@@ -105,11 +105,6 @@ class QueryQueueTimeoutError(ReproError):
     itself exceeded the per-query deadline."""
 
 
-class WorkerPoolError(ReproError):
-    """The fragment worker pool is unhealthy beyond repair for the
-    current query (e.g. it could not be rebuilt after a wipeout)."""
-
-
 class OptimizerError(ReproError):
     """An optimizer rule produced an invalid rewrite.
 

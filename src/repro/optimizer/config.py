@@ -85,10 +85,6 @@ class OptimizerConfig:
     #: ``workers == 1`` (the default) never inserts an Exchange and is
     #: byte-for-byte the serial engine.
     workers: int = 1
-    #: Per-fragment fault domain: how many times a failed fragment is
-    #: resubmitted (on a different worker when possible) before the
-    #: query fails.
-    fragment_retries: int = 2
     #: Cost-based rewrite selection (ROADMAP item 3, DESIGN.md §15):
     #: price fusion candidates, the semi-join conversion block, join
     #: order, and cache-populate placement with the CostModel (bytes
@@ -97,13 +93,6 @@ class OptimizerConfig:
     #: relying on the §IV.E heuristics alone.  Plan choice changes;
     #: results never do — the fuzzer's costed axis enforces it.
     cost_based: bool = False
-    #: When True, distinct aggregates are lowered to MarkDistinct
-    #: *before* the fusion rules run, exercising §III.F's MarkDistinct
-    #: fusion on e.g. TPC-DS Q28.  The default lowers after fusion,
-    #: which produces the same results with cheaper plans (fusion then
-    #: merges the distinct flags directly);
-    #: tests/test_integration_tpcds.py holds both orders to the same rows.
-    lower_distinct_before_fusion: bool = False
 
     def __post_init__(self) -> None:
         if self.engine == "compiled":  # the vector path's former name
@@ -130,8 +119,6 @@ class OptimizerConfig:
             raise ValueError("max_state_rows must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.fragment_retries < 0:
-            raise ValueError("fragment_retries must be non-negative")
 
     def without_fusion(self) -> "OptimizerConfig":
         """The baseline configuration: same classical rules, no §IV."""

@@ -63,8 +63,6 @@ def build_pipeline(config: OptimizerConfig) -> list[PlanPass]:
         # next to the scans whose statistics decide them.
         FactSimplify(),
     ]
-    if config.lower_distinct_before_fusion:
-        passes.append(LowerDistinctAggregates())
     semijoin: list[PlanPass] = [SemiJoinToDistinctJoin(), Cleanup(), DistinctPushdown()]
     if config.enable_fusion:
         passes += [UnionAllOnJoin(), UnionAllFusion()]

@@ -1,22 +1,1 @@
 """Columnar partitioned storage with scan accounting (S3+Parquet stand-in)."""
-
-from repro.storage.accounting import ScanAccounting
-from repro.storage.columnar import (
-    ColumnChunk,
-    Partition,
-    Store,
-    StoredTable,
-    chunk_checksum,
-)
-from repro.storage.faults import FaultInjector, RetryPolicy
-
-__all__ = [
-    "ScanAccounting",
-    "ColumnChunk",
-    "Partition",
-    "Store",
-    "StoredTable",
-    "chunk_checksum",
-    "FaultInjector",
-    "RetryPolicy",
-]

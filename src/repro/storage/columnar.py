@@ -345,28 +345,12 @@ class Store:
     def put(self, table: StoredTable) -> None:
         self._tables[table.name.lower()] = table
 
-    def get(self, name: str, runtime=None) -> StoredTable:
-        try:
-            stored = self._tables[name.lower()]
-        except KeyError:
-            raise CatalogError(f"no stored data for table {name!r}") from None
-        if self.fault_injector is not None:
-            self.fault_injector.on_get(
-                name, metrics=None if runtime is None else runtime.metrics
-            )
-        return stored
-
     def has(self, name: str) -> bool:
         return name.lower() in self._tables
 
     def stored_table(self, name: str) -> StoredTable:
-        """Metadata access to a stored table — no fault injection.
-
-        The parallel scheduler uses this for partition counts and
-        canonical names when cutting morsel windows; actual data reads
-        still go through :meth:`get` / :meth:`scan_blocks` and their
-        fault hooks.
-        """
+        """The stored table ``name``; faults strike its chunk reads in
+        :meth:`scan_blocks`, never this lookup."""
         try:
             return self._tables[name.lower()]
         except KeyError:
@@ -393,7 +377,7 @@ class Store:
         """
         from repro.catalog.catalog import ColumnStats
 
-        stored = self.get(name)
+        stored = self.stored_table(name)
         definition = stored.definition
         total = stored.row_count
         for cdef in definition.columns:
@@ -482,7 +466,7 @@ class Store:
         chunk is charged to ``accounting`` only once its read succeeds,
         so retries never double-charge ``bytes_scanned``.
         """
-        stored = self.get(table_name, runtime=runtime)
+        stored = self.stored_table(table_name)
         accounting.record_scan(stored.name)
         part_col = stored.definition.partition_column
         window = None

@@ -3,12 +3,12 @@
 The paper's substrate is S3, where transient read failures, stragglers
 and (rarely) corrupt objects are routine; Athena's engine retries and
 degrades gracefully instead of failing whole query batches.  This
-module gives the in-memory :class:`~repro.storage.columnar.Store` the
-same failure surface, *deterministically*:
+module gives the in-memory :class:`~repro.storage.columnar.Store` two
+of those failures, transient reads and corruption, *deterministically*:
 
 * :class:`FaultInjector` decides per read **site** — a
   ``(table, partition_index, column)`` triple — whether reads of that
-  chunk fail transiently, stall, or are bit-flip corrupted.  Every
+  chunk fail transiently or are bit-flip corrupted.  Every
   decision is a pure function of ``(seed, site)``, so the same seed
   always produces the same chaos and a test failure replays exactly.
 * :class:`RetryPolicy` bounds attempts with exponential backoff and
@@ -16,8 +16,8 @@ same failure surface, *deterministically*:
   attempt), with an injectable ``sleep`` so tests run at full speed.
 
 A faulty site fails its first ``n`` read attempts (``n`` derived from
-the site hash, bounded by ``max_failures``) and then succeeds — so any
-retry budget ``>= max_failures`` makes every query identical to a
+the site hash, bounded by ``MAX_FAILURES``) and then succeeds — so any
+retry budget ``>= MAX_FAILURES`` makes every query identical to a
 fault-free run, while a zero budget surfaces a structured
 :class:`~repro.errors.TransientReadError` on first contact.
 """
@@ -29,13 +29,16 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import TransientReadError
 from repro.storage.columnar import NumpyVector
 
 #: A read site: (table, partition index, column), all lowercase.
 Site = tuple[str, int, str]
+
+#: The most consecutive attempts a faulty site fails.
+MAX_FAILURES = 2
 
 
 def _unit(seed: int, *key: object) -> float:
@@ -74,83 +77,38 @@ class FaultStats:
     """Cumulative counters over the injector's lifetime."""
 
     transient_faults: int = 0
-    stalls: int = 0
     corruptions: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.transient_faults + self.stalls + self.corruptions
 
 
 class FaultInjector:
-    """Seeded chaos source wrapping ``Store`` chunk reads and ``get``.
+    """Seeded chaos source wrapping ``Store`` chunk reads.
 
     ``fault_rate`` is the fraction of read sites that fail transiently
-    (each such site fails its first 1..``max_failures`` attempts, then
-    succeeds).  ``stall_rate``/``stall_ms`` add latency stalls the same
-    way.  ``tables``/``columns`` restrict the blast radius by pattern.
-    Corruption is targeted explicitly via :meth:`corrupt_chunk` — it is
-    a one-shot bit flip of one stored lane (in place in a list chunk, a
-    flipped copy swapped in for a vector chunk), detected by the chunk
-    checksum on the next read.
+    (each such site fails its first 1..``MAX_FAILURES`` attempts, then
+    succeeds).  Corruption is targeted explicitly via
+    :meth:`corrupt_chunk` — it is a one-shot bit flip of one stored lane
+    (in place in a list chunk, a flipped copy swapped in for a vector
+    chunk), detected by the chunk checksum on the next read.
     """
 
-    def __init__(
-        self,
-        fault_rate: float = 0.0,
-        seed: int = 0,
-        *,
-        max_failures: int = 2,
-        stall_rate: float = 0.0,
-        stall_ms: float = 0.0,
-        tables: Iterable[str] | None = None,
-        columns: Iterable[str] | None = None,
-        fail_gets: Iterable[str] = (),
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, fault_rate: float = 0.0, seed: int = 0):
         if not 0.0 <= fault_rate <= 1.0:
             raise ValueError("fault_rate must be in [0, 1]")
-        if not 0.0 <= stall_rate <= 1.0:
-            raise ValueError("stall_rate must be in [0, 1]")
-        if max_failures < 1:
-            raise ValueError("max_failures must be at least 1")
         self.fault_rate = fault_rate
         self.seed = seed
-        self.max_failures = max_failures
-        self.stall_rate = stall_rate
-        self.stall_ms = stall_ms
-        self.tables = None if tables is None else frozenset(t.lower() for t in tables)
-        self.columns = None if columns is None else frozenset(c.lower() for c in columns)
-        self.fail_gets = frozenset(t.lower() for t in fail_gets)
-        self.sleep = sleep
         self.stats = FaultStats()
         #: Counter updates must not lose increments when concurrent
         #: server queries share one injector on one store.
         self._stats_lock = threading.Lock()
         self._corrupt_targets: set[Site] = set()
 
-    # -- pattern matching -------------------------------------------------
-
-    def matches(self, site: Site) -> bool:
-        table, _, column = site
-        if self.tables is not None and table not in self.tables:
-            return False
-        if self.columns is not None and column not in self.columns:
-            return False
-        return True
-
     def failures_at(self, site: Site) -> int:
         """How many consecutive attempts fail at ``site`` (0 = healthy)."""
-        if self.fault_rate <= 0.0 or not self.matches(site):
+        if self.fault_rate <= 0.0:
             return 0
         if _unit(self.seed, "fault", site) >= self.fault_rate:
             return 0
-        return 1 + _draw(self.seed, "failures", site) % self.max_failures
-
-    def stalls_at(self, site: Site) -> bool:
-        if self.stall_rate <= 0.0 or self.stall_ms <= 0.0 or not self.matches(site):
-            return False
-        return _unit(self.seed, "stall", site) < self.stall_rate
+        return 1 + _draw(self.seed, "failures", site) % MAX_FAILURES
 
     # -- corruption -------------------------------------------------------
 
@@ -162,8 +120,8 @@ class FaultInjector:
     # -- hooks called by the Store ---------------------------------------
 
     def on_chunk_read(self, site: Site, chunk, attempt: int, metrics=None) -> None:
-        """Called before each chunk read attempt; may stall, corrupt one
-        lane of the stored chunk, or raise :class:`TransientReadError`."""
+        """Called before each chunk read attempt; may corrupt one lane
+        of the stored chunk, or raise :class:`TransientReadError`."""
         values = chunk.values
         if site in self._corrupt_targets and values:
             self._corrupt_targets.discard(site)
@@ -180,12 +138,6 @@ class FaultInjector:
                 self.stats.corruptions += 1
             if metrics is not None:
                 metrics.faults_injected += 1
-        if self.stalls_at(site) and attempt == 0:
-            with self._stats_lock:
-                self.stats.stalls += 1
-            if metrics is not None:
-                metrics.faults_injected += 1
-            self.sleep(self.stall_ms / 1000.0)
         failures = self.failures_at(site)
         if attempt < failures:
             with self._stats_lock:
@@ -197,18 +149,6 @@ class FaultInjector:
                 f"injected transient read failure on {table}.{column} "
                 f"partition {partition} (attempt {attempt + 1} of "
                 f"{failures} failing)"
-            )
-
-    def on_get(self, table: str, metrics=None) -> None:
-        """Called by ``Store.get``; fails lookups of tables listed in
-        ``fail_gets`` (table-level outage, e.g. a listing error)."""
-        if table.lower() in self.fail_gets:
-            with self._stats_lock:
-                self.stats.transient_faults += 1
-            if metrics is not None:
-                metrics.faults_injected += 1
-            raise TransientReadError(
-                f"injected transient failure opening table {table!r}"
             )
 
 

@@ -196,4 +196,4 @@ class TestBlockShape:
         # scanned column object itself (both alias the stored string
         # chunk; a numeric chunk is a vector, delisted under lists).
         assert proj_block[0][0] == scan_block[0][1]
-        assert proj_block[0][0] is people_store.get("people").partitions[0].chunk("fname").values
+        assert proj_block[0][0] is people_store.stored_table("people").partitions[0].chunk("fname").values

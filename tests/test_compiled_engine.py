@@ -191,7 +191,7 @@ def test_limit_short_circuits_scan(tpcds_store, compiled_session):
     once satisfied — the vector path must not drain the table."""
     sql = "SELECT s.ss_item_sk FROM store_sales s LIMIT 5"
     result = compiled_session.execute(sql)
-    total_rows = tpcds_store.get("store_sales").row_count
+    total_rows = tpcds_store.stored_table("store_sales").row_count
     assert result.metrics.rows_output == 5
     assert result.metrics.rows_scanned < total_rows
     row_result = Session(tpcds_store, OptimizerConfig(engine="row")).execute(sql)
@@ -664,7 +664,7 @@ def test_skewed_join_memory_follows_the_slice_bound(tpcds_store, monkeypatch):
         "ON s.ss_quantity * 0 = i.i_item_sk * 0"
     )
     session = Session(tpcds_store, OptimizerConfig(batch_rows=1 << 16))
-    rows = tpcds_store.get("store_sales").row_count * tpcds_store.get("item").row_count
+    rows = tpcds_store.stored_table("store_sales").row_count * tpcds_store.stored_table("item").row_count
     peaks = {}
     for bound in (1 << 30, 512):
         monkeypatch.setattr(batch_executor, "_JOIN_PAIR_SLICE", bound)

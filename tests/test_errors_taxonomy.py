@@ -34,7 +34,6 @@ from repro.errors import (
     SqlSyntaxError,
     StorageError,
     TransientReadError,
-    WorkerPoolError,
 )
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.rewrites.simplify import Cleanup
@@ -254,7 +253,6 @@ def test_cli_exit_codes_distinguish_error_classes():
         DataCorruptionError: 6,
         AdmissionRejectedError: 7,
         QueryQueueTimeoutError: 8,
-        WorkerPoolError: 10,
     }
     for klass, code in expected.items():
         assert exit_code_for(klass("boom")) == code, klass

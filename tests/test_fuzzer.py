@@ -138,7 +138,7 @@ class TestOracle:
         """``store_sales`` (partitions of 256 and 144 rows) reaches the
         ``batch`` cells as one 400-row block; ``batch-lists`` cuts it into
         blocks of at most 128 rows."""
-        partitions = [p.row_count for p in small_store.get("store_sales").partitions]
+        partitions = [p.row_count for p in small_store.stored_table("store_sales").partitions]
         assert len(partitions) == 2 and max(partitions) < sum(partitions)
         largest = {}
         scan_blocks = Store.scan_blocks

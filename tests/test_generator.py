@@ -30,7 +30,7 @@ class TestCalendar:
         assert date_sk_for(1999, 1, 1) == DATE_SK_BASE + 365
 
     def test_date_dim_contents(self, store):
-        table = store.get("date_dim")
+        table = store.stored_table("date_dim")
         chunk = table.partitions[0].chunks["d_year"]
         assert set(chunk.values) == {1998, 1999, 2000, 2001, 2002}
         seq = table.partitions[0].chunks["d_month_seq"]
@@ -42,15 +42,15 @@ class TestDeterminism:
     def test_same_seed_same_data(self):
         a = generate_dataset(scale=0.01, seed=3)
         b = generate_dataset(scale=0.01, seed=3)
-        chunk_a = a.get("store_sales").partitions[0].chunks["ss_item_sk"]
-        chunk_b = b.get("store_sales").partitions[0].chunks["ss_item_sk"]
+        chunk_a = a.stored_table("store_sales").partitions[0].chunks["ss_item_sk"]
+        chunk_b = b.stored_table("store_sales").partitions[0].chunks["ss_item_sk"]
         assert delist(chunk_a.values) == delist(chunk_b.values)
 
     def test_different_seed_differs(self):
         a = generate_dataset(scale=0.01, seed=3)
         b = generate_dataset(scale=0.01, seed=4)
-        chunk_a = a.get("store_sales").partitions[0].chunks["ss_item_sk"]
-        chunk_b = b.get("store_sales").partitions[0].chunks["ss_item_sk"]
+        chunk_a = a.stored_table("store_sales").partitions[0].chunks["ss_item_sk"]
+        chunk_b = b.stored_table("store_sales").partitions[0].chunks["ss_item_sk"]
         assert delist(chunk_a.values) != delist(chunk_b.values)
 
 
@@ -62,7 +62,8 @@ class TestShape:
     def test_scale_controls_fact_size(self):
         small = generate_dataset(scale=0.01)
         large = generate_dataset(scale=0.05)
-        assert large.get("store_sales").row_count > small.get("store_sales").row_count
+        fact_rows = [s.stored_table("store_sales").row_count for s in (small, large)]
+        assert fact_rows[1] > fact_rows[0]
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -72,10 +73,10 @@ class TestShape:
         # The paper partitions the 7 largest tables by date columns.
         assert len(S.PARTITIONED_TABLES) == 7
         for name in S.PARTITIONED_TABLES:
-            assert len(store.get(name).partitions) >= 1
+            assert len(store.stored_table(name).partitions) >= 1
 
     def test_fact_sorted_by_partition_column(self, store):
-        table = store.get("store_sales")
+        table = store.stored_table("store_sales")
         previous_max = None
         for part in table.partitions:
             chunk = part.chunks["ss_sold_date_sk"]
@@ -84,13 +85,13 @@ class TestShape:
             previous_max = chunk.max_value
 
     def test_foreign_keys_in_domain(self, store):
-        items = store.get("item").row_count
-        chunk = store.get("store_sales").partitions[0].chunks["ss_item_sk"]
+        items = store.stored_table("item").row_count
+        chunk = store.stored_table("store_sales").partitions[0].chunks["ss_item_sk"]
         assert all(1 <= v <= items for v in chunk.values)
 
     def test_nullable_foreign_keys_have_nulls(self, store):
         values = []
-        for part in store.get("store_sales").partitions:
+        for part in store.stored_table("store_sales").partitions:
             values.extend(part.chunks["ss_customer_sk"].values)
         assert any(v is None for v in values)
         assert sum(v is None for v in values) < len(values) * 0.1
@@ -98,7 +99,7 @@ class TestShape:
     def test_order_numbers_shared_across_warehouses(self, store):
         # Q95's ws_wh self-join needs orders spanning warehouses.
         orders = {}
-        for part in store.get("web_sales").partitions:
+        for part in store.stored_table("web_sales").partitions:
             for number, warehouse in zip(
                 part.chunks["ws_order_number"].values,
                 part.chunks["ws_warehouse_sk"].values,
@@ -111,4 +112,4 @@ class TestShape:
 
         catalog = Catalog()
         store.load_catalog(catalog)
-        assert catalog.row_count("store_sales") == store.get("store_sales").row_count
+        assert catalog.row_count("store_sales") == store.stored_table("store_sales").row_count

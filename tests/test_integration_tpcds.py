@@ -138,14 +138,25 @@ class TestCaseStudyScalarAggregates:
         assert len(collect(fused_plan, MarkDistinct)) == 6
 
     def test_q28_markdistinct_fusion_when_lowered_first(
-        self, tpcds_store, baseline_session
+        self, tpcds_store, baseline_session, monkeypatch
     ):
         """§III.F: with DISTINCT aggregates lowered *before* the fusion
         rules, JoinOnKeys has to fuse the MarkDistinct operators
-        themselves — same rows, still one store_sales scan."""
-        session = Session(
-            tpcds_store, OptimizerConfig(lower_distinct_before_fusion=True)
-        )
+        themselves — same rows, still one store_sales scan.  The
+        pipeline lowers after fusion, so a lowering is spliced in ahead
+        of the fusion rules, right after the first FactSimplify."""
+        from repro.optimizer import pipeline
+        from repro.optimizer.rewrites import FactSimplify, LowerDistinctAggregates
+
+        build = pipeline.build_pipeline
+
+        def lowered_first(config):
+            passes = build(config)
+            at = next(i for i, p in enumerate(passes) if isinstance(p, FactSimplify)) + 1
+            return passes[:at] + [LowerDistinctAggregates()] + passes[at:]
+
+        monkeypatch.setattr(pipeline, "build_pipeline", lowered_first)
+        session = Session(tpcds_store, OptimizerConfig())
         result = session.execute(STUDIED_QUERIES["q28"])
         assert "join_on_keys" in result.fired_rules
         assert scan_tables(result.optimized_plan).count("store_sales") == 1

@@ -22,6 +22,7 @@ import pytest
 from repro.algebra.operators import Exchange, pipeline_scan
 from repro.algebra.fingerprint import plan_fingerprint
 from repro.algebra.visitors import walk_plan
+import repro.engine.parallel as parallel_module
 from repro.engine.parallel import FragmentError, WorkerPool
 from repro.engine.session import Session
 from repro.errors import QueryCancelledError, QueryTimeoutError
@@ -154,11 +155,12 @@ def test_poisoned_worker_does_not_fail_the_query(tpcds_store):
         pool.close()
 
 
-def test_exhausted_fragment_retries_surface_as_fragment_error(tpcds_store):
+def test_exhausted_fragment_retries_surface_as_fragment_error(tpcds_store, monkeypatch):
     """With every worker poisoned there is nowhere left to retry."""
+    monkeypatch.setattr(parallel_module, "FRAGMENT_RETRIES", 1)
     pool = WorkerPool(tpcds_store, 1, poison_worker=0)
     try:
-        config = OptimizerConfig(engine="batch", workers=2, fragment_retries=1)
+        config = OptimizerConfig(engine="batch", workers=2)
         with Session(tpcds_store, config, worker_pool=pool) as session:
             with pytest.raises(FragmentError, match="attempt"):
                 session.execute(QUERIES["leaf_gather"])

@@ -110,7 +110,7 @@ def test_runs_keep_each_columns_representation(store):
     assert all(type(c) is NumpyVector for c in first[:3] + last[:3])
     assert type(middle[2]) is list and middle[2][5] == HUGE
     # A one-chunk block is the stored chunk itself.
-    stored = store.get("t").partitions[4]
+    stored = store.stored_table("t").partitions[4]
     assert all(c is stored.chunk(n).values for c, n in zip(middle, COLUMNS))
     rows = [_row(i) for i in range(PARTITION_ROWS * PARTITIONS)]
     got = [r for cols, _ in _blocks(store, DEFAULT) for r in zip(*map(list, cols))]

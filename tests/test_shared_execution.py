@@ -125,9 +125,6 @@ class _ScanGate:
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def on_get(self, name, metrics=None) -> None:
-        pass
-
     def on_chunk_read(self, site, chunk, attempt, metrics=None) -> None:
         if site[0] != self._table:
             return

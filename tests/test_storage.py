@@ -215,7 +215,7 @@ class TestStoreScan:
     def test_missing_table(self):
         store = self.make_store()
         with pytest.raises(CatalogError):
-            store.get("nope")
+            store.stored_table("nope")
 
     def test_accounting_snapshot_and_reset(self):
         acct = ScanAccounting()
