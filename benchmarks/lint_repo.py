@@ -82,8 +82,9 @@ sys.path.insert(0, str(SRC))
 #: degradation lattice (its supervisor, its per-rung breakers and their
 #: error, the rungs tried and the open-breaker step), and the fault
 #: injector's stalls, scope filters and table outage, ``repro serve``,
-#: the worker-pool error nothing raised, and the two options only tests
-#: set (``FRAGMENT_RETRIES`` is now a constant of ``engine/parallel.py``);
+#: the worker-pool error nothing raised, and the four options only tests
+#: set (``FRAGMENT_RETRIES`` is now a constant of ``engine/parallel.py``,
+#: ``QUEUE_TIMEOUT_MS`` / ``QUERY_TIMEOUT_MS`` of ``server/service.py``);
 #: none may come back under ``src/``.
 RETIRED_NAMES = (
     "_KERNEL_CACHE",
@@ -175,6 +176,8 @@ RETIRED_NAMES = (
     "WorkerPoolError",
     "lower_distinct_before_fusion",
     "fragment_retries",
+    "queue_timeout_ms",
+    "query_timeout_ms",
 )
 
 
@@ -291,7 +294,7 @@ PACKAGE_LINE_CEILINGS = {
     "repro.engine": 3242,
     "repro.fusion": 482,
     "repro.optimizer": 2809,
-    "repro.server": 609,
+    "repro.server": 598,
     "repro.sql": 1322,
     "repro.storage": 535,
     "repro.testing": 1063,

@@ -43,12 +43,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--kill-worker-after", type=int, default=None,
                         help="SIGKILL one worker after N completed queries")
     parser.add_argument("--tenants", type=int, default=2)
-    parser.add_argument("--queue-timeout-ms", type=float,
-                        default=ServiceConfig.queue_timeout_ms,
-                        help="max queue wait before QueryQueueTimeoutError")
-    parser.add_argument("--query-timeout-ms", type=float,
-                        default=ServiceConfig.query_timeout_ms,
-                        help="admission-to-completion deadline per query")
     parser.add_argument("--out", default="SERVER_metrics.json")
     args = parser.parse_args(argv)
 
@@ -69,8 +63,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
         dispatchers=args.dispatchers,
         max_queue_depth=max(64, args.clients * 4),
-        queue_timeout_ms=args.queue_timeout_ms,
-        query_timeout_ms=args.query_timeout_ms,
     )
     print(
         f"== load: {args.clients} clients x {args.per_client} queries, "

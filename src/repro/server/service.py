@@ -57,6 +57,15 @@ _DISPATCH_POLL_S = 0.05
 #: Worker-pool health-check period of the maintenance thread (seconds).
 _HEALTH_INTERVAL_S = 0.25
 
+#: Longest a ticket may wait in the queue before it is dropped with
+#: :class:`~repro.errors.QueryQueueTimeoutError`.
+QUEUE_TIMEOUT_MS = 10_000.0
+
+#: Admission-to-completion deadline per query.  Queue wait is charged
+#: against it, so a query that waited 2s of a 10s budget gets 8s of
+#: execution.
+QUERY_TIMEOUT_MS = 60_000.0
+
 #: Latency reservoir size: percentiles are computed over the most
 #: recent this-many completions, so a long-running service neither
 #: grows without bound nor sorts an ever-larger list per snapshot.
@@ -76,13 +85,6 @@ class ServiceConfig:
     dispatchers: int = 4
     #: Admission queue bound (global, across tenants).
     max_queue_depth: int = 64
-    #: Longest a ticket may wait in the queue before it is dropped
-    #: with :class:`~repro.errors.QueryQueueTimeoutError`.
-    queue_timeout_ms: float = 10_000.0
-    #: Admission-to-completion deadline per query (None = unlimited).
-    #: Queue wait is charged against it, so a query that waited 2s of
-    #: a 10s budget gets 8s of execution.
-    query_timeout_ms: float | None = 60_000.0
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)
 
@@ -376,37 +378,26 @@ class QueryService:
 
     def _run_ticket(self, ticket: QueryTicket) -> None:
         wait_ms = (time.monotonic() - ticket.enqueued_at) * 1000.0
-        config = self.config
-        if wait_ms > config.queue_timeout_ms:
+        if wait_ms > QUEUE_TIMEOUT_MS or QUERY_TIMEOUT_MS - wait_ms <= 0.0:
+            limit = min(QUEUE_TIMEOUT_MS, QUERY_TIMEOUT_MS)
             error = QueryQueueTimeoutError(
                 f"query waited {wait_ms:.0f}ms in the admission queue "
-                f"(limit {config.queue_timeout_ms:.0f}ms)"
+                f"(limit {limit:.0f}ms)"
             )
             self._metrics.record_failure(error)
             ticket.fail(error)
             return
-        if config.query_timeout_ms is not None:
-            if config.query_timeout_ms - wait_ms <= 0.0:
-                error = QueryQueueTimeoutError(
-                    f"queue wait ({wait_ms:.0f}ms) consumed the whole "
-                    f"query deadline ({config.query_timeout_ms:.0f}ms)"
-                )
-                self._metrics.record_failure(error)
-                ticket.fail(error)
-                return
 
         def run(session: Session) -> QueryResult:
             # The admission-to-completion budget is recomputed per run
             # so the corruption re-run is charged for the time spent.
-            remaining_ms: float | None = None
-            if config.query_timeout_ms is not None:
-                elapsed = (time.monotonic() - ticket.enqueued_at) * 1000.0
-                remaining_ms = config.query_timeout_ms - elapsed
-                if remaining_ms <= 0.0:
-                    raise QueryTimeoutError(
-                        f"query deadline ({config.query_timeout_ms:.0f}ms) "
-                        f"exhausted after {elapsed:.0f}ms"
-                    )
+            elapsed = (time.monotonic() - ticket.enqueued_at) * 1000.0
+            remaining_ms = QUERY_TIMEOUT_MS - elapsed
+            if remaining_ms <= 0.0:
+                raise QueryTimeoutError(
+                    f"query deadline ({QUERY_TIMEOUT_MS:.0f}ms) "
+                    f"exhausted after {elapsed:.0f}ms"
+                )
             return session.execute(ticket.sql, timeout_ms=remaining_ms)
 
         try:

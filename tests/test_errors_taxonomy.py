@@ -216,8 +216,11 @@ def test_admission_rejected_error_through_service():
         assert excinfo.value.retry_after_ms > 0
 
 
-def test_query_queue_timeout_error_through_service():
-    with _service(queue_timeout_ms=0.0) as service:
+def test_query_queue_timeout_error_through_service(monkeypatch):
+    import repro.server.service as service_module
+
+    monkeypatch.setattr(service_module, "QUEUE_TIMEOUT_MS", 0.0)
+    with _service() as service:
         ticket = service.submit("SELECT sum(age) FROM people")
         with pytest.raises(QueryQueueTimeoutError, match="queue"):
             ticket.result(30.0)

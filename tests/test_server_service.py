@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import repro.server.service as service_module
 from repro.algebra.operators import GroupBy
 from repro.engine.batch_executor import BLOCK_OPERATORS
 from repro.engine.session import Session
@@ -235,9 +236,9 @@ class TestServerBoundaries:
             assert excinfo.value.retry_after_ms > 0
             assert service.metrics()["admission"]["rejected"] >= 1
 
-    def test_queue_timeout_zero_drops_every_ticket(self, service_store):
-        config = _config(queue_timeout_ms=0.0)
-        with QueryService(service_store, config) as service:
+    def test_queue_timeout_zero_drops_every_ticket(self, service_store, monkeypatch):
+        monkeypatch.setattr(service_module, "QUEUE_TIMEOUT_MS", 0.0)
+        with QueryService(service_store, _config()) as service:
             ticket = service.submit(QUERIES[0])
             with pytest.raises(QueryQueueTimeoutError):
                 ticket.result(30.0)
@@ -270,8 +271,9 @@ class TestServerBoundaries:
             if rejected:
                 assert service.metrics()["admission"]["rejected_quota"] >= 1
 
-    def test_close_fails_queued_tickets(self, service_store):
-        config = _config(dispatchers=1, queue_timeout_ms=60_000.0)
+    def test_close_fails_queued_tickets(self, service_store, monkeypatch):
+        monkeypatch.setattr(service_module, "QUEUE_TIMEOUT_MS", 60_000.0)
+        config = _config(dispatchers=1)
         service = QueryService(service_store, config)
         tickets = [service.submit(sql) for sql in QUERIES * 3]
         service.close()
