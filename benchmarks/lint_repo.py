@@ -288,10 +288,10 @@ def lint_memo_slots() -> list[str]:
 #: the count at the last PR that changed it; lower it freely, raise it
 #: only by the net growth the PR's issue budgeted and CHANGES.md records.
 PACKAGE_LINE_CEILINGS = {
-    "repro": 374,
+    "repro": 373,
     "repro.algebra": 3092,
     "repro.catalog": 90,
-    "repro.engine": 3242,
+    "repro.engine": 3253,
     "repro.fusion": 482,
     "repro.optimizer": 2809,
     "repro.server": 598,
@@ -299,7 +299,7 @@ PACKAGE_LINE_CEILINGS = {
     "repro.storage": 535,
     "repro.testing": 1063,
     "repro.tpcds": 989,
-    "total": 14607,
+    "total": 14606,
 }
 
 _NON_CODE_TOKENS = frozenset(

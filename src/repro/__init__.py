@@ -18,22 +18,31 @@ Quickstart::
     print(result.rows, result.metrics.summary())
 """
 
-from repro.engine.session import QueryResult, Session
-from repro.fusion import Fuser, FusionResult
-from repro.optimizer import BASELINE, FUSION, OptimizerConfig, optimize
-from repro.tpcds.generator import generate_dataset
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Session",
-    "QueryResult",
-    "Fuser",
-    "FusionResult",
-    "OptimizerConfig",
-    "BASELINE",
-    "FUSION",
-    "optimize",
-    "generate_dataset",
-    "__version__",
-]
+#: Each public name and the module that defines it, imported on first
+#: access (PEP 562): ``import repro.<module>`` loads only that module's
+#: own imports, not the engine and optimizer.
+_EXPORTS = {
+    "Session": "repro.engine.session",
+    "QueryResult": "repro.engine.session",
+    "Fuser": "repro.fusion",
+    "FusionResult": "repro.fusion",
+    "OptimizerConfig": "repro.optimizer",
+    "BASELINE": "repro.optimizer",
+    "FUSION": "repro.optimizer",
+    "optimize": "repro.optimizer",
+    "generate_dataset": "repro.tpcds.generator",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

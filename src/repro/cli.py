@@ -24,10 +24,8 @@ import sys
 
 from repro.engine.session import Session
 from repro.errors import (
-    AdmissionRejectedError,
     DataCorruptionError,
     QueryCancelledError,
-    QueryQueueTimeoutError,
     QueryTimeoutError,
     ReproError,
     ResourceExhaustedError,
@@ -38,17 +36,17 @@ from repro.tpcds.generator import generate_dataset
 
 #: Process exit codes per error family, most specific class first.
 #: 0 = success, 1 = generic/user error (syntax, binding, execution),
-#: 2 = --compare disagreement; service-boundary errors get distinct
-#: codes so callers (and the taxonomy tests) can script against them.
-#: 9 and 10 are left unassigned, not reused, so a script written
-#: against their old meanings cannot misread a new error.
+#: 2 = --compare disagreement; the errors a run can raise past the
+#: session get distinct codes so callers (and the taxonomy tests) can
+#: script against them.  7 to 10 are left unassigned, not reused, so a
+#: script written against their old meanings (7 admission rejected, 8
+#: queue timeout: only the query service raises those) cannot misread
+#: a new error.
 _EXIT_CODES: list[tuple[type[BaseException], int]] = [
     (QueryTimeoutError, 3),
     (QueryCancelledError, 4),
     (ResourceExhaustedError, 5),
     (DataCorruptionError, 6),
-    (AdmissionRejectedError, 7),
-    (QueryQueueTimeoutError, 8),
 ]
 
 

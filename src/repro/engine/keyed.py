@@ -13,23 +13,27 @@ either column representation:
   table finds each key's first lane with no sort, and sparser keys
   sort (``np.unique``);
 * :class:`GroupState` — every aggregate as a segmented reduction over
-  ``(codes, values, mask)`` into per-aggregate state *columns* indexed
+  ``(codes, values, mask)`` into per-aggregate result *columns* indexed
   by code, so Window is "reduce per code, gather back by code";
 * :func:`sort_positions` — a stable argsort over key columns, the
   gather left to the caller.
 
 Scalar aggregation is the fold's one-group arm (:class:`OneGroup`),
 fed block by block: the count of live lanes stands in for a codes
-array, and float sums continue the running total.
+array, float sums continue the running total, and the one-lane results
+stay lists.
 
 List columns reduce left to right, so results equal the row engine's
 :class:`~repro.engine.evaluator.Aggregator` bit for bit.  Array columns
-reduce with ``bincount`` / ``ufunc.at`` or, for one group, whole-array
-reductions: float sums still fold in lane order; int64 never passes
-through float64 and leaves the arrays for the exact list loop before a
-sum could reach ``_INT_GUARD``, or a square ``_FLOAT_EXACT``; MIN/MAX
-over NaN (Python's order-dependent ``<``) and booleans take the list
-loop as well (``_arrays_exact``).
+reduce with ``bincount`` / ``ufunc.at`` straight into per-group arrays,
+which a GroupState emits as ``NumpyVector`` result columns (an empty
+group a NULL lane), or, for one group, with whole-array reductions:
+float sums still fold in lane order; int64 never passes through
+float64 and leaves the arrays for the exact list loop before a sum
+could reach ``_INT_GUARD``, a square or an AVG's total
+``_FLOAT_EXACT``; MIN/MAX over NaN or zeros of both signs (Python's
+order-dependent ``<``) and booleans take the list loop as well
+(``_arrays_exact``).  An aggregate the list loop folds emits a list.
 """
 
 from __future__ import annotations
@@ -282,11 +286,15 @@ def _tolist(lanes):
 def _arrays_exact(func: str, data) -> bool:
     """True where folding ``data`` as arrays equals the row engine's
     Python loop (module docstring): an int64 sum cannot wrap, an int's
-    square is exact as a double, MIN/MAX see no NaN (Python's ``<``
-    makes them follow lane order) and no booleans add as ints."""
+    square is exact as a double, MIN/MAX see no NaN and no zeros of
+    both signs (Python's ``<`` makes them follow lane order) and no
+    booleans add as ints."""
     kind = data.dtype.kind
     if func == "min" or func == "max":
-        return kind == "i" or (kind == "f" and not np.isnan(data).any())
+        if kind != "f":
+            return kind == "i"
+        signs = np.signbit(data[data == 0])
+        return not np.isnan(data).any() and (signs.all() or not signs.any())
     if kind != "i":
         return kind == "f"
     bound = int(np.abs(data).max())
@@ -295,34 +303,29 @@ def _arrays_exact(func: str, data) -> bool:
     )
 
 
-def _fold_floats(state: list, codes, weights, live: list) -> None:
-    """Add ``weights`` to their groups' ``state`` lane by lane, the
-    rounding of the row engine's ``+=`` loop (``ndarray.sum`` is
-    pairwise).  The one-group arm continues its running total with a
-    seeded ``np.add.accumulate``; a keyed state still holds its zeros
-    (a GroupState folds one block), so per-group sums merge exactly."""
-    if type(codes) is int:
-        lanes = np.empty(weights.size + 1)
-        lanes[0] = float(state[0])
-        lanes[1:] = weights
-        state[0] = np.add.accumulate(lanes, out=lanes)[-1].item()
-        return
-    sums = np.bincount(codes, weights=weights, minlength=len(state))
-    for code, v in zip(live, sums[live].tolist()):
-        state[code] += v
+def _fold_floats(state: list, weights) -> None:
+    """Add ``weights`` to the one group's running ``state[0]`` lane by
+    lane, the rounding of the row engine's ``+=`` loop (``ndarray.sum``
+    is pairwise): a ``np.add.accumulate`` seeded with the total."""
+    lanes = np.empty(weights.size + 1)
+    lanes[0] = float(state[0])
+    lanes[1:] = weights
+    state[0] = np.add.accumulate(lanes, out=lanes)[-1].item()
 
 
 class _Aggregate:
     """One aggregate's state columns, indexed by group code; the
-    columnar :class:`~repro.engine.evaluator.Aggregator`."""
+    columnar :class:`~repro.engine.evaluator.Aggregator`.  The keyed
+    array fold keeps its result vector in ``column``."""
 
-    __slots__ = ("func", "distinct", "count", "total", "sq_total", "extreme")
+    __slots__ = ("func", "distinct", "count", "total", "sq_total", "extreme", "column")
 
     def __init__(self, func: str, distinct: bool, groups: int):
         self.func = func
         self.distinct = distinct
         self.count, self.total = [0] * groups, [0] * groups
         self.sq_total, self.extreme = [0.0] * groups, [None] * groups
+        self.column = None
 
     def reduce(self, codes, values) -> None:
         """Fold the live lanes (``_live_lanes``); an int ``codes`` is
@@ -344,46 +347,62 @@ class _Aggregate:
     def _fold_arrays(self, func: str, codes, data) -> bool:
         """Fold array lanes into the state, or return False, touching
         nothing, where only the list loop is exact (``_arrays_exact``)."""
-        if data is not None:
-            if not data.size:
-                return True
-            if func != "count" and not _arrays_exact(func, data):
-                return False
-        if type(codes) is int:
-            live, lanes = [0], [codes]
-        else:
-            counts = np.bincount(codes, minlength=len(self.count))
-            live = np.flatnonzero(counts)
-            live, lanes = live.tolist(), counts[live].tolist()
-        if func == "min" or func == "max":
-            lower = func == "min"
-            if type(codes) is int:
-                folded = [(data.min() if lower else data.max()).item()]
-            else:
-                # The block's own bound is the fold's identity.
-                folded = np.full(len(self.count), data.max() if lower else data.min())
-                (np.minimum if lower else np.maximum).at(folded, codes, data)
-                folded = folded[live].tolist()
-            self._fold_lists(func, live, folded)
+        if data is not None and data.size and func != "count" and not _arrays_exact(func, data):
+            return False
+        if type(codes) is not int:
+            return self._fold_groups(func, codes, data)
+        if data is not None and not data.size:
             return True
-        count = self.count
-        for code, k in zip(live, lanes):
-            count[code] += k
+        if func == "min" or func == "max":
+            self._fold_lists(func, [0], [(data.min() if func == "min" else data.max()).item()])
+            return True
+        self.count[0] += codes
         if func == "count":
             return True
-        total = self.total
-        if data.dtype.kind == "i" and type(total[0]) is int:
-            if type(codes) is int:
-                total[0] += data.sum().item()
-            else:
-                folded = np.zeros(len(total), dtype=np.int64)
-                np.add.at(folded, codes, data)
-                for code, v in zip(live, folded[live].tolist()):
-                    total[code] += v
+        if data.dtype.kind == "i" and type(self.total[0]) is int:
+            self.total[0] += data.sum().item()
         else:
-            _fold_floats(total, codes, data, live)
+            _fold_floats(self.total, data)
         if func == "stddev_samp":
-            _fold_floats(self.sq_total, codes, np.square(data, dtype="float64"), live)
+            _fold_floats(self.sq_total, np.square(data, dtype="float64"))
+        return True
+
+    def _fold_groups(self, func: str, codes, data) -> bool:
+        """The keyed arm: a GroupState folds its one block straight into
+        per-group arrays — ``bincount`` counts and float sums (which add
+        lane by lane), ``ufunc.at`` int sums and extremes — and keeps
+        the result vector, an empty group a NULL lane.  An int AVG whose
+        total passes ``_FLOAT_EXACT`` returns False: ``int / int``
+        rounds exactly only in Python."""
+        groups = len(self.count)
+        counts = np.bincount(codes, minlength=groups)
+        if func == "count":
+            self.column = NumpyVector(counts)
+            return True
+        if func == "min" or func == "max":
+            lower = func == "min"
+            folded = np.zeros(groups, data.dtype)
+            if data.size:  # the block's own bound is the fold's identity
+                folded.fill(data.max() if lower else data.min())
+                (np.minimum if lower else np.maximum).at(folded, codes, data)
+        elif data.dtype.kind == "f":
+            folded = np.bincount(codes, weights=data, minlength=groups)
+        else:
+            folded = np.zeros(groups, dtype=np.int64)
+            np.add.at(folded, codes, data)
+        if func == "stddev_samp":  # results() applies the reference's formula
+            squares = np.bincount(codes, np.square(data, dtype="float64"), groups)
+            self.count, self.total = counts.tolist(), folded.tolist()
+            self.sq_total = squares.tolist()
+            return True
+        if func == "avg":
+            if folded.dtype.kind == "i" and np.abs(folded).max(initial=0) > _FLOAT_EXACT:
+                return False
+            folded = folded / counts
+        valid = None if counts.all() else counts > 0
+        if valid is not None:
+            folded[~valid] = 0
+        self.column = NumpyVector(folded, valid)
         return True
 
     def _fold_lists(self, func: str, codes, values) -> None:
@@ -415,7 +434,9 @@ class _Aggregate:
             for code, v in zip(codes, values):
                 sq_total[code] += v * v
 
-    def results(self) -> list:
+    def results(self):
+        if self.column is not None:
+            return self.column
         func = self.func
         if func == "count":
             return self.count
@@ -463,12 +484,12 @@ class GroupState:
     """
 
     def __init__(self, specs: list[tuple], key_cols: list, values: list, n: int):
-        self.codes, first = factorize(key_cols, n)
+        codes, first = factorize(key_cols, n)
         self.size = len(first)
         self.keys = [_canon_column(c) for c in take_rows(key_cols, first)]
-        codes = self.codes
         if type(codes) is list and NumpyVector in map(type, values):
             codes = np.array(codes, dtype=np.int64)
+        self.codes = codes
         self.aggregates = [_Aggregate(f, d, self.size) for f, d, _, _ in specs]
         _reduce(self.aggregates, specs, codes, values)
 

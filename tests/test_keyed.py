@@ -23,7 +23,7 @@ representations.
 
 from __future__ import annotations
 
-import math
+import struct
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -63,7 +63,7 @@ from repro.errors import (
     ResourceExhaustedError,
 )
 from repro.optimizer.config import OptimizerConfig
-from repro.storage.columnar import Store, delist, vector_from_values
+from repro.storage.columnar import NumpyVector, Store, delist, vector_from_values
 from repro.tpcds.queries import STUDIED_QUERIES
 from tests.conftest import simple_table
 from tests.test_compiled_engine import (
@@ -139,12 +139,14 @@ def _reference(keys, values, mask, specs):
 
 
 def _same(expected, actual) -> bool:
+    """Equal values of one Python type; floats bit for bit (so ``0.0``
+    is not ``-0.0``), every NaN equal to every NaN."""
     if type(expected) is not type(actual):
         return False
     if isinstance(expected, float):
         if expected != expected or actual != actual:
             return expected != expected and actual != actual
-        return math.isclose(expected, actual, rel_tol=1e-9, abs_tol=1e-9)
+        return struct.pack("<d", expected) == struct.pack("<d", actual)
     return expected == actual
 
 
@@ -153,7 +155,7 @@ def _same(expected, actual) -> bool:
 @settings(max_examples=120, deadline=None)
 def test_core_matches_the_aggregator_loop(representation, data):
     """Same groups in first-seen order, same values *and Python types*
-    (floats to the oracle's 1e-9), whatever the column representation."""
+    (floats bit for bit), whatever the column representation."""
     key_types, keys, value_type, values, mask = data
     n = len(values)
     # slot 0: the argument, slot 1: the mask
@@ -181,7 +183,7 @@ def test_one_group_matches_the_aggregator_loop(data):
     """The one-group arm (scalar aggregation) fed the lanes in blocks of
     any size, each block a list or a vector — int blocks after float
     ones included — gives the Aggregator loop's results, values and
-    Python types (floats to the oracle's 1e-9)."""
+    Python types (floats bit for bit)."""
     value_type = data.draw(st.sampled_from([_I, _D, _B, _S]))
     n = data.draw(st.integers(0, 40))
     values = data.draw(_column(value_type, n))
@@ -212,6 +214,80 @@ def test_one_group_matches_the_aggregator_loop(data):
         start = stop
     got = tuple(column[0] for column in state.columns())
     assert all(map(_same, expected, got)), (expected, got)
+
+
+@pytest.mark.parametrize("values", [[0.0, -0.0], [-0.0, 0.0], [1.0, 0.0, -0.0, -0.0]])
+def test_min_max_over_signed_zeros_follow_lane_order(values):
+    """``0.0 == -0.0``, so Python's ``min`` / ``max`` keep whichever
+    zero comes first.  Regression: over vectors the keyed arm's
+    ``minimum.at`` / ``maximum.at`` and the one-group arm's
+    ``data.min()`` / ``.max()`` returned ``-0.0`` over ``[0.0, -0.0]``,
+    where the lists and the row engine give ``0.0``."""
+    n = len(values)
+    specs = [("min", False, 0, None), ("max", False, 0, None)]
+    expected = _reference([[7] * n], values, [True] * n, specs)[0][1:]
+    vector = vector_from_values(values, _D)
+    keyed = GroupState(specs, [vector_from_values([7] * n, _I)], [vector], n)
+    one = OneGroup(specs)
+    one.reduce([vector], n)
+    for state in (keyed, one):
+        got = tuple(delist(column)[0] for column in state.columns()[-2:])
+        assert all(map(_same, expected, got)), (values, expected, got)
+
+
+def _aggregate_columns(values: list, dtype, funcs) -> list:
+    """A GroupState's aggregate columns over one argument column —
+    a vector where ``vector_from_values`` makes one — in two groups."""
+    n = len(values)
+    keys = vector_from_values([i % 2 for i in range(n)], _I)
+    arg = vector_from_values(values, dtype) or values
+    specs = [(func, False, 0, None) for func in funcs]
+    return GroupState(specs, [keys], [arg], n).columns()[1:]
+
+
+@pytest.mark.parametrize(
+    "dtype, values",
+    [(_I, [3, None, -4, None, 7, None]), (_D, [1.5, None, -2.25, None, 0.0, None])],
+)
+def test_exact_keyed_aggregates_emit_vectors(dtype, values):
+    """Exact folds over array input emit vectors, so the operators
+    above a GroupBy or Window stay on arrays; group 1, all NULL, is a
+    NULL lane."""
+    funcs = ("count", "sum", "avg", "min", "max")
+    columns = _aggregate_columns(values, dtype, funcs)
+    assert [type(c) for c in columns] == [NumpyVector] * len(funcs)
+    assert [delist(c)[1] for c in columns] == [0, None, None, None, None]
+    n = len(values)
+    star = GroupState(
+        [("count", False, None, None)], [vector_from_values([1] * n, _I)], [], n
+    )
+    assert type(star.columns()[1]) is NumpyVector
+
+
+@pytest.mark.parametrize(
+    "dtype, values, funcs",
+    [
+        # A sum that could pass the int64 guard.
+        (_I, [2**61, -(2**61), 2**61, 1], ("sum", "avg")),
+        # An int AVG whose total a double does not hold exactly.
+        (_I, [2**53, 1, 2**53, 1], ("avg",)),
+        (_D, [1.0, _NAN, 2.0, 3.0], ("min", "max")),
+        (_D, [0.0, 1.0, -0.0, 2.0], ("min", "max")),
+        (_B, [True, False, False, True], ("min", "max")),
+        (_S, ["b", "a", "c", "d"], ("min", "max")),
+    ],
+)
+def test_inexact_keyed_aggregates_emit_lists(dtype, values, funcs):
+    """Where only the Python loop is exact (``keyed._arrays_exact``, an
+    int AVG's total beyond 2**53) the aggregate takes the list arm and
+    emits a list, equal to the row engine's."""
+    columns = _aggregate_columns(values, dtype, funcs)
+    assert [type(c) for c in columns] == [list] * len(funcs)
+    keys = [[i % 2 for i in range(len(values))]]
+    specs = [(func, False, 0, None) for func in funcs]
+    expected = _reference(keys, values, [True] * len(values), specs)
+    for want, got in zip(expected, zip(*columns)):
+        assert all(map(_same, want[1:], got)), (want, got)
 
 
 # -- factorize: direct address against sort -------------------------------
