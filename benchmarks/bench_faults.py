@@ -7,7 +7,7 @@ What no ``benchmarks/e2e`` workload loads: the same plans with
 Times a scan-heavy workload subset twice on identical plans:
 
 * **bare** — checksum verification off, no deadline (the pre-existing
-  fast path: ``Store._read_chunk_values`` returns the chunk directly);
+  fast path: ``Store._verified`` returns the chunk directly);
 * **guarded** — per-read checksum verification on and a generous
   deadline armed (so every block boundary pays the checkpoint test),
   i.e. the failure-detection machinery without any failures.

@@ -12,11 +12,17 @@ needs, and only those chunks are charged to the
 that drops a duplicate scan, or prunes columns/partitions, directly
 shows up as fewer bytes scanned, exactly the Figure-2 axis.
 
-Each chunk is stored once, in the representation the engines read:
-a read-only :class:`NumpyVector` for INTEGER / DATE / DOUBLE / BOOLEAN
-values that fit one (:func:`vector_from_values`), a Python list for
-the rest (strings, mixed element types, ints at or beyond ±2**62).
-The row engine and ``vectors="python"`` read a vector chunk delisted.
+Each column is stored once, in the representation the engines read.
+A column whose values all fit a read-only :class:`NumpyVector`
+(INTEGER / DATE / DOUBLE / BOOLEAN, :func:`vector_from_values`) is one
+table-wide vector, and each partition's chunk is a view of it (a
+NULL-free chunk's view has no validity mask).  A scan that drains a
+run of adjacent partitions hands out one slice of that vector, no
+copy.  Any other column keeps one chunk per partition: a vector where
+the partition's values fit one, a Python list for the rest (strings,
+mixed element types, ints at or beyond ±2**62).  The row engine and
+``vectors="python"`` read a vector chunk delisted.  A table's catalog
+statistics are derived once, when it is built.
 
 Reads are also *fault tolerant*: every chunk carries a build-time
 content checksum that is re-verified on read (corruption raises
@@ -35,14 +41,14 @@ import math
 import pickle
 import zlib
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from time import sleep as _sleep
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.algebra.types import DataType, encoded_bytes
-from repro.catalog.catalog import Catalog, TableDef
+from repro.catalog.catalog import Catalog, ColumnStats, TableDef
 from repro.errors import CatalogError, DataCorruptionError, TransientReadError
 
 #: Exact Python element type required per storage dtype.  Mixed-type or
@@ -158,9 +164,23 @@ def concat_column(segs: list):
     return list(chain.from_iterable(map(delist, segs)))
 
 
-def _run_block(run: list[list]) -> list:
-    """The columns of a run of partition chunks, one block."""
-    return [concat_column(segs) for segs in zip(*run)]
+def _bounds(values: list) -> tuple:
+    """``(min, max)`` of one chunk's non-NULL values, first to last:
+    a NaN bounds nothing (a later one compares false) and ties keep the
+    first value."""
+    low = high = None
+    for v in values:
+        if v is None:
+            continue
+        if low is None:
+            if v != v:
+                continue
+            low = high = v
+        elif v < low:
+            low = v
+        elif v > high:
+            high = v
+    return low, high
 
 
 def chunk_checksum(values) -> int:
@@ -204,36 +224,19 @@ class ColumnChunk:
     def build(
         cls, name: str, dtype: DataType, values: Sequence, avg_string_bytes: float | None = None
     ) -> "ColumnChunk":
-        per_value = encoded_bytes(dtype, avg_string_bytes)
-        # Single pass: min/max without materializing a non-null copy,
-        # and no defensive re-copy when the caller hands us a fresh
-        # list (both construction paths do — build takes ownership).
+        # No defensive re-copy when the caller hands us a fresh list
+        # (both construction paths do — build takes ownership).
         if type(values) is not list:
             values = list(values)
-        min_value = max_value = None
-        for v in values:
-            if v is None:
-                continue
-            if min_value is None:
-                if v != v:  # NaN bounds nothing (a later one compares false)
-                    continue
-                min_value = max_value = v
-            elif v < min_value:
-                min_value = v
-            elif v > max_value:
-                max_value = v
         stored = vector_from_values(values, dtype)
-        if stored is None:
-            stored = values
-        return cls(
-            name,
-            dtype,
-            stored,
-            per_value * len(values),
-            min_value,
-            max_value,
-            chunk_checksum(stored),
-        )
+        return cls.of(name, dtype, values, values if stored is None else stored, avg_string_bytes)
+
+    @classmethod
+    def of(cls, name, dtype, values: list, stored, avg_string_bytes=None) -> "ColumnChunk":
+        """The chunk holding ``stored``, the representation of the
+        Python ``values`` it is built from."""
+        size = encoded_bytes(dtype, avg_string_bytes) * len(values)
+        return cls(name, dtype, stored, size, *_bounds(values), chunk_checksum(stored))
 
 
 @dataclass
@@ -251,19 +254,23 @@ class Partition:
 
 
 class StoredTable:
-    """All partitions of one table."""
+    """All partitions of one table, with the table-wide vectors their
+    chunks view and the per-column catalog statistics."""
 
-    def __init__(self, definition: TableDef, partitions: list[Partition]):
+    def __init__(self, definition: TableDef, partitions: list[Partition], columns: dict):
         self.definition = definition
         self.partitions = partitions
+        #: Lowercase column name -> the table-wide vector every chunk
+        #: of that column views (columns with a list chunk are absent).
+        self.columns = columns
+        #: Row offset of each partition, then the row count.
+        self.starts = list(accumulate((p.row_count for p in partitions), initial=0))
+        self.row_count = self.starts[-1]
+        self.stats = {c.name.lower(): self._column_stats(c) for c in definition.columns}
 
     @property
     def name(self) -> str:
         return self.definition.name
-
-    @property
-    def row_count(self) -> int:
-        return sum(p.row_count for p in self.partitions)
 
     @classmethod
     def from_columns(
@@ -278,9 +285,10 @@ class StoredTable:
         ``partition_rows`` (one partition when unset) — partition
         boundaries ignore the partition column, so a key's rows may
         span two partitions.  This is the layout the TPC-DS generator
-        uses (its output is pinned by regression tests).
+        uses (its output is pinned by regression tests).  Each column
+        is converted once; its chunks are views of the one vector.
         """
-        lower = {k.lower(): list(v) for k, v in data.items()}
+        lower = {k.lower(): v if type(v) is list else list(v) for k, v in data.items()}
         names = [c.name.lower() for c in definition.columns]
         missing = [n for n in names if n not in lower]
         if missing:
@@ -298,16 +306,87 @@ class StoredTable:
                 for start in range(0, total, partition_rows)
             ]
 
-        partitions: list[Partition] = []
-        for start, end in boundaries:
-            chunks: dict[str, ColumnChunk] = {}
-            for cdef in definition.columns:
-                key = cdef.name.lower()
-                chunks[key] = ColumnChunk.build(
-                    cdef.name, cdef.dtype, lower[key][start:end], cdef.avg_string_bytes
+        partitions = [Partition({}, end - start) for start, end in boundaries]
+        columns: dict[str, NumpyVector] = {}
+        for cdef in definition.columns:
+            key = cdef.name.lower()
+            values = lower[key]
+            column = vector_from_values(values, cdef.dtype)
+            if column is not None:
+                columns[key] = column
+            for part, (start, end) in zip(partitions, boundaries):
+                chunk = values[start:end]
+                if column is None:
+                    part.chunks[key] = ColumnChunk.build(
+                        cdef.name, cdef.dtype, chunk, cdef.avg_string_bytes
+                    )
+                    continue
+                view = column[start:end]
+                if view.valid is not None and view.valid.all():
+                    view.valid = None  # a NULL-free view has no mask
+                part.chunks[key] = ColumnChunk.of(
+                    cdef.name, cdef.dtype, chunk, view, cdef.avg_string_bytes
                 )
-            partitions.append(Partition(chunks, end - start))
-        return cls(definition, partitions)
+        return cls(definition, partitions, columns)
+
+    def _column_stats(self, cdef) -> ColumnStats:
+        """NDV, NULL fraction and bounds of one column, as GROUP BY and
+        the chunk bounds see its values: all NaNs are one value and
+        leave the column unbounded, ``0.0 == -0.0``, and in a list
+        column ``1 == 1.0 == True``.  Bounds are the extremes of the
+        chunk bounds."""
+        key = cdef.name.lower()
+        chunks = [part.chunks[key] for part in self.partitions]
+        bounded = [c for c in chunks if c.min_value is not None]
+        column = self.columns.get(key)
+        if column is not None:
+            data = np.sort(column.data if column.valid is None else column.data[column.valid])
+            nulls = len(column) - len(data)
+            nans = int(np.isnan(data).sum()) if data.dtype.kind == "f" else 0
+            numbers = data[: len(data) - nans]  # NaNs sort last
+            ndv = int(np.count_nonzero(numbers[1:] != numbers[:-1]))
+            ndv += (len(numbers) > 0) + (nans > 0)
+            if nans or (len(numbers) and numbers[0] == -math.inf and numbers[-1] == math.inf):
+                bounded = []  # NaN, or +inf and -inf summing to NaN
+        else:
+            values = [v for chunk in chunks for v in delist(chunk.values)]
+            nulls = values.count(None)
+            distinct = set(values) - {None}
+            # A float sum is NaN when a term is (or when +inf meets
+            # -inf, where no bounds is merely imprecise), at C speed
+            # over the set.  The set keeps each NaN object apart.
+            ndv = len(distinct)
+            if cdef.dtype is DataType.DOUBLE and math.isnan(sum(distinct)):
+                numbers = [v for v in distinct if v == v]
+                ndv = len(numbers) + (len(numbers) < ndv)
+                bounded = []
+        total = self.row_count
+        return ColumnStats(
+            ndv=ndv,
+            null_fraction=nulls / total if total else 0.0,
+            min_value=min(c.min_value for c in bounded) if bounded else None,
+            max_value=max(c.max_value for c in bounded) if bounded else None,
+        )
+
+    def run_block(self, keys: list[str], first: int, run: list[list], rows: int) -> list:
+        """The columns of a run of chunks read from adjacent partitions
+        ``first``, ``first + 1``, …: one block of ``rows`` rows.  A
+        vector column is a slice of its table-wide vector while every
+        chunk is still its view (its mask ``None`` exactly where the
+        chunks' are); a list column, or a run holding a chunk the fault
+        injector swapped, is the chunks concatenated."""
+        start, end = self.starts[first], self.starts[first] + rows
+        out = []
+        for key, segs in zip(keys, zip(*run)):
+            column = self.columns.get(key)
+            if len(segs) > 1 and column is not None and all(
+                type(s) is NumpyVector and s.data.base is column.data for s in segs
+            ):
+                valid = None if all(s.valid is None for s in segs) else column.valid[start:end]
+                out.append(NumpyVector(column.data[start:end], valid))
+            else:
+                out.append(concat_column(segs))
+        return out
 
     def total_bytes(self, columns: Iterable[str] | None = None) -> float:
         """Encoded size of the table (optionally a column subset)."""
@@ -375,42 +454,10 @@ class Store:
         invalidates any cross-query cache entries built over the old
         data.
         """
-        from repro.catalog.catalog import ColumnStats
-
         stored = self.stored_table(name)
         definition = stored.definition
-        total = stored.row_count
         for cdef in definition.columns:
-            distinct: set = set()
-            nulls = 0
-            chunks = [part.chunk(cdef.name) for part in stored.partitions]
-            for chunk in chunks:
-                values = delist(chunk.values)
-                distinct.update(values)
-                nulls += values.count(None)
-            distinct.discard(None)
-            # Chunk bounds skip NaN, which lies outside every range: a
-            # column holding one gets no catalog bounds.  A float sum is
-            # NaN when a term is (or when +inf meets -inf, where no
-            # bounds is merely imprecise), at C speed over the set.  The
-            # set keeps each NaN object apart; all NaNs count as one
-            # value, as GROUP BY's ``canon_key`` makes them.
-            ndv = len(distinct)
-            bounded = [c for c in chunks if c.min_value is not None]
-            if cdef.dtype is DataType.DOUBLE and math.isnan(sum(distinct)):
-                numbers = [v for v in distinct if v == v]
-                ndv = len(numbers) + (len(numbers) < ndv)
-                bounded = []
-            catalog.set_column_stats(
-                definition.name,
-                cdef.name,
-                ColumnStats(
-                    ndv=ndv,
-                    null_fraction=nulls / total if total else 0.0,
-                    min_value=min(c.min_value for c in bounded) if bounded else None,
-                    max_value=max(c.max_value for c in bounded) if bounded else None,
-                ),
-            )
+            catalog.set_column_stats(definition.name, cdef.name, stored.stats[cdef.name.lower()])
         # Registration bumps the table's version, so it comes last: a
         # planner that reads the new version also sees the new stats.
         catalog.register(
@@ -419,7 +466,7 @@ class Store:
                 definition.columns,
                 definition.primary_key,
                 definition.partition_column,
-                total,
+                stored.row_count,
             )
         )
 
@@ -454,10 +501,13 @@ class Store:
         partitions share one block of at most ``block_rows`` rows, a
         *run*, which also ends where a column switches between a vector
         chunk and a list chunk, so coalescing never delists a vector.
-        Accounting is identical either way: chunks are read, verified
-        and charged one at a time.  Callers must treat the yielded
-        columns as immutable: a one-chunk block hands out the stored
-        chunks by reference.
+        A run of vector chunks is one slice of the table-wide vector, no
+        copy, so a run also ends at a partition the scan skips.  Without
+        ``block_rows`` a run ends only there and at a representation
+        switch.  Accounting is identical either way: chunks are read,
+        fault-checked, verified and charged one at a time.  Callers must
+        treat the yielded columns as immutable: a one-chunk block hands
+        out the stored chunks by reference.
 
         ``runtime`` (a :class:`~repro.engine.metrics.RunContext`)
         supplies the retry policy for transient faults, deadline checks
@@ -467,15 +517,18 @@ class Store:
         so retries never double-charge ``bytes_scanned``.
         """
         stored = self.stored_table(table_name)
-        accounting.record_scan(stored.name)
+        table = stored.name
+        accounting.record_scan(table)
         part_col = stored.definition.partition_column
         window = None
         if runtime is not None:
             window = getattr(runtime, "partition_window", None)
-            if window is not None and window[0] != stored.name.lower():
+            if window is not None and window[0] != table.lower():
                 window = None
+        keys = [name.lower() for name in columns]
+        read = self._verified if self.fault_injector is None else self._read_chunk_values
         run: list[list] = []  # read and charged, not yet yielded
-        run_rows = 0
+        run_rows = first = 0
         for index, part in enumerate(stored.partitions):
             if window is not None and not (window[1] <= index < window[2]):
                 # Outside this morsel's window: another worker reads
@@ -490,20 +543,23 @@ class Store:
                 _sleep(self.io_latency_ms / 1000.0)
             accounting.record_partition(part.row_count)
             vectors = []
-            for name in columns:
-                chunk = part.chunk(name)
-                values = self._read_chunk_values(stored.name, index, chunk, runtime)
-                accounting.record_chunk(stored.name, chunk.encoded_size)
+            for key in keys:
+                chunk = part.chunk(key)
+                values = read(table, index, chunk, runtime)
+                accounting.record_chunk(table, chunk.encoded_size)
                 vectors.append(values if as_vectors else delist(values))
             total = part.row_count
             if run and (
-                run_rows + total > block_rows
+                index != first + len(run)
+                or (block_rows is not None and run_rows + total > block_rows)
                 or list(map(type, run[0])) != list(map(type, vectors))
             ):
-                yield _run_block(run), run_rows
+                yield stored.run_block(keys, first, run, run_rows), run_rows
                 run, run_rows = [], 0
             if block_rows is None or total <= block_rows:
                 if coalesce:
+                    if not run:
+                        first = index
                     run.append(vectors)
                     run_rows += total
                 else:
@@ -513,42 +569,46 @@ class Store:
                     end = min(start + block_rows, total)
                     yield [v[start:end] for v in vectors], end - start
         if run:
-            yield _run_block(run), run_rows
+            yield stored.run_block(keys, first, run, run_rows), run_rows
+
+    def _verified(self, table: str, partition: int, chunk: ColumnChunk, runtime):
+        """One chunk's values once its checksum matches (when checks
+        are on); a mismatch evicts plan-cache entries over ``table`` and
+        raises :class:`~repro.errors.DataCorruptionError` with recovery
+        steps."""
+        values = chunk.values
+        if not self.verify_checksums or chunk.checksum is None:
+            return values
+        if runtime is not None and runtime.metrics is not None:
+            runtime.metrics.checksum_verifications += 1
+        if chunk_checksum(values) != chunk.checksum:
+            if runtime is not None and runtime.plan_cache is not None:
+                runtime.plan_cache.invalidate_table(table)
+            raise DataCorruptionError(
+                f"checksum mismatch on {table}.{chunk.name} partition "
+                f"{partition}: stored data is corrupt; reload the table "
+                "(store.put + session.reload_table) and re-run the query"
+            )
+        return values
 
     def _read_chunk_values(
         self, table: str, partition: int, chunk: ColumnChunk, runtime
     ) -> NumpyVector | list:
-        """One chunk read: fault injection, checksum verification, and
-        bounded retries of transient failures.
+        """One chunk read under the fault injector: the injected fault,
+        checksum verification, and bounded retries of transient
+        failures.
 
         Transient faults are retried per the runtime's policy (with
-        backoff); corruption is never retried — it evicts plan-cache
-        entries over ``table`` and raises
-        :class:`~repro.errors.DataCorruptionError` with recovery steps.
+        backoff); corruption is never retried (:meth:`_verified`).
         """
-        injector = self.fault_injector
-        if injector is None and not self.verify_checksums:
-            return chunk.values
         policy = None if runtime is None else runtime.retry_policy
         metrics = None if runtime is None else runtime.metrics
         site = (table.lower(), partition, chunk.name.lower())
         attempt = 0
         while True:
             try:
-                if injector is not None:
-                    injector.on_chunk_read(site, chunk, attempt, metrics=metrics)
-                if self.verify_checksums and chunk.checksum is not None:
-                    if metrics is not None:
-                        metrics.checksum_verifications += 1
-                    if chunk_checksum(chunk.values) != chunk.checksum:
-                        if runtime is not None and runtime.plan_cache is not None:
-                            runtime.plan_cache.invalidate_table(table)
-                        raise DataCorruptionError(
-                            f"checksum mismatch on {table}.{chunk.name} partition "
-                            f"{partition}: stored data is corrupt; reload the table "
-                            "(store.put + session.reload_table) and re-run the query"
-                        )
-                return chunk.values
+                self.fault_injector.on_chunk_read(site, chunk, attempt, metrics=metrics)
+                return self._verified(table, partition, chunk, runtime)
             except TransientReadError as exc:
                 if policy is None or attempt >= policy.max_retries:
                     raise TransientReadError(
