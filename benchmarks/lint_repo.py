@@ -27,7 +27,8 @@ Checks conventions a generic linter cannot know:
   ``concat_column``, scalar aggregation's own fold, the list-only
   AND/OR narrowing, the service's degradation lattice, the fault
   injector's stalls, scope filters and table outage, ``repro serve``,
-  the error nothing raised and the scan's run copier;
+  the error nothing raised, the scan's run copier, and the query
+  service's pool nurse, priority queue and worker killer;
 * every memo slot written into a node's ``__dict__`` under
   ``src/repro/algebra`` is named in ``expressions.MEMO_SLOTS``, the
   list ``Expression.__getstate__`` strips (a cache missing from it
@@ -40,8 +41,10 @@ Checks conventions a generic linter cannot know:
 * nothing tracked by git is matched by ``.gitignore`` (build products
   and run outputs that were committed before the ignore rule existed);
 * every ``OptimizerConfig`` and ``ServiceConfig`` field has a caller:
-  something under ``src/``, ``benchmarks/`` or ``examples/`` sets it by
-  name (``name=`` or ``"name":``).  An option only tests set is a
+  something under ``src/``, ``benchmarks/`` or ``examples/`` passes it
+  by keyword to the config's constructor or to ``replace``, or names it
+  as a string key of a dict literal.  Forwarding (``name=self.name``
+  into another call) does not count.  An option only tests set is a
   constant.
 
 Exit status is the number of violations.
@@ -52,7 +55,6 @@ from __future__ import annotations
 import ast
 import inspect
 import io
-import re
 import subprocess
 import sys
 import tokenize
@@ -85,7 +87,9 @@ sys.path.insert(0, str(SRC))
 #: the worker-pool error nothing raised, and the four options only tests
 #: set (``FRAGMENT_RETRIES`` is now a constant of ``engine/parallel.py``,
 #: ``QUEUE_TIMEOUT_MS`` / ``QUERY_TIMEOUT_MS`` of ``server/service.py``),
-#: and the scan's run copier (a run is now a slice of the column);
+#: and the scan's run copier (a run is now a slice of the column),
+#: and the query service's worker-pool nurse, its priority queue and the
+#: load generator's worker killer (the service runs serial sessions);
 #: none may come back under ``src/``.
 RETIRED_NAMES = (
     "_KERNEL_CACHE",
@@ -180,6 +184,12 @@ RETIRED_NAMES = (
     "queue_timeout_ms",
     "query_timeout_ms",
     "_run_block",
+    "_maintenance_loop",
+    "_HEALTH_INTERVAL_S",
+    "repro-maintenance",
+    "PriorityQueue",
+    "kill_worker_after",
+    "stop_killer",
 )
 
 
@@ -295,13 +305,13 @@ PACKAGE_LINE_CEILINGS = {
     "repro.catalog": 90,
     "repro.engine": 3253,
     "repro.fusion": 482,
-    "repro.optimizer": 2809,
-    "repro.server": 598,
+    "repro.optimizer": 2808,
+    "repro.server": 510,
     "repro.sql": 1322,
     "repro.storage": 565,
     "repro.testing": 1063,
     "repro.tpcds": 989,
-    "total": 14636,
+    "total": 14547,
 }
 
 _NON_CODE_TOKENS = frozenset(
@@ -376,26 +386,55 @@ def lint_tracked_ignored() -> list[str]:
     return [f"{path} is tracked but matched by .gitignore" for path in listed]
 
 
-def lint_config_callers() -> list[str]:
-    """Config fields that no caller outside ``tests/`` sets by name."""
+def unset_config_fields(texts, configs) -> list[str]:
+    """``Config.field`` for every dataclass field of ``configs`` that no
+    source in ``texts`` sets.  A field is set by a keyword of a call to
+    its config or to ``replace``, or by a string key of a dict literal
+    (the CLI's and the oracle's option dicts); ``x=self.x`` passed to
+    any other call only forwards it."""
     from dataclasses import fields
 
+    by_config: dict[str, set[str]] = {config.__name__: set() for config in configs}
+    shared: set[str] = set()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Dict):
+                shared.update(
+                    key.value
+                    for key in node.keys
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                )
+            elif isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                names = {kw.arg for kw in node.keywords if kw.arg is not None}
+                if callee == "replace":
+                    shared |= names
+                elif callee in by_config:
+                    by_config[callee] |= names
+    return [
+        f"{config.__name__}.{field.name}"
+        for config in configs
+        for field in fields(config)
+        if field.name not in by_config[config.__name__] | shared
+    ]
+
+
+def lint_config_callers() -> list[str]:
+    """Config fields that no caller outside ``tests/`` sets."""
     from repro.optimizer.config import OptimizerConfig
     from repro.server.service import ServiceConfig
 
     this = Path(__file__).resolve()
-    corpus = "\n".join(
+    texts = [
         path.read_text()
         for root in ("src", "benchmarks", "examples")
         for path in sorted((REPO / root).rglob("*.py"))
         if path.resolve() != this
-    )
+    ]
     return [
-        f"{config.__name__}.{field.name} is set by no caller outside tests/; "
-        f"make it a module constant"
-        for config in (OptimizerConfig, ServiceConfig)
-        for field in fields(config)
-        if not re.search(rf"\b{field.name}=(?!=)|[\"']{field.name}[\"']\s*:", corpus)
+        f"{name} is set by no caller outside tests/; make it a constant"
+        for name in unset_config_fields(texts, (OptimizerConfig, ServiceConfig))
     ]
 
 

@@ -70,10 +70,6 @@ ALLOWLIST: dict[str, str] = {
     "optimizer/fusion_rules/base.py::JoinGraphRule.apply": "abstract: every region rule overrides it",
     "optimizer/rule.py::PlanPass.run": "abstract: every pass overrides it",
     "optimizer/rule.py::RewriteRule.rewrite": "abstract: every rule overrides it",
-    "server/service.py::QueryService.health_check": (
-        "manual pool check for embedders; the maintenance thread calls the pool directly"
-    ),
-    "server/service.py::QueryTicket.done": "non-blocking poll for embedders; callers here block",
     "sql/lexer.py::Token.__repr__": "debugging repr",
     "testing/oracle.py::DifferentialOracle._pool": "the oracle's worker axis (`repro fuzz --workers`)",
     "testing/oracle.py::Divergence.__str__": "printed only when the fuzzer finds a divergence",

@@ -228,7 +228,7 @@ class WorkerPool:
     ``poison_worker`` marks the n-th spawned worker as permanently
     failing — the test hook behind the fragment-retry tests.
 
-    Self-healing (DESIGN.md §14): every worker publishes a heartbeat
+    Self-healing (DESIGN.md §13): every worker publishes a heartbeat
     into a shared cell from a dedicated beat thread.  ``health_check``
     kills workers whose heartbeat has gone silent (the process is
     frozen, not slow) and rebuilds the pool around any dead worker,
@@ -269,13 +269,13 @@ class WorkerPool:
         #: Concurrent parallel queries would collide on the shared
         #: result queue and epoch counter; holders run one at a time.
         self.query_lock = threading.Lock()
-        #: Serializes health_check/reap/rebuild: the service's
-        #: maintenance thread and the scheduler both nurse the pool.
+        #: Serializes health_check/reap/rebuild: any holder of the pool
+        #: may nurse it, not only the scheduler.
         self._maint_lock = threading.Lock()
         #: Bumped by every rebuild — queued task specs from an earlier
         #: generation died with the old task queue.
         self.generation = 0
-        #: Lifetime health counters (read by the query service).
+        #: Lifetime health counters (the scheduler watches them for churn).
         self.respawns = 0
         self.rebuilds = 0
         self.hung_workers_killed = 0
@@ -588,8 +588,8 @@ class _FragmentScheduler:
     def _check_workers(self, retries: int) -> None:
         self.pool.health_check()
         # Worker churn is detected by counter, not by who found the
-        # corpse: the service's maintenance thread may have reaped (or
-        # rebuilt around) a dead worker before this scheduler polled,
+        # corpse: another caller of health_check or reap may have
+        # rebuilt around a dead worker before this scheduler polled,
         # and the death signal must not be swallowed with it.
         churn = (self.pool.respawns, self.pool.rebuilds)
         if churn == self._churn:

@@ -11,6 +11,7 @@ rule set ("Athena's default production configuration"), and the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,9 @@ class OptimizerConfig:
     #: Bounded retries of transient read faults (0 = surface the first
     #: fault as a TransientReadError).
     max_retries: int = 3
-    #: Base delay of the exponential retry backoff.
-    retry_base_delay_ms: float = 1.0
+    #: Base delay of the exponential retry backoff: a constant, not a
+    #: field, since no caller sets it.
+    retry_base_delay_ms: ClassVar[float] = 1.0
     #: Per-query deadline, enforced cooperatively at block boundaries
     #: (None = no deadline; 0 times out at the first boundary).
     timeout_ms: float | None = None
@@ -109,8 +111,6 @@ class OptimizerConfig:
             raise ValueError("cache_budget_mb must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.retry_base_delay_ms < 0:
-            raise ValueError("retry_base_delay_ms must be non-negative")
         if self.timeout_ms is not None and self.timeout_ms < 0:
             raise ValueError("timeout_ms must be non-negative")
         if self.max_spool_rows is not None and self.max_spool_rows <= 0:

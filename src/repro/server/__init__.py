@@ -1,7 +1,7 @@
 """Resilient multi-tenant query serving on top of the engine.
 
-The serving layer of DESIGN.md §14: admission control and per-tenant
-quotas (:mod:`repro.server.admission`) and the concurrent
+The serving layer of DESIGN.md §14: admission control
+(:mod:`repro.server.admission`) and the concurrent, serial-session
 :class:`~repro.server.service.QueryService` itself.  The load
 generator / byte-identity oracle the benchmarks drive it with is
 :mod:`repro.server.loadgen`.

@@ -20,6 +20,8 @@ in order:
 
 All decisions are made under one lock with an injectable clock, so
 tests drive the bucket and the queue deterministically.
+:class:`~repro.server.service.QueryService` admits every tenant under
+the default :class:`TenantQuota`, so it runs the first two gates only.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ class TenantQuota:
     rate_per_s: float | None = None
     #: Token-bucket capacity (burst size), when a rate is set.
     burst: int = 64
-    #: Dispatch priority: lower runs first (0 = interactive).
-    priority: int = 1
 
 
 class TokenBucket:
@@ -120,7 +120,7 @@ class AdmissionController:
     def quota(self, tenant: str) -> TenantQuota:
         return self._quotas.get(tenant, self.default_quota)
 
-    def admit(self, tenant: str) -> TenantQuota:
+    def admit(self, tenant: str) -> None:
         """Reserve queue + tenant capacity for one query (or shed it)."""
         quota = self.quota(tenant)
         with self._lock:
@@ -156,7 +156,6 @@ class AdmissionController:
             self._queued += 1
             self._in_flight[tenant] = self._in_flight.get(tenant, 0) + 1
             self.stats.admitted += 1
-            return quota
 
     def on_dequeue(self) -> None:
         """A query left the admission queue for execution."""

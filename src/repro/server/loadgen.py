@@ -1,10 +1,9 @@
 """Concurrent load generation + byte-identity oracle for the service.
 
-Shared by ``benchmarks/bench_server.py``, ``benchmarks/server_smoke.py``
-and the chaos tests: drives N client threads against a
-:class:`~repro.server.service.QueryService`, optionally SIGKILLs a live
-fragment worker mid-run, and checks every result byte-for-byte against
-a serial, cache-off baseline computed up front.
+Shared by ``benchmarks/bench_server.py`` and
+``benchmarks/server_smoke.py``: drives N client threads against a
+:class:`~repro.server.service.QueryService` and checks every result
+byte-for-byte against a serial, cache-off baseline computed up front.
 
 Correctness is the point: a degraded, retried, cache-replayed or
 leader/follower-shared execution must return *exactly* the rows the
@@ -16,9 +15,7 @@ the hash.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
-import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -69,7 +66,6 @@ class LoadReport:
     degradations: int = 0
     shared_hits: int = 0
     cache_hits: int = 0
-    workers_killed: int = 0
     service_metrics: dict = field(default_factory=dict)
 
     @property
@@ -102,7 +98,6 @@ class LoadReport:
             "degradations": self.degradations,
             "shared_hits": self.shared_hits,
             "cache_hits": self.cache_hits,
-            "workers_killed": self.workers_killed,
             "service_metrics": self.service_metrics,
         }
 
@@ -115,23 +110,17 @@ def run_load(
     per_client: int = 10,
     seed: int = 7,
     tenants: tuple[str, ...] = ("default",),
-    kill_worker_after: int | None = None,
 ) -> LoadReport:
     """Drive ``clients`` threads of ``per_client`` queries each.
 
     Each client draws queries from ``queries`` with its own seeded RNG
     (deterministic per (seed, client) — the interleaving is not, which
-    is the point).  ``kill_worker_after`` SIGKILLs one live fragment
-    worker after that many queries have completed service-side —
-    mid-run, while fragments are in flight.  Rejected submissions are
-    retried after the advertised ``retry_after_ms``, up to
-    ``_SUBMIT_ATTEMPTS`` times (clients that give up count as
-    ``rejected``).
+    is the point).  Rejected submissions are retried after the
+    advertised ``retry_after_ms``, up to ``_SUBMIT_ATTEMPTS`` times
+    (clients that give up count as ``rejected``).
     """
     report = LoadReport()
     lock = threading.Lock()
-    completed = threading.Semaphore(0)
-    stop_killer = threading.Event()
 
     def client(index: int) -> None:
         rng = random.Random(seed * 1009 + index)
@@ -160,7 +149,6 @@ def run_load(
                     report.errors_by_type[name] = (
                         report.errors_by_type.get(name, 0) + 1
                     )
-                completed.release()
                 continue
             latency_ms = (time.monotonic() - started) * 1000.0
             expected = baseline[sql]
@@ -177,40 +165,14 @@ def run_load(
                 report.degradations += len(metrics.degradations)
                 report.shared_hits += metrics.shared_hits
                 report.cache_hits += metrics.cache_hits
-            completed.release()
-
-    def killer() -> None:
-        # Wait until enough queries completed, then SIGKILL one live
-        # worker — the self-healing pool must absorb it invisibly.
-        for _ in range(kill_worker_after):
-            while not completed.acquire(timeout=0.1):
-                if stop_killer.is_set():
-                    return
-        pids = service.worker_pids()
-        if not pids:
-            return
-        victim = sorted(pids.values())[0]
-        try:
-            os.kill(victim, signal.SIGKILL)
-        except OSError:  # pragma: no cover - victim already gone
-            return
-        with lock:
-            report.workers_killed += 1
 
     threads = [
         threading.Thread(target=client, args=(i,), daemon=True)
         for i in range(clients)
     ]
-    killer_thread = None
-    if kill_worker_after is not None:
-        killer_thread = threading.Thread(target=killer, daemon=True)
-        killer_thread.start()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    stop_killer.set()
-    if killer_thread is not None:
-        killer_thread.join(timeout=5.0)
     report.service_metrics = service.metrics()
     return report

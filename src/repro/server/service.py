@@ -4,42 +4,38 @@
 :class:`~repro.engine.session.Session`:
 
 * ``submit`` passes the :class:`~repro.server.admission.AdmissionController`
-  (or raises), then enqueues a ticket on a priority queue (tenant
-  priority, FIFO within a class);
+  (or raises), then enqueues a ticket on a FIFO queue;
 * dispatcher threads pop tickets, enforce the *queue-wait* deadline
   (:class:`~repro.errors.QueryQueueTimeoutError`) and charge the wait
   against the admission-to-completion deadline, then execute the query
-  on the service's one :class:`~repro.engine.session.Session`, which
-  shares the store, the plan cache (so cross-query reuse and
-  leader/follower shared execution work across tenants) and the
-  self-healing :class:`~repro.engine.parallel.WorkerPool`, and keeps no
+  on the service's one serial :class:`~repro.engine.session.Session`,
+  which shares the store and the plan cache (so cross-query reuse and
+  leader/follower shared execution work across tenants) and keeps no
   plan memo, so every query is planned afresh (DESIGN.md §8, "Plan
   memo");
 * a query that fails with :class:`~repro.errors.DataCorruptionError`
   is re-run once on a second, cache-less session: the corrupt cache
   entry was evicted on detection, and the cache-less run cannot replay
   another one.  Every other error reaches the ticket on its first
-  attempt;
-* a maintenance thread runs ``WorkerPool.health_check`` on a short
-  period, so crashed or frozen workers are replaced even while the
-  dispatchers are blocked inside queries.
+  attempt.
+
+Fragment parallelism (``workers > 1``) runs only through ``Session``;
+the service refuses a base configuration that asks for it.
 
 The service is synchronous-friendly: ``execute`` is submit + wait, and
 ``metrics()`` returns a plain-dict snapshot (latency percentiles,
-admission/pool counters, shared-execution totals) that the benchmarks
+admission counters, shared-execution totals) that the benchmarks
 serialize directly.
 """
 
 from __future__ import annotations
 
-import itertools
 import queue as queue_module
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from repro.engine.parallel import WorkerPool
 from repro.engine.plan_cache import MIB, PlanCache
 from repro.engine.session import QueryResult, Session
 from repro.errors import (
@@ -49,13 +45,10 @@ from repro.errors import (
     ReproError,
 )
 from repro.optimizer.config import OptimizerConfig
-from repro.server.admission import AdmissionController, TenantQuota
+from repro.server.admission import AdmissionController
 
 #: Dispatcher queue-poll period (seconds): bounds shutdown latency.
 _DISPATCH_POLL_S = 0.05
-
-#: Worker-pool health-check period of the maintenance thread (seconds).
-_HEALTH_INTERVAL_S = 0.25
 
 #: Longest a ticket may wait in the queue before it is dropped with
 #: :class:`~repro.errors.QueryQueueTimeoutError`.
@@ -85,36 +78,20 @@ class ServiceConfig:
     dispatchers: int = 4
     #: Admission queue bound (global, across tenants).
     max_queue_depth: int = 64
-    default_quota: TenantQuota = field(default_factory=TenantQuota)
-    quotas: dict[str, TenantQuota] = field(default_factory=dict)
 
 
 class QueryTicket:
     """Handle for one submitted query; resolves to a result or error."""
 
-    __slots__ = (
-        "sql",
-        "tenant",
-        "priority",
-        "seq",
-        "enqueued_at",
-        "_done",
-        "_result",
-        "_error",
-    )
+    __slots__ = ("sql", "tenant", "enqueued_at", "_done", "_result", "_error")
 
-    def __init__(self, sql: str, tenant: str, priority: int, seq: int):
+    def __init__(self, sql: str, tenant: str):
         self.sql = sql
         self.tenant = tenant
-        self.priority = priority
-        self.seq = seq
         self.enqueued_at = time.monotonic()
         self._done = threading.Event()
         self._result: QueryResult | None = None
         self._error: BaseException | None = None
-
-    def __lt__(self, other: "QueryTicket") -> bool:
-        return (self.priority, self.seq) < (other.priority, other.seq)
 
     def resolve(self, result: QueryResult) -> None:
         self._result = result
@@ -123,10 +100,6 @@ class QueryTicket:
     def fail(self, error: BaseException) -> None:
         self._error = error
         self._done.set()
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
 
     def result(self, timeout: float | None = None) -> QueryResult:
         """Block until the query finishes; re-raises its error."""
@@ -216,20 +189,20 @@ class QueryService:
         self.store = store
         self.config = config or ServiceConfig()
         base = self.config.base
+        if base.workers > 1:
+            raise ValueError(
+                "QueryService runs serial sessions: fragment parallelism "
+                "(workers > 1) runs only through Session until ROADMAP "
+                "item 4 is done"
+            )
         #: One cross-query cache for every tenant: shared execution and
         #: reuse work across tenants by design (results are keyed by
         #: plan fingerprint, not by who asked).
         self.plan_cache: PlanCache | None = None
         if base.enable_plan_cache:
             self.plan_cache = PlanCache(base.cache_budget_mb * MIB)
-        #: One self-healing pool for both sessions.
-        self.pool: WorkerPool | None = None
-        if base.workers > 1:
-            self.pool = WorkerPool(store, base.workers)
         self.admission = AdmissionController(
-            max_queue_depth=self.config.max_queue_depth,
-            default_quota=self.config.default_quota,
-            quotas=self.config.quotas,
+            max_queue_depth=self.config.max_queue_depth
         )
         self._session = self._new_session(base)
         #: The cache-less session of the corruption re-run, built on
@@ -237,8 +210,7 @@ class QueryService:
         #: builds one session.
         self._uncached_session: Session | None = None
         self._uncached_lock = threading.Lock()
-        self._queue: queue_module.PriorityQueue = queue_module.PriorityQueue()
-        self._seq = itertools.count()
+        self._queue: queue_module.Queue = queue_module.Queue()
         self._metrics = _ServiceMetrics()
         self._stop = threading.Event()
         #: Fences ``submit`` against ``close``: the stop flag is only
@@ -253,12 +225,6 @@ class QueryService:
             )
             thread.start()
             self._threads.append(thread)
-        if self.pool is not None:
-            thread = threading.Thread(
-                target=self._maintenance_loop, name="repro-maintenance", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
 
     # -- public API --------------------------------------------------------
 
@@ -269,8 +235,8 @@ class QueryService:
             if self._stop.is_set():
                 raise ReproError("the query service is closed")
             self._metrics.record_submit()
-            quota = self.admission.admit(tenant)  # raises on rejection
-            ticket = QueryTicket(sql, tenant, quota.priority, next(self._seq))
+            self.admission.admit(tenant)  # raises on rejection
+            ticket = QueryTicket(sql, tenant)
             self._queue.put(ticket)
         return ticket
 
@@ -288,13 +254,6 @@ class QueryService:
             "rejected_rate_limited": self.admission.stats.rejected_rate_limited,
             "rejected_quota": self.admission.stats.rejected_quota,
         }
-        if self.pool is not None:
-            snap["pool"] = {
-                "respawns": self.pool.respawns,
-                "rebuilds": self.pool.rebuilds,
-                "hung_workers_killed": self.pool.hung_workers_killed,
-                "workers": len(self.pool.worker_ids),
-            }
         if self.plan_cache is not None:
             stats = self.plan_cache.stats
             snap["plan_cache"] = {
@@ -305,14 +264,6 @@ class QueryService:
                 "inflight_followers": self.plan_cache.inflight.followers,
             }
         return snap
-
-    def worker_pids(self) -> dict[int, int]:
-        """Live fragment-worker pids (chaos tests kill these)."""
-        return {} if self.pool is None else self.pool.worker_pids()
-
-    def health_check(self) -> list[int]:
-        """Run one pool health check now; returns replaced worker ids."""
-        return [] if self.pool is None else self.pool.health_check()
 
     def close(self) -> None:
         """Stop dispatchers, fail queued tickets, release resources."""
@@ -336,8 +287,6 @@ class QueryService:
         with self._uncached_lock:
             if self._uncached_session is not None:
                 self._uncached_session.close()
-        if self.pool is not None:
-            self.pool.close()
 
     def __enter__(self) -> "QueryService":
         return self
@@ -348,13 +297,7 @@ class QueryService:
     # -- internals ---------------------------------------------------------
 
     def _new_session(self, config: OptimizerConfig) -> Session:
-        return Session(
-            self.store,
-            config,
-            worker_pool=self.pool,
-            plan_cache=self.plan_cache,
-            plan_memo=False,
-        )
+        return Session(self.store, config, plan_cache=self.plan_cache, plan_memo=False)
 
     def _uncached(self) -> Session:
         with self._uncached_lock:
@@ -418,13 +361,3 @@ class QueryService:
         latency_ms = (time.monotonic() - ticket.enqueued_at) * 1000.0
         self._metrics.record_success(latency_ms, result.metrics)
         ticket.resolve(result)
-
-    def _maintenance_loop(self) -> None:
-        while not self._stop.wait(_HEALTH_INTERVAL_S):
-            pool = self.pool
-            if pool is None:
-                return
-            try:
-                pool.health_check()
-            except Exception:  # pragma: no cover - keep the nurse alive
-                pass

@@ -202,6 +202,30 @@ class TestEndToEnd:
         assert snap["admission"]["rejected"] == 0
         assert snap["completed"] == 1000
 
+    def test_single_dispatcher_runs_tickets_in_submission_order(
+        self, service_store, session_runs
+    ):
+        queries = [
+            f"SELECT COUNT(*) AS n FROM store_sales WHERE ss_quantity > {i}"
+            for i in range(12)
+        ]
+        with QueryService(service_store, _config(dispatchers=1)) as service:
+            tickets = [service.submit(sql, tenant=f"t{i % 3}")
+                       for i, sql in enumerate(queries)]
+            for ticket in tickets:
+                ticket.result(60.0)
+        assert session_runs == queries
+
+    def test_service_starts_only_its_dispatchers(self, service_store):
+        before = set(threading.enumerate())
+        with QueryService(service_store, _config(dispatchers=3)) as service:
+            service.execute(QUERIES[0])
+            started = sorted(
+                t.name for t in threading.enumerate() if t not in before
+            )
+            assert "pool" not in service.metrics()
+        assert started == [f"repro-dispatch-{i}" for i in range(3)]
+
     def test_latency_reservoir_is_bounded(self):
         # A long-running service must not accumulate one float per
         # completed query forever; percentiles come from a bounded
@@ -244,32 +268,10 @@ class TestServerBoundaries:
                 ticket.result(30.0)
             assert service.metrics()["queue_timeouts"] >= 1
 
-    def test_tenant_quota_isolates_noisy_neighbour(self, service_store):
-        from repro.server.admission import TenantQuota
-
-        config = _config(
-            default_quota=TenantQuota(
-                max_in_flight=1, rate_per_s=1e6, burst=1000
-            ),
-            dispatchers=1,
-        )
-        with QueryService(service_store, config) as service:
-            first = service.submit(QUERIES[1], tenant="noisy")
-            # The noisy tenant's second concurrent query is shed...
-            rejected = False
-            try:
-                second = service.submit(QUERIES[1], tenant="noisy")
-            except AdmissionRejectedError:
-                rejected = True
-            else:
-                second.result(60.0)
-            # ...unless the first had already finished — either way the
-            # quiet tenant is never affected.
-            quiet = service.submit(QUERIES[0], tenant="quiet")
-            assert quiet.result(60.0).rows
-            first.result(60.0)
-            if rejected:
-                assert service.metrics()["admission"]["rejected_quota"] >= 1
+    def test_parallel_base_config_is_refused(self, service_store):
+        config = _config(base=OptimizerConfig(workers=2))
+        with pytest.raises(ValueError, match="only through Session"):
+            QueryService(service_store, config)
 
     def test_close_fails_queued_tickets(self, service_store, monkeypatch):
         monkeypatch.setattr(service_module, "QUEUE_TIMEOUT_MS", 60_000.0)
@@ -296,15 +298,7 @@ class TestServerBoundaries:
         # submit and close are fenced by one lock: a ticket that makes
         # it past submit is either dispatched or failed by the drain —
         # its caller must never block forever in result().
-        from repro.server.admission import TenantQuota
-
-        config = _config(
-            dispatchers=2,
-            default_quota=TenantQuota(
-                max_in_flight=1000, rate_per_s=1e6, burst=1000
-            ),
-        )
-        service = QueryService(service_store, config)
+        service = QueryService(service_store, _config(dispatchers=2))
         tickets: list = []
         lock = threading.Lock()
         start = threading.Barrier(5)
